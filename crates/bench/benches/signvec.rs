@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the bit-packed sign-vector substrate: packing,
-//! word-parallel boolean ops, and the Bernoulli transient vector — the
-//! per-hop costs behind Marsit's "compression" sliver in Fig 5.
+//! word-parallel boolean ops, the Bernoulli transient vector, and the
+//! segment moves — the per-hop costs behind Marsit's "compression" sliver
+//! in Fig 5.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -80,9 +81,34 @@ fn bench_unpack(c: &mut Criterion) {
     group.finish();
 }
 
+/// One ring segment of `sync_large` (150 k bits) cut out of a vector and
+/// spliced back, at a word-aligned offset and at two unaligned ones. An
+/// unaligned move is the aligned copy plus a second load and a shift-and-or
+/// per word: with the segment in L1 and the baseline x86-64 build (SSE2
+/// shifts against `memcpy`'s wide moves) the unaligned rows run ~3× the
+/// aligned one, and do not depend on which unaligned offset it is.
+fn bench_slice_splice(c: &mut Criterion) {
+    let seg = 150_000;
+    let mut rng = FastRng::new(5, 0);
+    let src = SignVec::bernoulli_uniform(seg + 64, 0.5, &mut rng);
+    let mut dst = SignVec::zeros(seg + 64);
+    let mut cell = SignVec::zeros(0);
+    let mut group = c.benchmark_group("slice_splice");
+    group.throughput(Throughput::Elements(seg as u64));
+    for offset in [0usize, 1, 37] {
+        group.bench_with_input(BenchmarkId::new("offset", offset), &offset, |b, &offset| {
+            b.iter(|| {
+                cell.assign_slice_of(black_box(&src), offset, seg);
+                dst.splice(offset, black_box(&cell));
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_pack, bench_bitops, bench_transient, bench_unpack
+    targets = bench_pack, bench_bitops, bench_transient, bench_unpack, bench_slice_splice
 }
 criterion_main!(benches);

@@ -467,6 +467,9 @@ where
     let mut rec = HopRecorder::begin();
     let mut state = init.clone();
     let mut received = SignVec::zeros(0);
+    // Outgoing payload and local segment, reused by every transfer.
+    let mut payload = SignVec::zeros(0);
+    let mut local = SignVec::zeros(0);
     let mut mine: Vec<Vec<&PlannedTransfer>> = vec![Vec::new(); plan.num_steps];
     for t in &plan.transfers {
         if t.delivered && (t.sender == rank || t.receiver == rank) {
@@ -475,7 +478,7 @@ where
     }
     for step in &mine {
         for t in step.iter().filter(|t| t.sender == rank) {
-            let payload = state.slice(t.start, t.len);
+            payload.assign_slice_of(&state, t.start, t.len);
             let seq = rec.seq_of(t.step).unwrap_or(t.step as u64);
             transport
                 .send_words_traced(t.receiver, payload.as_words(), seq)
@@ -494,7 +497,7 @@ where
             received.assign_from_words(t.len, &words);
             match t.combine {
                 Some(cctx) => {
-                    let mut local = state.slice(t.start, t.len);
+                    local.assign_slice_of(&state, t.start, t.len);
                     combine(&received, &mut local, cctx);
                     assert_eq!(local.len(), t.len, "combine changed segment length");
                     state.splice(t.start, &local);
@@ -568,6 +571,9 @@ where
         .collect();
     let mut states: Vec<SignVec> = inputs.to_vec();
     let mut received = SignVec::zeros(0);
+    // Outgoing payload and local segment, reused by every transfer.
+    let mut payload = SignVec::zeros(0);
+    let mut local = SignVec::zeros(0);
     for step in 0..plan.num_steps {
         let in_step: Vec<&PlannedTransfer> = plan
             .transfers
@@ -577,7 +583,7 @@ where
         // All sends land in the fabric before any rank receives — the
         // lockstep barrier a single-threaded simulator gets for free.
         for t in &in_step {
-            let payload = states[t.sender].slice(t.start, t.len);
+            payload.assign_slice_of(&states[t.sender], t.start, t.len);
             endpoints[t.sender]
                 .send_words(t.receiver, payload.as_words())
                 .map_err(disconnected)?;
@@ -589,7 +595,7 @@ where
             received.assign_from_words(t.len, &words);
             match t.combine {
                 Some(ctx) => {
-                    let mut local = states[t.receiver].slice(t.start, t.len);
+                    local.assign_slice_of(&states[t.receiver], t.start, t.len);
                     combine(&received, &mut local, ctx);
                     assert_eq!(local.len(), t.len, "combine changed segment length");
                     states[t.receiver].splice(t.start, &local);

@@ -216,13 +216,7 @@ pub fn ring_allreduce_majority(signs: &[SignVec], wire: SumWire) -> (SignVec, Tr
     let segs = segment_ranges(d, m);
     let mut result = SignVec::zeros(d);
     for (owner_seg, sum) in sums.iter().enumerate() {
-        let vote = sum.majority_sign();
-        let range = segs[owner_seg].clone();
-        let mut full_seg = SignVec::zeros(range.len());
-        for i in 0..range.len() {
-            full_seg.set(i, vote.get(i));
-        }
-        result.splice(range.start, &full_seg);
+        result.splice(segs[owner_seg].start, &sum.majority_sign());
     }
     for _ in 0..m - 1 {
         let step: Vec<usize> = (0..m).map(|w| segs[w].len().div_ceil(8).max(1)).collect();

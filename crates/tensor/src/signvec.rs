@@ -423,6 +423,67 @@ pub(crate) fn combine_words_masked(l: &mut [u64], r: &[u64], keep: &[u64]) {
     }
 }
 
+/// The low `n` bits (`1 ≤ n < 64`) of `words` read from bit `pos`.
+#[inline]
+fn read_bits(words: &[u64], pos: usize, n: usize) -> u64 {
+    let (k, sh) = (pos / WORD_BITS, pos % WORD_BITS);
+    let mut v = words[k] >> sh;
+    if sh + n > WORD_BITS {
+        v |= words[k + 1] << (WORD_BITS - sh);
+    }
+    v & ((1u64 << n) - 1)
+}
+
+/// Overwrites the `n` bits (`1 ≤ n < 64`) of `words` from bit `pos`, all
+/// within one word, with the low `n` bits of `bits` (higher bits of `bits`
+/// must be zero); the word's other bits keep their value.
+#[inline]
+fn merge_bits(words: &mut [u64], pos: usize, n: usize, bits: u64) {
+    let off = pos % WORD_BITS;
+    let mask = ((1u64 << n) - 1) << off;
+    let word = &mut words[pos / WORD_BITS];
+    *word = (*word & !mask) | (bits << off);
+}
+
+/// The bit-range move behind [`SignVec::slice`],
+/// [`SignVec::assign_slice_of`] and [`SignVec::splice`]: copies `count`
+/// bits of `src` starting at bit `src_start` onto `dst` starting at bit
+/// `dst_start`, a destination word at a time.
+///
+/// The partial first and last destination words are merged under a mask, so
+/// **destination bits outside `[dst_start, dst_start + count)` keep their
+/// value**. Every whole destination word in between is one funnel shift of
+/// two neighbouring source words, `src[k] >> sh | src[k + 1] << (64 − sh)`,
+/// with one `sh` for the whole move; `sh == 0` is a plain word copy.
+///
+/// # Panics
+///
+/// Panics if either range runs past its slice.
+fn copy_bit_range(src: &[u64], src_start: usize, dst: &mut [u64], dst_start: usize, count: usize) {
+    // Bits up to the first destination word boundary.
+    let head = (dst_start.next_multiple_of(WORD_BITS) - dst_start).min(count);
+    if head > 0 {
+        merge_bits(dst, dst_start, head, read_bits(src, src_start, head));
+    }
+    let (from, to) = (src_start + head, dst_start + head);
+    let whole = (count - head) / WORD_BITS;
+    let (k, sh) = (from / WORD_BITS, from % WORD_BITS);
+    let body = &mut dst[to / WORD_BITS..][..whole];
+    if sh == 0 {
+        body.copy_from_slice(&src[k..][..whole]);
+    } else {
+        let (lo, hi) = (&src[k..][..whole], &src[k + 1..][..whole]);
+        for ((d, &l), &h) in body.iter_mut().zip(lo).zip(hi) {
+            *d = (l >> sh) | (h << (WORD_BITS - sh));
+        }
+    }
+    let tail = (count - head) % WORD_BITS;
+    if tail > 0 {
+        let done = whole * WORD_BITS;
+        merge_bits(dst, to + done, tail, read_bits(src, from + done, tail));
+    }
+}
+
 /// Per-byte `±scale` expansion table for the one-bit sign rebuild.
 ///
 /// Row `b` holds the eight `f32` values the bits of `b` select: `+scale`
@@ -1145,86 +1206,47 @@ impl SignVec {
 
     /// Extracts bits `[start, start + count)` into a new vector.
     ///
-    /// Word-aligned `start` takes a `copy_from_slice` fast path over whole
-    /// words (the segmented collectives cut at 64-bit boundaries whenever
-    /// `d/m` is a multiple of 64); other offsets fall back to per-bit moves.
+    /// Word-parallel at any `start` (one shifted word move per 64 bits,
+    /// see DESIGN.md §7), so the segmented collectives pay the same for a
+    /// ragged `d/m` as for one that cuts at 64-bit boundaries.
     ///
     /// # Panics
     ///
     /// Panics if the range exceeds the vector length.
     #[must_use]
     pub fn slice(&self, start: usize, count: usize) -> SignVec {
-        assert!(start + count <= self.len, "slice out of bounds");
-        let mut out = SignVec::zeros(count);
-        if start.is_multiple_of(WORD_BITS) {
-            let first = start / WORD_BITS;
-            let nw = out.words.len();
-            out.words.copy_from_slice(&self.words[first..first + nw]);
-            out.mask_tail();
-            return out;
-        }
-        for i in 0..count {
-            if self.get(start + i) {
-                out.set(i, true);
-            }
-        }
+        let mut out = SignVec::zeros(0);
+        out.assign_slice_of(self, start, count);
         out
     }
 
     /// Allocation-free [`SignVec::slice`]: replaces `self` with bits
-    /// `[start, start + count)` of `src`, reusing `self`'s word buffer.
-    /// Same fast path for word-aligned `start`, same result bits.
+    /// `[start, start + count)` of `src`, reusing `self`'s word buffer
+    /// whatever it held before. Same result bits.
     ///
     /// # Panics
     ///
     /// Panics if the range exceeds `src`'s length.
     pub fn assign_slice_of(&mut self, src: &SignVec, start: usize, count: usize) {
         assert!(start + count <= src.len, "slice out of bounds");
-        let nw = count.div_ceil(WORD_BITS);
         self.len = count;
-        self.words.clear();
-        if start.is_multiple_of(WORD_BITS) {
-            let first = start / WORD_BITS;
-            self.words.extend_from_slice(&src.words[first..first + nw]);
-            self.mask_tail();
-            return;
-        }
-        self.words.resize(nw, 0);
-        for i in 0..count {
-            if src.get(start + i) {
-                self.words[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
-            }
-        }
+        // No clear: every word is overwritten, except the bits of the last
+        // one at or above `count`, which `mask_tail` zeroes.
+        self.words.resize(count.div_ceil(WORD_BITS), 0);
+        copy_bit_range(&src.words, start, &mut self.words, 0, count);
+        self.mask_tail();
     }
 
-    /// Overwrites bits `[start, start + other.len())` with `other`.
-    ///
-    /// Word-aligned `start` copies whole words (merging the final partial
-    /// word with a mask); other offsets fall back to per-bit moves.
+    /// Overwrites bits `[start, start + other.len())` with `other`; every
+    /// other bit of `self` keeps its value. Word-parallel at any `start`,
+    /// like [`SignVec::slice`].
     ///
     /// # Panics
     ///
     /// Panics if the range exceeds the vector length.
     pub fn splice(&mut self, start: usize, other: &SignVec) {
         assert!(start + other.len <= self.len, "splice out of bounds");
-        if start.is_multiple_of(WORD_BITS) {
-            let first = start / WORD_BITS;
-            let nw = other.words.len();
-            let rem = other.len % WORD_BITS;
-            if rem == 0 {
-                self.words[first..first + nw].copy_from_slice(&other.words);
-            } else {
-                self.words[first..first + nw - 1].copy_from_slice(&other.words[..nw - 1]);
-                // Keep the destination bits above the spliced range.
-                let mask = (1u64 << rem) - 1;
-                let dst = &mut self.words[first + nw - 1];
-                *dst = (*dst & !mask) | (other.words[nw - 1] & mask);
-            }
-            return;
-        }
-        for i in 0..other.len {
-            self.set(start + i, other.get(i));
-        }
+        copy_bit_range(&other.words, 0, &mut self.words, start, other.len);
     }
 
     /// Size of the packed payload in bytes (the wire size of this message).
@@ -1682,7 +1704,7 @@ mod tests {
     }
 
     #[test]
-    fn word_aligned_slice_splice_match_bitwise_fallback() {
+    fn slice_splice_match_per_bit_moves() {
         let mut rng = FastRng::new(63, 0);
         let v = SignVec::bernoulli_uniform(300, 0.5, &mut rng);
         for (start, count) in [
@@ -1691,6 +1713,11 @@ mod tests {
             (128, 172),
             (64, 64),
             (192, 1),
+            (1, 299),
+            (37, 200),
+            (63, 65),
+            (130, 20),
+            (300, 0),
         ] {
             let fast = v.slice(start, count);
             let mut slow = SignVec::zeros(count);

@@ -15,6 +15,7 @@ use marsit::collectives::tree::tree_allreduce_onebit;
 use marsit::collectives::CombineCtx;
 use marsit::core::ominus::combine_weighted_assign;
 use marsit::prelude::*;
+use marsit::telemetry::scoped;
 
 /// Deterministic per-worker updates, one RNG stream per worker.
 fn updates(m: usize, d: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -197,6 +198,124 @@ fn golden_faulty_ring8_d129() {
         ),
     ];
     assert_rounds(&got, want, "faulty_ring8_d129");
+}
+
+/// The unaligned ring: d = 1031 over 7 workers cuts at bits 148, 296, 443,
+/// 590, 737 and 884 — no cut but the first is a word boundary, so every
+/// segment copy of the round takes the shifted bit-range moves. Recorded
+/// before those moves went word-parallel; it pins the consensus words, the
+/// `⊙` and RNG-draw counts and the wire bytes of four one-bit rounds.
+#[test]
+fn golden_ring7_d1031() {
+    let cfg = MarsitConfig::new(SyncSchedule::never(), 0.01, 42);
+    let ups = updates(7, 1031, 5);
+    let mut marsit = Marsit::new(cfg, 7, 1031);
+    let tel = Telemetry::recording();
+    let got: Vec<(Vec<u64>, bool)> = (0..4)
+        .map(|t| {
+            let out = scoped(&tel, || marsit.synchronize(&ups, Topology::ring(7)));
+            assert_eq!(out.trace.num_steps(), 12, "ring7_d1031 t={t}: steps");
+            assert_eq!(out.trace.total_bytes(), 1596, "ring7_d1031 t={t}: bytes");
+            (
+                SignVec::from_signs(&out.global_update).as_words().to_vec(),
+                out.full_precision,
+            )
+        })
+        .collect();
+    let want: &[(&[u64], bool)] = &[
+        (
+            &[
+                0x07e58e770c37c1c5,
+                0x89f92b5dd97d126d,
+                0x4d88ec45165cfcfd,
+                0x1bcb5a0464835b3c,
+                0xf059dbfc969ffd35,
+                0x2b0036153f92cc30,
+                0x37a353eddc6fd4fa,
+                0xa3dc15511bad3a72,
+                0xd9362fbe7587a209,
+                0x91798475d4318349,
+                0x233d4d74eb4006f4,
+                0xb4d188a77ca279ee,
+                0x77100e4cd4551a0d,
+                0xbfeb8aa93ae035ae,
+                0xcd0bbe5bb2807055,
+                0xe1b42dcc74439730,
+                0x000000000000006c,
+            ],
+            false,
+        ),
+        (
+            &[
+                0xf85b2956acfcd7a7,
+                0xb1fb2374c2536a71,
+                0x510aa13755984e33,
+                0x89e75928b9ea1c65,
+                0x2b315d2ef73bdd75,
+                0x6ca770b4f7078661,
+                0x0fab54ddd9a4736d,
+                0x4b3b0eb7fb0954a5,
+                0xf11bb0612f168a2c,
+                0x8be4face93e759b1,
+                0x41fd307659720e7d,
+                0x080b983dd4bce584,
+                0x134ddc6ddda8e987,
+                0x42a48239083c97c4,
+                0x2b7c293bb2c6517d,
+                0xeb2a7b2f0e434a10,
+                0x0000000000000072,
+            ],
+            false,
+        ),
+        (
+            &[
+                0x8bfa9f079af1d464,
+                0x39a28258f02ed17d,
+                0x645d01810a762445,
+                0x5360d12df11ed77f,
+                0x1d71498ed43154cc,
+                0x658d524cd7074432,
+                0x5218590ed102b2e4,
+                0xd26aa874f30d304e,
+                0xe15c990843e6eb0f,
+                0xad6878bdd3a8e5bd,
+                0x2ad116ecb16336fc,
+                0x1530901d6e9de9c5,
+                0x29ce08c8f109ce8b,
+                0x91f1ee7e6b37531a,
+                0xa16c1d2042081a8c,
+                0x90bf384b04434fdd,
+                0x0000000000000058,
+            ],
+            false,
+        ),
+        (
+            &[
+                0xa233659e3b6fc1b4,
+                0xabf64341da3e8145,
+                0xeb9e40c31e544a7e,
+                0x9f4b742bad7c5775,
+                0x903adbcec60f86d5,
+                0x0e353207a14785fc,
+                0x54c4626f977ec0f2,
+                0xc36378fe8aa17a86,
+                0xc176f2106f9ff3cc,
+                0xc8d58a25c374db39,
+                0x2a7d35cc5366d60d,
+                0x178fc842fe6c5dc7,
+                0x1b444c69d890df43,
+                0x99c3bc1d2900b8c9,
+                0xa22d2956c5dcda4d,
+                0xd52b9af87601a35b,
+                0x000000000000004f,
+            ],
+            false,
+        ),
+    ];
+    assert_rounds(&got, want, "ring7_d1031");
+    assert_eq!(tel.counter("marsit.combines"), 168, "⊙ count changed");
+    assert_eq!(tel.counter("marsit.rng_draws"), 11004, "draw count changed");
+    assert_eq!(tel.counter("hop.bytes"), 6384, "traced hop bytes changed");
 }
 
 /// The raw collectives under the weighted ⊙, with the per-hop RNG stream
