@@ -33,7 +33,10 @@ use marsit_collectives::{
 };
 use marsit_simnet::{Backend, FaultInjector, FaultPlan, FaultStats, LinkModel, Topology};
 use marsit_tensor::rng::{split_seed, FastRng};
-use marsit_tensor::{fill_bernoulli_masks_indexed, ScaledSignLut, SignVec};
+use marsit_tensor::{
+    compensate_block, fill_bernoulli_masks_indexed, Residual, ScaledSignLut, SignVec,
+    PROLOGUE_BLOCK,
+};
 
 use crate::compensation::Compensation;
 use crate::ominus::{combine_unweighted_assign, combine_weighted_assign};
@@ -204,8 +207,6 @@ struct RoundWorkspace {
     fp_buffers: Vec<Vec<f32>>,
     /// Per-worker packed sign vectors for one-bit rounds.
     signs: Vec<SignVec>,
-    /// Per-worker word staging for the fused prologue's sign packing.
-    word_scratch: Vec<u64>,
     /// Per-worker state and schedule scratch for the planned ring collective.
     ring: RingOnebitScratch,
     /// Transient-mask planner, persistent so its buffers amortize to zero
@@ -230,15 +231,18 @@ struct RoundWorkspace {
 ///
 /// [`Marsit::release_workspace`] flushes any deferred residual first, and
 /// after the flush the workspace carries **no live state**: every
-/// `synchronize` path resizes and fully overwrites each buffer before
-/// reading it (`apply_into` clears and rewrites the compensated updates,
-/// the prologue repacks every sign word, the ring scratch reassigns every
-/// segment cell, the planner is reseeded per round, and the consensus
-/// buffer has every bit spliced in). The only thing that survives the
-/// handoff is buffer *capacity*, and capacity never participates in a
-/// computation — so a job running on an adopted workspace, of any
-/// provenance or shape, is bit-identical to the same job on a fresh one.
-/// The `workspace_reuse` and service determinism tests pin this.
+/// `synchronize` path sizes each buffer and fully overwrites it before
+/// reading it. The clean prologue only *sizes* the compensated updates and
+/// the sign vectors (`Vec::resize`, [`SignVec::resize_for_overwrite`] — no
+/// clearing pass) and its block sweep then writes every float and packs
+/// every sign word in place, the last word with zero tail bits; the fault
+/// path's `apply_into` clears and rewrites; the ring scratch reassigns every
+/// segment cell, the planner is reseeded per round, and the consensus buffer
+/// has every bit spliced in. What survives the handoff is buffer *capacity*
+/// and stale bytes that are overwritten before any read, and neither
+/// participates in a computation — so a job running on an adopted workspace,
+/// of any provenance or shape, is bit-identical to the same job on a fresh
+/// one. The `workspace_reuse` and service determinism tests pin this.
 #[derive(Debug, Default)]
 pub struct WorkspaceHandle {
     ws: RoundWorkspace,
@@ -275,109 +279,6 @@ struct PendingResidual {
     scale: f32,
 }
 
-/// Reconstructs `g` from a consensus bit and a scale, exactly as
-/// [`SignVec::write_scaled_signs`] does: bit 1 ⇒ `+scale`, bit 0 ⇒ `−scale`
-/// via IEEE sign-bit injection.
-#[inline]
-fn scaled_sign(scale_bits: u32, word: u64, j: usize) -> f32 {
-    let flip = (((word >> j) & 1) ^ 1) as u32;
-    f32::from_bits(scale_bits ^ (flip << 31))
-}
-
-/// The fused round-prologue pass over one worker, deferred-residual form:
-/// in a single sweep per 64-element chunk it (a) applies
-/// `h ← u + (h − g_prev)` with `g_prev` rebuilt from consensus bits in
-/// registers, (b) accumulates the still-hot chunk into the running
-/// compensated-mean numerator, and (c) packs the chunk's sign word when the
-/// round is one-bit. Fusing (b) and (c) into (a) removes two full re-reads
-/// of `h` per worker from the hot path.
-///
-/// Bit-identity: (a) performs the exact f32 expression of the eager
-/// two-pass form (`c = h − g` stored, then `u + c` next round); (b) adds
-/// each worker's elements into the accumulator in the same worker-major
-/// order as the former standalone mean pass; (c) packs the same values
-/// [`SignVec::assign_from_signs`] would read back from memory.
-fn prepare_deferred(
-    update: &[f32],
-    h: &mut [f32],
-    consensus: &SignVec,
-    lut: &ScaledSignLut,
-    mean_acc: &mut [f32],
-    word_scratch: &mut Vec<u64>,
-    sign_out: Option<&mut SignVec>,
-) {
-    debug_assert_eq!(update.len(), h.len());
-    debug_assert_eq!(consensus.len(), h.len());
-    debug_assert_eq!(mean_acc.len(), h.len());
-    // The residual's scale rides in with the LUT: row 0x01 starts with the
-    // positive scale, so the ragged-tail fallback recovers the exact bits.
-    let scale_bits = lut.row(0x01)[0].to_bits();
-    let pack = sign_out.is_some();
-    word_scratch.clear();
-    // `g` is rebuilt through the caller-provided per-byte `±scale` expansion
-    // table (built once per round, shared across workers): row `b` holds the
-    // eight values the bits of `b` select, which keeps the apply loop free
-    // of per-lane bit tests (they defeat auto-vectorization) while producing
-    // the exact same floats as [`scaled_sign`] — `+scale` verbatim, `−scale`
-    // by IEEE sign-bit flip.
-    for (((hc, uc), mc), &w) in h
-        .chunks_mut(64)
-        .zip(update.chunks(64))
-        .zip(mean_acc.chunks_mut(64))
-        .zip(consensus.as_words())
-    {
-        if hc.len() == 64 {
-            for k in 0..8 {
-                let row = lut.row((w >> (8 * k)) as u8);
-                let h8 = &mut hc[k * 8..k * 8 + 8];
-                let u8 = &uc[k * 8..k * 8 + 8];
-                for i in 0..8 {
-                    h8[i] = u8[i] + (h8[i] - row[i]);
-                }
-            }
-        } else {
-            for (j, (hj, &uj)) in hc.iter_mut().zip(uc).enumerate() {
-                *hj = uj + (*hj - scaled_sign(scale_bits, w, j));
-            }
-        }
-        for (a, &x) in mc.iter_mut().zip(&*hc) {
-            *a += x;
-        }
-        if pack {
-            word_scratch.push(SignVec::pack_word(hc));
-        }
-    }
-    if let Some(out) = sign_out {
-        out.assign_from_words(h.len(), word_scratch);
-    }
-}
-
-/// [`prepare_deferred`] for the materialized-compensation form (round 0,
-/// post-full-precision, post-fault): `h` already holds `u + c`; this pass
-/// accumulates it into the mean numerator and optionally packs its signs
-/// while it is cache-hot.
-fn accumulate_and_pack(
-    h: &[f32],
-    mean_acc: &mut [f32],
-    word_scratch: &mut Vec<u64>,
-    sign_out: Option<&mut SignVec>,
-) {
-    debug_assert_eq!(mean_acc.len(), h.len());
-    let pack = sign_out.is_some();
-    word_scratch.clear();
-    for (hc, mc) in h.chunks(64).zip(mean_acc.chunks_mut(64)) {
-        for (a, &x) in mc.iter_mut().zip(hc) {
-            *a += x;
-        }
-        if pack {
-            word_scratch.push(SignVec::pack_word(hc));
-        }
-    }
-    if let Some(out) = sign_out {
-        out.assign_from_words(h.len(), word_scratch);
-    }
-}
-
 /// The per-hop RNG stream id, a frozen contract: every `(receiver, segment,
 /// step)` tuple of a round derives an independent transient-vector stream.
 #[inline]
@@ -404,7 +305,7 @@ fn keep_probability(kind: CombineKind, ctx: &CombineCtx) -> f64 {
 /// probabilities (32 dependent draws per word) that chain alone costs more
 /// than the combines' bit math. The planner receives each step's hop plan
 /// via the collective's step-begin hook, draws all of the step's masks with
-/// [`fill_bernoulli_mask_words`] (up to 8 chains in flight), and the combine
+/// [`fill_bernoulli_masks_indexed`] (up to 8 chains in flight), and the combine
 /// closure replays them via [`SignVec::transient_combine_assign_masked`].
 ///
 /// Per stream the words, draw counts, and final RNG states are bit-identical
@@ -940,7 +841,6 @@ impl Marsit {
             compensated,
             fp_buffers,
             signs,
-            word_scratch,
             ring,
             planner,
             consensus: consensus_buf,
@@ -948,53 +848,68 @@ impl Marsit {
 
         // Line 1 (fused prologue): fold compensation into the local update,
         // accumulate the compensated-mean numerator, and — on one-bit rounds
-        // — pack each worker's sign words, all while the chunk is cache-hot.
-        // The accumulator recycles the caller's buffer (one zero-fill pass,
-        // exactly what the fresh `vec![0.0; d]` performed).
+        // — pack each worker's sign words, all in one sweep. The sweep is
+        // block-major: every worker visits a block before any worker moves
+        // on, so the block of the mean accumulator stays in cache from its
+        // zero-fill to its `1/M` scaling, and each worker's sign words go
+        // straight into its vector. Per element the workers still arrive in
+        // order `0..M`, so the mean's float sums are the worker-major ones.
+        //
+        // Every buffer below is overwritten in full and only sized here, so
+        // what an adopted workspace or a recycled outcome held is invisible.
+        // A fresh (empty) accumulator comes back from the resize already
+        // zeroed; a recycled one is zeroed block by block instead.
         let compensated_mean = &mut out.compensated_mean;
-        compensated_mean.clear();
+        let recycled = !compensated_mean.is_empty();
         compensated_mean.resize(d, 0.0);
         if !full_precision {
             signs.resize_with(m, || SignVec::zeros(0));
-        }
-        if let Some(p) = self.pending.take() {
-            // Deferred residual: `h ← u + (h − g_prev)` in the same pass,
-            // with the ±scale expansion table built once for all workers.
-            debug_assert_eq!(compensated.len(), m);
-            let lut = ScaledSignLut::new(p.scale);
-            for (w, (h, u)) in compensated.iter_mut().zip(local_updates).enumerate() {
-                let sign_out = if full_precision {
-                    None
-                } else {
-                    Some(&mut signs[w])
-                };
-                prepare_deferred(
-                    u,
-                    h,
-                    &p.consensus,
-                    &lut,
-                    compensated_mean,
-                    word_scratch,
-                    sign_out,
-                );
+            for sv in signs.iter_mut() {
+                sv.resize_for_overwrite(d);
             }
-            // The consumed residual's sign buffer is exactly consensus-sized;
-            // recycle it as this round's collective output buffer.
-            *consensus_buf = p.consensus;
+        }
+        // Deferred residual: `h ← u + (h − g_prev)` with `g_prev` rebuilt
+        // from the consensus bits, the ±scale expansion table built once for
+        // all workers. Otherwise (round 0, after a full-precision round or a
+        // flush) the compensation vectors are material: `h ← u + c`.
+        let deferred = self
+            .pending
+            .take()
+            .map(|p| (p.consensus, ScaledSignLut::new(p.scale)));
+        if deferred.is_some() {
+            debug_assert_eq!(compensated.len(), m);
         } else {
             compensated.resize_with(m, Vec::new);
+            for h in compensated.iter_mut() {
+                h.resize(d, 0.0);
+            }
+        }
+        for lo in (0..d).step_by(PROLOGUE_BLOCK) {
+            let hi = (lo + PROLOGUE_BLOCK).min(d);
+            let mean = &mut compensated_mean[lo..hi];
+            if recycled {
+                mean.fill(0.0);
+            }
             for (w, (h, u)) in compensated.iter_mut().zip(local_updates).enumerate() {
-                self.compensations[w].apply_into(u, h);
+                let residual = match &deferred {
+                    Some((consensus, lut)) => Residual::Deferred { consensus, lut },
+                    None => Residual::Materialized(&self.compensations[w].vector()[lo..hi]),
+                };
                 let sign_out = if full_precision {
                     None
                 } else {
                     Some(&mut signs[w])
                 };
-                accumulate_and_pack(h, compensated_mean, word_scratch, sign_out);
+                compensate_block(lo, &u[lo..hi], &mut h[lo..hi], residual, mean, sign_out);
+            }
+            for a in mean {
+                *a *= inv_m;
             }
         }
-        for a in compensated_mean.iter_mut() {
-            *a *= inv_m;
+        if let Some((consensus, _)) = deferred {
+            // The consumed residual's sign buffer is exactly consensus-sized;
+            // recycle it as this round's collective output buffer.
+            *consensus_buf = consensus;
         }
 
         let combines = Cell::new(0u64);

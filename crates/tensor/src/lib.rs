@@ -33,7 +33,8 @@ pub mod stats;
 pub mod tensor;
 
 pub use signvec::{
-    fill_bernoulli_mask_words, fill_bernoulli_masks_indexed, MaskLane, ScaledSignLut, SignVec,
+    compensate_block, fill_bernoulli_masks_indexed, Residual, ScaledSignLut, SignVec,
+    PROLOGUE_BLOCK,
 };
 pub use tensor::{ShapeError, Tensor};
 

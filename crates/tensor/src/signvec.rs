@@ -118,18 +118,6 @@ unsafe fn pack_sign_word_sse2(chunk: &[f32]) -> u64 {
     w
 }
 
-/// One lane of [`fill_bernoulli_mask_words`]: an independent RNG stream and
-/// the word buffer its Bernoulli mask words are written into.
-pub struct MaskLane<'a> {
-    /// The lane's generator; advanced exactly as if `bernoulli_word` had
-    /// been called sequentially for every output word.
-    pub rng: &'a mut FastRng,
-    /// Destination for the lane's mask words (64 Bernoulli lanes per word;
-    /// tail bits beyond a vector's length are arbitrary, as in
-    /// [`SignVec::transient_combine_into`]).
-    pub out: &'a mut [u64],
-}
-
 /// Chains interleaved per register batch: enough to hide the xorshift
 /// dependency latency on superscalar cores, small enough that states and
 /// accumulators stay in registers, and exactly one AVX-512 register (or two
@@ -204,9 +192,15 @@ unsafe fn digit_word_lanes_avx512(
 }
 
 /// Dispatches one digit-scan word to the widest available SIMD build of the
-/// lane body (full batches only; ragged groups stay scalar). All builds run
-/// the identical instruction-order recurrence, so the selected ISA never
-/// changes a single output bit.
+/// lane body. All builds run the identical instruction-order recurrence per
+/// lane, so the selected ISA never changes a single output bit.
+///
+/// The SIMD builds are full-width only; a ragged group of `2 ≤ n < 8` chains
+/// (a ring of 7 has 7 equal-`p` hops per step) runs them too, padded with
+/// dead lanes: `st[n..]` and the returned `acc[n..]` are then scratch the
+/// caller ignores, and the live lanes never see them. A lone chain stays on
+/// the scalar body, where one chain beats eight lanes of which seven are
+/// dead.
 #[inline]
 fn digit_word_lanes(
     q: u64,
@@ -215,7 +209,7 @@ fn digit_word_lanes(
     n: usize,
 ) -> [u64; MASK_BATCH_LANES] {
     #[cfg(target_arch = "x86_64")]
-    if n == MASK_BATCH_LANES {
+    if n >= 2 {
         if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
             // SAFETY: feature presence just checked.
             return unsafe { digit_word_lanes_avx512(q, tz, st) };
@@ -276,79 +270,30 @@ fn fill_bernoulli_words(q: u64, rng: &mut FastRng, out: &mut [u64]) {
     }
 }
 
-/// Fills each lane's buffer with Bernoulli(`p`) mask words, drawing the
-/// lanes' independent RNG streams in an interleaved schedule.
+/// Fills several mask streams at once: lane `i` draws Bernoulli(`p`) mask
+/// words from `rngs[i]` into the window
+/// `flat[windows[i].0 ..][.. windows[i].1]` of one flat buffer (64 Bernoulli
+/// lanes per word; tail bits beyond a vector's length are arbitrary, as in
+/// [`SignVec::transient_combine_into`]). Callers that plan many mask streams
+/// per step (the round mask planner) describe a whole step with plain
+/// `(offset, len)` pairs and never materialize a `Vec` of borrows.
 ///
-/// Per lane this is *bit-identical* to the sequential loop
-/// `for w in out { *w = bernoulli_word(q, rng) }` — the same words land in
-/// `out` and the generator finishes in the same state with the same draw
-/// count. Only the inter-lane execution order differs: up to
+/// Per lane this is *bit-identical* to the sequential scan
+/// `for w in window { *w = bernoulli_word(q, rng) }` — the same words land in
+/// the window and the generator finishes in the same state with the same
+/// draw count. Only the inter-lane execution order differs: up to
 /// 8 independent xorshift chains advance round-robin per fixed-point digit,
 /// which breaks the single-chain latency serialization that dominates
-/// non-dyadic sampling (32 dependent draws per word).
-///
-/// # Panics
-///
-/// Panics if `p` rounds to a degenerate fixed-point probability (0 or 1);
-/// degenerate combines draw nothing and must be handled by the caller, as
-/// in [`SignVec::transient_combine_assign`].
-pub fn fill_bernoulli_mask_words(p: f64, lanes: &mut [MaskLane<'_>]) {
-    let q = bernoulli_fixed_point(p);
-    assert!(
-        q > 0 && q < 1 << BERNOULLI_FIXED_BITS,
-        "degenerate probability draws nothing; handle it before batching"
-    );
-    let tz = q.trailing_zeros();
-    let draws_per_word = u64::from(BERNOULLI_FIXED_BITS - tz);
-    for group in lanes.chunks_mut(MASK_BATCH_LANES) {
-        let n = group.len();
-        // Hoist the states into a register-resident array; the lanes below
-        // `common` words advance together, stragglers finish sequentially.
-        let mut st = [0u64; MASK_BATCH_LANES];
-        for (s, lane) in st.iter_mut().zip(group.iter()) {
-            *s = lane.rng.raw_state();
-        }
-        let common = group.iter().map(|l| l.out.len()).min().unwrap_or(0);
-        for w in 0..common {
-            // Same digit recurrence as `bernoulli_word`, applied to all
-            // lanes before the next (dependent) digit of any lane.
-            let acc = digit_word_lanes(q, tz, &mut st, n);
-            for (lane, &a) in group.iter_mut().zip(&acc[..n]) {
-                lane.out[w] = a;
-            }
-        }
-        for (lane, &s) in group.iter_mut().zip(&st[..n]) {
-            lane.rng.set_raw_state(s);
-            lane.rng.add_draws(common as u64 * draws_per_word);
-        }
-        // Ragged tails (segment word counts can differ by one) fall back to
-        // the sequential sampler on the written-back states.
-        for lane in group.iter_mut() {
-            for w in common..lane.out.len() {
-                lane.out[w] = bernoulli_word(q, lane.rng);
-            }
-        }
-    }
-}
-
-/// Allocation-free sibling of [`fill_bernoulli_mask_words`]: lane `i` draws
-/// Bernoulli(`p`) mask words from `rngs[i]` into the window
-/// `flat[windows[i].0 ..][.. windows[i].1]` of one flat buffer, instead of
-/// through per-lane `&mut [u64]` handles. Callers that plan many mask
-/// streams per step (the round mask planner) can therefore describe a whole
-/// step with plain `(offset, len)` pairs and never materialize a `Vec` of
-/// borrows.
-///
-/// Per lane the output, final RNG state, and draw count are bit-identical to
-/// the sequential scan `for w in window { *w = bernoulli_word(q, rng) }`,
-/// exactly as for [`fill_bernoulli_mask_words`]. Windows may overlap or
+/// non-dyadic sampling (32 dependent draws per word). Windows may overlap or
 /// alias freely — later lanes simply overwrite earlier ones — though in
 /// practice planners pass disjoint windows.
 ///
 /// # Panics
 ///
 /// Panics if `rngs` and `windows` disagree in length, if any window exceeds
-/// `flat`, or if `p` rounds to a degenerate fixed-point probability.
+/// `flat`, or if `p` rounds to a degenerate fixed-point probability (0 or
+/// 1); degenerate combines draw nothing and must be handled by the caller,
+/// as in [`SignVec::transient_combine_assign`].
 pub fn fill_bernoulli_masks_indexed(
     p: f64,
     rngs: &mut [FastRng],
@@ -368,12 +313,16 @@ pub fn fill_bernoulli_masks_indexed(
         .zip(windows.chunks(MASK_BATCH_LANES))
     {
         let n = group.len();
+        // Hoist the states into a register-resident array; the lanes below
+        // `common` words advance together, stragglers finish sequentially.
         let mut st = [0u64; MASK_BATCH_LANES];
         for (s, rng) in st.iter_mut().zip(group.iter()) {
             *s = rng.raw_state();
         }
         let common = wins.iter().map(|&(_, len)| len).min().unwrap_or(0);
         for w in 0..common {
+            // Same digit recurrence as `bernoulli_word`, applied to all
+            // lanes before the next (dependent) digit of any lane.
             let acc = digit_word_lanes(q, tz, &mut st, n);
             for (&(start, _), &a) in wins.iter().zip(&acc[..n]) {
                 flat[start + w] = a;
@@ -383,6 +332,8 @@ pub fn fill_bernoulli_masks_indexed(
             rng.set_raw_state(s);
             rng.add_draws(common as u64 * draws_per_word);
         }
+        // Ragged tails (segment word counts can differ by one) fall back to
+        // the sequential sampler on the written-back states.
         for (rng, &(start, len)) in group.iter_mut().zip(wins) {
             for w in common..len {
                 flat[start + w] = bernoulli_word(q, rng);
@@ -522,6 +473,12 @@ impl ScaledSignLut {
     pub fn row(&self, byte: u8) -> &[f32; 8] {
         &self.rows[usize::from(byte)]
     }
+
+    /// The bit pattern of the (positive-bit) scale the table was built for.
+    #[inline]
+    fn scale_bits(&self) -> u32 {
+        self.rows[0xFF][0].to_bits()
+    }
 }
 
 /// One (possibly partial) 64-element chunk of the fused residual norm,
@@ -640,6 +597,285 @@ unsafe fn residual_norm_sq_striped_avx512(words: &[u64], h: &[f32], lut: &Scaled
     lanes.iter().sum()
 }
 
+/// Elements per block of the block-major round prologue: callers walk a
+/// model in blocks of this many elements and run [`compensate_block`] for
+/// every worker on one block before moving to the next, so the block of the
+/// mean accumulator (64 KiB) stays cache-resident across the workers. A
+/// multiple of 64, so blocks cut at sign-word boundaries. Any block length
+/// produces the same bits; the measured sweep time (ring of 7, 2²⁰
+/// elements) is flat from 1 Ki to 64 Ki elements per block and about a
+/// third longer from 256 Ki up, which is the unblocked walk.
+pub const PROLOGUE_BLOCK: usize = 16_384;
+
+/// Where [`compensate_block`] finds the residual `c` it folds into a
+/// worker's local update (Algorithm 1, line 1).
+#[derive(Clone, Copy)]
+pub enum Residual<'a> {
+    /// Deferred form, `c = h − g`: `h` still holds the previous round's
+    /// compensated update, and `g` is rebuilt in registers as the `±scale`
+    /// expansion of that round's `consensus` bits (`lut` is the expansion
+    /// table for the scale, built once per round).
+    Deferred {
+        /// Consensus sign bits of the whole model.
+        consensus: &'a SignVec,
+        /// `±scale` expansion table.
+        lut: &'a ScaledSignLut,
+    },
+    /// Materialized form: the block's slice of a stored `c`; `h`'s old
+    /// contents are ignored and overwritten.
+    Materialized(&'a [f32]),
+}
+
+/// The `j`-th `±scale` value of a consensus word, exactly as
+/// [`SignVec::write_scaled_signs`] rebuilds it: bit 1 ⇒ `+scale`, bit 0 ⇒
+/// `−scale` via IEEE sign-bit injection.
+#[inline]
+fn scaled_sign(scale_bits: u32, word: u64, j: usize) -> f32 {
+    let flip = (((word >> j) & 1) ^ 1) as u32;
+    f32::from_bits(scale_bits ^ (flip << 31))
+}
+
+/// Portable body of [`compensate_block`] and the reference its SIMD builds
+/// are tested against: per (possibly partial, only at the very end) 64-value
+/// chunk, (a) `h ← u + (h − g)` or `h ← u + c`, (b) `mean_acc += h` while
+/// the chunk is hot, (c) the chunk's sign word. `first` is the word index of
+/// the block's first chunk in `consensus`; `sign_words` is already the
+/// block's window.
+///
+/// `g` comes through the per-byte expansion table: row `b` holds the eight
+/// values the bits of `b` select, which keeps the apply loop free of
+/// per-lane bit tests (they defeat auto-vectorization) while producing the
+/// same floats as [`scaled_sign`].
+#[inline(always)]
+fn compensate_chunks(
+    first: usize,
+    update: &[f32],
+    h: &mut [f32],
+    residual: Residual<'_>,
+    mean_acc: &mut [f32],
+    mut sign_words: Option<&mut [u64]>,
+) {
+    let chunks = h
+        .chunks_mut(WORD_BITS)
+        .zip(update.chunks(WORD_BITS))
+        .zip(mean_acc.chunks_mut(WORD_BITS));
+    for (i, ((hc, uc), mc)) in chunks.enumerate() {
+        match residual {
+            Residual::Deferred { consensus, lut } => {
+                let w = consensus.words[first + i];
+                if hc.len() == WORD_BITS {
+                    for k in 0..8 {
+                        let row = lut.row((w >> (8 * k)) as u8);
+                        let h8 = &mut hc[k * 8..k * 8 + 8];
+                        let u8 = &uc[k * 8..k * 8 + 8];
+                        for j in 0..8 {
+                            h8[j] = u8[j] + (h8[j] - row[j]);
+                        }
+                    }
+                } else {
+                    let scale_bits = lut.scale_bits();
+                    for (j, (hj, &uj)) in hc.iter_mut().zip(uc).enumerate() {
+                        *hj = uj + (*hj - scaled_sign(scale_bits, w, j));
+                    }
+                }
+            }
+            Residual::Materialized(c) => {
+                let cc = &c[i * WORD_BITS..][..hc.len()];
+                for ((hj, &uj), &cj) in hc.iter_mut().zip(uc).zip(cc) {
+                    *hj = uj + cj;
+                }
+            }
+        }
+        for (a, &x) in mc.iter_mut().zip(&*hc) {
+            *a += x;
+        }
+        if let Some(words) = sign_words.as_deref_mut() {
+            // A partial chunk packs zeros above its length, which is the
+            // tail invariant of the vector the word belongs to.
+            words[i] = pack_sign_word(hc);
+        }
+    }
+}
+
+/// [`compensate_chunks`] compiled for AVX2: the 8-value groups of the body
+/// are exactly one `ymm` register (a LUT row is one 32-byte load).
+///
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn compensate_chunks_avx2(
+    first: usize,
+    update: &[f32],
+    h: &mut [f32],
+    residual: Residual<'_>,
+    mean_acc: &mut [f32],
+    sign_words: Option<&mut [u64]>,
+) {
+    compensate_chunks(first, update, h, residual, mean_acc, sign_words);
+}
+
+/// AVX-512 build of [`compensate_chunks`]: four 16-lane groups per chunk and
+/// no table — the consensus bits are the blend mask that selects `+scale` or
+/// `−scale` per lane, and the sign word is assembled from compare masks
+/// (`!sign | bits == 0x8000_0000`, the `-0.0`-is-positive rule of
+/// [`pack_sign_word_scalar`]). Per element the float operations are those of
+/// the body, in the same order, never fused; the partial last chunk runs the
+/// body itself.
+///
+/// # Safety
+///
+/// Caller must have verified AVX-512 F + DQ support at runtime, and the
+/// slices must satisfy the length checks of [`compensate_block`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f", enable = "avx512dq")]
+unsafe fn compensate_chunks_avx512(
+    first: usize,
+    update: &[f32],
+    h: &mut [f32],
+    residual: Residual<'_>,
+    mean_acc: &mut [f32],
+    mut sign_words: Option<&mut [u64]>,
+) {
+    use std::arch::x86_64::{
+        _mm512_add_ps, _mm512_castps_si512, _mm512_cmpeq_epi32_mask, _mm512_loadu_ps,
+        _mm512_mask_blend_ps, _mm512_movepi32_mask, _mm512_set1_epi32, _mm512_set1_ps,
+        _mm512_storeu_ps, _mm512_sub_ps,
+    };
+    const GROUP: usize = 16;
+    let n = h.len();
+    let full = n / WORD_BITS;
+    let minus_zero = _mm512_set1_epi32(i32::MIN);
+    // `±scale`, the two values a consensus bit selects (unused when the
+    // residual is materialized).
+    let scale_bits = match residual {
+        Residual::Deferred { lut, .. } => lut.scale_bits(),
+        Residual::Materialized(_) => 0,
+    };
+    let pos = _mm512_set1_ps(f32::from_bits(scale_bits));
+    let neg = _mm512_set1_ps(f32::from_bits(scale_bits ^ (1 << 31)));
+    for i in 0..full {
+        let base = i * WORD_BITS;
+        let mut word = 0u64;
+        for k in 0..WORD_BITS / GROUP {
+            let at = base + k * GROUP;
+            // SAFETY: `at + 16 <= full * 64 <= n`, and `update`, `h`,
+            // `mean_acc` and a materialized `c` all hold `n` values (checked
+            // by `compensate_block`); the loads and stores are unaligned.
+            unsafe {
+                let u = _mm512_loadu_ps(update.as_ptr().add(at));
+                let c = match residual {
+                    Residual::Deferred { consensus, .. } => {
+                        let bits = (consensus.words[first + i] >> (k * GROUP)) as u16;
+                        let g = _mm512_mask_blend_ps(bits, neg, pos);
+                        _mm512_sub_ps(_mm512_loadu_ps(h.as_ptr().add(at)), g)
+                    }
+                    Residual::Materialized(c) => _mm512_loadu_ps(c.as_ptr().add(at)),
+                };
+                let r = _mm512_add_ps(u, c);
+                _mm512_storeu_ps(h.as_mut_ptr().add(at), r);
+                let mean = mean_acc.as_mut_ptr().add(at);
+                _mm512_storeu_ps(mean, _mm512_add_ps(_mm512_loadu_ps(mean), r));
+                if sign_words.is_some() {
+                    let ri = _mm512_castps_si512(r);
+                    let positive =
+                        !_mm512_movepi32_mask(ri) | _mm512_cmpeq_epi32_mask(ri, minus_zero);
+                    word |= u64::from(positive) << (k * GROUP);
+                }
+            }
+        }
+        if let Some(words) = sign_words.as_deref_mut() {
+            words[i] = word;
+        }
+    }
+    if n > full * WORD_BITS {
+        let at = full * WORD_BITS;
+        let residual = match residual {
+            Residual::Materialized(c) => Residual::Materialized(&c[at..]),
+            deferred => deferred,
+        };
+        compensate_chunks(
+            first + full,
+            &update[at..],
+            &mut h[at..],
+            residual,
+            &mut mean_acc[at..],
+            sign_words.map(|words| &mut words[full..]),
+        );
+    }
+}
+
+/// The fused round prologue over one worker's slice of one block: in a
+/// single sweep it (a) folds the residual into the local update —
+/// `h ← update + (h − g)` or `h ← update + c`, see [`Residual`] — (b) adds
+/// the still-hot result into `mean_acc`, the numerator of the compensated
+/// mean, and (c) with `sign_out`, packs the result's sign words straight into
+/// that vector's word buffer (bit = 1 iff the value is `>= 0`, as
+/// [`SignVec::from_signs`]).
+///
+/// `update`, `h`, `mean_acc` and a materialized `c` are the block's slices,
+/// all of one length; `start` is the block's element offset in the model, a
+/// multiple of 64, which locates the block's words in `consensus` and
+/// `sign_out`. A block whose length is not a multiple of 64 must be the last
+/// one of those vectors. `sign_out` must already have the model's length
+/// ([`SignVec::resize_for_overwrite`]); words outside the block keep their
+/// value.
+///
+/// Every float operation is elementwise and unfused, so the scalar, AVX2 and
+/// AVX-512 builds (picked by CPU detection) and any walk order over blocks
+/// produce the same bits: `h` equals the two-pass form (`c = h − g` stored,
+/// `update + c` next round) and one element of `mean_acc` sees the workers
+/// in the order the caller runs them.
+///
+/// # Panics
+///
+/// Panics if the slice lengths differ, `start` is not a multiple of 64, the
+/// block runs past `consensus` / `sign_out`, or a partial last chunk is not
+/// at their end.
+pub fn compensate_block(
+    start: usize,
+    update: &[f32],
+    h: &mut [f32],
+    residual: Residual<'_>,
+    mean_acc: &mut [f32],
+    sign_out: Option<&mut SignVec>,
+) {
+    let n = h.len();
+    assert_eq!(start % WORD_BITS, 0, "block must start at a word boundary");
+    assert_eq!(update.len(), n, "update length mismatch");
+    assert_eq!(mean_acc.len(), n, "mean accumulator length mismatch");
+    let covers =
+        |v: &SignVec| start + n == v.len || (n.is_multiple_of(WORD_BITS) && start + n <= v.len);
+    match residual {
+        Residual::Deferred { consensus, .. } => {
+            assert!(covers(consensus), "block does not fit the consensus bits");
+        }
+        Residual::Materialized(c) => assert_eq!(c.len(), n, "residual length mismatch"),
+    }
+    let first = start / WORD_BITS;
+    let sign_words = sign_out.map(|v| {
+        assert!(covers(v), "block does not fit the sign vector");
+        &mut v.words[first..first + n.div_ceil(WORD_BITS)]
+    });
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
+            // SAFETY: feature presence just checked, lengths checked above.
+            return unsafe {
+                compensate_chunks_avx512(first, update, h, residual, mean_acc, sign_words)
+            };
+        }
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: feature presence just checked.
+            return unsafe {
+                compensate_chunks_avx2(first, update, h, residual, mean_acc, sign_words)
+            };
+        }
+    }
+    compensate_chunks(first, update, h, residual, mean_acc, sign_words);
+}
+
 /// A fixed-length, bit-packed vector of signs.
 ///
 /// # Examples
@@ -707,29 +943,20 @@ impl SignVec {
             .extend(values.chunks(WORD_BITS).map(pack_sign_word));
     }
 
-    /// Packs up to 64 values into one sign word (bit `j` = 1 iff
-    /// `values[j] >= 0`, with `-0.0` counting as non-negative) — the
-    /// word-level building block of [`SignVec::from_signs`], exposed so
-    /// fused pipelines can pack a freshly computed chunk while it is still
-    /// cache-hot and assemble the vector with
-    /// [`SignVec::assign_from_words`]. Bits beyond `values.len()` are zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` holds more than 64 values.
-    #[must_use]
-    pub fn pack_word(values: &[f32]) -> u64 {
-        assert!(values.len() <= WORD_BITS, "chunk exceeds one word");
-        pack_sign_word(values)
+    /// Sets the length to `len` bits, reusing the word buffer whatever it
+    /// held before, for a caller that goes on to overwrite every bit (the
+    /// block-major [`compensate_block`] sweep). Nothing is cleared: bit
+    /// values are unspecified until overwritten, but unused tail bits are
+    /// zero as always.
+    pub fn resize_for_overwrite(&mut self, len: usize) {
+        self.len = len;
+        self.words.resize(len.div_ceil(WORD_BITS), 0);
+        self.mask_tail();
     }
 
     /// Replaces this vector with `len` bits taken from packed `words`,
     /// reusing the word buffer. Bits of the final word at or above `len`
     /// are cleared to keep the tail invariant.
-    ///
-    /// Together with [`SignVec::pack_word`] this is exactly
-    /// [`SignVec::assign_from_signs`] split into per-chunk packing and
-    /// assembly.
     ///
     /// # Panics
     ///
@@ -944,7 +1171,7 @@ impl SignVec {
                     group.copy_from_slice(lut.row((w >> (8 * k)) as u8));
                 }
             } else {
-                let scale_bits = lut.row(0xFF)[0].to_bits();
+                let scale_bits = lut.scale_bits();
                 for (j, o) in chunk.iter_mut().enumerate() {
                     let flip = (((w >> j) & 1) ^ 1) as u32;
                     *o = f32::from_bits(scale_bits ^ (flip << 31));
@@ -1159,7 +1386,7 @@ impl SignVec {
     /// [`SignVec::transient_combine_assign`] with a precomputed keep mask:
     /// applies `⊙` word-parallel using `keep_words[w]` where the in-place
     /// form would have drawn `bernoulli_word` for word `w`. With masks from
-    /// [`fill_bernoulli_mask_words`] on the combine's RNG stream, the result
+    /// [`fill_bernoulli_masks_indexed`] on the combine's RNG stream, the result
     /// is bit-identical to the drawing form; the split lets several
     /// independent streams be sampled interleaved before their combines run.
     ///
@@ -1540,58 +1767,10 @@ mod tests {
         assert!(SignVec::bernoulli_word_draws(1.0 / 3.0) > 16);
     }
 
-    /// Interleaved batch sampling is a pure scheduling change: every lane's
-    /// mask words, final RNG state, and draw count must equal sequential
-    /// `bernoulli_word` calls, across lane counts that exercise partial
-    /// batches, full batches, multiple batches, and ragged word counts.
-    #[test]
-    fn interleaved_mask_batch_matches_sequential() {
-        for p in [0.5, 0.25, 2.0 / 3.0, 7.0 / 8.0, 0.123] {
-            let q = bernoulli_fixed_point(p);
-            for lane_count in [1usize, 3, 8, 11, 17] {
-                // Ragged: lane i gets 5 + (i % 3) words.
-                let word_counts: Vec<usize> = (0..lane_count).map(|i| 5 + i % 3).collect();
-                let mut expected_words: Vec<Vec<u64>> = Vec::new();
-                let mut expected_rngs: Vec<FastRng> = Vec::new();
-                for (i, &wc) in word_counts.iter().enumerate() {
-                    let mut rng = FastRng::new(777, i as u64);
-                    let words: Vec<u64> = (0..wc).map(|_| bernoulli_word(q, &mut rng)).collect();
-                    expected_words.push(words);
-                    expected_rngs.push(rng);
-                }
-                let mut rngs: Vec<FastRng> = (0..lane_count)
-                    .map(|i| FastRng::new(777, i as u64))
-                    .collect();
-                let mut outs: Vec<Vec<u64>> = word_counts.iter().map(|&wc| vec![0; wc]).collect();
-                let mut lanes: Vec<MaskLane<'_>> = rngs
-                    .iter_mut()
-                    .zip(outs.iter_mut())
-                    .map(|(rng, out)| MaskLane {
-                        rng,
-                        out: out.as_mut_slice(),
-                    })
-                    .collect();
-                fill_bernoulli_mask_words(p, &mut lanes);
-                for i in 0..lane_count {
-                    assert_eq!(outs[i], expected_words[i], "p={p} lane {i}: words differ");
-                    assert_eq!(
-                        rngs[i], expected_rngs[i],
-                        "p={p} lane {i}: RNG state differs"
-                    );
-                    assert_eq!(
-                        rngs[i].draws(),
-                        expected_rngs[i].draws(),
-                        "p={p} lane {i}: draw count differs"
-                    );
-                }
-            }
-        }
-    }
-
     /// The masked combine applied with masks from the combine's own stream
     /// is bit-identical to the drawing combine, RNG state included.
     #[test]
-    fn masked_combine_matches_drawing_combine() {
+    fn indexed_mask_combine_matches_drawing_combine() {
         let mut seed_rng = FastRng::new(3, 3);
         for len in [1usize, 64, 100, 192, 300] {
             for p in [0.5, 2.0 / 3.0, 0.9] {
@@ -1600,36 +1779,25 @@ mod tests {
                 let mut drawn = local0.clone();
                 let mut draw_rng = FastRng::new(55, len as u64);
                 SignVec::transient_combine_assign(&recv, &mut drawn, p, &mut draw_rng);
-                let mut mask_rng = FastRng::new(55, len as u64);
+                let mut mask_rng = [FastRng::new(55, len as u64)];
                 let mut masks = vec![0u64; len.div_ceil(64)];
-                fill_bernoulli_mask_words(
-                    p,
-                    &mut [MaskLane {
-                        rng: &mut mask_rng,
-                        out: &mut masks,
-                    }],
-                );
+                let window = [(0, masks.len())];
+                fill_bernoulli_masks_indexed(p, &mut mask_rng, &mut masks, &window);
                 let mut masked = local0.clone();
                 SignVec::transient_combine_assign_masked(&recv, &mut masked, &masks);
                 assert_eq!(masked, drawn, "len={len} p={p}: outputs differ");
-                assert_eq!(mask_rng, draw_rng, "len={len} p={p}: RNG state differs");
-                assert_eq!(mask_rng.draws(), draw_rng.draws());
+                assert_eq!(mask_rng[0], draw_rng, "len={len} p={p}: RNG state differs");
+                assert_eq!(mask_rng[0].draws(), draw_rng.draws());
             }
         }
     }
 
     #[test]
     #[should_panic(expected = "degenerate probability")]
-    fn degenerate_mask_batch_panics() {
-        let mut rng = FastRng::new(0, 0);
-        let mut out = [0u64; 1];
-        fill_bernoulli_mask_words(
-            1.0,
-            &mut [MaskLane {
-                rng: &mut rng,
-                out: &mut out,
-            }],
-        );
+    fn indexed_mask_degenerate_probability_panics() {
+        let mut rngs = [FastRng::new(0, 0)];
+        let mut flat = [0u64; 1];
+        fill_bernoulli_masks_indexed(1.0, &mut rngs, &mut flat, &[(0, 1)]);
     }
 
     /// Regression for the tail-entropy bug: payload lengths that pack into
@@ -1897,56 +2065,45 @@ mod tests {
         }
     }
 
-    /// `fill_bernoulli_masks_indexed` writes the same words to its windows
-    /// and leaves its generators in the same states as the borrow-based
-    /// batch sampler on the same streams.
+    /// Interleaved batch sampling is a pure scheduling change: every lane's
+    /// window, final RNG state and draw count must equal sequential
+    /// `bernoulli_word` calls on that lane's stream — for every lane count
+    /// around the 8-lane batch (a lone scalar chain, ragged groups padded
+    /// with dead lanes onto the SIMD builds, a full batch, a full batch plus
+    /// a ragged one) and for equal, staggered and empty window lengths.
     #[test]
-    fn indexed_mask_fill_matches_lane_fill() {
-        for p in [0.5, 1.0 / 3.0, 0.123] {
-            for lane_count in [1usize, 3, 8, 11] {
-                let word_counts: Vec<usize> = (0..lane_count).map(|i| 5 + i % 3).collect();
-                // Reference: the MaskLane-based sampler.
-                let mut ref_rngs: Vec<FastRng> = (0..lane_count)
-                    .map(|i| FastRng::new(91, i as u64))
-                    .collect();
-                let mut ref_outs: Vec<Vec<u64>> =
-                    word_counts.iter().map(|&wc| vec![0; wc]).collect();
-                let mut lanes: Vec<MaskLane<'_>> = ref_rngs
-                    .iter_mut()
-                    .zip(ref_outs.iter_mut())
-                    .map(|(rng, out)| MaskLane {
-                        rng,
-                        out: out.as_mut_slice(),
-                    })
-                    .collect();
-                fill_bernoulli_mask_words(p, &mut lanes);
-                // Indexed: same streams, one flat buffer with gaps between
-                // windows to catch out-of-window writes.
-                let mut rngs: Vec<FastRng> = (0..lane_count)
-                    .map(|i| FastRng::new(91, i as u64))
-                    .collect();
-                let mut windows = Vec::new();
-                let mut cursor = 1usize;
-                for &wc in &word_counts {
-                    windows.push((cursor, wc));
-                    cursor += wc + 1;
+    fn indexed_mask_fill_matches_sequential_scan() {
+        let shapes: [fn(usize) -> usize; 4] =
+            [|_| 6, |i| 5 + i % 3, |i| i % 4, |i| 1 + 7 * (i % 2)];
+        for p in [0.5, 0.25, 1.0 / 3.0, 2.0 / 3.0, 7.0 / 8.0, 0.123] {
+            let q = bernoulli_fixed_point(p);
+            for lane_count in (1usize..=9).chain([11, 17]) {
+                for (shape, words_of) in shapes.iter().enumerate() {
+                    let label = format!("p={p} lanes={lane_count} shape={shape}");
+                    // One flat buffer with a guard word around every window
+                    // to catch out-of-window writes.
+                    let mut windows = Vec::new();
+                    let mut cursor = 1usize;
+                    for i in 0..lane_count {
+                        windows.push((cursor, words_of(i)));
+                        cursor += words_of(i) + 1;
+                    }
+                    let mut flat = vec![u64::MAX; cursor];
+                    let mut rngs: Vec<FastRng> = (0..lane_count)
+                        .map(|i| FastRng::new(777, i as u64))
+                        .collect();
+                    fill_bernoulli_masks_indexed(p, &mut rngs, &mut flat, &windows);
+                    for (i, &(start, len)) in windows.iter().enumerate() {
+                        let mut seq_rng = FastRng::new(777, i as u64);
+                        let expected: Vec<u64> =
+                            (0..len).map(|_| bernoulli_word(q, &mut seq_rng)).collect();
+                        assert_eq!(&flat[start..start + len], expected, "{label} lane {i}");
+                        assert_eq!(rngs[i], seq_rng, "{label} lane {i}: RNG state");
+                        assert_eq!(rngs[i].draws(), seq_rng.draws(), "{label} lane {i}: draws");
+                        assert_eq!(flat[start - 1], u64::MAX, "{label}: guard before lane {i}");
+                    }
+                    assert_eq!(flat[cursor - 1], u64::MAX, "{label}: trailing guard");
                 }
-                let mut flat = vec![u64::MAX; cursor];
-                fill_bernoulli_masks_indexed(p, &mut rngs, &mut flat, &windows);
-                for (i, (&(start, len), expected)) in windows.iter().zip(&ref_outs).enumerate() {
-                    assert_eq!(
-                        &flat[start..start + len],
-                        expected.as_slice(),
-                        "p={p} lane {i}: words differ"
-                    );
-                    assert_eq!(rngs[i], ref_rngs[i], "p={p} lane {i}: state differs");
-                    assert_eq!(rngs[i].draws(), ref_rngs[i].draws());
-                }
-                // Gap words between windows must be untouched.
-                for (i, &(start, _)) in windows.iter().enumerate() {
-                    assert_eq!(flat[start - 1], u64::MAX, "guard before lane {i} clobbered");
-                }
-                assert_eq!(flat[cursor - 1], u64::MAX, "trailing guard clobbered");
             }
         }
     }
@@ -1982,5 +2139,319 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every build of the prologue kernel this CPU can run, called directly
+    /// (not only through the dispatcher of [`compensate_block`]).
+    type CompensateBuild =
+        unsafe fn(usize, &[f32], &mut [f32], Residual<'_>, &mut [f32], Option<&mut [u64]>);
+
+    fn compensate_builds() -> Vec<(&'static str, CompensateBuild)> {
+        let mut builds: Vec<(&'static str, CompensateBuild)> = vec![("scalar", compensate_chunks)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                builds.push(("avx2", compensate_chunks_avx2));
+            }
+            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
+                builds.push(("avx512", compensate_chunks_avx512));
+            }
+        }
+        builds
+    }
+
+    const SPECIALS: [u32; 10] = [
+        0x0000_0000, // +0.0
+        0x8000_0000, // -0.0
+        0x7f80_0000, // +inf
+        0xff80_0000, // -inf
+        0x0000_0001, // smallest subnormal
+        0x807f_ffff, // largest negative subnormal
+        0x0080_0000, // smallest normal
+        0x8080_0000,
+        0x7fc0_0000, // +NaN
+        0xffc0_0000, // -NaN
+    ];
+
+    /// Inputs of one kernel call over `len` elements: ordinary values in
+    /// `[-0.5, 0.5)` with the special values rotated through every lane
+    /// position. Element classes (`i % 8`): 1 — special `update`; 3 —
+    /// special `h` and `c`; 5 — special mean accumulator; 7 — non-NaN
+    /// specials in `update`, `h` and `c` at once (`inf − inf` and friends).
+    /// No element meets two NaNs: which payload survives `NaN + NaN` is the
+    /// instruction's operand order, which no build promises.
+    struct PrologueCase {
+        update: Vec<f32>,
+        h: Vec<f32>,
+        c: Vec<f32>,
+        mean: Vec<f32>,
+        consensus: SignVec,
+    }
+
+    fn prologue_case(len: usize, seed: u64) -> PrologueCase {
+        let mut rng = FastRng::new(seed, len as u64);
+        let mut plain =
+            |n: usize| -> Vec<f32> { (0..n).map(|_| (rng.next_f64() as f32) - 0.5).collect() };
+        let (mut update, mut h, mut c, mut mean) = (plain(len), plain(len), plain(len), plain(len));
+        let special = |k: usize, count: usize| f32::from_bits(SPECIALS[k % count]);
+        for i in 0..len {
+            let k = i / 8;
+            match i % 8 {
+                1 => update[i] = special(k, 10),
+                3 => {
+                    h[i] = special(k, 10);
+                    c[i] = special(k + 3, 10);
+                }
+                5 => mean[i] = special(k, 10),
+                7 => {
+                    update[i] = special(k, 8);
+                    h[i] = special(k / 8, 8);
+                    c[i] = special(k / 8 + 1, 8);
+                }
+                _ => {}
+            }
+        }
+        let consensus = SignVec::bernoulli_uniform(len, 0.5, &mut rng);
+        PrologueCase {
+            update,
+            h,
+            c,
+            mean,
+            consensus,
+        }
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The kernel's contract spelled out one pass at a time over
+    /// `[start, start + n)`: materialize `g`, then `c = h − g`, then
+    /// `h = u + c`, then the mean, then a separate sign pack.
+    fn prologue_reference(
+        case: &PrologueCase,
+        deferred: bool,
+        scale: f32,
+        start: usize,
+        n: usize,
+    ) -> (Vec<f32>, Vec<f32>, SignVec) {
+        let mut g = vec![0.0f32; case.consensus.len()];
+        case.consensus.write_scaled_signs(scale, &mut g);
+        let mut h = case.h.clone();
+        let mut mean = case.mean.clone();
+        for i in start..start + n {
+            let c = if deferred { h[i] - g[i] } else { case.c[i] };
+            h[i] = case.update[i] + c;
+            mean[i] += h[i];
+        }
+        let signs = SignVec::from_signs(&h[start..start + n]);
+        (h, mean, signs)
+    }
+
+    /// Runs one build over `[start, start + n)` of `case` and checks `h`,
+    /// the mean accumulator and the sign words against the reference by bit
+    /// pattern — inside the range, and untouched outside it.
+    fn check_compensate_build(
+        name: &str,
+        build: CompensateBuild,
+        case: &PrologueCase,
+        deferred: bool,
+        pack: bool,
+        start: usize,
+        n: usize,
+    ) {
+        let len = case.update.len();
+        let label = format!("{name} len={len} range={start}+{n} deferred={deferred} pack={pack}");
+        let scale = 0.0123f32;
+        let lut = ScaledSignLut::new(scale);
+        let (want_h, want_mean, want_signs) = prologue_reference(case, deferred, scale, start, n);
+        let residual = if deferred {
+            Residual::Deferred {
+                consensus: &case.consensus,
+                lut: &lut,
+            }
+        } else {
+            Residual::Materialized(&case.c[start..start + n])
+        };
+        let mut h = case.h.clone();
+        let mut mean = case.mean.clone();
+        // A dirty, longer buffer cut down to size: stale ones everywhere.
+        let mut signs = SignVec::ones(len + 100);
+        signs.resize_for_overwrite(len);
+        let stale = signs.clone();
+        let first = start / WORD_BITS;
+        let sign_words = pack.then(|| &mut signs.words[first..first + n.div_ceil(WORD_BITS)]);
+        // SAFETY: `compensate_builds` lists only builds whose CPU features
+        // were detected, and every slice holds exactly `n` values.
+        unsafe {
+            build(
+                first,
+                &case.update[start..start + n],
+                &mut h[start..start + n],
+                residual,
+                &mut mean[start..start + n],
+                sign_words,
+            );
+        }
+        assert_eq!(bits(&h), bits(&want_h), "{label}: h");
+        assert_eq!(bits(&mean), bits(&want_mean), "{label}: mean accumulator");
+        if pack {
+            let mut want = stale;
+            want.splice(start, &want_signs);
+            assert_eq!(signs, want, "{label}: sign words");
+            let last = *signs.words.last().expect("non-empty");
+            assert!(
+                len.is_multiple_of(WORD_BITS) || last >> (len % WORD_BITS) == 0,
+                "{label}: tail invariant"
+            );
+        } else {
+            assert_eq!(signs, stale, "{label}: sign words written without pack");
+        }
+    }
+
+    /// Every build of the round-prologue kernel agrees with the pass-by-pass
+    /// reference, bit for bit, on whole vectors of every awkward length.
+    #[test]
+    fn compensate_block_builds_match_reference() {
+        let lengths = [
+            1,
+            63,
+            64,
+            65,
+            4_095,
+            4_096,
+            4_097,
+            PROLOGUE_BLOCK - 1,
+            PROLOGUE_BLOCK,
+            PROLOGUE_BLOCK + 1,
+            3 * PROLOGUE_BLOCK + 37,
+        ];
+        for (name, build) in compensate_builds() {
+            for len in lengths {
+                let case = prologue_case(len, 404);
+                for deferred in [true, false] {
+                    for pack in [true, false] {
+                        check_compensate_build(name, build, &case, deferred, pack, 0, len);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Called on an interior block, or on the ragged last one, a build
+    /// writes exactly its range: neighbouring floats and sign words keep
+    /// their values.
+    #[test]
+    fn compensate_block_builds_leave_neighbours_untouched() {
+        for (name, build) in compensate_builds() {
+            for (len, start, n) in [
+                (448, 128, 192),
+                (448, 0, 64),
+                (450, 384, 66),
+                (450, 448, 2),
+                (3 * PROLOGUE_BLOCK + 37, PROLOGUE_BLOCK, PROLOGUE_BLOCK),
+                (3 * PROLOGUE_BLOCK + 37, 3 * PROLOGUE_BLOCK, 37),
+            ] {
+                let case = prologue_case(len, 505);
+                for deferred in [true, false] {
+                    for pack in [true, false] {
+                        check_compensate_build(name, build, &case, deferred, pack, start, n);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The public entry point, driven block-major the way the round prologue
+    /// drives it (several workers per block, the mean scaled in the same
+    /// visit), equals the worker-major whole-vector form it replaced.
+    #[test]
+    fn compensate_block_major_walk_matches_worker_major() {
+        let (m, len, scale) = (3usize, 2 * PROLOGUE_BLOCK + 131, 0.02f32);
+        let cases: Vec<PrologueCase> = (0..m).map(|w| prologue_case(len, 600 + w as u64)).collect();
+        let consensus = &cases[0].consensus;
+        let lut = ScaledSignLut::new(scale);
+        let inv_m = 1.0 / m as f32;
+        for deferred in [true, false] {
+            // Worker-major reference: whole vectors, one worker at a time.
+            let mut want_mean = vec![0.0f32; len];
+            let mut want_h = Vec::new();
+            for case in &cases {
+                let mut g = vec![0.0f32; len];
+                consensus.write_scaled_signs(scale, &mut g);
+                let h: Vec<f32> = (0..len)
+                    .map(|i| {
+                        let c = if deferred {
+                            case.h[i] - g[i]
+                        } else {
+                            case.c[i]
+                        };
+                        case.update[i] + c
+                    })
+                    .collect();
+                for (a, &x) in want_mean.iter_mut().zip(&h) {
+                    *a += x;
+                }
+                want_h.push(h);
+            }
+            for a in &mut want_mean {
+                *a *= inv_m;
+            }
+            // Block-major walk through the dispatcher.
+            let mut hs: Vec<Vec<f32>> = cases.iter().map(|c| c.h.clone()).collect();
+            let mut signs = vec![SignVec::ones(7); m];
+            for sv in &mut signs {
+                sv.resize_for_overwrite(len);
+            }
+            let mut mean = vec![f32::NAN; len];
+            for lo in (0..len).step_by(PROLOGUE_BLOCK) {
+                let hi = (lo + PROLOGUE_BLOCK).min(len);
+                mean[lo..hi].fill(0.0);
+                for (w, case) in cases.iter().enumerate() {
+                    let residual = if deferred {
+                        Residual::Deferred {
+                            consensus,
+                            lut: &lut,
+                        }
+                    } else {
+                        Residual::Materialized(&case.c[lo..hi])
+                    };
+                    compensate_block(
+                        lo,
+                        &case.update[lo..hi],
+                        &mut hs[w][lo..hi],
+                        residual,
+                        &mut mean[lo..hi],
+                        Some(&mut signs[w]),
+                    );
+                }
+                for a in &mut mean[lo..hi] {
+                    *a *= inv_m;
+                }
+            }
+            assert_eq!(bits(&mean), bits(&want_mean), "deferred={deferred}: mean");
+            for w in 0..m {
+                assert_eq!(
+                    bits(&hs[w]),
+                    bits(&want_h[w]),
+                    "deferred={deferred} w={w}: h"
+                );
+                assert_eq!(
+                    signs[w],
+                    SignVec::from_signs(&want_h[w]),
+                    "deferred={deferred} w={w}: signs"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "block does not fit the sign vector")]
+    fn compensate_block_rejects_a_partial_chunk_inside_the_vector() {
+        let mut signs = SignVec::zeros(200);
+        let (u, c) = ([0.0f32; 65], [0.0f32; 65]);
+        let (mut h, mut mean) = ([0.0f32; 65], [0.0f32; 65]);
+        let residual = Residual::Materialized(&c);
+        compensate_block(0, &u, &mut h, residual, &mut mean, Some(&mut signs));
     }
 }

@@ -395,3 +395,82 @@ fn torus_collective_is_deterministic_under_stream_combine() {
     let (b, _) = torus_allreduce_onebit(&signs, 2, 3, weighted_stream_combine);
     assert_eq!(a, b, "torus(2x3) must replay exactly");
 }
+
+/// A 64-bit fingerprint (multiply–xorshift fold) for vectors too long to
+/// pin word by word.
+fn fingerprint(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        let h = (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h ^ (h >> 29)
+    })
+}
+
+fn fingerprint_f32(values: &[f32]) -> u64 {
+    fingerprint(values.iter().map(|x| u64::from(x.to_bits())))
+}
+
+/// The multi-block ragged ring: d = 40 007 over 7 workers is more than two
+/// 16 384-element prologue blocks and divides by neither 7 nor 64, and
+/// `every(3)` puts every form of the round prologue on the path — rounds 0,
+/// 3 and 6 are full-precision (no sign pack; a materialized residual, then
+/// deferred ones), rounds 1, 4 and 7 fold a materialized compensation and
+/// rounds 2 and 5 a deferred one. Recorded before the prologue went
+/// block-major; it pins the global update, the compensated mean and the
+/// final compensation vectors bit for bit, plus the `⊙`, RNG-draw and
+/// wire-byte counts.
+#[test]
+fn golden_ring7_d40007_multiblock() {
+    let (m, d) = (7, 40_007);
+    let cfg = MarsitConfig::new(SyncSchedule::every(3), 0.01, 42);
+    let mut marsit = Marsit::new(cfg, m, d);
+    let tel = Telemetry::recording();
+    let got: Vec<(u64, u64, bool)> = (0..8)
+        .map(|t| {
+            let ups = updates(m, d, 5 + t);
+            let out = scoped(&tel, || marsit.synchronize(&ups, Topology::ring(m)));
+            (
+                fingerprint_f32(&out.global_update),
+                fingerprint_f32(&out.compensated_mean),
+                out.full_precision,
+            )
+        })
+        .collect();
+    let want: &[(u64, u64, bool)] = &[
+        (0x22157091fa7bc868, 0x35145fc80cfa2e69, true),
+        (0x74c303a3d976d28a, 0x63d8300ef59d409f, false),
+        (0x53b49b00a8fc62c9, 0x9978943d45290311, false),
+        (0x0c5cc739e79363b5, 0x1417a0876e3e1e78, true),
+        (0x928aac5495e9ff0e, 0x005cebab76c79266, false),
+        (0xe5f2073b2458578b, 0x7254f709130ff70e, false),
+        (0x9a02d2776becfab3, 0x2ccbdb8d9196aa2d, true),
+        (0x9958c00d095684bb, 0xca7c61b1e95dcf03, false),
+    ];
+    let residuals: Vec<u64> = (0..m)
+        .map(|w| fingerprint_f32(marsit.compensation(w).vector()))
+        .collect();
+    assert_eq!(got, want, "ring7_d40007: (global, mean, full_precision)");
+    assert_eq!(
+        residuals,
+        [
+            0xf03caf6a0d9f6ea8,
+            0x37c7e0e7d57661f9,
+            0x32a65c631498663a,
+            0xa863e93cbdab98dc,
+            0xd129b8893bdf9b14,
+            0x022239e196798e23,
+            0xc57e983e956c414f,
+        ],
+        "ring7_d40007: compensation vectors"
+    );
+    assert_eq!(tel.counter("marsit.combines"), 210, "⊙ count changed");
+    assert_eq!(
+        tel.counter("marsit.rng_draws"),
+        412_650,
+        "draw count changed"
+    );
+    assert_eq!(
+        tel.counter("hop.bytes"),
+        6_061_308,
+        "traced hop bytes changed"
+    );
+}

@@ -117,3 +117,77 @@ fn mixed_topology_reuse_is_invisible() {
         }
     });
 }
+
+/// The round prologue packs sign words straight into the workspace's sign
+/// vectors, so a workspace adopted from another job hands the kernel stale
+/// word buffers of the wrong size. Ring(7) at a ragged `d` of more than two
+/// prologue blocks, run on a fresh workspace, on one dirtied by a bigger job
+/// and on one dirtied by a smaller job (other worker count, other data):
+/// outcomes, compensation state and telemetry must agree byte for byte.
+#[test]
+fn adopted_workspace_of_another_size_is_invisible() {
+    let (m, d) = (7usize, 40_007usize);
+    let run_job = |donor: Option<(usize, usize)>| {
+        let mut job = Marsit::new(cfg(42), m, d);
+        if let Some((donor_m, donor_d)) = donor {
+            // The donor stops after a one-bit round, so everything the
+            // prologue and the collective touch is warm and dirty.
+            let mut other = Marsit::new(cfg(9), donor_m, donor_d);
+            for t in 0..2 {
+                let ups = round_updates(donor_m, donor_d, 77, t);
+                let _ = other.synchronize(&ups, Topology::ring(donor_m));
+            }
+            job.adopt_workspace(other.release_workspace());
+        }
+        let tel = Telemetry::recording();
+        let outcomes: Vec<SyncOutcome> = scoped(&tel, || {
+            // One round past the last full-precision one, so the compensation
+            // compared below is a live residual, not the reset zeros.
+            (0..=ROUNDS as u64)
+                .map(|t| job.synchronize(&round_updates(m, d, 5, t), Topology::ring(m)))
+                .collect()
+        });
+        let residuals: Vec<Vec<u32>> = (0..m)
+            .map(|w| {
+                let c = job.compensation(w).vector();
+                c.iter().map(|x| x.to_bits()).collect()
+            })
+            .collect();
+        (outcomes, residuals, tel.events_jsonl())
+    };
+    let fresh = run_job(None);
+    assert!(!fresh.2.is_empty(), "the run must actually log events");
+    for (label, donor) in [("bigger", (8, 50_021)), ("smaller", (5, 1_031))] {
+        let adopted = run_job(Some(donor));
+        assert_eq!(adopted.0, fresh.0, "{label} donor: outcomes differ");
+        assert_eq!(adopted.1, fresh.1, "{label} donor: compensation differs");
+        assert_eq!(adopted.2, fresh.2, "{label} donor: telemetry differs");
+    }
+}
+
+/// `synchronize_into` recycles the caller's outcome: its mean accumulator is
+/// only resized, then zeroed and refilled block by block. An outcome that
+/// arrives poisoned and of the wrong lengths, and is then reused round after
+/// round, must read exactly like a fresh one every round.
+#[test]
+fn recycled_outcome_is_invisible() {
+    let (m, d) = (7usize, 40_007usize);
+    let mut fresh_job = Marsit::new(cfg(42), m, d);
+    let mut recycling_job = Marsit::new(cfg(42), m, d);
+    let mut out = SyncOutcome {
+        compensated_mean: vec![f32::NAN; d + 100],
+        global_update: vec![f32::NAN; 3],
+        ..SyncOutcome::default()
+    };
+    for t in 0..ROUNDS as u64 {
+        let ups = round_updates(m, d, 5, t);
+        let fresh = fresh_job.synchronize(&ups, Topology::ring(m));
+        recycling_job.synchronize_into(&ups, Topology::ring(m), &mut out);
+        assert_eq!(out, fresh, "round {t}: recycled outcome differs");
+        if t == 4 {
+            // Shorter than the model this time.
+            out.compensated_mean.truncate(1_000);
+            out.compensated_mean.fill(f32::NAN);
+        }
+    }
+}
