@@ -21,7 +21,9 @@
 //!   over the sequential one, with a bit-identity check of the reports;
 //! - `meta` — run provenance (seed, topology, workers, `git describe` of the
 //!   tree the binary was built from);
-//! - `faults` — aggregate fault-layer stats of a short fault-injected run;
+//! - `faults` — aggregate fault-layer stats of a short fault-injected run,
+//!   plus what merely *having* a fault plan costs a round (time ratio
+//!   against the same round without one, and allocations);
 //! - `telemetry` — proof that the disabled sink records zero events on the
 //!   hot path (hard-asserted), plus the measured overhead ratio of a
 //!   recording sink (informational — never asserted, timing is noisy).
@@ -335,6 +337,35 @@ fn main() {
         1.0 / fp_s,
     );
 
+    // The price of *having* a fault plan: the same shape and inputs under a
+    // plan that injects nothing into the collectives (a straggler only —
+    // every worker live, every transfer delivered first try) ÷ no plan at
+    // all. One round body serves both, so the ratio sits near 1; it read
+    // ≈ 3.1 while a plan forked into its own copy of the round. A ratio of
+    // timed regions, each a batch of rounds long enough to gate on.
+    let plan_cfg =
+        |plan: FaultPlan| MarsitConfig::new(SyncSchedule::never(), 0.01, 7).with_fault_plan(plan);
+    let mut batch_secs = |plan: FaultPlan| {
+        let mut sync = Marsit::new(plan_cfg(plan), m, rd);
+        median_secs(sizes.samples.max(9), || {
+            for _ in 0..16 {
+                sync.synchronize_into(black_box(&updates), Topology::ring(m), &mut round_out);
+            }
+            black_box(&mut round_out);
+        })
+    };
+    let all_delivered = || FaultPlan::seeded(7).with_straggler(1, 2.0);
+    let faulty_vs_clean_round_ratio = batch_secs(all_delivered()) / batch_secs(FaultPlan::none());
+    let mut delivered = Marsit::new(plan_cfg(all_delivered()), m, rd);
+    let faulty_allocs = allocs_per_call(alloc_iters, || {
+        delivered.synchronize_into(black_box(&updates), Topology::ring(m), &mut round_out);
+        black_box(&mut round_out);
+    });
+    println!(
+        "round under an all-delivered fault plan: {faulty_vs_clean_round_ratio:.2}x the clean \
+         round, {faulty_allocs:.0} allocs"
+    );
+
     // Non-dyadic weights: a 7-worker ring drives the weighted ⊙ through
     // keep-probabilities like 2/3, 4/5, 5/6, 6/7 whose fixed-point q has a
     // full 32-bit tail, so every transient word costs the worst-case number
@@ -529,7 +560,9 @@ fn main() {
     "corrupted_transfers": {f_corrupted},
     "repairs": {f_repairs},
     "crashed_workers": {f_crashed},
-    "retry_extra_s": {f_retry_s:.6}
+    "retry_extra_s": {f_retry_s:.6},
+    "faulty_vs_clean_round_ratio": {faulty_vs_clean_round_ratio:.3},
+    "allocations_per_round": {faulty_allocs:.1}
   }},
   "telemetry": {{
     "events_disabled": 0,

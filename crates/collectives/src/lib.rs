@@ -15,7 +15,7 @@
 //! - [`ps`]: parameter-server exchanges for the single-hop baselines;
 //! - [`reconfigure`]: elastic-membership topology re-formation (torus →
 //!   survivor ring, ring re-expansion, lone-survivor and empty terminal
-//!   modes) plus the typed [`SyncError`] the faulty paths surface;
+//!   modes) plus the typed [`SyncError`] the fault-aware schedules surface;
 //! - [`trace`]: what actually crossed the wire, priceable with
 //!   `marsit_simnet`'s α–β model.
 //!

@@ -18,6 +18,7 @@
 //!
 //! Every function returns a [`Trace`] of the bytes actually transferred.
 
+use std::cell::RefCell;
 use std::ops::Range;
 
 use marsit_compress::SignSumVec;
@@ -26,25 +27,7 @@ use marsit_telemetry::{Hop, HopRecorder};
 use marsit_tensor::SignVec;
 
 use crate::reconfigure::SyncError;
-use crate::trace::{FaultyStep, Trace};
-
-/// Emits one telemetry `hop` event per wire attempt of a (possibly retried)
-/// transfer. `proto.expanded_step` is the slot of the *first* attempt;
-/// attempt `a` rides `a − 1` slots later, mirroring how
-/// [`FaultyStep::record`] lays retries out behind the main step. Only the
-/// final attempt of a delivered transfer is marked delivered.
-pub(crate) fn emit_attempts(rec: &mut HopRecorder, proto: &Hop, attempts: u32, delivered: bool) {
-    if !rec.is_active() {
-        return;
-    }
-    for a in 1..=attempts {
-        let mut hop = proto.clone();
-        hop.expanded_step = proto.expanded_step + (a as usize - 1);
-        hop.attempt = a;
-        hop.delivered = delivered && a == attempts;
-        rec.hop(&hop);
-    }
-}
+use crate::trace::Trace;
 
 /// Splits `d` coordinates into `m` contiguous segments whose sizes differ by
 /// at most one (the first `d mod m` segments get the extra element).
@@ -83,10 +66,9 @@ pub struct CombineCtx {
 }
 
 /// One upcoming combine of a reduce step, announced to a step-begin hook
-/// before any of the step's combines run (see
-/// [`ring_allreduce_onebit_weighted_hooked`]).
+/// before any of the step's combines run (see [`StepCombine`]).
 ///
-/// The hook sees exactly the [`CombineCtx`] values the combine closure will
+/// The hook sees exactly the [`CombineCtx`] values the combines will
 /// receive, in call order, plus each segment's bit length — enough to
 /// pre-draw per-hop randomness for the whole step (the hops of one step
 /// touch disjoint state and carry independent RNG streams).
@@ -124,77 +106,15 @@ impl SumWire {
 ///
 /// On return every `data[w]` holds the elementwise *sum* over workers
 /// (divide by `M` for the mean). Returns the transfer trace:
-/// `2(M−1)` steps of `M` parallel segment transfers.
+/// `2(M−1)` steps of `M` parallel segment transfers. This is
+/// [`ring_allreduce_sum_faulty`] on a fabric that never faults.
 ///
 /// # Panics
 ///
 /// Panics if fewer than 2 workers or payload lengths differ.
 pub fn ring_allreduce_sum(data: &mut [Vec<f32>]) -> Trace {
-    let m = data.len();
-    assert!(m >= 2, "ring all-reduce needs at least 2 workers");
-    let d = data[0].len();
-    assert!(data.iter().all(|v| v.len() == d), "payload lengths differ");
-    let segs = segment_ranges(d, m);
-    let mut trace = Trace::new();
-    let mut rec = HopRecorder::begin();
-
-    // Reduce phase: after step r, segment (n−1−r) at worker n aggregates
-    // r+2 workers.
-    for r in 0..m - 1 {
-        let mut step_bytes = Vec::with_capacity(m);
-        for w in 0..m {
-            let n = (w + 1) % m;
-            let s = (w + m - (r % m)) % m;
-            let range = segs[s].clone();
-            step_bytes.push(range.len() * 4);
-            rec.hop(&Hop {
-                expanded_step: r,
-                step: r,
-                phase: "reduce",
-                sender: w,
-                receiver: n,
-                segment: s,
-                elems: range.len(),
-                bytes: range.len() * 4,
-                attempt: 1,
-                delivered: true,
-            });
-            // Sender w's segment s is never the one w updates this step
-            // ((w−r) ≠ (w−1−r) mod m), so in-place accumulation is safe.
-            let (src, dst) = two_workers(data, w, n);
-            for (x, &y) in dst[range.clone()].iter_mut().zip(&src[range]) {
-                *x += y;
-            }
-        }
-        trace.push_step(step_bytes);
-    }
-
-    // Gather phase: worker w owns fully reduced segment (w+1) mod m.
-    for g in 0..m - 1 {
-        let mut step_bytes = Vec::with_capacity(m);
-        for w in 0..m {
-            let n = (w + 1) % m;
-            let s = (w + 1 + m - (g % m)) % m;
-            let range = segs[s].clone();
-            step_bytes.push(range.len() * 4);
-            rec.hop(&Hop {
-                expanded_step: (m - 1) + g,
-                step: g,
-                phase: "gather",
-                sender: w,
-                receiver: n,
-                segment: s,
-                elems: range.len(),
-                bytes: range.len() * 4,
-                attempt: 1,
-                delivered: true,
-            });
-            let (src, dst) = two_workers(data, w, n);
-            dst[range.clone()].copy_from_slice(&src[range]);
-        }
-        trace.push_step(step_bytes);
-    }
-    trace
+    assert!(data.len() >= 2, "ring all-reduce needs at least 2 workers");
+    ring_allreduce_sum_faulty(data, &mut FaultInjector::inert()).expect("payload lengths differ")
 }
 
 /// Ring all-reduce of sign vectors into a global **majority vote**.
@@ -331,6 +251,9 @@ where
 /// row aggregates here). Combine contexts report
 /// `received_count = (step+1)·unit` and `local_count = unit`.
 ///
+/// This is the fault-aware schedule ([`ring_allreduce_onebit_planned`]'s)
+/// on a fabric that never faults, a closure standing in for the operator.
+///
 /// # Panics
 ///
 /// Panics if fewer than 2 workers, `unit == 0`, sign lengths differ, or the
@@ -343,131 +266,60 @@ pub fn ring_allreduce_onebit_weighted<F>(
 where
     F: FnMut(&SignVec, &mut SignVec, CombineCtx),
 {
-    ring_allreduce_onebit_weighted_hooked(signs, unit, |_| {}, combine)
+    assert!(unit > 0, "unit must be positive");
+    assert!(signs.len() >= 2, "ring all-reduce needs at least 2 workers");
+    ring_onebit_fresh(signs, unit, &mut FaultInjector::inert(), combine)
+        .expect("sign lengths differ")
 }
 
-/// [`ring_allreduce_onebit_weighted`] with a *step-begin hook*: before each
-/// reduce step's combines run, `step_begin` receives the step's full hop
-/// plan ([`PlannedHop`] per combine, in call order).
+/// [`ring_allreduce_onebit`] under fault injection: the closure form of
+/// [`ring_allreduce_onebit_planned`], which documents the fault semantics.
 ///
-/// The `m` combines of one reduce step write disjoint segments and consume
-/// independent per-hop RNG streams, so a caller that derives its randomness
-/// from the [`CombineCtx`] can pre-sample all of a step's transient masks in
-/// one interleaved batch (several xorshift chains in flight instead of one)
-/// and have the combines apply them — bit-identical outputs, much less
-/// latency-bound sampling. The plain entry points pass a no-op hook.
+/// # Errors
+///
+/// Returns a [`SyncError`] if fewer than 2 workers or sign lengths differ.
 ///
 /// # Panics
 ///
-/// Panics if fewer than 2 workers, `unit == 0`, sign lengths differ, or the
-/// combine changes the local vector's length.
-pub fn ring_allreduce_onebit_weighted_hooked<G, F>(
+/// Panics if the combine changes the local vector's length (a programmer
+/// error in the closure, not a runtime condition).
+pub fn ring_allreduce_onebit_faulty<F>(
     signs: &[SignVec],
-    unit: usize,
-    mut step_begin: G,
-    mut combine: F,
-) -> (SignVec, Trace)
+    inj: &mut FaultInjector,
+    combine: F,
+) -> Result<(SignVec, Trace), SyncError>
 where
-    G: FnMut(&[PlannedHop]),
     F: FnMut(&SignVec, &mut SignVec, CombineCtx),
 {
-    assert!(unit > 0, "unit must be positive");
-    let m = signs.len();
-    assert!(m >= 2, "ring all-reduce needs at least 2 workers");
-    let d = signs[0].len();
-    assert!(signs.iter().all(|v| v.len() == d), "sign lengths differ");
-    let segs = segment_ranges(d, m);
-    let mut state: Vec<Vec<SignVec>> = signs
-        .iter()
-        .map(|v| segs.iter().map(|r| v.slice(r.start, r.len())).collect())
-        .collect();
+    ring_onebit_fresh(signs, 1, inj, combine)
+}
+
+/// One serial pass of the schedule on fresh buffers (the closure entry
+/// points; every input aggregates `unit` workers).
+fn ring_onebit_fresh<F>(
+    signs: &[SignVec],
+    unit: usize,
+    inj: &mut FaultInjector,
+    combine: F,
+) -> Result<(SignVec, Trace), SyncError>
+where
+    F: FnMut(&SignVec, &mut SignVec, CombineCtx),
+{
+    let op = &mut ClosureOp(RefCell::new(combine));
+    let mut out = SignVec::zeros(0);
     let mut trace = Trace::new();
-    let mut rec = HopRecorder::begin();
-    let mut plan: Vec<PlannedHop> = Vec::with_capacity(m);
-    for r in 0..m - 1 {
-        plan.clear();
-        plan.extend((0..m).map(|w| {
-            let s = (w + m - (r % m)) % m;
-            PlannedHop {
-                ctx: CombineCtx {
-                    step: r,
-                    receiver: (w + 1) % m,
-                    segment: s,
-                    received_count: (r + 1) * unit,
-                    local_count: unit,
-                },
-                elems: segs[s].len(),
-            }
-        }));
-        step_begin(&plan);
-        let mut step_bytes = Vec::with_capacity(m);
-        for w in 0..m {
-            let n = (w + 1) % m;
-            let s = (w + m - (r % m)) % m;
-            let bytes = segs[s].len().div_ceil(8).max(1);
-            step_bytes.push(bytes);
-            rec.hop(&Hop {
-                expanded_step: r,
-                step: r,
-                phase: "reduce",
-                sender: w,
-                receiver: n,
-                segment: s,
-                elems: segs[s].len(),
-                bytes,
-                attempt: 1,
-                delivered: true,
-            });
-            let ctx = CombineCtx {
-                step: r,
-                receiver: n,
-                segment: s,
-                received_count: (r + 1) * unit,
-                local_count: unit,
-            };
-            // Split borrow: sender w's segment is read in place while
-            // receiver n's is combined into — no clone per hop.
-            let (src, dst) = split_pair(&mut state, w, n);
-            combine(&src[s], &mut dst[s], ctx);
-            assert_eq!(
-                dst[s].len(),
-                segs[s].len(),
-                "combine changed segment length"
-            );
-        }
-        trace.push_step(step_bytes);
-    }
-    // Assemble the result from each segment's owner and trace the gather.
-    let mut result = SignVec::zeros(d);
-    for s in 0..m {
-        let owner = (s + m - 1) % m;
-        result.splice(segs[s].start, &state[owner][s]);
-    }
-    // Gather step g circulates segment s from sender (s+g+m−1) mod m — the
-    // inverse of the sum-gather's s = (w+1−g) mod m — so the traced byte list
-    // (indexed by segment) and the emitted endpoints agree.
-    for g in 0..m - 1 {
-        let mut step = Vec::with_capacity(m);
-        for (s, seg) in segs.iter().enumerate() {
-            let bytes = seg.len().div_ceil(8).max(1);
-            step.push(bytes);
-            let w = (s + g + m - 1) % m;
-            rec.hop(&Hop {
-                expanded_step: (m - 1) + g,
-                step: g,
-                phase: "gather",
-                sender: w,
-                receiver: (w + 1) % m,
-                segment: s,
-                elems: seg.len(),
-                bytes,
-                attempt: 1,
-                delivered: true,
-            });
-        }
-        trace.push_step(step);
-    }
-    (result, trace)
+    let mut scratch = RingOnebitScratch::new();
+    ring_onebit_exec(
+        signs,
+        |_| unit,
+        inj,
+        &mut scratch,
+        &mut out,
+        &mut trace,
+        op,
+        &run_serial,
+    )?;
+    Ok((out, trace))
 }
 
 /// A step-planned one-bit combine operator for
@@ -484,10 +336,12 @@ where
 /// `combine` must touch only the two segment vectors it is handed — the
 /// collective guarantees those are disjoint across the hops of one step, and
 /// concurrent callers rely on `combine` not reaching into shared mutable
-/// state (interior mutability must be thread-safe, e.g. atomics).
-pub trait StepCombine: Sync {
-    /// Called once per reduce step with the step's full hop plan, before any
-    /// of its combines run.
+/// state (interior mutability must be thread-safe, e.g. atomics; the
+/// threaded dispatch asks for `Sync`).
+pub trait StepCombine {
+    /// Called once per reduce step with the plan of the step's *delivered*
+    /// hops — exact aggregation counts included — before any of its combines
+    /// run.
     fn step_begin(&mut self, plan: &[PlannedHop]);
 
     /// Applies hop `idx` of the current step's plan (same `ctx` as
@@ -496,17 +350,29 @@ pub trait StepCombine: Sync {
     fn combine(&self, idx: usize, received: &SignVec, local: &mut SignVec, ctx: CombineCtx);
 }
 
-/// Reusable buffers for [`ring_allreduce_onebit_planned`]: the per-worker
-/// segment grid, the step plan, and the hop work list. Holding one of these
-/// across rounds makes the clean one-bit ring collective allocation-free in
-/// steady state — only the returned [`Trace`]'s step vectors are freshly
-/// allocated (they escape to the caller).
+/// A combine closure as a (serial-only, plan-blind) [`StepCombine`].
+pub(crate) struct ClosureOp<F>(pub(crate) RefCell<F>);
+
+impl<F: FnMut(&SignVec, &mut SignVec, CombineCtx)> StepCombine for ClosureOp<F> {
+    fn step_begin(&mut self, _plan: &[PlannedHop]) {}
+
+    fn combine(&self, _idx: usize, received: &SignVec, local: &mut SignVec, ctx: CombineCtx) {
+        (self.0.borrow_mut())(received, local, ctx);
+    }
+}
+
+/// Reusable buffers for the one-bit schedules: the `(worker, segment)` grid
+/// of working cells with their aggregation counts, the step plan, and the
+/// hop work list. Holding one of these across rounds makes the collective
+/// allocation-free in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct RingOnebitScratch {
     /// `state[w][s]`: worker `w`'s working copy of segment `s`.
-    state: Vec<Vec<SignVec>>,
-    /// Segment bit ranges for the current `(d, m)`.
-    segs: Vec<Range<usize>>,
+    pub(crate) state: Vec<Vec<SignVec>>,
+    /// `counts[w][s]`: workers aggregated in `state[w][s]`.
+    pub(crate) counts: Vec<Vec<usize>>,
+    /// Segment bit ranges for the current `(d, segments)`.
+    pub(crate) segs: Vec<Range<usize>>,
     /// Plan handed to [`StepCombine::step_begin`] each step.
     plan: Vec<PlannedHop>,
     /// Per-step combine work list (raw segment cell pairs).
@@ -519,202 +385,323 @@ impl RingOnebitScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Cuts every input into `segments` cells (reusing cell buffers; every
+    /// cell is reassigned in full) and sets worker `w`'s counts to
+    /// `count_of(w)`.
+    pub(crate) fn load(
+        &mut self,
+        signs: &[SignVec],
+        segments: usize,
+        count_of: impl Fn(usize) -> usize,
+    ) {
+        let d = signs[0].len();
+        if self.segs.len() != segments || self.segs.last().is_none_or(|r| r.end != d) {
+            self.segs.clear();
+            self.segs.extend(segment_ranges(d, segments));
+        }
+        self.state.resize_with(signs.len(), Vec::new);
+        self.counts.resize_with(signs.len(), Vec::new);
+        for (w, v) in signs.iter().enumerate() {
+            self.state[w].resize_with(segments, || SignVec::zeros(0));
+            for (cell, r) in self.state[w].iter_mut().zip(&self.segs) {
+                cell.assign_slice_of(v, r.start, r.len());
+            }
+            self.counts[w].clear();
+            self.counts[w].resize(segments, count_of(w));
+        }
+    }
+
+    /// One reduce step over `hops` = `(sender, receiver, segment)`, in
+    /// schedule order. Every hop's fate is drawn first (combines never touch
+    /// the injector, so its call order is the sequential one), its attempts
+    /// are traced and emitted, and the delivered hops form the step's plan.
+    /// Their counts are exact up front: within one step no cell is both a
+    /// source and a destination, and none is touched twice. Then the
+    /// combines run, and each destination's count absorbs its source's — an
+    /// omitted hop leaves the receiver's aggregate and count as they were,
+    /// which keeps `⊙` unbiased over what actually arrived.
+    pub(crate) fn reduce_step<O: StepCombine>(
+        &mut self,
+        step: usize,
+        hops: impl Iterator<Item = (usize, usize, usize)>,
+        wire: &mut Wire<'_>,
+        op: &mut O,
+        run: &impl Fn(&O, &[HopCell]),
+    ) {
+        let base = wire.trace.num_steps();
+        self.plan.clear();
+        self.cells.clear();
+        for (w, n, s) in hops {
+            let elems = self.segs[s].len();
+            let delivered = wire.transfer(
+                false,
+                Hop {
+                    expanded_step: base,
+                    step,
+                    phase: "reduce",
+                    sender: w,
+                    receiver: n,
+                    segment: s,
+                    elems,
+                    bytes: elems.div_ceil(8).max(1),
+                    attempt: 1,
+                    delivered: true,
+                },
+            );
+            if delivered {
+                let ctx = CombineCtx {
+                    step,
+                    receiver: n,
+                    segment: s,
+                    received_count: self.counts[w][s],
+                    local_count: self.counts[n][s],
+                };
+                self.plan.push(PlannedHop { ctx, elems });
+                self.cells.push(HopCell {
+                    src: cell_ptr(&mut self.state, w, s),
+                    dst: cell_ptr(&mut self.state, n, s),
+                    ctx,
+                });
+            }
+        }
+        op.step_begin(&self.plan);
+        run(op, &self.cells);
+        for hop in &self.plan {
+            let PlannedHop { ctx, elems } = *hop;
+            assert_eq!(
+                self.state[ctx.receiver][ctx.segment].len(),
+                elems,
+                "combine changed segment length"
+            );
+            self.counts[ctx.receiver][ctx.segment] += ctx.received_count;
+        }
+    }
 }
 
 /// One hop's source/destination segment cells, captured as raw pointers so
 /// a step's (provably disjoint) combines can be dispatched across threads.
 #[derive(Debug, Clone, Copy)]
-struct HopCell {
+pub(crate) struct HopCell {
     src: *const SignVec,
     dst: *mut SignVec,
     ctx: CombineCtx,
 }
 
-/// SAFETY: a `HopCell` is only dereferenced inside the step dispatch below,
-/// where the cells of one step are pairwise-disjoint `SignVec` objects (see
-/// the disjointness argument at the dispatch site) and each cell is handed
+/// Raw pointer to cell `(w, s)`, taken through the row's buffer pointer so
+/// that earlier pointers to the row's other cells stay valid.
+fn cell_ptr(state: &mut [Vec<SignVec>], w: usize, s: usize) -> *mut SignVec {
+    let row = &mut state[w];
+    assert!(s < row.len(), "segment out of range");
+    // SAFETY: `s` is in bounds of the row's buffer (checked above).
+    unsafe { row.as_mut_ptr().add(s) }
+}
+
+/// SAFETY: a `HopCell` is only dereferenced inside a step dispatch
+/// ([`run_serial`], [`run_fanned_out`]), where the cells of one step are
+/// pairwise-disjoint `SignVec` objects — within one reduce step hop `w`
+/// reads cell `(w, s_w)` and writes cell `(w+1, s_w)` of its ring with all
+/// `s_w` distinct, so destinations are pairwise distinct, sources likewise,
+/// and a source equals a destination only if `w = w'+1 ∧ s_w = s_{w'}`,
+/// impossible since consecutive hops use consecutive (distinct) segments;
+/// dropping undelivered hops only thins the list — and each cell is handed
 /// to exactly one thread.
 unsafe impl Send for HopCell {}
 unsafe impl Sync for HopCell {}
 
-/// [`ring_allreduce_onebit_weighted_hooked`] in allocation-free, optionally
-/// multi-threaded form: state buffers come from `scratch`, the consensus is
-/// written into `out` (reusing its buffer), and each reduce step's combines
-/// are spread over up to `intra_threads` OS threads (`<= 1` runs them on the
-/// caller thread in hop order).
+/// Applies `cells` (plan indices `base..`) on the calling thread, in order.
+fn apply_cells<O: StepCombine>(op: &O, cells: &[HopCell], base: usize) {
+    for (i, cell) in cells.iter().enumerate() {
+        // SAFETY: disjoint cells (see `HopCell`); this thread owns them.
+        unsafe { op.combine(base + i, &*cell.src, &mut *cell.dst, cell.ctx) };
+    }
+}
+
+/// Serial step dispatch: the step's combines in plan order.
+pub(crate) fn run_serial<O: StepCombine>(op: &O, cells: &[HopCell]) {
+    apply_cells(op, cells, 0);
+}
+
+/// Step dispatch over up to `threads` OS threads (the caller runs chunk 0).
+fn run_fanned_out<O: StepCombine + Sync>(op: &O, cells: &[HopCell], threads: usize) {
+    let threads = threads.clamp(1, cells.len().max(1));
+    if threads == 1 {
+        return apply_cells(op, cells, 0);
+    }
+    let chunk = cells.len().div_ceil(threads);
+    std::thread::scope(|scope| {
+        for (t, part) in cells.chunks(chunk).enumerate().skip(1) {
+            scope.spawn(move || apply_cells(op, part, t * chunk));
+        }
+        apply_cells(op, &cells[..chunk], 0);
+    });
+}
+
+/// The wire side of a fault-aware schedule walk: the injector deciding each
+/// transfer's fate, the trace its attempts land in, and the hop recorder.
+pub(crate) struct Wire<'a> {
+    pub(crate) inj: &'a mut FaultInjector,
+    pub(crate) trace: &'a mut Trace,
+    pub(crate) rec: HopRecorder,
+}
+
+impl<'a> Wire<'a> {
+    /// Starts a walk on an empty `trace`.
+    pub(crate) fn begin(inj: &'a mut FaultInjector, trace: &'a mut Trace) -> Self {
+        trace.reset();
+        Self {
+            inj,
+            trace,
+            rec: HopRecorder::begin(),
+        }
+    }
+
+    /// Puts one logical transfer on the wire and returns whether it arrived.
+    /// `hop` describes its first attempt, in the slot the logical step opened
+    /// at; attempt `a` rides `a − 1` slots later, in the trace
+    /// ([`Trace::record_attempts`]) and in the emitted `hop` events alike, and
+    /// only the final attempt of a delivered transfer is marked delivered. A
+    /// best-effort transfer that exhausts its retry budget is an omission; a
+    /// `reliable` one is forced through.
+    pub(crate) fn transfer(&mut self, reliable: bool, mut hop: Hop) -> bool {
+        let fate = if reliable {
+            self.inj.transfer_reliable()
+        } else {
+            self.inj.transfer()
+        };
+        self.trace
+            .record_attempts(hop.expanded_step, hop.bytes, fate.attempts);
+        if self.rec.is_active() {
+            for a in 1..=fate.attempts {
+                hop.attempt = a;
+                hop.delivered = fate.delivered && a == fate.attempts;
+                self.rec.hop(&hop);
+                hop.expanded_step += 1;
+            }
+        }
+        fate.delivered
+    }
+}
+
+/// The one-bit ring all-reduce: fault-aware, allocation-free in steady state,
+/// optionally multi-threaded. Every input counts as one worker.
 ///
-/// Parallelism never changes a bit: within one reduce step, hop `w` reads
-/// cell `(w, s_w)` and writes cell `(w+1 mod m, s_w)` with all `s_w`
-/// distinct, so every source and destination is a distinct `SignVec` and
-/// combines commute. Operators whose randomness is a pure function of the
-/// hop (the frozen per-hop stream contract) therefore produce the same
-/// consensus regardless of thread count — pinned by the differential tests.
-/// Hop telemetry and the trace are recorded on the caller thread before the
-/// step's combines run, so their byte streams are identical to the serial
-/// path's.
+/// **Schedule.** Worker `w` holds `m` segment cells; in reduce step `r` it
+/// sends segment `(w − r) mod m` to worker `w + 1`, whose
+/// [`StepCombine::combine`] folds it into its own cell; after `m − 1` steps
+/// worker `w` owns the fully reduced segment `w + 1`, and `m − 1` gather steps
+/// circulate the reduced segments (traced, not executed: the consensus is
+/// assembled into `out` directly).
 ///
-/// The trace is written into `trace` (reset first, slot allocations
-/// recycled — see [`Trace::reset`]), which keeps the steady state of this
-/// collective allocation-free end to end.
+/// **Faults.** Aggregation counts are tracked per `(worker, segment)` cell
+/// rather than derived from the step index: a reduce transfer that exhausts
+/// its retry budget is *omitted* — the receiver keeps its aggregate and its
+/// count — so every [`CombineCtx`] reports the exact number of workers on
+/// each side and `⊙` stays unbiased over what actually arrived. Gather
+/// transfers are reliable, so all workers agree on the result.
+/// Retransmissions appear as extra trace steps. With an inert injector every
+/// transfer is delivered first try and the contexts are the clean
+/// schedule's `received_count = step + 1`, `local_count = 1`.
+///
+/// **Buffers.** State comes from `scratch`, the consensus is written into
+/// `out` and the trace into `trace` (reset first, slots recycled — see
+/// [`Trace::reset`]); nothing of what they held before is read.
+///
+/// **Threads.** Each reduce step's combines are spread over up to
+/// `intra_threads` OS threads (`<= 1` runs them on the caller thread in hop
+/// order). Parallelism never changes a bit: the cells of one step are
+/// pairwise distinct, so combines commute, and operators whose randomness is
+/// a pure function of the hop (the frozen per-hop stream contract) produce
+/// the same consensus regardless of thread count — pinned by the
+/// differential tests. Fates, the trace and hop telemetry are produced on the
+/// caller thread before the step's combines run.
+///
+/// # Errors
+///
+/// Returns a [`SyncError`] if fewer than 2 workers or sign lengths differ.
 ///
 /// # Panics
 ///
-/// Panics if fewer than 2 workers, `unit == 0`, or sign lengths differ.
-pub fn ring_allreduce_onebit_planned<O: StepCombine>(
+/// Panics if a combine changes its local vector's length (a programmer error
+/// in the operator, not a runtime condition).
+pub fn ring_allreduce_onebit_planned<O: StepCombine + Sync>(
     signs: &[SignVec],
-    unit: usize,
+    inj: &mut FaultInjector,
     scratch: &mut RingOnebitScratch,
     out: &mut SignVec,
     trace: &mut Trace,
     intra_threads: usize,
     op: &mut O,
-) {
-    assert!(unit > 0, "unit must be positive");
+) -> Result<(), SyncError> {
+    let run = |op: &O, cells: &[HopCell]| run_fanned_out(op, cells, intra_threads);
+    ring_onebit_exec(signs, |_| 1, inj, scratch, out, trace, op, &run)
+}
+
+/// [`ring_allreduce_onebit_planned`] with explicit per-input aggregation
+/// counts (`count_of(w)` = how many workers `signs[w]` already aggregates;
+/// the vertical phase of a torus feeds row aggregates here) and the step
+/// dispatch as a parameter.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn ring_onebit_exec<O: StepCombine>(
+    signs: &[SignVec],
+    count_of: impl Fn(usize) -> usize,
+    inj: &mut FaultInjector,
+    scratch: &mut RingOnebitScratch,
+    out: &mut SignVec,
+    trace: &mut Trace,
+    op: &mut O,
+    run: &impl Fn(&O, &[HopCell]),
+) -> Result<(), SyncError> {
     let m = signs.len();
-    assert!(m >= 2, "ring all-reduce needs at least 2 workers");
+    if m < 2 {
+        return Err(SyncError::TooFewWorkers { needed: 2, got: m });
+    }
     let d = signs[0].len();
-    assert!(signs.iter().all(|v| v.len() == d), "sign lengths differ");
-    if scratch.segs.len() != m
-        || scratch.segs.last().is_none_or(|r| r.end != d)
-        || scratch.state.len() != m
-    {
-        scratch.segs.clear();
-        scratch.segs.extend(segment_ranges(d, m));
-        scratch.state.resize_with(m, Vec::new);
-        for row in &mut scratch.state {
-            row.resize_with(m, || SignVec::zeros(0));
-        }
+    if let Some(bad) = signs.iter().find(|v| v.len() != d) {
+        return Err(SyncError::LengthMismatch {
+            expected: d,
+            got: bad.len(),
+        });
     }
-    let segs = &scratch.segs;
-    for (row, v) in scratch.state.iter_mut().zip(signs) {
-        for (cell, r) in row.iter_mut().zip(segs.iter()) {
-            cell.assign_slice_of(v, r.start, r.len());
-        }
-    }
-    trace.reset();
-    let mut rec = HopRecorder::begin();
+    scratch.load(signs, m, count_of);
+    let mut wire = Wire::begin(inj, trace);
     for r in 0..m - 1 {
-        scratch.plan.clear();
-        scratch.plan.extend((0..m).map(|w| {
-            let s = (w + m - (r % m)) % m;
-            PlannedHop {
-                ctx: CombineCtx {
-                    step: r,
-                    receiver: (w + 1) % m,
-                    segment: s,
-                    received_count: (r + 1) * unit,
-                    local_count: unit,
-                },
-                elems: segs[s].len(),
-            }
-        }));
-        op.step_begin(&scratch.plan);
-        // Record the step's wire activity (trace + hop telemetry) on the
-        // caller thread, in hop order, before any combine runs — the byte
-        // streams cannot depend on how the combines are scheduled.
-        let step_bytes = trace.begin_step();
-        for hop in &scratch.plan {
-            let s = hop.ctx.segment;
-            let bytes = segs[s].len().div_ceil(8).max(1);
-            step_bytes.push(bytes);
-            rec.hop(&Hop {
-                expanded_step: r,
-                step: r,
-                phase: "reduce",
-                sender: (hop.ctx.receiver + m - 1) % m,
-                receiver: hop.ctx.receiver,
-                segment: s,
-                elems: segs[s].len(),
-                bytes,
-                attempt: 1,
-                delivered: true,
-            });
-        }
-        scratch.cells.clear();
-        for (w, hop) in scratch.plan.iter().enumerate() {
-            let s = hop.ctx.segment;
-            let n = hop.ctx.receiver;
-            // Cells captured raw; disjointness argument below.
-            let src: *const SignVec = &raw const scratch.state[w][s];
-            let dst: *mut SignVec = &raw mut scratch.state[n][s];
-            scratch.cells.push(HopCell {
-                src,
-                dst,
-                ctx: hop.ctx,
-            });
-        }
-        // Disjointness: destinations `(w+1, s_w)` are pairwise distinct
-        // (receivers distinct, one segment each); sources `(w, s_w)`
-        // likewise; and a source equals a destination only if
-        // `w = w'+1 ∧ s_w = s_{w'}`, impossible since consecutive hops use
-        // consecutive (distinct) segments. Every cell is therefore a
-        // distinct `SignVec`, and each is dereferenced by exactly one hop.
-        let threads = intra_threads.clamp(1, m);
-        if threads <= 1 {
-            for (i, cell) in scratch.cells.iter().enumerate() {
-                // SAFETY: disjointness above; serial loop, unique access.
-                unsafe { op.combine(i, &*cell.src, &mut *cell.dst, cell.ctx) };
-            }
-        } else {
-            let cells = &scratch.cells;
-            let chunk = m.div_ceil(threads);
-            let shared: &O = op;
-            std::thread::scope(|scope| {
-                for (t, part) in cells.chunks(chunk).enumerate().skip(1) {
-                    let base = t * chunk;
-                    scope.spawn(move || {
-                        for (i, cell) in part.iter().enumerate() {
-                            // SAFETY: disjoint cells; this thread owns them.
-                            unsafe {
-                                shared.combine(base + i, &*cell.src, &mut *cell.dst, cell.ctx);
-                            }
-                        }
-                    });
-                }
-                for (i, cell) in cells.iter().take(chunk).enumerate() {
-                    // SAFETY: disjoint cells; the caller thread owns chunk 0.
-                    unsafe { shared.combine(i, &*cell.src, &mut *cell.dst, cell.ctx) };
-                }
-            });
-        }
-        for hop in &scratch.plan {
-            let s = hop.ctx.segment;
-            assert_eq!(
-                scratch.state[hop.ctx.receiver][s].len(),
-                segs[s].len(),
-                "combine changed segment length"
-            );
-        }
+        let hops = (0..m).map(|w| (w, (w + 1) % m, (w + m - r) % m));
+        scratch.reduce_step(r, hops, &mut wire, op, run);
     }
-    // Assemble the consensus into `out` (every bit of [0, d) is overwritten
-    // by some segment, so stale contents never leak).
+    // Assemble the consensus from each segment's owner (every bit of [0, d)
+    // is overwritten by some segment, so stale contents never leak).
     if out.len() != d {
         *out = SignVec::zeros(d);
     }
-    for (s, seg) in segs.iter().enumerate() {
-        let owner = (s + m - 1) % m;
-        out.splice(seg.start, &scratch.state[owner][s]);
+    for (s, seg) in scratch.segs.iter().enumerate() {
+        out.splice(seg.start, &scratch.state[(s + m - 1) % m][s]);
     }
+    // Gather step g circulates segment s from sender (s+g+m−1) mod m — the
+    // inverse of the sum-gather's s = (w+1−g) mod m — so the traced byte list
+    // (indexed by segment) and the emitted endpoints agree.
     for g in 0..m - 1 {
-        let step = trace.begin_step();
-        for (s, seg) in segs.iter().enumerate() {
-            let bytes = seg.len().div_ceil(8).max(1);
-            step.push(bytes);
+        let base = wire.trace.num_steps();
+        for (s, seg) in scratch.segs.iter().enumerate() {
             let w = (s + g + m - 1) % m;
-            rec.hop(&Hop {
-                expanded_step: (m - 1) + g,
-                step: g,
-                phase: "gather",
-                sender: w,
-                receiver: (w + 1) % m,
-                segment: s,
-                elems: seg.len(),
-                bytes,
-                attempt: 1,
-                delivered: true,
-            });
+            wire.transfer(
+                true,
+                Hop {
+                    expanded_step: base,
+                    step: g,
+                    phase: "gather",
+                    sender: w,
+                    receiver: (w + 1) % m,
+                    segment: s,
+                    elems: seg.len(),
+                    bytes: seg.len().div_ceil(8).max(1),
+                    attempt: 1,
+                    delivered: true,
+                },
+            );
         }
     }
+    Ok(())
 }
 
 /// [`ring_allreduce_sum`] under fault injection.
@@ -749,249 +736,64 @@ pub fn ring_allreduce_sum_faulty(
     }
     let segs = segment_ranges(d, m);
     let mut trace = Trace::new();
-    let mut rec = HopRecorder::begin();
+    let mut wire = Wire::begin(inj, &mut trace);
 
+    // Reduce phase: after step r, segment (n−1−r) at worker n aggregates
+    // r+2 workers (fewer where a transfer was omitted).
     for r in 0..m - 1 {
-        let step_base = trace.num_steps();
-        let mut fs = FaultyStep::new();
+        let base = wire.trace.num_steps();
         for w in 0..m {
             let n = (w + 1) % m;
-            let s = (w + m - (r % m)) % m;
+            let s = (w + m - r) % m;
             let range = segs[s].clone();
-            let fate = inj.transfer();
-            fs.record(range.len() * 4, fate.attempts);
-            emit_attempts(
-                &mut rec,
-                &Hop {
-                    expanded_step: step_base,
-                    step: r,
-                    phase: "reduce",
-                    sender: w,
-                    receiver: n,
-                    segment: s,
-                    elems: range.len(),
-                    bytes: range.len() * 4,
-                    attempt: 1,
-                    delivered: true,
-                },
-                fate.attempts,
-                fate.delivered,
-            );
-            if fate.delivered {
+            let hop = Hop {
+                expanded_step: base,
+                step: r,
+                phase: "reduce",
+                sender: w,
+                receiver: n,
+                segment: s,
+                elems: range.len(),
+                bytes: range.len() * 4,
+                attempt: 1,
+                delivered: true,
+            };
+            if wire.transfer(false, hop) {
+                // Sender w's segment s is never the one w updates this step
+                // ((w−r) ≠ (w−1−r) mod m), so in-place accumulation is safe.
                 let (src, dst) = two_workers(data, w, n);
                 for (x, &y) in dst[range.clone()].iter_mut().zip(&src[range]) {
                     *x += y;
                 }
             }
         }
-        for step in fs.into_steps() {
-            trace.push_step(step);
-        }
     }
 
+    // Gather phase: worker w owns fully reduced segment (w+1) mod m.
     for g in 0..m - 1 {
-        let step_base = trace.num_steps();
-        let mut fs = FaultyStep::new();
+        let base = wire.trace.num_steps();
         for w in 0..m {
             let n = (w + 1) % m;
-            let s = (w + 1 + m - (g % m)) % m;
+            let s = (w + 1 + m - g) % m;
             let range = segs[s].clone();
-            let fate = inj.transfer_reliable();
-            fs.record(range.len() * 4, fate.attempts);
-            emit_attempts(
-                &mut rec,
-                &Hop {
-                    expanded_step: step_base,
-                    step: g,
-                    phase: "gather",
-                    sender: w,
-                    receiver: n,
-                    segment: s,
-                    elems: range.len(),
-                    bytes: range.len() * 4,
-                    attempt: 1,
-                    delivered: true,
-                },
-                fate.attempts,
-                fate.delivered,
-            );
+            let hop = Hop {
+                expanded_step: base,
+                step: g,
+                phase: "gather",
+                sender: w,
+                receiver: n,
+                segment: s,
+                elems: range.len(),
+                bytes: range.len() * 4,
+                attempt: 1,
+                delivered: true,
+            };
+            wire.transfer(true, hop);
             let (src, dst) = two_workers(data, w, n);
             dst[range.clone()].copy_from_slice(&src[range]);
         }
-        for step in fs.into_steps() {
-            trace.push_step(step);
-        }
     }
     Ok(trace)
-}
-
-/// [`ring_allreduce_onebit`] under fault injection.
-///
-/// See [`ring_allreduce_onebit_counted_faulty`]; every input counts as one
-/// worker.
-///
-/// # Errors
-///
-/// Fails under the same conditions as
-/// [`ring_allreduce_onebit_counted_faulty`].
-pub fn ring_allreduce_onebit_faulty<F>(
-    signs: &[SignVec],
-    inj: &mut FaultInjector,
-    combine: F,
-) -> Result<(SignVec, Trace), SyncError>
-where
-    F: FnMut(&SignVec, &mut SignVec, CombineCtx),
-{
-    let counts = vec![1; signs.len()];
-    ring_allreduce_onebit_counted_faulty(signs, &counts, inj, combine)
-}
-
-/// One-bit ring all-reduce under fault injection, with explicit per-input
-/// aggregation counts (`init_counts[w]` = how many workers `signs[w]`
-/// already aggregates; the vertical phase of a faulty torus feeds row
-/// aggregates here).
-///
-/// Unlike the clean schedule, aggregation counts are tracked per
-/// `(worker, segment)` cell rather than derived from the step index: when a
-/// reduce transfer exhausts its retry budget the contribution is *omitted* —
-/// the receiver keeps its current aggregate and its count is unchanged — so
-/// every [`CombineCtx`] still reports the exact number of workers on each
-/// side and the `⊙` combine stays unbiased over what actually arrived.
-/// Gather transfers are reliable, so all workers agree on the result.
-///
-/// With an inert injector this reproduces [`ring_allreduce_onebit_weighted`]
-/// (contexts and all) for uniform `init_counts`.
-///
-/// # Errors
-///
-/// Returns a [`SyncError`] if fewer than 2 workers, a count is zero, the
-/// count slice is the wrong length, or input lengths differ.
-///
-/// # Panics
-///
-/// Panics if the combine changes the local vector's length (a programmer
-/// error in the closure, not a runtime condition).
-pub fn ring_allreduce_onebit_counted_faulty<F>(
-    signs: &[SignVec],
-    init_counts: &[usize],
-    inj: &mut FaultInjector,
-    mut combine: F,
-) -> Result<(SignVec, Trace), SyncError>
-where
-    F: FnMut(&SignVec, &mut SignVec, CombineCtx),
-{
-    let m = signs.len();
-    if m < 2 {
-        return Err(SyncError::TooFewWorkers { needed: 2, got: m });
-    }
-    if init_counts.len() != m {
-        return Err(SyncError::CountMismatch {
-            expected: m,
-            got: init_counts.len(),
-        });
-    }
-    if let Some(worker) = init_counts.iter().position(|&c| c == 0) {
-        return Err(SyncError::ZeroCount { worker });
-    }
-    let d = signs[0].len();
-    if let Some(bad) = signs.iter().find(|v| v.len() != d) {
-        return Err(SyncError::LengthMismatch {
-            expected: d,
-            got: bad.len(),
-        });
-    }
-    let segs = segment_ranges(d, m);
-    let mut state: Vec<Vec<SignVec>> = signs
-        .iter()
-        .map(|v| segs.iter().map(|r| v.slice(r.start, r.len())).collect())
-        .collect();
-    // counts[w][s]: workers aggregated in worker w's copy of segment s.
-    let mut counts: Vec<Vec<usize>> = init_counts.iter().map(|&c| vec![c; m]).collect();
-    let mut trace = Trace::new();
-    let mut rec = HopRecorder::begin();
-    for r in 0..m - 1 {
-        let step_base = trace.num_steps();
-        let mut fs = FaultyStep::new();
-        for w in 0..m {
-            let n = (w + 1) % m;
-            let s = (w + m - (r % m)) % m;
-            let fate = inj.transfer();
-            fs.record(segs[s].len().div_ceil(8).max(1), fate.attempts);
-            emit_attempts(
-                &mut rec,
-                &Hop {
-                    expanded_step: step_base,
-                    step: r,
-                    phase: "reduce",
-                    sender: w,
-                    receiver: n,
-                    segment: s,
-                    elems: segs[s].len(),
-                    bytes: segs[s].len().div_ceil(8).max(1),
-                    attempt: 1,
-                    delivered: true,
-                },
-                fate.attempts,
-                fate.delivered,
-            );
-            if fate.delivered {
-                let ctx = CombineCtx {
-                    step: r,
-                    receiver: n,
-                    segment: s,
-                    received_count: counts[w][s],
-                    local_count: counts[n][s],
-                };
-                let (src, dst) = split_pair(&mut state, w, n);
-                combine(&src[s], &mut dst[s], ctx);
-                assert_eq!(
-                    dst[s].len(),
-                    segs[s].len(),
-                    "combine changed segment length"
-                );
-                counts[n][s] += counts[w][s];
-            }
-        }
-        for step in fs.into_steps() {
-            trace.push_step(step);
-        }
-    }
-    // Assemble from each segment's owner, then trace the (reliable) gather.
-    let mut result = SignVec::zeros(d);
-    for s in 0..m {
-        let owner = (s + m - 1) % m;
-        result.splice(segs[s].start, &state[owner][s]);
-    }
-    for g in 0..m - 1 {
-        let step_base = trace.num_steps();
-        let mut fs = FaultyStep::new();
-        for (s, seg) in segs.iter().enumerate() {
-            let fate = inj.transfer_reliable();
-            fs.record(seg.len().div_ceil(8).max(1), fate.attempts);
-            let w = (s + g + m - 1) % m;
-            emit_attempts(
-                &mut rec,
-                &Hop {
-                    expanded_step: step_base,
-                    step: g,
-                    phase: "gather",
-                    sender: w,
-                    receiver: (w + 1) % m,
-                    segment: s,
-                    elems: seg.len(),
-                    bytes: seg.len().div_ceil(8).max(1),
-                    attempt: 1,
-                    delivered: true,
-                },
-                fate.attempts,
-                fate.delivered,
-            );
-        }
-        for step in fs.into_steps() {
-            trace.push_step(step);
-        }
-    }
-    Ok((result, trace))
 }
 
 /// Borrows `items[src]` immutably and `items[dst]` mutably — the split
@@ -1169,66 +971,160 @@ mod tests {
         }
     }
 
-    /// A [`StepCombine`] whose randomness is a pure function of the hop,
-    /// mirroring the frozen per-hop stream contract of the core crate.
+    /// The per-hop stream id of the core crate's frozen contract.
+    fn streamed_weighted(seed: u64, recv: &SignVec, local: &mut SignVec, ctx: CombineCtx) {
+        let stream = ((ctx.receiver as u64) << 40) | ((ctx.segment as u64) << 20) | ctx.step as u64;
+        let mut rng = FastRng::new(seed, stream);
+        let p = ctx.received_count as f64 / (ctx.received_count + ctx.local_count) as f64;
+        SignVec::transient_combine_assign(recv, local, p, &mut rng);
+    }
+
+    /// A [`StepCombine`] whose randomness is a pure function of the hop; it
+    /// records every plan it is shown.
     struct StreamedWeighted {
         seed: u64,
+        planned: Vec<CombineCtx>,
     }
 
     impl StepCombine for StreamedWeighted {
-        fn step_begin(&mut self, _plan: &[PlannedHop]) {}
-        fn combine(&self, _idx: usize, recv: &SignVec, local: &mut SignVec, ctx: CombineCtx) {
-            let stream =
-                ((ctx.receiver as u64) << 40) | ((ctx.segment as u64) << 20) | ctx.step as u64;
-            let mut rng = FastRng::new(self.seed, stream);
-            let p = ctx.received_count as f64 / (ctx.received_count + ctx.local_count) as f64;
-            SignVec::transient_combine_assign(recv, local, p, &mut rng);
+        fn step_begin(&mut self, plan: &[PlannedHop]) {
+            self.planned.extend(plan.iter().map(|hop| hop.ctx));
+        }
+        fn combine(&self, idx: usize, recv: &SignVec, local: &mut SignVec, ctx: CombineCtx) {
+            assert_eq!(self.planned[self.planned.len() - 1].step, ctx.step);
+            assert!(idx < self.planned.len());
+            streamed_weighted(self.seed, recv, local, ctx);
         }
     }
 
-    /// The planned collective — serial, threaded, and with a reused
-    /// scratch — is bit-identical (consensus and trace) to the closure
-    /// path when both derive their masks from the per-hop stream id.
+    /// The schedule one hop at a time, as it was written before the step
+    /// plan: fate, combine, count update, in hop order. Returns the consensus,
+    /// the contexts the combines saw and the trace steps.
+    fn hop_by_hop_reference(
+        signs: &[SignVec],
+        unit: usize,
+        inj: &mut FaultInjector,
+        seed: u64,
+    ) -> (SignVec, Vec<CombineCtx>, Vec<Vec<usize>>) {
+        let m = signs.len();
+        let d = signs[0].len();
+        let segs = segment_ranges(d, m);
+        let mut state: Vec<Vec<SignVec>> = signs
+            .iter()
+            .map(|v| segs.iter().map(|r| v.slice(r.start, r.len())).collect())
+            .collect();
+        let mut counts = vec![vec![unit; m]; m];
+        let (mut ctxs, mut steps) = (Vec::new(), Vec::new());
+        let record = |steps: &mut Vec<Vec<usize>>, base: usize, bytes: usize, attempts: u32| {
+            for k in base..base + attempts as usize {
+                if k == steps.len() {
+                    steps.push(Vec::new());
+                }
+                steps[k].push(bytes);
+            }
+        };
+        for r in 0..m - 1 {
+            let base = steps.len();
+            for w in 0..m {
+                let (n, s) = ((w + 1) % m, (w + m - r) % m);
+                let fate = inj.transfer();
+                record(
+                    &mut steps,
+                    base,
+                    segs[s].len().div_ceil(8).max(1),
+                    fate.attempts,
+                );
+                if fate.delivered {
+                    let ctx = CombineCtx {
+                        step: r,
+                        receiver: n,
+                        segment: s,
+                        received_count: counts[w][s],
+                        local_count: counts[n][s],
+                    };
+                    ctxs.push(ctx);
+                    let (src, dst) = split_pair(&mut state, w, n);
+                    streamed_weighted(seed, &src[s], &mut dst[s], ctx);
+                    counts[n][s] += counts[w][s];
+                }
+            }
+        }
+        let mut result = SignVec::zeros(d);
+        for s in 0..m {
+            result.splice(segs[s].start, &state[(s + m - 1) % m][s]);
+        }
+        for _ in 0..m - 1 {
+            let base = steps.len();
+            for seg in &segs {
+                let fate = inj.transfer_reliable();
+                record(
+                    &mut steps,
+                    base,
+                    seg.len().div_ceil(8).max(1),
+                    fate.attempts,
+                );
+            }
+        }
+        (result, ctxs, steps)
+    }
+
+    /// The planned collective — serial, threaded, under drops and
+    /// corruption, with one scratch, output buffer and trace reused across
+    /// shapes and plans — against the hop-by-hop schedule: consensus, every
+    /// planned context, the trace, and the injector's statistics and RNG
+    /// position all agree.
     #[test]
-    fn planned_matches_hooked_across_threads_and_reuse() {
+    fn planned_matches_hop_by_hop_across_faults_threads_and_reuse() {
+        use marsit_simnet::FaultPlan;
+        let plans = [
+            FaultPlan::none(),
+            FaultPlan::seeded(3)
+                .with_link_drop(0.25)
+                .with_link_corruption(0.1)
+                .with_retry_policy(1, 1e-4),
+        ];
+        let mut scratch = RingOnebitScratch::new();
+        let mut trace = Trace::new();
+        let mut out = SignVec::zeros(1);
         for (m, d) in [(8usize, 1024usize), (7, 300), (3, 130)] {
             let mut rng = FastRng::new(2024, m as u64);
             let signs: Vec<SignVec> = (0..m)
                 .map(|_| SignVec::bernoulli_uniform(d, 0.5, &mut rng))
                 .collect();
-            let (expected, expected_trace) = ring_allreduce_onebit_weighted_hooked(
-                &signs,
-                1,
-                |_| {},
-                |recv, local, ctx| {
-                    let stream = ((ctx.receiver as u64) << 40)
-                        | ((ctx.segment as u64) << 20)
-                        | ctx.step as u64;
-                    let mut hop_rng = FastRng::new(99, stream);
-                    let p =
-                        ctx.received_count as f64 / (ctx.received_count + ctx.local_count) as f64;
-                    SignVec::transient_combine_assign(recv, local, p, &mut hop_rng);
-                },
-            );
-            let mut scratch = RingOnebitScratch::new();
-            let mut op = StreamedWeighted { seed: 99 };
-            let mut trace = Trace::new();
-            for threads in [1usize, 2, 4, 16] {
-                let mut out = SignVec::zeros(1);
-                ring_allreduce_onebit_planned(
-                    &signs,
-                    1,
-                    &mut scratch,
-                    &mut out,
-                    &mut trace,
-                    threads,
-                    &mut op,
-                );
-                assert_eq!(out, expected, "m={m} d={d} threads={threads}: consensus");
-                assert_eq!(
-                    trace, expected_trace,
-                    "m={m} d={d} threads={threads}: trace"
-                );
+            for (plan, unit) in plans.iter().zip([1usize, 3]) {
+                let mut ref_inj = plan.injector(5);
+                let (expected, ctxs, steps) = hop_by_hop_reference(&signs, unit, &mut ref_inj, 99);
+                assert_eq!(plan.is_none(), ctxs.len() == m * (m - 1), "omissions");
+                for threads in [1usize, 2, 4, 16] {
+                    let mut inj = plan.injector(5);
+                    let mut op = StreamedWeighted {
+                        seed: 99,
+                        planned: Vec::new(),
+                    };
+                    let run = |op: &StreamedWeighted, cells: &[HopCell]| {
+                        run_fanned_out(op, cells, threads)
+                    };
+                    ring_onebit_exec(
+                        &signs,
+                        |_| unit,
+                        &mut inj,
+                        &mut scratch,
+                        &mut out,
+                        &mut trace,
+                        &mut op,
+                        &run,
+                    )
+                    .expect("valid inputs");
+                    let label = format!("m={m} d={d} unit={unit} threads={threads}");
+                    assert_eq!(out, expected, "{label}: consensus");
+                    assert_eq!(op.planned, ctxs, "{label}: planned contexts");
+                    assert_eq!(trace.steps(), steps, "{label}: trace");
+                    assert_eq!(
+                        format!("{inj:?}"),
+                        format!("{ref_inj:?}"),
+                        "{label}: injector"
+                    );
+                }
             }
         }
     }

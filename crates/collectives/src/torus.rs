@@ -9,23 +9,38 @@
 //!
 //! Workers are indexed row-major: `w = row·cols + col`.
 
+use std::cell::RefCell;
+
 use marsit_compress::SignSumVec;
 use marsit_simnet::FaultInjector;
+use marsit_telemetry::scope::FrameGuard;
 use marsit_telemetry::{Hop, HopRecorder};
 use marsit_tensor::SignVec;
 
 use crate::reconfigure::SyncError;
 use crate::ring::{
-    emit_attempts, ring_allreduce_onebit_counted_faulty, ring_allreduce_onebit_weighted_hooked,
-    ring_allreduce_signsum_parts, segment_ranges, split_pair, CombineCtx, PlannedHop, SumWire,
+    ring_allreduce_signsum_parts, ring_onebit_exec, run_serial, segment_ranges, split_pair,
+    ClosureOp, CombineCtx, RingOnebitScratch, StepCombine, SumWire, Wire,
 };
-use crate::trace::{FaultyStep, Trace};
+use crate::trace::Trace;
 
-/// Worker ids of column `c` in row-major order — the relabeling map handed
-/// to [`HopRecorder::column_frame`] so a vertical sub-ring's local worker
-/// `row` reports as global worker `row·cols + c`.
-fn column_workers(rows: usize, cols: usize, c: usize) -> Vec<usize> {
-    (0..rows).map(|row| row * cols + c).collect()
+/// Opens the telemetry frame of column `c`'s vertical sub-ring, whose steps
+/// overlay the torus's from `offset` on. The relabeling map — sub-ring worker
+/// `row` reports as global worker `row·cols + c`, row-major — is built only
+/// when something records.
+fn column_frame(
+    rec: &HopRecorder,
+    offset: usize,
+    rows: usize,
+    cols: usize,
+    c: usize,
+) -> FrameGuard {
+    let workers = if rec.is_active() {
+        (0..rows).map(|row| row * cols + c).collect()
+    } else {
+        Vec::new()
+    };
+    rec.column_frame(offset, workers)
 }
 
 /// Validates torus shape against the payload count.
@@ -36,18 +51,6 @@ fn check_shape<T>(items: &[T], rows: usize, cols: usize) {
         rows * cols,
         "worker count must equal rows*cols"
     );
-}
-
-/// Merges the per-step transfers of `sub` (running on disjoint links in
-/// parallel with traces from other rings) into `main`, aligning step indices
-/// starting at `offset`.
-fn merge_parallel(main: &mut Vec<Vec<usize>>, offset: usize, sub: &Trace) {
-    for (i, step) in sub.steps().iter().enumerate() {
-        while main.len() <= offset + i {
-            main.push(Vec::new());
-        }
-        main[offset + i].extend(step.iter().copied());
-    }
 }
 
 /// In-place 2D-torus all-reduce summing `f32` payloads.
@@ -62,12 +65,12 @@ pub fn torus_allreduce_sum(data: &mut [Vec<f32>], rows: usize, cols: usize) -> T
     let d = data[0].len();
     assert!(data.iter().all(|v| v.len() == d), "payload lengths differ");
     let chunks = segment_ranges(d, cols);
-    let mut steps: Vec<Vec<usize>> = Vec::new();
+    let mut trace = Trace::new();
     let mut rec = HopRecorder::begin();
 
     // Phase 1: horizontal reduce-scatter within each row.
     for rr in 0..cols - 1 {
-        let expanded = steps.len();
+        let expanded = trace.num_steps();
         let mut step = Vec::with_capacity(rows * cols);
         for row in 0..rows {
             for c in 0..cols {
@@ -94,11 +97,11 @@ pub fn torus_allreduce_sum(data: &mut [Vec<f32>], rows: usize, cols: usize) -> T
                 }
             }
         }
-        steps.push(step);
+        trace.push_step(step);
     }
 
     // Phase 2: vertical ring all-reduce per column on the owned chunk.
-    let offset = steps.len();
+    let offset = trace.num_steps();
     for c in 0..cols {
         let own = (c + 1) % cols;
         let range = chunks[own].clone();
@@ -106,18 +109,18 @@ pub fn torus_allreduce_sum(data: &mut [Vec<f32>], rows: usize, cols: usize) -> T
             .map(|row| data[row * cols + c][range.clone()].to_vec())
             .collect();
         let sub = {
-            let _frame = rec.column_frame(offset, column_workers(rows, cols, c));
+            let _frame = column_frame(&rec, offset, rows, cols, c);
             crate::ring::ring_allreduce_sum(&mut column)
         };
         for (row, chunk) in column.into_iter().enumerate() {
             data[row * cols + c][range.clone()].copy_from_slice(&chunk);
         }
-        merge_parallel(&mut steps, offset, &sub);
+        trace.overlay(offset, &sub);
     }
 
     // Phase 3: horizontal all-gather.
     for g in 0..cols - 1 {
-        let expanded = steps.len();
+        let expanded = trace.num_steps();
         let mut step = Vec::with_capacity(rows * cols);
         for row in 0..rows {
             for c in 0..cols {
@@ -143,13 +146,9 @@ pub fn torus_allreduce_sum(data: &mut [Vec<f32>], rows: usize, cols: usize) -> T
                 data[n][range].copy_from_slice(&sent);
             }
         }
-        steps.push(step);
+        trace.push_step(step);
     }
 
-    let mut trace = Trace::new();
-    for s in steps {
-        trace.push_step(s);
-    }
     trace
 }
 
@@ -176,169 +175,13 @@ pub fn torus_allreduce_onebit<F>(
 where
     F: FnMut(&SignVec, &mut SignVec, CombineCtx),
 {
-    torus_allreduce_onebit_hooked(signs, rows, cols, |_| {}, combine)
-}
-
-/// [`torus_allreduce_onebit`] with a *step-begin hook* (see
-/// [`ring_allreduce_onebit_weighted_hooked`]): before each horizontal
-/// reduce step and each vertical sub-ring step, `step_begin` receives that
-/// step's hop plan so per-hop randomness can be pre-sampled in one
-/// interleaved batch. Contexts in the plan are exactly those the combine
-/// will see (vertical hops report sub-ring-local receivers, as the combine
-/// does today).
-///
-/// # Panics
-///
-/// Panics if the shape is invalid, sign lengths differ, or the combine
-/// changes the local chunk's length.
-pub fn torus_allreduce_onebit_hooked<G, F>(
-    signs: &[SignVec],
-    rows: usize,
-    cols: usize,
-    mut step_begin: G,
-    mut combine: F,
-) -> (SignVec, Trace)
-where
-    G: FnMut(&[PlannedHop]),
-    F: FnMut(&SignVec, &mut SignVec, CombineCtx),
-{
     check_shape(signs, rows, cols);
-    let d = signs[0].len();
-    assert!(signs.iter().all(|v| v.len() == d), "sign lengths differ");
-    let chunks = segment_ranges(d, cols);
-    let mut steps: Vec<Vec<usize>> = Vec::new();
-    // state[w][s]: worker w's aggregate of chunk s.
-    let mut state: Vec<Vec<SignVec>> = signs
-        .iter()
-        .map(|v| chunks.iter().map(|r| v.slice(r.start, r.len())).collect())
-        .collect();
-
-    // Phase 1: horizontal reduce-scatter, single-worker units.
-    let mut rec = HopRecorder::begin();
-    let mut plan: Vec<PlannedHop> = Vec::with_capacity(rows * cols);
-    for rr in 0..cols - 1 {
-        plan.clear();
-        for row in 0..rows {
-            for c in 0..cols {
-                let s = (c + cols - (rr % cols)) % cols;
-                plan.push(PlannedHop {
-                    ctx: CombineCtx {
-                        step: rr,
-                        receiver: row * cols + (c + 1) % cols,
-                        segment: s,
-                        received_count: rr + 1,
-                        local_count: 1,
-                    },
-                    elems: chunks[s].len(),
-                });
-            }
-        }
-        step_begin(&plan);
-        let expanded = steps.len();
-        let mut step = Vec::with_capacity(rows * cols);
-        for row in 0..rows {
-            for c in 0..cols {
-                let w = row * cols + c;
-                let n = row * cols + (c + 1) % cols;
-                let s = (c + cols - (rr % cols)) % cols;
-                step.push(chunks[s].len().div_ceil(8).max(1));
-                rec.hop(&Hop {
-                    expanded_step: expanded,
-                    step: rr,
-                    phase: "reduce",
-                    sender: w,
-                    receiver: n,
-                    segment: s,
-                    elems: chunks[s].len(),
-                    bytes: chunks[s].len().div_ceil(8).max(1),
-                    attempt: 1,
-                    delivered: true,
-                });
-                let ctx = CombineCtx {
-                    step: rr,
-                    receiver: n,
-                    segment: s,
-                    received_count: rr + 1,
-                    local_count: 1,
-                };
-                let (src, dst) = split_pair(&mut state, w, n);
-                combine(&src[s], &mut dst[s], ctx);
-                assert_eq!(dst[s].len(), chunks[s].len(), "combine changed length");
-            }
-        }
-        steps.push(step);
-    }
-
-    // Phase 2: vertical one-bit all-reduce per column, units of `cols`.
-    let offset = steps.len();
-    for c in 0..cols {
-        let own = (c + 1) % cols;
-        let column: Vec<SignVec> = (0..rows)
-            .map(|row| state[row * cols + c][own].clone())
-            .collect();
-        let (reduced, sub) = {
-            let _frame = rec.column_frame(offset, column_workers(rows, cols, c));
-            ring_allreduce_onebit_weighted_hooked(&column, cols, &mut step_begin, &mut combine)
-        };
-        for row in 0..rows {
-            state[row * cols + c][own].copy_from(&reduced);
-        }
-        merge_parallel(&mut steps, offset, &sub);
-    }
-
-    // Phase 3: horizontal all-gather of the final one-bit chunks.
-    for g in 0..cols - 1 {
-        let expanded = steps.len();
-        let mut step = Vec::with_capacity(rows * cols);
-        for row in 0..rows {
-            for c in 0..cols {
-                let w = row * cols + c;
-                let n = row * cols + (c + 1) % cols;
-                let s = (c + 1 + cols - (g % cols)) % cols;
-                step.push(chunks[s].len().div_ceil(8).max(1));
-                rec.hop(&Hop {
-                    expanded_step: expanded,
-                    step: g,
-                    phase: "gather",
-                    sender: w,
-                    receiver: n,
-                    segment: s,
-                    elems: chunks[s].len(),
-                    bytes: chunks[s].len().div_ceil(8).max(1),
-                    attempt: 1,
-                    delivered: true,
-                });
-                let (src, dst) = split_pair(&mut state, w, n);
-                dst[s].copy_from(&src[s]);
-            }
-        }
-        steps.push(step);
-    }
-
-    // All workers now agree; assemble from worker 0.
-    let mut result = SignVec::zeros(d);
-    for (s, range) in chunks.iter().enumerate() {
-        result.splice(range.start, &state[0][s]);
-    }
-    let mut trace = Trace::new();
-    for s in steps {
-        trace.push_step(s);
-    }
-    (result, trace)
+    torus_allreduce_onebit_faulty(signs, rows, cols, &mut FaultInjector::inert(), combine)
+        .expect("sign lengths differ")
 }
 
-/// [`torus_allreduce_onebit`] under fault injection.
-///
-/// Aggregation counts are tracked per `(worker, chunk)` cell: a reduce
-/// transfer that exhausts its retry budget is omitted (the receiver's
-/// aggregate and count are unchanged), so every [`CombineCtx`] reports the
-/// exact worker counts on both sides and `⊙` stays unbiased over what
-/// arrived. The vertical phase runs
-/// [`ring_allreduce_onebit_counted_faulty`] per column with the actual
-/// row-aggregate counts. All-gather transfers are reliable, so every worker
-/// still agrees on the result. Retransmissions appear as extra trace steps.
-///
-/// With an inert injector this reproduces [`torus_allreduce_onebit`].
+/// [`torus_allreduce_onebit`] under fault injection: the closure form of
+/// [`torus_allreduce_onebit_planned`], which documents the fault semantics.
 ///
 /// # Errors
 ///
@@ -354,11 +197,89 @@ pub fn torus_allreduce_onebit_faulty<F>(
     rows: usize,
     cols: usize,
     inj: &mut FaultInjector,
-    mut combine: F,
+    combine: F,
 ) -> Result<(SignVec, Trace), SyncError>
 where
     F: FnMut(&SignVec, &mut SignVec, CombineCtx),
 {
+    let op = &mut ClosureOp(RefCell::new(combine));
+    let mut out = SignVec::zeros(0);
+    let mut trace = Trace::new();
+    let mut scratch = TorusOnebitScratch::default();
+    torus_allreduce_onebit_planned(
+        signs,
+        rows,
+        cols,
+        inj,
+        &mut scratch,
+        &mut out,
+        &mut trace,
+        op,
+    )?;
+    Ok((out, trace))
+}
+
+/// Reusable buffers for [`torus_allreduce_onebit_planned`]; holding one
+/// across rounds makes the collective allocation-free in steady state.
+#[derive(Debug, Clone, Default)]
+pub struct TorusOnebitScratch {
+    /// The `(worker, chunk)` grid of the horizontal phases.
+    grid: RingOnebitScratch,
+    /// The vertical sub-ring of the column in flight: its grid, its inputs
+    /// (each row's aggregate of the chunk the column owns), its consensus
+    /// and its trace.
+    column: RingOnebitScratch,
+    inputs: Vec<SignVec>,
+    reduced: SignVec,
+    sub: Trace,
+}
+
+/// The one-bit 2D-torus all-reduce: fault-aware and allocation-free in
+/// steady state (bar the per-column telemetry frames).
+///
+/// **Schedule.** (1) reduce-scatter of the `cols` chunks along each row ring
+/// — all rows' hops of one step share a trace step and one
+/// [`StepCombine::step_begin`] plan; (2) per column, a one-bit ring
+/// all-reduce ([`ring_allreduce_onebit_planned`]'s schedule, sub-ring-local
+/// receiver ids in its contexts) of the chunk the column owns, fed the rows'
+/// aggregates with their counts; the columns ride disjoint links, so their
+/// traces overlay; (3) all-gather along the rows.
+///
+/// **Faults.** Aggregation counts are tracked per `(worker, chunk)` cell: a
+/// reduce transfer that exhausts its retry budget is omitted (the receiver's
+/// aggregate and count are unchanged), so every [`CombineCtx`] reports the
+/// exact worker counts on both sides and `⊙` stays unbiased over what
+/// arrived; the vertical phase starts from the counts the horizontal phase
+/// actually reached. All-gather transfers are reliable, so every worker
+/// still agrees on the result. Retransmissions appear as extra trace steps.
+/// With an inert injector the contexts are the clean schedule's: horizontal
+/// hops fold single workers, vertical hops whole rows of `cols`.
+///
+/// **Buffers.** As [`ring_allreduce_onebit_planned`]: state from `scratch`,
+/// consensus into `out`, trace into `trace`, nothing stale is read.
+///
+/// [`ring_allreduce_onebit_planned`]: crate::ring::ring_allreduce_onebit_planned
+///
+/// # Errors
+///
+/// Returns [`SyncError::BadShape`] for an invalid torus shape and
+/// [`SyncError::LengthMismatch`] if sign lengths differ.
+///
+/// # Panics
+///
+/// Panics if a combine changes a chunk's length (a programmer error in the
+/// operator, not a runtime condition).
+#[allow(clippy::too_many_arguments)]
+pub fn torus_allreduce_onebit_planned<O: StepCombine>(
+    signs: &[SignVec],
+    rows: usize,
+    cols: usize,
+    inj: &mut FaultInjector,
+    scratch: &mut TorusOnebitScratch,
+    out: &mut SignVec,
+    trace: &mut Trace,
+    op: &mut O,
+) -> Result<(), SyncError> {
     if rows < 2 || cols < 2 || signs.len() != rows * cols {
         return Err(SyncError::BadShape {
             rows,
@@ -373,124 +294,82 @@ where
             got: bad.len(),
         });
     }
-    let chunks = segment_ranges(d, cols);
-    let mut steps: Vec<Vec<usize>> = Vec::new();
-    let mut state: Vec<Vec<SignVec>> = signs
-        .iter()
-        .map(|v| chunks.iter().map(|r| v.slice(r.start, r.len())).collect())
-        .collect();
-    // counts[w][s]: workers aggregated in worker w's copy of chunk s.
-    let mut counts: Vec<Vec<usize>> = vec![vec![1; cols]; rows * cols];
+    let TorusOnebitScratch {
+        grid,
+        column,
+        inputs,
+        reduced,
+        sub,
+    } = scratch;
+    grid.load(signs, cols, |_| 1);
+    let mut wire = Wire::begin(inj, trace);
+    let run = &run_serial::<O>;
+    let row_hops = || (0..rows).flat_map(|row| (0..cols).map(move |c| (row * cols, c)));
 
-    // Phase 1: horizontal reduce-scatter with per-cell counts.
-    let mut rec = HopRecorder::begin();
+    // Phase 1: horizontal reduce-scatter, single-worker units.
     for rr in 0..cols - 1 {
-        let step_base = steps.len();
-        let mut fs = FaultyStep::new();
-        for row in 0..rows {
-            for c in 0..cols {
-                let w = row * cols + c;
-                let n = row * cols + (c + 1) % cols;
-                let s = (c + cols - (rr % cols)) % cols;
-                let fate = inj.transfer();
-                fs.record(chunks[s].len().div_ceil(8).max(1), fate.attempts);
-                emit_attempts(
-                    &mut rec,
-                    &Hop {
-                        expanded_step: step_base,
-                        step: rr,
-                        phase: "reduce",
-                        sender: w,
-                        receiver: n,
-                        segment: s,
-                        elems: chunks[s].len(),
-                        bytes: chunks[s].len().div_ceil(8).max(1),
-                        attempt: 1,
-                        delivered: true,
-                    },
-                    fate.attempts,
-                    fate.delivered,
-                );
-                if fate.delivered {
-                    let ctx = CombineCtx {
-                        step: rr,
-                        receiver: n,
-                        segment: s,
-                        received_count: counts[w][s],
-                        local_count: counts[n][s],
-                    };
-                    let (src, dst) = split_pair(&mut state, w, n);
-                    combine(&src[s], &mut dst[s], ctx);
-                    assert_eq!(dst[s].len(), chunks[s].len(), "combine changed length");
-                    counts[n][s] += counts[w][s];
-                }
-            }
-        }
-        steps.extend(fs.into_steps());
+        let hops = row_hops().map(|(r0, c)| (r0 + c, r0 + (c + 1) % cols, (c + cols - rr) % cols));
+        grid.reduce_step(rr, hops, &mut wire, op, run);
     }
 
-    // Phase 2: vertical counted one-bit all-reduce per column.
-    let offset = steps.len();
+    // Phase 2: vertical one-bit all-reduce per column on the chunk it owns,
+    // columns sequential in injector order.
+    let offset = wire.trace.num_steps();
+    inputs.resize_with(rows, || SignVec::zeros(0));
     for c in 0..cols {
         let own = (c + 1) % cols;
-        let column: Vec<SignVec> = (0..rows)
-            .map(|row| state[row * cols + c][own].clone())
-            .collect();
-        let column_counts: Vec<usize> = (0..rows).map(|row| counts[row * cols + c][own]).collect();
-        let (reduced, sub) = {
-            let _frame = rec.column_frame(offset, column_workers(rows, cols, c));
-            ring_allreduce_onebit_counted_faulty(&column, &column_counts, inj, &mut combine)?
-        };
-        for row in 0..rows {
-            state[row * cols + c][own].copy_from(&reduced);
+        for (row, input) in inputs.iter_mut().enumerate() {
+            let cell = &grid.state[row * cols + c][own];
+            input.assign_slice_of(cell, 0, cell.len());
         }
-        merge_parallel(&mut steps, offset, &sub);
+        {
+            let _frame = column_frame(&wire.rec, offset, rows, cols, c);
+            let counts = &grid.counts;
+            let count_of = |row: usize| counts[row * cols + c][own];
+            ring_onebit_exec(inputs, count_of, wire.inj, column, reduced, sub, op, run)?;
+        }
+        for row in 0..rows {
+            grid.state[row * cols + c][own].copy_from(reduced);
+        }
+        wire.trace.overlay(offset, sub);
     }
 
-    // Phase 3: horizontal all-gather, reliable.
+    // Phase 3: horizontal all-gather of the final one-bit chunks, reliable.
     for g in 0..cols - 1 {
-        let step_base = steps.len();
-        let mut fs = FaultyStep::new();
-        for row in 0..rows {
-            for c in 0..cols {
-                let w = row * cols + c;
-                let n = row * cols + (c + 1) % cols;
-                let s = (c + 1 + cols - (g % cols)) % cols;
-                let fate = inj.transfer_reliable();
-                fs.record(chunks[s].len().div_ceil(8).max(1), fate.attempts);
-                emit_attempts(
-                    &mut rec,
-                    &Hop {
-                        expanded_step: step_base,
-                        step: g,
-                        phase: "gather",
-                        sender: w,
-                        receiver: n,
-                        segment: s,
-                        elems: chunks[s].len(),
-                        bytes: chunks[s].len().div_ceil(8).max(1),
-                        attempt: 1,
-                        delivered: true,
-                    },
-                    fate.attempts,
-                    fate.delivered,
-                );
-                let (src, dst) = split_pair(&mut state, w, n);
-                dst[s].copy_from(&src[s]);
-            }
+        let base = wire.trace.num_steps();
+        for (r0, c) in row_hops() {
+            let (w, n) = (r0 + c, r0 + (c + 1) % cols);
+            let s = (c + 1 + cols - g) % cols;
+            let elems = grid.segs[s].len();
+            wire.transfer(
+                true,
+                Hop {
+                    expanded_step: base,
+                    step: g,
+                    phase: "gather",
+                    sender: w,
+                    receiver: n,
+                    segment: s,
+                    elems,
+                    bytes: elems.div_ceil(8).max(1),
+                    attempt: 1,
+                    delivered: true,
+                },
+            );
+            let (src, dst) = split_pair(&mut grid.state, w, n);
+            dst[s].copy_from(&src[s]);
         }
-        steps.extend(fs.into_steps());
     }
 
-    let mut result = SignVec::zeros(d);
-    for (s, range) in chunks.iter().enumerate() {
-        result.splice(range.start, &state[0][s]);
+    // All workers now agree; assemble from worker 0 (every bit of [0, d) is
+    // overwritten by some chunk, so stale contents never leak).
+    if out.len() != d {
+        *out = SignVec::zeros(d);
     }
-    let mut trace = Trace::new();
-    for s in steps {
-        trace.push_step(s);
+    for (s, range) in grid.segs.iter().enumerate() {
+        out.splice(range.start, &grid.state[0][s]);
     }
-    Ok((result, trace))
+    Ok(())
 }
 
 /// 2D-torus all-reduce of sign vectors into a global majority vote
@@ -563,7 +442,7 @@ fn torus_reduce_sums(
     let d = signs[0].len();
     assert!(signs.iter().all(|v| v.len() == d), "sign lengths differ");
     let chunks = segment_ranges(d, cols);
-    let mut steps: Vec<Vec<usize>> = Vec::new();
+    let mut trace = Trace::new();
     let mut state: Vec<Vec<SignSumVec>> = signs
         .iter()
         .map(|v| {
@@ -587,11 +466,11 @@ fn torus_reduce_sums(
                 state[n][s].merge(&sent);
             }
         }
-        steps.push(step);
+        trace.push_step(step);
     }
 
     // Phase 2: vertical sign-sum all-reduce per column on the owned chunk.
-    let offset = steps.len();
+    let offset = trace.num_steps();
     // Assemble the full-dimension total (identical across workers).
     let mut flat = vec![0i32; d];
     for c in 0..cols {
@@ -600,14 +479,10 @@ fn torus_reduce_sums(
             .map(|row| state[row * cols + c][own].clone())
             .collect();
         let (reduced, sub) = ring_allreduce_signsum_parts(&column, wire);
-        merge_parallel(&mut steps, offset, &sub);
+        trace.overlay(offset, &sub);
         flat[chunks[own].clone()].copy_from_slice(reduced.sums());
     }
     let total = SignSumVec::from_parts(flat, (rows * cols) as u32);
-    let mut trace = Trace::new();
-    for s in steps {
-        trace.push_step(s);
-    }
     (total, trace)
 }
 
@@ -751,6 +626,60 @@ mod tests {
                 .expect("valid inputs");
         assert_eq!(clean, faulty);
         assert_eq!(clean_trace, faulty_trace);
+    }
+
+    /// One scratch, consensus buffer and trace carried across shapes, rounds
+    /// and fault plans read exactly like fresh ones: consensus, trace and the
+    /// injector's statistics and RNG position.
+    #[test]
+    fn planned_on_reused_buffers_matches_fresh_ones() {
+        use marsit_simnet::FaultPlan;
+        let plans = [
+            FaultPlan::none(),
+            FaultPlan::seeded(5)
+                .with_link_drop(0.3)
+                .with_link_corruption(0.1)
+                .with_retry_policy(1, 1e-4),
+        ];
+        // Depends on both counts, so a stale count cell would show.
+        let combine = |recv: &SignVec, local: &mut SignVec, ctx: CombineCtx| {
+            if (ctx.received_count + 2 * ctx.local_count + ctx.step).is_multiple_of(3) {
+                local.and_assign(recv);
+            } else {
+                local.or_assign(recv);
+            }
+        };
+        let mut scratch = TorusOnebitScratch::default();
+        let mut out = SignVec::ones(3);
+        let mut trace = Trace::new();
+        for (round, (rows, cols, d)) in [(3, 3, 90), (2, 4, 257), (2, 2, 64), (2, 4, 1031)]
+            .into_iter()
+            .enumerate()
+        {
+            let signs = random_signs(rows * cols, d, 41 + round as u64);
+            for plan in &plans {
+                let mut fresh_inj = plan.injector(round as u64);
+                let (want, want_trace) =
+                    torus_allreduce_onebit_faulty(&signs, rows, cols, &mut fresh_inj, combine)
+                        .expect("valid inputs");
+                let mut inj = plan.injector(round as u64);
+                let op = &mut ClosureOp(RefCell::new(combine));
+                torus_allreduce_onebit_planned(
+                    &signs,
+                    rows,
+                    cols,
+                    &mut inj,
+                    &mut scratch,
+                    &mut out,
+                    &mut trace,
+                    op,
+                )
+                .expect("valid inputs");
+                assert_eq!(out, want, "{rows}x{cols} d={d}: consensus");
+                assert_eq!(trace, want_trace, "{rows}x{cols} d={d}: trace");
+                assert_eq!(format!("{inj:?}"), format!("{fresh_inj:?}"), "injector");
+            }
+        }
     }
 
     #[test]

@@ -68,6 +68,34 @@ impl Trace {
         slot.resize(links, bytes);
     }
 
+    /// Records one transfer of the logical step that opened at step `base`,
+    /// taking `attempts` wire attempts: attempt 1 rides step `base` and
+    /// attempt `k ≥ 2` the `(k−1)`-th retry sub-step behind it, so
+    /// retransmissions show up as extra wire traffic and extra wall-clock
+    /// steps. A transfer with `k` attempts contributes to every sub-step up
+    /// to its own, so the sub-steps of one logical step are contiguous and
+    /// none is empty.
+    pub(crate) fn record_attempts(&mut self, base: usize, bytes: usize, attempts: u32) {
+        for k in base..base + attempts as usize {
+            if k == self.live {
+                self.begin_step();
+            }
+            self.steps[k].push(bytes);
+        }
+    }
+
+    /// Overlays `sub` from step `offset` on: its step `i` rides disjoint
+    /// links in parallel with step `offset + i` (the per-column rings of a
+    /// torus's vertical phase share their step slots).
+    pub(crate) fn overlay(&mut self, offset: usize, sub: &Trace) {
+        for (i, step) in sub.steps().iter().enumerate() {
+            if offset + i == self.live {
+                self.begin_step();
+            }
+            self.steps[offset + i].extend_from_slice(step);
+        }
+    }
+
     /// Appends all steps of another trace (sequential composition).
     pub fn extend(&mut self, mut other: Trace) {
         for step in other.steps.drain(..other.live) {
@@ -145,60 +173,37 @@ impl std::fmt::Debug for Trace {
     }
 }
 
-/// Builds one logical collective step plus the retry sub-steps the fault
-/// layer appends behind it: attempt 1 of every transfer rides the main step,
-/// attempt `k ≥ 2` rides the `(k−1)`-th retry sub-step, so retransmissions
-/// show up as extra wire traffic and extra wall-clock steps in the trace.
-#[derive(Debug, Default)]
-pub(crate) struct FaultyStep {
-    first: Vec<usize>,
-    retries: Vec<Vec<usize>>,
-}
-
-impl FaultyStep {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a transfer of `bytes` that took `attempts` wire attempts.
-    pub(crate) fn record(&mut self, bytes: usize, attempts: u32) {
-        self.first.push(bytes);
-        for k in 1..attempts as usize {
-            while self.retries.len() < k {
-                self.retries.push(Vec::new());
-            }
-            self.retries[k - 1].push(bytes);
-        }
-    }
-
-    /// The main step followed by its (non-empty) retry sub-steps.
-    pub(crate) fn into_steps(self) -> Vec<Vec<usize>> {
-        let mut out = vec![self.first];
-        out.extend(self.retries.into_iter().filter(|s| !s.is_empty()));
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn faulty_step_groups_retries() {
-        let mut fs = FaultyStep::new();
-        fs.record(4, 1);
-        fs.record(4, 3);
-        fs.record(4, 2);
-        let steps = fs.into_steps();
-        assert_eq!(steps, vec![vec![4, 4, 4], vec![4, 4], vec![4]]);
+    fn attempts_group_into_retry_substeps() {
+        let mut t = Trace::new();
+        t.push_step(vec![9]);
+        for attempts in [1, 3, 2] {
+            t.record_attempts(1, 4, attempts);
+        }
+        assert_eq!(t.steps(), [vec![9], vec![4, 4, 4], vec![4, 4], vec![4]]);
+        // A recycled trace reuses its slots without leaking their contents.
+        t.reset();
+        t.record_attempts(0, 8, 1);
+        t.record_attempts(0, 8, 1);
+        assert_eq!(t.steps(), [vec![8, 8]]);
     }
 
     #[test]
-    fn faulty_step_without_retries_is_one_step() {
-        let mut fs = FaultyStep::new();
-        fs.record(8, 1);
-        fs.record(8, 1);
-        assert_eq!(fs.into_steps(), vec![vec![8, 8]]);
+    fn overlay_shares_step_slots() {
+        let mut main = Trace::new();
+        main.push_step(vec![1]);
+        let mut sub = Trace::new();
+        sub.push_step(vec![2]);
+        sub.push_step(vec![3]);
+        main.overlay(1, &sub);
+        sub.reset();
+        sub.push_step(vec![4]);
+        main.overlay(1, &sub);
+        assert_eq!(main.steps(), [vec![1], vec![2, 4], vec![3]]);
     }
 
     #[test]
@@ -250,21 +255,18 @@ mod proptests {
         /// sub-step: total bytes across the expanded steps equals
         /// Σ bytes × attempts, and no sub-step is empty.
         #[test]
-        fn faulty_step_preserves_total_bytes(
+        fn retried_step_preserves_total_bytes(
             transfers in prop::collection::vec((1usize..5000, 1u32..6), 1..40)
         ) {
-            let mut fs = FaultyStep::new();
+            let mut t = Trace::new();
             let mut expected = 0usize;
             for &(bytes, attempts) in &transfers {
-                fs.record(bytes, attempts);
+                t.record_attempts(0, bytes, attempts);
                 expected += bytes * attempts as usize;
             }
-            let steps = fs.into_steps();
-            let total: usize = steps.iter().flatten().sum();
-            prop_assert_eq!(total, expected);
-            // The first slot always exists; retry slots are filtered to be
-            // non-empty, so the expansion never prices a zero-transfer step.
-            for sub in steps.iter().skip(1) {
+            prop_assert_eq!(t.total_bytes(), expected);
+            // The expansion never prices a zero-transfer step.
+            for sub in t.steps() {
                 prop_assert!(!sub.is_empty());
             }
         }
@@ -277,14 +279,10 @@ mod proptests {
             bump in any::<u64>()
         ) {
             let build = |extra_at: Option<usize>| {
-                let mut fs = FaultyStep::new();
+                let mut t = Trace::new();
                 for (i, &(bytes, attempts)) in transfers.iter().enumerate() {
                     let extra = u32::from(extra_at == Some(i));
-                    fs.record(bytes, attempts + extra);
-                }
-                let mut t = Trace::new();
-                for sub in fs.into_steps() {
-                    t.push_step(sub);
+                    t.record_attempts(0, bytes, attempts + extra);
                 }
                 t
             };

@@ -19,7 +19,7 @@ use marsit_tensor::SignVec;
 
 use crate::reconfigure::SyncError;
 use crate::ring::{split_pair, CombineCtx};
-use crate::trace::{FaultyStep, Trace};
+use crate::trace::Trace;
 
 /// Number of reduce levels of a binary tree over `m` workers.
 #[must_use]
@@ -235,11 +235,11 @@ where
     let mut stride = 1;
     let mut level = 0;
     while stride < m {
-        let mut fs = FaultyStep::new();
+        let step_base = trace.num_steps();
         let mut w = 0;
         while w + stride < m {
             let fate = inj.transfer();
-            fs.record(bytes, fate.attempts);
+            trace.record_attempts(step_base, bytes, fate.attempts);
             if fate.delivered {
                 let ctx = CombineCtx {
                     step: level,
@@ -255,9 +255,6 @@ where
             }
             w += 2 * stride;
         }
-        for step in fs.into_steps() {
-            trace.push_step(step);
-        }
         stride *= 2;
         level += 1;
     }
@@ -269,13 +266,10 @@ where
     let mut levels = tree_levels(m);
     while levels > 0 {
         let transfers = broadcast_transfers(m, levels - 1);
-        let mut fs = FaultyStep::new();
+        let step_base = trace.num_steps();
         for _ in 0..transfers {
             let fate = inj.transfer_reliable();
-            fs.record(bytes, fate.attempts);
-        }
-        for step in fs.into_steps() {
-            trace.push_step(step);
+            trace.record_attempts(step_base, bytes, fate.attempts);
         }
         levels -= 1;
     }

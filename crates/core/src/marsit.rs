@@ -16,17 +16,16 @@
 //! All workers deterministically agree on `g_t` — the consensus invariant of
 //! multi-hop all-reduce — which the simulator asserts after every round.
 
-use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use marsit_collectives::engine::{compile_plan, run_threaded, PlanTopology};
 use marsit_collectives::ring::{
-    ring_allreduce_onebit_faulty, ring_allreduce_onebit_planned,
-    ring_allreduce_onebit_weighted_hooked, ring_allreduce_sum, ring_allreduce_sum_faulty,
+    ring_allreduce_onebit_faulty, ring_allreduce_onebit_planned, ring_allreduce_sum_faulty,
     RingOnebitScratch, StepCombine,
 };
 use marsit_collectives::torus::{
-    torus_allreduce_onebit_faulty, torus_allreduce_onebit_hooked, torus_allreduce_sum,
+    torus_allreduce_onebit_faulty, torus_allreduce_onebit_planned, torus_allreduce_sum,
+    TorusOnebitScratch,
 };
 use marsit_collectives::{
     CombineCtx, DegradedMode, EffectiveTopology, PlannedHop, SyncError, TopologyReconfigurer, Trace,
@@ -68,10 +67,10 @@ pub struct MarsitConfig {
     /// Eq. 2).
     pub combine: CombineKind,
     /// Faults to inject into the collectives ([`FaultPlan::none`] by
-    /// default; a none plan takes the exact fault-free code path).
+    /// default: every worker live, every transfer delivered first try).
     pub fault_plan: FaultPlan,
     /// Which transport backend executes the one-bit collectives.
-    /// [`Backend::Simulator`] (the default) runs the legacy in-process
+    /// [`Backend::Simulator`] (the default) runs the in-process
     /// schedules; [`Backend::Threaded`] compiles the same schedule to an
     /// engine plan and runs one OS thread per worker over in-process
     /// channels — bit-identical consensus, traces, and telemetry via the
@@ -80,7 +79,7 @@ pub struct MarsitConfig {
     /// through `marsit_core::transport` instead.
     pub backend: Backend,
     /// Worker threads for the cache-blocked segment fan-out inside one
-    /// clean simulator-ring reduce step (1 = fully serial). The parallel
+    /// simulator-ring reduce step (1 = fully serial). The parallel
     /// dispatch is bit-identical to the serial one — telemetry and traces
     /// are recorded before the combines run, and every combine replays a
     /// pre-sampled mask stream addressed by `(receiver, segment, step)` —
@@ -111,7 +110,7 @@ impl MarsitConfig {
         }
     }
 
-    /// Fans each clean simulator-ring reduce step out over up to `n` worker
+    /// Fans each simulator-ring reduce step out over up to `n` worker
     /// threads (see [`MarsitConfig::intra_threads`]). Values are clamped to
     /// the number of hops per step at run time; `0` is treated as `1`.
     #[must_use]
@@ -178,8 +177,8 @@ impl Default for SyncOutcome {
     /// An empty outcome, the canonical argument to
     /// [`Marsit::synchronize_into`]: reusing one `SyncOutcome` across rounds
     /// recycles its buffers (`global_update`, `compensated_mean`, `trace`)
-    /// and takes the clean ring one-bit path to zero steady-state
-    /// allocations.
+    /// and takes the one-bit round to zero steady-state allocations when no
+    /// fault plan is set.
     fn default() -> Self {
         Self {
             global_update: Vec::new(),
@@ -201,18 +200,22 @@ impl Default for SyncOutcome {
 /// `compensated_mean`) move into [`SyncOutcome`] and are freshly allocated.
 #[derive(Debug, Clone, Default)]
 struct RoundWorkspace {
+    /// The round's live workers, ascending.
+    live: Vec<usize>,
     /// Per-worker compensated updates `η_l·g + c` (Algorithm 1, line 1).
     compensated: Vec<Vec<f32>>,
-    /// Full-precision all-reduce buffers.
+    /// Full-precision all-reduce buffers, one per live worker.
     fp_buffers: Vec<Vec<f32>>,
-    /// Per-worker packed sign vectors for one-bit rounds.
+    /// Packed sign vectors for one-bit rounds, one per live worker.
     signs: Vec<SignVec>,
-    /// Per-worker state and schedule scratch for the planned ring collective.
+    /// Per-worker state and schedule scratch for the ring collective.
     ring: RingOnebitScratch,
+    /// The same for the torus collective.
+    torus: TorusOnebitScratch,
     /// Transient-mask planner, persistent so its buffers amortize to zero
     /// allocations per round.
     planner: MaskPlanner,
-    /// Consensus output buffer for the planned ring collective. Ping-pongs
+    /// Consensus output buffer of the one-bit collectives. Ping-pongs
     /// with [`PendingResidual::consensus`]: the prologue that consumes a
     /// pending residual returns its (right-sized) sign buffer here, and the
     /// round's collective fills it before it moves into the next pending.
@@ -231,14 +234,15 @@ struct RoundWorkspace {
 ///
 /// [`Marsit::release_workspace`] flushes any deferred residual first, and
 /// after the flush the workspace carries **no live state**: every
-/// `synchronize` path sizes each buffer and fully overwrites it before
-/// reading it. The clean prologue only *sizes* the compensated updates and
-/// the sign vectors (`Vec::resize`, [`SignVec::resize_for_overwrite`] — no
-/// clearing pass) and its block sweep then writes every float and packs
-/// every sign word in place, the last word with zero tail bits; the fault
-/// path's `apply_into` clears and rewrites; the ring scratch reassigns every
-/// segment cell, the planner is reseeded per round, and the consensus buffer
-/// has every bit spliced in. What survives the handoff is buffer *capacity*
+/// round sizes each buffer and fully overwrites it before reading it. The
+/// prologue only *sizes* the compensated updates and the sign vectors
+/// (`Vec::resize`, [`SignVec::resize_for_overwrite`] — no clearing pass) and
+/// its block sweep then writes every float and packs every sign word in
+/// place, the last word with zero tail bits, for every live worker — a
+/// crashed worker's buffers are left alone and never read; the live list is
+/// rebuilt, the ring and torus scratch reassign every segment cell and count,
+/// the planner is reseeded per round, and the consensus buffer has every bit
+/// spliced in. What survives the handoff is buffer *capacity*
 /// and stale bytes that are overwritten before any read, and neither
 /// participates in a computation — so a job running on an adopted workspace,
 /// of any provenance or shape, is bit-identical to the same job on a fresh
@@ -256,12 +260,13 @@ impl WorkspaceHandle {
     }
 }
 
-/// The residual a clean one-bit round leaves behind, absorbed lazily.
+/// The residual a full-membership one-bit round leaves behind, absorbed
+/// lazily.
 ///
 /// Eagerly materializing `c_{t+1} = g_t^{(m)} − g_t` costs a full
 /// read-modify-write pass over `M·D` floats every round; but the very next
 /// thing that happens to `c` is being added back to the next update. So the
-/// clean hot path stores only the consensus bits plus the scale — `g_t` is
+/// hot path stores only the consensus bits plus the scale — `g_t` is
 /// reconstructed per element in registers — and the next round's apply pass
 /// computes `h ← u + (h − g_t)` directly, producing bit-identical floats
 /// (the intermediate `h − g` rounds exactly like the stored `c` did).
@@ -269,8 +274,10 @@ impl WorkspaceHandle {
 /// While a residual is pending, `self.compensations` is stale; every
 /// observer goes through [`Marsit::compensation`] (which flushes) or
 /// [`Marsit::mean_compensation_norm_sq`] (which evaluates the deferred form
-/// directly). The fault path flushes before running, since crashes freeze
-/// per-worker compensation state that must then exist materially.
+/// directly). A round defers iff every worker was live and its collective
+/// succeeded, fault plan or not; a round with a crashed worker flushes before
+/// it starts and absorbs eagerly, since a crash freezes per-worker
+/// compensation state that must then exist materially.
 #[derive(Debug, Clone)]
 struct PendingResidual {
     /// Consensus sign bits of the round that produced the residual.
@@ -297,14 +304,15 @@ fn keep_probability(kind: CombineKind, ctx: &CombineCtx) -> f64 {
     }
 }
 
-/// Pre-sampled transient masks for the clean one-bit path.
+/// Pre-sampled transient masks for the one-bit collectives.
 ///
 /// The combines of one reduce step touch disjoint segments and consume
 /// independent RNG streams, but sampling them one hop at a time leaves a
 /// single serial xorshift chain on the critical path — at non-dyadic keep
 /// probabilities (32 dependent draws per word) that chain alone costs more
-/// than the combines' bit math. The planner receives each step's hop plan
-/// via the collective's step-begin hook, draws all of the step's masks with
+/// than the combines' bit math. The planner receives each step's plan of
+/// delivered hops via the collective's step-begin hook, draws all of the
+/// step's masks with
 /// [`fill_bernoulli_masks_indexed`] (up to 8 chains in flight), and the combine
 /// closure replays them via [`SignVec::transient_combine_assign_masked`].
 ///
@@ -336,7 +344,6 @@ struct MaskPlanner {
     windows: Vec<(usize, usize)>,
     /// Per-hop "already drawn by an earlier group" flags.
     grouped: Vec<bool>,
-    cursor: usize,
 }
 
 impl MaskPlanner {
@@ -344,13 +351,11 @@ impl MaskPlanner {
     fn reset(&mut self, round_seed: u64, kind: CombineKind) {
         self.round_seed = round_seed;
         self.kind = kind;
-        self.cursor = 0;
     }
 
     /// Draws every mask the upcoming step's combines will consume.
     fn plan_step(&mut self, plan: &[PlannedHop]) {
         self.spans.clear();
-        self.cursor = 0;
         let mut total = 0usize;
         for hop in plan {
             let p = keep_probability(self.kind, &hop.ctx);
@@ -373,7 +378,8 @@ impl MaskPlanner {
         self.masks.clear();
         self.masks.resize(total, 0);
         // Batch hops that share a keep probability (all of them, within one
-        // clean reduce step) into one interleaved multi-lane fill. Windows
+        // reduce step that lost no transfer) into one interleaved multi-lane
+        // fill. Windows
         // are plain `(offset, len)` pairs into the flat buffer, so grouping
         // materializes no per-hop borrows.
         self.grouped.clear();
@@ -431,18 +437,10 @@ impl MaskPlanner {
             sp.draws
         }
     }
-
-    /// Applies the next planned combine in cursor order (the hooked torus
-    /// path, which replays hops strictly sequentially).
-    fn apply(&mut self, recv: &SignVec, local: &mut SignVec, ctx: CombineCtx) -> u64 {
-        let idx = self.cursor;
-        self.cursor += 1;
-        self.apply_at(idx, recv, local, ctx)
-    }
 }
 
-/// Adapts the workspace's persistent [`MaskPlanner`] to the planned ring
-/// collective's [`StepCombine`] hooks: `step_begin` pre-samples the step's
+/// Adapts the workspace's persistent [`MaskPlanner`] to the planned
+/// collectives' [`StepCombine`] hooks: `step_begin` pre-samples the step's
 /// mask streams serially, and `combine` (possibly racing across worker
 /// threads on disjoint hops) replays them by plan index with atomic
 /// draw/combine accounting.
@@ -473,8 +471,8 @@ pub(crate) fn engine_link() -> LinkModel {
 }
 
 /// The ctx-derived combine closure the engine backends run on every rank:
-/// bit-identical to the unbatched faulty closure and — via the planner
-/// equivalence invariant — to the clean path's [`MaskPlanner`]. The RNG
+/// one hop at a time, bit-identical — the planner equivalence invariant — to
+/// the [`MaskPlanner`]'s batched replay. The RNG
 /// stream is a pure function of `(receiver, segment, step)`, so per-rank
 /// execution order cannot perturb the masks.
 pub(crate) fn engine_combine<'a>(
@@ -496,93 +494,45 @@ pub(crate) fn engine_combine<'a>(
     }
 }
 
-/// Runs a clean one-bit round on the threaded engine backend.
+/// Runs a one-bit round on the threaded engine backend.
 ///
-/// The [`Trace`] and per-hop telemetry come from a zero-payload walk of the
-/// *legacy* schedule on the caller thread — both depend only on shapes and
-/// schedules, never payload bits, so they are byte-identical to the
-/// simulator backend. The sign words themselves flow rank-per-OS-thread over
-/// a `ChannelFabric`, combined with the frozen per-hop RNG streams; the
-/// engine also executes the gather the legacy path only traces, so every
-/// rank (rank 0 included) lands on the legacy consensus.
-fn engine_onebit_clean(
-    signs: &[SignVec],
-    topology: Topology,
-    round_seed: u64,
-    kind: CombineKind,
-    combines: &Cell<u64>,
-    rng_draws: &Cell<u64>,
-) -> (SignVec, Trace) {
-    let m = signs.len();
-    let d = signs[0].len();
-    let plan_topology = match topology {
-        Topology::Ring { .. } => PlanTopology::Ring,
-        Topology::Torus { rows, cols } => PlanTopology::Torus { rows, cols },
-        Topology::Star { .. } => {
-            panic!("Marsit is a multi-hop all-reduce framework; star/PS is unsupported")
-        }
-    };
-    let plan = compile_plan(plan_topology, m, d, None)
-        .expect("full-membership clean plans always compile");
-    let dummy: Vec<SignVec> = vec![SignVec::zeros(d); m];
-    let (_, trace) = match topology {
-        Topology::Ring { .. } => {
-            ring_allreduce_onebit_weighted_hooked(&dummy, 1, |_| {}, |_, _, _| {})
-        }
-        Topology::Torus { rows, cols } => {
-            torus_allreduce_onebit_hooked(&dummy, rows, cols, |_| {}, |_, _, _| {})
-        }
-        Topology::Star { .. } => unreachable!(),
-    };
-    let total_combines = AtomicU64::new(0);
-    let total_draws = AtomicU64::new(0);
-    let mut states = run_threaded(&plan, signs, engine_link(), |_rank| {
-        engine_combine(round_seed, kind, &total_combines, &total_draws)
-    })
-    .expect("clean engine runs cannot fail");
-    combines.set(combines.get() + total_combines.load(Ordering::Relaxed));
-    rng_draws.set(rng_draws.get() + total_draws.load(Ordering::Relaxed));
-    (states.swap_remove(0), trace)
-}
-
-/// Runs a faulty one-bit round on the threaded engine backend.
-///
-/// `compile_plan` consumes `inj` in the legacy canonical order, so transfer
-/// fates, retry stats, and the injector's RNG position all match the
-/// sequential path exactly; a pre-compile clone replays the same fates
-/// through a zero-payload walk of the legacy schedule for the byte-identical
-/// [`Trace`] and hop telemetry.
-fn engine_onebit_faulty(
+/// `compile_plan` consumes `inj` in the schedule's canonical order, so
+/// transfer fates, retry stats, and the injector's RNG position all match
+/// the in-process collectives exactly. The [`Trace`] and per-hop telemetry
+/// come from a walk of the *in-process* schedule on the caller thread, with a
+/// pre-compile clone of the injector replaying the same fates and a combine
+/// that does nothing — both depend only on shapes, schedules and fates,
+/// never payload bits (so the walk simply reads the round's own inputs), and
+/// are byte-identical to the simulator backend's. The sign words themselves
+/// flow rank-per-OS-thread over a `ChannelFabric`, combined with the frozen
+/// per-hop RNG streams; the engine also executes the gather the in-process
+/// path only traces, so every rank (rank 0 included) lands on its consensus.
+fn engine_onebit(
     signs: &[SignVec],
     effective: EffectiveTopology,
     inj: &mut FaultInjector,
     round_seed: u64,
     kind: CombineKind,
-    combines: &Cell<u64>,
-    rng_draws: &Cell<u64>,
+    combines: &AtomicU64,
+    rng_draws: &AtomicU64,
 ) -> Result<(SignVec, Trace), SyncError> {
-    let m = signs.len();
-    let d = signs[0].len();
-    let plan_topology = match effective {
-        EffectiveTopology::Torus { rows, cols } => PlanTopology::Torus { rows, cols },
-        _ => PlanTopology::Ring,
-    };
+    let (m, d) = (signs.len(), signs[0].len());
     let mut walk_inj = inj.clone();
-    let plan = compile_plan(plan_topology, m, d, Some(inj))?;
-    let dummy: Vec<SignVec> = vec![SignVec::zeros(d); m];
-    let (_, trace) = match plan_topology {
-        PlanTopology::Torus { rows, cols } => {
-            torus_allreduce_onebit_faulty(&dummy, rows, cols, &mut walk_inj, |_, _, _| {})?
-        }
-        _ => ring_allreduce_onebit_faulty(&dummy, &mut walk_inj, |_, _, _| {})?,
+    let no_combine = |_: &SignVec, _: &mut SignVec, _: CombineCtx| {};
+    let (plan, walked) = match effective {
+        EffectiveTopology::Torus { rows, cols } => (
+            compile_plan(PlanTopology::Torus { rows, cols }, m, d, Some(inj))?,
+            torus_allreduce_onebit_faulty(signs, rows, cols, &mut walk_inj, no_combine),
+        ),
+        _ => (
+            compile_plan(PlanTopology::Ring, m, d, Some(inj))?,
+            ring_allreduce_onebit_faulty(signs, &mut walk_inj, no_combine),
+        ),
     };
-    let total_combines = AtomicU64::new(0);
-    let total_draws = AtomicU64::new(0);
+    let (_, trace) = walked?;
     let mut states = run_threaded(&plan, signs, engine_link(), |_rank| {
-        engine_combine(round_seed, kind, &total_combines, &total_draws)
+        engine_combine(round_seed, kind, combines, rng_draws)
     })?;
-    combines.set(combines.get() + total_combines.load(Ordering::Relaxed));
-    rng_draws.set(rng_draws.get() + total_draws.load(Ordering::Relaxed));
     Ok((states.swap_remove(0), trace))
 }
 
@@ -608,9 +558,10 @@ pub struct Marsit {
     compensations: Vec<Compensation>,
     round: u64,
     workspace: RoundWorkspace,
-    /// Residual of the last clean one-bit round, not yet folded into
+    /// Residual of the last one-bit round, not yet folded into
     /// `compensations` (see [`PendingResidual`]). `None` after construction,
-    /// a full-precision round, a faulty round, or a flush.
+    /// a full-precision round, a round that was not full-membership or whose
+    /// collective failed, or a flush.
     pending: Option<PendingResidual>,
 }
 
@@ -648,7 +599,7 @@ impl Marsit {
 
     /// Worker `w`'s compensation state.
     ///
-    /// Takes `&mut self` because the clean one-bit path defers the residual
+    /// Takes `&mut self` because a one-bit round defers the residual
     /// absorb (see `PendingResidual`); reading the state materializes any
     /// pending residual first. The values observed are bit-identical to the
     /// eager bookkeeping's.
@@ -773,10 +724,38 @@ impl Marsit {
     /// `out`'s buffers are recycled: `global_update` and `compensated_mean`
     /// are resized and overwritten in place, and the trace's step slots are
     /// reused ([`Trace::reset`] semantics). Reusing one outcome across
-    /// rounds makes the clean ring one-bit round allocation-free in the
-    /// steady state — the counting-allocator gate in `bench_round` pins
-    /// this. Results are bit-identical to [`Marsit::synchronize`] regardless
-    /// of what `out` previously held.
+    /// rounds makes the one-bit round allocation-free in the steady state
+    /// without a fault plan — the counting-allocator gate in `bench_round`
+    /// pins this. Results are bit-identical to [`Marsit::synchronize`]
+    /// regardless of what `out` previously held.
+    ///
+    /// # One round body
+    ///
+    /// Clean and fault-injected rounds run the same code, parameterised by
+    /// the round's live set and its [`FaultInjector`] (every worker and an
+    /// injector that never fires without a plan):
+    ///
+    /// - The membership schedule decides who is live: crashed workers are
+    ///   excluded (their compensation frozen — it died with them), rejoined
+    ///   workers re-enter with reset compensation, and the collective
+    ///   re-forms over the live set via [`TopologyReconfigurer`] (a partial
+    ///   torus degrades to a survivor ring; a shrunken ring re-expands when
+    ///   workers rejoin). `compensated_mean` — the quantity the one-bit
+    ///   consensus estimates — is taken over live workers only.
+    /// - One-bit transfers are best-effort with bounded retries; a transfer
+    ///   that exhausts its budget is an omission, and the counted collectives
+    ///   keep `⊙` unbiased over what actually arrived.
+    /// - Under a fault plan, full-precision rounds (the Marsit-K resync that
+    ///   also serves as the post-crash resync point) run over a repaired ring
+    ///   regardless of topology.
+    /// - Terminal live sets are defined, not panics: one live worker runs a
+    ///   degenerate local-only round; zero live workers is a no-op round. A
+    ///   typed [`SyncError`] from a collective likewise falls back to a
+    ///   degenerate local round, reported as [`DegradedMode::Error`].
+    /// - The residual of a one-bit round is deferred (see `PendingResidual`)
+    ///   iff every worker was live and the collective succeeded; any other
+    ///   round materializes what is pending before it starts and absorbs its
+    ///   own residual eagerly, for its live workers only.
     ///
     /// # Panics
     ///
@@ -790,70 +769,73 @@ impl Marsit {
         let m = self.compensations.len();
         assert_eq!(local_updates.len(), m, "update count must match workers");
         assert_eq!(topology.workers(), m, "topology size must match workers");
+        assert!(
+            !matches!(topology, Topology::Star { .. }),
+            "Marsit is a multi-hop all-reduce framework; star/PS is unsupported"
+        );
         let d = self.compensations[0].len();
         assert!(
             local_updates.iter().all(|u| u.len() == d),
             "update dimensions must match the model"
         );
 
-        // The fault path freezes per-worker compensation on a crash, so it
-        // needs the residual materialized before anything else runs.
-        if !self.cfg.fault_plan.is_none() {
+        let t = self.round;
+        let plan = &self.cfg.fault_plan;
+        let live = &mut self.workspace.live;
+        live.clear();
+        live.extend((0..m).filter(|&w| plan.live_at(w, t)));
+        let lm = live.len();
+        let rejoined = plan.rejoined_at(m, t);
+        let mut stats = FaultStats {
+            rejoins: rejoined.len() as u64,
+            crashed_workers: (m - lm) as u64,
+            // Each membership change (a crash or rejoin taking effect)
+            // re-forms the topology exactly once.
+            repairs: u64::from(plan.membership_changed_at(m, t)),
+            ..FaultStats::default()
+        };
+        let mut inj = plan.injector(t);
+        let resync_over_ring = !plan.is_none();
+        let (effective, mut degraded) = TopologyReconfigurer::new(topology, m).effective(live);
+        // A crash freezes per-worker compensation, which must then exist
+        // materially: only a full-membership round consumes (and leaves) a
+        // deferred residual.
+        if lm < m {
             self.flush_pending();
+        }
+        // A rejoining worker restarts from the last full-precision barrier:
+        // its compensation state died with the crash, so it re-enters with a
+        // zero residual before the prologue folds compensation into its
+        // local update. (A rejoin implies the previous round was not
+        // full-membership, so nothing is pending here.)
+        for &w in &rejoined {
+            self.compensations[w].reset();
         }
 
         // Detach the workspace so its buffers can be borrowed alongside
-        // `self`; it is stored back before returning on every path.
+        // `self`; it is stored back before returning.
         let mut ws = std::mem::take(&mut self.workspace);
-
-        // Fault path: plain materialized apply (the flush above cleared any
-        // pending residual), then hand off — the fault layer computes its
-        // own survivor-only mean and packs signs per surviving worker.
-        if !self.cfg.fault_plan.is_none() {
-            debug_assert!(self.pending.is_none(), "flush_pending ran above");
-            // A rejoining worker restarts from the last full-precision
-            // barrier: its compensation state died with the crash, so it
-            // re-enters with a zero residual before the prologue folds
-            // compensation into its local update.
-            let rejoined = self.cfg.fault_plan.rejoined_at(m, self.round);
-            for &w in &rejoined {
-                self.compensations[w].reset();
-            }
-            ws.compensated.resize_with(m, Vec::new);
-            for ((buf, u), c) in ws
-                .compensated
-                .iter_mut()
-                .zip(local_updates)
-                .zip(&self.compensations)
-            {
-                c.apply_into(u, buf);
-            }
-            *out = self.synchronize_faulty(&mut ws, topology, rejoined.len() as u64);
-            self.workspace = ws;
-            self.round += 1;
-            return;
-        }
-
-        let t = self.round;
         let full_precision = self.cfg.schedule.is_full_precision(t);
-        let inv_m = 1.0 / m as f32;
         let RoundWorkspace {
+            live,
             compensated,
             fp_buffers,
             signs,
             ring,
+            torus,
             planner,
             consensus: consensus_buf,
         } = &mut ws;
 
         // Line 1 (fused prologue): fold compensation into the local update,
         // accumulate the compensated-mean numerator, and — on one-bit rounds
-        // — pack each worker's sign words, all in one sweep. The sweep is
-        // block-major: every worker visits a block before any worker moves
-        // on, so the block of the mean accumulator stays in cache from its
-        // zero-fill to its `1/M` scaling, and each worker's sign words go
-        // straight into its vector. Per element the workers still arrive in
-        // order `0..M`, so the mean's float sums are the worker-major ones.
+        // — pack each worker's sign words, all in one sweep over the live
+        // workers. The sweep is block-major: every worker visits a block
+        // before any worker moves on, so the block of the mean accumulator
+        // stays in cache from its zero-fill to its `1/|live|` scaling, and
+        // each worker's sign words go straight into its vector. Per element
+        // the live workers still arrive in ascending order, so the mean's
+        // float sums are the worker-major ones.
         //
         // Every buffer below is overwritten in full and only sized here, so
         // what an adopted workspace or a recycled outcome held is invisible.
@@ -863,15 +845,17 @@ impl Marsit {
         let recycled = !compensated_mean.is_empty();
         compensated_mean.resize(d, 0.0);
         if !full_precision {
-            signs.resize_with(m, || SignVec::zeros(0));
+            // `signs[i]` belongs to worker `live[i]`.
+            signs.resize_with(lm, || SignVec::zeros(0));
             for sv in signs.iter_mut() {
                 sv.resize_for_overwrite(d);
             }
         }
         // Deferred residual: `h ← u + (h − g_prev)` with `g_prev` rebuilt
         // from the consensus bits, the ±scale expansion table built once for
-        // all workers. Otherwise (round 0, after a full-precision round or a
-        // flush) the compensation vectors are material: `h ← u + c`.
+        // all workers. Otherwise (round 0, after a full-precision round, a
+        // partial-membership round or a flush) the compensation vectors are
+        // material: `h ← u + c`.
         let deferred = self
             .pending
             .take()
@@ -884,13 +868,14 @@ impl Marsit {
                 h.resize(d, 0.0);
             }
         }
+        let inv_lm = 1.0 / lm.max(1) as f32;
         for lo in (0..d).step_by(PROLOGUE_BLOCK) {
             let hi = (lo + PROLOGUE_BLOCK).min(d);
             let mean = &mut compensated_mean[lo..hi];
             if recycled {
                 mean.fill(0.0);
             }
-            for (w, (h, u)) in compensated.iter_mut().zip(local_updates).enumerate() {
+            for (i, &w) in live.iter().enumerate() {
                 let residual = match &deferred {
                     Some((consensus, lut)) => Residual::Deferred { consensus, lut },
                     None => Residual::Materialized(&self.compensations[w].vector()[lo..hi]),
@@ -898,12 +883,13 @@ impl Marsit {
                 let sign_out = if full_precision {
                     None
                 } else {
-                    Some(&mut signs[w])
+                    Some(&mut signs[i])
                 };
+                let (u, h) = (&local_updates[w], &mut compensated[w]);
                 compensate_block(lo, &u[lo..hi], &mut h[lo..hi], residual, mean, sign_out);
             }
             for a in mean {
-                *a *= inv_m;
+                *a *= inv_lm;
             }
         }
         if let Some((consensus, _)) = deferred {
@@ -912,134 +898,157 @@ impl Marsit {
             *consensus_buf = consensus;
         }
 
-        let combines = Cell::new(0u64);
-        let rng_draws = Cell::new(0u64);
+        let combines = AtomicU64::new(0);
+        let rng_draws = AtomicU64::new(0);
+        // Line 9: g_t = η_s · σ, rebuilt through the byte LUT (written once
+        // per element, no zero-fill pass, no per-lane bit tests).
+        let global_lr = self.cfg.global_lr;
+        let write_scaled = |sigma: &SignVec, g: &mut Vec<f32>| {
+            g.resize(d, 0.0);
+            sigma.write_scaled_signs_lut(&ScaledSignLut::new(global_lr), g);
+        };
+        // The collective proper. `Ok(false)`: a terminal live set put
+        // nothing on the wire.
+        let ran = match effective {
+            EffectiveTopology::Empty | EffectiveTopology::Lone { .. } => Ok(false),
+            _ if full_precision => {
+                // Lines 11–13: exact averaging.
+                fp_buffers.resize_with(lm, Vec::new);
+                for (buf, &w) in fp_buffers.iter_mut().zip(&*live) {
+                    buf.clear();
+                    buf.extend_from_slice(&compensated[w]);
+                }
+                // Under a fault plan the resync — also the post-crash resync
+                // point — runs over a repaired ring whatever the topology;
+                // without one a torus keeps its hierarchical sum.
+                let trace = match effective {
+                    EffectiveTopology::Torus { rows, cols } if !resync_over_ring => {
+                        Ok(torus_allreduce_sum(fp_buffers, rows, cols))
+                    }
+                    _ => ring_allreduce_sum_faulty(fp_buffers, &mut inj),
+                };
+                trace.map(|trace| {
+                    out.trace = trace;
+                    out.global_update.clear();
+                    out.global_update
+                        .extend(fp_buffers[0].iter().map(|&x| x * inv_lm));
+                    true
+                })
+            }
+            _ => {
+                // Lines 4–9: one-bit synchronization via ⊙. Sign buffers were
+                // packed by the fused prologue; the planner pre-draws each
+                // step's transient masks with interleaved RNG chains and the
+                // combines replay them bit-identically. State comes from the
+                // workspace, the consensus lands in the recycled buffer and
+                // the trace reuses the outcome's step slots.
+                let round_seed = split_seed(self.cfg.seed, t);
+                let kind = self.cfg.combine;
+                planner.reset(round_seed, kind);
+                let mut op = PlannerOp {
+                    planner,
+                    combines: &combines,
+                    rng_draws: &rng_draws,
+                };
+                let reduced = if self.cfg.backend == Backend::Threaded {
+                    engine_onebit(
+                        signs, effective, &mut inj, round_seed, kind, &combines, &rng_draws,
+                    )
+                    .map(|(consensus, trace)| {
+                        *consensus_buf = consensus;
+                        out.trace = trace;
+                    })
+                } else if let EffectiveTopology::Torus { rows, cols } = effective {
+                    // A full-membership torus keeps its hierarchical
+                    // schedule; any partial live set re-forms as a ring over
+                    // the live workers.
+                    torus_allreduce_onebit_planned(
+                        signs,
+                        rows,
+                        cols,
+                        &mut inj,
+                        torus,
+                        consensus_buf,
+                        &mut out.trace,
+                        &mut op,
+                    )
+                } else {
+                    // Each step's combines may fan out over `intra_threads`
+                    // (bit-identical either way).
+                    ring_allreduce_onebit_planned(
+                        signs,
+                        &mut inj,
+                        ring,
+                        consensus_buf,
+                        &mut out.trace,
+                        self.cfg.intra_threads,
+                        &mut op,
+                    )
+                };
+                reduced.map(|()| {
+                    write_scaled(consensus_buf, &mut out.global_update);
+                    true
+                })
+            }
+        };
+        let on_wire = ran.unwrap_or_else(|e| {
+            degraded = DegradedMode::Error(e);
+            false
+        });
+        if !on_wire {
+            // Terminal and error modes: no wire traffic. Nobody live is a
+            // no-op round; otherwise the first live worker's own compensated
+            // update stands in for the consensus.
+            out.trace.reset();
+            match (live.first(), full_precision) {
+                (None, _) => {
+                    out.global_update.clear();
+                    out.global_update.resize(d, 0.0);
+                }
+                (Some(&w), true) => out.global_update.clone_from(&compensated[w]),
+                (Some(_), false) => write_scaled(&signs[0], &mut out.global_update),
+            }
+        }
+
+        // Lines 10 and 13, for live workers only; a crashed worker's
+        // compensation is frozen (its state died with it). A full-membership
+        // one-bit round that went over the wire defers its absorb — the
+        // consensus bits and scale fully determine `g_t`, and the next
+        // round's prologue folds `h − g_t` in without a dedicated M·D pass.
         let mut new_pending = None;
         if full_precision {
-            // Lines 11–13: exact averaging, compensation reset.
-            fp_buffers.resize_with(m, Vec::new);
-            for (buf, src) in fp_buffers.iter_mut().zip(&*compensated) {
-                buf.clear();
-                buf.extend_from_slice(src);
+            for &w in &*live {
+                self.compensations[w].reset();
             }
-            let trace = match topology {
-                Topology::Ring { .. } => ring_allreduce_sum(fp_buffers),
-                Topology::Torus { rows, cols } => torus_allreduce_sum(fp_buffers, rows, cols),
-                Topology::Star { .. } => {
-                    panic!("Marsit is a multi-hop all-reduce framework; star/PS is unsupported")
-                }
-            };
-            out.global_update.clear();
-            out.global_update
-                .extend(fp_buffers[0].iter().map(|&x| x * inv_m));
-            for c in &mut self.compensations {
-                c.reset();
-            }
-            out.full_precision = true;
-            out.trace = trace;
-            out.round = t;
-            out.faults = FaultStats::default();
-            out.degraded = DegradedMode::None;
-        } else {
-            // Lines 4–9: one-bit synchronization via ⊙. Sign buffers were
-            // packed by the fused prologue; the planner pre-draws each
-            // step's transient masks with interleaved RNG chains and the
-            // combine closure replays them bit-identically.
-            let round_seed = split_seed(self.cfg.seed, t);
-            planner.reset(round_seed, self.cfg.combine);
-            let consensus = if self.cfg.backend == Backend::Threaded {
-                let (consensus, trace) = engine_onebit_clean(
-                    signs,
-                    topology,
-                    round_seed,
-                    self.cfg.combine,
-                    &combines,
-                    &rng_draws,
-                );
-                out.trace = trace;
-                consensus
-            } else {
-                match topology {
-                    Topology::Ring { .. } => {
-                        // Planned, allocation-free form: state buffers come
-                        // from the workspace, the consensus lands in the
-                        // recycled buffer, the trace reuses the outcome's
-                        // step slots, and each step's combines may fan out
-                        // over `intra_threads` (bit-identical either way;
-                        // see `ring_allreduce_onebit_planned`).
-                        let step_combines = AtomicU64::new(0);
-                        let step_draws = AtomicU64::new(0);
-                        let mut op = PlannerOp {
-                            planner,
-                            combines: &step_combines,
-                            rng_draws: &step_draws,
-                        };
-                        ring_allreduce_onebit_planned(
-                            signs,
-                            1,
-                            ring,
-                            consensus_buf,
-                            &mut out.trace,
-                            self.cfg.intra_threads,
-                            &mut op,
-                        );
-                        combines.set(combines.get() + step_combines.load(Ordering::Relaxed));
-                        rng_draws.set(rng_draws.get() + step_draws.load(Ordering::Relaxed));
-                        std::mem::take(consensus_buf)
-                    }
-                    Topology::Torus { rows, cols } => {
-                        let planner = RefCell::new(planner);
-                        let step_begin = |plan: &[PlannedHop]| planner.borrow_mut().plan_step(plan);
-                        let combine = |recv: &SignVec, local: &mut SignVec, ctx: CombineCtx| {
-                            let draws = planner.borrow_mut().apply(recv, local, ctx);
-                            combines.set(combines.get() + 1);
-                            rng_draws.set(rng_draws.get() + draws);
-                        };
-                        let (consensus, trace) =
-                            torus_allreduce_onebit_hooked(signs, rows, cols, step_begin, combine);
-                        out.trace = trace;
-                        consensus
-                    }
-                    Topology::Star { .. } => {
-                        panic!("Marsit is a multi-hop all-reduce framework; star/PS is unsupported")
-                    }
-                }
-            };
-            // Line 9: g_t = η_s · σ, rebuilt through the byte LUT (written
-            // once per element, no zero-fill pass, no per-lane bit tests).
-            // The output buffer is recycled: when it already has the right
-            // length the LUT write overwrites every element, so no clearing
-            // pass is needed either.
-            if out.global_update.len() != d {
-                out.global_update.clear();
-                out.global_update.resize(d, 0.0);
-            }
-            consensus.write_scaled_signs_lut(
-                &ScaledSignLut::new(self.cfg.global_lr),
-                &mut out.global_update,
-            );
-            // Line 10: the residual absorb is deferred — the consensus bits
-            // and scale fully determine `g_t`, and the next round's apply
-            // folds `h − g_t` in without a dedicated M·D pass.
+        } else if on_wire && lm == m {
             new_pending = Some(PendingResidual {
-                consensus,
+                consensus: std::mem::take(consensus_buf),
                 scale: self.cfg.global_lr,
             });
-            out.full_precision = false;
-            out.round = t;
-            out.faults = FaultStats::default();
-            out.degraded = DegradedMode::None;
+        } else {
+            for &w in &*live {
+                self.compensations[w].absorb_residual(&compensated[w], &out.global_update);
+            }
         }
+        stats.merge(&inj.take_stats());
+        out.full_precision = full_precision;
+        out.round = t;
+        out.faults = stats;
+        out.degraded = degraded;
         self.workspace = ws;
         self.pending = new_pending;
-        self.emit_sync_event(out, combines.get(), rng_draws.get());
+        self.emit_sync_event(
+            out,
+            combines.load(Ordering::Relaxed),
+            rng_draws.load(Ordering::Relaxed),
+        );
         self.round += 1;
     }
 
     /// Reports one completed round to the ambient telemetry scope, if any.
     ///
-    /// Compensation-norm work happens only when a scope is active, so the
-    /// clean path pays nothing beyond the thread-local lookup.
+    /// Compensation-norm work happens only when a scope is active, so a
+    /// round without one pays nothing beyond the thread-local lookup.
     fn emit_sync_event(&self, outcome: &SyncOutcome, combines: u64, rng_draws: u64) {
         let Some(tel) = marsit_telemetry::active() else {
             return;
@@ -1078,192 +1087,6 @@ impl Marsit {
                 ("retry_extra_s", outcome.faults.retry_extra_s.into()),
             ],
         );
-    }
-
-    /// The fault-injected synchronization path (graceful degradation).
-    ///
-    /// Differences from the clean path:
-    ///
-    /// - The membership schedule decides who is live this round: crashed
-    ///   workers are excluded (their compensation frozen — it died with
-    ///   them), rejoined workers re-enter with reset compensation, and the
-    ///   collectives re-form over the live set via [`TopologyReconfigurer`]
-    ///   (a partial torus degrades to a survivor ring; a shrunken ring
-    ///   re-expands when workers rejoin). `compensated_mean` — the quantity
-    ///   the one-bit consensus estimates — is taken over live workers only.
-    /// - One-bit transfers are best-effort with bounded retries; a transfer
-    ///   that exhausts its budget is an omission, and the counted collectives
-    ///   keep `⊙` unbiased over what actually arrived.
-    /// - Full-precision rounds (the Marsit-K resync that also serves as the
-    ///   post-crash resync point) run over a repaired ring regardless of
-    ///   topology.
-    /// - Terminal live sets are defined, not panics: one live worker runs a
-    ///   degenerate local-only round; zero live workers is a no-op round.
-    ///   A typed [`SyncError`](marsit_collectives::SyncError) from a
-    ///   collective likewise falls back to a degenerate local round,
-    ///   reported as [`DegradedMode::Error`].
-    fn synchronize_faulty(
-        &mut self,
-        ws: &mut RoundWorkspace,
-        topology: Topology,
-        rejoins: u64,
-    ) -> SyncOutcome {
-        assert!(
-            !matches!(topology, Topology::Star { .. }),
-            "Marsit is a multi-hop all-reduce framework; star/PS is unsupported"
-        );
-        let RoundWorkspace {
-            compensated,
-            fp_buffers,
-            signs,
-            ..
-        } = ws;
-        let t = self.round;
-        let m = self.compensations.len();
-        let d = self.compensations[0].len();
-        let plan = self.cfg.fault_plan.clone();
-        let live = plan.live_set(m, t);
-        let mut stats = FaultStats {
-            rejoins,
-            crashed_workers: (m - live.len()) as u64,
-            // Each membership change (a crash or rejoin taking effect)
-            // re-forms the topology exactly once.
-            repairs: u64::from(plan.membership_changed_at(m, t)),
-            ..FaultStats::default()
-        };
-        let lm = live.len();
-        let mut compensated_mean = vec![0.0f32; d];
-        for &w in &live {
-            for (a, &x) in compensated_mean.iter_mut().zip(&compensated[w]) {
-                *a += x;
-            }
-        }
-        if lm > 0 {
-            let inv_lm = 1.0 / lm as f32;
-            for a in &mut compensated_mean {
-                *a *= inv_lm;
-            }
-        }
-
-        let full_precision = self.cfg.schedule.is_full_precision(t);
-        let combines = Cell::new(0u64);
-        let rng_draws = Cell::new(0u64);
-        let mut inj = plan.injector(t);
-        let (effective, mut degraded) = TopologyReconfigurer::new(topology, m).effective(&live);
-        // Fallback for terminal/error modes: a degenerate local-only round
-        // seeded from the first live worker (no wire traffic).
-        let local_only = |worker: usize, compensated: &[Vec<f32>]| {
-            if full_precision {
-                compensated[worker].clone()
-            } else {
-                let sign = SignVec::from_signs(&compensated[worker]);
-                let mut g = vec![0.0f32; d];
-                sign.write_scaled_signs(self.cfg.global_lr, &mut g);
-                g
-            }
-        };
-        let (global_update, trace) = match effective {
-            // All workers crashed: a defined no-op round.
-            EffectiveTopology::Empty => (vec![0.0f32; d], Trace::new()),
-            // Lone survivor: its compensated update is the global update.
-            EffectiveTopology::Lone { worker } => (local_only(worker, compensated), Trace::new()),
-            _ if full_precision => {
-                fp_buffers.resize_with(lm, Vec::new);
-                for (buf, &w) in fp_buffers.iter_mut().zip(&live) {
-                    buf.clear();
-                    buf.extend_from_slice(&compensated[w]);
-                }
-                match ring_allreduce_sum_faulty(fp_buffers, &mut inj) {
-                    Ok(trace) => {
-                        let inv_lm = 1.0 / lm as f32;
-                        (fp_buffers[0].iter().map(|&x| x * inv_lm).collect(), trace)
-                    }
-                    Err(e) => {
-                        degraded = DegradedMode::Error(e);
-                        (local_only(live[0], compensated), Trace::new())
-                    }
-                }
-            }
-            _ => {
-                signs.resize_with(lm, || SignVec::zeros(0));
-                for (sv, &w) in signs.iter_mut().zip(&live) {
-                    sv.assign_from_signs(&compensated[w]);
-                }
-                let round_seed = split_seed(self.cfg.seed, t);
-                let kind = self.cfg.combine;
-                let combine =
-                    |recv: &SignVec, local: &mut SignVec, ctx: marsit_collectives::CombineCtx| {
-                        let stream = ((ctx.receiver as u64) << 40)
-                            | ((ctx.segment as u64) << 20)
-                            | ctx.step as u64;
-                        let mut rng = FastRng::new(round_seed, stream);
-                        match kind {
-                            CombineKind::Weighted => combine_weighted_assign(
-                                recv,
-                                ctx.received_count,
-                                local,
-                                ctx.local_count,
-                                &mut rng,
-                            ),
-                            CombineKind::UnweightedAblation => {
-                                combine_unweighted_assign(recv, local, &mut rng)
-                            }
-                        }
-                        combines.set(combines.get() + 1);
-                        rng_draws.set(rng_draws.get() + rng.draws());
-                    };
-                let result = if self.cfg.backend == Backend::Threaded {
-                    engine_onebit_faulty(
-                        signs, effective, &mut inj, round_seed, kind, &combines, &rng_draws,
-                    )
-                } else {
-                    match effective {
-                        // A full-membership torus keeps its hierarchical
-                        // schedule; any partial live set re-forms as a ring
-                        // over the live workers.
-                        EffectiveTopology::Torus { rows, cols } => {
-                            torus_allreduce_onebit_faulty(signs, rows, cols, &mut inj, combine)
-                        }
-                        _ => ring_allreduce_onebit_faulty(signs, &mut inj, combine),
-                    }
-                };
-                match result {
-                    Ok((consensus, trace)) => {
-                        let mut g = vec![0.0f32; d];
-                        consensus.write_scaled_signs(self.cfg.global_lr, &mut g);
-                        (g, trace)
-                    }
-                    Err(e) => {
-                        degraded = DegradedMode::Error(e);
-                        (local_only(live[0], compensated), Trace::new())
-                    }
-                }
-            }
-        };
-
-        // Compensation bookkeeping for live workers only; a crashed worker's
-        // compensation is frozen (its state died with it).
-        if full_precision {
-            for &w in &live {
-                self.compensations[w].reset();
-            }
-        } else {
-            for &w in &live {
-                self.compensations[w].absorb_residual(&compensated[w], &global_update);
-            }
-        }
-        stats.merge(&inj.take_stats());
-        let outcome = SyncOutcome {
-            compensated_mean,
-            global_update,
-            full_precision,
-            trace,
-            round: t,
-            faults: stats,
-            degraded,
-        };
-        self.emit_sync_event(&outcome, combines.get(), rng_draws.get());
-        outcome
     }
 
     /// Captures a deterministic checkpoint of the synchronizer: the round
@@ -1404,10 +1227,20 @@ mod tests {
     /// state — as the serial dispatch, round after round.
     #[test]
     fn intra_threads_are_bit_identical() {
+        let lossy = FaultPlan::seeded(4)
+            .with_link_drop(0.2)
+            .with_retry_policy(0, 1e-4);
+        for plan in [FaultPlan::none(), lossy] {
+            intra_threads_are_bit_identical_under(plan);
+        }
+    }
+
+    fn intra_threads_are_bit_identical_under(plan: FaultPlan) {
         let u = updates(8, 1000, 11);
         let run = |threads: usize| {
-            let cfg =
-                MarsitConfig::new(SyncSchedule::every(3), 0.05, 21).with_intra_threads(threads);
+            let cfg = MarsitConfig::new(SyncSchedule::every(3), 0.05, 21)
+                .with_intra_threads(threads)
+                .with_fault_plan(plan.clone());
             let mut marsit = Marsit::new(cfg, 8, 1000);
             let outs: Vec<SyncOutcome> = (0..6)
                 .map(|_| marsit.synchronize(&u, Topology::ring(8)))
@@ -1480,7 +1313,7 @@ mod tests {
 
     #[test]
     fn none_fault_plan_outcome_is_identical_to_default() {
-        // A none plan must take the exact fault-free code path.
+        // A none plan injects nothing: the outcomes are the default's.
         let cfg = MarsitConfig::new(SyncSchedule::every(3), 0.05, 7);
         let faulted_cfg = cfg.clone().with_fault_plan(FaultPlan::none());
         let u = updates(4, 32, 4);

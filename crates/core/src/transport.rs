@@ -31,11 +31,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use marsit_collectives::engine::{compile_plan, run_rank, run_threaded, PlanTopology};
-use marsit_collectives::ring::{
-    ring_allreduce_onebit_faulty, ring_allreduce_onebit_weighted_hooked,
-};
+use marsit_collectives::ring::ring_allreduce_onebit_faulty;
 use marsit_collectives::segring::{segring_allreduce_onebit, segring_allreduce_onebit_faulty};
-use marsit_collectives::torus::{torus_allreduce_onebit_faulty, torus_allreduce_onebit_hooked};
+use marsit_collectives::torus::torus_allreduce_onebit_faulty;
 use marsit_collectives::tree::{tree_allreduce_onebit, tree_allreduce_onebit_faulty};
 use marsit_collectives::{CombineCtx, SyncError, Trace};
 use marsit_simnet::{
@@ -224,23 +222,15 @@ fn legacy_onebit<F>(
 where
     F: FnMut(&SignVec, &mut SignVec, CombineCtx),
 {
+    // Ring and torus have one fault-aware body each; a clean run is that body
+    // on a fabric that never faults.
+    let mut inert = FaultInjector::inert();
     match (topo, inj) {
-        (TopoKind::Ring, None) => Ok(ring_allreduce_onebit_weighted_hooked(
-            signs,
-            1,
-            |_| {},
-            combine,
-        )),
-        (TopoKind::Ring, Some(inj)) => ring_allreduce_onebit_faulty(signs, inj, combine),
-        (TopoKind::Torus { rows, cols }, None) => Ok(torus_allreduce_onebit_hooked(
-            signs,
-            rows,
-            cols,
-            |_| {},
-            combine,
-        )),
-        (TopoKind::Torus { rows, cols }, Some(inj)) => {
-            torus_allreduce_onebit_faulty(signs, rows, cols, inj, combine)
+        (TopoKind::Ring, inj) => {
+            ring_allreduce_onebit_faulty(signs, inj.unwrap_or(&mut inert), combine)
+        }
+        (TopoKind::Torus { rows, cols }, inj) => {
+            torus_allreduce_onebit_faulty(signs, rows, cols, inj.unwrap_or(&mut inert), combine)
         }
         (TopoKind::Tree, None) => Ok(tree_allreduce_onebit(signs, combine)),
         (TopoKind::Tree, Some(inj)) => tree_allreduce_onebit_faulty(signs, inj, combine),

@@ -420,12 +420,7 @@ impl FaultPlan {
     /// must be re-formed at the start of `round`.
     #[must_use]
     pub fn membership_changed_at(&self, m: usize, round: u64) -> bool {
-        let now = self.live_set(m, round);
-        if round == 0 {
-            now.len() < m
-        } else {
-            now != self.live_set(m, round - 1)
-        }
+        (0..m).any(|w| self.live_at(w, round) != (round == 0 || self.live_at(w, round - 1)))
     }
 
     /// Compute-time multiplier for `round`: the slowest live straggler (the

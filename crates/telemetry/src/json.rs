@@ -8,6 +8,8 @@
 //! platform-independent) and a small recursive-descent *parser* sufficient
 //! for the event log and summary schemas.
 
+use std::fmt::Write;
+
 /// Escape and write `s` as a JSON string literal (with surrounding quotes).
 ///
 /// Runs of bytes that need no escaping are copied in bulk: every byte that
@@ -46,7 +48,8 @@ pub fn write_str(out: &mut String, s: &str) {
 /// produces) are written as `null`.
 pub fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        out.push_str(&format!("{v}"));
+        // Formatting straight into `out`: no temporary string per number.
+        let _ = write!(out, "{v}");
     } else {
         out.push_str("null");
     }

@@ -20,7 +20,7 @@
 //! Each collective claims a base `seq` when its [`HopRecorder`] begins and
 //! advances the global counter by the number of expanded slots it used when
 //! the recorder drops. The 2D-torus vertical phase is the special case: its
-//! per-column sub-rings *share* step slots (`merge_parallel`). The torus
+//! per-column sub-rings *share* step slots (`Trace::overlay`). The torus
 //! pushes a [`HopRecorder::column_frame`] around each column's sub-ring call;
 //! a framed sub-ring maps its local step `i` to `frame.base + i` and its
 //! local worker ids through the column's global ids, and does *not* advance

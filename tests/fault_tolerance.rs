@@ -7,6 +7,7 @@
 
 use marsit::collectives::ring::ring_allreduce_onebit_faulty;
 use marsit::core::ominus::combine_weighted_assign;
+use marsit::core::SyncOutcome;
 use marsit::prelude::*;
 use marsit::tensor::stats::binomial_ci_halfwidth;
 
@@ -146,6 +147,105 @@ fn survivor_unbiasedness_under_retried_drops() {
         assert!(
             (measured - expected).abs() <= hw + 1e-12,
             "coord {j}: {measured} vs {expected} (±{hw})"
+        );
+    }
+}
+
+/// Per-round, per-worker updates, distinct every round.
+fn round_updates(m: usize, d: usize, t: u64) -> Vec<Vec<f32>> {
+    (0..m)
+        .map(|w| {
+            let mut rng = FastRng::new(1_000 + t, w as u64);
+            (0..d).map(|_| (rng.next_f64() as f32) - 0.5).collect()
+        })
+        .collect()
+}
+
+fn compensation_bits(sync: &mut Marsit, m: usize) -> Vec<Vec<u32>> {
+    (0..m)
+        .map(|w| {
+            let c = sync.compensation(w).vector();
+            c.iter().map(|x| x.to_bits()).collect()
+        })
+        .collect()
+}
+
+/// "All delivered ≡ clean": a plan that only names a straggler injects
+/// nothing into the collectives — every transfer is delivered first try and
+/// every worker stays live — so its rounds must be the clean rounds, bit for
+/// bit: outcomes (global update, compensated mean, trace, zero fault stats)
+/// and the compensation state behind them. A torus with a finite `K` is left
+/// out: under a plan its full-precision rounds resync over a ring.
+#[test]
+fn straggler_only_plan_equals_no_plan() {
+    let m = 8;
+    for d in [129usize, 4_099] {
+        for (topology, schedule) in [
+            (Topology::ring(m), SyncSchedule::never()),
+            (Topology::ring(m), SyncSchedule::every(5)),
+            (Topology::torus(2, 4), SyncSchedule::never()),
+        ] {
+            let cfg = MarsitConfig::new(schedule, 0.01, 77);
+            let plan = FaultPlan::seeded(5).with_straggler(1, 2.5);
+            let mut clean = Marsit::new(cfg.clone(), m, d);
+            let mut delivered = Marsit::new(cfg.with_fault_plan(plan), m, d);
+            for t in 0..20u64 {
+                let ups = round_updates(m, d, t);
+                let a = clean.synchronize(&ups, topology);
+                let b = delivered.synchronize(&ups, topology);
+                assert_eq!(a, b, "{topology:?} {schedule:?} d={d} round {t}");
+                // Reading the compensation materializes any deferred
+                // residual; every third round keeps chains of one, two and
+                // three deferred rounds on the path.
+                if t % 3 == 2 || t == 19 {
+                    assert_eq!(
+                        compensation_bits(&mut clean, m),
+                        compensation_bits(&mut delivered, m),
+                        "{topology:?} {schedule:?} d={d} round {t}: compensation"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Swapping the fault plan mid-run (none → chaos with a crash and a rejoin →
+/// none) never depends on whether a residual happened to be deferred: an
+/// instance whose compensation is read (and so materialized) after every
+/// round reports the same outcomes as one left alone.
+#[test]
+fn plan_swaps_agree_with_a_flushed_instance() {
+    let (m, d) = (8usize, 4_099usize);
+    let chaos = FaultPlan::seeded(41)
+        .with_link_drop(0.05)
+        .with_link_corruption(0.02)
+        .with_retry_policy(1, 2e-4)
+        .with_straggler(2, 3.0)
+        .with_crash_event(6, 8)
+        .with_rejoin(6, 11);
+    for topology in [Topology::ring(m), Topology::torus(2, 4)] {
+        let cfg = MarsitConfig::new(SyncSchedule::every(7), 0.01, 13);
+        let mut lazy = Marsit::new(cfg.clone(), m, d);
+        let mut flushed = Marsit::new(cfg, m, d);
+        let mut out = SyncOutcome::default();
+        for t in 0..20u64 {
+            if t == 5 {
+                lazy.set_fault_plan(chaos.clone());
+                flushed.set_fault_plan(chaos.clone());
+            } else if t == 15 {
+                lazy.set_fault_plan(FaultPlan::none());
+                flushed.set_fault_plan(FaultPlan::none());
+            }
+            let ups = round_updates(m, d, t);
+            lazy.synchronize_into(&ups, topology, &mut out);
+            let reference = flushed.synchronize(&ups, topology);
+            let _ = flushed.compensation(0);
+            assert_eq!(out, reference, "{topology:?} round {t}");
+        }
+        assert_eq!(
+            compensation_bits(&mut lazy, m),
+            compensation_bits(&mut flushed, m),
+            "{topology:?}: final compensation"
         );
     }
 }

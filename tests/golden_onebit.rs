@@ -474,3 +474,241 @@ fn golden_ring7_d40007_multiblock() {
         "traced hop bytes changed"
     );
 }
+
+/// FNV-1a over the bytes of a drained telemetry log.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Runs `rounds` fault-injected rounds (fresh updates every round, one
+/// recycled outcome, a recording sink drained per round) and renders one line
+/// per round holding everything the round reports: fingerprints of
+/// `global_update` and `compensated_mean` (plus the consensus words when
+/// `words` is set), the full-precision flag, the degraded mode, wire bytes and
+/// steps, every `FaultStats` field, the round's `⊙` and RNG-draw counts and
+/// an FNV fingerprint of its telemetry JSONL. Also returns the fingerprint of
+/// each worker's final compensation vector.
+fn faulty_round_lines(
+    cfg: MarsitConfig,
+    topology: Topology,
+    d: usize,
+    rounds: u64,
+    words: bool,
+) -> (Vec<String>, Vec<u64>) {
+    let m = topology.workers();
+    let mut marsit = Marsit::new(cfg, m, d);
+    let tel = Telemetry::recording();
+    let mut out = marsit::core::SyncOutcome::default();
+    let (mut combines, mut draws) = (0, 0);
+    let lines = (0..rounds)
+        .map(|t| {
+            let ups = updates(m, d, 5 + t);
+            scoped(&tel, || marsit.synchronize_into(&ups, topology, &mut out));
+            assert_eq!(out.round, t);
+            let FaultStats {
+                retransmits,
+                dropped_transfers,
+                corrupted_transfers,
+                repairs,
+                crashed_workers,
+                forced_deliveries,
+                rejoins,
+                retry_extra_s,
+                catchup_extra_s,
+                stragglers_suspected,
+                links_degraded,
+                ranks_silent,
+            } = out.faults;
+            let (c0, d0) = (combines, draws);
+            combines = tel.counter("marsit.combines");
+            draws = tel.counter("marsit.rng_draws");
+            let mut line = format!(
+                "{:016x} {:016x} fp={} {:?} bytes={} steps={} \
+                 faults={retransmits}/{dropped_transfers}/{corrupted_transfers}/{repairs}/\
+                 {crashed_workers}/{forced_deliveries}/{rejoins}/{retry_extra_s:?}/\
+                 {catchup_extra_s:?}/{stragglers_suspected}/{links_degraded}/{ranks_silent} \
+                 combines={} draws={} jsonl={:016x}",
+                fingerprint_f32(&out.global_update),
+                fingerprint_f32(&out.compensated_mean),
+                out.full_precision,
+                out.degraded,
+                out.trace.total_bytes(),
+                out.trace.num_steps(),
+                combines - c0,
+                draws - d0,
+                fnv1a(tel.drain_events_jsonl().as_bytes()),
+            );
+            if words {
+                let consensus = SignVec::from_signs(&out.global_update);
+                for w in consensus.as_words() {
+                    line.push_str(&format!(" {w:016x}"));
+                }
+            }
+            line
+        })
+        .collect();
+    let residuals = (0..m)
+        .map(|w| fingerprint_f32(marsit.compensation(w).vector()))
+        .collect();
+    (lines, residuals)
+}
+
+fn assert_lines(got: &[String], want: &[&str], label: &str) {
+    assert_eq!(got.len(), want.len(), "{label}: round count");
+    for (t, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g, w, "{label} t={t}");
+    }
+}
+
+/// A fault-injected torus through every membership state: drops, corruption
+/// and a straggler throughout, one retry per transfer so that some reduce hops
+/// are omitted for good and the per-cell aggregation counts matter; worker 5
+/// crashes at round 3 (the torus degrades to a 7-survivor ring, full-precision
+/// round 4 included) and rejoins at round 6 with reset compensation;
+/// `every(4)` puts full-precision rounds at 0, 4 and 8. Recorded on the parent
+/// commit, before the faulty round was folded into the clean round's body.
+#[test]
+fn golden_faulty_torus2x4_d257() {
+    let plan = FaultPlan::seeded(99)
+        .with_link_drop(0.05)
+        .with_link_corruption(0.02)
+        .with_retry_policy(1, 2e-4)
+        .with_straggler(1, 3.0)
+        .with_crash_event(5, 3)
+        .with_rejoin(5, 6);
+    let cfg = MarsitConfig::new(SyncSchedule::every(4), 0.01, 7).with_fault_plan(plan);
+    let (lines, residuals) = faulty_round_lines(cfg, Topology::torus(2, 4), 257, 12, true);
+    assert_lines(
+        &lines,
+        &[
+            "cff3d69ff0f7b3cb ca4d416feae6d6ee fp=true None bytes=15552 steps=21 \
+             faults=9/1/3/0/0/2/0/0.0018000000000000004/0.0/0/0/0 \
+             combines=0 draws=0 jsonl=384b4bd2da8ac5fb \
+             eae8cf560cf7cbc6 bd3b0f78593cab2d 634820547ede4c6f bbca702ab92bd1ad 0000000000000001",
+            "f9cb02e782133a5c aad62a878a319d27 fp=false None bytes=499 steps=13 \
+             faults=5/0/3/0/0/3/0/0.001/0.0/0/0/0 \
+             combines=32 draws=358 jsonl=884ebb82415ea407 \
+             528c4d402b6efc7b 59ccda289b0dc871 ab6f789ac7f007ad 3c9f5487dbdb08e2 0000000000000000",
+            "6e86fb66e07148a5 50f279e558732886 fp=false None bytes=507 steps=14 \
+             faults=6/0/2/0/0/2/0/0.0012000000000000001/0.0/0/0/0 \
+             combines=32 draws=358 jsonl=b966a5e9b52d1eb3 \
+             54695d83c4ec423c db0a2a6a433fb701 95ab4c975de708a7 01287354870d7183 0000000000000001",
+            "1ee318c7bfb561c3 6310b736f419c3e1 fp=false TorusToRing { live: 7 } bytes=450 steps=17 \
+             faults=6/0/1/1/1/3/0/0.0012000000000000001/0.0/0/0/0 \
+             combines=42 draws=917 jsonl=6dd0b8cb954e1072 \
+             c3cbf4f1c6320a31 a4d34ef3dbc352ce dd51530f5490b534 11fb58dea7506218 0000000000000000",
+            "0f1108cfd92b7b33 8deff7b2957e3614 fp=true TorusToRing { live: 7 } bytes=12920 steps=16 \
+             faults=4/0/3/0/1/3/0/0.0008/0.0/0/0/0 \
+             combines=0 draws=0 jsonl=b7dd30ece6190efe \
+             2a48c500b86b88ff a916b8981bc2e87a f40b2761d62af4b4 899e78abafdad978 0000000000000000",
+            "80897cceb5f221ac 3f4e712f2f4dd86b fp=false TorusToRing { live: 7 } bytes=430 steps=14 \
+             faults=2/0/2/0/1/1/0/0.0004/0.0/0/0/0 \
+             combines=42 draws=917 jsonl=b895169bd1a82462 \
+             1cffb9d084e11e32 52b18482af16efd2 49c6f446c1b02927 a13fd4c3fb623e59 0000000000000000",
+            "10c09f402ff46fe0 d94c7108d2cfea3b fp=false None bytes=513 steps=13 \
+             faults=7/1/1/1/0/2/1/0.0014000000000000002/0.0/0/0/0 \
+             combines=31 draws=354 jsonl=2d3ad6db06e92e37 \
+             fefce08e9ede8f9d c0b4c9292f85eaf7 7d2a856861849a9f 8d7c485ba155644b 0000000000000001",
+            "684b555fb0b73ae3 b445ed2f08009647 fp=false None bytes=490 steps=11 \
+             faults=4/1/1/0/0/3/0/0.0008/0.0/0/0/0 \
+             combines=31 draws=418 jsonl=43d62d11fb735163 \
+             53a5e600f95d884d 2ec5e91387eb37f0 0946518d5ed6b63b 6f221b985ad2535d 0000000000000000",
+            "33ea79708e4ceb32 d56b500465673663 fp=true None bytes=14780 steps=17 \
+             faults=3/0/0/0/0/2/0/0.0006000000000000001/0.0/0/0/0 \
+             combines=0 draws=0 jsonl=7ef50a682d6e9df2 \
+             52a89c0e483f1e01 6d99d131803263d1 2ee85d515533b24e 2fc249caa04b77b2 0000000000000000",
+            "5ca5d93c4912fd10 bfdc664945975199 fp=false None bytes=495 steps=12 \
+             faults=4/0/0/0/0/3/0/0.0008/0.0/0/0/0 \
+             combines=32 draws=358 jsonl=248f95d30624281b \
+             e1352a80e5b10a02 88b6407d15a26ca3 3960543353e98fb0 796f2103d89b9cd9 0000000000000000",
+            "f6dfd92c7e44f1f4 e8fa5cb6a961ecc0 fp=false None bytes=474 steps=10 \
+             faults=2/1/1/0/0/0/0/0.0004/0.0/0/0/0 \
+             combines=31 draws=357 jsonl=17b657565d7f69bc \
+             9f2eb7a74b51699a 23d4880ed7d3a83c 33143d3004bea976 5667747dbacddfe3 0000000000000000",
+            "2aebc1cde25c1aac adba4d67f546bf9f fp=false None bytes=478 steps=10 \
+             faults=2/0/1/0/0/1/0/0.0004/0.0/0/0/0 \
+             combines=32 draws=358 jsonl=6219718e8af44b42 \
+             afbfe57f33374b2f eb7de182f3b7f7a5 51357691dcb8814f a673789acad5ca60 0000000000000000",
+        ],
+        "faulty_torus2x4_d257",
+    );
+    assert_eq!(
+        residuals,
+        [
+            0xb52ca523bcf63efc,
+            0x47e6a8d011072a85,
+            0x2590c08f9abc2f8d,
+            0xf276ad772ae29fd3,
+            0x07275a343fa0406b,
+            0x70241e30a59f3ccf,
+            0x2a249825a39fcad7,
+            0xf1209feb27039d6a,
+        ],
+        "faulty_torus2x4_d257: compensation"
+    );
+}
+
+/// The `sync_chaos` benchmark shape: torus(2,4), d = 65 536, K = 8, 2 % drops,
+/// 1 % corruption, a straggler, no membership change. Fingerprints only.
+/// Recorded on the parent commit, like the golden above.
+#[test]
+fn golden_chaos_torus2x4_d65536() {
+    let plan = FaultPlan::seeded(0x5eed_c4a0)
+        .with_link_drop(0.02)
+        .with_link_corruption(0.01)
+        .with_straggler(3, 2.5);
+    let cfg = MarsitConfig::new(SyncSchedule::every(8), 0.01, 20_220_710).with_fault_plan(plan);
+    let (lines, residuals) = faulty_round_lines(cfg, Topology::torus(2, 4), 65_536, 10, false);
+    assert_lines(
+        &lines,
+        &[
+            "55f5463996bb2de7 218739e819f97d77 fp=true None bytes=3833856 steps=19 \
+             faults=5/0/1/0/0/0/0/0.001/0.0/0/0/0 \
+             combines=0 draws=0 jsonl=6063429ad74af5dc",
+            "883a25392a082e48 85fe649c861ded12 fp=false None bytes=115712 steps=9 \
+             faults=1/0/0/0/0/0/0/0.0002/0.0/0/0/0 \
+             combines=32 draws=72704 jsonl=99fa8a565688989f",
+            "213259beec226bd3 88633ebe45980b6d fp=false None bytes=116736 steps=9 \
+             faults=2/0/1/0/0/0/0/0.0004/0.0/0/0/0 \
+             combines=32 draws=72704 jsonl=0a18748514541266",
+            "659700e05cb3c0ed a9a718c2aa4cf625 fp=false None bytes=116736 steps=9 \
+             faults=1/0/0/0/0/0/0/0.0002/0.0/0/0/0 \
+             combines=32 draws=72704 jsonl=fe5f687a1eb5bb43",
+            "8e9e17a4df9e3b8d 29446b27bf057bf0 fp=false None bytes=117760 steps=10 \
+             faults=2/0/0/0/0/0/0/0.0004/0.0/0/0/0 \
+             combines=32 draws=72704 jsonl=e411ccd5ff6a098b",
+            "b56d9789ffebcf96 1e4541a75524a69b fp=false None bytes=118784 steps=10 \
+             faults=2/0/1/0/0/0/0/0.0004/0.0/0/0/0 \
+             combines=32 draws=72704 jsonl=8311585bad6972ed",
+            "4ae1bfc4ae5e63f0 dd90e3dfa8078965 fp=false None bytes=114688 steps=8 \
+             faults=0/0/0/0/0/0/0/0.0/0.0/0/0/0 \
+             combines=32 draws=72704 jsonl=f79acda0347130b6",
+            "c8cb2b4ff57a8834 19d092a23223859d fp=false None bytes=124928 steps=13 \
+             faults=5/0/0/0/0/0/0/0.001/0.0/0/0/0 \
+             combines=32 draws=72704 jsonl=e90fa49c49e9eb39",
+            "e4c7c8f95babe7a6 85380f95edbba406 fp=true None bytes=3833856 steps=19 \
+             faults=5/0/1/0/0/0/0/0.001/0.0/0/0/0 \
+             combines=0 draws=0 jsonl=b76bb7d661d10adb",
+            "3e729be233e0681b f4c3b09cf7001be2 fp=false None bytes=116736 steps=9 \
+             faults=1/0/0/0/0/0/0/0.0002/0.0/0/0/0 \
+             combines=32 draws=72704 jsonl=864b3222af5039df",
+        ],
+        "chaos_torus2x4_d65536",
+    );
+    assert_eq!(
+        residuals,
+        [
+            0x9fdbf60c296968a9,
+            0x9c203966225c8d12,
+            0xb455262a6fc34548,
+            0x93ebb783a4b1a40a,
+            0xf19adaea4f622bc6,
+            0xe063b5379f209c7f,
+            0xe2be1b56d1e8d37d,
+            0x59f137d68092624d,
+        ],
+        "chaos_torus2x4_d65536: compensation"
+    );
+}

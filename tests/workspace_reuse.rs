@@ -191,3 +191,84 @@ fn recycled_outcome_is_invisible() {
         }
     }
 }
+
+/// The same two hand-offs under a fault plan, through every membership state
+/// of a torus(2,2): full, partial (a survivor ring), full again after a
+/// rejoin, a lone survivor, nobody, and full again. A job that adopts a dirty
+/// workspace from a bigger clean job and recycles one poisoned outcome must
+/// read exactly like a cold job returning fresh outcomes — the terminal
+/// rounds included, which write no collective output of their own: the empty
+/// round must zero both recycled vectors and the lone round must not leak the
+/// previous round's values.
+#[test]
+fn faulty_job_on_recycled_buffers_is_invisible() {
+    let (m, d) = (4usize, 1_031usize);
+    let topology = Topology::torus(2, 2);
+    let plan = FaultPlan::seeded(0xBADC)
+        .with_link_drop(0.05)
+        .with_link_corruption(0.02)
+        .with_retry_policy(1, 2e-4)
+        .with_straggler(1, 2.0)
+        // r2-r3 partial (one-bit, then full precision), r4 full again.
+        .with_crash_event(3, 2)
+        .with_rejoin(3, 4)
+        // r6 (full precision) and r7 (one-bit): worker 0 alone.
+        .with_crash_event(1, 6)
+        .with_crash_event(2, 6)
+        .with_crash_event(3, 6)
+        // r8-r9: nobody.
+        .with_crash_event(0, 8)
+        // r10 on: everybody.
+        .with_rejoin(0, 10)
+        .with_rejoin(1, 10)
+        .with_rejoin(2, 10)
+        .with_rejoin(3, 10);
+    let rounds = 13u64;
+    let job_cfg = || cfg(42).with_fault_plan(plan.clone());
+
+    let cold_tel = Telemetry::recording();
+    let mut cold = Marsit::new(job_cfg(), m, d);
+    let cold_outcomes: Vec<SyncOutcome> = scoped(&cold_tel, || {
+        (0..rounds)
+            .map(|t| cold.synchronize(&round_updates(m, d, 5, t), topology))
+            .collect()
+    });
+    let modes: Vec<DegradedMode> = cold_outcomes.iter().map(|o| o.degraded).collect();
+    assert_eq!(modes[2], DegradedMode::TorusToRing { live: 3 });
+    assert_eq!(modes[4], DegradedMode::None);
+    assert_eq!(modes[7], DegradedMode::LoneSurvivor { worker: 0 });
+    assert_eq!(modes[9], DegradedMode::AllCrashed);
+    assert_eq!(modes[10], DegradedMode::None);
+    assert!(cold_outcomes[9].global_update.iter().all(|&g| g == 0.0));
+
+    let mut donor = Marsit::new(cfg(9), 8, 50_021);
+    for t in 0..2 {
+        let _ = donor.synchronize(&round_updates(8, 50_021, 77, t), Topology::ring(8));
+    }
+    let mut warm = Marsit::new(job_cfg(), m, d);
+    warm.adopt_workspace(donor.release_workspace());
+    let warm_tel = Telemetry::recording();
+    let mut out = SyncOutcome {
+        compensated_mean: vec![f32::NAN; d + 100],
+        global_update: vec![f32::NAN; 3],
+        ..SyncOutcome::default()
+    };
+    for (t, want) in cold_outcomes.iter().enumerate() {
+        let ups = round_updates(m, d, 5, t as u64);
+        scoped(&warm_tel, || {
+            warm.synchronize_into(&ups, topology, &mut out)
+        });
+        assert_eq!(
+            &out, want,
+            "round {t}: recycled buffers differ from cold ones"
+        );
+    }
+    for w in 0..m {
+        assert_eq!(
+            warm.compensation(w).vector(),
+            cold.compensation(w).vector(),
+            "worker {w}: compensation differs"
+        );
+    }
+    assert_eq!(warm_tel.events_jsonl(), cold_tel.events_jsonl());
+}
