@@ -32,7 +32,7 @@ pub mod optim;
 pub mod proxy;
 
 pub use convnet::{ConvNet, ConvNetSpec};
-pub use mlp::{Mlp, MlpSpec};
+pub use mlp::{Mlp, MlpSpec, MlpWorkspace};
 pub use model::{Evaluation, Model};
 pub use optim::{Adam, Momentum, Optimizer, OptimizerKind, OptimizerState, Sgd};
 pub use proxy::Workload;

@@ -6,6 +6,7 @@
 //! strategies can treat the gradient as a plain `&[f32]`.
 
 use marsit_datagen::Dataset;
+use marsit_tensor::gemm::{matmul_into, matmul_nt_into, matmul_tn_into};
 use marsit_tensor::rng::FastRng;
 use marsit_tensor::Tensor;
 
@@ -104,10 +105,50 @@ impl MlpSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     spec: MlpSpec,
+    /// Where each layer's `W` and `b` sit in `params`, input to output.
+    layers: Vec<Layer>,
     /// Flat parameters: per layer, `W` (in×out row-major) then `b` (out).
     params: Vec<f32>,
     /// L2 regularization strength (0 disables).
     l2_reg: f32,
+}
+
+/// One layer's shape and the offsets of its `W` (`fan_in × fan_out`,
+/// row-major) and `b` (`fan_out`) blocks in the flat parameter buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Layer {
+    fan_in: usize,
+    fan_out: usize,
+    w: usize,
+    b: usize,
+}
+
+impl Layer {
+    fn weights<'a>(&self, flat: &'a [f32]) -> &'a [f32] {
+        &flat[self.w..self.b]
+    }
+
+    fn bias<'a>(&self, flat: &'a [f32]) -> &'a [f32] {
+        &flat[self.b..self.b + self.fan_out]
+    }
+}
+
+/// Caller-owned scratch of [`Mlp::loss_and_grad_in`]: every intermediate of
+/// one forward/backward pass. Buffers are resized to the batch at hand and
+/// fully overwritten, so one workspace serves any model and batch size, what
+/// it held before never reaches a result, and a warm one (sized by a previous
+/// call on the same shapes) makes the pass allocation-free.
+#[derive(Debug, Clone, Default)]
+pub struct MlpWorkspace {
+    /// Post-ReLU output of each hidden layer (`n × fan_out`), kept for the
+    /// backward pass.
+    hidden: Vec<Vec<f32>>,
+    /// Logits, then softmax probabilities, then `dL/dlogits`.
+    logits: Vec<f32>,
+    /// Gradients with respect to hidden-layer outputs, used alternately.
+    deltas: [Vec<f32>; 2],
+    /// `Wᵀ` of the layer being back-propagated through.
+    panel: Vec<f32>,
 }
 
 impl Mlp {
@@ -116,14 +157,22 @@ impl Mlp {
     pub fn new(spec: MlpSpec, seed: u64) -> Self {
         let mut rng = FastRng::new(seed, 0x11117);
         let mut params = Vec::with_capacity(spec.num_params());
+        let mut layers = Vec::new();
         for (fan_in, fan_out) in spec.layer_dims() {
             let std = (2.0 / fan_in as f32).sqrt();
             let w = Tensor::gaussian(fan_in, fan_out, std, &mut rng);
+            layers.push(Layer {
+                fan_in,
+                fan_out,
+                w: params.len(),
+                b: params.len() + fan_in * fan_out,
+            });
             params.extend_from_slice(w.as_slice());
             params.extend(std::iter::repeat_n(0.0f32, fan_out));
         }
         Self {
             spec,
+            layers,
             params,
             l2_reg: 0.0,
         }
@@ -142,63 +191,166 @@ impl Mlp {
         &self.spec
     }
 
-    /// Offsets of each layer's `(W, b)` block within the flat buffer.
-    fn layer_offsets(&self) -> Vec<(usize, usize, usize, usize)> {
-        // (w_start, w_len, b_start, b_len)
-        let mut out = Vec::new();
-        let mut off = 0;
-        for (i, o) in self.spec.layer_dims() {
-            out.push((off, i * o, off + i * o, o));
-            off += i * o + o;
-        }
-        out
+    /// The flat parameter buffer (what [`Model::read_params`] copies out).
+    #[must_use]
+    pub fn params(&self) -> &[f32] {
+        &self.params
     }
 
-    /// Runs the forward pass, returning pre-activations per layer and the
-    /// final logits. `acts[0]` is the input batch.
-    fn forward(&self, x: &Tensor) -> (Vec<Tensor>, Tensor) {
-        let dims = self.spec.layer_dims();
-        let offsets = self.layer_offsets();
-        let mut acts = vec![x.clone()];
-        let mut cur = x.clone();
-        for (layer, &(ws, wl, bs, bl)) in offsets.iter().enumerate() {
-            let (fan_in, fan_out) = dims[layer];
-            let w = Tensor::from_vec(fan_in, fan_out, self.params[ws..ws + wl].to_vec());
-            let b = &self.params[bs..bs + bl];
-            let mut z = cur.matmul(&w);
-            z.add_row_inplace(b);
-            if layer + 1 < offsets.len() {
-                let h = z.map(|v| v.max(0.0));
-                acts.push(h.clone());
-                cur = h;
-            } else {
-                return (acts, z);
+    /// Runs the forward pass on `x` (`n × input_dim`, row-major), leaving
+    /// each hidden layer's activations in `ws.hidden` and the logits in
+    /// `ws.logits`. Weights are read in place from the flat buffer.
+    fn forward(&self, x: &[f32], ws: &mut MlpWorkspace) {
+        let n = x.len() / self.spec.input_dim;
+        let (last, hidden_layers) = self.layers.split_last().expect("at least one layer");
+        ws.hidden.resize_with(hidden_layers.len(), Vec::new);
+        let mut input = x;
+        for (layer, h) in hidden_layers.iter().zip(&mut ws.hidden) {
+            h.resize(n * layer.fan_out, 0.0);
+            affine(layer, &self.params, n, input, h);
+            for v in h.iter_mut() {
+                *v = v.max(0.0);
             }
+            input = h;
         }
-        unreachable!("spec always has at least one layer");
+        ws.logits.resize(n * last.fan_out, 0.0);
+        affine(last, &self.params, n, input, &mut ws.logits);
     }
 
-    /// Row-wise softmax of `logits`, in place, returning the mean
-    /// cross-entropy against `labels`.
-    fn softmax_xent(logits: &mut Tensor, labels: &[usize]) -> f64 {
-        let n = logits.rows();
-        let mut loss = 0.0f64;
-        for r in 0..n {
-            let row = logits.row_mut(r);
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0f32;
+    /// [`Model::loss_and_grad`] with caller-owned scratch: same loss, same
+    /// gradient bits, and no allocation once `ws` is warm. `dW` of every
+    /// layer is written straight into `grad_out`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Model::loss_and_grad`].
+    pub fn loss_and_grad_in(
+        &self,
+        batch: &Dataset,
+        grad_out: &mut [f32],
+        ws: &mut MlpWorkspace,
+    ) -> f64 {
+        assert_eq!(
+            grad_out.len(),
+            self.params.len(),
+            "gradient length mismatch"
+        );
+        assert_eq!(
+            batch.dim(),
+            self.spec.input_dim,
+            "batch dimensionality mismatch"
+        );
+        let n = batch.len();
+        let x = batch.features().as_slice();
+        self.forward(x, ws);
+        let classes = self.spec.output_dim;
+        let loss = softmax_xent(&mut ws.logits, classes, batch.labels());
+
+        // dL/dlogits = (softmax − onehot) / n
+        let inv_n = 1.0 / n as f32;
+        for (row, &label) in ws.logits.chunks_exact_mut(classes).zip(batch.labels()) {
+            row[label] -= 1.0;
             for v in row.iter_mut() {
-                *v = (*v - max).exp();
-                sum += *v;
+                *v *= inv_n;
             }
-            let inv = 1.0 / sum;
-            for v in row.iter_mut() {
-                *v *= inv;
-            }
-            loss -= f64::from(row[labels[r]].max(1e-12).ln());
         }
-        loss / n as f64
+
+        let MlpWorkspace {
+            hidden,
+            logits,
+            deltas: [delta_a, delta_b],
+            panel,
+        } = ws;
+        // `delta` is the gradient w.r.t. the current layer's output; the
+        // three buffers rotate as it moves towards the input.
+        let (mut delta, mut next, mut spare) = (logits, delta_a, delta_b);
+        for (l, layer) in self.layers.iter().enumerate().rev() {
+            let input = if l == 0 { x } else { &hidden[l - 1] };
+            // dW = inputᵀ · delta ; db = column-sums of delta.
+            matmul_tn_into(
+                n,
+                layer.fan_in,
+                layer.fan_out,
+                input,
+                delta,
+                &mut grad_out[layer.w..layer.b],
+            );
+            let db = &mut grad_out[layer.b..layer.b + layer.fan_out];
+            db.fill(0.0);
+            for row in delta.chunks_exact(layer.fan_out) {
+                for (o, &d) in db.iter_mut().zip(row) {
+                    *o += d;
+                }
+            }
+            if l > 0 {
+                // Propagate: d(input) = delta · Wᵀ, gated by ReLU mask.
+                next.resize(n * layer.fan_in, 0.0);
+                let w = layer.weights(&self.params);
+                matmul_nt_into(n, layer.fan_out, layer.fan_in, delta, w, panel, next);
+                for (d, &a) in next.iter_mut().zip(input) {
+                    if a <= 0.0 {
+                        *d = 0.0;
+                    }
+                }
+                (delta, next, spare) = (next, spare, delta);
+            }
+        }
+
+        if self.l2_reg > 0.0 {
+            // Regularize weights only, not biases.
+            let mut reg_loss = 0.0f64;
+            for layer in &self.layers {
+                for (g, &p) in grad_out[layer.w..layer.b]
+                    .iter_mut()
+                    .zip(layer.weights(&self.params))
+                {
+                    *g += self.l2_reg * p;
+                    reg_loss += 0.5 * f64::from(self.l2_reg) * f64::from(p) * f64::from(p);
+                }
+            }
+            return loss + reg_loss;
+        }
+        loss
     }
+}
+
+/// `z (n × fan_out) = input (n × fan_in) · W + b`, broadcasting the bias
+/// over rows.
+fn affine(layer: &Layer, params: &[f32], n: usize, input: &[f32], z: &mut [f32]) {
+    matmul_into(
+        n,
+        layer.fan_in,
+        layer.fan_out,
+        input,
+        layer.weights(params),
+        z,
+    );
+    let bias = layer.bias(params);
+    for row in z.chunks_exact_mut(layer.fan_out) {
+        for (v, &b) in row.iter_mut().zip(bias) {
+            *v += b;
+        }
+    }
+}
+
+/// Row-wise softmax of `logits` (`classes` per row), in place, returning the
+/// mean cross-entropy against `labels`.
+fn softmax_xent(logits: &mut [f32], classes: usize, labels: &[usize]) -> f64 {
+    let mut loss = 0.0f64;
+    for (row, &label) in logits.chunks_exact_mut(classes).zip(labels) {
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut sum = 0.0f32;
+        for v in row.iter_mut() {
+            *v = (*v - max).exp();
+            sum += *v;
+        }
+        let inv = 1.0 / sum;
+        for v in row.iter_mut() {
+            *v *= inv;
+        }
+        loss -= f64::from(row[label].max(1e-12).ln());
+    }
+    loss / labels.len() as f64
 }
 
 impl Model for Mlp {
@@ -217,88 +369,28 @@ impl Model for Mlp {
     }
 
     fn loss_and_grad(&self, batch: &Dataset, grad_out: &mut [f32]) -> f64 {
-        assert_eq!(
-            grad_out.len(),
-            self.params.len(),
-            "gradient length mismatch"
-        );
-        assert_eq!(
-            batch.dim(),
-            self.spec.input_dim,
-            "batch dimensionality mismatch"
-        );
-        let n = batch.len();
-        let (acts, mut probs) = self.forward(batch.features());
-        let loss = Self::softmax_xent(&mut probs, batch.labels());
-
-        // dL/dlogits = (softmax − onehot) / n
-        let inv_n = 1.0 / n as f32;
-        for r in 0..n {
-            let label = batch.labels()[r];
-            let row = probs.row_mut(r);
-            row[label] -= 1.0;
-            for v in row.iter_mut() {
-                *v *= inv_n;
-            }
-        }
-
-        grad_out.fill(0.0);
-        let dims = self.spec.layer_dims();
-        let offsets = self.layer_offsets();
-        let mut delta = probs; // gradient w.r.t. the current layer's output
-        for layer in (0..offsets.len()).rev() {
-            let (ws, wl, bs, bl) = offsets[layer];
-            let (fan_in, fan_out) = dims[layer];
-            let input = &acts[layer];
-            // dW = inputᵀ · delta ; db = column-sums of delta.
-            let dw = input.matmul_tn(&delta);
-            grad_out[ws..ws + wl].copy_from_slice(dw.as_slice());
-            grad_out[bs..bs + bl].copy_from_slice(&delta.sum_rows());
-            if layer > 0 {
-                // Propagate: d(input) = delta · Wᵀ, gated by ReLU mask.
-                let w = Tensor::from_vec(fan_in, fan_out, self.params[ws..ws + wl].to_vec());
-                let mut dprev = delta.matmul_nt(&w);
-                for r in 0..dprev.rows() {
-                    let mask = acts[layer].row(r);
-                    for (d, &a) in dprev.row_mut(r).iter_mut().zip(mask) {
-                        if a <= 0.0 {
-                            *d = 0.0;
-                        }
-                    }
-                }
-                delta = dprev;
-            }
-        }
-
-        if self.l2_reg > 0.0 {
-            // Regularize weights only, not biases.
-            let mut reg_loss = 0.0f64;
-            for &(ws, wl, _, _) in &offsets {
-                for (g, &p) in grad_out[ws..ws + wl]
-                    .iter_mut()
-                    .zip(&self.params[ws..ws + wl])
-                {
-                    *g += self.l2_reg * p;
-                    reg_loss += 0.5 * f64::from(self.l2_reg) * f64::from(p) * f64::from(p);
-                }
-            }
-            return loss + reg_loss;
-        }
-        loss
+        self.loss_and_grad_in(batch, grad_out, &mut MlpWorkspace::default())
     }
 
     fn evaluate(&self, data: &Dataset) -> Evaluation {
-        let (_, mut logits) = self.forward(data.features());
-        let mut correct = 0usize;
-        for r in 0..data.len() {
-            if logits.argmax_row(r) == data.labels()[r] {
-                correct += 1;
-            }
-        }
-        let loss = Self::softmax_xent(&mut logits, data.labels());
+        let mut ws = MlpWorkspace::default();
+        self.forward(data.features().as_slice(), &mut ws);
+        let classes = self.spec.output_dim;
+        let logits = Tensor::from_vec(data.len(), classes, std::mem::take(&mut ws.logits));
+        let correct = (0..data.len())
+            .filter(|&r| logits.argmax_row(r) == data.labels()[r])
+            .count();
+        let loss = softmax_xent(&mut logits.into_vec(), classes, data.labels());
         Evaluation {
             loss,
             accuracy: correct as f64 / data.len() as f64,
+        }
+    }
+
+    fn apply_update(&mut self, update: &[f32]) {
+        assert_eq!(update.len(), self.params.len(), "update length mismatch");
+        for (x, &u) in self.params.iter_mut().zip(update) {
+            *x -= u;
         }
     }
 }

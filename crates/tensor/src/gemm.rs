@@ -1,0 +1,764 @@
+//! The one dense-product kernel behind [`Tensor::matmul`],
+//! [`Tensor::matmul_tn`] and [`Tensor::matmul_nt`].
+//!
+//! [`gemm`] computes `out[i][j] = init + Σ_k a(i,k) · b[k][j]` for a strided
+//! left operand and a k-major (row-major `k × n`) right operand. Its
+//! accumulation order is a **frozen contract** (DESIGN §17, the fourth SIMD
+//! lane rule): every output element is accumulated in ascending `k`, with the
+//! multiply and the add as separate, individually rounded instructions —
+//! never an FMA — and vector lanes run only across `j`. An output element is
+//! therefore a fixed expression of its own row of `a` and column of `b`, so
+//! neither the lane width nor the register-tile shape nor the cache blocking
+//! can change a bit: the scalar body, its AVX2 compilation and the AVX-512
+//! intrinsic build agree by `to_bits`, and all of them reproduce the naive
+//! loops they replaced ([`matmul_reference`], [`matmul_tn_reference`],
+//! [`matmul_nt_reference`]).
+//!
+//! The replaced `matmul` / `matmul_tn` loops skipped a `k` whose `a(i,k)` is
+//! zero. [`gemm`] does not: with a finite `b` the skip is unobservable (the
+//! skipped product is `±0`, and adding `±0` to an accumulator that started at
+//! `+0.0` — which can never become `−0.0` — is the identity). With a
+//! non-finite `b` it *is* observable (`0 · ∞ = NaN`), so [`matmul_into`] and
+//! [`matmul_tn_into`] sweep `b` once per call and hand a non-finite `b` — a
+//! diverging run — to the retained references, skip and all.
+//!
+//! [`Tensor::matmul`]: crate::Tensor::matmul
+//! [`Tensor::matmul_tn`]: crate::Tensor::matmul_tn
+//! [`Tensor::matmul_nt`]: crate::Tensor::matmul_nt
+
+/// Rows of the AVX-512 register tile.
+const MR: usize = 6;
+/// Lanes of one `zmm` register.
+const LANES: usize = 16;
+/// Columns of the AVX-512 register tile: two `zmm` per row, so a full tile
+/// holds `6 × 2 = 12` accumulators across the whole `k` loop (one `zmm` per
+/// row once 16 or fewer columns remain).
+const NR: usize = 2 * LANES;
+/// Columns per cache block (a multiple of both tile widths). Within a block
+/// the row tiles are the outer loop, so the block's `k × NC` slab of `b` is
+/// what every row tile re-reads: 128 KiB at `k = 512`, inside L2 beside the
+/// rows of `a` in flight. The kernel is compute-bound at the layer widths
+/// trained here (blocks of 32 to 2048 columns measure alike); the block is
+/// what keeps a wider layer from streaming all of `b` once per row tile.
+const NC: usize = 2 * NR;
+
+/// Rows of the scalar body's tile.
+const MR_BODY: usize = 4;
+/// Columns of the scalar body's tile: two `ymm` per row when compiled for
+/// AVX2, four `xmm` at the SSE2 baseline.
+const NR_BODY: usize = 16;
+
+/// What every tile of one [`gemm`] call shares: the depth `k`, the row stride
+/// `n` of `b` and `out`, the strides of `a`, and the accumulators' start.
+#[derive(Clone, Copy)]
+struct Call {
+    n: usize,
+    k: usize,
+    a_row_stride: usize,
+    a_k_stride: usize,
+    init: f32,
+}
+
+/// `out[i·n + j] = init + Σ_{k ascending} a[i·a_row_stride + k·a_k_stride] ·
+/// b_kmajor[k·n + j]`, multiply and add rounded separately (see the module
+/// docs for the contract). `out` is overwritten; what it held is irrelevant.
+///
+/// `init` is the value the accumulation starts from: `+0.0` for the products
+/// that replaced a `+=` loop over a zeroed output, `−0.0` for the one that
+/// replaced `Iterator::sum::<f32>`.
+///
+/// # Panics
+///
+/// Panics if `b_kmajor.len() != k·n`, `out.len() != m·n`, or `a` is too short
+/// for the strides.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    a_row_stride: usize,
+    a_k_stride: usize,
+    b_kmajor: &[f32],
+    init: f32,
+    out: &mut [f32],
+) {
+    assert_eq!(b_kmajor.len(), k * n, "gemm: b must be k x n");
+    assert_eq!(out.len(), m * n, "gemm: out must be m x n");
+    assert!(
+        m == 0 || k == 0 || (m - 1) * a_row_stride + (k - 1) * a_k_stride < a.len(),
+        "gemm: a is too short for its strides"
+    );
+    if k == 0 {
+        return out.fill(init);
+    }
+    let call = Call {
+        n,
+        k,
+        a_row_stride,
+        a_k_stride,
+        init,
+    };
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx512f") {
+            // SAFETY: feature presence just checked; the lengths the kernel
+            // relies on are asserted above.
+            return unsafe { gemm_avx512(m, call, a, b_kmajor, out) };
+        }
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: feature presence just checked.
+            return unsafe { gemm_avx2(m, call, a, b_kmajor, out) };
+        }
+    }
+    gemm_body(m, call, a, b_kmajor, out);
+}
+
+/// The scalar reference body of [`gemm`]: the same blocking as the AVX-512
+/// build with a `4 × 16` tile of plain `f32` accumulators, written so that
+/// the per-row column loop vectorizes at whatever width it is compiled for.
+#[inline(always)]
+fn gemm_body(m: usize, call: Call, a: &[f32], b: &[f32], out: &mut [f32]) {
+    let n = call.n;
+    for jc in (0..n).step_by(NC) {
+        let j_end = (jc + NC).min(n);
+        for i0 in (0..m).step_by(MR_BODY) {
+            for j0 in (jc..j_end).step_by(NR_BODY) {
+                let nr = NR_BODY.min(j_end - j0);
+                let a_tile = &a[i0 * call.a_row_stride..];
+                let b_tile = &b[j0..];
+                let out_tile = &mut out[i0 * n + j0..];
+                match m - i0 {
+                    1 => tile_body::<1>(call, a_tile, b_tile, nr, out_tile),
+                    2 => tile_body::<2>(call, a_tile, b_tile, nr, out_tile),
+                    3 => tile_body::<3>(call, a_tile, b_tile, nr, out_tile),
+                    _ => tile_body::<4>(call, a_tile, b_tile, nr, out_tile),
+                }
+            }
+        }
+    }
+}
+
+/// One `ROWS × nr` tile of [`gemm_body`]: `a`, `b` and `out` start at the
+/// tile's first row / first column.
+#[inline(always)]
+fn tile_body<const ROWS: usize>(call: Call, a: &[f32], b: &[f32], nr: usize, out: &mut [f32]) {
+    let Call {
+        n,
+        k,
+        a_row_stride,
+        a_k_stride,
+        init,
+    } = call;
+    let mut acc = [[init; NR_BODY]; ROWS];
+    if nr == NR_BODY {
+        // The fixed trip count is what lets the column loop vectorize with
+        // the accumulators in registers.
+        for kk in 0..k {
+            let b_row: &[f32; NR_BODY] = b[kk * n..kk * n + NR_BODY]
+                .try_into()
+                .expect("slice of NR_BODY values");
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                let av = a[r * a_row_stride + kk * a_k_stride];
+                for (c, &bv) in acc_row.iter_mut().zip(b_row) {
+                    *c += av * bv;
+                }
+            }
+        }
+    } else {
+        for kk in 0..k {
+            let b_row = &b[kk * n..kk * n + nr];
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                let av = a[r * a_row_stride + kk * a_k_stride];
+                for (c, &bv) in acc_row.iter_mut().zip(b_row) {
+                    *c += av * bv;
+                }
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        out[r * n..r * n + nr].copy_from_slice(&acc_row[..nr]);
+    }
+}
+
+/// [`gemm_body`] compiled for AVX2: one tile row is two `ymm` accumulators.
+///
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_avx2(m: usize, call: Call, a: &[f32], b: &[f32], out: &mut [f32]) {
+    gemm_body(m, call, a, b, out);
+}
+
+/// AVX-512 build of [`gemm_body`]: a `6 × 32` register tile (`6 × 16` once 16
+/// or fewer columns remain), ragged columns by lane mask, ragged rows by the
+/// const-generic row count. Per output element the float operations are those
+/// of the body, in the same order: `vmulps` then `vaddps`, never fused.
+///
+/// # Safety
+///
+/// Caller must have verified AVX-512F support at runtime and the length
+/// checks of [`gemm`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gemm_avx512(m: usize, call: Call, a: &[f32], b: &[f32], out: &mut [f32]) {
+    let n = call.n;
+    let (a, b, out) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+    for jc in (0..n).step_by(NC) {
+        let j_end = (jc + NC).min(n);
+        for i0 in (0..m).step_by(MR) {
+            for j0 in (jc..j_end).step_by(NR) {
+                let nr = NR.min(j_end - j0);
+                // SAFETY: the tile covers rows `i0..i0 + rows` (`rows <= MR`
+                // and `<= m - i0`) and columns `j0..j0 + nr` (`<= n`); `gemm`
+                // checked that `a` holds every `(row, k)` the strides reach,
+                // that `b` is `k × n` and `out` is `m × n`. Lanes past `nr`
+                // are masked off in every load and store.
+                unsafe {
+                    let a_tile = a.add(i0 * call.a_row_stride);
+                    let b_tile = b.add(j0);
+                    let out_tile = out.add(i0 * n + j0);
+                    let rows = MR.min(m - i0);
+                    if nr <= LANES {
+                        rows_avx512::<1>(rows, call, a_tile, b_tile, nr, out_tile);
+                    } else {
+                        rows_avx512::<2>(rows, call, a_tile, b_tile, nr, out_tile);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Picks the const-generic row count of one tile.
+///
+/// # Safety
+///
+/// As [`tile_avx512`], with `1 <= rows <= MR`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn rows_avx512<const VECS: usize>(
+    rows: usize,
+    call: Call,
+    a: *const f32,
+    b: *const f32,
+    nr: usize,
+    out: *mut f32,
+) {
+    // SAFETY: forwarded preconditions.
+    unsafe {
+        match rows {
+            1 => tile_avx512::<1, VECS>(call, a, b, nr, out),
+            2 => tile_avx512::<2, VECS>(call, a, b, nr, out),
+            3 => tile_avx512::<3, VECS>(call, a, b, nr, out),
+            4 => tile_avx512::<4, VECS>(call, a, b, nr, out),
+            5 => tile_avx512::<5, VECS>(call, a, b, nr, out),
+            _ => tile_avx512::<6, VECS>(call, a, b, nr, out),
+        }
+    }
+}
+
+/// One `ROWS × nr` tile, `nr <= VECS · 16`, held in `ROWS · VECS` `zmm`
+/// accumulators across the whole `k` loop.
+///
+/// # Safety
+///
+/// `a` must be readable at `r·a_row_stride + kk·a_k_stride` for `r < ROWS`,
+/// `kk < k`; `b` at `kk·n + c` and `out` writable at `r·n + c` for `c < nr`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tile_avx512<const ROWS: usize, const VECS: usize>(
+    call: Call,
+    a: *const f32,
+    b: *const f32,
+    nr: usize,
+    out: *mut f32,
+) {
+    use std::arch::x86_64::{
+        __mmask16, _mm512_add_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps,
+        _mm512_set1_ps,
+    };
+    let Call {
+        n,
+        k,
+        a_row_stride,
+        a_k_stride,
+        init,
+    } = call;
+    let masks: [__mmask16; VECS] = std::array::from_fn(|v| {
+        let lanes = nr.saturating_sub(v * LANES).min(LANES);
+        ((1u32 << lanes) - 1) as __mmask16
+    });
+    let mut acc = [[_mm512_set1_ps(init); VECS]; ROWS];
+    for kk in 0..k {
+        // SAFETY: see the function contract; masked-off lanes are not read.
+        unsafe {
+            let b_row = b.add(kk * n);
+            let a_col = a.add(kk * a_k_stride);
+            let bv: [_; VECS] =
+                std::array::from_fn(|v| _mm512_maskz_loadu_ps(masks[v], b_row.add(v * LANES)));
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                let av = _mm512_set1_ps(*a_col.add(r * a_row_stride));
+                for (c, &b_vec) in acc_row.iter_mut().zip(&bv) {
+                    *c = _mm512_add_ps(*c, _mm512_mul_ps(av, b_vec));
+                }
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        for (v, &c) in acc_row.iter().enumerate() {
+            // SAFETY: see the function contract; masked-off lanes are not
+            // written.
+            unsafe { _mm512_mask_storeu_ps(out.add(r * n + v * LANES), masks[v], c) };
+        }
+    }
+}
+
+/// Whether every value is finite. One max-reduction over the magnitude bits
+/// (exponent all ones ⇔ `|bits| >= 0x7f80_0000`), so the sweep vectorizes and
+/// has no early exit to mispredict on the path that matters — a finite `b`.
+fn all_finite(values: &[f32]) -> bool {
+    const EXPONENT: u32 = 0x7f80_0000;
+    let max_magnitude = values
+        .iter()
+        .fold(0u32, |acc, v| acc.max(v.to_bits() & 0x7fff_ffff));
+    max_magnitude < EXPONENT
+}
+
+/// `out (m × n) = a (m × k) · b (k × n)`, all row-major, bit-identical to
+/// [`matmul_reference`].
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with its shape.
+pub fn matmul_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    assert_eq!(a.len(), m * k, "matmul: a must be m x k");
+    if all_finite(b) {
+        gemm(m, n, k, a, k, 1, b, 0.0, out);
+    } else {
+        matmul_reference(m, k, n, a, b, out);
+    }
+}
+
+/// `out (m × n) = aᵀ · b` for `a (k × m)` and `b (k × n)`, all row-major,
+/// bit-identical to [`matmul_tn_reference`].
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with its shape.
+pub fn matmul_tn_into(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    assert_eq!(a.len(), k * m, "matmul_tn: a must be k x m");
+    if all_finite(b) {
+        gemm(m, n, k, a, 1, m, b, 0.0, out);
+    } else {
+        matmul_tn_reference(k, m, n, a, b, out);
+    }
+}
+
+/// `out (m × n) = a (m × k) · bᵀ` for `b (n × k)`, all row-major,
+/// bit-identical to [`matmul_nt_reference`]. `panel` is caller-owned scratch
+/// that receives `bᵀ` (k-major, `k × n`); it is resized as needed, so a warm
+/// one makes the call allocation-free.
+///
+/// The sequential dot this replaced had no zero skip and started from the
+/// `−0.0` of `Iterator::sum::<f32>`, which is exactly [`gemm`] with that
+/// `init` — whatever `b` holds, so there is no finiteness sweep here.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with its shape.
+pub fn matmul_nt_into(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    panel: &mut Vec<f32>,
+    out: &mut [f32],
+) {
+    assert_eq!(a.len(), m * k, "matmul_nt: a must be m x k");
+    assert_eq!(b.len(), n * k, "matmul_nt: b must be n x k");
+    panel.resize(k * n, 0.0);
+    transpose_into(n, k, b, panel);
+    gemm(m, n, k, a, k, 1, panel, -0.0, out);
+}
+
+/// `out (cols × rows) = srcᵀ` for a row-major `rows × cols` source, walked in
+/// square blocks so both sides stay within a few cache lines per block.
+fn transpose_into(rows: usize, cols: usize, src: &[f32], out: &mut [f32]) {
+    const BLOCK: usize = 16;
+    debug_assert_eq!(src.len(), rows * cols);
+    debug_assert_eq!(out.len(), rows * cols);
+    for r0 in (0..rows).step_by(BLOCK) {
+        let r_end = (r0 + BLOCK).min(rows);
+        for c0 in (0..cols).step_by(BLOCK) {
+            let c_end = (c0 + BLOCK).min(cols);
+            for c in c0..c_end {
+                for r in r0..r_end {
+                    out[c * rows + r] = src[r * cols + c];
+                }
+            }
+        }
+    }
+}
+
+/// The `matmul` loop nest [`gemm`] replaced, kept verbatim (ikj order, the
+/// `a == 0.0` skip) on slices: the differential tests' reference, and the
+/// path a non-finite `b` takes.
+#[doc(hidden)]
+pub fn matmul_reference(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    assert_eq!(a.len(), m * k, "matmul: a must be m x k");
+    assert_eq!(b.len(), k * n, "matmul: b must be k x n");
+    assert_eq!(out.len(), m * n, "matmul: out must be m x n");
+    out.fill(0.0);
+    for i in 0..m {
+        let a_row = &a[i * k..(i + 1) * k];
+        let out_row = &mut out[i * n..(i + 1) * n];
+        for (kk, &av) in a_row.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            let b_row = &b[kk * n..(kk + 1) * n];
+            for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                *o += av * bv;
+            }
+        }
+    }
+}
+
+/// The `matmul_tn` loop nest [`gemm`] replaced, kept verbatim (kij order, the
+/// `a == 0.0` skip) on slices; see [`matmul_reference`].
+#[doc(hidden)]
+pub fn matmul_tn_reference(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    assert_eq!(a.len(), k * m, "matmul_tn: a must be k x m");
+    assert_eq!(b.len(), k * n, "matmul_tn: b must be k x n");
+    assert_eq!(out.len(), m * n, "matmul_tn: out must be m x n");
+    out.fill(0.0);
+    for kk in 0..k {
+        let a_row = &a[kk * m..(kk + 1) * m];
+        let b_row = &b[kk * n..(kk + 1) * n];
+        for (i, &av) in a_row.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            let out_row = &mut out[i * n..(i + 1) * n];
+            for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                *o += av * bv;
+            }
+        }
+    }
+}
+
+/// The `matmul_nt` loop nest [`gemm`] replaced, kept verbatim (one
+/// sequential `Iterator::sum` dot per output element) on slices. Tests only:
+/// [`matmul_nt_into`] needs no fallback.
+#[doc(hidden)]
+pub fn matmul_nt_reference(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    assert_eq!(a.len(), m * k, "matmul_nt: a must be m x k");
+    assert_eq!(b.len(), n * k, "matmul_nt: b must be n x k");
+    assert_eq!(out.len(), m * n, "matmul_nt: out must be m x n");
+    for i in 0..m {
+        let a_row = &a[i * k..(i + 1) * k];
+        for j in 0..n {
+            let b_row = &b[j * k..(j + 1) * k];
+            out[i * n + j] = a_row.iter().zip(b_row).map(|(x, y)| x * y).sum();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rng::FastRng;
+
+    /// Every build of the kernel this CPU can run, called directly (not only
+    /// through the dispatcher of [`gemm`]) — so the scalar body is exercised
+    /// on AVX hosts too.
+    type GemmBuild = unsafe fn(usize, Call, &[f32], &[f32], &mut [f32]);
+
+    /// Calls `build` the way [`gemm`] would.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        build: GemmBuild,
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        (a_row_stride, a_k_stride): (usize, usize),
+        b: &[f32],
+        init: f32,
+        out: &mut [f32],
+    ) {
+        let call = Call {
+            n,
+            k,
+            a_row_stride,
+            a_k_stride,
+            init,
+        };
+        // SAFETY: `gemm_builds` lists only builds the CPU supports, and every
+        // caller passes slices of the lengths the shape implies.
+        unsafe { build(m, call, a, b, out) };
+    }
+
+    fn gemm_builds() -> Vec<(&'static str, GemmBuild)> {
+        let mut builds: Vec<(&'static str, GemmBuild)> = vec![("scalar", gemm_body)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") {
+                builds.push(("avx2", gemm_avx2));
+            }
+            if is_x86_feature_detected!("avx512f") {
+                builds.push(("avx512", gemm_avx512));
+            }
+        }
+        builds
+    }
+
+    /// What the left operand of a case is seeded with.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Seeding {
+        /// Uniform values in `[-0.5, 0.5)`.
+        Plain,
+        /// Half the values are exact `+0.0` — a post-ReLU activation.
+        Relu,
+        /// Exact zeros, `−0.0`, subnormals, `±∞` and NaN sprinkled in.
+        Specials,
+    }
+
+    const SPECIALS: [u32; 8] = [
+        0x0000_0000, // +0.0
+        0x8000_0000, // -0.0
+        0x0000_0001, // smallest subnormal
+        0x807f_ffff, // largest negative subnormal
+        0x7f80_0000, // +inf
+        0xff80_0000, // -inf
+        0x7fc0_0000, // NaN
+        0x0080_0000, // smallest normal
+    ];
+
+    fn operand(len: usize, seeding: Seeding, rng: &mut FastRng) -> Vec<f32> {
+        (0..len)
+            .map(|_| {
+                let v = rng.next_f64() as f32 - 0.5;
+                match seeding {
+                    Seeding::Plain => v,
+                    Seeding::Relu => v.max(0.0),
+                    Seeding::Specials if rng.next_range(4) == 0 => {
+                        f32::from_bits(SPECIALS[rng.next_range(SPECIALS.len() as u64) as usize])
+                    }
+                    Seeding::Specials => v,
+                }
+            })
+            .collect()
+    }
+
+    /// Equality by `to_bits`, except that any NaN equals any NaN: which
+    /// payload survives when two NaNs meet in one add is the instruction's
+    /// operand order, which no build (and not the reference) promises.
+    fn assert_same(got: &[f32], want: &[f32], label: &str) {
+        assert_eq!(got.len(), want.len(), "{label}: length");
+        for (at, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{label}: element {at} is {g:e} ({:#010x}), reference {w:e} ({:#010x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    /// The `(m, n, k)` grid: every row-tile and column-tile remainder of both
+    /// tile shapes, a few depths, and the eight products of one
+    /// `train_torus` backward/forward pass.
+    fn shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = Vec::new();
+        for m in [1, 5, 6, 7, 12, 13] {
+            for n in [1, 10, 15, 16, 17, 31, 32, 33, 48, 50, 64] {
+                for k in [1, 2, 50, 128] {
+                    shapes.push((m, n, k));
+                }
+            }
+        }
+        shapes.extend([
+            (96, 256, 512),
+            (96, 128, 256),
+            (96, 50, 128),
+            (512, 256, 96),
+            (256, 128, 96),
+            (128, 50, 96),
+            (96, 128, 50),
+            (96, 256, 128),
+        ]);
+        shapes
+    }
+
+    /// Runs one build as each of the three products on one shape and checks
+    /// it against the loop nest that product replaced. `b` is finite unless
+    /// `b_seeding` says otherwise, in which case only the skip-free `nt`
+    /// product may call the build directly.
+    fn check_build(
+        name: &str,
+        build: GemmBuild,
+        (m, n, k): (usize, usize, usize),
+        a_seeding: Seeding,
+        b_seeding: Seeding,
+    ) {
+        let mut rng = FastRng::new(0x6e33, (m * 1_000_003 + n * 1_009 + k) as u64);
+        let label =
+            |kind: &str| format!("{name} {kind} m={m} n={n} k={k} a={a_seeding:?} b={b_seeding:?}");
+        let a = operand(m * k, a_seeding, &mut rng);
+        let b = operand(k * n, b_seeding, &mut rng);
+        let mut want = vec![f32::NAN; m * n];
+        // Stale values in `out` must not leak into the result.
+        let mut got = vec![7.0f32; m * n];
+        if b_seeding != Seeding::Specials {
+            matmul_reference(m, k, n, &a, &b, &mut want);
+            run(build, m, n, k, &a, (k, 1), &b, 0.0, &mut got);
+            assert_same(&got, &want, &label("nn"));
+
+            // The same `a` buffer read as k × m.
+            matmul_tn_reference(k, m, n, &a, &b, &mut want);
+            got.fill(7.0);
+            run(build, m, n, k, &a, (1, m), &b, 0.0, &mut got);
+            assert_same(&got, &want, &label("tn"));
+        }
+        // The same `b` buffer read as n × k.
+        matmul_nt_reference(m, k, n, &a, &b, &mut want);
+        let mut panel = vec![0.0f32; k * n];
+        transpose_into(n, k, &b, &mut panel);
+        got.fill(7.0);
+        run(build, m, n, k, &a, (k, 1), &panel, -0.0, &mut got);
+        assert_same(&got, &want, &label("nt"));
+    }
+
+    /// Every ISA build equals the retained loop nests, bit for bit, on the
+    /// full shape grid with plain, ReLU-sparse and special-value left
+    /// operands.
+    #[test]
+    fn gemm_builds_match_reference() {
+        for (name, build) in gemm_builds() {
+            for shape in shapes() {
+                for a_seeding in [Seeding::Plain, Seeding::Relu, Seeding::Specials] {
+                    check_build(name, build, shape, a_seeding, Seeding::Plain);
+                }
+            }
+        }
+    }
+
+    /// The skip-free `nt` product needs no finite `b`: every build agrees
+    /// with the sequential dot on `±∞` / NaN in either operand.
+    #[test]
+    fn gemm_builds_match_reference_nt_with_non_finite_b() {
+        for (name, build) in gemm_builds() {
+            for shape in shapes() {
+                check_build(name, build, shape, Seeding::Specials, Seeding::Specials);
+            }
+        }
+    }
+
+    /// A non-finite `b` routes `matmul` / `matmul_tn` to the reference, so
+    /// the zero skip of the replaced loops stays observable exactly where it
+    /// was: `0 · ∞` contributes nothing instead of a NaN.
+    #[test]
+    fn non_finite_b_takes_the_reference_and_keeps_the_zero_skip() {
+        for (m, n, k) in shapes() {
+            for a_seeding in [Seeding::Relu, Seeding::Specials] {
+                let mut rng = FastRng::new(0xb1f, (m * 31 + n * 7 + k) as u64);
+                let a = operand(m * k, a_seeding, &mut rng);
+                let mut b = operand(k * n, Seeding::Specials, &mut rng);
+                b[k * n / 2] = f32::INFINITY;
+                assert!(!all_finite(&b));
+                let label = format!("m={m} n={n} k={k} a={a_seeding:?}");
+                let mut want = vec![0.0f32; m * n];
+                let mut got = vec![7.0f32; m * n];
+                matmul_reference(m, k, n, &a, &b, &mut want);
+                matmul_into(m, k, n, &a, &b, &mut got);
+                assert_same(&got, &want, &format!("nn {label}"));
+                matmul_tn_reference(k, m, n, &a, &b, &mut want);
+                matmul_tn_into(k, m, n, &a, &b, &mut got);
+                assert_same(&got, &want, &format!("tn {label}"));
+                matmul_nt_reference(m, k, n, &a, &b, &mut want);
+                matmul_nt_into(m, k, n, &a, &b, &mut Vec::new(), &mut got);
+                assert_same(&got, &want, &format!("nt {label}"));
+            }
+        }
+        // The observable difference itself: a zero activation against an
+        // infinite weight.
+        let mut out = [7.0f32; 1];
+        matmul_into(1, 2, 1, &[0.0, 1.0], &[f32::INFINITY, 2.0], &mut out);
+        assert_eq!(out[0].to_bits(), 2.0f32.to_bits());
+        matmul_nt_into(
+            1,
+            2,
+            1,
+            &[0.0, 1.0],
+            &[f32::INFINITY, 2.0],
+            &mut Vec::new(),
+            &mut out,
+        );
+        assert!(out[0].is_nan());
+    }
+
+    /// `matmul_nt` starts from the `−0.0` of `Iterator::sum::<f32>`: a row
+    /// whose products are all `−0.0` sums to `−0.0`, where the `+0.0`-seeded
+    /// products give `+0.0`.
+    #[test]
+    fn nt_seed_is_negative_zero() {
+        for (m, n, k) in [(1, 1, 1), (7, 33, 50), (6, 16, 2)] {
+            let a = vec![1.5f32; m * k];
+            let b = vec![-0.0f32; n * k];
+            let mut want = vec![1.0f32; m * n];
+            matmul_nt_reference(m, k, n, &a, &b, &mut want);
+            assert!(want.iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
+            for (name, build) in gemm_builds() {
+                let mut got = vec![7.0f32; m * n];
+                run(build, m, n, k, &a, (k, 1), &b, -0.0, &mut got);
+                assert_same(&got, &want, &format!("{name} nt seed"));
+            }
+            let mut got = vec![7.0f32; m * n];
+            matmul_nt_into(m, k, n, &a, &b, &mut Vec::new(), &mut got);
+            assert_same(&got, &want, "nt seed through the entry point");
+            // The `+=` products over the same operands: `+0.0 + −0.0 = +0.0`.
+            matmul_into(m, k, n, &a, &b, &mut got);
+            assert!(got.iter().all(|v| v.to_bits() == 0.0f32.to_bits()));
+        }
+    }
+
+    /// Degenerate shapes go through the entry points without touching
+    /// memory they do not own.
+    #[test]
+    fn empty_dimensions() {
+        let mut out = [7.0f32; 6];
+        matmul_into(2, 0, 3, &[], &[], &mut out);
+        assert!(out.iter().all(|v| v.to_bits() == 0.0f32.to_bits()));
+        matmul_tn_into(0, 2, 3, &[], &[], &mut out);
+        assert!(out.iter().all(|v| v.to_bits() == 0.0f32.to_bits()));
+        let mut want = [7.0f32; 6];
+        matmul_nt_reference(2, 0, 3, &[], &[], &mut want);
+        matmul_nt_into(2, 0, 3, &[], &[], &mut Vec::new(), &mut out);
+        assert_same(&out, &want, "nt with k = 0");
+        matmul_into(0, 4, 3, &[], &[0.0; 12], &mut []);
+        matmul_into(3, 4, 0, &[0.0; 12], &[], &mut []);
+    }
+
+    #[test]
+    fn all_finite_sees_every_non_finite_value() {
+        let mut values = vec![1.0f32, -0.0, f32::MAX, f32::MIN_POSITIVE, 1e-45];
+        assert!(all_finite(&values));
+        assert!(all_finite(&[]));
+        for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN] {
+            values.push(bad);
+            assert!(!all_finite(&values), "{bad}");
+            values.pop();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a is too short for its strides")]
+    fn gemm_rejects_a_short_left_operand() {
+        gemm(2, 2, 2, &[0.0; 3], 2, 1, &[0.0; 4], 0.0, &mut [0.0; 4]);
+    }
+}

@@ -8,6 +8,8 @@
 //! - [`Tensor`]: a row-major `f32` matrix with the linear algebra needed for
 //!   exact backpropagation (matmul and transposed variants, elementwise maps,
 //!   reductions).
+//! - [`gemm`]: the one register-blocked, bit-identical kernel behind all
+//!   three matrix products, callable on caller-owned slices.
 //! - [`SignVec`]: a bit-packed sign vector — the one-bit wire format of
 //!   Marsit's `⊙` operator and of every signSGD-family compressor.
 //! - [`rng`]: seed-splitting and a fast Bernoulli generator so that all
@@ -27,6 +29,7 @@
 //! assert_eq!(signs.packed_bytes(), 125);
 //! ```
 
+pub mod gemm;
 pub mod rng;
 pub mod signvec;
 pub mod stats;

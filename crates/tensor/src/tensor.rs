@@ -9,6 +9,7 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
+use crate::gemm;
 use crate::rng::FastRng;
 
 /// Error produced when tensor shapes are incompatible for an operation.
@@ -246,6 +247,10 @@ impl Tensor {
 
     /// Matrix product `self × other`.
     ///
+    /// This and the two transposed products are thin, allocating callers of
+    /// the one blocked kernel in [`crate::gemm`]; hot paths call
+    /// [`gemm::matmul_into`] and its siblings on slices they own.
+    ///
     /// # Panics
     ///
     /// Panics if `self.cols != other.rows`.
@@ -259,20 +264,14 @@ impl Tensor {
             other.shape()
         );
         let mut out = Tensor::zeros(self.rows, other.cols);
-        // ikj loop order: stream over `other` rows for cache friendliness.
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-            for (k, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[k * other.cols..(k + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
+        gemm::matmul_into(
+            self.rows,
+            self.cols,
+            other.cols,
+            &self.data,
+            &other.data,
+            &mut out.data,
+        );
         out
     }
 
@@ -291,23 +290,19 @@ impl Tensor {
             other.shape()
         );
         let mut out = Tensor::zeros(self.cols, other.cols);
-        for k in 0..self.rows {
-            let a_row = &self.data[k * self.cols..(k + 1) * self.cols];
-            let b_row = &other.data[k * other.cols..(k + 1) * other.cols];
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
+        gemm::matmul_tn_into(
+            self.rows,
+            self.cols,
+            other.cols,
+            &self.data,
+            &other.data,
+            &mut out.data,
+        );
         out
     }
 
-    /// Matrix product `self × otherᵀ` without materializing the transpose.
+    /// Matrix product `self × otherᵀ`. `otherᵀ` is packed into a scratch
+    /// panel per call so the kernel can run its lanes across output columns.
     ///
     /// # Panics
     ///
@@ -322,14 +317,15 @@ impl Tensor {
             other.shape()
         );
         let mut out = Tensor::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            for j in 0..other.rows {
-                let b_row = &other.data[j * other.cols..(j + 1) * other.cols];
-                let dot: f32 = a_row.iter().zip(b_row).map(|(x, y)| x * y).sum();
-                out.data[i * other.rows + j] = dot;
-            }
-        }
+        gemm::matmul_nt_into(
+            self.rows,
+            self.cols,
+            other.rows,
+            &self.data,
+            &other.data,
+            &mut Vec::new(),
+            &mut out.data,
+        );
         out
     }
 
@@ -651,6 +647,22 @@ mod tests {
         let a = Tensor::zeros(2, 3);
         let b = Tensor::zeros(2, 3);
         let _ = a.matmul(&b);
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul_tn shape mismatch")]
+    fn matmul_tn_shape_mismatch_panics() {
+        let a = Tensor::zeros(2, 3);
+        let b = Tensor::zeros(3, 2);
+        let _ = a.matmul_tn(&b);
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul_nt shape mismatch")]
+    fn matmul_nt_shape_mismatch_panics() {
+        let a = Tensor::zeros(2, 3);
+        let b = Tensor::zeros(3, 2);
+        let _ = a.matmul_nt(&b);
     }
 
     #[test]

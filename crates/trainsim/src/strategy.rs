@@ -32,7 +32,9 @@ use marsit_collectives::{SumWire, Trace};
 use marsit_compress::cascading::cascade_reduce_practical;
 use marsit_compress::compressor::{Compressor, EfSign, Ssdm};
 use marsit_compress::powersgd::{orthonormalize_columns, PowerSgd as PowerSgdState};
-use marsit_core::{Marsit, MarsitConfig, MarsitSnapshot, SyncSchedule, WorkspaceHandle};
+use marsit_core::{
+    Marsit, MarsitConfig, MarsitSnapshot, SyncOutcome, SyncSchedule, WorkspaceHandle,
+};
 use marsit_simnet::{Backend, FaultPlan, FaultStats, Topology};
 use marsit_tensor::rng::{split_seed, FastRng};
 use marsit_tensor::SignVec;
@@ -160,7 +162,7 @@ impl std::fmt::Display for StrategyKind {
 }
 
 /// Result of one synchronization round.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SyncResult {
     /// The consensus update applied by every worker (`x ← x − update`).
     pub global_update: Vec<f32>,
@@ -369,6 +371,28 @@ impl Synchronizer {
     /// Panics if worker count or dimensions are inconsistent with the
     /// topology.
     pub fn synchronize(&mut self, local_updates: &[Vec<f32>], topology: Topology) -> SyncResult {
+        let mut out = SyncResult::default();
+        self.synchronize_into(local_updates, topology, &mut out);
+        out
+    }
+
+    /// [`Synchronizer::synchronize`] writing into a caller-owned result.
+    ///
+    /// Marsit recycles `out`'s buffers (`global_update`, `reference_mean`,
+    /// the trace's step slots — see [`Marsit::synchronize_into`]), so reusing
+    /// one result across rounds keeps its round free of model-sized
+    /// allocations; the baselines build a fresh result and move it in. The
+    /// result never depends on what `out` held.
+    ///
+    /// # Panics
+    ///
+    /// As [`Synchronizer::synchronize`].
+    pub fn synchronize_into(
+        &mut self,
+        local_updates: &[Vec<f32>],
+        topology: Topology,
+        out: &mut SyncResult,
+    ) {
         let m = local_updates.len();
         assert_eq!(topology.workers(), m, "topology size must match workers");
         let d = local_updates[0].len();
@@ -380,7 +404,7 @@ impl Synchronizer {
         self.round += 1;
         let mut rng = FastRng::new(split_seed(self.seed, t), 0xA663);
 
-        match &mut self.state {
+        *out = match &mut self.state {
             State::Psgd => {
                 let (sum, trace) = allreduce_sum(local_updates, topology);
                 let inv = 1.0 / m as f32;
@@ -499,13 +523,19 @@ impl Synchronizer {
                 }
             }
             State::Marsit(marsit) => {
-                let out = marsit.synchronize(local_updates, topology);
+                let mut outcome = SyncOutcome {
+                    global_update: std::mem::take(&mut out.global_update),
+                    compensated_mean: out.reference_mean.take().unwrap_or_default(),
+                    trace: std::mem::take(&mut out.trace),
+                    ..SyncOutcome::default()
+                };
+                marsit.synchronize_into(local_updates, topology, &mut outcome);
                 SyncResult {
-                    global_update: out.global_update,
-                    trace: out.trace,
-                    full_precision: out.full_precision,
-                    reference_mean: Some(out.compensated_mean),
-                    faults: out.faults,
+                    global_update: outcome.global_update,
+                    trace: outcome.trace,
+                    full_precision: outcome.full_precision,
+                    reference_mean: Some(outcome.compensated_mean),
+                    faults: outcome.faults,
                 }
             }
             State::PowerSgd { workers } => {
@@ -551,7 +581,7 @@ impl Synchronizer {
                     faults: FaultStats::default(),
                 }
             }
-        }
+        };
     }
 }
 

@@ -9,14 +9,14 @@
 
 use marsit_datagen::synthetic::{cifar10_like, imagenet_like, imdb_like, mnist_like};
 use marsit_datagen::Dataset;
-use marsit_models::{Evaluation, Mlp, Model, Optimizer, OptimizerKind, Workload};
+use marsit_models::{Evaluation, Mlp, MlpWorkspace, Model, Optimizer, OptimizerKind, Workload};
 use marsit_simnet::{cost, Backend, FaultPlan, FaultStats, PhaseBreakdown, RateProfile, Topology};
 use marsit_telemetry::{scoped, Telemetry};
 use marsit_tensor::rng::{split_seed, FastRng};
 use marsit_tensor::SignVec;
 
 use crate::snapshot::TrainSnapshot;
-use crate::strategy::{StrategyKind, Synchronizer};
+use crate::strategy::{StrategyKind, SyncResult, Synchronizer};
 use crate::timing::TimingModel;
 
 /// Configuration of one training run.
@@ -325,6 +325,32 @@ pub struct TrainerState {
     total_elements: usize,
     diverged: bool,
     run_faults: FaultStats,
+    scratch: StepScratch,
+}
+
+/// Round-to-round scratch of [`TrainerState::step`]: every model-sized buffer
+/// a round needs, owned here and overwritten each round, so a steady-state
+/// round allocates none of them. Nothing in it is run state — a restored run
+/// starts from an empty one.
+#[derive(Default)]
+struct StepScratch {
+    /// Forward/backward scratch: one shared by all workers on the sequential
+    /// path, one per worker thread with `parallel_workers`.
+    workspaces: Vec<MlpWorkspace>,
+    /// Raw stochastic gradients (before the optimizer), laid out like
+    /// `workspaces`.
+    raw_grads: Vec<Vec<f32>>,
+    /// Every worker's `η_l`-scaled update direction, the synchronizer's input.
+    local_updates: Vec<Vec<f32>>,
+    /// Per-worker minibatch losses.
+    losses: Vec<f64>,
+    raw_grad_mean: Vec<f64>,
+    exact_mean: Vec<f32>,
+    /// The synchronizer's recycled result.
+    sync: SyncResult,
+    /// Packed signs of the applied update and of its reference mean.
+    applied_signs: SignVec,
+    reference_signs: SignVec,
 }
 
 impl TrainerState {
@@ -427,6 +453,7 @@ impl TrainerState {
             total_elements: 0,
             diverged: false,
             run_faults: FaultStats::default(),
+            scratch: StepScratch::default(),
             cfg: cfg.clone(),
         }
     }
@@ -475,11 +502,8 @@ impl TrainerState {
     /// MAR consensus invariant).
     #[must_use]
     pub fn replicas_consistent(&self) -> bool {
-        let p0 = self.models[0].params_vec();
-        self.models
-            .iter()
-            .skip(1)
-            .all(|model| model.params_vec() == p0)
+        let p0 = self.models[0].params();
+        self.models.iter().skip(1).all(|model| model.params() == p0)
     }
 
     /// Runs one synchronization round.
@@ -490,7 +514,7 @@ impl TrainerState {
     /// if the replicas disagree after the synchronization.
     pub fn step(&mut self) {
         assert!(!self.is_done(), "all configured rounds have run");
-        let cfg = self.cfg.clone();
+        let cfg = &self.cfg;
         let m = self.models.len();
         let d = self.d;
         let t = self.round;
@@ -509,92 +533,113 @@ impl TrainerState {
         // cross-worker synchronization. Reduction stays on the main thread
         // in worker order, keeping both paths bit-identical.
         let batch_per_worker = cfg.batch_per_worker;
-        let steps: Vec<WorkerStep> = if cfg.parallel_workers && m > 1 {
-            let mut slots: Vec<Option<WorkerStep>> = Vec::new();
-            slots.resize_with(m, || None);
+        let parallel = cfg.parallel_workers && m > 1;
+        let scratch = &mut self.scratch;
+        let lanes = if parallel { m } else { 1 };
+        scratch.workspaces.resize_with(lanes, MlpWorkspace::default);
+        scratch.raw_grads.resize_with(lanes, || vec![0.0; d]);
+        scratch.local_updates.resize_with(m, || vec![0.0; d]);
+        scratch.losses.resize(m, 0.0);
+        scratch.raw_grad_mean.clear();
+        scratch.raw_grad_mean.resize(d, 0.0);
+        let accumulate = |mean: &mut [f64], raw_grad: &[f32]| {
+            for (acc, &g) in mean.iter_mut().zip(raw_grad) {
+                *acc += f64::from(g) / m as f64;
+            }
+        };
+        if parallel {
             std::thread::scope(|scope| {
-                for ((((slot, model), opt), rng), shard) in slots
+                for (((((((loss, model), opt), rng), shard), ws), raw_grad), update) in scratch
+                    .losses
                     .iter_mut()
                     .zip(&mut self.models)
                     .zip(&mut self.optimizers)
                     .zip(&mut self.worker_rngs)
                     .zip(&self.shards)
+                    .zip(&mut scratch.workspaces)
+                    .zip(&mut scratch.raw_grads)
+                    .zip(&mut scratch.local_updates)
                 {
                     scope.spawn(move || {
-                        *slot = Some(worker_step(
+                        *loss = worker_step(
                             model,
                             opt.as_mut(),
                             rng,
                             shard,
                             batch_per_worker,
                             lr,
-                            d,
-                        ));
+                            ws,
+                            raw_grad,
+                            update,
+                        );
                     });
                 }
             });
-            slots
-                .into_iter()
-                .map(|s| s.expect("worker thread completed"))
-                .collect()
-        } else {
-            (0..m)
-                .map(|w| {
-                    worker_step(
-                        &mut self.models[w],
-                        self.optimizers[w].as_mut(),
-                        &mut self.worker_rngs[w],
-                        &self.shards[w],
-                        batch_per_worker,
-                        lr,
-                        d,
-                    )
-                })
-                .collect()
-        };
-        let mut loss_sum = 0.0f64;
-        let mut raw_grad_mean = vec![0.0f64; d];
-        let mut local_updates: Vec<Vec<f32>> = Vec::with_capacity(m);
-        for step in steps {
-            loss_sum += step.loss;
-            for (acc, &g) in raw_grad_mean.iter_mut().zip(&step.raw_grad) {
-                *acc += f64::from(g) / m as f64;
+            for raw_grad in &scratch.raw_grads {
+                accumulate(&mut scratch.raw_grad_mean, raw_grad);
             }
-            local_updates.push(step.update);
+        } else {
+            for w in 0..m {
+                scratch.losses[w] = worker_step(
+                    &mut self.models[w],
+                    self.optimizers[w].as_mut(),
+                    &mut self.worker_rngs[w],
+                    &self.shards[w],
+                    batch_per_worker,
+                    lr,
+                    &mut scratch.workspaces[0],
+                    &mut scratch.raw_grads[0],
+                    &mut scratch.local_updates[w],
+                );
+                accumulate(&mut scratch.raw_grad_mean, &scratch.raw_grads[0]);
+            }
         }
-        let mean_grad_norm_sq: f64 = raw_grad_mean.iter().map(|&g| g * g).sum();
+        let loss_sum: f64 = scratch.losses.iter().fold(0.0, |sum, &loss| sum + loss);
+        let mean_grad_norm_sq: f64 = scratch.raw_grad_mean.iter().map(|&g| g * g).sum();
         let train_loss = loss_sum / m as f64;
         if !train_loss.is_finite() {
             self.diverged = true;
         }
 
-        // Exact mean (free in-process) for the matching-rate metric.
-        let mut exact_mean = vec![0.0f32; d];
-        for u in &local_updates {
-            for (e, &x) in exact_mean.iter_mut().zip(u) {
-                *e += x / m as f32;
-            }
-        }
-
         // Synchronize, with the telemetry scope installed so the collectives
         // and the Marsit core report per-hop and per-sync events.
-        let out = scoped(tel, || self.sync.synchronize(&local_updates, cfg.topology));
+        let out = &mut scratch.sync;
+        let local_updates = &scratch.local_updates;
+        scoped(tel, || {
+            self.sync.synchronize_into(local_updates, cfg.topology, out);
+        });
         // Matching rate against what the strategy actually aggregated
-        // (compensated updates for Marsit, raw updates otherwise).
-        let reference = out.reference_mean.as_deref().unwrap_or(&exact_mean);
-        let matching_rate =
-            SignVec::from_signs(&out.global_update).matching_rate(&SignVec::from_signs(reference));
+        // (compensated updates for Marsit, raw updates otherwise — their
+        // exact mean is free in-process).
+        let reference = match &out.reference_mean {
+            Some(mean) => mean,
+            None => {
+                let exact_mean = &mut scratch.exact_mean;
+                exact_mean.clear();
+                exact_mean.resize(d, 0.0);
+                for u in local_updates {
+                    for (e, &x) in exact_mean.iter_mut().zip(u) {
+                        *e += x / m as f32;
+                    }
+                }
+                exact_mean
+            }
+        };
+        scratch.applied_signs.assign_from_signs(&out.global_update);
+        scratch.reference_signs.assign_from_signs(reference);
+        let matching_rate = scratch
+            .applied_signs
+            .matching_rate(&scratch.reference_signs);
 
         // Apply the consensus update everywhere.
         for model in &mut self.models {
             model.apply_update(&out.global_update);
         }
         if cfg.check_consistency && (t.is_multiple_of(16) || t + 1 == cfg.rounds) {
-            let p0 = self.models[0].params_vec();
+            let p0 = self.models[0].params();
             for (w, model) in self.models.iter().enumerate().skip(1) {
-                assert_eq!(
-                    model.params_vec(),
-                    p0,
+                assert!(
+                    model.params() == p0,
                     "replica {w} diverged from consensus at round {t}"
                 );
             }
@@ -808,17 +853,12 @@ impl TrainerState {
     }
 }
 
-/// One worker's contribution to a round: its minibatch loss, the raw
-/// stochastic gradient (before the optimizer), and the `η_l`-scaled update
-/// direction handed to the synchronization layer.
-struct WorkerStep {
-    loss: f64,
-    raw_grad: Vec<f32>,
-    update: Vec<f32>,
-}
-
 /// The per-worker gradient-compute phase, shared verbatim by the sequential
-/// and the thread-per-worker paths so both produce identical bits.
+/// and the thread-per-worker paths so both produce identical bits: writes the
+/// raw stochastic gradient (before the optimizer) to `raw_grad` and the
+/// `η_l`-scaled update direction handed to the synchronization layer to
+/// `update`, and returns the minibatch loss.
+#[allow(clippy::too_many_arguments)]
 fn worker_step(
     model: &mut Mlp,
     optimizer: &mut dyn Optimizer,
@@ -826,21 +866,18 @@ fn worker_step(
     shard: &Dataset,
     batch_per_worker: usize,
     lr: f32,
-    d: usize,
-) -> WorkerStep {
+    ws: &mut MlpWorkspace,
+    raw_grad: &mut [f32],
+    update: &mut [f32],
+) -> f64 {
     let batch = shard.sample_batch(batch_per_worker, rng);
-    let mut grad = vec![0.0f32; d];
-    let loss = model.loss_and_grad(&batch, &mut grad);
-    let raw_grad = grad.clone();
-    optimizer.direction(&mut grad);
-    for g in &mut grad {
+    let loss = model.loss_and_grad_in(&batch, raw_grad, ws);
+    update.copy_from_slice(raw_grad);
+    optimizer.direction(update);
+    for g in update.iter_mut() {
         *g *= lr;
     }
-    WorkerStep {
-        loss,
-        raw_grad,
-        update: grad,
-    }
+    loss
 }
 
 /// Bytes of one retransmitted segment at logical model scale: a ring-style
