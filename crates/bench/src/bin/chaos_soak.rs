@@ -29,8 +29,9 @@
 
 use std::time::Instant;
 
+use marsit_collectives::PlanTopology;
 use marsit_collectives::SyncError;
-use marsit_core::transport::{drive_round, Scenario, TopoKind};
+use marsit_core::transport::{drive_round, Scenario};
 use marsit_core::CombineKind;
 use marsit_models::{OptimizerKind, Workload};
 use marsit_simnet::{
@@ -109,7 +110,7 @@ fn process_soak(storm_seed: u64) -> ProcessSoak {
     let exe = std::env::current_exe().expect("current exe");
     let exe = exe.to_str().expect("utf-8 exe path");
     let sc = Scenario {
-        topo: TopoKind::Ring,
+        topo: PlanTopology::Ring,
         world: 4,
         d: 1024,
         seed: storm_seed,

@@ -1,39 +1,35 @@
 //! Transport-driven collective engine.
 //!
-//! The legacy collectives in [`crate::ring`] / [`crate::torus`] /
-//! [`crate::tree`] / [`crate::segring`] execute their schedules directly on
-//! a slice of worker states — one process, one thread, no wire. This module
-//! splits that into two halves so the *same* schedule runs on any
-//! [`Transport`] backend:
+//! The collectives in [`crate::ring`] / [`crate::torus`] / [`crate::tree`] /
+//! [`crate::segring`] walk their one-bit schedules on a slice of worker
+//! states — one process, one thread, no wire. A walk has two halves: the
+//! bookkeeping (hop order, fault fates, per-cell aggregation counts,
+//! [`CombineCtx`] values, trace, hop telemetry), which never reads a payload
+//! bit, and the data (cell cut, `⊙` combines, consensus assembly). This
+//! module lets the *same* schedule run on any [`Transport`] backend:
 //!
-//! 1. **Compile**: [`compile_plan`] replays a topology's exact legacy
-//!    schedule — hop order, segment geometry, [`CombineCtx`] values, and
-//!    (for faulty runs) per-`(worker, segment)` aggregation counts — into a
-//!    flat list of [`PlannedTransfer`]s. Fault fates are drawn here, by
-//!    consuming the [`FaultInjector`] in the legacy collective's canonical
-//!    transfer order, so the injector's RNG stream and statistics advance
-//!    exactly as they would have in-process.
+//! 1. **Compile**: [`compile_plan`] runs a topology's walk with the
+//!    bookkeeping half alone and records every transfer it puts on the wire
+//!    into a flat list of [`PlannedTransfer`]s — so a plan cannot disagree
+//!    with the walker it came from. Fault fates are drawn by the walk itself,
+//!    consuming the [`FaultInjector`] exactly as an in-process run does.
 //! 2. **Execute**: [`run_rank`] walks one rank's slice of the plan against
 //!    a [`Transport`] endpoint — sends first, then combines what arrives.
 //!    [`run_lockstep`] drives every rank from one thread over a simulated
-//!    fabric (the refactored simulator backend); [`run_threaded`] gives
-//!    each rank an OS thread. Worker *processes* run [`run_rank`] directly
-//!    over a `ProcessTransport`.
+//!    fabric; [`run_threaded`] gives each rank an OS thread (the conformance
+//!    driver for [`run_rank`] over a [`ChannelFabric`]). Worker *processes*
+//!    run [`run_rank`] directly over a `ProcessTransport`.
 //!
 //! Determinism across backends is the frozen RNG stream contract
 //! (`DESIGN.md` §9): every combine's randomness is addressed by its
 //! [`CombineCtx`], which is fixed at compile time, so arrival timing cannot
-//! perturb the consensus. Simulated-clock telemetry and traces are *not*
-//! produced here — they depend only on the schedule and fault fates, so
-//! callers obtain them byte-identically by replaying the legacy collective
-//! on dummy payloads (see `marsit_core::transport`). The one exception is
-//! *wall-clock tracing*: when an ambient telemetry scope is active,
-//! [`run_rank`] records each payload it receives as a `hop` event carrying
-//! the propagated trace context (round, absolute seq, sender send-time) plus
-//! its own arrival time, so real-transport runs can be merged into one
-//! causally-ordered cross-rank trace.
-
-use std::ops::Range;
+//! perturb the consensus. Simulated-clock telemetry and the [`Trace`] are
+//! produced by the compiling walk, not by the executors (the plan carries
+//! its trace). The one exception is *wall-clock tracing*: when an ambient
+//! telemetry scope is active, [`run_rank`] records each payload it receives
+//! as a `hop` event carrying the propagated trace context (round, absolute
+//! seq, sender send-time) plus its own arrival time, so real-transport runs
+//! can be merged into one causally-ordered cross-rank trace.
 
 use marsit_simnet::transport::{Backend, ChannelFabric, Transport, TransportError};
 use marsit_simnet::{FaultInjector, LinkModel};
@@ -41,9 +37,16 @@ use marsit_telemetry::{wall_now_ns, Hop, HopRecorder, HopTiming};
 use marsit_tensor::SignVec;
 
 use crate::reconfigure::SyncError;
-use crate::ring::{segment_ranges, CombineCtx};
+use crate::ring::{
+    ring_onebit_exec, shape_of, ClosureOp, CombineCtx, Fold, NoOp, RingOnebitScratch, StepCombine,
+    Wire,
+};
+use crate::segring::segring_onebit_exec;
+use crate::torus::{torus_onebit_exec, TorusOnebitScratch};
+use crate::trace::Trace;
+use crate::tree::tree_onebit_exec;
 
-/// Which legacy schedule to compile.
+/// Which one-bit schedule to walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanTopology {
     /// Ring all-reduce over all ranks ([`crate::ring`]).
@@ -62,6 +65,42 @@ pub enum PlanTopology {
         /// Number of macro-segments.
         macro_segments: usize,
     },
+}
+
+impl PlanTopology {
+    /// Stable text form, also the worker env-var encoding (`ring`,
+    /// `torus:2x4`, `tree`, `segring:3`).
+    #[must_use]
+    pub fn encode(self) -> String {
+        match self {
+            Self::Ring => "ring".into(),
+            Self::Torus { rows, cols } => format!("torus:{rows}x{cols}"),
+            Self::Tree => "tree".into(),
+            Self::SegRing { macro_segments } => format!("segring:{macro_segments}"),
+        }
+    }
+
+    /// Parses [`Self::encode`]'s output.
+    #[must_use]
+    pub fn decode(s: &str) -> Option<Self> {
+        if let Some(shape) = s.strip_prefix("torus:") {
+            let (rows, cols) = shape.split_once('x')?;
+            return Some(Self::Torus {
+                rows: rows.parse().ok()?,
+                cols: cols.parse().ok()?,
+            });
+        }
+        if let Some(macro_segments) = s.strip_prefix("segring:") {
+            return Some(Self::SegRing {
+                macro_segments: macro_segments.parse().ok()?,
+            });
+        }
+        match s {
+            "ring" => Some(Self::Ring),
+            "tree" => Some(Self::Tree),
+            _ => None,
+        }
+    }
 }
 
 /// One scheduled point-to-point transfer.
@@ -88,7 +127,8 @@ pub struct PlannedTransfer {
 }
 
 /// A compiled schedule: every transfer of one collective, in canonical
-/// (injector-consumption) order.
+/// (injector-consumption) order, plus the wire trace of the walk that
+/// recorded them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnginePlan {
     /// Number of ranks.
@@ -99,6 +139,9 @@ pub struct EnginePlan {
     pub num_steps: usize,
     /// All transfers, canonical order.
     pub transfers: Vec<PlannedTransfer>,
+    /// What the in-process collective traces for the same schedule and
+    /// fates: retry sub-steps expanded, parallel sub-rings overlaid.
+    pub trace: Trace,
 }
 
 impl EnginePlan {
@@ -115,312 +158,100 @@ impl EnginePlan {
     }
 }
 
-/// Draws a best-effort fate: `None` injector (clean run) always delivers.
-fn fate(inj: &mut Option<&mut FaultInjector>) -> bool {
-    match inj {
-        Some(inj) => inj.transfer().delivered,
-        None => true,
-    }
-}
-
-/// Draws a reliable fate (always delivered, but the injector must still be
-/// consumed so its RNG stream and retry statistics stay in legacy step).
-fn fate_reliable(inj: &mut Option<&mut FaultInjector>) {
-    if let Some(inj) = inj {
-        let f = inj.transfer_reliable();
-        debug_assert!(f.delivered, "reliable transfers always deliver");
-    }
-}
-
-/// Compiles one counted ring pass (reduce + reliable gather) into `plan`.
-///
-/// `ranks[i]` is the global rank at ring position `i`; `ranges[s]` the
-/// global coordinate range of ring segment `s`; `counts[i]` how many workers
-/// position `i`'s input already aggregates. `seg_shift` offsets
-/// `ctx.segment` (the segmented ring namespaces its pipelines this way).
-/// Contexts use ring-*positions* as receiver ids, exactly as the legacy
-/// nested collectives do.
-fn compile_ring_into(
-    plan: &mut Vec<PlannedTransfer>,
-    next_step: &mut usize,
-    ranks: &[usize],
-    ranges: &[Range<usize>],
-    init_counts: &[usize],
-    seg_shift: usize,
-    inj: &mut Option<&mut FaultInjector>,
-) {
-    let m = ranks.len();
-    debug_assert!(m >= 2 && ranges.len() == m && init_counts.len() == m);
-    // counts[i][s]: workers aggregated in position i's copy of segment s.
-    let mut counts: Vec<Vec<usize>> = init_counts.iter().map(|&c| vec![c; m]).collect();
-    for r in 0..m - 1 {
-        let step = *next_step;
-        for w in 0..m {
-            let n = (w + 1) % m;
-            let s = (w + m - (r % m)) % m;
-            let delivered = fate(inj);
-            plan.push(PlannedTransfer {
-                step,
-                sender: ranks[w],
-                receiver: ranks[n],
-                start: ranges[s].start,
-                len: ranges[s].len(),
-                combine: Some(CombineCtx {
-                    step: r,
-                    receiver: n,
-                    segment: seg_shift + s,
-                    received_count: counts[w][s],
-                    local_count: counts[n][s],
-                }),
-                delivered,
-            });
-            if delivered {
-                counts[n][s] += counts[w][s];
-            }
+/// The one topology dispatch: walks `topology`'s one-bit schedule for `world`
+/// workers and `d` bits over `wire`, folding `fold`'s inputs if there are any
+/// (see [`Fold`]). Every one-bit entry point that is not handed caller-owned
+/// scratch ends up here.
+fn walk_onebit<O: StepCombine>(
+    topology: PlanTopology,
+    world: usize,
+    d: usize,
+    wire: &mut Wire<'_>,
+    fold: Option<Fold<'_, O>>,
+) -> Result<(), SyncError> {
+    let grid = &mut RingOnebitScratch::new();
+    match topology {
+        PlanTopology::Ring => ring_onebit_exec(world, d, |_| 1, 0, wire, grid, fold),
+        PlanTopology::Torus { rows, cols } => {
+            let scratch = &mut TorusOnebitScratch::default();
+            torus_onebit_exec(rows, cols, world, d, wire, scratch, fold)
         }
-        *next_step += 1;
-    }
-    for g in 0..m - 1 {
-        let step = *next_step;
-        for (s, range) in ranges.iter().enumerate() {
-            fate_reliable(inj);
-            let w = (s + g + m - 1) % m;
-            plan.push(PlannedTransfer {
-                step,
-                sender: ranks[w],
-                receiver: ranks[(w + 1) % m],
-                start: range.start,
-                len: range.len(),
-                combine: None,
-                delivered: true,
-            });
+        PlanTopology::Tree => tree_onebit_exec(world, d, wire, grid, fold),
+        PlanTopology::SegRing { macro_segments } => {
+            segring_onebit_exec(world, d, macro_segments, wire, fold)
         }
-        *next_step += 1;
     }
 }
 
-/// Compiles a topology's full schedule over `world` ranks and a `d`-length
-/// payload. Passing an injector draws faulty fates (consuming it in the
-/// legacy collective's canonical order); `None` compiles the clean
-/// schedule.
+/// `topology`'s one-bit all-reduce of `signs` in process, on fresh buffers,
+/// with a closure for the operator: `combine(received, local, ctx)` merges the
+/// incoming aggregate *into* the local one in place. Reduce transfers are
+/// best-effort under `inj` (an omitted one leaves the receiver's aggregate
+/// and count as they were, so `⊙` stays unbiased over what arrived), gather
+/// and broadcast transfers reliable; [`FaultInjector::inert`] gives the clean
+/// schedule. Returns the consensus and the trace. The per-topology closure
+/// entry points are this with the topology filled in.
 ///
 /// # Errors
 ///
-/// Returns the same [`SyncError`]s the legacy faulty collectives return for
+/// Returns the topology's typed [`SyncError`] for an impossible shape or
+/// differing sign lengths.
+///
+/// # Panics
+///
+/// Panics if the combine changes the local vector's length (a programmer
+/// error in the closure, not a runtime condition).
+pub fn allreduce_onebit<F>(
+    topology: PlanTopology,
+    signs: &[SignVec],
+    inj: &mut FaultInjector,
+    combine: F,
+) -> Result<(SignVec, Trace), SyncError>
+where
+    F: FnMut(&SignVec, &mut SignVec, CombineCtx),
+{
+    let (mut out, mut trace) = (SignVec::zeros(0), Trace::new());
+    let fold = Fold {
+        signs,
+        op: &mut ClosureOp(combine),
+        out: &mut out,
+    };
+    let (world, d) = shape_of(signs);
+    let wire = &mut Wire::begin(inj, &mut trace, None);
+    walk_onebit(topology, world, d, wire, Some(fold))?;
+    Ok((out, trace))
+}
+
+/// Compiles a topology's full schedule over `world` ranks and a `d`-length
+/// payload: the bookkeeping half of the in-process walk, with every transfer
+/// recorded. Passing an injector draws faulty fates (consuming it exactly as
+/// the in-process collective does); `None` compiles the clean schedule. No
+/// payload is touched — a plan for a million coordinates allocates a few
+/// kilobytes.
+///
+/// # Errors
+///
+/// Returns the same [`SyncError`]s the in-process collectives return for
 /// impossible shapes.
 pub fn compile_plan(
     topology: PlanTopology,
     world: usize,
     d: usize,
-    mut inj: Option<&mut FaultInjector>,
+    inj: Option<&mut FaultInjector>,
 ) -> Result<EnginePlan, SyncError> {
-    let mut transfers = Vec::new();
-    let mut next_step = 0usize;
-    match topology {
-        PlanTopology::Ring => {
-            if world < 2 {
-                return Err(SyncError::TooFewWorkers {
-                    needed: 2,
-                    got: world,
-                });
-            }
-            let ranks: Vec<usize> = (0..world).collect();
-            compile_ring_into(
-                &mut transfers,
-                &mut next_step,
-                &ranks,
-                &segment_ranges(d, world),
-                &vec![1; world],
-                0,
-                &mut inj,
-            );
-        }
-        PlanTopology::Torus { rows, cols } => {
-            if rows < 2 || cols < 2 || world != rows * cols {
-                return Err(SyncError::BadShape {
-                    rows,
-                    cols,
-                    workers: world,
-                });
-            }
-            let chunks = segment_ranges(d, cols);
-            // counts[w][s]: workers aggregated in w's copy of chunk s.
-            let mut counts: Vec<Vec<usize>> = vec![vec![1; cols]; world];
-            // Phase 1: horizontal reduce-scatter, global receiver ids in ctx.
-            for rr in 0..cols - 1 {
-                let step = next_step;
-                for row in 0..rows {
-                    for c in 0..cols {
-                        let w = row * cols + c;
-                        let n = row * cols + (c + 1) % cols;
-                        let s = (c + cols - (rr % cols)) % cols;
-                        let delivered = fate(&mut inj);
-                        transfers.push(PlannedTransfer {
-                            step,
-                            sender: w,
-                            receiver: n,
-                            start: chunks[s].start,
-                            len: chunks[s].len(),
-                            combine: Some(CombineCtx {
-                                step: rr,
-                                receiver: n,
-                                segment: s,
-                                received_count: counts[w][s],
-                                local_count: counts[n][s],
-                            }),
-                            delivered,
-                        });
-                        if delivered {
-                            counts[n][s] += counts[w][s];
-                        }
-                    }
-                }
-                next_step += 1;
-            }
-            // Phase 2: vertical ring per column over its own chunk, with
-            // column-local receiver ids in ctx — columns sequential in
-            // injector order, exactly as the legacy torus runs them.
-            for c in 0..cols {
-                let own = (c + 1) % cols;
-                let ranks: Vec<usize> = (0..rows).map(|row| row * cols + c).collect();
-                let column_counts: Vec<usize> =
-                    (0..rows).map(|row| counts[row * cols + c][own]).collect();
-                let sub: Vec<Range<usize>> = segment_ranges(chunks[own].len(), rows)
-                    .into_iter()
-                    .map(|r| chunks[own].start + r.start..chunks[own].start + r.end)
-                    .collect();
-                compile_ring_into(
-                    &mut transfers,
-                    &mut next_step,
-                    &ranks,
-                    &sub,
-                    &column_counts,
-                    0,
-                    &mut inj,
-                );
-            }
-            // Phase 3: horizontal all-gather, reliable copies.
-            for g in 0..cols - 1 {
-                let step = next_step;
-                for row in 0..rows {
-                    for c in 0..cols {
-                        let s = (c + 1 + cols - (g % cols)) % cols;
-                        fate_reliable(&mut inj);
-                        transfers.push(PlannedTransfer {
-                            step,
-                            sender: row * cols + c,
-                            receiver: row * cols + (c + 1) % cols,
-                            start: chunks[s].start,
-                            len: chunks[s].len(),
-                            combine: None,
-                            delivered: true,
-                        });
-                    }
-                }
-                next_step += 1;
-            }
-        }
-        PlanTopology::Tree => {
-            if world < 2 {
-                return Err(SyncError::TooFewWorkers {
-                    needed: 2,
-                    got: world,
-                });
-            }
-            let mut counts = vec![1usize; world];
-            let mut stride = 1;
-            let mut level = 0;
-            let mut levels = 0;
-            while stride < world {
-                let step = next_step;
-                let mut w = 0;
-                while w + stride < world {
-                    let delivered = fate(&mut inj);
-                    transfers.push(PlannedTransfer {
-                        step,
-                        sender: w + stride,
-                        receiver: w,
-                        start: 0,
-                        len: d,
-                        combine: Some(CombineCtx {
-                            step: level,
-                            receiver: w,
-                            segment: 0,
-                            received_count: counts[w + stride],
-                            local_count: counts[w],
-                        }),
-                        delivered,
-                    });
-                    if delivered {
-                        counts[w] += counts[w + stride];
-                    }
-                    w += 2 * stride;
-                }
-                next_step += 1;
-                stride *= 2;
-                level += 1;
-                levels += 1;
-            }
-            // Broadcast the consensus back down, top level first. The
-            // legacy collectives only *trace* this phase; the engine
-            // executes the copies so every rank ends with the consensus.
-            for lv in (0..levels).rev() {
-                let stride = 1usize << lv;
-                let step = next_step;
-                let mut w = 0;
-                while w + stride < world {
-                    fate_reliable(&mut inj);
-                    transfers.push(PlannedTransfer {
-                        step,
-                        sender: w,
-                        receiver: w + stride,
-                        start: 0,
-                        len: d,
-                        combine: None,
-                        delivered: true,
-                    });
-                    w += 2 * stride;
-                }
-                next_step += 1;
-            }
-        }
-        PlanTopology::SegRing { macro_segments } => {
-            if world < 2 {
-                return Err(SyncError::TooFewWorkers {
-                    needed: 2,
-                    got: world,
-                });
-            }
-            if macro_segments == 0 {
-                return Err(SyncError::ZeroSegments);
-            }
-            let ranks: Vec<usize> = (0..world).collect();
-            for (s, range) in segment_ranges(d, macro_segments).iter().enumerate() {
-                if range.is_empty() {
-                    continue;
-                }
-                let sub: Vec<Range<usize>> = segment_ranges(range.len(), world)
-                    .into_iter()
-                    .map(|r| range.start + r.start..range.start + r.end)
-                    .collect();
-                compile_ring_into(
-                    &mut transfers,
-                    &mut next_step,
-                    &ranks,
-                    &sub,
-                    &vec![1; world],
-                    s * world,
-                    &mut inj,
-                );
-            }
-        }
-    }
-    Ok(EnginePlan {
+    let mut plan = EnginePlan {
         world,
         d,
-        num_steps: next_step,
-        transfers,
-    })
+        num_steps: 0,
+        transfers: Vec::new(),
+        trace: Trace::new(),
+    };
+    let mut trace = Trace::new();
+    let mut inert = FaultInjector::inert();
+    let wire = &mut Wire::begin(inj.unwrap_or(&mut inert), &mut trace, Some(&mut plan));
+    walk_onebit::<NoOp>(topology, world, d, wire, None)?;
+    plan.trace = trace;
+    Ok(plan)
 }
 
 fn disconnected(e: TransportError) -> SyncError {
@@ -694,6 +525,20 @@ mod tests {
                 local.set(i, pick);
             }
         }
+    }
+
+    #[test]
+    fn topology_text_form_round_trips() {
+        for topo in [
+            PlanTopology::Ring,
+            PlanTopology::Torus { rows: 2, cols: 4 },
+            PlanTopology::Tree,
+            PlanTopology::SegRing { macro_segments: 3 },
+        ] {
+            assert_eq!(PlanTopology::decode(&topo.encode()), Some(topo));
+        }
+        assert_eq!(PlanTopology::decode("hypercube"), None);
+        assert_eq!(PlanTopology::decode("torus:2"), None);
     }
 
     #[test]

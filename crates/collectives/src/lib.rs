@@ -42,7 +42,8 @@ pub mod trace;
 pub mod tree;
 
 pub use engine::{
-    compile_plan, run_lockstep, run_rank, run_threaded, EnginePlan, PlanTopology, PlannedTransfer,
+    allreduce_onebit, compile_plan, run_lockstep, run_rank, run_threaded, EnginePlan, PlanTopology,
+    PlannedTransfer,
 };
 pub use reconfigure::{DegradedMode, EffectiveTopology, SyncError, TopologyReconfigurer};
 pub use ring::{CombineCtx, PlannedHop, RingOnebitScratch, StepCombine, SumWire};

@@ -18,7 +18,6 @@
 //!
 //! Every function returns a [`Trace`] of the bytes actually transferred.
 
-use std::cell::RefCell;
 use std::ops::Range;
 
 use marsit_compress::SignSumVec;
@@ -26,6 +25,7 @@ use marsit_simnet::FaultInjector;
 use marsit_telemetry::{Hop, HopRecorder};
 use marsit_tensor::SignVec;
 
+use crate::engine::{allreduce_onebit, EnginePlan, PlanTopology, PlannedTransfer};
 use crate::reconfigure::SyncError;
 use crate::trace::Trace;
 
@@ -268,8 +268,18 @@ where
 {
     assert!(unit > 0, "unit must be positive");
     assert!(signs.len() >= 2, "ring all-reduce needs at least 2 workers");
-    ring_onebit_fresh(signs, unit, &mut FaultInjector::inert(), combine)
-        .expect("sign lengths differ")
+    let (mut out, mut trace) = (SignVec::zeros(0), Trace::new());
+    let fold = Fold {
+        signs,
+        op: &mut ClosureOp(combine),
+        out: &mut out,
+    };
+    let (m, d) = shape_of(signs);
+    let inj = &mut FaultInjector::inert();
+    let wire = &mut Wire::begin(inj, &mut trace, None);
+    let scratch = &mut RingOnebitScratch::new();
+    ring_onebit_exec(m, d, |_| unit, 0, wire, scratch, Some(fold)).expect("sign lengths differ");
+    (out, trace)
 }
 
 /// [`ring_allreduce_onebit`] under fault injection: the closure form of
@@ -291,53 +301,15 @@ pub fn ring_allreduce_onebit_faulty<F>(
 where
     F: FnMut(&SignVec, &mut SignVec, CombineCtx),
 {
-    ring_onebit_fresh(signs, 1, inj, combine)
+    allreduce_onebit(PlanTopology::Ring, signs, inj, combine)
 }
 
-/// One serial pass of the schedule on fresh buffers (the closure entry
-/// points; every input aggregates `unit` workers).
-fn ring_onebit_fresh<F>(
-    signs: &[SignVec],
-    unit: usize,
-    inj: &mut FaultInjector,
-    combine: F,
-) -> Result<(SignVec, Trace), SyncError>
-where
-    F: FnMut(&SignVec, &mut SignVec, CombineCtx),
-{
-    let op = &mut ClosureOp(RefCell::new(combine));
-    let mut out = SignVec::zeros(0);
-    let mut trace = Trace::new();
-    let mut scratch = RingOnebitScratch::new();
-    ring_onebit_exec(
-        signs,
-        |_| unit,
-        inj,
-        &mut scratch,
-        &mut out,
-        &mut trace,
-        op,
-        &run_serial,
-    )?;
-    Ok((out, trace))
-}
-
-/// A step-planned one-bit combine operator for
-/// [`ring_allreduce_onebit_planned`].
+/// A step-planned one-bit combine operator for the one-bit schedules.
 ///
-/// Splitting the closure-based hook/combine pair into a trait lets the
-/// collective apply one step's combines *concurrently*: `step_begin`
-/// (exclusive) plans and pre-draws a step, then `combine` (shared) applies
-/// individual hops, possibly from several threads at once with distinct
-/// `idx` values.
-///
-/// # Contract
-///
-/// `combine` must touch only the two segment vectors it is handed — the
-/// collective guarantees those are disjoint across the hops of one step, and
-/// concurrent callers rely on `combine` not reaching into shared mutable
-/// state (interior mutability must be thread-safe, e.g. atomics; the
-/// threaded dispatch asks for `Sync`).
+/// `step_begin` sees a whole step's delivered hops before any of them runs,
+/// so an operator can prepare the step in one batch (the hops of one step
+/// touch disjoint cells and carry independent RNG streams); `combine` then
+/// applies them one at a time, in plan order.
 pub trait StepCombine {
     /// Called once per reduce step with the plan of the step's *delivered*
     /// hops — exact aggregation counts included — before any of its combines
@@ -345,26 +317,64 @@ pub trait StepCombine {
     fn step_begin(&mut self, plan: &[PlannedHop]);
 
     /// Applies hop `idx` of the current step's plan (same `ctx` as
-    /// `plan[idx].ctx`). Called exactly once per hop; calls for different
-    /// `idx` may run concurrently.
-    fn combine(&self, idx: usize, received: &SignVec, local: &mut SignVec, ctx: CombineCtx);
+    /// `plan[idx].ctx`). Called exactly once per hop, in plan order, and must
+    /// leave `local`'s length as it was.
+    fn combine(&mut self, idx: usize, received: &SignVec, local: &mut SignVec, ctx: CombineCtx);
 }
 
-/// A combine closure as a (serial-only, plan-blind) [`StepCombine`].
-pub(crate) struct ClosureOp<F>(pub(crate) RefCell<F>);
+/// A combine closure as a plan-blind [`StepCombine`].
+pub(crate) struct ClosureOp<F>(pub(crate) F);
 
 impl<F: FnMut(&SignVec, &mut SignVec, CombineCtx)> StepCombine for ClosureOp<F> {
     fn step_begin(&mut self, _plan: &[PlannedHop]) {}
 
-    fn combine(&self, _idx: usize, received: &SignVec, local: &mut SignVec, ctx: CombineCtx) {
-        (self.0.borrow_mut())(received, local, ctx);
+    fn combine(&mut self, _idx: usize, received: &SignVec, local: &mut SignVec, ctx: CombineCtx) {
+        (self.0)(received, local, ctx);
     }
 }
 
+/// The operator type of a walk that folds nothing.
+pub(crate) type NoOp = ClosureOp<fn(&SignVec, &mut SignVec, CombineCtx)>;
+
+/// The data half of a one-bit walk: the inputs, the operator folding them
+/// hop by hop, and where the consensus lands. A walk handed `None` is the
+/// bookkeeping half alone — hop order, fates, aggregation counts, combine
+/// contexts, trace, hop telemetry, the recorded plan — which never reads a
+/// payload bit.
+pub(crate) struct Fold<'a, O> {
+    pub(crate) signs: &'a [SignVec],
+    pub(crate) op: &'a mut O,
+    pub(crate) out: &'a mut SignVec,
+}
+
+impl<O> Fold<'_, O> {
+    /// Checks that every input is `d` bits and sizes the consensus buffer
+    /// (every bit of `[0, d)` is spliced over later, so stale contents never
+    /// leak).
+    pub(crate) fn begin(fold: &mut Option<Self>, d: usize) -> Result<(), SyncError> {
+        let Some(fold) = fold else { return Ok(()) };
+        if let Some(bad) = fold.signs.iter().find(|v| v.len() != d) {
+            return Err(SyncError::LengthMismatch {
+                expected: d,
+                got: bad.len(),
+            });
+        }
+        if fold.out.len() != d {
+            *fold.out = SignVec::zeros(d);
+        }
+        Ok(())
+    }
+}
+
+/// `(workers, bits)` of a set of inputs: the shape a walk over them has.
+pub(crate) fn shape_of(signs: &[SignVec]) -> (usize, usize) {
+    (signs.len(), signs.first().map_or(0, SignVec::len))
+}
+
 /// Reusable buffers for the one-bit schedules: the `(worker, segment)` grid
-/// of working cells with their aggregation counts, the step plan, and the
-/// hop work list. Holding one of these across rounds makes the collective
-/// allocation-free in steady state.
+/// of working cells (the data half) and, for the bookkeeping half, the cells'
+/// aggregation counts, the segment ranges and the step plan. Holding one of
+/// these across rounds makes the collective allocation-free in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct RingOnebitScratch {
     /// `state[w][s]`: worker `w`'s working copy of segment `s`.
@@ -375,8 +385,8 @@ pub struct RingOnebitScratch {
     pub(crate) segs: Vec<Range<usize>>,
     /// Plan handed to [`StepCombine::step_begin`] each step.
     plan: Vec<PlannedHop>,
-    /// Per-step combine work list (raw segment cell pairs).
-    cells: Vec<HopCell>,
+    /// `(sender, receiver, segment)` grid coordinates of `plan`'s hops.
+    hops: Vec<(usize, usize, usize)>,
 }
 
 impl RingOnebitScratch {
@@ -386,173 +396,171 @@ impl RingOnebitScratch {
         Self::default()
     }
 
-    /// Cuts every input into `segments` cells (reusing cell buffers; every
-    /// cell is reassigned in full) and sets worker `w`'s counts to
-    /// `count_of(w)`.
-    pub(crate) fn load(
+    /// Shapes the grid for `workers` inputs of `d` bits in `segments` cells
+    /// each, worker `w`'s counts starting at `count_of(w)`, and cuts `fold`'s
+    /// inputs (if the walk has any) into the cells — reusing cell buffers;
+    /// every cell is reassigned in full.
+    pub(crate) fn load<O>(
         &mut self,
-        signs: &[SignVec],
+        workers: usize,
+        d: usize,
         segments: usize,
         count_of: impl Fn(usize) -> usize,
+        fold: &Option<Fold<'_, O>>,
     ) {
-        let d = signs[0].len();
         if self.segs.len() != segments || self.segs.last().is_none_or(|r| r.end != d) {
             self.segs.clear();
             self.segs.extend(segment_ranges(d, segments));
         }
-        self.state.resize_with(signs.len(), Vec::new);
-        self.counts.resize_with(signs.len(), Vec::new);
-        for (w, v) in signs.iter().enumerate() {
-            self.state[w].resize_with(segments, || SignVec::zeros(0));
-            for (cell, r) in self.state[w].iter_mut().zip(&self.segs) {
+        self.counts.resize_with(workers, Vec::new);
+        for (w, counts) in self.counts.iter_mut().enumerate() {
+            counts.clear();
+            counts.resize(segments, count_of(w));
+        }
+        let Some(fold) = fold else { return };
+        self.state.resize_with(workers, Vec::new);
+        for (row, v) in self.state.iter_mut().zip(fold.signs) {
+            row.resize_with(segments, || SignVec::zeros(0));
+            for (cell, r) in row.iter_mut().zip(&self.segs) {
                 cell.assign_slice_of(v, r.start, r.len());
             }
-            self.counts[w].clear();
-            self.counts[w].resize(segments, count_of(w));
         }
     }
 
     /// One reduce step over `hops` = `(sender, receiver, segment)`, in
     /// schedule order. Every hop's fate is drawn first (combines never touch
     /// the injector, so its call order is the sequential one), its attempts
-    /// are traced and emitted, and the delivered hops form the step's plan.
-    /// Their counts are exact up front: within one step no cell is both a
-    /// source and a destination, and none is touched twice. Then the
-    /// combines run, and each destination's count absorbs its source's — an
-    /// omitted hop leaves the receiver's aggregate and count as they were,
-    /// which keeps `⊙` unbiased over what actually arrived.
+    /// are traced, emitted and recorded, and the delivered hops form the
+    /// step's plan. Their counts are exact up front: within one step no cell
+    /// is both a source and a destination, and none is touched twice. Each
+    /// destination's count then absorbs its source's — an omitted hop leaves
+    /// the receiver's aggregate and count as they were, which keeps `⊙`
+    /// unbiased over what actually arrived — and `fold`'s operator, if the
+    /// walk has one, runs the plan's combines in order through split borrows
+    /// of the grid. Contexts name segment `seg_shift + s`.
     pub(crate) fn reduce_step<O: StepCombine>(
         &mut self,
         step: usize,
         hops: impl Iterator<Item = (usize, usize, usize)>,
+        seg_shift: usize,
         wire: &mut Wire<'_>,
-        op: &mut O,
-        run: &impl Fn(&O, &[HopCell]),
+        fold: &mut Option<Fold<'_, O>>,
     ) {
-        let base = wire.trace.num_steps();
+        wire.open_step();
         self.plan.clear();
-        self.cells.clear();
+        self.hops.clear();
         for (w, n, s) in hops {
-            let elems = self.segs[s].len();
-            let delivered = wire.transfer(
-                false,
-                Hop {
-                    expanded_step: base,
-                    step,
-                    phase: "reduce",
-                    sender: w,
-                    receiver: n,
-                    segment: s,
-                    elems,
-                    bytes: elems.div_ceil(8).max(1),
-                    attempt: 1,
-                    delivered: true,
-                },
-            );
-            if delivered {
-                let ctx = CombineCtx {
-                    step,
-                    receiver: n,
-                    segment: s,
-                    received_count: self.counts[w][s],
-                    local_count: self.counts[n][s],
-                };
+            let ctx = CombineCtx {
+                step,
+                receiver: n,
+                segment: seg_shift + s,
+                received_count: self.counts[w][s],
+                local_count: self.counts[n][s],
+            };
+            if wire.onebit(step, w, n, s, &self.segs[s], Some(ctx)) {
+                let elems = self.segs[s].len();
                 self.plan.push(PlannedHop { ctx, elems });
-                self.cells.push(HopCell {
-                    src: cell_ptr(&mut self.state, w, s),
-                    dst: cell_ptr(&mut self.state, n, s),
-                    ctx,
-                });
+                self.hops.push((w, n, s));
             }
         }
-        op.step_begin(&self.plan);
-        run(op, &self.cells);
-        for hop in &self.plan {
-            let PlannedHop { ctx, elems } = *hop;
-            assert_eq!(
-                self.state[ctx.receiver][ctx.segment].len(),
-                elems,
-                "combine changed segment length"
-            );
-            self.counts[ctx.receiver][ctx.segment] += ctx.received_count;
+        for (hop, &(_, n, s)) in self.plan.iter().zip(&self.hops) {
+            self.counts[n][s] += hop.ctx.received_count;
+        }
+        let Some(fold) = fold else { return };
+        fold.op.step_begin(&self.plan);
+        for (idx, (hop, &(w, n, s))) in self.plan.iter().zip(&self.hops).enumerate() {
+            let (src, dst) = split_pair(&mut self.state, w, n);
+            fold.op.combine(idx, &src[s], &mut dst[s], hop.ctx);
+            assert_eq!(dst[s].len(), hop.elems, "combine changed segment length");
         }
     }
 }
 
-/// One hop's source/destination segment cells, captured as raw pointers so
-/// a step's (provably disjoint) combines can be dispatched across threads.
+/// Where a sub-walk's workers and coordinates sit in the whole collective:
+/// its worker `i` is global worker `base + stride·i`, its bit `x` is bit
+/// `start + x` of the full payload.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct HopCell {
-    src: *const SignVec,
-    dst: *mut SignVec,
-    ctx: CombineCtx,
+pub(crate) struct Frame {
+    pub(crate) base: usize,
+    pub(crate) stride: usize,
+    pub(crate) start: usize,
 }
 
-/// Raw pointer to cell `(w, s)`, taken through the row's buffer pointer so
-/// that earlier pointers to the row's other cells stay valid.
-fn cell_ptr(state: &mut [Vec<SignVec>], w: usize, s: usize) -> *mut SignVec {
-    let row = &mut state[w];
-    assert!(s < row.len(), "segment out of range");
-    // SAFETY: `s` is in bounds of the row's buffer (checked above).
-    unsafe { row.as_mut_ptr().add(s) }
-}
+impl Frame {
+    /// A top-level walk's frame: every id and offset is already global.
+    const WHOLE: Self = Self {
+        base: 0,
+        stride: 1,
+        start: 0,
+    };
 
-/// SAFETY: a `HopCell` is only dereferenced inside a step dispatch
-/// ([`run_serial`], [`run_fanned_out`]), where the cells of one step are
-/// pairwise-disjoint `SignVec` objects — within one reduce step hop `w`
-/// reads cell `(w, s_w)` and writes cell `(w+1, s_w)` of its ring with all
-/// `s_w` distinct, so destinations are pairwise distinct, sources likewise,
-/// and a source equals a destination only if `w = w'+1 ∧ s_w = s_{w'}`,
-/// impossible since consecutive hops use consecutive (distinct) segments;
-/// dropping undelivered hops only thins the list — and each cell is handed
-/// to exactly one thread.
-unsafe impl Send for HopCell {}
-unsafe impl Sync for HopCell {}
-
-/// Applies `cells` (plan indices `base..`) on the calling thread, in order.
-fn apply_cells<O: StepCombine>(op: &O, cells: &[HopCell], base: usize) {
-    for (i, cell) in cells.iter().enumerate() {
-        // SAFETY: disjoint cells (see `HopCell`); this thread owns them.
-        unsafe { op.combine(base + i, &*cell.src, &mut *cell.dst, cell.ctx) };
+    fn global(self, worker: usize) -> usize {
+        self.base + self.stride * worker
     }
-}
-
-/// Serial step dispatch: the step's combines in plan order.
-pub(crate) fn run_serial<O: StepCombine>(op: &O, cells: &[HopCell]) {
-    apply_cells(op, cells, 0);
-}
-
-/// Step dispatch over up to `threads` OS threads (the caller runs chunk 0).
-fn run_fanned_out<O: StepCombine + Sync>(op: &O, cells: &[HopCell], threads: usize) {
-    let threads = threads.clamp(1, cells.len().max(1));
-    if threads == 1 {
-        return apply_cells(op, cells, 0);
-    }
-    let chunk = cells.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (t, part) in cells.chunks(chunk).enumerate().skip(1) {
-            scope.spawn(move || apply_cells(op, part, t * chunk));
-        }
-        apply_cells(op, &cells[..chunk], 0);
-    });
 }
 
 /// The wire side of a fault-aware schedule walk: the injector deciding each
-/// transfer's fate, the trace its attempts land in, and the hop recorder.
+/// transfer's fate, the trace its attempts land in, the hop recorder, and —
+/// when the walk is being compiled — the plan its transfers are recorded in.
 pub(crate) struct Wire<'a> {
     pub(crate) inj: &'a mut FaultInjector,
     pub(crate) trace: &'a mut Trace,
     pub(crate) rec: HopRecorder,
+    plan: Option<&'a mut EnginePlan>,
+    frame: Frame,
+    /// Trace slot the first attempts of the open logical step ride.
+    base: usize,
 }
 
 impl<'a> Wire<'a> {
-    /// Starts a walk on an empty `trace`.
-    pub(crate) fn begin(inj: &'a mut FaultInjector, trace: &'a mut Trace) -> Self {
+    /// Starts a walk on an empty `trace`, recording its one-bit transfers
+    /// into `plan` if one is given.
+    pub(crate) fn begin(
+        inj: &'a mut FaultInjector,
+        trace: &'a mut Trace,
+        plan: Option<&'a mut EnginePlan>,
+    ) -> Self {
         trace.reset();
         Self {
             inj,
             trace,
             rec: HopRecorder::begin(),
+            plan,
+            frame: Frame::WHOLE,
+            base: 0,
+        }
+    }
+
+    /// The wire of a sub-walk over `workers` of this walk's workers: same
+    /// injector and plan, its own (emptied) `trace` — which the caller
+    /// overlays onto this walk's from step `offset` on — and `frame` turning
+    /// its local ids and offsets into this walk's, in hop telemetry and
+    /// recorded transfers alike. The relabeling map telemetry wants is built
+    /// only when something records.
+    pub(crate) fn sub<'b>(
+        &'b mut self,
+        trace: &'b mut Trace,
+        offset: usize,
+        workers: usize,
+        frame: Frame,
+    ) -> Wire<'b> {
+        trace.reset();
+        let relabel = if self.rec.is_active() {
+            (0..workers).map(|w| frame.global(w)).collect()
+        } else {
+            Vec::new()
+        };
+        let rec = {
+            let _frame = self.rec.column_frame(offset, relabel);
+            HopRecorder::begin()
+        };
+        Wire {
+            inj: self.inj,
+            trace,
+            rec,
+            plan: self.plan.as_deref_mut(),
+            frame,
+            base: 0,
         }
     }
 
@@ -581,10 +589,66 @@ impl<'a> Wire<'a> {
         }
         fate.delivered
     }
+
+    /// Opens the next logical step of a one-bit schedule: its transfers'
+    /// first attempts ride the next free trace slot, and a recorded plan gets
+    /// its next engine step.
+    pub(crate) fn open_step(&mut self) {
+        self.base = self.trace.num_steps();
+        if let Some(plan) = &mut self.plan {
+            plan.num_steps += 1;
+        }
+    }
+
+    /// One transfer of the open step: bits `range` of this walk's payload
+    /// (its segment `segment`) from `sender` to `receiver`, one bit per
+    /// coordinate. A reduce hop carries the context its combine would run
+    /// with and is best-effort; a copy (`combine == None`, the gather and
+    /// broadcast phases) is reliable. Returns whether it arrived.
+    pub(crate) fn onebit(
+        &mut self,
+        step: usize,
+        sender: usize,
+        receiver: usize,
+        segment: usize,
+        range: &Range<usize>,
+        combine: Option<CombineCtx>,
+    ) -> bool {
+        let elems = range.len();
+        let hop = Hop {
+            expanded_step: self.base,
+            step,
+            phase: if combine.is_some() {
+                "reduce"
+            } else {
+                "gather"
+            },
+            sender,
+            receiver,
+            segment,
+            elems,
+            bytes: elems.div_ceil(8).max(1),
+            attempt: 1,
+            delivered: true,
+        };
+        let delivered = self.transfer(combine.is_none(), hop);
+        if let Some(plan) = &mut self.plan {
+            plan.transfers.push(PlannedTransfer {
+                step: plan.num_steps - 1,
+                sender: self.frame.global(sender),
+                receiver: self.frame.global(receiver),
+                start: self.frame.start + range.start,
+                len: elems,
+                combine,
+                delivered,
+            });
+        }
+        delivered
+    }
 }
 
-/// The one-bit ring all-reduce: fault-aware, allocation-free in steady state,
-/// optionally multi-threaded. Every input counts as one worker.
+/// The one-bit ring all-reduce: fault-aware and allocation-free in steady
+/// state. Every input counts as one worker.
 ///
 /// **Schedule.** Worker `w` holds `m` segment cells; in reduce step `r` it
 /// sends segment `(w − r) mod m` to worker `w + 1`, whose
@@ -607,15 +671,6 @@ impl<'a> Wire<'a> {
 /// `out` and the trace into `trace` (reset first, slots recycled — see
 /// [`Trace::reset`]); nothing of what they held before is read.
 ///
-/// **Threads.** Each reduce step's combines are spread over up to
-/// `intra_threads` OS threads (`<= 1` runs them on the caller thread in hop
-/// order). Parallelism never changes a bit: the cells of one step are
-/// pairwise distinct, so combines commute, and operators whose randomness is
-/// a pure function of the hop (the frozen per-hop stream contract) produce
-/// the same consensus regardless of thread count — pinned by the
-/// differential tests. Fates, the trace and hop telemetry are produced on the
-/// caller thread before the step's combines run.
-///
 /// # Errors
 ///
 /// Returns a [`SyncError`] if fewer than 2 workers or sign lengths differ.
@@ -624,81 +679,59 @@ impl<'a> Wire<'a> {
 ///
 /// Panics if a combine changes its local vector's length (a programmer error
 /// in the operator, not a runtime condition).
-pub fn ring_allreduce_onebit_planned<O: StepCombine + Sync>(
+pub fn ring_allreduce_onebit_planned<O: StepCombine>(
     signs: &[SignVec],
     inj: &mut FaultInjector,
     scratch: &mut RingOnebitScratch,
     out: &mut SignVec,
     trace: &mut Trace,
-    intra_threads: usize,
     op: &mut O,
 ) -> Result<(), SyncError> {
-    let run = |op: &O, cells: &[HopCell]| run_fanned_out(op, cells, intra_threads);
-    ring_onebit_exec(signs, |_| 1, inj, scratch, out, trace, op, &run)
+    let (m, d) = shape_of(signs);
+    let wire = &mut Wire::begin(inj, trace, None);
+    ring_onebit_exec(m, d, |_| 1, 0, wire, scratch, Some(Fold { signs, op, out }))
 }
 
-/// [`ring_allreduce_onebit_planned`] with explicit per-input aggregation
-/// counts (`count_of(w)` = how many workers `signs[w]` already aggregates;
-/// the vertical phase of a torus feeds row aggregates here) and the step
-/// dispatch as a parameter.
-#[allow(clippy::too_many_arguments)]
+/// The one function that enumerates a one-bit ring's hops: `m` workers
+/// all-reducing `d` bits over `wire`, with or without the data half (see
+/// [`Fold`]). `count_of(w)` is how many workers input `w` already aggregates
+/// (the vertical phase of a torus feeds row aggregates here) and `seg_shift`
+/// offsets the segment ids in combine contexts (a segmented ring namespaces
+/// its pipelines' RNG streams this way). Contexts use ring positions as
+/// receiver ids.
 pub(crate) fn ring_onebit_exec<O: StepCombine>(
-    signs: &[SignVec],
+    m: usize,
+    d: usize,
     count_of: impl Fn(usize) -> usize,
-    inj: &mut FaultInjector,
+    seg_shift: usize,
+    wire: &mut Wire<'_>,
     scratch: &mut RingOnebitScratch,
-    out: &mut SignVec,
-    trace: &mut Trace,
-    op: &mut O,
-    run: &impl Fn(&O, &[HopCell]),
+    mut fold: Option<Fold<'_, O>>,
 ) -> Result<(), SyncError> {
-    let m = signs.len();
     if m < 2 {
         return Err(SyncError::TooFewWorkers { needed: 2, got: m });
     }
-    let d = signs[0].len();
-    if let Some(bad) = signs.iter().find(|v| v.len() != d) {
-        return Err(SyncError::LengthMismatch {
-            expected: d,
-            got: bad.len(),
-        });
-    }
-    scratch.load(signs, m, count_of);
-    let mut wire = Wire::begin(inj, trace);
+    Fold::begin(&mut fold, d)?;
+    scratch.load(m, d, m, count_of, &fold);
     for r in 0..m - 1 {
         let hops = (0..m).map(|w| (w, (w + 1) % m, (w + m - r) % m));
-        scratch.reduce_step(r, hops, &mut wire, op, run);
+        scratch.reduce_step(r, hops, seg_shift, wire, &mut fold);
     }
-    // Assemble the consensus from each segment's owner (every bit of [0, d)
-    // is overwritten by some segment, so stale contents never leak).
-    if out.len() != d {
-        *out = SignVec::zeros(d);
-    }
-    for (s, seg) in scratch.segs.iter().enumerate() {
-        out.splice(seg.start, &scratch.state[(s + m - 1) % m][s]);
+    // Each segment's owner holds its consensus.
+    if let Some(fold) = fold {
+        for (s, seg) in scratch.segs.iter().enumerate() {
+            fold.out
+                .splice(seg.start, &scratch.state[(s + m - 1) % m][s]);
+        }
     }
     // Gather step g circulates segment s from sender (s+g+m−1) mod m — the
     // inverse of the sum-gather's s = (w+1−g) mod m — so the traced byte list
     // (indexed by segment) and the emitted endpoints agree.
     for g in 0..m - 1 {
-        let base = wire.trace.num_steps();
+        wire.open_step();
         for (s, seg) in scratch.segs.iter().enumerate() {
             let w = (s + g + m - 1) % m;
-            wire.transfer(
-                true,
-                Hop {
-                    expanded_step: base,
-                    step: g,
-                    phase: "gather",
-                    sender: w,
-                    receiver: (w + 1) % m,
-                    segment: s,
-                    elems: seg.len(),
-                    bytes: seg.len().div_ceil(8).max(1),
-                    attempt: 1,
-                    delivered: true,
-                },
-            );
+            wire.onebit(g, w, (w + 1) % m, s, seg, None);
         }
     }
     Ok(())
@@ -736,7 +769,7 @@ pub fn ring_allreduce_sum_faulty(
     }
     let segs = segment_ranges(d, m);
     let mut trace = Trace::new();
-    let mut wire = Wire::begin(inj, &mut trace);
+    let mut wire = Wire::begin(inj, &mut trace, None);
 
     // Reduce phase: after step r, segment (n−1−r) at worker n aggregates
     // r+2 workers (fewer where a transfer was omitted).
@@ -990,7 +1023,7 @@ mod tests {
         fn step_begin(&mut self, plan: &[PlannedHop]) {
             self.planned.extend(plan.iter().map(|hop| hop.ctx));
         }
-        fn combine(&self, idx: usize, recv: &SignVec, local: &mut SignVec, ctx: CombineCtx) {
+        fn combine(&mut self, idx: usize, recv: &SignVec, local: &mut SignVec, ctx: CombineCtx) {
             assert_eq!(self.planned[self.planned.len() - 1].step, ctx.step);
             assert!(idx < self.planned.len());
             streamed_weighted(self.seed, recv, local, ctx);
@@ -1068,13 +1101,12 @@ mod tests {
         (result, ctxs, steps)
     }
 
-    /// The planned collective — serial, threaded, under drops and
-    /// corruption, with one scratch, output buffer and trace reused across
-    /// shapes and plans — against the hop-by-hop schedule: consensus, every
-    /// planned context, the trace, and the injector's statistics and RNG
-    /// position all agree.
+    /// The planned collective — under drops and corruption, with one
+    /// scratch, output buffer and trace reused across shapes and plans —
+    /// against the hop-by-hop schedule: consensus, every planned context, the
+    /// trace, and the injector's statistics and RNG position all agree.
     #[test]
-    fn planned_matches_hop_by_hop_across_faults_threads_and_reuse() {
+    fn planned_matches_hop_by_hop_across_faults_and_reuse() {
         use marsit_simnet::FaultPlan;
         let plans = [
             FaultPlan::none(),
@@ -1095,36 +1127,28 @@ mod tests {
                 let mut ref_inj = plan.injector(5);
                 let (expected, ctxs, steps) = hop_by_hop_reference(&signs, unit, &mut ref_inj, 99);
                 assert_eq!(plan.is_none(), ctxs.len() == m * (m - 1), "omissions");
-                for threads in [1usize, 2, 4, 16] {
-                    let mut inj = plan.injector(5);
-                    let mut op = StreamedWeighted {
-                        seed: 99,
-                        planned: Vec::new(),
-                    };
-                    let run = |op: &StreamedWeighted, cells: &[HopCell]| {
-                        run_fanned_out(op, cells, threads)
-                    };
-                    ring_onebit_exec(
-                        &signs,
-                        |_| unit,
-                        &mut inj,
-                        &mut scratch,
-                        &mut out,
-                        &mut trace,
-                        &mut op,
-                        &run,
-                    )
+                let mut inj = plan.injector(5);
+                let mut op = StreamedWeighted {
+                    seed: 99,
+                    planned: Vec::new(),
+                };
+                let fold = Fold {
+                    signs: &signs,
+                    op: &mut op,
+                    out: &mut out,
+                };
+                let wire = &mut Wire::begin(&mut inj, &mut trace, None);
+                ring_onebit_exec(m, d, |_| unit, 0, wire, &mut scratch, Some(fold))
                     .expect("valid inputs");
-                    let label = format!("m={m} d={d} unit={unit} threads={threads}");
-                    assert_eq!(out, expected, "{label}: consensus");
-                    assert_eq!(op.planned, ctxs, "{label}: planned contexts");
-                    assert_eq!(trace.steps(), steps, "{label}: trace");
-                    assert_eq!(
-                        format!("{inj:?}"),
-                        format!("{ref_inj:?}"),
-                        "{label}: injector"
-                    );
-                }
+                let label = format!("m={m} d={d} unit={unit}");
+                assert_eq!(out, expected, "{label}: consensus");
+                assert_eq!(op.planned, ctxs, "{label}: planned contexts");
+                assert_eq!(trace.steps(), steps, "{label}: trace");
+                assert_eq!(
+                    format!("{inj:?}"),
+                    format!("{ref_inj:?}"),
+                    "{label}: injector"
+                );
             }
         }
     }

@@ -13,13 +13,16 @@
 //!
 //! With `S = 1` this degenerates to plain ring all-reduce.
 
+use std::ops::Range;
+
 use marsit_simnet::FaultInjector;
 use marsit_tensor::SignVec;
 
+use crate::engine::{allreduce_onebit, PlanTopology};
 use crate::reconfigure::SyncError;
 use crate::ring::{
-    ring_allreduce_onebit, ring_allreduce_onebit_faulty, ring_allreduce_sum, segment_ranges,
-    CombineCtx,
+    ring_allreduce_sum, ring_onebit_exec, segment_ranges, CombineCtx, Fold, Frame,
+    RingOnebitScratch, StepCombine, Wire,
 };
 use crate::trace::Trace;
 
@@ -38,31 +41,35 @@ pub fn segring_allreduce_sum(data: &mut [Vec<f32>], macro_segments: usize) -> Tr
     assert!(macro_segments > 0, "need at least one macro-segment");
     let d = data[0].len();
     assert!(data.iter().all(|v| v.len() == d), "payload lengths differ");
-    let ranges = segment_ranges(d, macro_segments);
-    let mut steps: Vec<Vec<usize>> = Vec::new();
-    for (s, range) in ranges.iter().enumerate() {
-        if range.is_empty() {
-            continue;
-        }
+    let mut trace = Trace::new();
+    for (s, range) in pipelines(d, macro_segments) {
         let mut chunk: Vec<Vec<f32>> = data.iter().map(|w| w[range.clone()].to_vec()).collect();
         let sub = ring_allreduce_sum(&mut chunk);
         for (w, c) in chunk.into_iter().enumerate() {
             data[w][range.clone()].copy_from_slice(&c);
         }
-        merge_offset(&mut steps, s, &sub);
-    }
-    let mut trace = Trace::new();
-    for s in steps {
-        trace.push_step(s);
+        trace.overlay(s, &sub);
     }
     trace
+}
+
+/// The pipelines of a segmented ring: `(s, range)` for every non-empty
+/// macro-segment (with `S > d` the tail is empty). Pipeline `s` starts `s`
+/// wall-clock steps in; the non-empty ones are a prefix, so each overlays
+/// onto steps the previous one already opened.
+fn pipelines(d: usize, macro_segments: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
+    segment_ranges(d, macro_segments)
+        .into_iter()
+        .enumerate()
+        .filter(|(_, range)| !range.is_empty())
 }
 
 /// Segmented-ring all-reduce of one-bit payloads with a caller-supplied
 /// combine (Marsit over a segmented ring).
 ///
 /// The combine context's `segment` field carries the macro-segment index so
-/// deterministic RNG streams stay distinct across pipelines.
+/// deterministic RNG streams stay distinct across pipelines. This is
+/// [`segring_allreduce_onebit_faulty`] on a fabric that never faults.
 ///
 /// # Panics
 ///
@@ -71,52 +78,23 @@ pub fn segring_allreduce_sum(data: &mut [Vec<f32>], macro_segments: usize) -> Tr
 pub fn segring_allreduce_onebit<F>(
     signs: &[SignVec],
     macro_segments: usize,
-    mut combine: F,
+    combine: F,
 ) -> (SignVec, Trace)
 where
     F: FnMut(&SignVec, &mut SignVec, CombineCtx),
 {
-    let m = signs.len();
-    assert!(m >= 2, "segmented ring needs at least 2 workers");
+    assert!(signs.len() >= 2, "segmented ring needs at least 2 workers");
     assert!(macro_segments > 0, "need at least one macro-segment");
-    let d = signs[0].len();
-    assert!(signs.iter().all(|v| v.len() == d), "sign lengths differ");
-    let ranges = segment_ranges(d, macro_segments);
-    let mut result = SignVec::zeros(d);
-    let mut steps: Vec<Vec<usize>> = Vec::new();
-    for (s, range) in ranges.iter().enumerate() {
-        if range.is_empty() {
-            continue;
-        }
-        let chunk: Vec<SignVec> = signs
-            .iter()
-            .map(|v| v.slice(range.start, range.len()))
-            .collect();
-        let (reduced, sub) = ring_allreduce_onebit(&chunk, |recv, local: &mut SignVec, ctx| {
-            let shifted = CombineCtx {
-                segment: s * m + ctx.segment,
-                ..ctx
-            };
-            combine(recv, local, shifted)
-        });
-        result.splice(range.start, &reduced);
-        merge_offset(&mut steps, s, &sub);
-    }
-    let mut trace = Trace::new();
-    for s in steps {
-        trace.push_step(s);
-    }
-    (result, trace)
+    segring_allreduce_onebit_faulty(signs, macro_segments, &mut FaultInjector::inert(), combine)
+        .expect("sign lengths differ")
 }
 
 /// [`segring_allreduce_onebit`] under fault injection.
 ///
-/// Each macro-segment's ring pass runs [`ring_allreduce_onebit_faulty`] with
-/// the shared injector (pipelines consume the fault stream in macro-segment
-/// order, keeping runs deterministic). Retransmissions appear as extra steps
-/// inside each pipeline's trace before the pipelining shift is applied.
-///
-/// With an inert injector this reproduces [`segring_allreduce_onebit`].
+/// Each macro-segment's ring pass is the one-bit ring schedule on the shared
+/// injector (pipelines consume the fault stream in macro-segment order,
+/// keeping runs deterministic). Retransmissions appear as extra steps inside
+/// each pipeline's trace before the pipelining shift is applied.
 ///
 /// # Errors
 ///
@@ -126,63 +104,67 @@ pub fn segring_allreduce_onebit_faulty<F>(
     signs: &[SignVec],
     macro_segments: usize,
     inj: &mut FaultInjector,
-    mut combine: F,
+    combine: F,
 ) -> Result<(SignVec, Trace), SyncError>
 where
     F: FnMut(&SignVec, &mut SignVec, CombineCtx),
 {
-    let m = signs.len();
+    allreduce_onebit(
+        PlanTopology::SegRing { macro_segments },
+        signs,
+        inj,
+        combine,
+    )
+}
+
+/// The one-bit segmented-ring walk: `m` workers all-reducing `d` bits in
+/// `macro_segments` pipelined ring passes over `wire`, with or without the
+/// data half (see [`Fold`]). Pipeline `s` is the one-bit ring over the bits
+/// of macro-segment `s`, its context segments shifted by `s·m`, its trace
+/// and hop telemetry overlaid from step `s` on.
+pub(crate) fn segring_onebit_exec<O: StepCombine>(
+    m: usize,
+    d: usize,
+    macro_segments: usize,
+    wire: &mut Wire<'_>,
+    mut fold: Option<Fold<'_, O>>,
+) -> Result<(), SyncError> {
     if m < 2 {
         return Err(SyncError::TooFewWorkers { needed: 2, got: m });
     }
     if macro_segments == 0 {
         return Err(SyncError::ZeroSegments);
     }
-    let d = signs[0].len();
-    if let Some(bad) = signs.iter().find(|v| v.len() != d) {
-        return Err(SyncError::LengthMismatch {
-            expected: d,
-            got: bad.len(),
-        });
-    }
-    let ranges = segment_ranges(d, macro_segments);
-    let mut result = SignVec::zeros(d);
-    let mut steps: Vec<Vec<usize>> = Vec::new();
-    for (s, range) in ranges.iter().enumerate() {
-        if range.is_empty() {
-            continue;
+    Fold::begin(&mut fold, d)?;
+    let ring = &mut RingOnebitScratch::new();
+    let (mut chunk, mut reduced, mut sub) = (Vec::new(), SignVec::zeros(0), Trace::new());
+    for (s, range) in pipelines(d, macro_segments) {
+        let ring_fold = match &mut fold {
+            Some(f) => {
+                chunk.clear();
+                chunk.extend(f.signs.iter().map(|v| v.slice(range.start, range.len())));
+                Some(Fold {
+                    signs: &chunk[..],
+                    op: &mut *f.op,
+                    out: &mut reduced,
+                })
+            }
+            None => None,
+        };
+        let frame = Frame {
+            base: 0,
+            stride: 1,
+            start: range.start,
+        };
+        let ring_wire = &mut wire.sub(&mut sub, s, m, frame);
+        ring_onebit_exec(m, range.len(), |_| 1, s * m, ring_wire, ring, ring_fold)?;
+        if let Some(f) = &mut fold {
+            f.out.splice(range.start, &reduced);
         }
-        let chunk: Vec<SignVec> = signs
-            .iter()
-            .map(|v| v.slice(range.start, range.len()))
-            .collect();
-        let (reduced, sub) =
-            ring_allreduce_onebit_faulty(&chunk, inj, |recv, local: &mut SignVec, ctx| {
-                let shifted = CombineCtx {
-                    segment: s * m + ctx.segment,
-                    ..ctx
-                };
-                combine(recv, local, shifted)
-            })?;
-        result.splice(range.start, &reduced);
-        merge_offset(&mut steps, s, &sub);
+        wire.trace.overlay(s, &sub);
     }
-    let mut trace = Trace::new();
-    for s in steps {
-        trace.push_step(s);
-    }
-    Ok((result, trace))
-}
-
-/// Merges `sub`'s steps into `main` starting at wall-clock step `offset`
-/// (the pipelining shift).
-fn merge_offset(main: &mut Vec<Vec<usize>>, offset: usize, sub: &Trace) {
-    for (i, step) in sub.steps().iter().enumerate() {
-        while main.len() <= offset + i {
-            main.push(Vec::new());
-        }
-        main[offset + i].extend(step.iter().copied());
-    }
+    wire.rec.reserve_steps(wire.trace.num_steps());
+    Ok(())
 }
 
 #[cfg(test)]
@@ -303,23 +285,6 @@ mod tests {
     fn zero_segments_panics() {
         let mut data = payloads(2, 8, 0);
         let _ = segring_allreduce_sum(&mut data, 0);
-    }
-
-    #[test]
-    fn faulty_segring_with_inert_injector_matches_clean() {
-        let m = 4;
-        let d = 56;
-        let mut rng = FastRng::new(47, 0);
-        let signs: Vec<SignVec> = (0..m)
-            .map(|_| SignVec::bernoulli_uniform(d, 0.5, &mut rng))
-            .collect();
-        let combine = |r: &SignVec, l: &mut SignVec, _ctx: CombineCtx| l.or_assign(r);
-        let (clean, clean_trace) = segring_allreduce_onebit(&signs, 3, combine);
-        let mut inj = FaultInjector::inert();
-        let (faulty, faulty_trace) =
-            segring_allreduce_onebit_faulty(&signs, 3, &mut inj, combine).expect("valid inputs");
-        assert_eq!(clean, faulty);
-        assert_eq!(clean_trace, faulty_trace);
     }
 
     #[test]

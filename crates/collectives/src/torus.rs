@@ -9,18 +9,17 @@
 //!
 //! Workers are indexed row-major: `w = row·cols + col`.
 
-use std::cell::RefCell;
-
 use marsit_compress::SignSumVec;
 use marsit_simnet::FaultInjector;
 use marsit_telemetry::scope::FrameGuard;
 use marsit_telemetry::{Hop, HopRecorder};
 use marsit_tensor::SignVec;
 
+use crate::engine::{allreduce_onebit, PlanTopology};
 use crate::reconfigure::SyncError;
 use crate::ring::{
-    ring_allreduce_signsum_parts, ring_onebit_exec, run_serial, segment_ranges, split_pair,
-    ClosureOp, CombineCtx, RingOnebitScratch, StepCombine, SumWire, Wire,
+    ring_allreduce_signsum_parts, ring_onebit_exec, segment_ranges, shape_of, CombineCtx, Fold,
+    Frame, RingOnebitScratch, StepCombine, SumWire, Wire,
 };
 use crate::trace::Trace;
 
@@ -202,21 +201,7 @@ pub fn torus_allreduce_onebit_faulty<F>(
 where
     F: FnMut(&SignVec, &mut SignVec, CombineCtx),
 {
-    let op = &mut ClosureOp(RefCell::new(combine));
-    let mut out = SignVec::zeros(0);
-    let mut trace = Trace::new();
-    let mut scratch = TorusOnebitScratch::default();
-    torus_allreduce_onebit_planned(
-        signs,
-        rows,
-        cols,
-        inj,
-        &mut scratch,
-        &mut out,
-        &mut trace,
-        op,
-    )?;
-    Ok((out, trace))
+    allreduce_onebit(PlanTopology::Torus { rows, cols }, signs, inj, combine)
 }
 
 /// Reusable buffers for [`torus_allreduce_onebit_planned`]; holding one
@@ -243,7 +228,8 @@ pub struct TorusOnebitScratch {
 /// all-reduce ([`ring_allreduce_onebit_planned`]'s schedule, sub-ring-local
 /// receiver ids in its contexts) of the chunk the column owns, fed the rows'
 /// aggregates with their counts; the columns ride disjoint links, so their
-/// traces overlay; (3) all-gather along the rows.
+/// traces overlay; (3) all-gather along the rows (traced, not executed: each
+/// column's consensus is spliced into `out` directly).
 ///
 /// **Faults.** Aggregation counts are tracked per `(worker, chunk)` cell: a
 /// reduce transfer that exhausts its retry budget is omitted (the receiver's
@@ -280,20 +266,32 @@ pub fn torus_allreduce_onebit_planned<O: StepCombine>(
     trace: &mut Trace,
     op: &mut O,
 ) -> Result<(), SyncError> {
-    if rows < 2 || cols < 2 || signs.len() != rows * cols {
+    let (m, d) = shape_of(signs);
+    let wire = &mut Wire::begin(inj, trace, None);
+    let fold = Fold { signs, op, out };
+    torus_onebit_exec(rows, cols, m, d, wire, scratch, Some(fold))
+}
+
+/// The one function that enumerates a one-bit torus's hops: `m` workers in
+/// `rows × cols` all-reducing `d` bits over `wire`, with or without the data
+/// half (see [`Fold`]).
+pub(crate) fn torus_onebit_exec<O: StepCombine>(
+    rows: usize,
+    cols: usize,
+    m: usize,
+    d: usize,
+    wire: &mut Wire<'_>,
+    scratch: &mut TorusOnebitScratch,
+    mut fold: Option<Fold<'_, O>>,
+) -> Result<(), SyncError> {
+    if rows < 2 || cols < 2 || m != rows * cols {
         return Err(SyncError::BadShape {
             rows,
             cols,
-            workers: signs.len(),
+            workers: m,
         });
     }
-    let d = signs[0].len();
-    if let Some(bad) = signs.iter().find(|v| v.len() != d) {
-        return Err(SyncError::LengthMismatch {
-            expected: d,
-            got: bad.len(),
-        });
-    }
+    Fold::begin(&mut fold, d)?;
     let TorusOnebitScratch {
         grid,
         column,
@@ -301,73 +299,67 @@ pub fn torus_allreduce_onebit_planned<O: StepCombine>(
         reduced,
         sub,
     } = scratch;
-    grid.load(signs, cols, |_| 1);
-    let mut wire = Wire::begin(inj, trace);
-    let run = &run_serial::<O>;
+    grid.load(m, d, cols, |_| 1, &fold);
     let row_hops = || (0..rows).flat_map(|row| (0..cols).map(move |c| (row * cols, c)));
 
     // Phase 1: horizontal reduce-scatter, single-worker units.
     for rr in 0..cols - 1 {
         let hops = row_hops().map(|(r0, c)| (r0 + c, r0 + (c + 1) % cols, (c + cols - rr) % cols));
-        grid.reduce_step(rr, hops, &mut wire, op, run);
+        grid.reduce_step(rr, hops, 0, wire, &mut fold);
     }
 
     // Phase 2: vertical one-bit all-reduce per column on the chunk it owns,
-    // columns sequential in injector order.
+    // columns sequential in injector order; sub-ring worker `row` is global
+    // worker `row·cols + c`, row-major.
     let offset = wire.trace.num_steps();
-    inputs.resize_with(rows, || SignVec::zeros(0));
     for c in 0..cols {
         let own = (c + 1) % cols;
-        for (row, input) in inputs.iter_mut().enumerate() {
-            let cell = &grid.state[row * cols + c][own];
-            input.assign_slice_of(cell, 0, cell.len());
-        }
-        {
-            let _frame = column_frame(&wire.rec, offset, rows, cols, c);
-            let counts = &grid.counts;
-            let count_of = |row: usize| counts[row * cols + c][own];
-            ring_onebit_exec(inputs, count_of, wire.inj, column, reduced, sub, op, run)?;
-        }
-        for row in 0..rows {
-            grid.state[row * cols + c][own].copy_from(reduced);
+        let chunk = grid.segs[own].clone();
+        let column_fold = match &mut fold {
+            Some(f) => {
+                inputs.resize_with(rows, || SignVec::zeros(0));
+                for (row, input) in inputs.iter_mut().enumerate() {
+                    let cell = &grid.state[row * cols + c][own];
+                    input.assign_slice_of(cell, 0, cell.len());
+                }
+                Some(Fold {
+                    signs: &inputs[..],
+                    op: &mut *f.op,
+                    out: &mut *reduced,
+                })
+            }
+            None => None,
+        };
+        let frame = Frame {
+            base: c,
+            stride: cols,
+            start: chunk.start,
+        };
+        let counts = &grid.counts;
+        let count_of = |row: usize| counts[row * cols + c][own];
+        let column_wire = &mut wire.sub(sub, offset, rows, frame);
+        ring_onebit_exec(
+            rows,
+            chunk.len(),
+            count_of,
+            0,
+            column_wire,
+            column,
+            column_fold,
+        )?;
+        if let Some(f) = &mut fold {
+            f.out.splice(chunk.start, reduced);
         }
         wire.trace.overlay(offset, sub);
     }
 
     // Phase 3: horizontal all-gather of the final one-bit chunks, reliable.
     for g in 0..cols - 1 {
-        let base = wire.trace.num_steps();
+        wire.open_step();
         for (r0, c) in row_hops() {
-            let (w, n) = (r0 + c, r0 + (c + 1) % cols);
             let s = (c + 1 + cols - g) % cols;
-            let elems = grid.segs[s].len();
-            wire.transfer(
-                true,
-                Hop {
-                    expanded_step: base,
-                    step: g,
-                    phase: "gather",
-                    sender: w,
-                    receiver: n,
-                    segment: s,
-                    elems,
-                    bytes: elems.div_ceil(8).max(1),
-                    attempt: 1,
-                    delivered: true,
-                },
-            );
-            let (src, dst) = split_pair(&mut grid.state, w, n);
-            dst[s].copy_from(&src[s]);
+            wire.onebit(g, r0 + c, r0 + (c + 1) % cols, s, &grid.segs[s], None);
         }
-    }
-
-    // All workers now agree; assemble from worker 0 (every bit of [0, d) is
-    // overwritten by some chunk, so stale contents never leak).
-    if out.len() != d {
-        *out = SignVec::zeros(d);
-    }
-    for (s, range) in grid.segs.iter().enumerate() {
-        out.splice(range.start, &grid.state[0][s]);
     }
     Ok(())
 }
@@ -663,7 +655,7 @@ mod tests {
                     torus_allreduce_onebit_faulty(&signs, rows, cols, &mut fresh_inj, combine)
                         .expect("valid inputs");
                 let mut inj = plan.injector(round as u64);
-                let op = &mut ClosureOp(RefCell::new(combine));
+                let op = &mut crate::ring::ClosureOp(combine);
                 torus_allreduce_onebit_planned(
                     &signs,
                     rows,

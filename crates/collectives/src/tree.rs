@@ -17,8 +17,9 @@ use marsit_compress::SignSumVec;
 use marsit_simnet::FaultInjector;
 use marsit_tensor::SignVec;
 
+use crate::engine::{allreduce_onebit, PlanTopology};
 use crate::reconfigure::SyncError;
-use crate::ring::{split_pair, CombineCtx};
+use crate::ring::{split_pair, CombineCtx, Fold, RingOnebitScratch, StepCombine, Wire};
 use crate::trace::Trace;
 
 /// Number of reduce levels of a binary tree over `m` workers.
@@ -26,6 +27,18 @@ use crate::trace::Trace;
 pub fn tree_levels(m: usize) -> usize {
     assert!(m >= 1, "tree needs at least 1 worker");
     (usize::BITS - (m - 1).leading_zeros()) as usize
+}
+
+/// The `(parent, child)` pairs of tree level `level` (stride `s = 2^level`):
+/// worker `w + s` reports to `w` for every `w` divisible by `2s`. The one
+/// function that enumerates a tree's hops — reduce levels run child → parent
+/// bottom-up, broadcast levels parent → child top-down.
+fn level_pairs(m: usize, level: usize) -> impl Iterator<Item = (usize, usize)> {
+    let stride = 1usize << level;
+    (0..m)
+        .step_by(2 * stride)
+        .map(move |w| (w, w + stride))
+        .take_while(move |&(_, child)| child < m)
 }
 
 /// In-place binary-tree all-reduce summing `f32` payloads.
@@ -42,43 +55,23 @@ pub fn tree_allreduce_sum(data: &mut [Vec<f32>]) -> Trace {
     assert!(m >= 2, "tree all-reduce needs at least 2 workers");
     let d = data[0].len();
     assert!(data.iter().all(|v| v.len() == d), "payload lengths differ");
-    let bytes = d * 4;
+    let levels = tree_levels(m);
     let mut trace = Trace::new();
-
-    // Reduce: at level l (stride s = 2^l), worker w+s sends to w for every
-    // w divisible by 2s.
-    let mut stride = 1;
-    while stride < m {
-        let mut step = Vec::new();
-        let mut w = 0;
-        while w + stride < m {
-            step.push(bytes);
-            let (src, dst) = split_pair(data, w + stride, w);
+    for level in 0..levels {
+        trace.push_uniform_step(level_pairs(m, level).count(), d * 4);
+        for (w, child) in level_pairs(m, level) {
+            let (src, dst) = split_pair(data, child, w);
             for (x, &y) in dst.iter_mut().zip(src.iter()) {
                 *x += y;
             }
-            w += 2 * stride;
         }
-        trace.push_step(step);
-        stride *= 2;
     }
-
-    // Broadcast: mirror the reduce levels top-down.
-    stride /= 2;
-    while stride >= 1 {
-        let mut step = Vec::new();
-        let mut w = 0;
-        while w + stride < m {
-            step.push(bytes);
-            let (src, dst) = split_pair(data, w, w + stride);
+    for level in (0..levels).rev() {
+        trace.push_uniform_step(level_pairs(m, level).count(), d * 4);
+        for (w, child) in level_pairs(m, level) {
+            let (src, dst) = split_pair(data, w, child);
             dst.copy_from_slice(src);
-            w += 2 * stride;
         }
-        trace.push_step(step);
-        if stride == 1 {
-            break;
-        }
-        stride /= 2;
     }
     trace
 }
@@ -99,13 +92,12 @@ pub fn tree_allreduce_signsum(signs: &[SignVec]) -> (SignSumVec, Trace) {
         .iter()
         .map(|v| Some(SignSumVec::from_signs(v)))
         .collect();
+    let levels = tree_levels(m);
     let mut trace = Trace::new();
-    let mut stride = 1;
-    while stride < m {
+    for level in 0..levels {
         let mut step = Vec::new();
-        let mut w = 0;
-        while w + stride < m {
-            let sent = state[w + stride]
+        for (w, child) in level_pairs(m, level) {
+            let sent = state[child]
                 .take()
                 .expect("child still holds its aggregate");
             step.push(sent.elias_bits().div_ceil(8));
@@ -113,19 +105,14 @@ pub fn tree_allreduce_signsum(signs: &[SignVec]) -> (SignSumVec, Trace) {
                 .as_mut()
                 .expect("parent still holds its aggregate")
                 .merge(&sent);
-            w += 2 * stride;
         }
         trace.push_step(step);
-        stride *= 2;
     }
     let total = state[0].take().expect("root aggregate");
     // Broadcast the final sums back down.
     let down_bytes = total.elias_bits().div_ceil(8);
-    let mut levels = tree_levels(m);
-    while levels > 0 {
-        let transfers = broadcast_transfers(m, levels - 1);
-        trace.push_step(vec![down_bytes; transfers]);
-        levels -= 1;
+    for level in (0..levels).rev() {
+        trace.push_uniform_step(level_pairs(m, level).count(), down_bytes);
     }
     (total, trace)
 }
@@ -138,57 +125,20 @@ pub fn tree_allreduce_signsum(signs: &[SignVec]) -> (SignSumVec, Trace) {
 /// workers and the local aggregate up to `s` workers (exact counts are
 /// tracked per node, handling non-power-of-two `m`).
 /// `combine(received, local, ctx)` merges the child's aggregate *into* the
-/// parent's in place — no clone per merge.
+/// parent's in place — no clone per merge. This is
+/// [`tree_allreduce_onebit_faulty`] on a fabric that never faults.
 ///
 /// # Panics
 ///
 /// Panics if fewer than 2 workers, sign lengths differ, or the combine
 /// changes the local vector's length.
-pub fn tree_allreduce_onebit<F>(signs: &[SignVec], mut combine: F) -> (SignVec, Trace)
+pub fn tree_allreduce_onebit<F>(signs: &[SignVec], combine: F) -> (SignVec, Trace)
 where
     F: FnMut(&SignVec, &mut SignVec, CombineCtx),
 {
-    let m = signs.len();
-    assert!(m >= 2, "tree all-reduce needs at least 2 workers");
-    let d = signs[0].len();
-    assert!(signs.iter().all(|v| v.len() == d), "sign lengths differ");
-    let bytes = d.div_ceil(8).max(1);
-    let mut state: Vec<SignVec> = signs.to_vec();
-    let mut counts: Vec<usize> = vec![1; m];
-    let mut trace = Trace::new();
-    let mut stride = 1;
-    let mut level = 0;
-    while stride < m {
-        let mut step = Vec::new();
-        let mut w = 0;
-        while w + stride < m {
-            step.push(bytes);
-            let ctx = CombineCtx {
-                step: level,
-                receiver: w,
-                segment: 0,
-                received_count: counts[w + stride],
-                local_count: counts[w],
-            };
-            let (src, dst) = split_pair(&mut state, w + stride, w);
-            combine(src, dst, ctx);
-            assert_eq!(dst.len(), d, "combine changed length");
-            counts[w] += counts[w + stride];
-            w += 2 * stride;
-        }
-        trace.push_step(step);
-        stride *= 2;
-        level += 1;
-    }
-    assert_eq!(counts[0], m, "root must aggregate all workers");
-    // Broadcast the consensus bits down the tree.
-    let mut levels = tree_levels(m);
-    while levels > 0 {
-        let transfers = broadcast_transfers(m, levels - 1);
-        trace.push_step(vec![bytes; transfers]);
-        levels -= 1;
-    }
-    (state.swap_remove(0), trace)
+    assert!(signs.len() >= 2, "tree all-reduce needs at least 2 workers");
+    tree_allreduce_onebit_faulty(signs, &mut FaultInjector::inert(), combine)
+        .expect("sign lengths differ")
 }
 
 /// [`tree_allreduce_onebit`] under fault injection.
@@ -198,8 +148,6 @@ where
 /// from the consensus, and per-node counts stay exact, so every
 /// [`CombineCtx`] still reports true subtree sizes. Downward (broadcast)
 /// transfers are reliable — all workers end with the root's consensus.
-///
-/// With an inert injector this reproduces [`tree_allreduce_onebit`].
 ///
 /// # Errors
 ///
@@ -212,80 +160,46 @@ where
 pub fn tree_allreduce_onebit_faulty<F>(
     signs: &[SignVec],
     inj: &mut FaultInjector,
-    mut combine: F,
+    combine: F,
 ) -> Result<(SignVec, Trace), SyncError>
 where
     F: FnMut(&SignVec, &mut SignVec, CombineCtx),
 {
-    let m = signs.len();
+    allreduce_onebit(PlanTopology::Tree, signs, inj, combine)
+}
+
+/// The one-bit tree walk: `m` workers all-reducing `d` bits over `wire`, with
+/// or without the data half (see [`Fold`]). A tree is a one-segment grid: a
+/// level's merges are one reduce step (one [`StepCombine::step_begin`] plan),
+/// the root's cell is the consensus, and the broadcast levels are reliable
+/// copies, traced but not executed.
+pub(crate) fn tree_onebit_exec<O: StepCombine>(
+    m: usize,
+    d: usize,
+    wire: &mut Wire<'_>,
+    scratch: &mut RingOnebitScratch,
+    mut fold: Option<Fold<'_, O>>,
+) -> Result<(), SyncError> {
     if m < 2 {
         return Err(SyncError::TooFewWorkers { needed: 2, got: m });
     }
-    let d = signs[0].len();
-    if let Some(bad) = signs.iter().find(|v| v.len() != d) {
-        return Err(SyncError::LengthMismatch {
-            expected: d,
-            got: bad.len(),
-        });
+    Fold::begin(&mut fold, d)?;
+    scratch.load(m, d, 1, |_| 1, &fold);
+    let levels = tree_levels(m);
+    for level in 0..levels {
+        let hops = level_pairs(m, level).map(|(w, child)| (child, w, 0));
+        scratch.reduce_step(level, hops, 0, wire, &mut fold);
     }
-    let bytes = d.div_ceil(8).max(1);
-    let mut state: Vec<SignVec> = signs.to_vec();
-    let mut counts: Vec<usize> = vec![1; m];
-    let mut trace = Trace::new();
-    let mut stride = 1;
-    let mut level = 0;
-    while stride < m {
-        let step_base = trace.num_steps();
-        let mut w = 0;
-        while w + stride < m {
-            let fate = inj.transfer();
-            trace.record_attempts(step_base, bytes, fate.attempts);
-            if fate.delivered {
-                let ctx = CombineCtx {
-                    step: level,
-                    receiver: w,
-                    segment: 0,
-                    received_count: counts[w + stride],
-                    local_count: counts[w],
-                };
-                let (src, dst) = split_pair(&mut state, w + stride, w);
-                combine(src, dst, ctx);
-                assert_eq!(dst.len(), d, "combine changed length");
-                counts[w] += counts[w + stride];
-            }
-            w += 2 * stride;
+    if let Some(fold) = fold {
+        fold.out.copy_from(&scratch.state[0][0]);
+    }
+    for (g, level) in (0..levels).rev().enumerate() {
+        wire.open_step();
+        for (w, child) in level_pairs(m, level) {
+            wire.onebit(g, w, child, 0, &scratch.segs[0], None);
         }
-        stride *= 2;
-        level += 1;
     }
-    debug_assert!(
-        counts[0] <= m,
-        "root cannot aggregate more than all workers"
-    );
-    // Broadcast the root consensus down the tree, reliably.
-    let mut levels = tree_levels(m);
-    while levels > 0 {
-        let transfers = broadcast_transfers(m, levels - 1);
-        let step_base = trace.num_steps();
-        for _ in 0..transfers {
-            let fate = inj.transfer_reliable();
-            trace.record_attempts(step_base, bytes, fate.attempts);
-        }
-        levels -= 1;
-    }
-    Ok((state.swap_remove(0), trace))
-}
-
-/// Number of transfers at broadcast level `level` (stride `2^level`).
-fn broadcast_transfers(m: usize, level: usize) -> usize {
-    let stride = 1usize << level;
-    let mut transfers = 0;
-    let mut w = 0;
-    while w + stride < m {
-        transfers += 1;
-        w += 2 * stride;
-    }
-    transfers
+    Ok(())
 }
 
 #[cfg(test)]
@@ -422,20 +336,6 @@ mod tests {
     fn single_worker_panics() {
         let mut data = vec![vec![1.0f32; 4]];
         let _ = tree_allreduce_sum(&mut data);
-    }
-
-    #[test]
-    fn faulty_tree_with_inert_injector_matches_clean() {
-        for m in [2usize, 5, 8] {
-            let sv = signs(m, 40, 41);
-            let combine = |r: &SignVec, l: &mut SignVec, _ctx: CombineCtx| l.and_assign(r);
-            let (clean, clean_trace) = tree_allreduce_onebit(&sv, combine);
-            let mut inj = FaultInjector::inert();
-            let (faulty, faulty_trace) =
-                tree_allreduce_onebit_faulty(&sv, &mut inj, combine).expect("valid inputs");
-            assert_eq!(clean, faulty, "m={m}");
-            assert_eq!(clean_trace, faulty_trace, "m={m}");
-        }
     }
 
     #[test]

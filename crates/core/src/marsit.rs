@@ -16,21 +16,16 @@
 //! All workers deterministically agree on `g_t` — the consensus invariant of
 //! multi-hop all-reduce — which the simulator asserts after every round.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use marsit_collectives::engine::{compile_plan, run_threaded, PlanTopology};
 use marsit_collectives::ring::{
-    ring_allreduce_onebit_faulty, ring_allreduce_onebit_planned, ring_allreduce_sum_faulty,
-    RingOnebitScratch, StepCombine,
+    ring_allreduce_onebit_planned, ring_allreduce_sum_faulty, RingOnebitScratch, StepCombine,
 };
 use marsit_collectives::torus::{
-    torus_allreduce_onebit_faulty, torus_allreduce_onebit_planned, torus_allreduce_sum,
-    TorusOnebitScratch,
+    torus_allreduce_onebit_planned, torus_allreduce_sum, TorusOnebitScratch,
 };
 use marsit_collectives::{
-    CombineCtx, DegradedMode, EffectiveTopology, PlannedHop, SyncError, TopologyReconfigurer, Trace,
+    CombineCtx, DegradedMode, EffectiveTopology, PlannedHop, TopologyReconfigurer, Trace,
 };
-use marsit_simnet::{Backend, FaultInjector, FaultPlan, FaultStats, LinkModel, Topology};
+use marsit_simnet::{FaultPlan, FaultStats, Topology};
 use marsit_tensor::rng::{split_seed, FastRng};
 use marsit_tensor::{
     compensate_block, fill_bernoulli_masks_indexed, Residual, ScaledSignLut, SignVec,
@@ -69,22 +64,6 @@ pub struct MarsitConfig {
     /// Faults to inject into the collectives ([`FaultPlan::none`] by
     /// default: every worker live, every transfer delivered first try).
     pub fault_plan: FaultPlan,
-    /// Which transport backend executes the one-bit collectives.
-    /// [`Backend::Simulator`] (the default) runs the in-process
-    /// schedules; [`Backend::Threaded`] compiles the same schedule to an
-    /// engine plan and runs one OS thread per worker over in-process
-    /// channels — bit-identical consensus, traces, and telemetry via the
-    /// ctx-addressed RNG contract. [`Backend::Process`] cannot run inside
-    /// one `Marsit` instance (workers are separate OS processes); drive it
-    /// through `marsit_core::transport` instead.
-    pub backend: Backend,
-    /// Worker threads for the cache-blocked segment fan-out inside one
-    /// simulator-ring reduce step (1 = fully serial). The parallel
-    /// dispatch is bit-identical to the serial one — telemetry and traces
-    /// are recorded before the combines run, and every combine replays a
-    /// pre-sampled mask stream addressed by `(receiver, segment, step)` —
-    /// so this is a pure throughput knob.
-    pub intra_threads: usize,
 }
 
 impl MarsitConfig {
@@ -105,35 +84,7 @@ impl MarsitConfig {
             seed,
             combine: CombineKind::Weighted,
             fault_plan: FaultPlan::none(),
-            backend: Backend::Simulator,
-            intra_threads: 1,
         }
-    }
-
-    /// Fans each simulator-ring reduce step out over up to `n` worker
-    /// threads (see [`MarsitConfig::intra_threads`]). Values are clamped to
-    /// the number of hops per step at run time; `0` is treated as `1`.
-    #[must_use]
-    pub fn with_intra_threads(mut self, n: usize) -> Self {
-        self.intra_threads = n.max(1);
-        self
-    }
-
-    /// Runs the one-bit collectives on the given transport backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`Backend::Process`]: separate worker processes cannot live
-    /// inside one `Marsit` instance — use `marsit_core::transport` to drive
-    /// a multi-process round.
-    #[must_use]
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        assert!(
-            backend != Backend::Process,
-            "the process backend is driven externally (marsit_core::transport)"
-        );
-        self.backend = backend;
-        self
     }
 
     /// Switches to the biased coin-flip combine (ablation).
@@ -289,7 +240,7 @@ struct PendingResidual {
 /// The per-hop RNG stream id, a frozen contract: every `(receiver, segment,
 /// step)` tuple of a round derives an independent transient-vector stream.
 #[inline]
-fn stream_for(ctx: &CombineCtx) -> u64 {
+pub(crate) fn stream_for(ctx: &CombineCtx) -> u64 {
     ((ctx.receiver as u64) << 40) | ((ctx.segment as u64) << 20) | ctx.step as u64
 }
 
@@ -408,8 +359,7 @@ impl MaskPlanner {
     }
 
     /// Applies the `idx`-th planned combine of the current step; returns the
-    /// RNG draws it consumed. Takes `&self` so the planned collective's
-    /// worker threads can replay disjoint hops of one step concurrently.
+    /// RNG draws it consumed.
     fn apply_at(&self, idx: usize, recv: &SignVec, local: &mut SignVec, ctx: CombineCtx) -> u64 {
         let sp = &self.spans[idx];
         debug_assert_eq!(sp.ctx, ctx, "combine order diverged from the plan");
@@ -441,13 +391,12 @@ impl MaskPlanner {
 
 /// Adapts the workspace's persistent [`MaskPlanner`] to the planned
 /// collectives' [`StepCombine`] hooks: `step_begin` pre-samples the step's
-/// mask streams serially, and `combine` (possibly racing across worker
-/// threads on disjoint hops) replays them by plan index with atomic
-/// draw/combine accounting.
+/// mask streams, and `combine` replays them by plan index, counting `⊙`
+/// applications and RNG draws for the round's telemetry.
 struct PlannerOp<'a> {
     planner: &'a mut MaskPlanner,
-    combines: &'a AtomicU64,
-    rng_draws: &'a AtomicU64,
+    combines: u64,
+    rng_draws: u64,
 }
 
 impl StepCombine for PlannerOp<'_> {
@@ -455,85 +404,10 @@ impl StepCombine for PlannerOp<'_> {
         self.planner.plan_step(plan);
     }
 
-    fn combine(&self, idx: usize, received: &SignVec, local: &mut SignVec, ctx: CombineCtx) {
-        let draws = self.planner.apply_at(idx, received, local, ctx);
-        self.combines.fetch_add(1, Ordering::Relaxed);
-        self.rng_draws.fetch_add(draws, Ordering::Relaxed);
+    fn combine(&mut self, idx: usize, received: &SignVec, local: &mut SignVec, ctx: CombineCtx) {
+        self.rng_draws += self.planner.apply_at(idx, received, local, ctx);
+        self.combines += 1;
     }
-}
-
-/// The link every in-process engine backend prices its fabric with. Only the
-/// simulator clock reads it, so the choice never perturbs payload bits; the
-/// public-cloud α–β profile keeps simulated timings consistent with the
-/// legacy collectives' pricing.
-pub(crate) fn engine_link() -> LinkModel {
-    marsit_simnet::RateProfile::public_cloud().link
-}
-
-/// The ctx-derived combine closure the engine backends run on every rank:
-/// one hop at a time, bit-identical — the planner equivalence invariant — to
-/// the [`MaskPlanner`]'s batched replay. The RNG
-/// stream is a pure function of `(receiver, segment, step)`, so per-rank
-/// execution order cannot perturb the masks.
-pub(crate) fn engine_combine<'a>(
-    round_seed: u64,
-    kind: CombineKind,
-    combines: &'a AtomicU64,
-    rng_draws: &'a AtomicU64,
-) -> impl FnMut(&SignVec, &mut SignVec, CombineCtx) + Send + 'a {
-    move |recv: &SignVec, local: &mut SignVec, ctx: CombineCtx| {
-        let mut rng = FastRng::new(round_seed, stream_for(&ctx));
-        match kind {
-            CombineKind::Weighted => {
-                combine_weighted_assign(recv, ctx.received_count, local, ctx.local_count, &mut rng)
-            }
-            CombineKind::UnweightedAblation => combine_unweighted_assign(recv, local, &mut rng),
-        }
-        combines.fetch_add(1, Ordering::Relaxed);
-        rng_draws.fetch_add(rng.draws(), Ordering::Relaxed);
-    }
-}
-
-/// Runs a one-bit round on the threaded engine backend.
-///
-/// `compile_plan` consumes `inj` in the schedule's canonical order, so
-/// transfer fates, retry stats, and the injector's RNG position all match
-/// the in-process collectives exactly. The [`Trace`] and per-hop telemetry
-/// come from a walk of the *in-process* schedule on the caller thread, with a
-/// pre-compile clone of the injector replaying the same fates and a combine
-/// that does nothing — both depend only on shapes, schedules and fates,
-/// never payload bits (so the walk simply reads the round's own inputs), and
-/// are byte-identical to the simulator backend's. The sign words themselves
-/// flow rank-per-OS-thread over a `ChannelFabric`, combined with the frozen
-/// per-hop RNG streams; the engine also executes the gather the in-process
-/// path only traces, so every rank (rank 0 included) lands on its consensus.
-fn engine_onebit(
-    signs: &[SignVec],
-    effective: EffectiveTopology,
-    inj: &mut FaultInjector,
-    round_seed: u64,
-    kind: CombineKind,
-    combines: &AtomicU64,
-    rng_draws: &AtomicU64,
-) -> Result<(SignVec, Trace), SyncError> {
-    let (m, d) = (signs.len(), signs[0].len());
-    let mut walk_inj = inj.clone();
-    let no_combine = |_: &SignVec, _: &mut SignVec, _: CombineCtx| {};
-    let (plan, walked) = match effective {
-        EffectiveTopology::Torus { rows, cols } => (
-            compile_plan(PlanTopology::Torus { rows, cols }, m, d, Some(inj))?,
-            torus_allreduce_onebit_faulty(signs, rows, cols, &mut walk_inj, no_combine),
-        ),
-        _ => (
-            compile_plan(PlanTopology::Ring, m, d, Some(inj))?,
-            ring_allreduce_onebit_faulty(signs, &mut walk_inj, no_combine),
-        ),
-    };
-    let (_, trace) = walked?;
-    let mut states = run_threaded(&plan, signs, engine_link(), |_rank| {
-        engine_combine(round_seed, kind, combines, rng_draws)
-    })?;
-    Ok((states.swap_remove(0), trace))
 }
 
 /// The Marsit synchronizer: compensation state for `M` workers plus the
@@ -657,26 +531,6 @@ impl Marsit {
         self.workspace = handle.ws;
     }
 
-    /// Replaces the collective backend (see [`MarsitConfig::with_backend`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`Backend::Process`] — see [`MarsitConfig::with_backend`].
-    pub fn set_backend(&mut self, backend: Backend) {
-        assert!(
-            backend != Backend::Process,
-            "the process backend is driven externally (marsit_core::transport)"
-        );
-        self.cfg.backend = backend;
-    }
-
-    /// Replaces the intra-round thread count (see
-    /// [`MarsitConfig::with_intra_threads`]); `n <= 1` runs combines on the
-    /// caller thread. Thread count never changes an output bit.
-    pub fn set_intra_threads(&mut self, n: usize) {
-        self.cfg.intra_threads = n.max(1);
-    }
-
     /// Mean squared compensation norm across workers (the error-accumulation
     /// diagnostic of Theorem 1's proof).
     #[must_use]
@@ -756,6 +610,9 @@ impl Marsit {
     ///   iff every worker was live and the collective succeeded; any other
     ///   round materializes what is pending before it starts and absorbs its
     ///   own residual eagerly, for its live workers only.
+    ///
+    /// [`FaultInjector`]: marsit_simnet::FaultInjector
+    /// [`SyncError`]: marsit_collectives::SyncError
     ///
     /// # Panics
     ///
@@ -898,8 +755,7 @@ impl Marsit {
             *consensus_buf = consensus;
         }
 
-        let combines = AtomicU64::new(0);
-        let rng_draws = AtomicU64::new(0);
+        let (mut combines, mut rng_draws) = (0, 0);
         // Line 9: g_t = η_s · σ, rebuilt through the byte LUT (written once
         // per element, no zero-fill pass, no per-lane bit tests).
         let global_lr = self.cfg.global_lr;
@@ -942,23 +798,13 @@ impl Marsit {
                 // combines replay them bit-identically. State comes from the
                 // workspace, the consensus lands in the recycled buffer and
                 // the trace reuses the outcome's step slots.
-                let round_seed = split_seed(self.cfg.seed, t);
-                let kind = self.cfg.combine;
-                planner.reset(round_seed, kind);
+                planner.reset(split_seed(self.cfg.seed, t), self.cfg.combine);
                 let mut op = PlannerOp {
                     planner,
-                    combines: &combines,
-                    rng_draws: &rng_draws,
+                    combines: 0,
+                    rng_draws: 0,
                 };
-                let reduced = if self.cfg.backend == Backend::Threaded {
-                    engine_onebit(
-                        signs, effective, &mut inj, round_seed, kind, &combines, &rng_draws,
-                    )
-                    .map(|(consensus, trace)| {
-                        *consensus_buf = consensus;
-                        out.trace = trace;
-                    })
-                } else if let EffectiveTopology::Torus { rows, cols } = effective {
+                let reduced = if let EffectiveTopology::Torus { rows, cols } = effective {
                     // A full-membership torus keeps its hierarchical
                     // schedule; any partial live set re-forms as a ring over
                     // the live workers.
@@ -973,18 +819,16 @@ impl Marsit {
                         &mut op,
                     )
                 } else {
-                    // Each step's combines may fan out over `intra_threads`
-                    // (bit-identical either way).
                     ring_allreduce_onebit_planned(
                         signs,
                         &mut inj,
                         ring,
                         consensus_buf,
                         &mut out.trace,
-                        self.cfg.intra_threads,
                         &mut op,
                     )
                 };
+                (combines, rng_draws) = (op.combines, op.rng_draws);
                 reduced.map(|()| {
                     write_scaled(consensus_buf, &mut out.global_update);
                     true
@@ -1037,11 +881,7 @@ impl Marsit {
         out.degraded = degraded;
         self.workspace = ws;
         self.pending = new_pending;
-        self.emit_sync_event(
-            out,
-            combines.load(Ordering::Relaxed),
-            rng_draws.load(Ordering::Relaxed),
-        );
+        self.emit_sync_event(out, combines, rng_draws);
         self.round += 1;
     }
 
@@ -1219,40 +1059,6 @@ mod tests {
             let a = m1.synchronize(&u, Topology::ring(4));
             let b = m2.synchronize(&u, Topology::ring(4));
             assert_eq!(a, b);
-        }
-    }
-
-    /// The intra-round fan-out is a pure throughput knob: every thread
-    /// count produces the same outcomes — and the same deferred residual
-    /// state — as the serial dispatch, round after round.
-    #[test]
-    fn intra_threads_are_bit_identical() {
-        let lossy = FaultPlan::seeded(4)
-            .with_link_drop(0.2)
-            .with_retry_policy(0, 1e-4);
-        for plan in [FaultPlan::none(), lossy] {
-            intra_threads_are_bit_identical_under(plan);
-        }
-    }
-
-    fn intra_threads_are_bit_identical_under(plan: FaultPlan) {
-        let u = updates(8, 1000, 11);
-        let run = |threads: usize| {
-            let cfg = MarsitConfig::new(SyncSchedule::every(3), 0.05, 21)
-                .with_intra_threads(threads)
-                .with_fault_plan(plan.clone());
-            let mut marsit = Marsit::new(cfg, 8, 1000);
-            let outs: Vec<SyncOutcome> = (0..6)
-                .map(|_| marsit.synchronize(&u, Topology::ring(8)))
-                .collect();
-            let norms: Vec<u64> = (0..8)
-                .map(|w| marsit.compensation(w).norm_sq().to_bits())
-                .collect();
-            (outs, norms)
-        };
-        let serial = run(1);
-        for threads in [2, 3, 8] {
-            assert_eq!(run(threads), serial, "{threads} threads diverged");
         }
     }
 

@@ -9,15 +9,18 @@
 //! - worker inputs are per-rank RNG streams (`FastRng::new(seed, rank)`);
 //! - transient combine masks are per-hop streams keyed by
 //!   `(receiver, segment, step)` (the DESIGN.md §9 frozen contract);
-//! - transfer fates come from a seeded [`FaultInjector`] consumed in the
-//!   legacy canonical schedule order by [`compile_plan`].
+//! - transfer fates come from a seeded [`FaultInjector`] consumed in schedule
+//!   order by the one walk per topology that both the in-process collective
+//!   and [`compile_plan`] are.
 //!
 //! Three runners share that contract:
 //!
-//! - [`Scenario::run_simulator`] — the legacy sequential collectives,
-//!   unchanged (the deterministic-simulator backend);
+//! - [`Scenario::run_simulator`] — the in-process collective
+//!   ([`allreduce_onebit`], the deterministic-simulator backend);
 //! - [`Scenario::run_threaded`] — the compiled engine over an in-process
-//!   channel fabric, one OS thread per rank;
+//!   channel fabric, one OS thread per rank; [`Backend::Threaded`] names
+//!   this conformance driver and tags its telemetry, it is not something a
+//!   trainer can be configured with;
 //! - [`Scenario::run_process`] — one OS *process* per rank speaking
 //!   `marsit-wire/1` over localhost TCP through a [`WireHub`], with
 //!   [`process_worker_main`] as the worker entry point.
@@ -30,15 +33,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use marsit_collectives::engine::{compile_plan, run_rank, run_threaded, PlanTopology};
-use marsit_collectives::ring::ring_allreduce_onebit_faulty;
-use marsit_collectives::segring::{segring_allreduce_onebit, segring_allreduce_onebit_faulty};
-use marsit_collectives::torus::torus_allreduce_onebit_faulty;
-use marsit_collectives::tree::{tree_allreduce_onebit, tree_allreduce_onebit_faulty};
+use marsit_collectives::engine::{
+    allreduce_onebit, compile_plan, run_rank, run_threaded, EnginePlan, PlanTopology,
+};
 use marsit_collectives::{CombineCtx, SyncError, Trace};
 use marsit_simnet::{
-    Backend, FaultInjector, FaultPlan, FaultStats, Frame, FrameKind, HubEvent, ProcessTransport,
-    WireHub, DRIVER,
+    Backend, FaultInjector, FaultPlan, FaultStats, Frame, FrameKind, HubEvent, LinkModel,
+    ProcessTransport, WireHub, DRIVER,
 };
 use marsit_telemetry::health::{self, HealthEvent};
 use marsit_telemetry::report::{merge_logs, parse_jsonl};
@@ -46,80 +47,44 @@ use marsit_telemetry::{Event, Telemetry};
 use marsit_tensor::rng::{split_seed, FastRng};
 use marsit_tensor::SignVec;
 
-use crate::marsit::{engine_combine, engine_link};
+use crate::marsit::stream_for;
+use crate::ominus::{combine_unweighted_assign, combine_weighted_assign};
 use crate::CombineKind;
 
 /// How long the driver waits for worker results / the worker waits for its
 /// next control frame before declaring the session wedged.
 const SESSION_TIMEOUT: Duration = Duration::from_secs(120);
 
-/// The collective paradigm a conformance scenario runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TopoKind {
-    /// Ring all-reduce over all ranks.
-    Ring,
-    /// 2D-torus all-reduce.
-    Torus {
-        /// Vertical ring length.
-        rows: usize,
-        /// Horizontal ring length.
-        cols: usize,
-    },
-    /// Binary-tree all-reduce.
-    Tree,
-    /// Segmented-ring all-reduce.
-    SegRing {
-        /// Pipeline macro-segments.
-        macro_segments: usize,
-    },
+/// The link every in-process engine fabric is priced with. Only the
+/// simulator clock reads it, so the choice never perturbs payload bits; the
+/// public-cloud α–β profile keeps simulated timings consistent with the
+/// in-process collectives' pricing.
+fn engine_link() -> LinkModel {
+    marsit_simnet::RateProfile::public_cloud().link
 }
 
-impl TopoKind {
-    /// The engine plan topology this paradigm compiles to.
-    #[must_use]
-    pub fn plan(self) -> PlanTopology {
-        match self {
-            Self::Ring => PlanTopology::Ring,
-            Self::Torus { rows, cols } => PlanTopology::Torus { rows, cols },
-            Self::Tree => PlanTopology::Tree,
-            Self::SegRing { macro_segments } => PlanTopology::SegRing { macro_segments },
-        }
-    }
-
-    /// Stable text form, also the env-var encoding (`ring`, `torus:2x4`,
-    /// `tree`, `segring:3`).
-    #[must_use]
-    pub fn encode(self) -> String {
-        match self {
-            Self::Ring => "ring".into(),
-            Self::Torus { rows, cols } => format!("torus:{rows}x{cols}"),
-            Self::Tree => "tree".into(),
-            Self::SegRing { macro_segments } => format!("segring:{macro_segments}"),
-        }
-    }
-
-    /// Parses [`Self::encode`]'s output.
-    #[must_use]
-    pub fn decode(s: &str) -> Option<Self> {
-        match s {
-            "ring" => Some(Self::Ring),
-            "tree" => Some(Self::Tree),
-            _ => {
-                if let Some(shape) = s.strip_prefix("torus:") {
-                    let (r, c) = shape.split_once('x')?;
-                    Some(Self::Torus {
-                        rows: r.parse().ok()?,
-                        cols: c.parse().ok()?,
-                    })
-                } else if let Some(ms) = s.strip_prefix("segring:") {
-                    Some(Self::SegRing {
-                        macro_segments: ms.parse().ok()?,
-                    })
-                } else {
-                    None
-                }
+/// The ctx-derived combine closure every backend runs on every rank: one hop
+/// at a time, bit-identical — the planner equivalence invariant — to the
+/// synchronizer's batched mask replay. The RNG stream is a pure function of
+/// `(receiver, segment, step)`, so per-rank execution order cannot perturb
+/// the masks. The counters are atomics because the threaded backend's ranks
+/// share them.
+fn engine_combine<'a>(
+    round_seed: u64,
+    kind: CombineKind,
+    combines: &'a AtomicU64,
+    rng_draws: &'a AtomicU64,
+) -> impl FnMut(&SignVec, &mut SignVec, CombineCtx) + Send + 'a {
+    move |recv: &SignVec, local: &mut SignVec, ctx: CombineCtx| {
+        let mut rng = FastRng::new(round_seed, stream_for(&ctx));
+        match kind {
+            CombineKind::Weighted => {
+                combine_weighted_assign(recv, ctx.received_count, local, ctx.local_count, &mut rng)
             }
+            CombineKind::UnweightedAblation => combine_unweighted_assign(recv, local, &mut rng),
         }
+        combines.fetch_add(1, Ordering::Relaxed);
+        rng_draws.fetch_add(rng.draws(), Ordering::Relaxed);
     }
 }
 
@@ -127,7 +92,7 @@ impl TopoKind {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scenario {
     /// Collective paradigm.
-    pub topo: TopoKind,
+    pub topo: PlanTopology,
     /// Number of ranks.
     pub world: usize,
     /// Sign-vector dimension.
@@ -210,39 +175,6 @@ impl RunArtifacts {
     }
 }
 
-/// Runs `f` under the legacy one-bit collective selected by `topo`,
-/// clean or faulty. This is both the reference backend and the
-/// trace/telemetry walk the engine backends replay on zero payloads.
-fn legacy_onebit<F>(
-    topo: TopoKind,
-    signs: &[SignVec],
-    inj: Option<&mut FaultInjector>,
-    combine: F,
-) -> Result<(SignVec, Trace), SyncError>
-where
-    F: FnMut(&SignVec, &mut SignVec, CombineCtx),
-{
-    // Ring and torus have one fault-aware body each; a clean run is that body
-    // on a fabric that never faults.
-    let mut inert = FaultInjector::inert();
-    match (topo, inj) {
-        (TopoKind::Ring, inj) => {
-            ring_allreduce_onebit_faulty(signs, inj.unwrap_or(&mut inert), combine)
-        }
-        (TopoKind::Torus { rows, cols }, inj) => {
-            torus_allreduce_onebit_faulty(signs, rows, cols, inj.unwrap_or(&mut inert), combine)
-        }
-        (TopoKind::Tree, None) => Ok(tree_allreduce_onebit(signs, combine)),
-        (TopoKind::Tree, Some(inj)) => tree_allreduce_onebit_faulty(signs, inj, combine),
-        (TopoKind::SegRing { macro_segments }, None) => {
-            Ok(segring_allreduce_onebit(signs, macro_segments, combine))
-        }
-        (TopoKind::SegRing { macro_segments }, Some(inj)) => {
-            segring_allreduce_onebit_faulty(signs, macro_segments, inj, combine)
-        }
-    }
-}
-
 /// Tags the ambient telemetry scope (if any) with the backend identity, so
 /// per-hop events record which transport produced them and which clock its
 /// endpoints report.
@@ -283,19 +215,19 @@ impl Scenario {
         })
     }
 
-    /// Reference run: the legacy sequential collectives (the simulator
-    /// backend), with the ctx-derived unbatched combine.
+    /// Reference run: the in-process collective (the simulator backend),
+    /// with the ctx-derived unbatched combine.
     ///
     /// # Errors
     ///
-    /// Returns the legacy collective's typed error for impossible shapes.
+    /// Returns the collective's typed error for impossible shapes.
     pub fn run_simulator(&self) -> Result<RunArtifacts, SyncError> {
         tag_telemetry(Backend::Simulator);
         let combines = AtomicU64::new(0);
         let draws = AtomicU64::new(0);
         let combine = engine_combine(self.round_seed(), self.combine, &combines, &draws);
-        let mut inj = self.injector();
-        let (consensus, trace) = legacy_onebit(self.topo, &self.inputs(), inj.as_mut(), combine)?;
+        let mut inj = self.injector().unwrap_or_else(FaultInjector::inert);
+        let (consensus, trace) = allreduce_onebit(self.topo, &self.inputs(), &mut inj, combine)?;
         Ok(RunArtifacts {
             consensus,
             combines: combines.load(Ordering::Relaxed),
@@ -304,15 +236,12 @@ impl Scenario {
         })
     }
 
-    /// Zero-payload walk of the legacy schedule: emits the byte-identical
-    /// [`Trace`] and per-hop telemetry for an engine-backed run without
-    /// duplicating any emission code (both depend only on shapes and
-    /// transfer fates, never payload bits).
-    fn walk_trace(&self) -> Result<Trace, SyncError> {
-        let dummy = vec![SignVec::zeros(self.d); self.world];
-        let mut inj = self.injector();
-        let (_, trace) = legacy_onebit(self.topo, &dummy, inj.as_mut(), |_, _, _| {})?;
-        Ok(trace)
+    /// This round's plan: one bookkeeping walk of the schedule on this
+    /// round's injector, which also yields the [`Trace`] (in the plan) and
+    /// the per-hop telemetry of an engine-backed run — byte-identical to the
+    /// simulator's, since it is the same walk minus the payload.
+    fn plan(&self) -> Result<EnginePlan, SyncError> {
+        compile_plan(self.topo, self.world, self.d, self.injector().as_mut())
     }
 
     /// Threaded backend: the compiled engine over an in-process channel
@@ -323,9 +252,7 @@ impl Scenario {
     /// Returns the same typed errors as [`Self::run_simulator`].
     pub fn run_threaded(&self) -> Result<RunArtifacts, SyncError> {
         tag_telemetry(Backend::Threaded);
-        let trace = self.walk_trace()?;
-        let mut inj = self.injector();
-        let plan = compile_plan(self.topo.plan(), self.world, self.d, inj.as_mut())?;
+        let plan = self.plan()?;
         let combines = AtomicU64::new(0);
         let draws = AtomicU64::new(0);
         let round_seed = self.round_seed();
@@ -340,7 +267,7 @@ impl Scenario {
             consensus,
             combines: combines.load(Ordering::Relaxed),
             rng_draws: draws.load(Ordering::Relaxed),
-            trace,
+            trace: plan.trace,
         })
     }
 
@@ -380,7 +307,7 @@ impl Scenario {
             consensus,
             combines,
             rng_draws,
-            trace: self.walk_trace()?,
+            trace: self.plan()?.trace,
         })
     }
 
@@ -545,7 +472,7 @@ impl Scenario {
     pub fn from_env() -> Self {
         let get = |k: &str| std::env::var(k).unwrap_or_else(|_| panic!("missing env {k}"));
         Self {
-            topo: TopoKind::decode(&get("MARSIT_TW_TOPO")).expect("bad MARSIT_TW_TOPO"),
+            topo: PlanTopology::decode(&get("MARSIT_TW_TOPO")).expect("bad MARSIT_TW_TOPO"),
             world: get("MARSIT_TW_WORLD").parse().expect("bad MARSIT_TW_WORLD"),
             d: get("MARSIT_TW_D").parse().expect("bad MARSIT_TW_D"),
             seed: get("MARSIT_TW_SEED").parse().expect("bad MARSIT_TW_SEED"),
@@ -635,9 +562,10 @@ pub fn drive_round(hub: &WireHub, sc: &Scenario) -> Result<(Vec<u64>, u64, u64),
 }
 
 /// Worker entry point: connects to the hub named by the environment and
-/// serves `round` frames until `stop`. Each round recompiles the scenario's
-/// plan locally (deterministic, so all ranks agree on it without any
-/// coordination) and runs this rank's slice over the TCP transport.
+/// serves `round` frames until `stop`. The scenario is fixed for the session,
+/// so its inputs and plan are built once, locally (deterministic, so all
+/// ranks agree on them without any coordination); each round runs this
+/// rank's slice of the plan over the TCP transport.
 ///
 /// A vanished peer surfaces as a `failed` frame to the driver — the worker
 /// stays up and serves the next round, where a rejoined peer (announced by
@@ -683,6 +611,8 @@ pub fn process_worker_main() {
             transport.set_tracing(true);
             t
         });
+    let input = sc.inputs().swap_remove(rank);
+    let plan = sc.plan().expect("scenario plan compiles");
     let mut round_idx: u64 = 0;
     loop {
         let frame = transport.recv_control().expect("hub connection");
@@ -698,18 +628,14 @@ pub fn process_worker_main() {
                     let ns = (compute_ns as f64 * slow_mult) as u64;
                     std::thread::sleep(Duration::from_nanos(ns));
                 }
-                let inputs = sc.inputs();
-                let mut inj = sc.injector();
-                let plan = compile_plan(sc.topo.plan(), sc.world, sc.d, inj.as_mut())
-                    .expect("scenario plan compiles");
                 let combines = AtomicU64::new(0);
                 let draws = AtomicU64::new(0);
                 let combine = engine_combine(sc.round_seed(), sc.combine, &combines, &draws);
                 let outcome = match &telemetry {
                     Some(t) => marsit_telemetry::scoped(t, || {
-                        run_rank(&plan, &inputs[rank], &mut transport, combine)
+                        run_rank(&plan, &input, &mut transport, combine)
                     }),
-                    None => run_rank(&plan, &inputs[rank], &mut transport, combine),
+                    None => run_rank(&plan, &input, &mut transport, combine),
                 };
                 match outcome {
                     Ok(state) => {
@@ -783,27 +709,46 @@ pub fn maybe_run_worker_from_env() -> bool {
 mod tests {
     use super::*;
 
+    /// A worker that files its `result` under another rank's `from` — out of
+    /// range or not — is dropped by the hub, and the driver gets the typed
+    /// error naming the connection that lied instead of indexing its
+    /// per-rank state with a number a worker chose.
     #[test]
-    fn topo_kind_env_round_trips() {
-        for topo in [
-            TopoKind::Ring,
-            TopoKind::Torus { rows: 2, cols: 4 },
-            TopoKind::Tree,
-            TopoKind::SegRing { macro_segments: 3 },
-        ] {
-            assert_eq!(TopoKind::decode(&topo.encode()), Some(topo));
+    fn drive_round_survives_a_worker_lying_about_its_rank() {
+        let sc = Scenario {
+            topo: PlanTopology::Ring,
+            world: 2,
+            d: 64,
+            seed: 1,
+            round: 0,
+            drop_p: None,
+            combine: CombineKind::Weighted,
+        };
+        for claimed in [9, 1] {
+            let hub = WireHub::bind(sc.world).unwrap();
+            let addr = hub.addr().unwrap().to_string();
+            let mut liar = ProcessTransport::connect(&addr, 0, 2, engine_link()).unwrap();
+            let mut honest = ProcessTransport::connect(&addr, 1, 2, engine_link()).unwrap();
+            hub.accept_worker().unwrap();
+            hub.accept_worker().unwrap();
+            let result = |from| Frame::words(FrameKind::Result, from, DRIVER, vec![0, 0, 5]);
+            liar.send_frame(&result(claimed)).unwrap();
+            honest.send_frame(&result(1)).unwrap();
+            assert_eq!(
+                drive_round(&hub, &sc),
+                Err(SyncError::PeerDisconnected { peer: 0 }),
+                "rank 0 claiming to be {claimed}"
+            );
         }
-        assert_eq!(TopoKind::decode("hypercube"), None);
-        assert_eq!(TopoKind::decode("torus:2"), None);
     }
 
     #[test]
     fn threaded_matches_simulator_all_topologies() {
         for (topo, world) in [
-            (TopoKind::Ring, 8),
-            (TopoKind::Torus { rows: 2, cols: 4 }, 8),
-            (TopoKind::Tree, 6),
-            (TopoKind::SegRing { macro_segments: 3 }, 4),
+            (PlanTopology::Ring, 8),
+            (PlanTopology::Torus { rows: 2, cols: 4 }, 8),
+            (PlanTopology::Tree, 6),
+            (PlanTopology::SegRing { macro_segments: 3 }, 4),
         ] {
             for drop_p in [None, Some(0.25)] {
                 let sc = Scenario {

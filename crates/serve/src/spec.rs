@@ -95,7 +95,6 @@ impl JobSpec {
         cfg.optimizer = OptimizerKind::Momentum(0.9);
         cfg.eval_every = 0;
         cfg.parallel_workers = false;
-        cfg.marsit_intra_threads = 1;
         cfg.telemetry = telemetry;
         cfg
     }

@@ -342,11 +342,14 @@ impl WireHub {
 }
 
 /// Per-connection reader: routes worker frames until EOF, then reports the
-/// rank down.
+/// rank down. The connection said which rank it is in its `hello`; a frame
+/// claiming to come from any other rank is a wire error like a malformed one
+/// — the driver indexes per-rank state by `from`, so a lie must never reach
+/// it — and drops the connection.
 fn hub_reader(shared: &HubShared, rank: usize, mut reader: BufReader<TcpStream>) {
     loop {
         match read_frame(&mut reader) {
-            Ok(Some(frame)) => {
+            Ok(Some(frame)) if frame.from as usize == rank => {
                 if frame.kind == FrameKind::Telem {
                     // Telemetry batches go to the collector, never the
                     // control inbox: the side channel cannot stall or
@@ -371,7 +374,7 @@ fn hub_reader(shared: &HubShared, rank: usize, mut reader: BufReader<TcpStream>)
                     shared.route_to(rank, &Frame::control(FrameKind::Down, to, rank as u32));
                 }
             }
-            Ok(None) | Err(_) => {
+            Ok(Some(_)) | Ok(None) | Err(_) => {
                 shared.drop_rank(rank);
                 return;
             }
@@ -819,6 +822,37 @@ mod tests {
             Err(TransportError::PeerDisconnected { peer: 1 })
         );
         drop(silent);
+    }
+
+    /// A connection that said hello as rank 0 cannot speak for another rank,
+    /// in or out of range: the hub forwards nothing it says under a foreign
+    /// `from` and drops it, so the driver sees rank 0 go down.
+    #[test]
+    fn frame_with_a_foreign_from_drops_its_connection() {
+        for claimed in [9, 1] {
+            let hub = WireHub::bind(2).unwrap();
+            let addr = hub.addr().unwrap().to_string();
+            let mut liar = ProcessTransport::connect(&addr, 0, 2, link()).unwrap();
+            let honest = ProcessTransport::connect(&addr, 1, 2, link()).unwrap();
+            hub.accept_worker().unwrap();
+            hub.accept_worker().unwrap();
+            liar.send_frame(&Frame::words(FrameKind::Result, claimed, DRIVER, vec![7]))
+                .unwrap();
+            loop {
+                match hub.next_event_timeout(Duration::from_secs(30)) {
+                    Some(HubEvent::Disconnected(rank)) => {
+                        assert_eq!(rank, 0, "the lying connection is the one dropped");
+                        break;
+                    }
+                    Some(HubEvent::Frame(f)) => {
+                        assert_eq!(f.kind, FrameKind::Hello, "forwarded a spoofed {f:?}");
+                    }
+                    None => panic!("timed out waiting for the disconnect"),
+                }
+            }
+            assert!(!hub.is_up(0) && hub.is_up(1));
+            drop(honest);
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ use marsit_compress::powersgd::{orthonormalize_columns, PowerSgd as PowerSgdStat
 use marsit_core::{
     Marsit, MarsitConfig, MarsitSnapshot, SyncOutcome, SyncSchedule, WorkspaceHandle,
 };
-use marsit_simnet::{Backend, FaultPlan, FaultStats, Topology};
+use marsit_simnet::{FaultPlan, FaultStats, Topology};
 use marsit_tensor::rng::{split_seed, FastRng};
 use marsit_tensor::SignVec;
 
@@ -303,41 +303,6 @@ impl Synchronizer {
             _ => assert!(
                 plan.is_none(),
                 "fault injection is only supported for the Marsit strategy"
-            ),
-        }
-    }
-
-    /// Selects the transport backend for the underlying collectives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a non-default backend is requested for a strategy other
-    /// than Marsit — only Marsit's collectives compile to transport plans —
-    /// or on [`Backend::Process`], which is driven externally (see
-    /// `marsit_core::transport`).
-    pub fn set_collective_backend(&mut self, backend: Backend) {
-        match &mut self.state {
-            State::Marsit(marsit) => marsit.set_backend(backend),
-            _ => assert!(
-                backend == Backend::Simulator,
-                "non-default transport backends are only supported for the Marsit strategy"
-            ),
-        }
-    }
-
-    /// Sets the number of OS threads one reduce step's combines may spread
-    /// over (Marsit's simulator backend; bit-identical at any count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 1` and the strategy is not Marsit — no other
-    /// strategy has an intra-round combine loop to parallelize.
-    pub fn set_intra_threads(&mut self, n: usize) {
-        match &mut self.state {
-            State::Marsit(marsit) => marsit.set_intra_threads(n),
-            _ => assert!(
-                n <= 1,
-                "intra-round threads are only supported for the Marsit strategy"
             ),
         }
     }

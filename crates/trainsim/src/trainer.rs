@@ -10,7 +10,7 @@
 use marsit_datagen::synthetic::{cifar10_like, imagenet_like, imdb_like, mnist_like};
 use marsit_datagen::Dataset;
 use marsit_models::{Evaluation, Mlp, MlpWorkspace, Model, Optimizer, OptimizerKind, Workload};
-use marsit_simnet::{cost, Backend, FaultPlan, FaultStats, PhaseBreakdown, RateProfile, Topology};
+use marsit_simnet::{cost, FaultPlan, FaultStats, PhaseBreakdown, RateProfile, Topology};
 use marsit_telemetry::{scoped, Telemetry};
 use marsit_tensor::rng::{split_seed, FastRng};
 use marsit_tensor::SignVec;
@@ -71,22 +71,6 @@ pub struct TrainConfig {
     /// results are reduced in worker order on the main thread, so the
     /// resulting [`TrainReport`] is byte-for-byte the same either way.
     pub parallel_workers: bool,
-    /// Transport backend for Marsit's collectives. [`Backend::Simulator`]
-    /// (the default) runs the deterministic in-process schedules;
-    /// [`Backend::Threaded`] executes the same compiled plan with one OS
-    /// thread per rank and stays bit-identical via the frozen per-hop RNG
-    /// contract. Hop telemetry is tagged with the backend whenever it is
-    /// not the default. [`Backend::Process`] is driven externally (see
-    /// `marsit_core::transport`) and rejected here.
-    pub collective_backend: Backend,
-    /// Number of OS threads one Marsit reduce step's combines may spread
-    /// over (1 = the serial hot path). Orthogonal to `parallel_workers`
-    /// (which parallelizes the compute phase *across* workers, between
-    /// rounds) — this parallelizes *within* one collective round. Every
-    /// count produces bit-identical results: the per-step combine cells are
-    /// provably disjoint and each hop's randomness is a pure function of
-    /// its coordinates.
-    pub marsit_intra_threads: usize,
     /// Telemetry handle. The default ([`Telemetry::disabled`]) records
     /// nothing and adds no per-round work; an enabled handle receives a
     /// `run_meta` event, per-round `round`/`worker`/`marsit_sync` events,
@@ -120,8 +104,6 @@ impl TrainConfig {
             data_skew: None,
             fault_plan: FaultPlan::none(),
             parallel_workers: true,
-            collective_backend: Backend::Simulator,
-            marsit_intra_threads: 1,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -417,14 +399,6 @@ impl TrainerState {
             split_seed(cfg.seed, 0x57A7),
         );
         sync.set_fault_plan(cfg.fault_plan.clone());
-        sync.set_collective_backend(cfg.collective_backend);
-        sync.set_intra_threads(cfg.marsit_intra_threads);
-        if cfg.collective_backend != Backend::Simulator {
-            cfg.telemetry.set_transport_tag(
-                cfg.collective_backend.name(),
-                cfg.collective_backend.clock_kind(),
-            );
-        }
         let timing = TimingModel {
             rates: cfg.rates,
             logical_d: cfg.workload.logical_params(),

@@ -22,8 +22,9 @@
 //! cargo run --release --bin transport_smoke [-- --out PATH] [--trace-out PATH]
 //! ```
 
+use marsit::collectives::PlanTopology;
 use marsit::core::transport::{Scenario, TraceRunConfig};
-use marsit::core::{CombineKind, TopoKind};
+use marsit::core::CombineKind;
 use marsit::telemetry::health::HealthEvent;
 use marsit::telemetry::report::validate;
 use marsit::telemetry::{scoped, Telemetry};
@@ -48,7 +49,7 @@ fn main() {
 
     let exe = std::env::current_exe().expect("current exe");
     let sc = Scenario {
-        topo: TopoKind::Ring,
+        topo: PlanTopology::Ring,
         world: 4,
         d: 2048,
         seed: 0x0051_10BE,

@@ -9,10 +9,10 @@
 //! "bit-identical" contract of the fused path is broken.
 
 use marsit::collectives::ring::ring_allreduce_onebit;
-use marsit::collectives::segring::segring_allreduce_onebit;
+use marsit::collectives::segring::{segring_allreduce_onebit, segring_allreduce_onebit_faulty};
 use marsit::collectives::torus::torus_allreduce_onebit;
-use marsit::collectives::tree::tree_allreduce_onebit;
-use marsit::collectives::CombineCtx;
+use marsit::collectives::tree::{tree_allreduce_onebit, tree_allreduce_onebit_faulty};
+use marsit::collectives::{CombineCtx, Trace};
 use marsit::core::ominus::combine_weighted_assign;
 use marsit::prelude::*;
 use marsit::telemetry::scoped;
@@ -351,11 +351,31 @@ fn golden_collective_ring6_d200() {
     );
 }
 
+/// What a trace pins beyond its consensus: wire bytes, wall-clock steps and
+/// how many transfers ride each step.
+fn trace_shape(trace: &Trace) -> (usize, usize, Vec<usize>) {
+    (
+        trace.total_bytes(),
+        trace.num_steps(),
+        trace.steps().iter().map(Vec::len).collect(),
+    )
+}
+
+/// The drop plan of the faulty tree / segring goldens (and of
+/// `tests/golden_plan.rs`): 25 % drops, one retry, so some reduce transfers
+/// are omitted for good.
+fn lossy_injector(round: u64) -> marsit::simnet::FaultInjector {
+    FaultPlan::seeded(0x601d)
+        .with_link_drop(0.25)
+        .with_retry_policy(1, 1e-4)
+        .injector(round)
+}
+
 #[test]
 fn golden_collective_tree4_d200() {
     let signs = goldens_signs();
     let mut combine = weighted_stream_combine;
-    let (out, _) = tree_allreduce_onebit(&signs[..4], &mut combine);
+    let (out, trace) = tree_allreduce_onebit(&signs[..4], &mut combine);
     assert_eq!(
         out.as_words(),
         &[
@@ -366,13 +386,18 @@ fn golden_collective_tree4_d200() {
         ],
         "tree(4) d=200 consensus words changed"
     );
+    assert_eq!(
+        trace_shape(&trace),
+        (150, 4, vec![2, 1, 1, 2]),
+        "tree(4) d=200 trace"
+    );
 }
 
 #[test]
 fn golden_collective_segring6x3_d200() {
     let signs = goldens_signs();
     let mut combine = weighted_stream_combine;
-    let (out, _) = segring_allreduce_onebit(&signs, 3, &mut combine);
+    let (out, trace) = segring_allreduce_onebit(&signs, 3, &mut combine);
     assert_eq!(
         out.as_words(),
         &[
@@ -382,6 +407,85 @@ fn golden_collective_segring6x3_d200() {
             0x00000000000000c3,
         ],
         "segring(6, S=3) d=200 consensus words changed"
+    );
+    assert_eq!(
+        trace_shape(&trace),
+        (360, 12, vec![6, 12, 18, 18, 18, 18, 18, 18, 18, 18, 12, 6]),
+        "segring(6, S=3) d=200 trace"
+    );
+}
+
+/// The tree and the segmented ring under drops. Their clean entry points are
+/// the fault-aware bodies on a fabric that never faults, so these two and the
+/// two above are what keeps "clean equals faulty-on-inert" checked against
+/// recorded values: consensus, trace shape and what the injector counted.
+#[test]
+fn golden_faulty_collective_tree6_d200() {
+    let signs = goldens_signs();
+    let mut inj = lossy_injector(6);
+    let (out, trace) =
+        tree_allreduce_onebit_faulty(&signs, &mut inj, weighted_stream_combine).unwrap();
+    assert_eq!(
+        out.as_words(),
+        &[
+            0x8474cd691f1ee48d,
+            0x55247c4fa9dc660b,
+            0x4e86b0e9b8a6ea1c,
+            0x0000000000000093,
+        ],
+        "faulty tree(6) d=200 consensus"
+    );
+    assert_eq!(
+        trace_shape(&trace),
+        (375, 10, vec![3, 1, 1, 1, 1, 1, 1, 1, 3, 2]),
+        "faulty tree(6) trace"
+    );
+    let stats = inj.take_stats();
+    assert_eq!(
+        (
+            stats.retransmits,
+            stats.dropped_transfers,
+            stats.forced_deliveries
+        ),
+        (5, 2, 3),
+        "faulty tree(6) injector"
+    );
+}
+
+#[test]
+fn golden_faulty_collective_segring6x3_d200() {
+    let signs = goldens_signs();
+    let mut inj = lossy_injector(2);
+    let (out, trace) =
+        segring_allreduce_onebit_faulty(&signs, 3, &mut inj, weighted_stream_combine).unwrap();
+    assert_eq!(
+        out.as_words(),
+        &[
+            0xa06f0957ccdca8ca,
+            0x7fa1e705992d3c3a,
+            0xb278962c90ee9eb5,
+            0x00000000000000c3,
+        ],
+        "faulty segring(6, S=3) d=200 consensus"
+    );
+    assert_eq!(
+        trace_shape(&trace),
+        (
+            428,
+            21,
+            vec![6, 8, 13, 16, 13, 9, 13, 8, 18, 9, 15, 8, 13, 18, 9, 14, 3, 12, 2, 6, 1]
+        ),
+        "faulty segring(6, S=3) trace"
+    );
+    let stats = inj.take_stats();
+    assert_eq!(
+        (
+            stats.retransmits,
+            stats.dropped_transfers,
+            stats.forced_deliveries
+        ),
+        (34, 6, 15),
+        "faulty segring(6, S=3) injector"
     );
 }
 

@@ -180,6 +180,9 @@ fn crash_mid_migration_resumes_byte_identically() {
     handle.submit(tiny_spec("m0", 21, 8));
     handle.submit(tiny_spec("m1", 22, 8));
     let _ = handle.finish();
+    // The writer thread may still be writing queued lines; dropping the last
+    // handle drains and syncs it, so the file read below is the whole journal.
+    drop(journal);
 
     // "Crash" immediately after the first migrate record: truncate the
     // journal there, dropping that job's outcome.

@@ -12,7 +12,8 @@
 //! - with the collector disabled, the tracing side channel puts exactly
 //!   zero bytes on the wire.
 
-use marsit::core::transport::{Scenario, TopoKind, TraceRunConfig, TracedRun};
+use marsit::collectives::PlanTopology;
+use marsit::core::transport::{Scenario, TraceRunConfig, TracedRun};
 use marsit::core::CombineKind;
 use marsit::telemetry::health::HealthEvent;
 use marsit::telemetry::report::{merge_logs, strip_wall_clock, validate};
@@ -23,7 +24,7 @@ fn worker_exe() -> &'static str {
 
 fn ring4() -> Scenario {
     Scenario {
-        topo: TopoKind::Ring,
+        topo: PlanTopology::Ring,
         world: 4,
         d: 1024,
         seed: 0x7ACE,

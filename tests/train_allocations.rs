@@ -10,6 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use marsit::collectives::{compile_plan, PlanTopology};
 use marsit::models::MlpWorkspace;
 use marsit::prelude::*;
 
@@ -129,4 +130,22 @@ fn sequential_step_allocates_no_model_sized_buffer() {
         );
     }
     assert!(state.replicas_consistent());
+}
+
+/// Compiling a plan is the bookkeeping half of the schedule walk and touches
+/// no payload: for the `sync_large` shape — seven ranks, 1 048 583
+/// coordinates, 128 KiB per packed sign vector — no single request reaches
+/// 64 KiB, so nobody implements it as a walk over `world` zeroed inputs.
+#[test]
+fn compiling_a_plan_allocates_no_payload() {
+    let mut transfers = 0;
+    let (_, largest) = measure(|| {
+        let plan = compile_plan(PlanTopology::Ring, 7, 1_048_583, None).expect("valid shape");
+        transfers = plan.transfers.len();
+    });
+    assert_eq!(transfers, 2 * 6 * 7);
+    assert!(
+        largest < 64 << 10,
+        "compile_plan requested {largest} bytes at once"
+    );
 }

@@ -10,7 +10,8 @@
 //! 2D torus, binary tree, segmented ring — each clean and under seeded
 //! link-drop faults.
 
-use marsit::core::transport::{RunArtifacts, Scenario, TopoKind};
+use marsit::collectives::PlanTopology;
+use marsit::core::transport::{RunArtifacts, Scenario};
 use marsit::core::CombineKind;
 use marsit::telemetry::{scoped, Telemetry};
 
@@ -20,17 +21,22 @@ fn worker_exe() -> &'static str {
 
 fn matrix() -> Vec<Scenario> {
     let mut scenarios = Vec::new();
-    for (topo, world) in [
-        (TopoKind::Ring, 8),
-        (TopoKind::Torus { rows: 2, cols: 4 }, 8),
-        (TopoKind::Tree, 6),
-        (TopoKind::SegRing { macro_segments: 3 }, 4),
+    for (topo, world, d) in [
+        (PlanTopology::Ring, 8, 321),
+        (PlanTopology::Torus { rows: 2, cols: 4 }, 8, 321),
+        (PlanTopology::Tree, 6, 321),
+        (PlanTopology::SegRing { macro_segments: 3 }, 4, 321),
+        // Ragged segments (1031 divides by neither 7 nor 64) and non-dyadic
+        // keep probabilities r/(r+1), r up to 6.
+        (PlanTopology::Ring, 7, 1031),
+        // Vertical rings of three rows fed row aggregates of three.
+        (PlanTopology::Torus { rows: 3, cols: 3 }, 9, 321),
     ] {
         for drop_p in [None, Some(0.3)] {
             scenarios.push(Scenario {
                 topo,
                 world,
-                d: 321,
+                d,
                 seed: 0xD15C0,
                 round: 5,
                 drop_p,
@@ -39,6 +45,21 @@ fn matrix() -> Vec<Scenario> {
         }
     }
     scenarios
+}
+
+/// A lossy torus at three consecutive rounds: each round draws its own fates
+/// and mask seeds, so omissions land on different hops and the survivors'
+/// aggregation counts differ round to round.
+fn consecutive_rounds() -> impl Iterator<Item = Scenario> {
+    (5..8).map(|round| Scenario {
+        topo: PlanTopology::Torus { rows: 2, cols: 4 },
+        world: 8,
+        d: 321,
+        seed: 0xD15C0,
+        round,
+        drop_p: Some(0.3),
+        combine: CombineKind::Weighted,
+    })
 }
 
 /// Runs `f` under a fresh recording telemetry scope; returns its value plus
@@ -107,12 +128,9 @@ fn threaded_backend_conforms_across_matrix() {
             normalize(&thr_log),
             "{label}: telemetry diverged"
         );
-        // The tag itself must name the backend that produced the log
-        // (trees emit no hop events, so there is nothing to tag there).
-        if ref_log.contains("\"ev\":\"hop\"") {
-            assert!(ref_log.contains("\"backend\":\"simulator\""), "{label}");
-            assert!(thr_log.contains("\"backend\":\"threaded\""), "{label}");
-        }
+        // The tag itself must name the backend that produced the log.
+        assert!(ref_log.contains("\"backend\":\"simulator\""), "{label}");
+        assert!(thr_log.contains("\"backend\":\"threaded\""), "{label}");
     }
 }
 
@@ -128,16 +146,28 @@ fn process_backend_conforms_across_matrix() {
             normalize(&proc_log),
             "{label}: telemetry diverged"
         );
-        if proc_log.contains("\"ev\":\"hop\"") {
-            assert!(proc_log.contains("\"backend\":\"process\""), "{label}");
-        }
+        assert!(proc_log.contains("\"backend\":\"process\""), "{label}");
     }
+}
+
+#[test]
+fn consecutive_rounds_conform_on_both_backends() {
+    let mut distinct = Vec::new();
+    for sc in consecutive_rounds() {
+        let label = format!("round {}", sc.round);
+        let reference = sc.run_simulator().unwrap();
+        assert_artifacts_match(&label, &reference, &sc.run_threaded().unwrap());
+        assert_artifacts_match(&label, &reference, &sc.run_process(worker_exe()).unwrap());
+        distinct.push((reference.consensus_words().to_vec(), reference.combines));
+    }
+    distinct.dedup();
+    assert_eq!(distinct.len(), 3, "the rounds did not differ");
 }
 
 #[test]
 fn unweighted_ablation_conforms_too() {
     let sc = Scenario {
-        topo: TopoKind::Ring,
+        topo: PlanTopology::Ring,
         world: 8,
         d: 200,
         seed: 7,
@@ -153,7 +183,7 @@ fn unweighted_ablation_conforms_too() {
 #[test]
 fn process_backend_repeats_are_deterministic() {
     let sc = Scenario {
-        topo: TopoKind::Ring,
+        topo: PlanTopology::Ring,
         world: 4,
         d: 130,
         seed: 99,
