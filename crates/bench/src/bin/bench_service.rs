@@ -15,7 +15,7 @@
 //!   so a committed JSON is itself proof the scheduler never perturbed a
 //!   single output bit;
 //! - `recovery` — the crash-safety trajectory point: the same burst is
-//!   served once plain and once with a durable `marsit-journal/1` log
+//!   served once plain and once with a durable journal
 //!   (their wall ratio is the journal overhead, asserted ≤ 1.25× in full
 //!   mode), then the journal is torn at ~60% of its bytes and replayed
 //!   (records/s), one resumable job is restored and stepped

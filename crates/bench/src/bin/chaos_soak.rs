@@ -8,7 +8,7 @@
 //! - **deterministic replay** — the same seeds reproduce the storm run
 //!   word-for-word (`TrainReport` equality, fault stats included);
 //! - **checkpoint elasticity** — interrupting the storm mid-flight,
-//!   round-tripping a `marsit-checkpoint/1` snapshot through JSON, and
+//!   round-tripping a snapshot through its checkpoint frame, and
 //!   resuming yields the byte-identical report;
 //! - **convergence** — the chaos run still trains: its final loss is finite
 //!   and the clean-vs-chaos loss gap is recorded (and sanity-bounded).

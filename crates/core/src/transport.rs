@@ -21,8 +21,8 @@
 //!   channel fabric, one OS thread per rank; [`Backend::Threaded`] names
 //!   this conformance driver and tags its telemetry, it is not something a
 //!   trainer can be configured with;
-//! - [`Scenario::run_process`] — one OS *process* per rank speaking
-//!   `marsit-wire/1` over localhost TCP through a [`WireHub`], with
+//! - [`Scenario::run_process`] — one OS *process* per rank exchanging
+//!   binary frames over localhost TCP through a [`WireHub`], with
 //!   [`process_worker_main`] as the worker entry point.
 //!
 //! The process driver doubles as the crash/rejoin harness: killing a worker

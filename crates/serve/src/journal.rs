@@ -1,36 +1,38 @@
-//! The `marsit-journal/1` submission journal: crash-safe serving state.
+//! The submission journal: crash-safe serving state, one `/2` frame per
+//! record.
 //!
 //! The journal is the durability half of the serving determinism contract.
 //! Every accepted [`JobSpec`], every periodic job snapshot (the same
-//! `marsit-checkpoint/1` JSON the migration path ships between shards),
-//! every migration, and every completed outcome is appended as one
-//! CRC-guarded ASCII line; after a `kill -9`, replaying the journal yields
-//! a [`ResumePlan`] from which the server reproduces every job's report
-//! and telemetry log byte-for-byte.
-//!
-//! One record per line, with header fields in the same hex-bit-pattern
-//! discipline as `marsit-checkpoint/1` and `marsit-wire/1`:
+//! checkpoint frame the migration path ships between shards), every
+//! migration, and every completed outcome is appended as one CRC-guarded
+//! frame of [`marsit_simnet::wire`]; after a `kill -9`, replaying the
+//! journal yields a [`ResumePlan`] from which the server reproduces every
+//! job's report and telemetry log byte-for-byte.
 //!
 //! ```text
-//! marsit-journal/1 <seq:16hex> <kind> <crc32:8hex> t<body-escaped>\n
+//! header (magic, version 2, kind 0x30–0x33, body length, CRC-32)
+//! seq: u64          strictly increasing record index
+//! submit   0x30     spec: str      the canonical `JobSpec::to_line` text
+//! snapshot 0x31     name: str, shard: u32, migrations: u32, round: u64,
+//!                   tel_seq: u64, snapshot: bytes, log: str
+//! migrate  0x32     name: str, from: u32, to: u32
+//! outcome  0x33     name: str, migrations: u32, path: count + u32 each,
+//!                   report: str, log: str
 //! ```
 //!
-//! `seq` is the strictly-increasing record index, `kind` is one of
-//! `submit`/`snap`/`migrate`/`outcome`, and `crc32` is the IEEE CRC-32 of
-//! the raw (unescaped) body bytes. The body is UTF-8 text with `\`, `\n`,
-//! and `\r` escaped as `\\`, `\n`, `\r` (two characters each), so a record
-//! is always exactly one `\n`-terminated line no matter what a telemetry
-//! log contains. Snapshot bodies run to megabytes and are dominated by
-//! payloads that are *already* hex bit patterns (`marsit-checkpoint/1`
-//! JSON), so the body layer escapes rather than re-hex-encodes: the
-//! escaped form is byte-for-byte the raw body except at the three escaped
-//! characters, instead of twice its size. Torn-write detection stays
-//! trivial: replay stops at the first line that is truncated, fails its
-//! CRC, or breaks the sequence, and reports the byte offset the valid
-//! prefix ends at so the writer can truncate and resume appending.
+//! Strings and byte fields are length-prefixed, so a telemetry log or a
+//! megabyte checkpoint goes in as it is — nothing to escape, nothing to
+//! re-encode. The spec stays its queue-line text: that format is the human
+//! surface, like telemetry JSONL. Torn-write detection is the frame's:
+//! replay stops at the first record that is truncated, fails its CRC, or
+//! breaks the sequence, and reports the byte offset the valid prefix ends at
+//! so the writer can truncate and resume appending.
+//!
+//! The supervisor and its shard subprocesses exchange these same records
+//! (see [`crate::supervisor`]), decoded by this module's decoder.
 //!
 //! Durability batching: [`JournalWriter::append`] enqueues the encoded
-//! line to a dedicated writer thread; [`JournalWriter::commit`] requests a
+//! record to a dedicated writer thread; [`JournalWriter::commit`] requests a
 //! group commit (write + `fsync`) without blocking the serving thread —
 //! consecutive commit requests that pile up behind a large write coalesce
 //! into one `fsync`. The scheduler commits at shard-tick boundaries and
@@ -46,77 +48,15 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
+use marsit_simnet::wire::{split_frame, Reader, WireError, Writer};
+
 use crate::scheduler::{report_fingerprint, run_solo};
 use crate::spec::JobSpec;
 
-/// Schema tag at the start of every journal record.
-pub const JOURNAL_SCHEMA: &str = "marsit-journal/1";
-
-/// IEEE CRC-32 (the ubiquitous reflected 0xEDB88320 polynomial),
-/// slicing-by-8, dependency-free. Snapshot records put megabytes through
-/// this per journal append, so the byte-at-a-time loop (one table lookup
-/// per byte, serialized through the crc register) is worth widening: eight
-/// tables let each iteration fold in 8 bytes with independent lookups.
-/// Check value: `crc32(b"123456789") == 0xCBF4_3926`.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    !crc32_update(!0u32, bytes)
-}
-
-/// Streaming form of [`crc32`]: folds `bytes` into a raw (pre-inverted)
-/// CRC state. `!crc32_update(!0, b)` equals `crc32(b)`, and chaining
-/// updates over slices equals one update over their concatenation — the
-/// encoder uses this to checksum a record body without materializing it.
-fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
-    const fn tables() -> [[u32; 256]; 8] {
-        let mut t = [[0u32; 256]; 8];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            t[0][i] = c;
-            i += 1;
-        }
-        let mut slice = 1;
-        while slice < 8 {
-            let mut i = 0;
-            while i < 256 {
-                let prev = t[slice - 1][i];
-                t[slice][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-                i += 1;
-            }
-            slice += 1;
-        }
-        t
-    }
-    static TABLES: [[u32; 256]; 8] = tables();
-    let mut crc = state;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        crc = TABLES[7][(lo & 0xFF) as usize]
-            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ TABLES[4][(lo >> 24) as usize]
-            ^ TABLES[3][(hi & 0xFF) as usize]
-            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ TABLES[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc
-}
+const KIND_SUBMIT: u8 = 0x30;
+const KIND_SNAPSHOT: u8 = 0x31;
+const KIND_MIGRATE: u8 = 0x32;
+const KIND_OUTCOME: u8 = 0x33;
 
 /// A periodic (or pre-migration) durability point for one in-flight job:
 /// everything a fresh process needs to resume it bit-exactly.
@@ -134,8 +74,9 @@ pub struct SnapshotRecord {
     /// carry absolute sequence numbers, so a resumed job's fresh sink
     /// must continue numbering here for byte-identical logs.
     pub tel_seq: u64,
-    /// The `marsit-checkpoint/1` snapshot JSON.
-    pub snapshot_json: String,
+    /// The checkpoint frame (`TrainSnapshot::to_json`). The name is
+    /// historical — `/1` carried JSON — and `benchmark/` spells it.
+    pub snapshot_json: Vec<u8>,
     /// The full telemetry log accumulated up to (and flushed at) the
     /// snapshot point.
     pub log: String,
@@ -159,7 +100,7 @@ pub struct OutcomeRecord {
     pub log: String,
 }
 
-/// One `marsit-journal/1` record.
+/// One journal record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalRecord {
     /// A job was accepted into the server (durable before it runs).
@@ -184,15 +125,6 @@ pub enum JournalRecord {
 }
 
 impl JournalRecord {
-    fn kind_tag(&self) -> &'static str {
-        match self {
-            Self::Submit { .. } => "submit",
-            Self::Snapshot(_) => "snap",
-            Self::Migrate { .. } => "migrate",
-            Self::Outcome(_) => "outcome",
-        }
-    }
-
     /// The job name the record is about.
     #[must_use]
     pub fn name(&self) -> &str {
@@ -208,43 +140,19 @@ impl JournalRecord {
 /// Typed journal failures. Decoding and replay never panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalError {
-    /// The line does not start with `marsit-journal/…`.
-    BadMagic {
-        /// What was found instead.
-        found: String,
+    /// The record's frame is truncated, foreign, damaged or of an unknown
+    /// kind, or a field inside it is malformed.
+    Wire(WireError),
+    /// A well-formed record carries the wrong sequence number (a record
+    /// lost or repeated wholesale).
+    OutOfSequence {
+        /// The sequence number the position calls for.
+        expected: u64,
+        /// The one the record carries.
+        found: u64,
     },
-    /// The schema tag names a version this decoder does not speak.
-    UnsupportedVersion {
-        /// The full schema tag found.
-        found: String,
-    },
-    /// The line ended before all five fields were present (a torn write).
-    Truncated,
-    /// The record kind is unknown.
-    UnknownKind {
-        /// The unrecognized kind tag.
-        found: String,
-    },
-    /// A fixed-width hex field is malformed.
-    BadHex {
-        /// Which field.
-        field: &'static str,
-    },
-    /// The body bytes do not match the recorded CRC (a torn or corrupted
-    /// write).
-    BadCrc {
-        /// CRC stored in the record.
-        recorded: u32,
-        /// CRC of the bytes actually present.
-        actual: u32,
-    },
-    /// The body decoded but its inner grammar is malformed.
-    BadBody {
-        /// What is wrong with it.
-        reason: String,
-    },
-    /// A spec cannot be rendered as a journal line (see
-    /// [`JobSpec::to_line`]).
+    /// A record cannot be rendered (a spec [`JobSpec::to_line`] refuses, a
+    /// shard index beyond `u32`).
     Unrepresentable {
         /// Why.
         reason: String,
@@ -260,23 +168,10 @@ pub enum JournalError {
 impl fmt::Display for JournalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::BadMagic { found } => write!(f, "bad journal magic {found:?}"),
-            Self::UnsupportedVersion { found } => {
-                write!(
-                    f,
-                    "unsupported journal version {found:?} (want {JOURNAL_SCHEMA:?})"
-                )
+            Self::Wire(e) => write!(f, "bad journal record: {e}"),
+            Self::OutOfSequence { expected, found } => {
+                write!(f, "sequence break: expected {expected}, found {found}")
             }
-            Self::Truncated => write!(f, "truncated journal record"),
-            Self::UnknownKind { found } => write!(f, "unknown journal record kind {found:?}"),
-            Self::BadHex { field } => write!(f, "malformed hex in journal field {field}"),
-            Self::BadCrc { recorded, actual } => {
-                write!(
-                    f,
-                    "journal CRC mismatch: recorded {recorded:08x}, actual {actual:08x}"
-                )
-            }
-            Self::BadBody { reason } => write!(f, "bad journal record body: {reason}"),
             Self::Unrepresentable { reason } => {
                 write!(f, "unrepresentable journal record: {reason}")
             }
@@ -287,350 +182,108 @@ impl fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
-
-fn push_hex(out: &mut String, bits: u64, nibbles: u32) {
-    for i in (0..nibbles).rev() {
-        out.push(HEX_DIGITS[((bits >> (4 * i)) & 0xF) as usize] as char);
+impl From<WireError> for JournalError {
+    fn from(e: WireError) -> Self {
+        Self::Wire(e)
     }
 }
 
-/// Appends the body with `\`, `\n`, `\r` escaped as `\\`, `\n`, `\r`, so
-/// the record stays a single line. Clean runs copy in bulk: all three
-/// escaped bytes are ASCII and therefore always `char` boundaries. The
-/// scan is kept free of side effects so it vectorizes; snapshot bodies
-/// push megabytes through here with typically zero escapes.
-fn push_escaped_body(out: &mut String, body: &str) {
-    let mut rest = body;
-    loop {
-        let Some(i) = rest
-            .bytes()
-            .position(|b| matches!(b, b'\\' | b'\n' | b'\r'))
-        else {
-            out.push_str(rest);
-            return;
-        };
-        out.push_str(&rest[..i]);
-        out.push_str(match rest.as_bytes()[i] {
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            _ => "\\r",
-        });
-        rest = &rest[i + 1..];
-    }
+fn index_u32(what: &str, value: usize) -> Result<u32, JournalError> {
+    u32::try_from(value).map_err(|_| JournalError::Unrepresentable {
+        reason: format!("{what} {value} does not fit u32"),
+    })
 }
 
-/// Reverses [`push_escaped_body`]. A trailing lone `\` or an unknown
-/// escape is a torn or corrupt record.
-fn unescape_body(escaped: &str) -> Result<String, JournalError> {
-    let bytes = escaped.as_bytes();
-    let mut out = String::with_capacity(escaped.len());
-    let mut start = 0;
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'\\' {
-            i += 1;
-            continue;
-        }
-        out.push_str(&escaped[start..i]);
-        let unescaped = match bytes.get(i + 1) {
-            Some(b'\\') => '\\',
-            Some(b'n') => '\n',
-            Some(b'r') => '\r',
-            _ => {
-                return Err(JournalError::BadBody {
-                    reason: "bad or truncated body escape".to_string(),
-                })
-            }
-        };
-        out.push(unescaped);
-        i += 2;
-        start = i;
-    }
-    out.push_str(&escaped[start..]);
-    Ok(out)
-}
-
-fn parse_hex_u64(s: &str, field: &'static str) -> Result<u64, JournalError> {
-    if s.len() != 16 && s.len() != 8 {
-        return Err(JournalError::BadHex { field });
-    }
-    u64::from_str_radix(s, 16).map_err(|_| JournalError::BadHex { field })
-}
-
-/// Encodes one record as its wire line (trailing `\n` included).
+/// Encodes one record as its frame.
 ///
 /// # Errors
 ///
 /// [`JournalError::Unrepresentable`] when a submit record's spec cannot be
-/// rendered as a queue line (see [`JobSpec::to_line`]).
-pub fn encode_record(seq: u64, record: &JournalRecord) -> Result<String, JournalError> {
-    // Two streaming passes over the body pieces instead of materializing
-    // the body: snapshot payloads run to megabytes, and the intermediate
-    // String costs an allocation plus a full extra copy per record. Pass 1
-    // folds the raw bytes into the CRC (chained updates equal one update
-    // over the concatenation); pass 2 escapes each piece straight into the
-    // wire line (escaping is byte-local, so per-piece escaping equals
-    // escaping the concatenation).
-    let mut crc = !0u32;
-    let mut body_len = 0usize;
-    with_body_pieces(record, |piece| {
-        crc = crc32_update(crc, piece.as_bytes());
-        body_len += piece.len();
-    })?;
-    let mut line = String::with_capacity(JOURNAL_SCHEMA.len() + 48 + body_len);
-    line.push_str(JOURNAL_SCHEMA);
-    line.push(' ');
-    push_hex(&mut line, seq, 16);
-    line.push(' ');
-    line.push_str(record.kind_tag());
-    line.push(' ');
-    push_hex(&mut line, u64::from(!crc), 8);
-    line.push_str(" t");
-    with_body_pieces(record, |piece| push_escaped_body(&mut line, piece))?;
-    line.push('\n');
-    Ok(line)
-}
-
-/// Feeds the record body to `emit` as an ordered sequence of raw
-/// (unescaped) pieces whose concatenation is the body. Large payload
-/// fields are passed through by reference; only the small framing text
-/// around them is formatted.
-fn with_body_pieces(
-    record: &JournalRecord,
-    mut emit: impl FnMut(&str),
-) -> Result<(), JournalError> {
+/// rendered as a queue line (see [`JobSpec::to_line`]) or a shard index
+/// does not fit the format.
+pub fn encode_record(seq: u64, record: &JournalRecord) -> Result<Vec<u8>, JournalError> {
+    let (kind, large_fields) = match record {
+        JournalRecord::Submit { .. } => (KIND_SUBMIT, 0),
+        JournalRecord::Snapshot(s) => (KIND_SNAPSHOT, s.snapshot_json.len() + s.log.len()),
+        JournalRecord::Migrate { .. } => (KIND_MIGRATE, 0),
+        JournalRecord::Outcome(o) => (KIND_OUTCOME, o.report_debug.len() + o.log.len()),
+    };
+    // Spec lines, names, paths and the fixed-width fields fit the slack.
+    let mut w = Writer::new(kind, 512 + large_fields);
+    w.u64(seq);
     match record {
         JournalRecord::Submit { spec } => {
-            let queue_line = spec
+            let line = spec
                 .to_line()
                 .map_err(|reason| JournalError::Unrepresentable { reason })?;
-            emit(&queue_line);
+            w.str(&line);
         }
         JournalRecord::Snapshot(s) => {
-            let mut head = format!(
-                "name={} shard={} migrations={} round={} tel_seq=",
-                s.name, s.shard, s.migrations, s.round
-            );
-            push_hex(&mut head, s.tel_seq, 16);
-            head.push_str(" snapshot=");
-            head.push_str(&s.snapshot_json.len().to_string());
-            head.push(':');
-            emit(&head);
-            emit(&s.snapshot_json);
-            emit(&format!(" log={}:", s.log.len()));
-            emit(&s.log);
+            w.str(&s.name);
+            w.u32(index_u32("shard", s.shard)?);
+            w.u32(s.migrations);
+            w.u64(s.round);
+            w.u64(s.tel_seq);
+            w.bytes(&s.snapshot_json);
+            w.str(&s.log);
         }
         JournalRecord::Migrate { name, from, to } => {
-            emit(&format!("name={name} from={from} to={to}"));
+            w.str(name);
+            w.u32(index_u32("shard", *from)?);
+            w.u32(index_u32("shard", *to)?);
         }
         JournalRecord::Outcome(o) => {
-            let path = if o.shard_path.is_empty() {
-                "-".to_string()
-            } else {
-                o.shard_path
-                    .iter()
-                    .map(usize::to_string)
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
-            emit(&format!(
-                "name={} migrations={} path={} report={}:",
-                o.name,
-                o.migrations,
-                path,
-                o.report_debug.len()
-            ));
-            emit(&o.report_debug);
-            emit(&format!(" log={}:", o.log.len()));
-            emit(&o.log);
-        }
-    }
-    Ok(())
-}
-
-/// Decodes one journal line into `(seq, record)`.
-///
-/// # Errors
-///
-/// A typed [`JournalError`] for any malformed input; never panics.
-pub fn decode_line(line: &str) -> Result<(u64, JournalRecord), JournalError> {
-    let line = line.strip_suffix('\n').unwrap_or(line);
-    let mut fields = line.splitn(5, ' ');
-    let magic = fields.next().unwrap_or("");
-    if magic != JOURNAL_SCHEMA {
-        return if magic.starts_with("marsit-journal/") {
-            Err(JournalError::UnsupportedVersion {
-                found: magic.to_string(),
-            })
-        } else {
-            Err(JournalError::BadMagic {
-                found: magic.chars().take(32).collect(),
-            })
-        };
-    }
-    let seq = parse_hex_u64(fields.next().ok_or(JournalError::Truncated)?, "seq")?;
-    let kind = fields.next().ok_or(JournalError::Truncated)?.to_string();
-    let crc_text = fields.next().ok_or(JournalError::Truncated)?;
-    if crc_text.len() != 8 {
-        return Err(JournalError::BadHex { field: "crc" });
-    }
-    let recorded = parse_hex_u64(crc_text, "crc")? as u32;
-    let body_escaped = fields
-        .next()
-        .ok_or(JournalError::Truncated)?
-        .strip_prefix('t')
-        .ok_or(JournalError::BadBody {
-            reason: "missing t payload tag".to_string(),
-        })?;
-    let body = unescape_body(body_escaped)?;
-    let actual = crc32(body.as_bytes());
-    if actual != recorded {
-        return Err(JournalError::BadCrc { recorded, actual });
-    }
-    let record = decode_body(&kind, &body)?;
-    Ok((seq, record))
-}
-
-/// `len:payload` segment parser: returns `(payload, rest)`. Shared with
-/// the supervisor wire bodies, which embed the same free-text segments.
-pub(crate) fn take_len_prefixed<'a>(
-    s: &'a str,
-    field: &str,
-) -> Result<(&'a str, &'a str), JournalError> {
-    let (len, rest) = s.split_once(':').ok_or_else(|| JournalError::BadBody {
-        reason: format!("{field}: missing length prefix"),
-    })?;
-    let len: usize = len.parse().map_err(|_| JournalError::BadBody {
-        reason: format!("{field}: bad length {len:?}"),
-    })?;
-    let payload = rest.get(..len).ok_or_else(|| JournalError::BadBody {
-        reason: format!("{field}: body shorter than declared length {len}"),
-    })?;
-    Ok((payload, &rest[len..]))
-}
-
-fn kv<'a>(token: &'a str, key: &str) -> Result<&'a str, JournalError> {
-    token
-        .strip_prefix(key)
-        .and_then(|t| t.strip_prefix('='))
-        .ok_or_else(|| JournalError::BadBody {
-            reason: format!("expected {key}=..., found {token:?}"),
-        })
-}
-
-fn parse_usize(s: &str, field: &str) -> Result<usize, JournalError> {
-    s.parse().map_err(|_| JournalError::BadBody {
-        reason: format!("bad {field}: {s:?}"),
-    })
-}
-
-fn decode_body(kind: &str, body: &str) -> Result<JournalRecord, JournalError> {
-    match kind {
-        "submit" => JobSpec::parse_line(body)
-            .map(|spec| JournalRecord::Submit { spec })
-            .map_err(|reason| JournalError::BadBody { reason }),
-        "snap" => {
-            let (head, tail) =
-                body.split_once(" snapshot=")
-                    .ok_or_else(|| JournalError::BadBody {
-                        reason: "snap record missing snapshot segment".to_string(),
-                    })?;
-            let mut tokens = head.split_whitespace();
-            let mut next = |key: &'static str| {
-                tokens
-                    .next()
-                    .ok_or(JournalError::Truncated)
-                    .and_then(|t| kv(t, key).map(str::to_string))
-            };
-            let name = next("name")?;
-            let shard = parse_usize(&next("shard")?, "shard")?;
-            let migrations = parse_usize(&next("migrations")?, "migrations")? as u32;
-            let round = parse_usize(&next("round")?, "round")? as u64;
-            let tel_seq = parse_hex_u64(&next("tel_seq")?, "tel_seq")?;
-            let (snapshot_json, tail) = take_len_prefixed(tail, "snapshot")?;
-            let tail = tail
-                .strip_prefix(" log=")
-                .ok_or_else(|| JournalError::BadBody {
-                    reason: "snap record missing log segment".to_string(),
-                })?;
-            let (log, rest) = take_len_prefixed(tail, "log")?;
-            if !rest.is_empty() {
-                return Err(JournalError::BadBody {
-                    reason: format!("trailing bytes after snap record: {rest:?}"),
-                });
+            w.str(&o.name);
+            w.u32(o.migrations);
+            w.count(o.shard_path.len());
+            for &shard in &o.shard_path {
+                w.u32(index_u32("shard", shard)?);
             }
-            Ok(JournalRecord::Snapshot(SnapshotRecord {
-                name,
-                shard,
-                migrations,
-                round,
-                tel_seq,
-                snapshot_json: snapshot_json.to_string(),
-                log: log.to_string(),
-            }))
+            w.str(&o.report_debug);
+            w.str(&o.log);
         }
-        "migrate" => {
-            let mut tokens = body.split_whitespace();
-            let mut next = |key: &'static str| {
-                tokens
-                    .next()
-                    .ok_or(JournalError::Truncated)
-                    .and_then(|t| kv(t, key).map(str::to_string))
-            };
-            let name = next("name")?;
-            let from = parse_usize(&next("from")?, "from")?;
-            let to = parse_usize(&next("to")?, "to")?;
-            Ok(JournalRecord::Migrate { name, from, to })
-        }
-        "outcome" => {
-            let (head, tail) =
-                body.split_once(" report=")
-                    .ok_or_else(|| JournalError::BadBody {
-                        reason: "outcome record missing report segment".to_string(),
-                    })?;
-            let mut tokens = head.split_whitespace();
-            let mut next = |key: &'static str| {
-                tokens
-                    .next()
-                    .ok_or(JournalError::Truncated)
-                    .and_then(|t| kv(t, key).map(str::to_string))
-            };
-            let name = next("name")?;
-            let migrations = parse_usize(&next("migrations")?, "migrations")? as u32;
-            let path_text = next("path")?;
-            let shard_path = if path_text == "-" {
-                Vec::new()
-            } else {
-                path_text
-                    .split(',')
-                    .map(|p| parse_usize(p, "path"))
-                    .collect::<Result<Vec<_>, _>>()?
-            };
-            let (report_debug, tail) = take_len_prefixed(tail, "report")?;
-            let tail = tail
-                .strip_prefix(" log=")
-                .ok_or_else(|| JournalError::BadBody {
-                    reason: "outcome record missing log segment".to_string(),
-                })?;
-            let (log, rest) = take_len_prefixed(tail, "log")?;
-            if !rest.is_empty() {
-                return Err(JournalError::BadBody {
-                    reason: format!("trailing bytes after outcome record: {rest:?}"),
-                });
-            }
-            Ok(JournalRecord::Outcome(OutcomeRecord {
-                name,
-                migrations,
-                shard_path,
-                report_debug: report_debug.to_string(),
-                log: log.to_string(),
-            }))
-        }
-        other => Err(JournalError::UnknownKind {
-            found: other.to_string(),
+    }
+    Ok(w.finish())
+}
+
+/// Decodes the body of a frame of `kind` into `(seq, record)`.
+fn decode_record(kind: u8, mut r: Reader<'_>) -> Result<(u64, JournalRecord), WireError> {
+    fn index(r: &mut Reader<'_>) -> Result<usize, WireError> {
+        r.u32().map(|v| v as usize)
+    }
+    let seq = r.u64()?;
+    let record = match kind {
+        KIND_SUBMIT => JournalRecord::Submit {
+            spec: JobSpec::parse_line(r.str()?)
+                .map_err(|reason| WireError::BadPayload { reason })?,
+        },
+        KIND_SNAPSHOT => JournalRecord::Snapshot(SnapshotRecord {
+            name: r.str()?.to_string(),
+            shard: index(&mut r)?,
+            migrations: r.u32()?,
+            round: r.u64()?,
+            tel_seq: r.u64()?,
+            snapshot_json: r.bytes()?.to_vec(),
+            log: r.str()?.to_string(),
         }),
-    }
+        KIND_MIGRATE => JournalRecord::Migrate {
+            name: r.str()?.to_string(),
+            from: index(&mut r)?,
+            to: index(&mut r)?,
+        },
+        KIND_OUTCOME => JournalRecord::Outcome(OutcomeRecord {
+            name: r.str()?.to_string(),
+            migrations: r.u32()?,
+            shard_path: (0..r.count(4)?)
+                .map(|_| index(&mut r))
+                .collect::<Result<_, _>>()?,
+            report_debug: r.str()?.to_string(),
+            log: r.str()?.to_string(),
+        }),
+        found => return Err(WireError::UnknownKind { found }),
+    };
+    r.finish()?;
+    Ok((seq, record))
 }
 
 /// The result of scanning a journal byte stream: the decodable prefix.
@@ -645,53 +298,37 @@ pub struct Replay {
     pub next_seq: u64,
     /// Why scanning stopped before the end of the input, if it did (a
     /// torn tail is expected after a crash, not an error).
-    pub torn: Option<String>,
+    pub torn: Option<JournalError>,
 }
 
-/// Scans journal bytes, decoding records until the first torn or corrupt
-/// line. Never fails: a journal truncated at *any* byte yields the longest
-/// valid prefix (replay of which is a valid resume state).
+/// Scans journal bytes, decoding records until the first torn, corrupt or
+/// out-of-sequence one. Never fails: a journal truncated at *any* byte
+/// yields the longest valid prefix (replay of which is a valid resume
+/// state).
 #[must_use]
 pub fn replay_bytes(bytes: &[u8]) -> Replay {
     let mut records = Vec::new();
-    let mut valid_len = 0usize;
-    let mut next_seq = 0u64;
-    let mut torn = None;
-    let mut offset = 0usize;
-    while offset < bytes.len() {
-        let Some(nl) = bytes[offset..].iter().position(|&b| b == b'\n') else {
-            torn = Some("unterminated final line".to_string());
-            break;
-        };
-        let line_bytes = &bytes[offset..offset + nl + 1];
-        let line = match std::str::from_utf8(line_bytes) {
-            Ok(l) => l,
-            Err(e) => {
-                torn = Some(format!("non-UTF-8 line: {e}"));
-                break;
-            }
-        };
-        match decode_line(line) {
-            Ok((seq, record)) => {
-                if seq != next_seq {
-                    torn = Some(format!("sequence break: expected {next_seq}, found {seq}"));
-                    break;
-                }
-                records.push((seq, record));
-                next_seq += 1;
-                offset += nl + 1;
-                valid_len = offset;
-            }
-            Err(e) => {
-                torn = Some(e.to_string());
-                break;
-            }
+    let mut rest = bytes;
+    let torn = loop {
+        if rest.is_empty() {
+            break None;
         }
-    }
+        let expected = records.len() as u64;
+        let next = split_frame(rest)
+            .and_then(|(kind, body, after)| Ok((decode_record(kind, body)?, after)));
+        match next {
+            Ok(((seq, record), after)) if seq == expected => {
+                records.push((seq, record));
+                rest = after;
+            }
+            Ok(((found, _), _)) => break Some(JournalError::OutOfSequence { expected, found }),
+            Err(e) => break Some(e.into()),
+        }
+    };
     Replay {
+        next_seq: records.len() as u64,
+        valid_len: bytes.len() - rest.len(),
         records,
-        valid_len,
-        next_seq,
         torn,
     }
 }
@@ -730,8 +367,9 @@ pub struct RecoveredOutcome {
 pub struct ResumeJob {
     /// The spec the job runs under.
     pub spec: JobSpec,
-    /// `marsit-checkpoint/1` snapshot JSON to restore from.
-    pub snapshot_json: String,
+    /// Checkpoint frame to restore from (named like
+    /// [`SnapshotRecord::snapshot_json`]).
+    pub snapshot_json: Vec<u8>,
     /// Telemetry log accumulated up to the snapshot.
     pub log: String,
     /// Telemetry sequence floor at the snapshot (see
@@ -903,7 +541,7 @@ pub fn verify_recovered(outcome: &RecoveredOutcome) -> Result<(), String> {
 
 /// Append-only journal writer with group commit (write + `fsync`)
 /// batching on a dedicated writer thread. `append` enqueues an encoded
-/// line; `commit` requests an `fsync` without blocking (consecutive
+/// record; `commit` requests an `fsync` without blocking (consecutive
 /// requests coalesce). Dropping the writer drains the queue and syncs, so
 /// a clean shutdown is always fully durable; a crash loses at most the
 /// not-yet-synced suffix, which replay truncates as a torn tail.
@@ -918,8 +556,8 @@ pub struct JournalWriter {
 }
 
 enum WriterMsg {
-    /// One encoded record line to append.
-    Line(String),
+    /// One encoded record to append.
+    Record(Vec<u8>),
     /// Group-commit request: `fsync` everything appended so far.
     Commit,
 }
@@ -932,7 +570,7 @@ struct WriterShared {
     error: std::sync::Mutex<Option<String>>,
 }
 
-/// How many encoded lines may queue between the serving threads and the
+/// How many encoded records may queue between the serving threads and the
 /// writer thread before appends block (bounded memory under bursts; disk
 /// backpressure instead of unbounded buffering).
 const WRITER_QUEUE_DEPTH: usize = 64;
@@ -970,14 +608,14 @@ fn writer_thread(mut file: File, rx: &std::sync::mpsc::Receiver<WriterMsg>, shar
             return;
         }
         match msg {
-            WriterMsg::Line(line) => {
-                if let Err(e) = file.write_all(line.as_bytes()) {
+            WriterMsg::Record(record) => {
+                if let Err(e) = file.write_all(&record) {
                     latch(e, failed);
                     return;
                 }
                 shared
                     .bytes_committed
-                    .fetch_add(line.len() as u64, Ordering::Relaxed);
+                    .fetch_add(record.len() as u64, Ordering::Relaxed);
                 *dirty = true;
             }
             WriterMsg::Commit => *commit_requested = *dirty,
@@ -1076,10 +714,28 @@ impl JournalWriter {
     /// (everything past `replay.valid_len`) and resumes appending with
     /// `replay.next_seq`.
     ///
+    /// A torn tail is truncated; a foreign head is not a torn tail. When
+    /// not even the first record is valid because the file starts with
+    /// other magic or another format version — an older journal, or not a
+    /// journal at all — the file is left byte-for-byte intact. (A first
+    /// record merely cut short by a crash is truncated and resumed.)
+    ///
     /// # Errors
     ///
-    /// I/O failure opening, truncating, or seeking.
+    /// `InvalidData` naming the file and what it starts with for a foreign
+    /// head; otherwise I/O failure opening, truncating, or seeking.
     pub fn resume(path: &Path, replay: &Replay) -> std::io::Result<Self> {
+        if let (0, Some(found)) = (replay.valid_len, &replay.torn) {
+            if let JournalError::Wire(
+                WireError::BadMagic { .. } | WireError::UnsupportedVersion { .. },
+            ) = found
+            {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("{}: {found}; not truncating it", path.display()),
+                ));
+            }
+        }
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         file.set_len(replay.valid_len as u64)?;
         file.seek(SeekFrom::End(0))?;
@@ -1096,20 +752,20 @@ impl JournalWriter {
     }
 
     /// Encodes one record and hands it to the writer thread. Blocks only
-    /// when the writer queue is full (64 lines; disk backpressure).
+    /// when the writer queue is full (64 records; disk backpressure).
     ///
     /// # Errors
     ///
     /// [`JournalError::Unrepresentable`] for specs that cannot round-trip
-    /// the line format (rejected at admission, so this is defensive), or
+    /// the queue-line format (rejected at admission, so this is defensive), or
     /// [`JournalError::Io`] once the writer thread has latched a failure.
     pub fn append(&mut self, record: &JournalRecord) -> Result<(), JournalError> {
         if let Some(message) = self.latched_error() {
             return Err(JournalError::Io { message });
         }
-        let line = encode_record(self.next_seq, record)?;
+        let encoded = encode_record(self.next_seq, record)?;
         let tx = self.tx.as_ref().expect("writer thread alive");
-        if tx.send(WriterMsg::Line(line)).is_err() {
+        if tx.send(WriterMsg::Record(encoded)).is_err() {
             return Err(JournalError::Io {
                 message: self
                     .latched_error()
@@ -1190,26 +846,38 @@ mod tests {
         s
     }
 
-    #[test]
-    fn crc32_matches_ieee_check_value() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+    /// Decodes input that must be exactly one record.
+    fn decode_one(bytes: &[u8]) -> Result<(u64, JournalRecord), WireError> {
+        let (kind, body) = marsit_simnet::wire::sole_frame(bytes)?;
+        decode_record(kind, body)
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
     #[test]
     fn golden_fixture_submit_record() {
-        // Pinned journal bytes: if this moves, marsit-journal/1 is broken.
+        // Pinned journal bytes (recorded for format /2): header, seq 7, then
+        // the length-prefixed queue line.
         let record = JournalRecord::Submit { spec: spec("g0") };
-        let line = encode_record(7, &record).expect("representable");
+        let bytes = encode_record(7, &record).expect("representable");
+        let line = "name=g0 workload=alexnet_mnist topo=ring:4 k=20 seed=11 rounds=6 \
+                    examples=128 test=32 batch=16 lr=0.01 glr=0.002";
         assert_eq!(
-            line,
-            "marsit-journal/1 0000000000000007 submit e3a56db2 \
-             tname=g0 workload=alexnet_mnist topo=ring:4 k=20 seed=11 rounds=6 \
-             examples=128 test=32 batch=16 lr=0.01 glr=0.002\n"
+            hex(&bytes[..26]),
+            concat!(
+                "4d525354",         // magic
+                "02",               // format version
+                "30",               // kind: submit
+                "7c000000",         // body length
+                "233b7d93",         // CRC-32
+                "0700000000000000", // seq
+                "70000000",         // spec length
+            )
         );
-        let (seq, back) = decode_line(&line).expect("golden line decodes");
-        assert_eq!(seq, 7);
-        assert_eq!(back, record);
+        assert_eq!(&bytes[26..], line.as_bytes());
+        assert_eq!(decode_one(&bytes).expect("golden decodes"), (7, record));
     }
 
     #[test]
@@ -1219,17 +887,26 @@ mod tests {
             from: 2,
             to: 0,
         };
-        let line = encode_record(0, &record).expect("representable");
+        let bytes = encode_record(0, &record).expect("representable");
         assert_eq!(
-            line,
-            "marsit-journal/1 0000000000000000 migrate e11b232f tname=g0 from=2 to=0\n"
+            hex(&bytes),
+            concat!(
+                "4d525354",         // magic
+                "02",               // format version
+                "32",               // kind: migrate
+                "16000000",         // body length
+                "0c03320e",         // CRC-32
+                "0000000000000000", // seq
+                "020000006730",     // name: length, "g0"
+                "02000000",         // from
+                "00000000",         // to
+            )
         );
-        assert_eq!(decode_line(&line).expect("decodes"), (0, record));
+        assert_eq!(decode_one(&bytes).expect("decodes"), (0, record));
     }
 
-    #[test]
-    fn records_round_trip() {
-        let records = [
+    fn four_kinds() -> [JournalRecord; 4] {
+        [
             JournalRecord::Submit { spec: spec("a") },
             JournalRecord::Snapshot(SnapshotRecord {
                 name: "a".to_string(),
@@ -1237,7 +914,7 @@ mod tests {
                 migrations: 2,
                 round: 4,
                 tel_seq: 0xDEAD_BEEF,
-                snapshot_json: r#"{"schema":"marsit-checkpoint/1","round":4}"#.to_string(),
+                snapshot_json: vec![0, 0xFF, b'\n', b'\\', 0x80],
                 log: "{\"ev\":\"x\"}\n{\"ev\":\"y\"}\n".to_string(),
             }),
             JournalRecord::Migrate {
@@ -1252,60 +929,115 @@ mod tests {
                 report_debug: "TrainReport { rounds: 6 }".to_string(),
                 log: "line1\nline2\n".to_string(),
             }),
-        ];
-        for (i, record) in records.iter().enumerate() {
-            let line = encode_record(i as u64, record).expect("representable");
+        ]
+    }
+
+    #[test]
+    fn records_round_trip() {
+        for (i, record) in four_kinds().iter().enumerate() {
+            let bytes = encode_record(i as u64, record).expect("representable");
             assert_eq!(
-                decode_line(&line).expect("round trip"),
+                decode_one(&bytes).expect("round trip"),
                 (i as u64, record.clone()),
                 "record {i}"
             );
         }
     }
 
+    /// What a supervisor delivers to a shard is a tiny journal: `Submit` +
+    /// `Snapshot` folds to the `ResumeJob` whole-server recovery builds from
+    /// the same two records, a lone `Submit` to a fresh spec.
+    #[test]
+    fn a_delivery_folds_like_a_recovered_journal() {
+        let [submit, snapshot, ..] = four_kinds();
+        let JournalRecord::Snapshot(snap) = &snapshot else {
+            unreachable!("second of the four kinds");
+        };
+        let mut payload = encode_record(0, &submit).unwrap();
+        let fresh = plan_from_replay(&replay_bytes(&payload));
+        assert_eq!(fresh.fresh, vec![spec("a")]);
+        assert!(fresh.resumes.is_empty() && fresh.completed.is_empty());
+
+        payload.extend_from_slice(&encode_record(1, &snapshot).unwrap());
+        let replay = replay_bytes(&payload);
+        assert!(replay.torn.is_none());
+        let delivered = plan_from_replay(&replay);
+        let mut recovered = ReplayState::new();
+        recovered.apply(&submit);
+        recovered.apply(&snapshot);
+        assert_eq!(delivered.resumes, recovered.plan().resumes);
+        assert_eq!(
+            delivered.resumes,
+            vec![ResumeJob {
+                spec: spec("a"),
+                snapshot_json: snap.snapshot_json.clone(),
+                log: snap.log.clone(),
+                tel_seq: snap.tel_seq,
+                migrations: snap.migrations,
+            }]
+        );
+        assert!(delivered.fresh.is_empty() && delivered.orphaned.is_empty());
+    }
+
     #[test]
     fn corrupt_body_fails_crc() {
-        let line = encode_record(0, &JournalRecord::Submit { spec: spec("c") }).unwrap();
-        // Flip one nibble of the body hex.
-        let mut bytes: Vec<u8> = line.into_bytes();
+        let mut bytes = encode_record(0, &JournalRecord::Submit { spec: spec("c") }).unwrap();
         let n = bytes.len() - 3;
-        bytes[n] = if bytes[n] == b'0' { b'1' } else { b'0' };
-        let corrupted = String::from_utf8(bytes).unwrap();
-        assert!(matches!(
-            decode_line(&corrupted),
-            Err(JournalError::BadCrc { .. })
-        ));
+        bytes[n] ^= 1;
+        assert!(matches!(decode_one(&bytes), Err(WireError::BadCrc { .. })));
     }
 
     #[test]
     fn replay_stops_at_torn_tail_and_sequence_breaks() {
-        let mut text = String::new();
-        text.push_str(&encode_record(0, &JournalRecord::Submit { spec: spec("a") }).unwrap());
-        text.push_str(&encode_record(1, &JournalRecord::Submit { spec: spec("b") }).unwrap());
-        let full_len = text.len();
-        // Torn mid-line: only the first record survives.
-        let torn = &text.as_bytes()[..full_len - 10];
-        let replay = replay_bytes(torn);
-        assert_eq!(replay.records.len(), 1);
-        assert!(replay.torn.is_some());
-        assert_eq!(
-            replay.valid_len,
-            encode_record(0, &JournalRecord::Submit { spec: spec("a") })
-                .unwrap()
-                .len()
+        let first = encode_record(0, &JournalRecord::Submit { spec: spec("a") }).unwrap();
+        let mut bytes = first.clone();
+        bytes.extend_from_slice(
+            &encode_record(1, &JournalRecord::Submit { spec: spec("b") }).unwrap(),
         );
-        // Sequence break (a record skipped wholesale) also stops replay.
-        let mut skipped = encode_record(0, &JournalRecord::Submit { spec: spec("a") }).unwrap();
-        skipped.push_str(&encode_record(5, &JournalRecord::Submit { spec: spec("b") }).unwrap());
-        let replay = replay_bytes(skipped.as_bytes());
+        // Torn mid-record: only the first record survives.
+        let replay = replay_bytes(&bytes[..bytes.len() - 10]);
         assert_eq!(replay.records.len(), 1);
-        assert!(replay.torn.unwrap().contains("sequence break"));
+        assert_eq!(replay.torn, Some(JournalError::Wire(WireError::Truncated)));
+        assert_eq!(replay.valid_len, first.len());
+        // Sequence break (a record skipped wholesale) also stops replay.
+        let mut skipped = first;
+        skipped.extend_from_slice(
+            &encode_record(5, &JournalRecord::Submit { spec: spec("b") }).unwrap(),
+        );
+        let replay = replay_bytes(&skipped);
+        assert_eq!(replay.records.len(), 1);
+        assert_eq!(
+            replay.torn,
+            Some(JournalError::OutOfSequence {
+                expected: 1,
+                found: 5
+            })
+        );
+    }
+
+    /// A frame of the shared format that is not a journal record (here a
+    /// checkpoint-kind frame) ends the valid prefix like any damage.
+    #[test]
+    fn foreign_kind_ends_the_valid_prefix() {
+        let stray = marsit_simnet::wire::Writer::new(0x20, 0).finish();
+        let replay = replay_bytes(&stray);
+        assert!(replay.records.is_empty());
+        assert_eq!(
+            replay.torn,
+            Some(JournalError::Wire(WireError::Truncated)),
+            "an empty body has no seq"
+        );
+    }
+
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("marsit-journal-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
     fn writer_commit_then_replay_round_trips() {
-        let dir = std::env::temp_dir().join(format!("marsit-journal-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("roundtrip");
         let path = dir.join("j.log");
         {
             let mut writer = JournalWriter::create(&path).unwrap();
@@ -1322,9 +1054,9 @@ mod tests {
         // Simulate a torn tail, then resume: the tail is truncated and the
         // next record continues the sequence.
         {
-            use std::io::Write as _;
+            let next = encode_record(1, &JournalRecord::Submit { spec: spec("x") }).unwrap();
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(b"marsit-journal/1 0000").unwrap();
+            f.write_all(&next[..next.len() / 2]).unwrap();
         }
         let replay = replay_file(&path).unwrap();
         assert!(replay.torn.is_some());
@@ -1346,6 +1078,48 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A torn tail is truncated; a foreign head is not a torn tail. A file
+    /// that starts with other magic (a `marsit-journal/1` text journal, a
+    /// stray text file) or another format version is refused and left
+    /// byte-for-byte intact; a first record cut short by a crash resumes.
+    #[test]
+    fn resume_refuses_a_file_it_does_not_recognise() {
+        let dir = scratch_dir("foreign");
+        let record = encode_record(0, &JournalRecord::Submit { spec: spec("f") }).unwrap();
+        let mut other_version = record.clone();
+        other_version[4] = 3;
+        let foreign: [(&str, &[u8]); 3] = [
+            (
+                "old.journal",
+                b"marsit-journal/1 0000000000000000 migrate e11b232f tname=g0 from=2 to=0\n",
+            ),
+            ("notes.txt", b"these are\nnot records\n"),
+            ("future.journal", &other_version),
+        ];
+        for (name, contents) in foreign {
+            let path = dir.join(name);
+            std::fs::write(&path, contents).unwrap();
+            let replay = replay_file(&path).unwrap();
+            assert_eq!((replay.records.len(), replay.valid_len), (0, 0));
+            let err = JournalWriter::resume(&path, &replay).expect_err("must refuse");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(name), "names the file: {err}");
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                contents,
+                "{name} was touched"
+            );
+        }
+
+        let path = dir.join("cut.journal");
+        std::fs::write(&path, &record[..record.len() - 1]).unwrap();
+        let replay = replay_file(&path).unwrap();
+        assert_eq!(replay.torn, Some(JournalError::Wire(WireError::Truncated)));
+        drop(JournalWriter::resume(&path, &replay).expect("a cut first record resumes"));
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn resume_plan_classifies_jobs() {
         let mut state = ReplayState::new();
@@ -1362,7 +1136,7 @@ mod tests {
             migrations: 0,
             round: 2,
             tel_seq: 40,
-            snapshot_json: "{}".to_string(),
+            snapshot_json: b"{}".to_vec(),
             log: "l".to_string(),
         }));
         // A later snapshot supersedes; an earlier replayed one does not.
@@ -1372,7 +1146,7 @@ mod tests {
             migrations: 1,
             round: 4,
             tel_seq: 80,
-            snapshot_json: "{later}".to_string(),
+            snapshot_json: b"{later}".to_vec(),
             log: "ll".to_string(),
         }));
         state.apply(&JournalRecord::Outcome(OutcomeRecord {
@@ -1394,7 +1168,7 @@ mod tests {
         assert_eq!(plan.completed[0].spec.name, "done");
         assert_eq!(plan.resumes.len(), 1);
         assert_eq!(plan.resumes[0].tel_seq, 80);
-        assert_eq!(plan.resumes[0].snapshot_json, "{later}");
+        assert_eq!(plan.resumes[0].snapshot_json, b"{later}");
         assert_eq!(plan.fresh.len(), 1);
         assert_eq!(plan.fresh[0].name, "queued");
         assert_eq!(plan.orphaned, vec!["ghost".to_string()]);

@@ -32,9 +32,9 @@ pub mod supervisor;
 
 pub use admission::{AdmissionController, AdmissionError, TenantQuota};
 pub use journal::{
-    crc32, decode_line, encode_record, plan_from_replay, replay_bytes, replay_file,
-    verify_recovered, JournalError, JournalRecord, JournalWriter, OutcomeRecord, RecoveredOutcome,
-    Replay, ReplayState, ResumeJob, ResumePlan, SnapshotRecord, JOURNAL_SCHEMA,
+    encode_record, plan_from_replay, replay_bytes, replay_file, verify_recovered, JournalError,
+    JournalRecord, JournalWriter, OutcomeRecord, RecoveredOutcome, Replay, ReplayState, ResumeJob,
+    ResumePlan, SnapshotRecord,
 };
 pub use pool::{PoolStats, TopologyClass, WorkspaceKey, WorkspacePool};
 pub use scheduler::{

@@ -14,9 +14,9 @@
 //!    `drain_events_jsonl_into` call per *tick* (a burst of rounds), not per
 //!    round. The drained bytes are identical whatever the flush cadence.
 //! 3. **Snapshot migration**: a job moves between shards as a
-//!    [`TrainSnapshot`] serialized to JSON. Restore is bit-exact and emits
-//!    no fresh `run_meta`, so the concatenated telemetry log of a migrated
-//!    job is byte-identical to an unmigrated run.
+//!    [`TrainSnapshot`] serialized to its checkpoint frame. Restore is
+//!    bit-exact and emits no fresh `run_meta`, so the concatenated telemetry
+//!    log of a migrated job is byte-identical to an unmigrated run.
 //!
 //! The determinism contract — the reason a scheduler decision can never
 //! perturb a job — is that every cross-job mechanism above is either pure
@@ -225,23 +225,26 @@ pub fn quantile_ns(sorted: &[u64], q: f64) -> u64 {
     sorted[rank - 1]
 }
 
-/// A job resident on a shard.
-struct ActiveJob {
-    spec: JobSpec,
-    state: TrainerState,
-    tel: Telemetry,
-    log: String,
+/// A job resident on a shard (a scheduler thread, or a supervised shard
+/// subprocess — see [`crate::supervisor`]).
+pub(crate) struct ActiveJob {
+    pub(crate) spec: JobSpec,
+    pub(crate) state: TrainerState,
+    pub(crate) tel: Telemetry,
+    /// Telemetry drained so far (in a shard subprocess: since the last
+    /// record it shipped).
+    pub(crate) log: String,
     shard_path: Vec<usize>,
-    migrations: u32,
-    /// Ticks since the last journaled snapshot (periodic-snapshot cadence).
-    ticks_since_snap: usize,
+    pub(crate) migrations: u32,
+    /// Ticks since the last snapshot record (periodic-snapshot cadence).
+    pub(crate) ticks_since_snap: usize,
 }
 
 /// A job in transit between shards: the spec plus the serialized snapshot
 /// and everything accumulated so far.
 struct MigratingJob {
     spec: JobSpec,
-    snapshot_json: String,
+    snapshot_json: Vec<u8>,
     tel: Telemetry,
     log: String,
     shard_path: Vec<usize>,
@@ -651,26 +654,33 @@ fn handle_msg(
     }
 }
 
-/// Appends a snapshot record for `job` (everything a fresh process needs
-/// to resume it bit-exactly) to the shard's journal.
-fn journal_snapshot(job: &mut ActiveJob, ctx: &ShardCtx) {
-    let Some(journal) = &ctx.journal else { return };
+/// Captures `job` at this round boundary as the record that resumes it
+/// bit-exactly in a fresh process, carrying `log`.
+pub(crate) fn snapshot_record(job: &mut ActiveJob, shard: usize, log: String) -> JournalRecord {
     let snapshot = job.state.snapshot();
-    let record = JournalRecord::Snapshot(SnapshotRecord {
+    job.ticks_since_snap = 0;
+    JournalRecord::Snapshot(SnapshotRecord {
         name: job.spec.name.clone(),
-        shard: ctx.shard,
+        shard,
         migrations: job.migrations,
         round: snapshot.round,
         tel_seq: job.tel.seq_floor(),
         snapshot_json: snapshot.to_json(),
-        log: job.log.clone(),
-    });
+        log,
+    })
+}
+
+/// Appends a snapshot record for `job` to the shard's journal.
+fn journal_snapshot(job: &mut ActiveJob, ctx: &ShardCtx) {
+    let Some(journal) = &ctx.journal else { return };
+    // Encode-side work stays outside the journal lock the shards share.
+    let log = job.log.clone();
+    let record = snapshot_record(job, ctx.shard, log);
     journal
         .lock()
         .expect("journal lock")
         .append(&record)
         .expect("journal-representable snapshot");
-    job.ticks_since_snap = 0;
 }
 
 /// Commits (writes + fsyncs) everything shards appended this tick.
@@ -685,7 +695,7 @@ fn journal_commit(ctx: &ShardCtx) {
 }
 
 /// Builds a fresh job, adopting a pooled workspace when one fits.
-fn admit(spec: JobSpec, shard: usize, pool: &mut WorkspacePool) -> ActiveJob {
+pub(crate) fn admit(spec: JobSpec, shard: usize, pool: &mut WorkspacePool) -> ActiveJob {
     let tel = Telemetry::recording();
     let cfg = spec.to_train_config(tel.clone());
     let mut state = TrainerState::new(&cfg);
@@ -709,7 +719,7 @@ fn admit(spec: JobSpec, shard: usize, pool: &mut WorkspacePool) -> ActiveJob {
 /// events of the resumed rounds continue the dead process's absolute
 /// numbering and the concatenated log stays byte-identical to an
 /// uninterrupted run.
-fn land_restore(resume: ResumeJob, shard: usize, pool: &mut WorkspacePool) -> ActiveJob {
+pub(crate) fn land_restore(resume: ResumeJob, shard: usize, pool: &mut WorkspacePool) -> ActiveJob {
     let tel = Telemetry::recording();
     tel.restore_seq_floor(resume.tel_seq);
     let cfg = resume.spec.to_train_config(tel.clone());

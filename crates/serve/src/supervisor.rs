@@ -1,21 +1,25 @@
 //! Process-per-shard serving: a supervisor, shard subprocesses, and the
-//! `marsit-wire/1` serving protocol between them.
+//! serving protocol between them — journal records inside transport frames.
 //!
 //! The thread scheduler ([`crate::scheduler`]) dies with its process. This
 //! module splits the shards out: a [`SupervisorHandle`] spawns one shard
 //! *subprocess* per shard (the `marsit_serve` binary in its hidden
 //! `--shard-worker` mode), speaks [`Frame`]s over localhost TCP, and
-//! supervises:
+//! supervises. A serving frame's payload is one or more records of
+//! [`crate::journal`], encoded and decoded by the journal's own codec, so a
+//! shard lands a delivered job through the same replay fold
+//! ([`plan_from_replay`]) and the same `admit` / `land_restore` as a
+//! restarted thread server:
 //!
-//! - **Submission** — `submit` frames carry a fresh job's canonical spec
-//!   line, or a restore body (spec + `marsit-checkpoint/1` snapshot +
-//!   telemetry sequence floor) for a job resuming from a durability point.
+//! - **Submission** — a `submit` frame carries a fresh job's `Submit`
+//!   record, followed by a `Snapshot` record (checkpoint + telemetry
+//!   sequence floor) for a job resuming from a durability point.
 //! - **Durability** — shards push `snapshot` frames at the configured tick
-//!   cadence; each carries the snapshot JSON plus the telemetry **delta**
-//!   since the last push. The supervisor accumulates deltas in order, so
-//!   its log-at-snapshot is exactly the job's log at that round — the
-//!   rollback point — and journals every snapshot when a journal is
-//!   attached.
+//!   cadence; each carries one `Snapshot` record whose `log` is the
+//!   telemetry **delta** since the last push. The supervisor splices deltas
+//!   in order, so its log-at-snapshot is exactly the job's log at that
+//!   round — the rollback point — and journals every snapshot when a
+//!   journal is attached.
 //! - **Liveness** — a shard death is detected as EOF on its connection
 //!   (the same EOF→`down` protocol as [`marsit_simnet::process`]). The
 //!   supervisor restarts the shard with bounded exponential backoff and
@@ -24,33 +28,39 @@
 //!   shard never pushed is discarded *by construction* (deltas ride only
 //!   on snapshot/outcome frames), so the resumed job's concatenated log is
 //!   byte-identical to an uninterrupted run.
-//! - **Migration** — the supervisor asks a shard to `evict` a job; the
-//!   shard answers with a final snapshot frame at the next tick boundary
-//!   and drops the job; the supervisor restores it on another shard.
+//! - **Migration** — the supervisor sends a `Migrate` record to ask a shard
+//!   to evict a job; the shard hands it back at the next tick boundary as
+//!   `Migrate` + a final `Snapshot` and drops it; the supervisor restores
+//!   it on another shard.
+//! - **Completion** — an `outcome` frame carries one `Outcome` record (its
+//!   `log` again the delta).
 //!
-//! A shard subprocess that loses its supervisor (EOF on its socket) exits
-//! immediately, so a `kill -9` of the supervisor leaves no orphans.
+//! A connection speaks for the shard its `hello` named, and only for a
+//! shard that exists: any other `from` drops it. A shard subprocess that
+//! loses its supervisor (EOF on its socket) exits immediately, so a
+//! `kill -9` of the supervisor leaves no orphans.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::io::{BufRead as _, BufReader, ErrorKind, Write as _};
-use std::net::{TcpListener, TcpStream};
+use std::io::BufReader;
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use marsit_simnet::wire::{Frame, FrameKind, Payload, DRIVER};
-use marsit_telemetry::Telemetry;
+use marsit_simnet::wire::{read_frame, write_frame, Frame, FrameKind, Payload, DRIVER};
 use marsit_tensor::rng::FastRng;
-use marsit_trainsim::{TrainSnapshot, TrainerState};
 
 use crate::journal::{
-    take_len_prefixed, JournalRecord, JournalWriter, OutcomeRecord, RecoveredOutcome, ResumeJob,
-    SnapshotRecord,
+    encode_record, plan_from_replay, replay_bytes, JournalRecord, JournalWriter, OutcomeRecord,
+    RecoveredOutcome, Replay, ResumeJob, SnapshotRecord,
 };
-use crate::scheduler::{report_fingerprint, MigrationPolicy};
+use crate::pool::WorkspacePool;
+use crate::scheduler::{
+    admit, land_restore, report_fingerprint, snapshot_record, ActiveJob, MigrationPolicy,
+};
 use crate::spec::JobSpec;
 
 /// Environment variable naming the shard-worker executable. Tests point
@@ -192,7 +202,7 @@ impl SupervisorHandle {
         let (ev_tx, ev_rx) = std::sync::mpsc::channel();
         let pids = Arc::new(Mutex::new(vec![None; cfg.shards]));
         let completed = Arc::new(Mutex::new(0usize));
-        spawn_accept_loop(listener, &ev_tx);
+        spawn_accept_loop(listener, cfg.shards, &ev_tx);
         let loop_pids = Arc::clone(&pids);
         let loop_completed = Arc::clone(&completed);
         let thread = std::thread::Builder::new()
@@ -270,84 +280,86 @@ enum SupEvent {
     Disconnected { shard: usize },
 }
 
-fn spawn_accept_loop(listener: TcpListener, ev_tx: &Sender<SupEvent>) {
+fn spawn_accept_loop(listener: TcpListener, shards: usize, ev_tx: &Sender<SupEvent>) {
     let ev_tx = ev_tx.clone();
     std::thread::Builder::new()
         .name("marsit-sup-accept".to_string())
         .spawn(move || {
             while let Ok((stream, _)) = listener.accept() {
                 let ev_tx = ev_tx.clone();
-                std::thread::spawn(move || conn_reader(stream, &ev_tx));
+                std::thread::spawn(move || conn_reader(stream, shards, &ev_tx));
             }
         })
         .expect("spawn accept thread");
 }
 
-/// Per-connection reader: first frame must be `hello` (from = shard id);
-/// every further frame is forwarded; EOF or a malformed line becomes
-/// `Disconnected` — the liveness signal.
-fn conn_reader(stream: TcpStream, ev_tx: &Sender<SupEvent>) {
+/// Per-connection reader: the first frame must be a `hello` from one of
+/// the `shards` shards; every further frame from that shard is forwarded;
+/// EOF or a malformed frame becomes `Disconnected` — the liveness signal.
+/// The supervisor indexes per-shard state by the shard a connection speaks
+/// for, so a `hello` out of range never reaches it, and a later frame
+/// claiming another `from` is a protocol error that drops the connection.
+fn conn_reader(stream: TcpStream, shards: usize, ev_tx: &Sender<SupEvent>) {
     stream.set_nodelay(true).ok();
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
     let mut reader = BufReader::new(read_half);
-    let mut line = String::new();
-    let shard = match read_frame(&mut reader, &mut line) {
-        Some(frame) if frame.kind == FrameKind::Hello => frame.from as usize,
+    let from = match read_frame(&mut reader) {
+        Ok(Some((hello, _)))
+            if hello.kind == FrameKind::Hello && (hello.from as usize) < shards =>
+        {
+            hello.from
+        }
         _ => return,
     };
+    let shard = from as usize;
     if ev_tx.send(SupEvent::Connected { shard, stream }).is_err() {
         return;
     }
-    loop {
-        match read_frame(&mut reader, &mut line) {
-            Some(frame) => {
-                if ev_tx.send(SupEvent::Frame { shard, frame }).is_err() {
-                    return;
-                }
-            }
-            None => {
-                ev_tx.send(SupEvent::Disconnected { shard }).ok();
-                return;
-            }
+    // A torn trailing frame from a killed process is an error, which is
+    // the same liveness signal as EOF.
+    while let Ok(Some((frame, _))) = read_frame(&mut reader) {
+        if frame.from != from {
+            break;
+        }
+        if ev_tx.send(SupEvent::Frame { shard, frame }).is_err() {
+            return;
         }
     }
+    ev_tx.send(SupEvent::Disconnected { shard }).ok();
 }
 
-/// Reads one frame; `None` on EOF or any read/decode error (a torn
-/// trailing line from a killed process decodes as an error, which is the
-/// same liveness signal as EOF).
-fn read_frame(reader: &mut BufReader<TcpStream>, line: &mut String) -> Option<Frame> {
-    line.clear();
-    match reader.read_line(line) {
-        Ok(0) => None,
-        Ok(_) if line.ends_with('\n') => Frame::decode(line).ok(),
-        _ => None,
+/// A serving frame: `records` encoded back to back, numbered from 0, as a
+/// bytes payload.
+fn serving_frame(
+    kind: FrameKind,
+    from: u32,
+    to: u32,
+    records: &[JournalRecord],
+) -> Result<Frame, SupervisorError> {
+    let mut payload = Vec::new();
+    for (seq, record) in records.iter().enumerate() {
+        let encoded = encode_record(seq as u64, record)
+            .map_err(|e| SupervisorError::Protocol(e.to_string()))?;
+        payload.extend_from_slice(&encoded);
     }
+    Ok(Frame::bytes(kind, from, to, payload))
 }
 
-fn write_frame(stream: &mut TcpStream, frame: &Frame) -> std::io::Result<()> {
-    stream.write_all(frame.encode().as_bytes())
-}
-
-fn bytes_frame(kind: FrameKind, from: u32, to: u32, body: String) -> Frame {
-    Frame {
-        kind,
-        from,
-        to,
-        payload: Payload::Bytes(body.into_bytes()),
-        ctx: None,
-    }
-}
-
-fn body_text(frame: &Frame) -> Result<&str, SupervisorError> {
-    match &frame.payload {
-        Payload::Bytes(bytes) => std::str::from_utf8(bytes)
-            .map_err(|e| SupervisorError::Protocol(format!("non-UTF-8 frame body: {e}"))),
-        other => Err(SupervisorError::Protocol(format!(
-            "expected bytes payload, got {other:?}"
-        ))),
+/// The records of a serving frame: all of them decode, or it is a protocol
+/// error.
+fn serving_records(frame: &Frame) -> Result<Replay, SupervisorError> {
+    let Payload::Bytes(bytes) = &frame.payload else {
+        return Err(SupervisorError::Protocol(format!(
+            "expected a bytes payload, got {:?}",
+            frame.payload
+        )));
+    };
+    let replay = replay_bytes(bytes);
+    match &replay.torn {
+        None => Ok(replay),
+        Some(e) => Err(SupervisorError::Protocol(e.to_string())),
     }
 }
 
@@ -375,8 +387,31 @@ struct SupJob {
     /// Accumulated telemetry (deltas arrive in-order on snapshot/outcome
     /// frames, so this is exact at every snapshot point).
     log: String,
-    /// Last durability point: `(snapshot_json, tel_seq, round)`.
-    last_snap: Option<(String, u64, u64)>,
+    /// Last durability point, as the record that redelivers it (its `log`
+    /// stays empty: the shard needs none of the history kept here).
+    last_snap: Option<SnapshotRecord>,
+}
+
+impl SupJob {
+    /// A fresh job, not yet delivered to `assigned`.
+    fn new(spec: JobSpec, assigned: usize) -> Self {
+        Self {
+            spec,
+            assigned,
+            delivered: false,
+            done: false,
+            evicting: false,
+            migrations: 0,
+            shard_path: vec![assigned],
+            log: String::new(),
+            last_snap: None,
+        }
+    }
+}
+
+fn enroll(job: SupJob, order: &mut Vec<String>, jobs: &mut HashMap<String, SupJob>) {
+    order.push(job.spec.name.clone());
+    jobs.insert(job.spec.name.clone(), job);
 }
 
 #[allow(clippy::too_many_lines)]
@@ -434,41 +469,29 @@ fn supervisor_main(
         loop {
             match ctl.try_recv() {
                 Ok(CtlMsg::Submit(spec)) => {
-                    journal_submit(journal.as_ref(), &spec);
-                    let assigned = least_loaded(&shards, &jobs);
-                    order.push(spec.name.clone());
-                    jobs.insert(
-                        spec.name.clone(),
-                        SupJob {
-                            spec,
-                            assigned,
-                            delivered: false,
-                            done: false,
-                            evicting: false,
-                            migrations: 0,
-                            shard_path: vec![assigned],
-                            log: String::new(),
-                            last_snap: None,
-                        },
+                    journal_append(
+                        journal.as_ref(),
+                        &JournalRecord::Submit { spec: spec.clone() },
                     );
+                    journal_commit(journal.as_ref());
+                    let job = SupJob::new(spec, least_loaded(&shards, &jobs));
+                    enroll(job, &mut order, &mut jobs);
                 }
+                // Journaled as submitted before the crash: no new record.
                 Ok(CtlMsg::Resume(resume)) => {
-                    let assigned = least_loaded(&shards, &jobs);
-                    order.push(resume.spec.name.clone());
-                    jobs.insert(
-                        resume.spec.name.clone(),
-                        SupJob {
-                            spec: resume.spec,
-                            assigned,
-                            delivered: false,
-                            done: false,
-                            evicting: false,
-                            migrations: resume.migrations,
-                            shard_path: vec![assigned],
-                            log: resume.log,
-                            last_snap: Some((resume.snapshot_json, resume.tel_seq, 0)),
-                        },
-                    );
+                    let mut job = SupJob::new(resume.spec, least_loaded(&shards, &jobs));
+                    job.migrations = resume.migrations;
+                    job.log = resume.log;
+                    job.last_snap = Some(SnapshotRecord {
+                        name: job.spec.name.clone(),
+                        shard: job.assigned,
+                        migrations: resume.migrations,
+                        round: 0,
+                        tel_seq: resume.tel_seq,
+                        snapshot_json: resume.snapshot_json,
+                        log: String::new(),
+                    });
+                    enroll(job, &mut order, &mut jobs);
                 }
                 Ok(CtlMsg::Finish) => draining = true,
                 Err(_) => break,
@@ -500,10 +523,8 @@ fn supervisor_main(
         // Data plane: shard frames and deaths.
         match events.recv_timeout(Duration::from_millis(5)) {
             Ok(SupEvent::Connected { shard, stream }) => {
-                if shard < shards.len() {
-                    shards[shard].stream = Some(stream);
-                    shards[shard].restarts = 0;
-                }
+                shards[shard].stream = Some(stream);
+                shards[shard].restarts = 0;
             }
             Ok(SupEvent::Frame { shard, frame }) => {
                 handle_shard_frame(
@@ -561,28 +582,21 @@ fn least_loaded(shards: &[Shard], jobs: &HashMap<String, SupJob>) -> usize {
         .unwrap_or(0)
 }
 
-/// The submit frame (re)delivering `job` to its assigned shard: a restore
-/// body when a durability point exists, a fresh run body otherwise.
+/// The submit frame (re)delivering `job` to its assigned shard: its
+/// `Submit` record, then its last `Snapshot` when a durability point exists
+/// — the two records whole-server recovery would find in a journal.
 fn deliver_frame(job: &SupJob) -> Result<Frame, SupervisorError> {
-    let line = job
-        .spec
-        .to_line()
-        .map_err(|e| SupervisorError::Protocol(format!("unrepresentable spec: {e}")))?;
-    let body = match &job.last_snap {
-        Some((snapshot_json, tel_seq, _)) => format!(
-            "restore tel_seq={tel_seq:016x} migrations={} spec={}:{line} snapshot={}:{snapshot_json}",
-            job.migrations,
-            line.len(),
-            snapshot_json.len(),
-        ),
-        None => format!("run {line}"),
-    };
-    Ok(bytes_frame(
-        FrameKind::Submit,
-        DRIVER,
-        job.assigned as u32,
-        body,
-    ))
+    let mut records = vec![JournalRecord::Submit {
+        spec: job.spec.clone(),
+    }];
+    if let Some(snap) = &job.last_snap {
+        records.push(JournalRecord::Snapshot(SnapshotRecord {
+            shard: job.assigned,
+            migrations: job.migrations,
+            ..snap.clone()
+        }));
+    }
+    serving_frame(FrameKind::Submit, DRIVER, job.assigned as u32, &records)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -599,28 +613,55 @@ fn handle_shard_frame(
 ) -> Result<(), SupervisorError> {
     match frame.kind {
         FrameKind::Snapshot => {
-            let push = SnapshotPush::parse(body_text(frame)?)?;
+            // One `Snapshot` record; a `Migrate` before it marks a hand-back.
+            let mut records = serving_records(frame)?.records;
+            let Some((_, JournalRecord::Snapshot(push))) = records.pop() else {
+                return Err(SupervisorError::Protocol(
+                    "a snapshot frame ends in a snapshot record".to_string(),
+                ));
+            };
+            let evicted = matches!(records.pop(), Some((_, JournalRecord::Migrate { .. })));
+            let name = push.name.clone();
             {
-                let Some(job) = jobs.get_mut(&push.name) else {
+                let Some(job) = jobs.get_mut(&name) else {
                     return Ok(()); // stale frame from a job already reassigned
                 };
                 if job.done || job.assigned != shard {
                     return Ok(());
                 }
-                job.log.push_str(&push.log_delta);
-                job.last_snap = Some((push.snapshot_json.clone(), push.tel_seq, push.round));
+                job.log.push_str(&push.log);
                 job.migrations = push.migrations;
-                journal_snapshot(journal, shard, job, &push);
+                if journal.is_some() {
+                    let spliced = JournalRecord::Snapshot(SnapshotRecord {
+                        name: name.clone(),
+                        shard,
+                        migrations: push.migrations,
+                        round: push.round,
+                        tel_seq: push.tel_seq,
+                        snapshot_json: push.snapshot_json.clone(),
+                        log: job.log.clone(),
+                    });
+                    journal_append(journal, &spliced);
+                }
+                job.last_snap = Some(SnapshotRecord {
+                    log: String::new(),
+                    ..push
+                });
             }
-            if push.evicted {
+            if evicted {
                 // The shard dropped the job; restore it elsewhere (or back
                 // on `shard` when it is the only one left alive).
                 report.migrations += 1;
                 let target = pick_other_shard(shards, shard);
-                if let Some(target) = target {
-                    journal_migrate(journal, &push.name, shard, target);
+                if let Some(to) = target {
+                    let moved = JournalRecord::Migrate {
+                        name: name.clone(),
+                        from: shard,
+                        to,
+                    };
+                    journal_append(journal, &moved);
                 }
-                let job = jobs.get_mut(&push.name).expect("job still recorded");
+                let job = jobs.get_mut(&name).expect("job still recorded");
                 job.evicting = false;
                 job.delivered = false;
                 job.migrations += 1;
@@ -629,36 +670,44 @@ fn handle_shard_frame(
                     job.shard_path.push(target);
                 }
             } else {
-                let already_evicting = jobs[&push.name].evicting;
+                let already_evicting = jobs[&name].evicting;
                 if !already_evicting && wants_eviction(cfg, shards, jobs, shard, rng) {
-                    jobs.get_mut(&push.name)
-                        .expect("job still recorded")
-                        .evicting = true;
+                    jobs.get_mut(&name).expect("job still recorded").evicting = true;
+                    // The target is picked at the hand-back, so the
+                    // request's `to` says nothing yet.
+                    let request = serving_frame(
+                        FrameKind::Snapshot,
+                        DRIVER,
+                        shard as u32,
+                        &[JournalRecord::Migrate {
+                            name,
+                            from: shard,
+                            to: shard,
+                        }],
+                    )?;
                     if let Some(stream) = shards[shard].stream.as_mut() {
-                        write_frame(
-                            stream,
-                            &bytes_frame(
-                                FrameKind::Snapshot,
-                                DRIVER,
-                                shard as u32,
-                                format!("evict {}", push.name),
-                            ),
-                        )
-                        .ok();
+                        write_frame(stream, &request).ok();
                     }
                 }
             }
             Ok(())
         }
         FrameKind::Outcome => {
-            let done = OutcomePush::parse(body_text(frame)?)?;
+            let mut records = serving_records(frame)?.records;
+            let Some((_, JournalRecord::Outcome(done))) =
+                records.pop().filter(|_| records.is_empty())
+            else {
+                return Err(SupervisorError::Protocol(
+                    "an outcome frame carries exactly one outcome record".to_string(),
+                ));
+            };
             let Some(job) = jobs.get_mut(&done.name) else {
                 return Ok(());
             };
             if job.done || job.assigned != shard {
                 return Ok(());
             }
-            job.log.push_str(&done.log_delta);
+            job.log.push_str(&done.log);
             job.done = true;
             job.migrations = done.migrations;
             let outcome = RecoveredOutcome {
@@ -668,18 +717,15 @@ fn handle_shard_frame(
                 migrations: job.migrations,
                 shard_path: job.shard_path.clone(),
             };
-            if let Some(journal) = journal {
-                journal
-                    .lock()
-                    .expect("journal lock")
-                    .append(&JournalRecord::Outcome(OutcomeRecord {
-                        name: outcome.spec.name.clone(),
-                        migrations: outcome.migrations,
-                        shard_path: outcome.shard_path.clone(),
-                        report_debug: outcome.report_debug.clone(),
-                        log: outcome.log.clone(),
-                    }))
-                    .expect("journal-representable outcome");
+            if journal.is_some() {
+                let spliced = JournalRecord::Outcome(OutcomeRecord {
+                    name: done.name,
+                    migrations: outcome.migrations,
+                    shard_path: outcome.shard_path.clone(),
+                    report_debug: outcome.report_debug.clone(),
+                    log: outcome.log.clone(),
+                });
+                journal_append(journal, &spliced);
             }
             report.outcomes.push(outcome);
             *completed.lock().expect("completed lock") += 1;
@@ -816,45 +862,13 @@ fn spawn_worker(
         .map_err(|e| SupervisorError::Spawn(format!("{}: {e}", bin.display())))
 }
 
-fn journal_submit(journal: Option<&Journal>, spec: &JobSpec) {
-    if let Some(journal) = journal {
-        let mut journal = journal.lock().expect("journal lock");
-        journal
-            .append(&JournalRecord::Submit { spec: spec.clone() })
-            .expect("journal-representable spec");
-        journal.commit().expect("journal commit");
-    }
-}
-
-fn journal_snapshot(journal: Option<&Journal>, shard: usize, job: &SupJob, push: &SnapshotPush) {
+fn journal_append(journal: Option<&Journal>, record: &JournalRecord) {
     if let Some(journal) = journal {
         journal
             .lock()
             .expect("journal lock")
-            .append(&JournalRecord::Snapshot(SnapshotRecord {
-                name: job.spec.name.clone(),
-                shard,
-                migrations: job.migrations,
-                round: push.round,
-                tel_seq: push.tel_seq,
-                snapshot_json: push.snapshot_json.clone(),
-                log: job.log.clone(),
-            }))
-            .expect("journal-representable snapshot");
-    }
-}
-
-fn journal_migrate(journal: Option<&Journal>, name: &str, from: usize, to: usize) {
-    if let Some(journal) = journal {
-        journal
-            .lock()
-            .expect("journal lock")
-            .append(&JournalRecord::Migrate {
-                name: name.to_string(),
-                from,
-                to,
-            })
-            .expect("journal-representable migration");
+            .append(record)
+            .expect("journal-representable record");
     }
 }
 
@@ -869,217 +883,15 @@ fn journal_commit(journal: Option<&Journal>) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire bodies (UTF-8 text inside `Payload::Bytes`).
-// ---------------------------------------------------------------------------
-
-fn proto_err(reason: String) -> SupervisorError {
-    SupervisorError::Protocol(reason)
-}
-
-fn kv_token<'a>(
-    tokens: &mut std::str::SplitWhitespace<'a>,
-    key: &str,
-) -> Result<&'a str, SupervisorError> {
-    let token = tokens
-        .next()
-        .ok_or_else(|| proto_err(format!("missing {key}= field")))?;
-    token
-        .strip_prefix(key)
-        .and_then(|t| t.strip_prefix('='))
-        .ok_or_else(|| proto_err(format!("expected {key}=..., found {token:?}")))
-}
-
-/// A shard's snapshot push (`periodic …` or `evicted …`).
-struct SnapshotPush {
-    evicted: bool,
-    name: String,
-    round: u64,
-    tel_seq: u64,
-    migrations: u32,
-    snapshot_json: String,
-    log_delta: String,
-}
-
-impl SnapshotPush {
-    fn encode(&self) -> String {
-        format!(
-            "{} name={} round={} tel_seq={:016x} migrations={} snapshot={}:{} log={}:{}",
-            if self.evicted { "evicted" } else { "periodic" },
-            self.name,
-            self.round,
-            self.tel_seq,
-            self.migrations,
-            self.snapshot_json.len(),
-            self.snapshot_json,
-            self.log_delta.len(),
-            self.log_delta,
-        )
-    }
-
-    fn parse(body: &str) -> Result<Self, SupervisorError> {
-        let (head, tail) = body
-            .split_once(" snapshot=")
-            .ok_or_else(|| proto_err("snapshot push missing snapshot segment".to_string()))?;
-        let mut tokens = head.split_whitespace();
-        let verb = tokens.next().unwrap_or("");
-        let evicted = match verb {
-            "periodic" => false,
-            "evicted" => true,
-            other => return Err(proto_err(format!("unknown snapshot verb {other:?}"))),
-        };
-        let name = kv_token(&mut tokens, "name")?.to_string();
-        let round = kv_token(&mut tokens, "round")?
-            .parse()
-            .map_err(|_| proto_err("bad round".to_string()))?;
-        let tel_seq = u64::from_str_radix(kv_token(&mut tokens, "tel_seq")?, 16)
-            .map_err(|_| proto_err("bad tel_seq".to_string()))?;
-        let migrations = kv_token(&mut tokens, "migrations")?
-            .parse()
-            .map_err(|_| proto_err("bad migrations".to_string()))?;
-        let (snapshot_json, tail) =
-            take_len_prefixed(tail, "snapshot").map_err(|e| proto_err(e.to_string()))?;
-        let tail = tail
-            .strip_prefix(" log=")
-            .ok_or_else(|| proto_err("snapshot push missing log segment".to_string()))?;
-        let (log_delta, rest) =
-            take_len_prefixed(tail, "log").map_err(|e| proto_err(e.to_string()))?;
-        if !rest.is_empty() {
-            return Err(proto_err("trailing bytes after snapshot push".to_string()));
-        }
-        Ok(Self {
-            evicted,
-            name,
-            round,
-            tel_seq,
-            migrations,
-            snapshot_json: snapshot_json.to_string(),
-            log_delta: log_delta.to_string(),
-        })
-    }
-}
-
-/// A shard's outcome push (`done …`).
-struct OutcomePush {
-    name: String,
-    migrations: u32,
-    report_debug: String,
-    log_delta: String,
-}
-
-impl OutcomePush {
-    fn encode(&self) -> String {
-        format!(
-            "done name={} migrations={} report={}:{} log={}:{}",
-            self.name,
-            self.migrations,
-            self.report_debug.len(),
-            self.report_debug,
-            self.log_delta.len(),
-            self.log_delta,
-        )
-    }
-
-    fn parse(body: &str) -> Result<Self, SupervisorError> {
-        let (head, tail) = body
-            .split_once(" report=")
-            .ok_or_else(|| proto_err("outcome push missing report segment".to_string()))?;
-        let mut tokens = head.split_whitespace();
-        match tokens.next() {
-            Some("done") => {}
-            other => return Err(proto_err(format!("unknown outcome verb {other:?}"))),
-        }
-        let name = kv_token(&mut tokens, "name")?.to_string();
-        let migrations = kv_token(&mut tokens, "migrations")?
-            .parse()
-            .map_err(|_| proto_err("bad migrations".to_string()))?;
-        let (report_debug, tail) =
-            take_len_prefixed(tail, "report").map_err(|e| proto_err(e.to_string()))?;
-        let tail = tail
-            .strip_prefix(" log=")
-            .ok_or_else(|| proto_err("outcome push missing log segment".to_string()))?;
-        let (log_delta, rest) =
-            take_len_prefixed(tail, "log").map_err(|e| proto_err(e.to_string()))?;
-        if !rest.is_empty() {
-            return Err(proto_err("trailing bytes after outcome push".to_string()));
-        }
-        Ok(Self {
-            name,
-            migrations,
-            report_debug: report_debug.to_string(),
-            log_delta: log_delta.to_string(),
-        })
-    }
-}
-
-/// A submit-frame body: `run <spec-line>` or `restore …`.
-enum SubmitBody {
-    Run(JobSpec),
-    Restore {
-        spec: JobSpec,
-        tel_seq: u64,
-        migrations: u32,
-        snapshot_json: String,
-    },
-}
-
-impl SubmitBody {
-    fn parse(body: &str) -> Result<Self, SupervisorError> {
-        if let Some(line) = body.strip_prefix("run ") {
-            return JobSpec::parse_line(line).map(Self::Run).map_err(proto_err);
-        }
-        let rest = body
-            .strip_prefix("restore ")
-            .ok_or_else(|| proto_err(format!("unknown submit verb in {body:?}")))?;
-        let (head, tail) = rest
-            .split_once(" spec=")
-            .ok_or_else(|| proto_err("restore body missing spec segment".to_string()))?;
-        let mut tokens = head.split_whitespace();
-        let tel_seq = u64::from_str_radix(kv_token(&mut tokens, "tel_seq")?, 16)
-            .map_err(|_| proto_err("bad tel_seq".to_string()))?;
-        let migrations = kv_token(&mut tokens, "migrations")?
-            .parse()
-            .map_err(|_| proto_err("bad migrations".to_string()))?;
-        let (line, tail) = take_len_prefixed(tail, "spec").map_err(|e| proto_err(e.to_string()))?;
-        let spec = JobSpec::parse_line(line).map_err(proto_err)?;
-        let tail = tail
-            .strip_prefix(" snapshot=")
-            .ok_or_else(|| proto_err("restore body missing snapshot segment".to_string()))?;
-        let (snapshot_json, rest) =
-            take_len_prefixed(tail, "snapshot").map_err(|e| proto_err(e.to_string()))?;
-        if !rest.is_empty() {
-            return Err(proto_err("trailing bytes after restore body".to_string()));
-        }
-        Ok(Self::Restore {
-            spec,
-            tel_seq,
-            migrations,
-            snapshot_json: snapshot_json.to_string(),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The shard-worker side (runs inside the subprocess).
 // ---------------------------------------------------------------------------
 
-struct WorkerJob {
-    spec: JobSpec,
-    state: TrainerState,
-    tel: Telemetry,
-    /// Telemetry drained but not yet shipped (deltas ride only on
-    /// snapshot/outcome frames — see the module docs).
-    pending_log: String,
-    migrations: u32,
-    ticks_since_snap: usize,
-}
-
-/// The shard-worker event loop: the body of `marsit_serve --shard-worker`.
+/// The shard-worker entry point: the body of `marsit_serve --shard-worker`.
 /// Connects to the supervisor, runs submitted jobs tick-by-tick, pushes
 /// periodic snapshot frames and final outcomes, and exits the moment the
 /// supervisor socket reaches EOF (no orphans after a supervisor
 /// `kill -9`). Returns the process exit code.
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn shard_worker_main(
     addr: &str,
     shard: usize,
@@ -1093,133 +905,112 @@ pub fn shard_worker_main(
     let Ok(read_half) = stream.try_clone() else {
         return 1;
     };
-    let mut reader = BufReader::new(read_half);
     let hello = Frame::control(FrameKind::Hello, shard as u32, DRIVER);
     if write_frame(&mut stream, &hello).is_err() {
         return 1;
     }
-
-    let mut jobs: std::collections::VecDeque<WorkerJob> = std::collections::VecDeque::new();
-    let mut evict_requests: Vec<String> = Vec::new();
-    let mut partial = String::new();
-    let idle_min = Duration::from_millis(1);
-    let idle_max = Duration::from_millis(16);
-    let mut idle_wait = idle_min;
-    let tick_rounds = tick_rounds.max(1);
-
-    loop {
-        // Frame intake. Block up to `idle_wait` when idle, poll briefly
-        // when jobs are runnable. A read timeout may cut a line in half;
-        // `partial` carries the prefix to the next attempt, so frames are
-        // never torn by timing.
-        let wait = if jobs.is_empty() {
-            idle_wait
-        } else {
-            Duration::from_micros(200)
-        };
-        reader.get_ref().set_read_timeout(Some(wait)).ok();
-        loop {
-            match reader.read_line(&mut partial) {
-                Ok(0) => return 0, // supervisor gone: exit immediately
-                Ok(_) if partial.ends_with('\n') => {
-                    let Ok(frame) = Frame::decode(&partial) else {
-                        return 1;
-                    };
-                    partial.clear();
-                    match frame.kind {
-                        FrameKind::Stop => return 0,
-                        FrameKind::Submit => {
-                            let Ok(body) = body_text(&frame) else {
-                                return 1;
-                            };
-                            match SubmitBody::parse(body) {
-                                Ok(SubmitBody::Run(spec)) => {
-                                    let tel = Telemetry::recording();
-                                    let cfg = spec.to_train_config(tel.clone());
-                                    let state = TrainerState::new(&cfg);
-                                    jobs.push_back(WorkerJob {
-                                        spec,
-                                        state,
-                                        tel,
-                                        pending_log: String::new(),
-                                        migrations: 0,
-                                        ticks_since_snap: 0,
-                                    });
-                                }
-                                Ok(SubmitBody::Restore {
-                                    spec,
-                                    tel_seq,
-                                    migrations,
-                                    snapshot_json,
-                                }) => {
-                                    let tel = Telemetry::recording();
-                                    tel.restore_seq_floor(tel_seq);
-                                    let cfg = spec.to_train_config(tel.clone());
-                                    let Ok(snapshot) = TrainSnapshot::from_json(&snapshot_json)
-                                    else {
-                                        return 1;
-                                    };
-                                    let state = TrainerState::restore(&cfg, &snapshot);
-                                    jobs.push_back(WorkerJob {
-                                        spec,
-                                        state,
-                                        tel,
-                                        pending_log: String::new(),
-                                        migrations,
-                                        ticks_since_snap: 0,
-                                    });
-                                }
-                                Err(_) => return 1,
-                            }
-                            idle_wait = idle_min;
-                        }
-                        FrameKind::Snapshot => {
-                            let Ok(body) = body_text(&frame) else {
-                                return 1;
-                            };
-                            if let Some(name) = body.strip_prefix("evict ") {
-                                evict_requests.push(name.to_string());
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                Ok(_) => {} // partial line: keep accumulating
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    break;
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return 0, // connection reset: supervisor gone
-            }
-            // Drain whatever is already buffered without re-blocking.
-            if reader.buffer().is_empty() {
-                break;
+    // Blocking reads on a thread of their own; the channel closing (EOF, a
+    // torn or foreign frame) is "supervisor gone".
+    let (tx, rx) = std::sync::mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        let mut reader = BufReader::new(read_half);
+        while let Ok(Some((frame, _))) = read_frame(&mut reader) {
+            if tx.send(frame).is_err() {
+                return;
             }
         }
+    });
+    let code = shard_worker_loop(
+        &mut stream,
+        &rx,
+        shard,
+        tick_rounds.max(1),
+        snapshot_every_ticks,
+    );
+    // Unblocks the reader's pending read so the join cannot hang.
+    stream.shutdown(Shutdown::Both).ok();
+    reader.join().ok();
+    code
+}
 
+fn shard_worker_loop(
+    stream: &mut TcpStream,
+    frames: &Receiver<Frame>,
+    shard: usize,
+    tick_rounds: usize,
+    snapshot_every_ticks: usize,
+) -> i32 {
+    let mut jobs: VecDeque<ActiveJob> = VecDeque::new();
+    let mut evict_requests: Vec<String> = Vec::new();
+    // Workspaces die with their job here: nothing is ever checked in.
+    let mut pool = WorkspacePool::new(0);
+    let mut push = |kind: FrameKind, records: &[JournalRecord]| {
+        serving_frame(kind, shard as u32, DRIVER, records)
+            .is_ok_and(|frame| write_frame(stream, &frame).is_ok())
+    };
+
+    loop {
+        // Frame intake: everything that has arrived; with nothing to run,
+        // wait for the next one.
+        loop {
+            let frame = if jobs.is_empty() {
+                match frames.recv() {
+                    Ok(frame) => frame,
+                    Err(_) => return 0, // supervisor gone: exit immediately
+                }
+            } else {
+                match frames.try_recv() {
+                    Ok(frame) => frame,
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => return 0,
+                }
+            };
+            match frame.kind {
+                FrameKind::Stop => return 0,
+                // A delivered job is a one- or two-record journal: fold it
+                // and land it exactly as whole-server recovery would.
+                FrameKind::Submit => {
+                    let Ok(replay) = serving_records(&frame) else {
+                        return 1;
+                    };
+                    let plan = plan_from_replay(&replay);
+                    for spec in plan.fresh {
+                        jobs.push_back(admit(spec, shard, &mut pool));
+                    }
+                    for resume in plan.resumes {
+                        jobs.push_back(land_restore(resume, shard, &mut pool));
+                    }
+                }
+                FrameKind::Snapshot => {
+                    let Ok(replay) = serving_records(&frame) else {
+                        return 1;
+                    };
+                    for (_, record) in replay.records {
+                        if let JournalRecord::Migrate { name, .. } = record {
+                            evict_requests.push(name);
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
         let Some(mut job) = jobs.pop_front() else {
-            idle_wait = (idle_wait * 2).min(idle_max);
             continue;
         };
-        idle_wait = idle_min;
 
         // Eviction requested: snapshot at this tick boundary and hand the
-        // job back instead of running it further.
+        // job back instead of running it further. Telemetry deltas ride
+        // only on the records pushed here and below — see the module docs.
         if let Some(pos) = evict_requests.iter().position(|n| *n == job.spec.name) {
             evict_requests.remove(pos);
-            let snapshot = job.state.snapshot();
-            job.tel.drain_events_jsonl_into(&mut job.pending_log);
-            let push = SnapshotPush {
-                evicted: true,
+            let migrate = JournalRecord::Migrate {
                 name: job.spec.name.clone(),
-                round: snapshot.round,
-                tel_seq: job.tel.seq_floor(),
-                migrations: job.migrations,
-                snapshot_json: snapshot.to_json(),
-                log_delta: std::mem::take(&mut job.pending_log),
+                from: shard,
+                to: shard,
             };
-            let frame = bytes_frame(FrameKind::Snapshot, shard as u32, DRIVER, push.encode());
-            if write_frame(&mut stream, &frame).is_err() {
+            let log = std::mem::take(&mut job.log);
+            let snapshot = snapshot_record(&mut job, shard, log);
+            if !push(FrameKind::Snapshot, &[migrate, snapshot]) {
                 return 0;
             }
             continue; // job dropped: it now lives in the snapshot
@@ -1231,38 +1022,28 @@ pub fn shard_worker_main(
             job.state.step();
             ran += 1;
         }
-        job.tel.drain_events_jsonl_into(&mut job.pending_log);
+        job.tel.drain_events_jsonl_into(&mut job.log);
         job.ticks_since_snap += 1;
 
         if job.state.is_done() {
             let report = job.state.finish();
-            job.tel.drain_events_jsonl_into(&mut job.pending_log);
-            let push = OutcomePush {
-                name: job.spec.name.clone(),
+            job.tel.drain_events_jsonl_into(&mut job.log);
+            let outcome = JournalRecord::Outcome(OutcomeRecord {
+                name: job.spec.name,
                 migrations: job.migrations,
+                shard_path: Vec::new(), // the supervisor's to know
                 report_debug: report_fingerprint(&report),
-                log_delta: std::mem::take(&mut job.pending_log),
-            };
-            let frame = bytes_frame(FrameKind::Outcome, shard as u32, DRIVER, push.encode());
-            if write_frame(&mut stream, &frame).is_err() {
+                log: job.log,
+            });
+            if !push(FrameKind::Outcome, &[outcome]) {
                 return 0;
             }
             continue;
         }
         if snapshot_every_ticks > 0 && job.ticks_since_snap >= snapshot_every_ticks {
-            let snapshot = job.state.snapshot();
-            let push = SnapshotPush {
-                evicted: false,
-                name: job.spec.name.clone(),
-                round: snapshot.round,
-                tel_seq: job.tel.seq_floor(),
-                migrations: job.migrations,
-                snapshot_json: snapshot.to_json(),
-                log_delta: std::mem::take(&mut job.pending_log),
-            };
-            job.ticks_since_snap = 0;
-            let frame = bytes_frame(FrameKind::Snapshot, shard as u32, DRIVER, push.encode());
-            if write_frame(&mut stream, &frame).is_err() {
+            let log = std::mem::take(&mut job.log);
+            let snapshot = snapshot_record(&mut job, shard, log);
+            if !push(FrameKind::Snapshot, &[snapshot]) {
                 return 0;
             }
         }
@@ -1270,86 +1051,104 @@ pub fn shard_worker_main(
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, unix))]
 mod tests {
     use super::*;
     use marsit_models::Workload;
     use marsit_simnet::Topology;
+    use std::io::Read as _;
+    use std::os::unix::fs::PermissionsExt as _;
 
-    #[test]
-    fn snapshot_push_round_trips() {
-        let push = SnapshotPush {
-            evicted: false,
-            name: "j0".to_string(),
-            round: 6,
-            tel_seq: 0xAB,
-            migrations: 2,
-            snapshot_json: r#"{"round":6}"#.to_string(),
-            log_delta: "l1\nl2 with spaces\n".to_string(),
-        };
-        let back = SnapshotPush::parse(&push.encode()).expect("round trip");
-        assert!(!back.evicted);
-        assert_eq!(back.name, push.name);
-        assert_eq!(back.tel_seq, 0xAB);
-        assert_eq!(back.snapshot_json, push.snapshot_json);
-        assert_eq!(back.log_delta, push.log_delta);
-
-        let evicted = SnapshotPush {
-            evicted: true,
-            ..push
-        };
-        assert!(
-            SnapshotPush::parse(&evicted.encode())
-                .expect("parses")
-                .evicted
-        );
+    /// Connects the way a shard worker does and says hello as `shard`.
+    fn connect_as(addr: &str, shard: u32) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).expect("connect to the supervisor");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("set timeout");
+        write_frame(
+            &mut stream,
+            &Frame::control(FrameKind::Hello, shard, DRIVER),
+        )
+        .expect("hello");
+        stream
     }
 
-    #[test]
-    fn outcome_push_round_trips() {
-        let push = OutcomePush {
-            name: "j1".to_string(),
-            migrations: 1,
-            report_debug: "TrainReport { x: 1 }".to_string(),
-            log_delta: String::new(),
-        };
-        let back = OutcomePush::parse(&push.encode()).expect("round trip");
-        assert_eq!(back.name, "j1");
-        assert_eq!(back.report_debug, push.report_debug);
-        assert_eq!(back.log_delta, "");
+    fn outcome_frame(from: u32, name: &str, report_debug: &str) -> Frame {
+        let record = JournalRecord::Outcome(OutcomeRecord {
+            name: name.to_string(),
+            migrations: 0,
+            shard_path: Vec::new(),
+            report_debug: report_debug.to_string(),
+            log: "log\n".to_string(),
+        });
+        serving_frame(FrameKind::Outcome, from, DRIVER, &[record]).expect("encodes")
     }
 
+    /// The supervisor indexes per-shard state by the shard a connection
+    /// speaks for. A `hello` from a shard that does not exist used to reach
+    /// `on_shard_death` through the reader's `Disconnected` and panic the
+    /// event loop (`index out of bounds: the len is 1 but the index is 9`);
+    /// now it is dropped at the door, as is a connection whose later frames
+    /// claim another `from`. The test plays the shard worker itself: the
+    /// configured worker binary is a script whose only act is to record the
+    /// address the supervisor listens on.
     #[test]
-    fn submit_body_parses_run_and_restore() {
-        let mut spec = JobSpec::new("s", Workload::AlexNetMnist, Topology::ring(4));
-        spec.rounds = 9;
-        let line = spec.to_line().expect("representable");
-        let SubmitBody::Run(parsed) = SubmitBody::parse(&format!("run {line}")).expect("run body")
-        else {
-            panic!("wrong verb");
+    fn a_connection_speaks_only_for_the_shard_its_hello_may_name() {
+        let dir = std::env::temp_dir().join(format!("marsit-sup-hello-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let script = dir.join("worker.sh");
+        std::fs::write(&script, "#!/bin/sh\nprintf '%s\\n' \"$3\" > \"$0.addr\"\n")
+            .expect("script");
+        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).expect("chmod");
+        let mut cfg = SupervisorConfig::new(1);
+        cfg.worker_bin = Some(script);
+        let mut handle = SupervisorHandle::start(cfg, None).expect("start supervisor");
+        // A pending job keeps the event loop running through everything
+        // below.
+        let spec = JobSpec::new("held", Workload::AlexNetMnist, Topology::ring(4));
+        handle.submit(spec.clone());
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let addr = loop {
+            match std::fs::read_to_string(dir.join("worker.sh.addr")) {
+                Ok(text) if text.ends_with('\n') => break text.trim().to_string(),
+                _ => {
+                    assert!(Instant::now() < deadline, "worker script never ran");
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+            }
         };
-        assert_eq!(parsed, spec);
 
-        let body = format!(
-            "restore tel_seq={:016x} migrations=3 spec={}:{line} snapshot={}:{}",
-            0x42u64,
-            line.len(),
-            7,
-            "{\"x\":1}"
+        // A hello from shard 9 of 1. EOF on our side means its reader is
+        // done with it — and has queued whatever it was going to queue.
+        let mut rogue = connect_as(&addr, 9);
+        rogue.shutdown(Shutdown::Write).expect("half-close");
+        assert_eq!(rogue.read(&mut [0u8; 1]).expect("dropped"), 0);
+
+        // Shard 0's connection forging a frame from shard 9: the frame is
+        // not believed and the connection is dropped like a dead shard's
+        // (EOF once the supervisor has let go of its half).
+        let mut liar = connect_as(&addr, 0);
+        let (delivery, _) = read_frame(&mut liar).expect("readable").expect("the job");
+        assert_eq!(delivery.kind, FrameKind::Submit);
+        write_frame(&mut liar, &outcome_frame(9, "held", "forged")).expect("write");
+        assert_eq!(liar.read(&mut [0u8; 1]).expect("dropped"), 0);
+
+        // The event loop survived both: an honest shard 0 gets the job
+        // redelivered — a one-record journal that folds to the fresh spec
+        // — and its outcome is the one that counts.
+        let mut honest = connect_as(&addr, 0);
+        let (delivery, _) = read_frame(&mut honest).expect("readable").expect("the job");
+        let plan = plan_from_replay(&serving_records(&delivery).expect("journal records"));
+        assert_eq!(plan.fresh, vec![spec]);
+        write_frame(&mut honest, &outcome_frame(0, "held", "honest")).expect("write");
+        let report = handle.finish().expect("supervisor survives");
+        assert_eq!(report.outcomes.len(), 1);
+        assert_eq!(report.outcomes[0].report_debug, "honest");
+        assert_eq!(report.outcomes[0].log, "log\n");
+        assert_eq!(
+            report.shard_deaths, 1,
+            "the lying connection counted as a death"
         );
-        let SubmitBody::Restore {
-            spec: rspec,
-            tel_seq,
-            migrations,
-            snapshot_json,
-        } = SubmitBody::parse(&body).expect("restore body")
-        else {
-            panic!("wrong verb");
-        };
-        assert_eq!(rspec, spec);
-        assert_eq!(tel_seq, 0x42);
-        assert_eq!(migrations, 3);
-        assert_eq!(snapshot_json, "{\"x\":1}");
-        assert!(SubmitBody::parse("launch x").is_err());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

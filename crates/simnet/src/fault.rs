@@ -474,16 +474,12 @@ pub struct FaultStats {
     /// Extra simulated seconds spent on rejoin catch-up transfers (full
     /// model state over the α–β link, priced by the trainer).
     pub catchup_extra_s: f64,
-    /// `StragglerSuspected` health events raised by the online detector.
-    /// Observational only: kept out of `marsit-checkpoint/1` snapshots
-    /// (restores start them at 0) so the pinned snapshot format is
-    /// unchanged.
+    /// `StragglerSuspected` health events raised by the online detector
+    /// (observational, like the two below; checkpointed with the rest).
     pub stragglers_suspected: u64,
-    /// `LinkDegraded` health events raised by the online detector
-    /// (observational; not serialized in snapshots).
+    /// `LinkDegraded` health events raised by the online detector.
     pub links_degraded: u64,
-    /// `RankSilent` health events raised by the online detector
-    /// (observational; not serialized in snapshots).
+    /// `RankSilent` health events raised by the online detector.
     pub ranks_silent: u64,
 }
 

@@ -1,5 +1,5 @@
-//! Multi-process transport: one OS process per rank, `marsit-wire/1` over
-//! localhost TCP.
+//! Multi-process transport: one OS process per rank, binary frames (see
+//! [`crate::wire`]) over localhost TCP.
 //!
 //! The fabric is hub-and-spoke: a driver process binds a [`WireHub`] on
 //! `127.0.0.1`, each worker process opens one [`ProcessTransport`] connection
@@ -14,11 +14,12 @@
 //! Round orchestration rides the same connection: the driver sends `round`
 //! frames to start a collective, workers answer `result` (consensus words +
 //! counters) or `failed` (the vanished peer), and `stop` shuts a worker down.
-//! Every frame is one ASCII line (see [`crate::wire`]), so a session is
-//! replayable from a packet capture.
+//! Both ends move frames with the one blocking [`read_frame`] /
+//! [`write_frame`] pair; a CRC-guarded length-prefixed frame has no torn or
+//! ambiguous reading, whatever the socket does to its bytes.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -26,24 +27,20 @@ use std::time::{Duration, Instant};
 
 use crate::link::LinkModel;
 use crate::transport::{Backend, Transport, TransportError};
-use crate::wire::{Frame, FrameKind, Payload, TraceCtx, WireError, CTX_WIRE_BYTES, DRIVER};
+use crate::wire::{
+    read_frame, write_frame, Frame, FrameKind, Payload, TraceCtx, WireError, CTX_WIRE_BYTES, DRIVER,
+};
 
+/// A decode failure inside [`read_frame`] stays a typed
+/// [`TransportError::Wire`]; everything else is the OS's message.
 fn io_err(e: std::io::Error) -> TransportError {
-    TransportError::Io(e.to_string())
-}
-
-fn write_frame(stream: &mut TcpStream, frame: &Frame) -> Result<(), TransportError> {
-    stream.write_all(frame.encode().as_bytes()).map_err(io_err)
-}
-
-/// Reads one frame off a buffered socket. `Ok(None)` means clean EOF.
-fn read_frame(reader: &mut BufReader<TcpStream>) -> Result<Option<Frame>, TransportError> {
-    let mut line = String::new();
-    let n = reader.read_line(&mut line).map_err(io_err)?;
-    if n == 0 {
-        return Ok(None);
+    match e
+        .get_ref()
+        .and_then(|inner| inner.downcast_ref::<WireError>())
+    {
+        Some(wire) => TransportError::Wire(wire.clone()),
+        None => TransportError::Io(e.to_string()),
     }
-    Ok(Some(Frame::decode(&line)?))
 }
 
 /// Something the hub observed on its worker connections.
@@ -251,7 +248,8 @@ impl WireHub {
         let (stream, _) = self.listener.accept().map_err(io_err)?;
         stream.set_nodelay(true).map_err(io_err)?;
         let mut reader = BufReader::new(stream.try_clone().map_err(io_err)?);
-        let hello = read_frame(&mut reader)?
+        let (hello, _) = read_frame(&mut reader)
+            .map_err(io_err)?
             .ok_or_else(|| TransportError::Io("worker closed before hello".into()))?;
         if hello.kind != FrameKind::Hello {
             return Err(TransportError::Wire(WireError::BadPayload {
@@ -260,8 +258,8 @@ impl WireHub {
         }
         let rank = hello.from as usize;
         if rank >= self.world {
-            return Err(TransportError::Wire(WireError::BadRank {
-                found: hello.from.to_string(),
+            return Err(TransportError::Wire(WireError::BadPayload {
+                reason: format!("hello from rank {rank} outside 0..{}", self.world),
             }));
         }
         self.shared.conns.lock().expect("hub conns")[rank] = Some(stream);
@@ -349,12 +347,12 @@ impl WireHub {
 fn hub_reader(shared: &HubShared, rank: usize, mut reader: BufReader<TcpStream>) {
     loop {
         match read_frame(&mut reader) {
-            Ok(Some(frame)) if frame.from as usize == rank => {
+            Ok(Some((frame, wire_len))) if frame.from as usize == rank => {
                 if frame.kind == FrameKind::Telem {
                     // Telemetry batches go to the collector, never the
                     // control inbox: the side channel cannot stall or
                     // reorder round orchestration.
-                    shared.collector.add_wire_bytes(frame.encode().len());
+                    shared.collector.add_wire_bytes(wire_len);
                     if let Payload::Bytes(bytes) = frame.payload {
                         shared
                             .collector
@@ -421,7 +419,8 @@ impl ProcessTransport {
         write_frame(
             &mut writer,
             &Frame::control(FrameKind::Hello, rank as u32, DRIVER),
-        )?;
+        )
+        .map_err(io_err)?;
         Ok(Self {
             rank,
             world,
@@ -458,16 +457,14 @@ impl ProcessTransport {
     ///
     /// Fails on socket errors.
     pub fn send_telemetry(&mut self, batch: &str) -> Result<(), TransportError> {
-        write_frame(
-            &mut self.writer,
-            &Frame::telem(self.rank as u32, batch.as_bytes().to_vec()),
-        )
+        self.send_frame(&Frame::telem(self.rank as u32, batch.as_bytes().to_vec()))
     }
 
     /// Reads one frame and files it (data → per-sender inbox, down → dead
     /// set, control → control queue).
     fn pump(&mut self) -> Result<(), TransportError> {
-        let frame = read_frame(&mut self.reader)?
+        let (frame, _) = read_frame(&mut self.reader)
+            .map_err(io_err)?
             .ok_or_else(|| TransportError::Io("hub connection closed".into()))?;
         match frame.kind {
             FrameKind::Data => {
@@ -519,7 +516,7 @@ impl ProcessTransport {
     ///
     /// Fails on socket errors.
     pub fn send_frame(&mut self, frame: &Frame) -> Result<(), TransportError> {
-        write_frame(&mut self.writer, frame)
+        write_frame(&mut self.writer, frame).map_err(io_err)
     }
 
     /// Forgets that `rank` was seen down (call when the driver announces a
@@ -567,10 +564,12 @@ impl Transport for ProcessTransport {
         if to >= self.world || self.dead[to] {
             return Err(TransportError::PeerDisconnected { peer: to });
         }
-        write_frame(
-            &mut self.writer,
-            &Frame::words(FrameKind::Data, self.rank as u32, to as u32, words.to_vec()),
-        )
+        self.send_frame(&Frame::words(
+            FrameKind::Data,
+            self.rank as u32,
+            to as u32,
+            words.to_vec(),
+        ))
     }
 
     fn recv_words(&mut self, from: usize) -> Result<Vec<u64>, TransportError> {
@@ -596,7 +595,7 @@ impl Transport for ProcessTransport {
                 sender: self.rank as u32,
                 send_ns: wall_now_ns(),
             });
-        write_frame(&mut self.writer, &frame)
+        self.send_frame(&frame)
     }
 
     fn recv_words_traced(

@@ -9,8 +9,8 @@
 //! - **Threaded** — the same endpoints, one OS thread per rank, real
 //!   concurrency and a real clock (see
 //!   `marsit_collectives::engine::run_threaded`);
-//! - **Process** — one OS process per rank speaking `marsit-wire/1` over
-//!   localhost TCP ([`crate::process`]).
+//! - **Process** — one OS process per rank exchanging [`crate::wire`]
+//!   frames over localhost TCP ([`crate::process`]).
 //!
 //! Determinism across all three rests on the frozen per-hop RNG stream
 //! contract (`DESIGN.md` §9): combine randomness derives from the
@@ -32,7 +32,7 @@ pub enum Backend {
     Simulator,
     /// One OS thread per rank, in-process channels, real clock.
     Threaded,
-    /// One OS process per rank, `marsit-wire/1` over localhost TCP.
+    /// One OS process per rank, binary frames over localhost TCP.
     Process,
 }
 

@@ -1,48 +1,59 @@
-//! The `marsit-wire/1` frame format: versioned, line-delimited, hex-framed.
+//! The one binary frame behind every byte that leaves a process or survives a
+//! crash (format version `/2`).
 //!
-//! Frames carry packed sign words and small control metadata between worker
-//! processes over localhost TCP (see [`crate::process`]). Like
-//! `marsit-checkpoint/1`, every bit-sensitive scalar crosses the wire as the
-//! fixed-width lowercase hex of its bit pattern — 16 hex chars per
-//! `u64`, 8 per `f32` — so `−0.0`, NaN payloads, and subnormals survive
-//! byte-for-byte and the encoding is ASCII-diffable in a packet capture.
-//!
-//! One frame per line:
+//! Transport frames between ranks ([`Frame`]), training checkpoints
+//! (`marsit_trainsim::TrainSnapshot`) and serving-journal records
+//! (`marsit_serve::journal`) share one header, one checksum, one field
+//! [`Writer`] and one field [`Reader`]:
 //!
 //! ```text
-//! marsit-wire/1 <kind> <from> <to> <payload-tag><hex>\n
+//! offset  bytes  field
+//!      0      4  magic "MRST"
+//!      4      1  format version (2)
+//!      5      1  kind
+//!      6      4  body length n, little-endian u32
+//!     10      4  IEEE CRC-32 over bytes 5..10 and the body, little-endian
+//!     14      n  body
 //! ```
 //!
-//! where `<payload-tag>` is `w` (u64 words), `f` (f32 bit patterns), `b`
-//! (raw bytes, 2 hex chars each), or `-` (empty). Decoding never panics:
-//! every malformed input — truncated line, wrong magic, unsupported
-//! version, unknown kind, ragged hex — maps to a typed [`WireError`].
+//! | kind        | body                                                        | written by                          | read by                        |
+//! |-------------|-------------------------------------------------------------|-------------------------------------|--------------------------------|
+//! | `0x01–0x0B` | [`Frame`]: `from`, `to`, payload tag + payload, trace ctx   | [`Frame::encode`] / [`write_frame`] | [`Frame::decode`] / [`read_frame`] |
+//! | `0x20`      | checkpoint: every `TrainSnapshot` field in declaration order | `TrainSnapshot::to_json`            | `TrainSnapshot::from_json`     |
+//! | `0x30–0x33` | journal record: `seq`, then the record's typed fields       | `marsit_serve::encode_record`       | `marsit_serve::replay_bytes`   |
 //!
-//! # Trace context (optional trailing segment)
+//! Bodies are sequences of fixed-width little-endian scalars, count-prefixed
+//! raw `f32` / `u64` slices and length-prefixed byte strings. A float crosses
+//! as the four or eight bytes of its bit pattern, so `−0.0`, NaN payloads and
+//! subnormals survive without any text encoding. Decoding never panics and
+//! never trusts a length: every malformed input — short buffer, foreign
+//! magic, other version, flipped bit, count larger than the bytes behind it —
+//! is a typed [`WireError`], and nothing is allocated for a count before the
+//! bytes it promises are known to be there.
 //!
-//! A traced transport appends one space-separated segment after the
-//! payload:
+//! # Trace context
 //!
-//! ```text
-//! marsit-wire/1 data <from> <to> w<hex> c<round:16><seq:16><sender:8><send_ns:16>\n
-//! ```
-//!
-//! carrying the [`TraceCtx`] — (round, absolute expanded-step seq, sender
-//! rank, sender wall-clock nanos) — that lets the receiver emit a
-//! cross-rank-correlatable hop event. The segment is strictly optional: a
-//! frame with `ctx: None` encodes byte-identically to pre-trace
-//! `marsit-wire/1`, so untraced runs put nothing new on the wire.
+//! A traced transport appends the [`TraceCtx`] — (round, absolute
+//! expanded-step seq, sender rank, sender wall-clock nanos), four fixed-width
+//! fields, [`CTX_WIRE_BYTES`] in all — after a data frame's payload. The
+//! payload carries its own length, so presence needs no flag: a frame with
+//! `ctx: None` spends no byte on tracing.
 
 use std::fmt;
+use std::io::{self, Read, Write};
 
-/// Schema tag at the start of every frame.
-pub const WIRE_SCHEMA: &str = "marsit-wire/1";
+/// Format version of every frame: wire, checkpoint and journal move together.
+pub const VERSION: u8 = 2;
+
+const MAGIC: [u8; 4] = *b"MRST";
+const HEADER_LEN: usize = 14;
 
 /// What a frame means to the hub/worker protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum FrameKind {
     /// Worker → hub: `from` announces its rank.
-    Hello,
+    Hello = 1,
     /// Worker ↔ worker (routed through the hub): collective payload.
     Data,
     /// Hub → worker: begin a collective round (`to` is the target rank,
@@ -59,64 +70,48 @@ pub enum FrameKind {
     /// Worker → hub: a batch of telemetry events for the trace collector
     /// (payload = UTF-8 JSONL as [`Payload::Bytes`]).
     Telem,
-    /// Supervisor → shard: run a job (payload = UTF-8 submission body as
-    /// [`Payload::Bytes`] — a fresh job's canonical spec line, or a
-    /// restore body carrying spec + snapshot + telemetry floor).
+    /// Supervisor → shard: run a job. The payload of this and the two
+    /// kinds below is one or more serving-journal records
+    /// (`marsit_serve::encode_record`) as [`Payload::Bytes`]; here a
+    /// `Submit`, followed by a `Snapshot` when the job resumes from a
+    /// durability point.
     Submit,
-    /// Shard → supervisor: a job finished (payload = UTF-8 outcome body:
-    /// report fingerprint plus log delta).
+    /// Shard → supervisor: a job finished (one `Outcome` record).
     Outcome,
-    /// Shard ↔ supervisor: a durability snapshot of an in-flight job
-    /// (periodic, or the final state of an evicted job), or the
-    /// supervisor's eviction request.
+    /// Shard → supervisor: a durability snapshot of an in-flight job (one
+    /// `Snapshot` record, preceded by a `Migrate` when the job is handed
+    /// back); supervisor → shard: an eviction request (one `Migrate`).
     Snapshot,
 }
 
 impl FrameKind {
-    fn tag(self) -> &'static str {
-        match self {
-            Self::Hello => "hello",
-            Self::Data => "data",
-            Self::Round => "round",
-            Self::Result => "result",
-            Self::Failed => "failed",
-            Self::Down => "down",
-            Self::Stop => "stop",
-            Self::Telem => "telem",
-            Self::Submit => "submit",
-            Self::Outcome => "outcome",
-            Self::Snapshot => "snapshot",
-        }
-    }
+    const ALL: [Self; 11] = [
+        Self::Hello,
+        Self::Data,
+        Self::Round,
+        Self::Result,
+        Self::Failed,
+        Self::Down,
+        Self::Stop,
+        Self::Telem,
+        Self::Submit,
+        Self::Outcome,
+        Self::Snapshot,
+    ];
 
-    fn from_tag(tag: &str) -> Option<Self> {
-        Some(match tag {
-            "hello" => Self::Hello,
-            "data" => Self::Data,
-            "round" => Self::Round,
-            "result" => Self::Result,
-            "failed" => Self::Failed,
-            "down" => Self::Down,
-            "stop" => Self::Stop,
-            "telem" => Self::Telem,
-            "submit" => Self::Submit,
-            "outcome" => Self::Outcome,
-            "snapshot" => Self::Snapshot,
-            _ => return None,
-        })
+    fn from_u8(kind: u8) -> Option<Self> {
+        Self::ALL.into_iter().find(|&k| k as u8 == kind)
     }
 }
 
-/// Frame payload: bit-exact word or float vectors.
+/// Frame payload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
     /// Nothing (control frames).
     Empty,
-    /// Packed sign words / counters, 16 hex chars each on the wire.
+    /// Packed sign words / counters, 8 raw bytes each on the wire.
     Words(Vec<u64>),
-    /// `f32` bit patterns, 8 hex chars each on the wire.
-    Floats(Vec<f32>),
-    /// Raw bytes (telemetry batches), 2 hex chars each on the wire.
+    /// Raw bytes (telemetry batches, serving-journal records).
     Bytes(Vec<u8>),
 }
 
@@ -136,7 +131,11 @@ pub struct TraceCtx {
     pub send_ns: u64,
 }
 
-/// One `marsit-wire/1` frame.
+/// Wire overhead of an attached trace context: round 8 + seq 8 + sender 4 +
+/// `send_ns` 8 bytes.
+pub const CTX_WIRE_BYTES: usize = 8 + 8 + 4 + 8;
+
+/// One transport frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     /// Frame meaning.
@@ -147,8 +146,7 @@ pub struct Frame {
     pub to: u32,
     /// Bit-exact payload.
     pub payload: Payload,
-    /// Optional trace context (`None` encodes byte-identically to the
-    /// pre-trace wire format).
+    /// Optional trace context (`None` spends no byte on the wire).
     pub ctx: Option<TraceCtx>,
 }
 
@@ -158,29 +156,32 @@ pub const DRIVER: u32 = u32::MAX;
 /// Typed decode failures. Decoding never panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// The line does not start with `marsit-wire/…`.
-    BadMagic {
-        /// What was found instead of the schema tag.
-        found: String,
-    },
-    /// The schema tag names a version this decoder does not speak.
-    UnsupportedVersion {
-        /// The full schema tag found.
-        found: String,
-    },
-    /// The line ended before all five fields were present.
+    /// The input ended before the bytes a header or length field promised.
     Truncated,
-    /// The kind field is not a known frame kind.
+    /// The input does not start with the frame magic.
+    BadMagic {
+        /// The first bytes found instead, as text.
+        found: String,
+    },
+    /// The header names a format version this decoder does not speak.
+    UnsupportedVersion {
+        /// The version byte found.
+        found: u8,
+    },
+    /// Kind, length and body do not match the recorded CRC (a torn or
+    /// corrupted frame).
+    BadCrc {
+        /// CRC stored in the header.
+        recorded: u32,
+        /// CRC of the bytes actually present.
+        actual: u32,
+    },
+    /// The kind byte is not one this decoder knows.
     UnknownKind {
-        /// The unrecognized kind tag.
-        found: String,
+        /// The kind byte found.
+        found: u8,
     },
-    /// A rank field is not a decimal `u32`.
-    BadRank {
-        /// The malformed field text.
-        found: String,
-    },
-    /// The payload tag or hex body is malformed.
+    /// The body passed its CRC but its fields are malformed.
     BadPayload {
         /// What is wrong with it.
         reason: String,
@@ -190,16 +191,16 @@ pub enum WireError {
 impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::BadMagic { found } => write!(f, "bad wire magic {found:?}"),
+            Self::Truncated => write!(f, "truncated frame"),
+            Self::BadMagic { found } => write!(f, "bad frame magic {found:?}"),
             Self::UnsupportedVersion { found } => {
-                write!(
-                    f,
-                    "unsupported wire version {found:?} (want {WIRE_SCHEMA:?})"
-                )
+                write!(f, "unsupported format version {found} (want {VERSION})")
             }
-            Self::Truncated => write!(f, "truncated wire frame"),
-            Self::UnknownKind { found } => write!(f, "unknown frame kind {found:?}"),
-            Self::BadRank { found } => write!(f, "bad rank field {found:?}"),
+            Self::BadCrc { recorded, actual } => write!(
+                f,
+                "frame CRC mismatch: recorded {recorded:08x}, actual {actual:08x}"
+            ),
+            Self::UnknownKind { found } => write!(f, "unknown frame kind {found:#04x}"),
             Self::BadPayload { reason } => write!(f, "bad payload: {reason}"),
         }
     }
@@ -207,35 +208,347 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
-
-/// Wire overhead of an attached trace context: the separating space, the
-/// `c` tag, and 56 hex chars (round 16 + seq 16 + sender 8 + `send_ns` 16).
-pub const CTX_WIRE_BYTES: usize = 2 + 16 + 16 + 8 + 16;
-
-fn push_hex(out: &mut String, bits: u64, nibbles: u32) {
-    for i in (0..nibbles).rev() {
-        out.push(HEX_DIGITS[((bits >> (4 * i)) & 0xF) as usize] as char);
+impl From<WireError> for io::Error {
+    fn from(e: WireError) -> Self {
+        Self::new(io::ErrorKind::InvalidData, e)
     }
 }
 
-fn parse_hex_words(s: &str, nibbles: usize) -> Result<Vec<u64>, WireError> {
-    if !s.len().is_multiple_of(nibbles) {
-        return Err(WireError::BadPayload {
-            reason: format!("hex length {} is not a multiple of {nibbles}", s.len()),
+/// IEEE CRC-32 (the ubiquitous reflected 0xEDB88320 polynomial),
+/// slicing-by-8, dependency-free. Snapshot records put megabytes through
+/// this per journal append, so the byte-at-a-time loop (one table lookup
+/// per byte, serialized through the crc register) is worth widening: eight
+/// tables let each iteration fold in 8 bytes with independent lookups.
+/// Check value: `crc32(b"123456789") == 0xCBF4_3926`.
+#[must_use]
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_update(!0u32, bytes)
+}
+
+/// Streaming form of [`crc32`]: folds `bytes` into a raw (pre-inverted)
+/// CRC state. `!crc32_update(!0, b)` equals `crc32(b)`, and chaining
+/// updates over slices equals one update over their concatenation.
+fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+    const fn tables() -> [[u32; 256]; 8] {
+        let mut t = [[0u32; 256]; 8];
+        let mut i = 0;
+        while i < 256 {
+            let mut c = i as u32;
+            let mut k = 0;
+            while k < 8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+                k += 1;
+            }
+            t[0][i] = c;
+            i += 1;
+        }
+        let mut slice = 1;
+        while slice < 8 {
+            let mut i = 0;
+            while i < 256 {
+                let prev = t[slice - 1][i];
+                t[slice][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+                i += 1;
+            }
+            slice += 1;
+        }
+        t
+    }
+    static TABLES: [[u32; 256]; 8] = tables();
+    let mut crc = state;
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xFF) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    crc
+}
+
+/// The header checksum: CRC-32 over kind ‖ length (`header[5..10]`) ‖ body.
+fn frame_crc(header: &[u8], body: &[u8]) -> u32 {
+    !crc32_update(crc32_update(!0, &header[5..10]), body)
+}
+
+/// Builds one frame: the header is reserved up front, fields append to the
+/// body, and [`Writer::finish`] seals length and CRC.
+#[derive(Debug)]
+pub struct Writer {
+    buf: Vec<u8>,
+}
+
+impl Writer {
+    /// Starts a frame of `kind` with room for `body_capacity` body bytes.
+    #[must_use]
+    pub fn new(kind: u8, body_capacity: usize) -> Self {
+        let mut buf = Vec::with_capacity(HEADER_LEN + body_capacity);
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&[VERSION, kind]);
+        buf.resize(HEADER_LEN, 0);
+        Self { buf }
+    }
+
+    /// Appends one byte.
+    pub fn u8(&mut self, v: u8) {
+        self.buf.push(v);
+    }
+
+    /// Appends a little-endian `u32`.
+    pub fn u32(&mut self, v: u32) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Appends a little-endian `u64`.
+    pub fn u64(&mut self, v: u64) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Appends an `f32` as its bit pattern.
+    pub fn f32(&mut self, v: f32) {
+        self.u32(v.to_bits());
+    }
+
+    /// Appends an `f64` as its bit pattern.
+    pub fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    /// Appends an element or byte count. Panics above `u32::MAX`: a frame
+    /// body is under 4 GiB.
+    pub fn count(&mut self, n: usize) {
+        self.u32(u32::try_from(n).expect("frame field count fits u32"));
+    }
+
+    fn words<const N: usize, T: Copy>(&mut self, values: &[T], le: impl Fn(T) -> [u8; N]) {
+        self.count(values.len());
+        let start = self.buf.len();
+        self.buf.resize(start + values.len() * N, 0);
+        for (dst, &v) in self.buf[start..].chunks_exact_mut(N).zip(values) {
+            dst.copy_from_slice(&le(v));
+        }
+    }
+
+    /// Appends a count-prefixed `f32` slice as raw little-endian words.
+    pub fn f32s(&mut self, values: &[f32]) {
+        self.words(values, |v: f32| v.to_bits().to_le_bytes());
+    }
+
+    /// Appends a count-prefixed `u64` slice as raw little-endian words.
+    pub fn u64s(&mut self, values: &[u64]) {
+        self.words(values, u64::to_le_bytes);
+    }
+
+    /// Appends a length-prefixed byte string.
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        self.count(bytes.len());
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Appends a length-prefixed UTF-8 string.
+    pub fn str(&mut self, text: &str) {
+        self.bytes(text.as_bytes());
+    }
+
+    /// Seals the header (body length, CRC) and returns the frame's bytes.
+    /// Panics on a body of 4 GiB or more.
+    #[must_use]
+    pub fn finish(mut self) -> Vec<u8> {
+        let len = u32::try_from(self.buf.len() - HEADER_LEN).expect("frame body fits u32");
+        self.buf[6..10].copy_from_slice(&len.to_le_bytes());
+        let (header, body) = self.buf.split_at_mut(HEADER_LEN);
+        let crc = frame_crc(header, body);
+        header[10..].copy_from_slice(&crc.to_le_bytes());
+        self.buf
+    }
+}
+
+/// Reads a frame body field by field. Every getter is a typed error —
+/// [`WireError::Truncated`] where the body ends early, [`WireError::BadPayload`]
+/// where a field's content is invalid — and none panics or allocates on a
+/// count's say-so.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// Bytes not yet consumed.
+    #[must_use]
+    pub fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        if n > self.rest.len() {
+            return Err(WireError::Truncated);
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
+    }
+
+    /// Next byte.
+    pub fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    /// Next byte as a flag: 0 or 1, nothing else.
+    pub fn bool(&mut self) -> Result<bool, WireError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(WireError::BadPayload {
+                reason: format!("flag byte {other} is neither 0 nor 1"),
+            }),
+        }
+    }
+
+    /// Next little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, WireError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// Next little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, WireError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Next `f32` bit pattern.
+    pub fn f32(&mut self) -> Result<f32, WireError> {
+        self.u32().map(f32::from_bits)
+    }
+
+    /// Next `f64` bit pattern.
+    pub fn f64(&mut self) -> Result<f64, WireError> {
+        self.u64().map(f64::from_bits)
+    }
+
+    /// Next count, checked against the bytes left: `item_bytes` is the
+    /// least one counted item occupies, so a count that promises more than
+    /// the body holds is `Truncated` before anything is allocated for it.
+    pub fn count(&mut self, item_bytes: usize) -> Result<usize, WireError> {
+        let n = self.u32()? as usize;
+        match n.checked_mul(item_bytes) {
+            Some(bytes) if bytes <= self.rest.len() => Ok(n),
+            _ => Err(WireError::Truncated),
+        }
+    }
+
+    fn words<const N: usize, T>(&mut self, le: impl Fn([u8; N]) -> T) -> Result<Vec<T>, WireError> {
+        let n = self.count(N)?;
+        let raw = self.take(n * N)?.chunks_exact(N);
+        Ok(raw
+            .map(|b| le(b.try_into().expect("N-byte chunk")))
+            .collect())
+    }
+
+    /// Next count-prefixed `f32` slice.
+    pub fn f32s(&mut self) -> Result<Vec<f32>, WireError> {
+        self.words(|b| f32::from_bits(u32::from_le_bytes(b)))
+    }
+
+    /// Next count-prefixed `u64` slice.
+    pub fn u64s(&mut self) -> Result<Vec<u64>, WireError> {
+        self.words(u64::from_le_bytes)
+    }
+
+    /// Next length-prefixed byte string, borrowed from the body.
+    pub fn bytes(&mut self) -> Result<&'a [u8], WireError> {
+        let n = self.count(1)?;
+        self.take(n)
+    }
+
+    /// Next length-prefixed string, borrowed from the body; must be UTF-8.
+    pub fn str(&mut self) -> Result<&'a str, WireError> {
+        std::str::from_utf8(self.bytes()?).map_err(|e| WireError::BadPayload {
+            reason: format!("string field is not UTF-8: {e}"),
+        })
+    }
+
+    /// Ends the body; bytes left over are an error.
+    pub fn finish(self) -> Result<(), WireError> {
+        if self.rest.is_empty() {
+            Ok(())
+        } else {
+            Err(WireError::BadPayload {
+                reason: format!("{} trailing bytes after the last field", self.rest.len()),
+            })
+        }
+    }
+}
+
+/// Rejects input whose first bytes, as far as they go, are not this format's
+/// magic and version.
+fn check_magic_and_version(bytes: &[u8]) -> Result<(), WireError> {
+    let seen = bytes.len().min(MAGIC.len());
+    if bytes[..seen] != MAGIC[..seen] {
+        let head = &bytes[..bytes.len().min(16)];
+        return Err(WireError::BadMagic {
+            found: String::from_utf8_lossy(head).into_owned(),
         });
     }
-    s.as_bytes()
-        .chunks(nibbles)
-        .map(|chunk| {
-            let word = std::str::from_utf8(chunk).map_err(|e| WireError::BadPayload {
-                reason: e.to_string(),
-            })?;
-            u64::from_str_radix(word, 16).map_err(|_| WireError::BadPayload {
-                reason: format!("bad hex word {word:?}"),
-            })
+    match bytes.get(MAGIC.len()) {
+        Some(&found) if found != VERSION => Err(WireError::UnsupportedVersion { found }),
+        _ => Ok(()),
+    }
+}
+
+/// Splits the frame at the front of `bytes` into its kind, a [`Reader`] over
+/// its CRC-checked body, and the bytes after it.
+///
+/// # Errors
+///
+/// [`WireError::BadMagic`] / [`WireError::UnsupportedVersion`] as soon as the
+/// bytes present contradict the header, [`WireError::Truncated`] when header
+/// or body are cut short, [`WireError::BadCrc`] when they are all there but
+/// damaged.
+pub fn split_frame(bytes: &[u8]) -> Result<(u8, Reader<'_>, &[u8]), WireError> {
+    check_magic_and_version(bytes)?;
+    let Some((header, rest)) = bytes.split_first_chunk::<HEADER_LEN>() else {
+        return Err(WireError::Truncated);
+    };
+    let len = u32::from_le_bytes([header[6], header[7], header[8], header[9]]) as usize;
+    if len > rest.len() {
+        return Err(WireError::Truncated);
+    }
+    let (body, rest) = rest.split_at(len);
+    let recorded = u32::from_le_bytes([header[10], header[11], header[12], header[13]]);
+    let actual = frame_crc(header, body);
+    if recorded != actual {
+        return Err(WireError::BadCrc { recorded, actual });
+    }
+    Ok((header[5], Reader { rest: body }, rest))
+}
+
+/// [`split_frame`] for input that must hold exactly one frame: bytes after
+/// it are [`WireError::BadPayload`].
+pub fn sole_frame(bytes: &[u8]) -> Result<(u8, Reader<'_>), WireError> {
+    let (kind, body, rest) = split_frame(bytes)?;
+    if rest.is_empty() {
+        Ok((kind, body))
+    } else {
+        Err(WireError::BadPayload {
+            reason: format!("{} trailing bytes after the frame", rest.len()),
         })
-        .collect()
+    }
 }
 
 impl Frame {
@@ -263,16 +576,22 @@ impl Frame {
         }
     }
 
-    /// Convenience constructor for a telemetry-batch frame.
+    /// Convenience constructor for a bytes-payload frame.
     #[must_use]
-    pub fn telem(from: u32, bytes: Vec<u8>) -> Self {
+    pub fn bytes(kind: FrameKind, from: u32, to: u32, bytes: Vec<u8>) -> Self {
         Self {
-            kind: FrameKind::Telem,
+            kind,
             from,
-            to: DRIVER,
+            to,
             payload: Payload::Bytes(bytes),
             ctx: None,
         }
+    }
+
+    /// Convenience constructor for a telemetry-batch frame.
+    #[must_use]
+    pub fn telem(from: u32, bytes: Vec<u8>) -> Self {
+        Self::bytes(FrameKind::Telem, from, DRIVER, bytes)
     }
 
     /// The same frame with a trace context stamped on.
@@ -282,130 +601,69 @@ impl Frame {
         self
     }
 
-    /// Serializes to one wire line, trailing `\n` included.
+    /// Serializes to the frame's wire bytes.
     #[must_use]
-    pub fn encode(&self) -> String {
-        let mut out = String::with_capacity(
-            WIRE_SCHEMA.len()
-                + 32
-                + match &self.payload {
-                    Payload::Empty => 1,
-                    Payload::Words(w) => 1 + w.len() * 16,
-                    Payload::Floats(v) => 1 + v.len() * 8,
-                    Payload::Bytes(b) => 1 + b.len() * 2,
-                }
-                + if self.ctx.is_some() {
-                    CTX_WIRE_BYTES
-                } else {
-                    0
-                },
-        );
-        out.push_str(WIRE_SCHEMA);
-        out.push(' ');
-        out.push_str(self.kind.tag());
-        out.push(' ');
-        out.push_str(&self.from.to_string());
-        out.push(' ');
-        out.push_str(&self.to.to_string());
-        out.push(' ');
+    pub fn encode(&self) -> Vec<u8> {
+        let payload_len = match &self.payload {
+            Payload::Empty => 0,
+            Payload::Words(words) => 4 + words.len() * 8,
+            Payload::Bytes(bytes) => 4 + bytes.len(),
+        };
+        let mut w = Writer::new(self.kind as u8, 9 + payload_len + CTX_WIRE_BYTES);
+        w.u32(self.from);
+        w.u32(self.to);
         match &self.payload {
-            Payload::Empty => out.push('-'),
+            Payload::Empty => w.u8(0),
             Payload::Words(words) => {
-                out.push('w');
-                for &w in words {
-                    push_hex(&mut out, w, 16);
-                }
-            }
-            Payload::Floats(values) => {
-                out.push('f');
-                for &v in values {
-                    push_hex(&mut out, u64::from(v.to_bits()), 8);
-                }
+                w.u8(1);
+                w.u64s(words);
             }
             Payload::Bytes(bytes) => {
-                out.push('b');
-                for &b in bytes {
-                    push_hex(&mut out, u64::from(b), 2);
-                }
+                w.u8(2);
+                w.bytes(bytes);
             }
         }
         if let Some(ctx) = &self.ctx {
-            out.push(' ');
-            out.push('c');
-            push_hex(&mut out, ctx.round, 16);
-            push_hex(&mut out, ctx.seq, 16);
-            push_hex(&mut out, u64::from(ctx.sender), 8);
-            push_hex(&mut out, ctx.send_ns, 16);
+            w.u64(ctx.round);
+            w.u64(ctx.seq);
+            w.u32(ctx.sender);
+            w.u64(ctx.send_ns);
         }
-        out.push('\n');
-        out
+        w.finish()
     }
 
-    /// Parses one wire line (with or without the trailing newline).
+    /// Parses exactly one frame.
     ///
     /// # Errors
     ///
-    /// Returns the first [`WireError`] describing why the line is not a
-    /// valid `marsit-wire/1` frame. Never panics on any input.
-    pub fn decode(line: &str) -> Result<Self, WireError> {
-        let line = line.strip_suffix('\n').unwrap_or(line);
-        let mut fields = line.splitn(5, ' ');
-        let magic = fields.next().unwrap_or("");
-        if magic != WIRE_SCHEMA {
-            return if magic.starts_with("marsit-wire/") {
-                Err(WireError::UnsupportedVersion {
-                    found: magic.to_string(),
-                })
-            } else {
-                Err(WireError::BadMagic {
-                    found: magic.chars().take(32).collect(),
-                })
-            };
-        }
-        let kind_tag = fields.next().ok_or(WireError::Truncated)?;
-        let kind = FrameKind::from_tag(kind_tag).ok_or_else(|| WireError::UnknownKind {
-            found: kind_tag.to_string(),
-        })?;
-        let parse_rank = |s: &str| {
-            s.parse::<u32>().map_err(|_| WireError::BadRank {
-                found: s.to_string(),
-            })
-        };
-        let from = parse_rank(fields.next().ok_or(WireError::Truncated)?)?;
-        let to = parse_rank(fields.next().ok_or(WireError::Truncated)?)?;
-        let body = fields.next().ok_or(WireError::Truncated)?;
-        let (body, ctx_part) = match body.split_once(' ') {
-            Some((payload, rest)) => (payload, Some(rest)),
-            None => (body, None),
-        };
-        let payload = match body.split_at_checked(1) {
-            Some(("-", "")) => Payload::Empty,
-            Some(("w", hex)) => Payload::Words(parse_hex_words(hex, 16)?),
-            Some(("f", hex)) => Payload::Floats(
-                parse_hex_words(hex, 8)?
-                    .into_iter()
-                    .map(|bits| f32::from_bits(bits as u32))
-                    .collect(),
-            ),
-            Some(("b", hex)) => Payload::Bytes(
-                parse_hex_words(hex, 2)?
-                    .into_iter()
-                    .map(|b| b as u8)
-                    .collect(),
-            ),
-            _ => {
+    /// Returns the first [`WireError`] describing why `bytes` is not one
+    /// valid transport frame. Never panics on any input.
+    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
+        let (kind, mut body) = sole_frame(bytes)?;
+        let kind = FrameKind::from_u8(kind).ok_or(WireError::UnknownKind { found: kind })?;
+        let from = body.u32()?;
+        let to = body.u32()?;
+        let payload = match body.u8()? {
+            0 => Payload::Empty,
+            1 => Payload::Words(body.u64s()?),
+            2 => Payload::Bytes(body.bytes()?.to_vec()),
+            tag => {
                 return Err(WireError::BadPayload {
-                    reason: format!(
-                        "unknown payload tag in {body:?}",
-                        body = body.chars().take(8).collect::<String>()
-                    ),
+                    reason: format!("unknown payload tag {tag}"),
                 })
             }
         };
-        let ctx = match ctx_part {
-            None => None,
-            Some(part) => Some(Self::decode_ctx(part)?),
+        let ctx = if body.remaining() == 0 {
+            None
+        } else {
+            Some(TraceCtx {
+                round: body.u64()?,
+                seq: body.u64()?,
+                sender: body.u32()?,
+                send_ns: body.u64()?,
+            })
         };
+        body.finish()?;
         Ok(Self {
             kind,
             from,
@@ -414,43 +672,81 @@ impl Frame {
             ctx,
         })
     }
+}
 
-    /// Parses the trailing `c<56 hex>` trace-context segment.
-    fn decode_ctx(part: &str) -> Result<TraceCtx, WireError> {
-        let hex = part
-            .strip_prefix('c')
-            .filter(|h| h.len() == 56 && h.is_ascii())
-            .ok_or_else(|| WireError::BadPayload {
-                reason: format!(
-                    "bad trace-context segment {part:?}",
-                    part = part.chars().take(8).collect::<String>()
-                ),
-            })?;
-        let word = |range: std::ops::Range<usize>| {
-            u64::from_str_radix(&hex[range], 16).map_err(|_| WireError::BadPayload {
-                reason: "bad trace-context hex".to_string(),
-            })
-        };
-        Ok(TraceCtx {
-            round: word(0..16)?,
-            seq: word(16..32)?,
-            sender: word(32..40)? as u32,
-            send_ns: word(40..56)?,
-        })
+/// Writes one frame to a blocking stream.
+///
+/// # Errors
+///
+/// The stream's I/O error.
+pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> io::Result<()> {
+    writer.write_all(&frame.encode())
+}
+
+/// Reads one frame off a blocking stream, with the number of bytes it
+/// occupied. `Ok(None)` is a clean EOF on a frame boundary.
+///
+/// # Errors
+///
+/// The stream's I/O error, or `InvalidData` wrapping the [`WireError`] — a
+/// stream that ends inside a frame (a killed peer's torn tail) is
+/// [`WireError::Truncated`]. A foreign magic or version fails before the
+/// length field is believed.
+pub fn read_frame(reader: &mut impl Read) -> io::Result<Option<(Frame, usize)>> {
+    let mut buf = vec![0u8; HEADER_LEN];
+    let mut filled = 0;
+    while filled < HEADER_LEN {
+        match reader.read(&mut buf[filled..]) {
+            Ok(0) if filled == 0 => return Ok(None),
+            Ok(0) => return Err(WireError::Truncated.into()),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
+    check_magic_and_version(&buf)?;
+    let len = u32::from_le_bytes([buf[6], buf[7], buf[8], buf[9]]);
+    // Grows with the bytes that arrive, not with what the header claims.
+    reader.take(u64::from(len)).read_to_end(&mut buf)?;
+    let frame = Frame::decode(&buf)?;
+    Ok(Some((frame, buf.len())))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn crc32_matches_ieee_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
 
     #[test]
     fn golden_fixture_words_frame() {
-        // Pinned wire bytes: if this moves, marsit-wire/1 is broken.
+        // Pinned wire bytes (recorded for format /2): if this moves, the
+        // format is broken and needs a version bump.
         let frame = Frame::words(FrameKind::Data, 3, 1, vec![0xDEAD_BEEF_0000_0001, 7]);
         assert_eq!(
-            frame.encode(),
-            "marsit-wire/1 data 3 1 wdeadbeef000000010000000000000007\n"
+            hex(&frame.encode()),
+            concat!(
+                "4d525354",         // magic
+                "02",               // format version
+                "02",               // kind: data
+                "1d000000",         // body length
+                "3cdbc616",         // CRC-32
+                "03000000",         // from
+                "01000000",         // to
+                "01",               // payload: words
+                "02000000",         //   count
+                "01000000efbeadde", //   0xDEADBEEF00000001, little-endian
+                "0700000000000000", //   7
+            )
         );
         assert_eq!(Frame::decode(&frame.encode()).unwrap(), frame);
     }
@@ -458,75 +754,122 @@ mod tests {
     #[test]
     fn golden_fixture_control_frame() {
         let frame = Frame::control(FrameKind::Stop, DRIVER, 2);
-        assert_eq!(frame.encode(), "marsit-wire/1 stop 4294967295 2 -\n");
+        assert_eq!(
+            hex(&frame.encode()),
+            "4d525354020709000000de61d550ffffffff0200000000"
+        );
         assert_eq!(Frame::decode(&frame.encode()).unwrap(), frame);
     }
 
     #[test]
     fn golden_fixture_serving_frames() {
-        // Pinned wire bytes for the process-per-shard serving protocol:
-        // a supervisor submitting a spec line to shard 2, the shard's
-        // outcome, and a snapshot frame. If these move, marsit-wire/1 is
-        // broken for mixed-version supervisor/shard pairs.
-        let submit = Frame {
-            kind: FrameKind::Submit,
-            from: DRIVER,
-            to: 2,
-            payload: Payload::Bytes(b"name=j0".to_vec()),
-            ctx: None,
-        };
+        // Pinned wire bytes for the process-per-shard serving protocol: a
+        // supervisor → shard 2 submit frame, a shard's outcome frame (real
+        // payloads are journal records; any bytes frame the same way), and
+        // a payload-free snapshot frame.
+        let submit = Frame::bytes(FrameKind::Submit, DRIVER, 2, b"name=j0".to_vec());
         assert_eq!(
-            submit.encode(),
-            "marsit-wire/1 submit 4294967295 2 b6e616d653d6a30\n"
+            hex(&submit.encode()),
+            concat!(
+                "4d525354",
+                "02",
+                "09",
+                "14000000",
+                "91bcab24",
+                "ffffffff",
+                "02000000",
+                "02",             // payload: bytes
+                "07000000",       //   length
+                "6e616d653d6a30", //   "name=j0"
+            )
         );
         assert_eq!(Frame::decode(&submit.encode()).unwrap(), submit);
 
-        let outcome = Frame {
-            kind: FrameKind::Outcome,
-            from: 2,
-            to: DRIVER,
-            payload: Payload::Bytes(b"ok".to_vec()),
-            ctx: None,
-        };
+        let outcome = Frame::bytes(FrameKind::Outcome, 2, DRIVER, b"ok".to_vec());
         assert_eq!(
-            outcome.encode(),
-            "marsit-wire/1 outcome 2 4294967295 b6f6b\n"
+            hex(&outcome.encode()),
+            "4d525354020a0f000000652df3c502000000ffffffff02020000006f6b"
         );
         assert_eq!(Frame::decode(&outcome.encode()).unwrap(), outcome);
 
         let snapshot = Frame::control(FrameKind::Snapshot, 1, DRIVER);
-        assert_eq!(snapshot.encode(), "marsit-wire/1 snapshot 1 4294967295 -\n");
+        assert_eq!(
+            hex(&snapshot.encode()),
+            "4d525354020b090000006354b03701000000ffffffff00"
+        );
         assert_eq!(Frame::decode(&snapshot.encode()).unwrap(), snapshot);
     }
 
+    /// The slice pair the checkpoint relies on: every `f32` bit pattern
+    /// crosses unchanged.
     #[test]
     fn float_bit_patterns_roundtrip() {
-        let values = vec![-0.0f32, f32::NAN, f32::from_bits(1), f32::NEG_INFINITY];
-        let frame = Frame {
-            kind: FrameKind::Data,
-            from: 0,
-            to: 1,
-            payload: Payload::Floats(values.clone()),
-            ctx: None,
-        };
-        let back = Frame::decode(&frame.encode()).unwrap();
-        let Payload::Floats(got) = back.payload else {
-            panic!("payload kind changed");
-        };
+        let values = vec![
+            -0.0f32,
+            f32::NAN,
+            f32::from_bits(0xffc0_0001), // negative quiet NaN with payload
+            f32::from_bits(1),           // smallest subnormal
+            f32::NEG_INFINITY,
+            f32::INFINITY,
+        ];
+        let mut w = Writer::new(0x7f, 0);
+        w.f32s(&values);
+        w.f32(values[2]);
+        let frame = w.finish();
+        let (_, mut body) = sole_frame(&frame).unwrap();
+        let got = body.f32s().unwrap();
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&values), bits(&got));
+        assert_eq!(body.f32().unwrap().to_bits(), values[2].to_bits());
+        body.finish().unwrap();
     }
 
-    /// A frame without trace context must keep encoding the exact pre-trace
-    /// bytes — observability is free when off.
+    #[test]
+    fn every_field_kind_roundtrips_in_order() {
+        let mut w = Writer::new(0x7f, 0);
+        w.u8(0xAB);
+        w.u32(0xDEAD_BEEF);
+        w.u64(u64::MAX - 1);
+        w.f64(-0.0);
+        w.u64s(&[1, u64::MAX]);
+        w.bytes(&[0, 0xFF, b'\n']);
+        w.str("naïve\n");
+        w.u8(1);
+        let frame = w.finish();
+        let (kind, mut r) = sole_frame(&frame).unwrap();
+        assert_eq!(kind, 0x7f);
+        assert_eq!(r.u8().unwrap(), 0xAB);
+        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
+        assert_eq!(r.u64().unwrap(), u64::MAX - 1);
+        assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(r.u64s().unwrap(), vec![1, u64::MAX]);
+        assert_eq!(r.bytes().unwrap(), &[0, 0xFF, b'\n']);
+        assert_eq!(r.str().unwrap(), "naïve\n");
+        assert!(r.bool().unwrap());
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(r.u8(), Err(WireError::Truncated));
+        r.finish().unwrap();
+    }
+
+    /// A frame without trace context spends no byte on one — observability
+    /// is free when off — and a context costs exactly its fixed width.
     #[test]
     fn ctx_free_frames_are_byte_identical_to_pre_trace_wire() {
         let frame = Frame::words(FrameKind::Data, 3, 1, vec![0xDEAD_BEEF_0000_0001, 7]);
-        assert_eq!(
-            frame.encode(),
-            "marsit-wire/1 data 3 1 wdeadbeef000000010000000000000007\n"
-        );
-        assert!(!frame.encode().contains(" c"));
+        let plain = frame.encode();
+        // header + from + to + tag + count + two words, nothing else.
+        assert_eq!(plain.len(), HEADER_LEN + 4 + 4 + 1 + 4 + 16);
+        let traced = frame
+            .with_ctx(TraceCtx {
+                round: 1,
+                seq: 2,
+                sender: 3,
+                send_ns: 4,
+            })
+            .encode();
+        assert_eq!(traced.len(), plain.len() + CTX_WIRE_BYTES);
+        // Same body up to where the context starts.
+        assert_eq!(traced[HEADER_LEN..plain.len()], plain[HEADER_LEN..]);
     }
 
     #[test]
@@ -538,17 +881,17 @@ mod tests {
             send_ns: u64::MAX,
         };
         let frame = Frame::words(FrameKind::Data, 3, 1, vec![7]).with_ctx(ctx);
-        let line = frame.encode();
+        let bytes = frame.encode();
         assert_eq!(
-            line,
-            "marsit-wire/1 data 3 1 w0000000000000007 \
-             c000000000000002a0123456789abcdef00000003ffffffffffffffff\n"
+            hex(&bytes[bytes.len() - CTX_WIRE_BYTES..]),
+            concat!(
+                "2a00000000000000", // round
+                "efcdab8967452301", // seq
+                "03000000",         // sender
+                "ffffffffffffffff", // send_ns
+            )
         );
-        assert_eq!(
-            line.len(),
-            Frame::words(FrameKind::Data, 3, 1, vec![7]).encode().len() + CTX_WIRE_BYTES
-        );
-        let back = Frame::decode(&line).unwrap();
+        let back = Frame::decode(&bytes).unwrap();
         assert_eq!(back, frame);
         assert_eq!(back.ctx, Some(ctx));
     }
@@ -566,49 +909,173 @@ mod tests {
         assert_eq!(Frame::decode(&empty.encode()).unwrap(), empty);
     }
 
+    /// Bytes after the payload are a whole trace context or an error.
     #[test]
     fn malformed_trace_context_is_a_typed_error() {
-        for bad in [
-            "marsit-wire/1 data 0 1 w0000000000000007 c1234", // short
-            "marsit-wire/1 data 0 1 w0000000000000007 x\u{ff}", // wrong tag
-            "marsit-wire/1 data 0 1 - c000000000000002a0123456789abcdef00000003ffffffffffffffzz",
+        for (extra, want_truncated) in [
+            (1, true),
+            (CTX_WIRE_BYTES - 1, true),
+            (CTX_WIRE_BYTES + 1, false),
         ] {
-            assert!(
-                matches!(Frame::decode(bad), Err(WireError::BadPayload { .. })),
-                "{bad:?}"
-            );
+            let mut w = Writer::new(FrameKind::Data as u8, 0);
+            w.u32(0);
+            w.u32(1);
+            w.u8(0);
+            for _ in 0..extra {
+                w.u8(0xEE);
+            }
+            let err = Frame::decode(&w.finish()).expect_err("not a context");
+            if want_truncated {
+                assert_eq!(err, WireError::Truncated, "{extra} bytes");
+            } else {
+                assert!(
+                    matches!(err, WireError::BadPayload { .. }),
+                    "{extra} bytes: {err:?}"
+                );
+            }
         }
     }
 
     #[test]
     fn typed_errors_never_panic() {
+        let good = Frame::words(FrameKind::Data, 0, 1, vec![7]).encode();
         assert!(matches!(
-            Frame::decode("garbage"),
+            Frame::decode(b"garbage"),
             Err(WireError::BadMagic { .. })
         ));
+        let mut other_version = good.clone();
+        other_version[4] = 9;
+        assert_eq!(
+            Frame::decode(&other_version),
+            Err(WireError::UnsupportedVersion { found: 9 })
+        );
+        assert_eq!(Frame::decode(&good[..11]), Err(WireError::Truncated));
+        assert_eq!(Frame::decode(b"MR"), Err(WireError::Truncated));
+        let mut damaged = good.clone();
+        *damaged.last_mut().unwrap() ^= 0x80;
         assert!(matches!(
-            Frame::decode("marsit-wire/9 data 0 1 w00"),
-            Err(WireError::UnsupportedVersion { .. })
+            Frame::decode(&damaged),
+            Err(WireError::BadCrc { .. })
         ));
+        assert_eq!(
+            Frame::decode(&Writer::new(0x20, 0).finish()),
+            Err(WireError::UnknownKind { found: 0x20 })
+        );
+        let mut bad_tag = Writer::new(FrameKind::Data as u8, 0);
+        bad_tag.u32(0);
+        bad_tag.u32(1);
+        bad_tag.u8(b'z');
         assert!(matches!(
-            Frame::decode("marsit-wire/1 data 0"),
-            Err(WireError::Truncated)
-        ));
-        assert!(matches!(
-            Frame::decode("marsit-wire/1 teleport 0 1 -"),
-            Err(WireError::UnknownKind { .. })
-        ));
-        assert!(matches!(
-            Frame::decode("marsit-wire/1 data x 1 -"),
-            Err(WireError::BadRank { .. })
-        ));
-        assert!(matches!(
-            Frame::decode("marsit-wire/1 data 0 1 w123"),
+            Frame::decode(&bad_tag.finish()),
             Err(WireError::BadPayload { .. })
         ));
+    }
+
+    #[test]
+    fn split_frame_walks_a_concatenation() {
+        let a = Frame::control(FrameKind::Hello, 1, DRIVER).encode();
+        let b = Frame::words(FrameKind::Data, 1, 2, vec![9]).encode();
+        let both = [a.clone(), b.clone()].concat();
+        let (kind, _, rest) = split_frame(&both).unwrap();
+        assert_eq!((kind, rest), (FrameKind::Hello as u8, &b[..]));
+        let (kind, _, rest) = split_frame(rest).unwrap();
+        assert_eq!((kind, rest.len()), (FrameKind::Data as u8, 0));
         assert!(matches!(
-            Frame::decode("marsit-wire/1 data 0 1 zff"),
+            sole_frame(&both),
             Err(WireError::BadPayload { .. })
         ));
+    }
+
+    #[test]
+    fn stream_pair_roundtrips_and_types_its_endings() {
+        let frames = [
+            Frame::control(FrameKind::Hello, 1, DRIVER),
+            Frame::words(FrameKind::Data, 1, 2, vec![1, 2, 3]),
+            Frame::telem(1, b"{}\n".to_vec()),
+        ];
+        let mut stream = Vec::new();
+        for frame in &frames {
+            write_frame(&mut stream, frame).unwrap();
+        }
+        let mut reader = io::Cursor::new(&stream);
+        for frame in &frames {
+            let (got, len) = read_frame(&mut reader).unwrap().expect("a frame");
+            assert_eq!(&got, frame);
+            assert_eq!(len, frame.encode().len());
+        }
+        assert!(read_frame(&mut reader).unwrap().is_none(), "clean EOF");
+
+        // A stream that ends inside a frame — header or body — is the typed
+        // `Truncated`, not a clean EOF.
+        for cut in [5, stream.len() - 1] {
+            let mut reader = io::Cursor::new(&stream[..cut]);
+            let err = loop {
+                match read_frame(&mut reader) {
+                    Ok(Some(_)) => {}
+                    Ok(None) => panic!("cut at {cut} read as a clean EOF"),
+                    Err(e) => break e,
+                }
+            };
+            let wire = err.get_ref().and_then(|e| e.downcast_ref::<WireError>());
+            assert_eq!(wire, Some(&WireError::Truncated), "cut at {cut}");
+        }
+
+        // Foreign bytes fail on their magic, before the "length" behind it
+        // (here 0x20202020 bytes) is waited for.
+        let mut reader = io::Cursor::new(b"not a frame, but long enough to hold a header");
+        let err = read_frame(&mut reader).expect_err("foreign");
+        let wire = err.get_ref().and_then(|e| e.downcast_ref::<WireError>());
+        assert!(matches!(wire, Some(WireError::BadMagic { .. })), "{err}");
+    }
+
+    proptest! {
+        /// Arbitrary bytes never panic any getter, bare or behind a valid
+        /// header, and a slice getter never returns more than the body held
+        /// (a count is not believed past the bytes present).
+        #[test]
+        fn arbitrary_bodies_never_panic_a_getter(
+            body in proptest::collection::vec(any::<u8>(), 0..64),
+            getter in 0usize..9,
+        ) {
+            let _ = split_frame(&body);
+            let mut w = Writer::new(0x7f, body.len());
+            for &b in &body {
+                w.u8(b);
+            }
+            let frame = w.finish();
+            let (_, mut r) = sole_frame(&frame).expect("sealed frame");
+            let returned_bytes = match getter {
+                0 => r.u8().map(|_| 1),
+                1 => r.u32().map(|_| 4),
+                2 => r.u64().map(|_| 8),
+                3 => r.f32().map(|_| 4),
+                4 => r.f64().map(|_| 8),
+                5 => r.f32s().map(|v| 4 + v.len() * 4),
+                6 => r.u64s().map(|v| 4 + v.len() * 8),
+                7 => r.bytes().map(|v| 4 + v.len()),
+                _ => r.str().map(|v| 4 + v.len()),
+            };
+            if let Ok(n) = returned_bytes {
+                prop_assert_eq!(r.remaining() + n, body.len());
+            }
+        }
+
+        /// Any single-bit flip of a sealed frame is rejected by
+        /// `split_frame`; any strict prefix is `Truncated`.
+        #[test]
+        fn sealed_frames_reject_flips_and_cuts(
+            body in proptest::collection::vec(any::<u8>(), 0..48),
+            pick in any::<u64>(),
+        ) {
+            let mut w = Writer::new(0x7f, body.len());
+            w.bytes(&body);
+            let frame = w.finish();
+            let bit = (pick % (frame.len() as u64 * 8)) as usize;
+            let mut flipped = frame.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            prop_assert!(split_frame(&flipped).is_err(), "bit {}", bit);
+            let cut = (pick % frame.len() as u64) as usize;
+            prop_assert_eq!(split_frame(&frame[..cut]).err(), Some(WireError::Truncated));
+        }
     }
 }

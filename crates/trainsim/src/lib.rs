@@ -37,7 +37,7 @@ pub mod timing;
 pub mod trainer;
 
 pub use decentralized::{train_gossip, GossipReport, GossipRound};
-pub use snapshot::{TrainSnapshot, SNAPSHOT_SCHEMA};
+pub use snapshot::TrainSnapshot;
 pub use strategy::{
     StrategyKind, SyncResult, Synchronizer, SynchronizerSnapshot, SynchronizerState,
 };

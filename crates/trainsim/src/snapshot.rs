@@ -1,5 +1,5 @@
-//! Deterministic training checkpoints: [`TrainSnapshot`] and its JSON wire
-//! format (schema `marsit-checkpoint/1`).
+//! Deterministic training checkpoints: [`TrainSnapshot`] and its binary
+//! format (a kind-`0x20` frame of [`marsit_simnet::wire`], format `/2`).
 //!
 //! A snapshot captures everything that evolves during a run — the consensus
 //! parameter vector, per-worker optimizer and RNG states, the synchronizer's
@@ -7,33 +7,32 @@
 //! and the run accumulators. Restoring it with
 //! [`TrainerState::restore`](crate::trainer::TrainerState::restore) resumes
 //! **bit-identically**, so the serialization must round-trip every float and
-//! counter *exactly*. JSON numbers cannot do that (an `f64` bit pattern or a
-//! `u64` above 2⁵³ loses bits through a decimal literal), so every
-//! bit-sensitive scalar is encoded as a fixed-width lowercase hex string of
-//! its bit pattern — 8 hex chars per `f32`, 16 per `f64`/`u64` — and vectors
-//! as the concatenation of their elements' hex words. Structural small
-//! integers (round indices, optimizer step counts) stay plain JSON numbers.
+//! counter *exactly*. The frame body does that by construction: each field
+//! is written through the shared [`Writer`] in declaration order as raw
+//! little-endian bytes — an `f32` is the four bytes of its bit pattern, a
+//! parameter vector a count and a block copy — so there is no decimal (or
+//! hex) detour for a NaN payload, a `−0.0` or a `u64` above 2⁵³ to get lost
+//! in, and the frame's CRC rejects any damaged byte before a field is read.
 //!
-//! The writer emits keys in a fixed order, so serialization is
-//! byte-deterministic: equal snapshots produce equal strings.
+//! The field order is fixed, so serialization is byte-deterministic: equal
+//! snapshots produce equal bytes.
 
-use marsit_models::OptimizerState;
+use marsit_models::{Evaluation, OptimizerState};
+use marsit_simnet::wire::{sole_frame, Reader, WireError, Writer};
 use marsit_simnet::{FaultStats, PhaseBreakdown};
-use marsit_telemetry::json::{self, Json};
 
 use crate::strategy::{SynchronizerSnapshot, SynchronizerState};
 use crate::trainer::RoundRecord;
-use marsit_models::Evaluation;
 
-/// Schema tag written into (and required from) every serialized snapshot.
-pub const SNAPSHOT_SCHEMA: &str = "marsit-checkpoint/1";
+/// Frame kind of a checkpoint (see the table in [`marsit_simnet::wire`]).
+const KIND_CHECKPOINT: u8 = 0x20;
 
 /// The complete evolving state of a training run at a round boundary.
 ///
 /// Produced by [`TrainerState::snapshot`](crate::trainer::TrainerState::snapshot);
 /// consumed by [`TrainerState::restore`](crate::trainer::TrainerState::restore).
-/// Serializes to deterministic JSON with [`TrainSnapshot::to_json`] and back
-/// with [`TrainSnapshot::from_json`].
+/// Serializes to one deterministic frame with [`TrainSnapshot::to_json`] and
+/// back with [`TrainSnapshot::from_json`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainSnapshot {
     /// Rounds completed before the capture (the next round to run).
@@ -64,454 +63,238 @@ pub struct TrainSnapshot {
     pub run_faults: FaultStats,
 }
 
-// --- hex bit-pattern codec --------------------------------------------------
-
-const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
-
-/// Two lowercase hex digits per byte value, for bulk encoding without a
-/// per-nibble branch.
-const HEX_PAIRS: [[u8; 2]; 256] = {
-    let mut table = [[0u8; 2]; 256];
-    let mut i = 0;
-    while i < 256 {
-        table[i] = [HEX_DIGITS[i >> 4], HEX_DIGITS[i & 0xF]];
-        i += 1;
-    }
-    table
-};
-
-/// Nibble value of each ASCII byte, or -1 for non-hex bytes, for bulk
-/// decoding without `from_str_radix`'s per-word UTF-8 and radix checks.
-const HEX_VALUES: [i8; 256] = {
-    let mut table = [-1i8; 256];
-    let mut i = 0u8;
-    while i < 16 {
-        table[HEX_DIGITS[i as usize] as usize] = i as i8;
-        i += 1;
-    }
-    table[b'A' as usize] = 10;
-    table[b'B' as usize] = 11;
-    table[b'C' as usize] = 12;
-    table[b'D' as usize] = 13;
-    table[b'E' as usize] = 14;
-    table[b'F' as usize] = 15;
-    table
-};
-
-/// Appends `nibbles` lowercase hex digits of `bits` (most significant
-/// first). Hand-rolled because snapshots hex-encode millions of parameter
-/// words — a `format!` per element dominates serialization time.
-fn push_hex(out: &mut String, bits: u64, nibbles: u32) {
-    for i in (0..nibbles).rev() {
-        out.push(HEX_DIGITS[((bits >> (4 * i)) & 0xF) as usize] as char);
+fn bad_tag(what: &str, tag: u8) -> WireError {
+    WireError::BadPayload {
+        reason: format!("unknown {what} tag {tag}"),
     }
 }
 
-fn hex_u64(v: u64) -> String {
-    let mut out = String::with_capacity(16);
-    push_hex(&mut out, v, 16);
-    out
+/// Reads a count-prefixed list (of items at least a byte each).
+fn read_list<'a, T>(
+    r: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let n = r.count(1)?;
+    (0..n).map(|_| item(r)).collect()
 }
 
-fn hex_f64(v: f64) -> String {
-    hex_u64(v.to_bits())
+fn write_phase(w: &mut Writer, time: &PhaseBreakdown) {
+    w.f64(time.compute_s);
+    w.f64(time.compression_s);
+    w.f64(time.communication_s);
 }
 
-fn hex_f32s(values: &[f32]) -> String {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        let [b0, b1, b2, b3] = v.to_bits().to_be_bytes();
-        let [h0, h1] = HEX_PAIRS[b0 as usize];
-        let [h2, h3] = HEX_PAIRS[b1 as usize];
-        let [h4, h5] = HEX_PAIRS[b2 as usize];
-        let [h6, h7] = HEX_PAIRS[b3 as usize];
-        out.extend_from_slice(&[h0, h1, h2, h3, h4, h5, h6, h7]);
-    }
-    // Every byte comes from HEX_DIGITS, so the buffer is ASCII.
-    String::from_utf8(out).expect("hex output is ASCII")
-}
-
-fn parse_hex_u64(s: &str) -> Result<u64, String> {
-    if s.len() != 16 {
-        return Err(format!("expected 16 hex chars, got {:?}", s));
-    }
-    u64::from_str_radix(s, 16).map_err(|e| format!("bad hex u64 {s:?}: {e}"))
-}
-
-fn parse_hex_f64(s: &str) -> Result<f64, String> {
-    parse_hex_u64(s).map(f64::from_bits)
-}
-
-fn parse_hex_f32s(s: &str) -> Result<Vec<f32>, String> {
-    if !s.len().is_multiple_of(8) {
-        return Err(format!("f32 vector hex length {} is not 8k", s.len()));
-    }
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len() / 8);
-    for chunk in bytes.chunks_exact(8) {
-        let mut word = 0u32;
-        for &c in chunk {
-            let nibble = HEX_VALUES[c as usize];
-            if nibble < 0 {
-                let word = String::from_utf8_lossy(chunk);
-                return Err(format!("bad hex f32 {word:?}: invalid digit"));
-            }
-            word = (word << 4) | nibble as u32;
-        }
-        out.push(f32::from_bits(word));
-    }
-    Ok(out)
-}
-
-// --- JSON navigation helpers ------------------------------------------------
-
-fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, String> {
-    v.get(key).ok_or_else(|| format!("missing field {key:?}"))
-}
-
-fn str_field<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
-    field(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("field {key:?} is not a string"))
-}
-
-fn u64_field(v: &Json, key: &str) -> Result<u64, String> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field {key:?} is not an integer"))
-}
-
-fn bool_field(v: &Json, key: &str) -> Result<bool, String> {
-    field(v, key)?
-        .as_bool()
-        .ok_or_else(|| format!("field {key:?} is not a bool"))
-}
-
-fn arr_field<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    field(v, key)?
-        .as_arr()
-        .ok_or_else(|| format!("field {key:?} is not an array"))
-}
-
-fn hex_u64_field(v: &Json, key: &str) -> Result<u64, String> {
-    parse_hex_u64(str_field(v, key)?)
-}
-
-fn hex_f64_field(v: &Json, key: &str) -> Result<f64, String> {
-    parse_hex_f64(str_field(v, key)?)
-}
-
-fn hex_f32s_field(v: &Json, key: &str) -> Result<Vec<f32>, String> {
-    parse_hex_f32s(str_field(v, key)?)
-}
-
-// --- writer -----------------------------------------------------------------
-
-fn write_phase(out: &mut String, time: &PhaseBreakdown) {
-    out.push('[');
-    json::write_str(out, &hex_f64(time.compute_s));
-    out.push(',');
-    json::write_str(out, &hex_f64(time.compression_s));
-    out.push(',');
-    json::write_str(out, &hex_f64(time.communication_s));
-    out.push(']');
-}
-
-fn write_optimizer(out: &mut String, state: &OptimizerState) {
-    match state {
-        OptimizerState::Sgd => out.push_str(r#"{"kind":"sgd"}"#),
-        OptimizerState::Momentum { velocity } => {
-            out.push_str(r#"{"kind":"momentum","velocity":"#);
-            json::write_str(out, &hex_f32s(velocity));
-            out.push('}');
-        }
-        OptimizerState::Adam { step, m, v } => {
-            out.push_str(&format!(r#"{{"kind":"adam","step":{step},"m":"#));
-            json::write_str(out, &hex_f32s(m));
-            out.push_str(r#","v":"#);
-            json::write_str(out, &hex_f32s(v));
-            out.push('}');
-        }
-    }
-}
-
-fn write_sync(out: &mut String, sync: &SynchronizerSnapshot) {
-    out.push_str(&format!(r#"{{"round":{},"#, sync.round));
-    match &sync.state {
-        SynchronizerState::Stateless => out.push_str(r#""kind":"stateless"}"#),
-        SynchronizerState::Ssdm { velocity } => {
-            out.push_str(r#""kind":"ssdm","velocity":"#);
-            json::write_str(out, &hex_f32s(velocity));
-            out.push('}');
-        }
-        SynchronizerState::Marsit(m) => {
-            out.push_str(&format!(
-                r#""kind":"marsit","marsit_round":{},"compensations":["#,
-                m.round
-            ));
-            for (i, c) in m.compensations.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                json::write_str(out, &hex_f32s(c));
-            }
-            out.push_str("]}");
-        }
-    }
-}
-
-fn write_record(out: &mut String, r: &RoundRecord) {
-    out.push_str(&format!(r#"{{"round":{},"train_loss":"#, r.round));
-    json::write_str(out, &hex_f64(r.train_loss));
-    out.push_str(r#","mean_grad_norm_sq":"#);
-    json::write_str(out, &hex_f64(r.mean_grad_norm_sq));
-    out.push_str(r#","matching_rate":"#);
-    json::write_str(out, &hex_f64(r.matching_rate));
-    out.push_str(&format!(
-        r#","full_precision":{},"time":"#,
-        r.full_precision
-    ));
-    write_phase(out, &r.time);
-    out.push_str(r#","wire_bits_per_element":"#);
-    json::write_str(out, &hex_f64(r.wire_bits_per_element));
-    out.push_str(r#","cumulative_megabits_per_worker":"#);
-    json::write_str(out, &hex_f64(r.cumulative_megabits_per_worker));
-    out.push_str(r#","eval":"#);
-    match &r.eval {
-        None => out.push_str("null"),
-        Some(e) => {
-            out.push('[');
-            json::write_str(out, &hex_f64(e.loss));
-            out.push(',');
-            json::write_str(out, &hex_f64(e.accuracy));
-            out.push(']');
-        }
-    }
-    out.push('}');
-}
-
-fn write_faults(out: &mut String, f: &FaultStats) {
-    let counters = [
-        ("retransmits", f.retransmits),
-        ("dropped_transfers", f.dropped_transfers),
-        ("corrupted_transfers", f.corrupted_transfers),
-        ("repairs", f.repairs),
-        ("crashed_workers", f.crashed_workers),
-        ("forced_deliveries", f.forced_deliveries),
-        ("rejoins", f.rejoins),
-    ];
-    out.push('{');
-    for (key, value) in counters {
-        out.push_str(&format!(r#""{key}":"#));
-        json::write_str(out, &hex_u64(value));
-        out.push(',');
-    }
-    out.push_str(r#""retry_extra_s":"#);
-    json::write_str(out, &hex_f64(f.retry_extra_s));
-    out.push_str(r#","catchup_extra_s":"#);
-    json::write_str(out, &hex_f64(f.catchup_extra_s));
-    out.push('}');
-}
-
-// --- reader -----------------------------------------------------------------
-
-fn read_phase(v: &Json) -> Result<PhaseBreakdown, String> {
-    let arr = v.as_arr().ok_or("phase breakdown is not an array")?;
-    if arr.len() != 3 {
-        return Err(format!("phase breakdown has {} entries, want 3", arr.len()));
-    }
-    let part = |i: usize| -> Result<f64, String> {
-        parse_hex_f64(arr[i].as_str().ok_or("phase entry is not a string")?)
-    };
+fn read_phase(r: &mut Reader<'_>) -> Result<PhaseBreakdown, WireError> {
     Ok(PhaseBreakdown {
-        compute_s: part(0)?,
-        compression_s: part(1)?,
-        communication_s: part(2)?,
+        compute_s: r.f64()?,
+        compression_s: r.f64()?,
+        communication_s: r.f64()?,
     })
 }
 
-fn read_optimizer(v: &Json) -> Result<OptimizerState, String> {
-    match str_field(v, "kind")? {
-        "sgd" => Ok(OptimizerState::Sgd),
-        "momentum" => Ok(OptimizerState::Momentum {
-            velocity: hex_f32s_field(v, "velocity")?,
-        }),
-        "adam" => Ok(OptimizerState::Adam {
-            step: u32::try_from(u64_field(v, "step")?).map_err(|e| e.to_string())?,
-            m: hex_f32s_field(v, "m")?,
-            v: hex_f32s_field(v, "v")?,
-        }),
-        other => Err(format!("unknown optimizer kind {other:?}")),
+fn write_optimizer(w: &mut Writer, state: &OptimizerState) {
+    match state {
+        OptimizerState::Sgd => w.u8(0),
+        OptimizerState::Momentum { velocity } => {
+            w.u8(1);
+            w.f32s(velocity);
+        }
+        OptimizerState::Adam { step, m, v } => {
+            w.u8(2);
+            w.u32(*step);
+            w.f32s(m);
+            w.f32s(v);
+        }
     }
 }
 
-fn read_sync(v: &Json) -> Result<SynchronizerSnapshot, String> {
-    let round = u64_field(v, "round")?;
-    let state = match str_field(v, "kind")? {
-        "stateless" => SynchronizerState::Stateless,
-        "ssdm" => SynchronizerState::Ssdm {
-            velocity: hex_f32s_field(v, "velocity")?,
+fn read_optimizer(r: &mut Reader<'_>) -> Result<OptimizerState, WireError> {
+    Ok(match r.u8()? {
+        0 => OptimizerState::Sgd,
+        1 => OptimizerState::Momentum {
+            velocity: r.f32s()?,
         },
-        "marsit" => SynchronizerState::Marsit(marsit_core::MarsitSnapshot {
-            round: u64_field(v, "marsit_round")?,
-            compensations: arr_field(v, "compensations")?
-                .iter()
-                .map(|c| parse_hex_f32s(c.as_str().ok_or("compensation is not a string")?))
-                .collect::<Result<_, _>>()?,
+        2 => OptimizerState::Adam {
+            step: r.u32()?,
+            m: r.f32s()?,
+            v: r.f32s()?,
+        },
+        tag => return Err(bad_tag("optimizer", tag)),
+    })
+}
+
+fn write_sync(w: &mut Writer, sync: &SynchronizerSnapshot) {
+    w.u64(sync.round);
+    match &sync.state {
+        SynchronizerState::Stateless => w.u8(0),
+        SynchronizerState::Ssdm { velocity } => {
+            w.u8(1);
+            w.f32s(velocity);
+        }
+        SynchronizerState::Marsit(m) => {
+            w.u8(2);
+            w.u64(m.round);
+            w.count(m.compensations.len());
+            for c in &m.compensations {
+                w.f32s(c);
+            }
+        }
+    }
+}
+
+fn read_sync(r: &mut Reader<'_>) -> Result<SynchronizerSnapshot, WireError> {
+    let round = r.u64()?;
+    let state = match r.u8()? {
+        0 => SynchronizerState::Stateless,
+        1 => SynchronizerState::Ssdm {
+            velocity: r.f32s()?,
+        },
+        2 => SynchronizerState::Marsit(marsit_core::MarsitSnapshot {
+            round: r.u64()?,
+            compensations: read_list(r, Reader::f32s)?,
         }),
-        other => return Err(format!("unknown synchronizer kind {other:?}")),
+        tag => return Err(bad_tag("synchronizer", tag)),
     };
     Ok(SynchronizerSnapshot { round, state })
 }
 
-fn read_record(v: &Json) -> Result<RoundRecord, String> {
-    let eval = match field(v, "eval")? {
-        Json::Null => None,
-        Json::Arr(pair) if pair.len() == 2 => Some(Evaluation {
-            loss: parse_hex_f64(pair[0].as_str().ok_or("eval loss is not a string")?)?,
-            accuracy: parse_hex_f64(pair[1].as_str().ok_or("eval accuracy is not a string")?)?,
-        }),
-        _ => return Err("eval is neither null nor a 2-array".to_string()),
-    };
+fn write_record(w: &mut Writer, r: &RoundRecord) {
+    w.u64(r.round as u64);
+    w.f64(r.train_loss);
+    w.f64(r.mean_grad_norm_sq);
+    w.f64(r.matching_rate);
+    w.u8(u8::from(r.full_precision));
+    write_phase(w, &r.time);
+    w.f64(r.wire_bits_per_element);
+    w.f64(r.cumulative_megabits_per_worker);
+    w.u8(u8::from(r.eval.is_some()));
+    if let Some(e) = &r.eval {
+        w.f64(e.loss);
+        w.f64(e.accuracy);
+    }
+}
+
+fn read_record(r: &mut Reader<'_>) -> Result<RoundRecord, WireError> {
     Ok(RoundRecord {
-        round: usize::try_from(u64_field(v, "round")?).map_err(|e| e.to_string())?,
-        train_loss: hex_f64_field(v, "train_loss")?,
-        mean_grad_norm_sq: hex_f64_field(v, "mean_grad_norm_sq")?,
-        matching_rate: hex_f64_field(v, "matching_rate")?,
-        full_precision: bool_field(v, "full_precision")?,
-        time: read_phase(field(v, "time")?)?,
-        wire_bits_per_element: hex_f64_field(v, "wire_bits_per_element")?,
-        cumulative_megabits_per_worker: hex_f64_field(v, "cumulative_megabits_per_worker")?,
-        eval,
+        round: usize::try_from(r.u64()?).map_err(|e| WireError::BadPayload {
+            reason: format!("record round: {e}"),
+        })?,
+        train_loss: r.f64()?,
+        mean_grad_norm_sq: r.f64()?,
+        matching_rate: r.f64()?,
+        full_precision: r.bool()?,
+        time: read_phase(r)?,
+        wire_bits_per_element: r.f64()?,
+        cumulative_megabits_per_worker: r.f64()?,
+        eval: if r.bool()? {
+            Some(Evaluation {
+                loss: r.f64()?,
+                accuracy: r.f64()?,
+            })
+        } else {
+            None
+        },
     })
 }
 
-fn read_faults(v: &Json) -> Result<FaultStats, String> {
+fn write_faults(w: &mut Writer, f: &FaultStats) {
+    w.u64(f.retransmits);
+    w.u64(f.dropped_transfers);
+    w.u64(f.corrupted_transfers);
+    w.u64(f.repairs);
+    w.u64(f.crashed_workers);
+    w.u64(f.forced_deliveries);
+    w.u64(f.rejoins);
+    w.f64(f.retry_extra_s);
+    w.f64(f.catchup_extra_s);
+    w.u64(f.stragglers_suspected);
+    w.u64(f.links_degraded);
+    w.u64(f.ranks_silent);
+}
+
+fn read_faults(r: &mut Reader<'_>) -> Result<FaultStats, WireError> {
     Ok(FaultStats {
-        retransmits: hex_u64_field(v, "retransmits")?,
-        dropped_transfers: hex_u64_field(v, "dropped_transfers")?,
-        corrupted_transfers: hex_u64_field(v, "corrupted_transfers")?,
-        repairs: hex_u64_field(v, "repairs")?,
-        crashed_workers: hex_u64_field(v, "crashed_workers")?,
-        forced_deliveries: hex_u64_field(v, "forced_deliveries")?,
-        rejoins: hex_u64_field(v, "rejoins")?,
-        retry_extra_s: hex_f64_field(v, "retry_extra_s")?,
-        catchup_extra_s: hex_f64_field(v, "catchup_extra_s")?,
-        // Health-observation counters are deliberately not serialized (the
-        // marsit-checkpoint/1 format is pinned); a restore starts them at 0.
-        stragglers_suspected: 0,
-        links_degraded: 0,
-        ranks_silent: 0,
+        retransmits: r.u64()?,
+        dropped_transfers: r.u64()?,
+        corrupted_transfers: r.u64()?,
+        repairs: r.u64()?,
+        crashed_workers: r.u64()?,
+        forced_deliveries: r.u64()?,
+        rejoins: r.u64()?,
+        retry_extra_s: r.f64()?,
+        catchup_extra_s: r.f64()?,
+        stragglers_suspected: r.u64()?,
+        links_degraded: r.u64()?,
+        ranks_silent: r.u64()?,
     })
 }
 
 impl TrainSnapshot {
-    /// Serializes to one deterministic JSON document (no trailing newline).
+    /// Serializes to one deterministic `/2` checkpoint frame. The name is
+    /// historical (`/1` was a JSON document): `benchmark/` spells it, so the
+    /// rename waits for the next benchmark PR.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            r#"{{"schema":"{SNAPSHOT_SCHEMA}","round":{},"lr":"#,
-            self.round
-        ));
-        json::write_str(&mut out, &format!("{:08x}", self.lr.to_bits()));
-        out.push_str(r#","params":"#);
-        json::write_str(&mut out, &hex_f32s(&self.params));
-        out.push_str(r#","optimizers":["#);
-        for (i, opt) in self.optimizers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_optimizer(&mut out, opt);
+    pub fn to_json(&self) -> Vec<u8> {
+        // Room for the three model-sized vectors of a typical job
+        // (parameters, one optimizer buffer, one residual) per worker.
+        let workers = self.optimizers.len().max(1);
+        let mut w = Writer::new(KIND_CHECKPOINT, 4 * self.params.len() * (1 + 2 * workers));
+        w.u64(self.round);
+        w.f32(self.lr);
+        w.f32s(&self.params);
+        w.count(self.optimizers.len());
+        for opt in &self.optimizers {
+            write_optimizer(&mut w, opt);
         }
-        out.push_str(r#"],"worker_rngs":["#);
-        for (i, &(state, draws)) in self.worker_rngs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            json::write_str(&mut out, &hex_u64(state));
-            out.push(',');
-            json::write_str(&mut out, &hex_u64(draws));
-            out.push(']');
+        w.count(self.worker_rngs.len());
+        for &(state, draws) in &self.worker_rngs {
+            w.u64(state);
+            w.u64(draws);
         }
-        out.push_str(r#"],"sync":"#);
-        write_sync(&mut out, &self.sync);
-        out.push_str(r#","records":["#);
-        for (i, r) in self.records.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_record(&mut out, r);
+        write_sync(&mut w, &self.sync);
+        w.count(self.records.len());
+        for r in &self.records {
+            write_record(&mut w, r);
         }
-        out.push_str(r#"],"total_time":"#);
-        write_phase(&mut out, &self.total_time);
-        out.push_str(r#","total_bytes":"#);
-        json::write_str(&mut out, &hex_u64(self.total_bytes));
-        out.push_str(r#","cumulative_bits_per_worker":"#);
-        json::write_str(&mut out, &hex_f64(self.cumulative_bits_per_worker));
-        out.push_str(r#","total_elements":"#);
-        json::write_str(&mut out, &hex_u64(self.total_elements));
-        out.push_str(&format!(r#","diverged":{},"run_faults":"#, self.diverged));
-        write_faults(&mut out, &self.run_faults);
-        out.push('}');
-        out
+        write_phase(&mut w, &self.total_time);
+        w.u64(self.total_bytes);
+        w.f64(self.cumulative_bits_per_worker);
+        w.u64(self.total_elements);
+        w.u8(u8::from(self.diverged));
+        write_faults(&mut w, &self.run_faults);
+        w.finish()
     }
 
-    /// Parses a document written by [`TrainSnapshot::to_json`].
+    /// Parses the frame written by [`TrainSnapshot::to_json`] (the name is
+    /// historical, like its twin's).
     ///
     /// # Errors
     ///
-    /// Returns a message describing the first syntax error, schema mismatch,
-    /// or malformed field.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let v = json::parse(text)?;
-        let schema = str_field(&v, "schema")?;
-        if schema != SNAPSHOT_SCHEMA {
-            return Err(format!(
-                "unsupported snapshot schema {schema:?} (want {SNAPSHOT_SCHEMA:?})"
-            ));
+    /// The typed [`WireError`] for a truncated, foreign, other-version or
+    /// damaged frame, a frame of another kind, or a malformed field. Never
+    /// panics on any input.
+    pub fn from_json(bytes: &[u8]) -> Result<Self, WireError> {
+        let (kind, mut r) = sole_frame(bytes)?;
+        if kind != KIND_CHECKPOINT {
+            return Err(WireError::UnknownKind { found: kind });
         }
-        let lr_hex = str_field(&v, "lr")?;
-        if lr_hex.len() != 8 {
-            return Err(format!("lr: expected 8 hex chars, got {lr_hex:?}"));
-        }
-        let lr = u32::from_str_radix(lr_hex, 16)
-            .map(f32::from_bits)
-            .map_err(|e| format!("bad hex f32 {lr_hex:?}: {e}"))?;
-        Ok(Self {
-            round: u64_field(&v, "round")?,
-            lr,
-            params: hex_f32s_field(&v, "params")?,
-            optimizers: arr_field(&v, "optimizers")?
-                .iter()
-                .map(read_optimizer)
-                .collect::<Result<_, _>>()?,
-            worker_rngs: arr_field(&v, "worker_rngs")?
-                .iter()
-                .map(|pair| {
-                    let pair = pair.as_arr().ok_or("rng entry is not an array")?;
-                    if pair.len() != 2 {
-                        return Err("rng entry is not a 2-array".to_string());
-                    }
-                    let word = |i: usize| -> Result<u64, String> {
-                        parse_hex_u64(pair[i].as_str().ok_or("rng word is not a string")?)
-                    };
-                    Ok((word(0)?, word(1)?))
-                })
-                .collect::<Result<_, _>>()?,
-            sync: read_sync(field(&v, "sync")?)?,
-            records: arr_field(&v, "records")?
-                .iter()
-                .map(read_record)
-                .collect::<Result<_, _>>()?,
-            total_time: read_phase(field(&v, "total_time")?)?,
-            total_bytes: hex_u64_field(&v, "total_bytes")?,
-            cumulative_bits_per_worker: hex_f64_field(&v, "cumulative_bits_per_worker")?,
-            total_elements: hex_u64_field(&v, "total_elements")?,
-            diverged: bool_field(&v, "diverged")?,
-            run_faults: read_faults(field(&v, "run_faults")?)?,
-        })
+        let snapshot = Self {
+            round: r.u64()?,
+            lr: r.f32()?,
+            params: r.f32s()?,
+            optimizers: read_list(&mut r, read_optimizer)?,
+            worker_rngs: read_list(&mut r, |r| Ok((r.u64()?, r.u64()?)))?,
+            sync: read_sync(&mut r)?,
+            records: read_list(&mut r, read_record)?,
+            total_time: read_phase(&mut r)?,
+            total_bytes: r.u64()?,
+            cumulative_bits_per_worker: r.f64()?,
+            total_elements: r.u64()?,
+            diverged: r.bool()?,
+            run_faults: read_faults(&mut r)?,
+        };
+        r.finish()?;
+        Ok(snapshot)
     }
 }
 
@@ -576,25 +359,27 @@ mod tests {
                 rejoins: 1,
                 retry_extra_s: 0.125,
                 catchup_extra_s: 1e-300,
+                links_degraded: 5,
                 ..FaultStats::default()
             },
         }
     }
 
     #[test]
-    fn json_roundtrip_is_exact() {
+    fn roundtrip_is_exact() {
         let snap = sample_snapshot();
-        let text = snap.to_json();
-        let back = TrainSnapshot::from_json(&text).expect("parses");
+        let bytes = snap.to_json();
+        let back = TrainSnapshot::from_json(&bytes).expect("parses");
         assert_eq!(snap, back);
+        // Every fault counter crosses, the health observations included.
+        assert_eq!(back.run_faults.links_degraded, 5);
         // Determinism: re-serializing the parsed snapshot is byte-identical.
-        assert_eq!(text, back.to_json());
+        assert_eq!(bytes, back.to_json());
     }
 
     #[test]
     fn u64_beyond_2_53_survives() {
-        // The motivating case for hex encoding: a JSON number would lose
-        // the low bits of this value.
+        // A value a decimal float literal would round.
         let snap = sample_snapshot();
         assert_eq!(snap.total_bytes % 8, 3);
         let back = TrainSnapshot::from_json(&snap.to_json()).expect("parses");
@@ -603,18 +388,28 @@ mod tests {
     }
 
     #[test]
-    fn schema_mismatch_is_rejected() {
-        let text = sample_snapshot()
-            .to_json()
-            .replace("marsit-checkpoint/1", "marsit-checkpoint/0");
-        let err = TrainSnapshot::from_json(&text).expect_err("must reject");
-        assert!(err.contains("unsupported snapshot schema"), "{err}");
+    fn other_version_and_other_kind_are_rejected() {
+        let mut bytes = sample_snapshot().to_json();
+        bytes[4] = 1;
+        assert_eq!(
+            TrainSnapshot::from_json(&bytes),
+            Err(WireError::UnsupportedVersion { found: 1 })
+        );
+        // A well-formed frame that is not a checkpoint.
+        let stop = marsit_simnet::Frame::control(marsit_simnet::FrameKind::Stop, 0, 1);
+        assert!(matches!(
+            TrainSnapshot::from_json(&stop.encode()),
+            Err(WireError::UnknownKind { .. })
+        ));
     }
 
     #[test]
     fn truncated_document_is_rejected() {
-        let text = sample_snapshot().to_json();
-        assert!(TrainSnapshot::from_json(&text[..text.len() - 2]).is_err());
+        let bytes = sample_snapshot().to_json();
+        assert_eq!(
+            TrainSnapshot::from_json(&bytes[..bytes.len() - 2]),
+            Err(WireError::Truncated)
+        );
     }
 
     #[test]

@@ -15,11 +15,13 @@
 //!
 //! `--journal PATH` makes serving crash-safe: every accepted submission,
 //! periodic job snapshot, migration, and outcome is appended to a durable
-//! `marsit-journal/1` log (fsynced at shard-tick boundaries). If PATH
+//! journal of binary records (fsynced at shard-tick boundaries). If PATH
 //! already holds a journal — say, because the previous server was
 //! `kill -9`ed mid-storm — the server replays it first, reports finished
 //! jobs without re-running them, resumes in-flight jobs from their last
-//! snapshots, and restarts never-snapshotted jobs from scratch.
+//! snapshots, and restarts never-snapshotted jobs from scratch. A PATH
+//! that holds anything else (another format version, not a journal) is
+//! refused with exit code 1 and left untouched.
 //!
 //! `--supervise` runs each shard as a subprocess (restarted with backoff
 //! if it dies) instead of a thread.
@@ -304,6 +306,10 @@ fn open_journal(path: &Path) -> Result<Recovery, CliError> {
     }
     let replay = replay_file(path)
         .map_err(|e| CliError::fail(format!("cannot read journal {}: {e}", path.display())))?;
+    // Before anything is reported as recovered: a file that is not a
+    // journal of this format is refused here, untouched.
+    let writer = JournalWriter::resume(path, &replay)
+        .map_err(|e| CliError::fail(format!("cannot resume journal {}: {e}", path.display())))?;
     if let Some(reason) = &replay.torn {
         eprintln!(
             "marsit_serve: journal tail torn ({reason}); resuming from {} valid records",
@@ -320,8 +326,6 @@ fn open_journal(path: &Path) -> Result<Recovery, CliError> {
         plan.resumes.len(),
         plan.fresh.len()
     );
-    let writer = JournalWriter::resume(path, &replay)
-        .map_err(|e| CliError::fail(format!("cannot resume journal {}: {e}", path.display())))?;
     Ok(Recovery {
         writer,
         completed: plan.completed,

@@ -1,7 +1,7 @@
 //! CI smoke for the multi-process transport backend.
 //!
 //! Launches a short ring(4) one-bit all-reduce with one OS process per rank
-//! (re-execs of this binary speaking `marsit-wire/1` over localhost TCP),
+//! (re-execs of this binary exchanging binary frames over localhost TCP),
 //! asserts the consensus words and `⊙`/RNG-draw counters match the
 //! deterministic simulator bit-for-bit, and writes the run's telemetry
 //! JSONL — hop events tagged `backend:"process"` — for schema validation by

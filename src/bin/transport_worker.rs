@@ -3,7 +3,7 @@
 //! The conformance driver ([`marsit::core::transport::Scenario::run_process`])
 //! and the chaos-soak process mode spawn this binary once per rank with the
 //! `MARSIT_TW_*` environment describing the hub address and the pinned
-//! scenario; it serves `round` frames over `marsit-wire/1` until `stop`.
+//! scenario; it serves `round` frames over that connection until `stop`.
 //!
 //! Run a hub-less smoke check by launching without the environment: the
 //! binary explains itself and exits nonzero.

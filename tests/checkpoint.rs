@@ -1,7 +1,7 @@
 //! Deterministic checkpoint/restore acceptance tests.
 //!
 //! A run interrupted at any round, snapshotted, serialized through the
-//! `marsit-checkpoint/1` JSON format, and restored into a fresh
+//! `/2` checkpoint frame, and restored into a fresh
 //! [`TrainerState`] must be **byte-identical** to the run that never
 //! stopped: same `TrainReport` (every word of every record), same RNG draw
 //! counts, and the same telemetry JSONL — the restored half appends to the
@@ -11,7 +11,8 @@
 //! fault plans (clean and crash/rejoin/drop storms), and split points.
 
 use marsit::prelude::*;
-use marsit::trainsim::snapshot::SNAPSHOT_SCHEMA;
+use marsit::simnet::wire::Writer;
+use marsit::simnet::WireError;
 use proptest::prelude::*;
 
 fn base_cfg(topology: Topology, strategy: StrategyKind) -> TrainConfig {
@@ -161,15 +162,12 @@ fn snapshot_is_side_effect_free() {
     assert_eq!(baseline, state.finish());
 }
 
-/// Golden fixture pinning the `marsit-checkpoint/1` wire format: a
-/// hand-built snapshot serializes to exactly this string. Any change here is
-/// a format break and needs a schema bump.
-#[test]
-fn snapshot_format_golden() {
+/// The hand-built snapshot the format tests share.
+fn small_snapshot() -> TrainSnapshot {
     use marsit::models::OptimizerState;
     use marsit::trainsim::{SynchronizerSnapshot, SynchronizerState};
 
-    let snap = TrainSnapshot {
+    TrainSnapshot {
         round: 2,
         lr: 0.5,
         params: vec![1.0, -2.0],
@@ -198,28 +196,160 @@ fn snapshot_format_golden() {
         total_elements: 1024,
         diverged: false,
         run_faults: FaultStats::default(),
-    };
+    }
+}
+
+/// Golden fixture pinning the `/2` checkpoint bytes: the hand-built snapshot
+/// serializes to exactly this hex dump. Any change here is a format break
+/// and needs a version bump.
+#[test]
+fn snapshot_format_golden() {
+    let snap = small_snapshot();
     let expected = concat!(
-        r#"{"schema":"marsit-checkpoint/1","round":2,"lr":"3f000000","#,
-        r#""params":"3f800000c0000000","#,
-        r#""optimizers":[{"kind":"sgd"},{"kind":"momentum","velocity":"3f000000"}],"#,
-        r#""worker_rngs":[["0000000000000001","0000000000000002"],["000000000000abcd","0000000000000003"]],"#,
-        r#""sync":{"round":2,"kind":"marsit","marsit_round":2,"compensations":["3e800000","be800000"]},"#,
-        r#""records":[],"#,
-        r#""total_time":["3ff0000000000000","0000000000000000","4000000000000000"],"#,
-        r#""total_bytes":"0000000000001000","#,
-        r#""cumulative_bits_per_worker":"40d0000000000000","#,
-        r#""total_elements":"0000000000000400","diverged":false,"#,
-        r#""run_faults":{"retransmits":"0000000000000000","dropped_transfers":"0000000000000000","#,
-        r#""corrupted_transfers":"0000000000000000","repairs":"0000000000000000","#,
-        r#""crashed_workers":"0000000000000000","forced_deliveries":"0000000000000000","#,
-        r#""rejoins":"0000000000000000","retry_extra_s":"0000000000000000","#,
-        r#""catchup_extra_s":"0000000000000000"}}"#,
+        "4d525354",                 // magic
+        "02",                       // format version
+        "20",                       // kind: checkpoint
+        "04010000",                 // body length
+        "3e2f4bf0",                 // CRC-32
+        "0200000000000000",         // round
+        "0000003f",                 // lr
+        "020000000000803f000000c0", // params: count, 1.0, -2.0
+        "02000000",                 // optimizers
+        "00",                       //   sgd
+        "01010000000000003f",       //   momentum: count, 0.5
+        "02000000",                 // worker_rngs
+        "01000000000000000200000000000000",
+        "cdab0000000000000300000000000000",
+        "0200000000000000", // sync: round
+        "02",               //   marsit
+        "0200000000000000", //   marsit round
+        "02000000",         //   compensations
+        "010000000000803e", //     count, 0.25
+        "01000000000080be", //     count, -0.25
+        "00000000",         // records
+        "000000000000f03f", // total_time: compute 1.0
+        "0000000000000000", //   compression 0.0
+        "0000000000000040", //   communication 2.0
+        "0010000000000000", // total_bytes
+        "000000000000d040", // cumulative_bits_per_worker
+        "0004000000000000", // total_elements
+        "00",               // diverged
+        // run_faults: 7 counters, 2 times, 3 health counters, all zero
+        "0000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000000",
+        "0000000000000000000000000000000000000000000000000000000000000000",
     );
-    assert_eq!(snap.to_json(), expected);
+    let hex: String = snap.to_json().iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(hex, expected);
+    let bytes: Vec<u8> = (0..expected.len() / 2)
+        .map(|i| u8::from_str_radix(&expected[2 * i..2 * i + 2], 16).expect("hex"))
+        .collect();
     assert_eq!(
-        TrainSnapshot::from_json(expected).expect("golden parses"),
+        TrainSnapshot::from_json(&bytes).expect("golden parses"),
         snap
     );
-    assert!(expected.contains(SNAPSHOT_SCHEMA));
+}
+
+/// Size contract: a checkpoint is its floats and counters plus a small
+/// constant, not a text rendering of them. For a ResNet-20-proxy job on
+/// torus(2,2) the frame stays within 1 % (+1 KiB) of 4 bytes per `f32` and
+/// 8 per 64-bit scalar.
+#[test]
+fn snapshot_size_is_its_payload() {
+    use marsit::models::OptimizerState;
+    use marsit::trainsim::SynchronizerState;
+
+    let mut cfg = base_cfg(Topology::torus(2, 2), StrategyKind::Marsit { k: Some(4) });
+    cfg.workload = Workload::ResNet20Cifar10;
+    cfg.rounds = 3;
+    let mut state = TrainerState::new(&cfg);
+    for _ in 0..3 {
+        state.step();
+    }
+    let snap = state.snapshot();
+    let optimizer_f32s: usize = snap
+        .optimizers
+        .iter()
+        .map(|o| match o {
+            OptimizerState::Sgd => 0,
+            OptimizerState::Momentum { velocity } => velocity.len(),
+            OptimizerState::Adam { m, v, .. } => m.len() + v.len(),
+        })
+        .sum();
+    let sync_f32s: usize = match &snap.sync.state {
+        SynchronizerState::Stateless => 0,
+        SynchronizerState::Ssdm { velocity } => velocity.len(),
+        SynchronizerState::Marsit(m) => m.compensations.iter().map(Vec::len).sum(),
+    };
+    let f32s = 1 + snap.params.len() + optimizer_f32s + sync_f32s;
+    // round, two per worker RNG, the synchronizer's two rounds, per record
+    // its round + 8 f64 (+2 with an evaluation), 3 + 3 run accumulators,
+    // 12 fault counters.
+    let evals = snap.records.iter().filter(|r| r.eval.is_some()).count();
+    let scalars = 1 + 2 * snap.worker_rngs.len() + 2 + 9 * snap.records.len() + 2 * evals + 18;
+    assert!(f32s > 100_000, "a model-sized snapshot: {f32s} floats");
+    let budget = (4 * f32s + 8 * scalars) as f64 * 1.01 + 1024.0;
+    let encoded = snap.to_json().len();
+    assert!(
+        encoded as f64 <= budget,
+        "{encoded} bytes for {f32s} f32 + {scalars} 64-bit scalars (budget {budget:.0})"
+    );
+}
+
+/// Never panic, never accept damage: every strict prefix of a checkpoint is
+/// a typed error, and so is every single-bit flip.
+#[test]
+fn damaged_checkpoints_are_typed_errors() {
+    let bytes = small_snapshot().to_json();
+    for cut in 0..bytes.len() {
+        assert_eq!(
+            TrainSnapshot::from_json(&bytes[..cut]),
+            Err(WireError::Truncated),
+            "cut at {cut}"
+        );
+    }
+    for bit in 0..bytes.len() * 8 {
+        let mut flipped = bytes.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        assert!(
+            TrainSnapshot::from_json(&flipped).is_err(),
+            "bit {bit} flipped and the checkpoint still parsed"
+        );
+    }
+}
+
+/// A count that promises more than the frame holds is `Truncated` before
+/// anything is allocated for it — in the header's length field and in a
+/// CRC-valid body alike.
+#[test]
+fn overlong_length_claims_are_truncated_not_allocated() {
+    let mut header_lies = small_snapshot().to_json();
+    header_lies[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(
+        TrainSnapshot::from_json(&header_lies),
+        Err(WireError::Truncated)
+    );
+
+    let mut body_lies = Writer::new(0x20, 0);
+    body_lies.u64(2); // round
+    body_lies.f32(0.5); // lr
+    body_lies.u32(u32::MAX); // params: 4 Gi floats, none of them present
+    assert_eq!(
+        TrainSnapshot::from_json(&body_lies.finish()),
+        Err(WireError::Truncated)
+    );
+}
+
+proptest! {
+    /// Arbitrary bytes never panic the checkpoint decoder — bare, or sealed
+    /// into a frame of the checkpoint kind so they reach the field reader.
+    #[test]
+    fn garbage_checkpoints_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
+        prop_assert!(TrainSnapshot::from_json(&bytes).is_err());
+        let mut framed = Writer::new(0x20, bytes.len());
+        for &b in &bytes {
+            framed.u8(b);
+        }
+        let _ = TrainSnapshot::from_json(&framed.finish());
+    }
 }

@@ -1,7 +1,7 @@
 //! Crash-safety of the serving stack, attacked from every angle.
 //!
-//! The journal's contract: a `marsit-journal/1` file truncated at *any*
-//! byte — the torn tail a `kill -9` leaves behind — replays to a valid
+//! The journal's contract: a journal file truncated at *any* byte — the
+//! torn tail a `kill -9` leaves behind — replays to a valid
 //! resume state, replay is idempotent, and a server restarted from that
 //! state finishes every job **byte-identical** to an uninterrupted run.
 //! These tests pin that contract at three levels: pure journal replay
@@ -17,10 +17,10 @@ use std::time::Duration;
 use marsit::models::Workload;
 use marsit::serve::{
     encode_record, plan_from_replay, replay_bytes, replay_file, verify_outcome, verify_recovered,
-    JobServer, JobSpec, JournalRecord, JournalWriter, MigrationPolicy, ReplayState, ResumePlan,
-    ServeConfig, SnapshotRecord, SupervisorConfig, SupervisorHandle,
+    JobServer, JobSpec, JournalError, JournalRecord, JournalWriter, MigrationPolicy, ReplayState,
+    ResumePlan, ServeConfig, SnapshotRecord, SupervisorConfig, SupervisorHandle,
 };
-use marsit::simnet::Topology;
+use marsit::simnet::{Topology, WireError};
 use proptest::prelude::*;
 
 /// A fast job for recovery tests: a few rounds on tiny data.
@@ -44,6 +44,11 @@ fn scratch(tag: &str) -> PathBuf {
 /// A deterministic synthetic journal: submits, snapshots, a migration,
 /// and outcomes, in a realistic interleaving.
 fn sample_journal_bytes() -> Vec<u8> {
+    sample_journal_records().concat()
+}
+
+/// The same journal, one encoded record per element.
+fn sample_journal_records() -> Vec<Vec<u8>> {
     let snap = |name: &str, shard: usize, round: u64| {
         JournalRecord::Snapshot(SnapshotRecord {
             name: name.to_string(),
@@ -51,7 +56,7 @@ fn sample_journal_bytes() -> Vec<u8> {
             migrations: 0,
             round,
             tel_seq: round * 7,
-            snapshot_json: format!("{{\"round\":{round}}}"),
+            snapshot_json: format!("{{\"round\":{round}}}").into_bytes(),
             log: format!("{name} log up to round {round}\n"),
         })
     };
@@ -78,15 +83,22 @@ fn sample_journal_bytes() -> Vec<u8> {
         }),
         snap("j0", 1, 4),
     ];
-    let mut bytes = Vec::new();
-    for (seq, record) in records.iter().enumerate() {
-        bytes.extend_from_slice(
-            encode_record(seq as u64, record)
-                .expect("representable")
-                .as_bytes(),
-        );
-    }
-    bytes
+    records
+        .iter()
+        .enumerate()
+        .map(|(seq, record)| encode_record(seq as u64, record).expect("representable"))
+        .collect()
+}
+
+/// Byte offset each record of the sample journal ends at.
+fn record_boundaries() -> Vec<usize> {
+    sample_journal_records()
+        .iter()
+        .scan(0, |end, record| {
+            *end += record.len();
+            Some(*end)
+        })
+        .collect()
 }
 
 fn plan_names(plan: &ResumePlan) -> Vec<String> {
@@ -112,6 +124,10 @@ proptest! {
         let torn = replay_bytes(&bytes[..cut]);
 
         prop_assert!(torn.valid_len <= cut);
+        // The valid prefix ends on a record boundary: exactly the whole
+        // records the cut left.
+        let whole = record_boundaries().into_iter().rfind(|&end| end <= cut);
+        prop_assert_eq!(torn.valid_len, whole.unwrap_or(0));
         prop_assert_eq!(torn.next_seq, torn.records.len() as u64);
         prop_assert_eq!(&torn.records[..], &full.records[..torn.records.len()]);
         if cut < bytes.len() && torn.valid_len < cut {
@@ -156,6 +172,57 @@ proptest! {
         prop_assert_eq!(p1.fresh, p2.fresh);
         prop_assert_eq!(p1.orphaned, p2.orphaned);
     }
+
+    /// Arbitrary bytes never panic replay — bare, or appended to a valid
+    /// journal — and are never mistaken for records.
+    #[test]
+    fn garbage_journals_never_panic(garbage in proptest::collection::vec(any::<u8>(), 1..200)) {
+        let bare = replay_bytes(&garbage);
+        prop_assert_eq!((bare.records.len(), bare.valid_len), (0, 0));
+        prop_assert!(bare.torn.is_some());
+        let mut bytes = sample_journal_bytes();
+        let valid = bytes.len();
+        bytes.extend_from_slice(&garbage);
+        let replay = replay_bytes(&bytes);
+        prop_assert_eq!(replay.valid_len, valid);
+        prop_assert!(replay.torn.is_some());
+    }
+}
+
+/// Never accept damage: a single flipped bit anywhere in the journal ends
+/// the valid prefix at the record it hit (the records before it replay
+/// unchanged; the damaged one is never replaced by a different record, and
+/// nothing after it is believed). Exhaustive over every bit.
+#[test]
+fn journal_bit_flip_ends_the_valid_prefix_at_the_flipped_record() {
+    let bytes = sample_journal_bytes();
+    let full = replay_bytes(&bytes);
+    let boundaries = record_boundaries();
+    for bit in 0..bytes.len() * 8 {
+        let mut flipped = bytes.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        let hit = boundaries.iter().filter(|&&end| end <= bit / 8).count();
+        let replay = replay_bytes(&flipped);
+        assert_eq!(replay.records.len(), hit, "bit {bit} is in record {hit}");
+        assert_eq!(&replay.records[..], &full.records[..hit]);
+        let prefix = if hit == 0 { 0 } else { boundaries[hit - 1] };
+        assert_eq!(replay.valid_len, prefix, "bit {bit}");
+        assert!(replay.torn.is_some(), "bit {bit}");
+    }
+}
+
+/// A record whose header claims more body than the file holds — 4 GiB of it
+/// — is a torn tail like any other: typed, not allocated for.
+#[test]
+fn overlong_record_length_is_a_torn_tail() {
+    let mut bytes = sample_journal_bytes();
+    let boundaries = record_boundaries();
+    let last = boundaries[boundaries.len() - 2];
+    bytes[last + 6..last + 10].copy_from_slice(&u32::MAX.to_le_bytes());
+    let replay = replay_bytes(&bytes);
+    assert_eq!(replay.valid_len, last);
+    assert_eq!(replay.records.len(), boundaries.len() - 1);
+    assert_eq!(replay.torn, Some(JournalError::Wire(WireError::Truncated)));
 }
 
 /// Crash-mid-migration: the journal holds the job's pre-migration
@@ -406,5 +473,46 @@ fn malformed_queue_exits_with_per_line_diagnostics() {
         "diagnoses the missing name: {stderr}"
     );
     assert!(stderr.contains("nothing submitted"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--journal` on a file the server does not recognise — here a journal in
+/// the superseded text format — must refuse, not "recover" by truncating:
+/// exit 1, the file named on stderr, every byte still there.
+#[test]
+fn foreign_journal_is_refused_not_truncated() {
+    let dir = scratch("foreign");
+    let queue = dir.join("queue.txt");
+    let journal = dir.join("old.journal");
+    std::fs::write(
+        &queue,
+        "name=f0 workload=alexnet_mnist topo=ring:4 k=3 seed=1 rounds=2 examples=128 test=32\n",
+    )
+    .expect("write queue");
+    let old = b"marsit-journal/1 0000000000000000 migrate e11b232f tname=g0 from=2 to=0\n";
+    std::fs::write(&journal, old).expect("write old journal");
+
+    let output = Command::new(env!("CARGO_BIN_EXE_marsit_serve"))
+        .args([
+            queue.to_str().expect("utf8 path"),
+            "--shards",
+            "1",
+            "--journal",
+            journal.to_str().expect("utf8 path"),
+        ])
+        .output()
+        .expect("run server");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "refusal exits 1: {stderr}");
+    assert!(stderr.contains("old.journal"), "names the file: {stderr}");
+    assert!(
+        stderr.contains("marsit-journal/1"),
+        "says what it found: {stderr}"
+    );
+    assert_eq!(
+        std::fs::read(&journal).expect("reread"),
+        old,
+        "the foreign journal was modified"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
