@@ -31,6 +31,14 @@
 //! The supervisor and its shard subprocesses exchange these same records
 //! (see [`crate::supervisor`]), decoded by this module's decoder.
 //!
+//! A checkpoint is the bulk of a journal, so its bytes are touched as few
+//! times as the format allows: [`encode_record`] copies it into the record's
+//! frame (one copy, one CRC pass), and a replay reads the file into one
+//! buffer and gives every snapshot record a [`SharedBytes`] view of it —
+//! superseding a snapshot, planning a resume and redelivering a job share
+//! that buffer instead of copying a payload ([`replay_file`],
+//! [`replay_shared`]; [`replay_bytes`] must copy its borrowed input first).
+//!
 //! Durability batching: [`JournalWriter::append`] enqueues the encoded
 //! record to a dedicated writer thread; [`JournalWriter::commit`] requests a
 //! group commit (write + `fsync`) without blocking the serving thread —
@@ -48,7 +56,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
-use marsit_simnet::wire::{split_frame, Reader, WireError, Writer};
+use marsit_simnet::wire::{split_frame, Reader, SharedBytes, WireError, Writer};
 
 use crate::scheduler::{report_fingerprint, run_solo};
 use crate::spec::JobSpec;
@@ -74,9 +82,11 @@ pub struct SnapshotRecord {
     /// carry absolute sequence numbers, so a resumed job's fresh sink
     /// must continue numbering here for byte-identical logs.
     pub tel_seq: u64,
-    /// The checkpoint frame (`TrainSnapshot::to_json`). The name is
-    /// historical — `/1` carried JSON — and `benchmark/` spells it.
-    pub snapshot_json: Vec<u8>,
+    /// The checkpoint frame (`TrainSnapshot::to_json`), as a view: a replayed
+    /// record's is a range of the journal buffer, and cloning the record
+    /// shares it. The name is historical — `/1` carried JSON — and
+    /// `benchmark/` spells it.
+    pub snapshot_json: SharedBytes,
     /// The full telemetry log accumulated up to (and flushed at) the
     /// snapshot point.
     pub log: String,
@@ -246,10 +256,21 @@ pub fn encode_record(seq: u64, record: &JournalRecord) -> Result<Vec<u8>, Journa
     Ok(w.finish())
 }
 
-/// Decodes the body of a frame of `kind` into `(seq, record)`.
-fn decode_record(kind: u8, mut r: Reader<'_>) -> Result<(u64, JournalRecord), WireError> {
+/// Decodes the body of a frame of `kind` into `(seq, record)`. `body` is the
+/// shared view of the bytes `r` reads: a checkpoint payload comes back as a
+/// range of it, located by the reader's offsets, not copied out.
+fn decode_record(
+    kind: u8,
+    mut r: Reader<'_>,
+    body: &SharedBytes,
+) -> Result<(u64, JournalRecord), WireError> {
     fn index(r: &mut Reader<'_>) -> Result<usize, WireError> {
         r.u32().map(|v| v as usize)
+    }
+    fn shared_bytes(r: &mut Reader<'_>, body: &SharedBytes) -> Result<SharedBytes, WireError> {
+        let len = r.bytes()?.len();
+        let end = body.len() - r.remaining();
+        Ok(body.slice(end - len..end))
     }
     let seq = r.u64()?;
     let record = match kind {
@@ -263,7 +284,7 @@ fn decode_record(kind: u8, mut r: Reader<'_>) -> Result<(u64, JournalRecord), Wi
             migrations: r.u32()?,
             round: r.u64()?,
             tel_seq: r.u64()?,
-            snapshot_json: r.bytes()?.to_vec(),
+            snapshot_json: shared_bytes(&mut r, body)?,
             log: r.str()?.to_string(),
         }),
         KIND_MIGRATE => JournalRecord::Migrate {
@@ -305,21 +326,37 @@ pub struct Replay {
 /// out-of-sequence one. Never fails: a journal truncated at *any* byte
 /// yields the longest valid prefix (replay of which is a valid resume
 /// state).
+///
+/// The records outlive the borrowed input, so this copies it — once, whole —
+/// and scans the copy with [`replay_shared`]. A caller that owns its bytes
+/// (or reads a file: [`replay_file`]) skips the copy.
 #[must_use]
 pub fn replay_bytes(bytes: &[u8]) -> Replay {
+    replay_shared(bytes.to_vec().into())
+}
+
+/// [`replay_bytes`] over a buffer the caller hands over: every snapshot
+/// record's checkpoint payload is a view of `bytes`, so nothing
+/// payload-sized is copied or allocated per record.
+#[must_use]
+pub fn replay_shared(bytes: SharedBytes) -> Replay {
     let mut records = Vec::new();
-    let mut rest = bytes;
+    let mut valid_len = 0;
     let torn = loop {
+        let rest = &bytes[valid_len..];
         if rest.is_empty() {
             break None;
         }
         let expected = records.len() as u64;
-        let next = split_frame(rest)
-            .and_then(|(kind, body, after)| Ok((decode_record(kind, body)?, after)));
+        let next = split_frame(rest).and_then(|(kind, r, after)| {
+            let end = bytes.len() - after.len();
+            let body = bytes.slice(end - r.remaining()..end);
+            Ok((decode_record(kind, r, &body)?, end))
+        });
         match next {
-            Ok(((seq, record), after)) if seq == expected => {
+            Ok(((seq, record), end)) if seq == expected => {
                 records.push((seq, record));
-                rest = after;
+                valid_len = end;
             }
             Ok(((found, _), _)) => break Some(JournalError::OutOfSequence { expected, found }),
             Err(e) => break Some(e.into()),
@@ -327,13 +364,15 @@ pub fn replay_bytes(bytes: &[u8]) -> Replay {
     };
     Replay {
         next_seq: records.len() as u64,
-        valid_len: bytes.len() - rest.len(),
+        valid_len,
         records,
         torn,
     }
 }
 
-/// Reads and scans a journal file (see [`replay_bytes`]).
+/// Reads a journal file into one buffer and scans it in place (see
+/// [`replay_shared`]): the file's bytes are touched by the read and by each
+/// frame's CRC check, and never copied.
 ///
 /// # Errors
 ///
@@ -342,7 +381,7 @@ pub fn replay_bytes(bytes: &[u8]) -> Replay {
 pub fn replay_file(path: &Path) -> std::io::Result<Replay> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
-    Ok(replay_bytes(&bytes))
+    Ok(replay_shared(bytes.into()))
 }
 
 /// A finished job recovered from the journal (or received over the
@@ -368,8 +407,9 @@ pub struct ResumeJob {
     /// The spec the job runs under.
     pub spec: JobSpec,
     /// Checkpoint frame to restore from (named like
-    /// [`SnapshotRecord::snapshot_json`]).
-    pub snapshot_json: Vec<u8>,
+    /// [`SnapshotRecord::snapshot_json`], and the same view of the same
+    /// buffer as the record it was planned from).
+    pub snapshot_json: SharedBytes,
     /// Telemetry log accumulated up to the snapshot.
     pub log: String,
     /// Telemetry sequence floor at the snapshot (see
@@ -686,10 +726,23 @@ impl JournalWriter {
         });
         let (tx, rx) = std::sync::mpsc::sync_channel(WRITER_QUEUE_DEPTH);
         let thread_shared = std::sync::Arc::clone(&shared);
+        // Return once the writer thread runs, not merely once it is spawned,
+        // so the threads started next (a server's shards) make their first
+        // allocation after this one has. Under glibc a new thread inherits
+        // the malloc arena an exited one left, in that order; this thread
+        // frees record buffers but allocates none, and were a shard to take
+        // its small arena and leave it a shard's, the free memory in that
+        // one would never be trimmed again: +25 MB resident for the life of
+        // a process that serves journal after journal.
+        let (up_tx, up_rx) = std::sync::mpsc::channel();
         let thread = std::thread::Builder::new()
             .name("marsit-journal".to_string())
-            .spawn(move || writer_thread(file, &rx, &thread_shared))
+            .spawn(move || {
+                up_tx.send(()).ok();
+                writer_thread(file, &rx, &thread_shared);
+            })
             .expect("spawn journal writer thread");
+        up_rx.recv().ok();
         Self {
             tx: Some(tx),
             thread: Some(thread),
@@ -848,8 +901,9 @@ mod tests {
 
     /// Decodes input that must be exactly one record.
     fn decode_one(bytes: &[u8]) -> Result<(u64, JournalRecord), WireError> {
-        let (kind, body) = marsit_simnet::wire::sole_frame(bytes)?;
-        decode_record(kind, body)
+        let (kind, r) = marsit_simnet::wire::sole_frame(bytes)?;
+        let body = SharedBytes::from(bytes[bytes.len() - r.remaining()..].to_vec());
+        decode_record(kind, r, &body)
     }
 
     fn hex(bytes: &[u8]) -> String {
@@ -914,7 +968,7 @@ mod tests {
                 migrations: 2,
                 round: 4,
                 tel_seq: 0xDEAD_BEEF,
-                snapshot_json: vec![0, 0xFF, b'\n', b'\\', 0x80],
+                snapshot_json: vec![0, 0xFF, b'\n', b'\\', 0x80].into(),
                 log: "{\"ev\":\"x\"}\n{\"ev\":\"y\"}\n".to_string(),
             }),
             JournalRecord::Migrate {
@@ -1136,7 +1190,7 @@ mod tests {
             migrations: 0,
             round: 2,
             tel_seq: 40,
-            snapshot_json: b"{}".to_vec(),
+            snapshot_json: b"{}".to_vec().into(),
             log: "l".to_string(),
         }));
         // A later snapshot supersedes; an earlier replayed one does not.
@@ -1146,7 +1200,7 @@ mod tests {
             migrations: 1,
             round: 4,
             tel_seq: 80,
-            snapshot_json: b"{later}".to_vec(),
+            snapshot_json: b"{later}".to_vec().into(),
             log: "ll".to_string(),
         }));
         state.apply(&JournalRecord::Outcome(OutcomeRecord {
@@ -1168,7 +1222,7 @@ mod tests {
         assert_eq!(plan.completed[0].spec.name, "done");
         assert_eq!(plan.resumes.len(), 1);
         assert_eq!(plan.resumes[0].tel_seq, 80);
-        assert_eq!(plan.resumes[0].snapshot_json, b"{later}");
+        assert_eq!(&plan.resumes[0].snapshot_json[..], b"{later}");
         assert_eq!(plan.fresh.len(), 1);
         assert_eq!(plan.fresh[0].name, "queued");
         assert_eq!(plan.orphaned, vec!["ghost".to_string()]);

@@ -30,6 +30,7 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use marsit_simnet::SharedBytes;
 use marsit_telemetry::Telemetry;
 use marsit_tensor::rng::FastRng;
 use marsit_trainsim::{TrainReport, TrainSnapshot, TrainerState};
@@ -244,7 +245,7 @@ pub(crate) struct ActiveJob {
 /// and everything accumulated so far.
 struct MigratingJob {
     spec: JobSpec,
-    snapshot_json: Vec<u8>,
+    snapshot_json: SharedBytes,
     tel: Telemetry,
     log: String,
     shard_path: Vec<usize>,
@@ -261,6 +262,10 @@ enum ShardMsg {
     /// No more submissions: finish resident jobs, refuse new migrations,
     /// then exit.
     Drain,
+    /// Nothing to do but look again: the last job in flight just finished
+    /// on the sender, so a draining peer's exit condition now holds and it
+    /// need not sleep out its idle backoff to find out.
+    Wake,
 }
 
 /// Shared in-flight accounting: job counts per shard (for load balancing
@@ -651,6 +656,7 @@ fn handle_msg(
             active.push_back(job);
         }
         ShardMsg::Drain => *draining = true,
+        ShardMsg::Wake => {}
     }
 }
 
@@ -673,7 +679,10 @@ pub(crate) fn snapshot_record(job: &mut ActiveJob, shard: usize, log: String) ->
 /// Appends a snapshot record for `job` to the shard's journal.
 fn journal_snapshot(job: &mut ActiveJob, ctx: &ShardCtx) {
     let Some(journal) = &ctx.journal else { return };
-    // Encode-side work stays outside the journal lock the shards share.
+    // The trainer's clone and the checkpoint frame (`snapshot`, `to_json`)
+    // are built outside the journal lock the shards share; `append` encodes
+    // and seals the record under it, because the record's `seq` — the next
+    // one the writer hands out — is inside the CRC'd body.
     let log = job.log.clone();
     let record = snapshot_record(job, ctx.shard, log);
     journal
@@ -797,13 +806,14 @@ fn complete(mut job: ActiveJob, ctx: &ShardCtx, pool: &mut WorkspacePool) {
             }))
             .expect("journal-representable outcome");
     }
-    {
+    let last_in_flight = {
         let mut flight = ctx.flight.lock().expect("flight lock");
         let current = flight.current;
         flight.at_completion.push(current);
         flight.current -= 1;
         flight.per_shard[ctx.shard] -= 1;
-    }
+        flight.current == 0
+    };
     ctx.results
         .send(JobOutcome {
             spec: job.spec,
@@ -813,6 +823,15 @@ fn complete(mut job: ActiveJob, ctx: &ShardCtx, pool: &mut WorkspacePool) {
             migrations: job.migrations,
         })
         .expect("results receiver alive");
+    if last_in_flight {
+        // Idle peers learn of an empty server by waking up, and the handle
+        // dropping its senders disconnects nobody while peers hold clones.
+        // (`peers` includes this shard, which drops its own wake unread or
+        // as a no-op; a peer that already exited needs none.)
+        for peer in &ctx.peers {
+            peer.send(ShardMsg::Wake).ok();
+        }
+    }
 }
 
 /// Decides whether (and where) to migrate the job just preempted.

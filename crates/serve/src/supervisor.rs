@@ -54,7 +54,7 @@ use marsit_simnet::wire::{read_frame, write_frame, Frame, FrameKind, Payload, DR
 use marsit_tensor::rng::FastRng;
 
 use crate::journal::{
-    encode_record, plan_from_replay, replay_bytes, JournalRecord, JournalWriter, OutcomeRecord,
+    encode_record, plan_from_replay, replay_shared, JournalRecord, JournalWriter, OutcomeRecord,
     RecoveredOutcome, Replay, ResumeJob, SnapshotRecord,
 };
 use crate::pool::WorkspacePool;
@@ -348,15 +348,16 @@ fn serving_frame(
 }
 
 /// The records of a serving frame: all of them decode, or it is a protocol
-/// error.
-fn serving_records(frame: &Frame) -> Result<Replay, SupervisorError> {
-    let Payload::Bytes(bytes) = &frame.payload else {
+/// error. Takes the frame over, so a snapshot record's checkpoint is a view
+/// of the payload as it came off the socket.
+fn serving_records(frame: Frame) -> Result<Replay, SupervisorError> {
+    let Payload::Bytes(bytes) = frame.payload else {
         return Err(SupervisorError::Protocol(format!(
             "expected a bytes payload, got {:?}",
             frame.payload
         )));
     };
-    let replay = replay_bytes(bytes);
+    let replay = replay_shared(bytes.into());
     match &replay.torn {
         None => Ok(replay),
         Some(e) => Err(SupervisorError::Protocol(e.to_string())),
@@ -530,7 +531,7 @@ fn supervisor_main(
                 handle_shard_frame(
                     cfg,
                     shard,
-                    &frame,
+                    frame,
                     &mut shards,
                     &mut jobs,
                     &mut report,
@@ -603,7 +604,7 @@ fn deliver_frame(job: &SupJob) -> Result<Frame, SupervisorError> {
 fn handle_shard_frame(
     cfg: &SupervisorConfig,
     shard: usize,
-    frame: &Frame,
+    frame: Frame,
     shards: &mut [Shard],
     jobs: &mut HashMap<String, SupJob>,
     report: &mut SupervisorReport,
@@ -970,7 +971,7 @@ fn shard_worker_loop(
                 // A delivered job is a one- or two-record journal: fold it
                 // and land it exactly as whole-server recovery would.
                 FrameKind::Submit => {
-                    let Ok(replay) = serving_records(&frame) else {
+                    let Ok(replay) = serving_records(frame) else {
                         return 1;
                     };
                     let plan = plan_from_replay(&replay);
@@ -982,7 +983,7 @@ fn shard_worker_loop(
                     }
                 }
                 FrameKind::Snapshot => {
-                    let Ok(replay) = serving_records(&frame) else {
+                    let Ok(replay) = serving_records(frame) else {
                         return 1;
                     };
                     for (_, record) in replay.records {
@@ -1138,7 +1139,7 @@ mod tests {
         // — and its outcome is the one that counts.
         let mut honest = connect_as(&addr, 0);
         let (delivery, _) = read_frame(&mut honest).expect("readable").expect("the job");
-        let plan = plan_from_replay(&serving_records(&delivery).expect("journal records"));
+        let plan = plan_from_replay(&serving_records(delivery).expect("journal records"));
         assert_eq!(plan.fresh, vec![spec]);
         write_frame(&mut honest, &outcome_frame(0, "held", "honest")).expect("write");
         let report = handle.finish().expect("supervisor survives");

@@ -41,4 +41,6 @@ pub use phase::PhaseBreakdown;
 pub use process::{HubEvent, ProcessTransport, TraceCollector, WireHub};
 pub use topology::Topology;
 pub use transport::{Backend, ChannelFabric, ChannelTransport, Transport, TransportError};
-pub use wire::{Frame, FrameKind, Payload, TraceCtx, WireError, CTX_WIRE_BYTES, DRIVER};
+pub use wire::{
+    Frame, FrameKind, Payload, SharedBytes, TraceCtx, WireError, CTX_WIRE_BYTES, DRIVER,
+};

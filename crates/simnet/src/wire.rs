@@ -20,7 +20,12 @@
 //! |-------------|-------------------------------------------------------------|-------------------------------------|--------------------------------|
 //! | `0x01–0x0B` | [`Frame`]: `from`, `to`, payload tag + payload, trace ctx   | [`Frame::encode`] / [`write_frame`] | [`Frame::decode`] / [`read_frame`] |
 //! | `0x20`      | checkpoint: every `TrainSnapshot` field in declaration order | `TrainSnapshot::to_json`            | `TrainSnapshot::from_json`     |
-//! | `0x30–0x33` | journal record: `seq`, then the record's typed fields       | `marsit_serve::encode_record`       | `marsit_serve::replay_bytes`   |
+//! | `0x30–0x33` | journal record: `seq`, then the record's typed fields       | `marsit_serve::encode_record`       | `marsit_serve::replay_file` / `replay_bytes` |
+//!
+//! A checkpoint travels as a [`SharedBytes`]: `to_json` returns one,
+//! `encode_record` copies it into the record's frame (the one copy on the
+//! write side), and a replay hands every snapshot record a view of the one
+//! buffer it read instead of a copy.
 //!
 //! Bodies are sequences of fixed-width little-endian scalars, count-prefixed
 //! raw `f32` / `u64` slices and length-prefixed byte strings. A float crosses
@@ -41,6 +46,8 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Format version of every frame: wire, checkpoint and journal move together.
 pub const VERSION: u8 = 2;
@@ -215,11 +222,14 @@ impl From<WireError> for io::Error {
 }
 
 /// IEEE CRC-32 (the ubiquitous reflected 0xEDB88320 polynomial),
-/// slicing-by-8, dependency-free. Snapshot records put megabytes through
-/// this per journal append, so the byte-at-a-time loop (one table lookup
-/// per byte, serialized through the crc register) is worth widening: eight
-/// tables let each iteration fold in 8 bytes with independent lookups.
-/// Check value: `crc32(b"123456789") == 0xCBF4_3926`.
+/// dependency-free. Check value: `crc32(b"123456789") == 0xCBF4_3926`.
+///
+/// The polynomial and the check value are the contract; how many bytes a
+/// step folds is not. Every checkpoint byte goes through here on its way
+/// into a frame and again on its way out, so inputs of 64 bytes and more
+/// run a carry-less-multiply fold where the CPU has one, and the
+/// slicing-by-8 table loop — the reference the fold is tested against —
+/// takes short inputs, the last few bytes and every other target.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
     !crc32_update(!0u32, bytes)
@@ -229,6 +239,109 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// CRC state. `!crc32_update(!0, b)` equals `crc32(b)`, and chaining
 /// updates over slices equals one update over their concatenation.
 fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if bytes.len() >= CLMUL_MIN
+            && is_x86_feature_detected!("pclmulqdq")
+            && is_x86_feature_detected!("sse4.1")
+        {
+            // SAFETY: feature presence just checked.
+            return unsafe { crc32_clmul(state, bytes) };
+        }
+    }
+    crc32_table(state, bytes)
+}
+
+/// Shortest input the carry-less-multiply build takes: its four accumulators
+/// start as the first four 16-byte lanes.
+#[cfg(target_arch = "x86_64")]
+const CLMUL_MIN: usize = 64;
+
+/// [`crc32_update`] by `PCLMULQDQ` folding (Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction", Intel
+/// 2009): the message is a polynomial over GF(2), and multiplying a 128-bit
+/// accumulator by `x^n mod P` moves it `n` bits down the message without
+/// changing the remainder. Four accumulators fold over 64-byte blocks
+/// (independent multiplies, so the loop streams), merge into one, walk the
+/// remaining whole 16-byte lanes, and a Barrett reduction turns the last 128
+/// bits into the 32-bit state. The table loop finishes the < 16 bytes left.
+///
+/// The constants are the paper's for the bit-reflected IEEE polynomial:
+/// `x^n mod P`, its 32 bits reflected and shifted left by one, for `n` =
+/// 512+32 / 512−32 (fold by four lanes), 128+32 / 128−32 (fold by one) and
+/// 64 (the 96→64-bit step); then `P` itself and `μ = ⌊x^64 / P⌋`, reflected
+/// over 33 bits, for Barrett.
+///
+/// Panics on fewer than [`CLMUL_MIN`] bytes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "pclmulqdq,sse4.1")]
+fn crc32_clmul(state: u32, bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi64x, _mm_setr_epi32, _mm_srli_si128, _mm_xor_si128,
+    };
+    const FOLD_BY_4: (i64, i64) = (0x1_5444_2bd4, 0x1_c6e4_1596);
+    const FOLD_BY_1: (i64, i64) = (0x1_7519_97d0, 0x0_ccaa_009e);
+    const FOLD_TO_64: i64 = 0x1_63cd_6124;
+    const POLY: i64 = 0x1_db71_0641;
+    const MU: i64 = 0x1_f701_1641;
+
+    let load = |lane: &[u8; 16]| {
+        let v = u128::from_le_bytes(*lane);
+        _mm_set_epi64x((v >> 64) as i64, v as i64)
+    };
+    // acc · x^n, both halves, plus the lane n bits further on.
+    let fold = |acc: __m128i, k: __m128i, next: __m128i| {
+        let lo = _mm_clmulepi64_si128::<0x00>(acc, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(acc, k);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+    };
+
+    let (lanes, tail) = bytes.as_chunks::<16>();
+    let (head, mut lanes) = lanes
+        .split_first_chunk::<4>()
+        .expect("the clmul build takes inputs of 64 bytes and more");
+    let mut x = head.map(|lane| load(&lane));
+    x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(state as i32));
+    let k = _mm_set_epi64x(FOLD_BY_4.1, FOLD_BY_4.0);
+    while let Some((block, rest)) = lanes.split_first_chunk::<4>() {
+        for (acc, lane) in x.iter_mut().zip(block) {
+            *acc = fold(*acc, k, load(lane));
+        }
+        lanes = rest;
+    }
+
+    let k = _mm_set_epi64x(FOLD_BY_1.1, FOLD_BY_1.0);
+    let mut acc = x[0];
+    for &next in &x[1..] {
+        acc = fold(acc, k, next);
+    }
+    for lane in lanes {
+        acc = fold(acc, k, load(lane));
+    }
+
+    // 128 → 96 → 64 bits.
+    let low32s = _mm_setr_epi32(!0, 0, !0, 0);
+    let acc = _mm_xor_si128(
+        _mm_srli_si128::<8>(acc),
+        _mm_clmulepi64_si128::<0x10>(acc, k),
+    );
+    let acc = _mm_xor_si128(
+        _mm_srli_si128::<4>(acc),
+        _mm_clmulepi64_si128::<0x00>(_mm_and_si128(acc, low32s), _mm_set_epi64x(0, FOLD_TO_64)),
+    );
+    // Barrett: acc − ⌊acc · μ / x^32⌋ · P leaves the remainder in bits 32..64.
+    let poly_mu = _mm_set_epi64x(MU, POLY);
+    let quotient = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(acc, low32s), poly_mu);
+    let product = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(quotient, low32s), poly_mu);
+    let folded = _mm_extract_epi32::<1>(_mm_xor_si128(acc, product)) as u32;
+    crc32_table(folded, tail)
+}
+
+/// [`crc32_update`] by slicing-by-8: eight tables let each iteration fold in
+/// 8 bytes with independent lookups instead of one lookup per byte
+/// serialized through the crc register. The scalar reference.
+fn crc32_table(state: u32, bytes: &[u8]) -> u32 {
     const fn tables() -> [[u32; 256]; 8] {
         let mut t = [[0u32; 256]; 8];
         let mut i = 0;
@@ -277,6 +390,74 @@ fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
         crc = TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc
+}
+
+/// An immutable view of bytes in a buffer that other views share: the type
+/// of a checkpoint payload wherever it travels (`TrainSnapshot::to_json`,
+/// the journal's `SnapshotRecord`, a `ResumeJob`, a job migrating between
+/// shards).
+///
+/// A journal replay reads the file once and hands every snapshot record a
+/// view of that one buffer; superseding a snapshot, planning a resume and
+/// journaling a migration then pass the payload on by bumping a reference
+/// count instead of copying a megabyte. `clone` never copies bytes,
+/// `From<Vec<u8>>` takes the vector over without copying it, and a view
+/// dereferences to `[u8]`; equality and `Debug` are by content, exactly as
+/// for the `Vec<u8>` it replaces. A view keeps its whole buffer alive, so
+/// one that must outlive its siblings by long is better copied out
+/// (`to_vec().into()`).
+#[derive(Clone)]
+pub struct SharedBytes {
+    buf: Arc<Vec<u8>>,
+    range: Range<usize>,
+}
+
+impl SharedBytes {
+    /// The view of `range` (offsets within this view) onto the same buffer.
+    /// Panics when `range` does not lie within the view.
+    #[must_use]
+    pub fn slice(&self, range: Range<usize>) -> Self {
+        assert!(
+            range.start <= range.end && range.end <= self.len(),
+            "range {range:?} outside a view of {} bytes",
+            self.len()
+        );
+        Self {
+            buf: Arc::clone(&self.buf),
+            range: self.range.start + range.start..self.range.start + range.end,
+        }
+    }
+}
+
+impl std::ops::Deref for SharedBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.range.clone()]
+    }
+}
+
+impl From<Vec<u8>> for SharedBytes {
+    fn from(bytes: Vec<u8>) -> Self {
+        Self {
+            range: 0..bytes.len(),
+            buf: Arc::new(bytes),
+        }
+    }
+}
+
+impl PartialEq for SharedBytes {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for SharedBytes {}
+
+impl fmt::Debug for SharedBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
 }
 
 /// The header checksum: CRC-32 over kind ‖ length (`header[5..10]`) ‖ body.
@@ -727,6 +908,97 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The definition: one conditional subtraction of the polynomial per bit.
+    fn crc32_bitwise(state: u32, bytes: &[u8]) -> u32 {
+        bytes.iter().fold(state, |crc, &b| {
+            (0..8).fold(crc ^ u32::from(b), |c, _| {
+                (c >> 1) ^ (0xEDB8_8320 & 0u32.wrapping_sub(c & 1))
+            })
+        })
+    }
+
+    /// Bytes with no short period (a 64-bit LCG's top byte).
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut s = seed;
+        (0..len)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (s >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// `crc32_update` as every build this CPU can run computes it, called
+    /// directly (not only through the dispatcher) — so the table loop is
+    /// exercised on hosts with `PCLMULQDQ` too. The first entry is the
+    /// dispatcher itself.
+    fn crc32_on_every_build(state: u32, bytes: &[u8]) -> Vec<(&'static str, u32)> {
+        let mut got = vec![
+            ("dispatched", crc32_update(state, bytes)),
+            ("table", crc32_table(state, bytes)),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if bytes.len() >= CLMUL_MIN
+            && is_x86_feature_detected!("pclmulqdq")
+            && is_x86_feature_detected!("sse4.1")
+        {
+            // SAFETY: feature presence just checked.
+            got.push(("clmul", unsafe { crc32_clmul(state, bytes) }));
+        }
+        got
+    }
+
+    const STATES: [u32; 3] = [!0, 0, 0x1234_5678];
+
+    /// The table loop and the carry-less-multiply fold, each called directly,
+    /// agree — with each other and with the bit-at-a-time definition.
+    #[test]
+    fn crc32_builds_match_the_table() {
+        // Every length around the 16- and 64-byte strides, at every
+        // alignment of the first byte within a lane.
+        let buf = noise(1024 + 16, 1);
+        for offset in 0..16 {
+            for len in 0..=1024 {
+                let bytes = &buf[offset..offset + len];
+                for state in STATES {
+                    let want = crc32_bitwise(state, bytes);
+                    for (build, got) in crc32_on_every_build(state, bytes) {
+                        assert_eq!(
+                            got, want,
+                            "{build}: len {len} at offset {offset}, state {state:08x}"
+                        );
+                    }
+                }
+            }
+        }
+        // The serving mix's largest checkpoint: 18 347 blocks of 64 bytes
+        // and a 10-byte tail.
+        let big = noise(1_174_218 + 1, 2);
+        for bytes in [&big[1..], &big[..1_174_218]] {
+            for state in STATES {
+                let want = crc32_bitwise(state, bytes);
+                for (build, got) in crc32_on_every_build(state, bytes) {
+                    assert_eq!(got, want, "{build}: checkpoint-sized, state {state:08x}");
+                }
+            }
+        }
+        // Chaining — how `frame_crc` runs header ‖ body — at every split.
+        let bytes = &buf[3..303];
+        for state in STATES {
+            let want = crc32_bitwise(state, bytes);
+            for split in 0..=bytes.len() {
+                let (head, tail) = bytes.split_at(split);
+                for (build, mid) in crc32_on_every_build(state, head) {
+                    for (then, got) in crc32_on_every_build(mid, tail) {
+                        assert_eq!(got, want, "{build} then {then}: split at {split}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn golden_fixture_words_frame() {
         // Pinned wire bytes (recorded for format /2): if this moves, the
@@ -1029,6 +1301,31 @@ mod tests {
     }
 
     proptest! {
+        /// Random bytes cut at two random points and chained from a random
+        /// state: every build, in every combination, agrees with the
+        /// bit-at-a-time definition over the whole.
+        #[test]
+        fn crc32_chains_across_random_splits(
+            bytes in proptest::collection::vec(any::<u8>(), 0..2048),
+            cuts in (any::<u64>(), any::<u64>()),
+            state in any::<u32>(),
+        ) {
+            let a = (cuts.0 % (bytes.len() as u64 + 1)) as usize;
+            let b = (cuts.1 % (bytes.len() as u64 + 1)) as usize;
+            let (a, b) = (a.min(b), a.max(b));
+            let want = crc32_bitwise(state, &bytes);
+            for (first, s1) in crc32_on_every_build(state, &bytes[..a]) {
+                for (second, s2) in crc32_on_every_build(s1, &bytes[a..b]) {
+                    for (third, got) in crc32_on_every_build(s2, &bytes[b..]) {
+                        prop_assert_eq!(
+                            got, want,
+                            "{} / {} / {} cut at {} and {}", first, second, third, a, b
+                        );
+                    }
+                }
+            }
+        }
+
         /// Arbitrary bytes never panic any getter, bare or behind a valid
         /// header, and a slice getter never returns more than the body held
         /// (a count is not believed past the bytes present).

@@ -18,7 +18,7 @@
 //! snapshots produce equal bytes.
 
 use marsit_models::{Evaluation, OptimizerState};
-use marsit_simnet::wire::{sole_frame, Reader, WireError, Writer};
+use marsit_simnet::wire::{sole_frame, Reader, SharedBytes, WireError, Writer};
 use marsit_simnet::{FaultStats, PhaseBreakdown};
 
 use crate::strategy::{SynchronizerSnapshot, SynchronizerState};
@@ -230,11 +230,13 @@ fn read_faults(r: &mut Reader<'_>) -> Result<FaultStats, WireError> {
 }
 
 impl TrainSnapshot {
-    /// Serializes to one deterministic `/2` checkpoint frame. The name is
+    /// Serializes to one deterministic `/2` checkpoint frame, returned as the
+    /// [`SharedBytes`] every later holder — a journal record, a migrating
+    /// job, a resume plan — shares instead of copying. The name is
     /// historical (`/1` was a JSON document): `benchmark/` spells it, so the
     /// rename waits for the next benchmark PR.
     #[must_use]
-    pub fn to_json(&self) -> Vec<u8> {
+    pub fn to_json(&self) -> SharedBytes {
         // Room for the three model-sized vectors of a typical job
         // (parameters, one optimizer buffer, one residual) per worker.
         let workers = self.optimizers.len().max(1);
@@ -262,7 +264,7 @@ impl TrainSnapshot {
         w.u64(self.total_elements);
         w.u8(u8::from(self.diverged));
         write_faults(&mut w, &self.run_faults);
-        w.finish()
+        w.finish().into()
     }
 
     /// Parses the frame written by [`TrainSnapshot::to_json`] (the name is
@@ -389,7 +391,7 @@ mod tests {
 
     #[test]
     fn other_version_and_other_kind_are_rejected() {
-        let mut bytes = sample_snapshot().to_json();
+        let mut bytes = sample_snapshot().to_json().to_vec();
         bytes[4] = 1;
         assert_eq!(
             TrainSnapshot::from_json(&bytes),

@@ -300,7 +300,7 @@ fn snapshot_size_is_its_payload() {
 /// a typed error, and so is every single-bit flip.
 #[test]
 fn damaged_checkpoints_are_typed_errors() {
-    let bytes = small_snapshot().to_json();
+    let bytes = small_snapshot().to_json().to_vec();
     for cut in 0..bytes.len() {
         assert_eq!(
             TrainSnapshot::from_json(&bytes[..cut]),
@@ -323,7 +323,7 @@ fn damaged_checkpoints_are_typed_errors() {
 /// CRC-valid body alike.
 #[test]
 fn overlong_length_claims_are_truncated_not_allocated() {
-    let mut header_lies = small_snapshot().to_json();
+    let mut header_lies = small_snapshot().to_json().to_vec();
     header_lies[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
     assert_eq!(
         TrainSnapshot::from_json(&header_lies),

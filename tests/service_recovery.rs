@@ -56,7 +56,7 @@ fn sample_journal_records() -> Vec<Vec<u8>> {
             migrations: 0,
             round,
             tel_seq: round * 7,
-            snapshot_json: format!("{{\"round\":{round}}}").into_bytes(),
+            snapshot_json: format!("{{\"round\":{round}}}").into_bytes().into(),
             log: format!("{name} log up to round {round}\n"),
         })
     };
@@ -223,6 +223,65 @@ fn overlong_record_length_is_a_torn_tail() {
     assert_eq!(replay.valid_len, last);
     assert_eq!(replay.records.len(), boundaries.len() - 1);
     assert_eq!(replay.torn, Some(JournalError::Wire(WireError::Truncated)));
+}
+
+/// FNV-1a over a durable artifact's bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The byte contract of everything durable, recorded on the commit before
+/// the CRC kernel and the shared payload views existed (`01dae69`): one
+/// journaled single-shard serve of one job — so the record order is
+/// deterministic — writes exactly these journal bytes, and the job's
+/// checkpoint after round 2 is exactly this frame. A faster checksum or a
+/// cheaper way to carry a payload must move neither.
+#[test]
+fn journal_bytes_are_pinned() {
+    let dir = scratch("pinned");
+    let path = dir.join("journal.log");
+    let journal = Arc::new(Mutex::new(
+        JournalWriter::create(&path).expect("create journal"),
+    ));
+    let mut cfg = ServeConfig::new(1);
+    cfg.tick_rounds = 2;
+    cfg.snapshot_every_ticks = 1;
+    let spec = tiny_spec("pin", 31, 8);
+    let mut handle = JobServer::start_journaled(cfg, Arc::clone(&journal));
+    handle.submit(spec.clone());
+    let _ = handle.finish();
+    drop(journal);
+    let bytes = std::fs::read(&path).expect("read journal");
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (1_957_828, 2_542_960_081_649_497_870),
+        "journal file bytes moved"
+    );
+
+    // Submit, a snapshot after rounds 2, 4 and 6, the outcome.
+    let replay = replay_bytes(&bytes);
+    assert!(replay.torn.is_none());
+    assert_eq!(replay.records.len(), 5);
+    let JournalRecord::Snapshot(first) = &replay.records[1].1 else {
+        panic!("record 1 is the round-2 snapshot");
+    };
+    assert_eq!(first.round, 2);
+
+    let train_cfg = spec.to_train_config(marsit::telemetry::Telemetry::disabled());
+    let mut state = marsit::trainsim::TrainerState::new(&train_cfg);
+    state.step();
+    state.step();
+    let checkpoint = state.snapshot().to_json();
+    assert_eq!(
+        (checkpoint.len(), fnv1a(&checkpoint)),
+        (620_592, 6_629_026_065_888_172_424),
+        "checkpoint frame bytes moved"
+    );
+    // Served equals solo, down to the journaled payload.
+    assert_eq!(&first.snapshot_json[..], &checkpoint[..]);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Crash-mid-migration: the journal holds the job's pre-migration
@@ -435,6 +494,27 @@ fn idle_shards_back_off_instead_of_busy_waiting() {
     assert!(
         total_wakeups > 0,
         "shards still wake occasionally to check for work"
+    );
+}
+
+/// A draining shard with nothing to do leaves when the last job finishes
+/// elsewhere, not when its idle wait next runs out: the shard that takes
+/// the in-flight count to zero wakes its peers. With a fixed 500 ms idle
+/// wait, `finish()` used to take at least that long.
+#[test]
+fn idle_draining_shard_leaves_when_the_last_job_finishes() {
+    let mut cfg = ServeConfig::new(2);
+    cfg.idle_wait_min_ms = 500;
+    cfg.idle_wait_max_ms = 500;
+    let mut handle = JobServer::start(cfg);
+    handle.submit(tiny_spec("short", 5, 2));
+    let t = std::time::Instant::now();
+    let report = handle.finish();
+    let drained = t.elapsed();
+    assert_eq!(report.outcomes.len(), 1);
+    assert!(
+        drained < Duration::from_millis(250),
+        "finish() took {drained:?}: the idle shard slept out its wait"
     );
 }
 

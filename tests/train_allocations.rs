@@ -6,6 +6,10 @@
 //! allocator for them. A counting allocator (as in `bench_round`) makes that
 //! a test instead of a claim. Counters are per thread, so the tests of this
 //! binary can run side by side.
+//!
+//! The same allocator pins journal replay: the file is read into one buffer
+//! and every checkpoint payload is a view of it, so recovery requests the
+//! journal's bytes once, not once per holder of each record.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -13,12 +17,17 @@ use std::cell::Cell;
 use marsit::collectives::{compile_plan, PlanTopology};
 use marsit::models::MlpWorkspace;
 use marsit::prelude::*;
+use marsit::serve::{
+    encode_record, plan_from_replay, replay_file, JobSpec, JournalRecord, SnapshotRecord,
+};
 
 thread_local! {
     /// Allocator calls made by this thread.
     static CALLS: Cell<u64> = const { Cell::new(0) };
     /// The largest single request this thread made, in bytes.
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread requested, summed over its calls.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
@@ -28,6 +37,7 @@ fn record(size: usize) {
     // down.
     let _ = CALLS.try_with(|c| c.set(c.get() + 1));
     let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+    let _ = BYTES.try_with(|b| b.set(b.get() + size as u64));
 }
 
 // SAFETY: defers to the system allocator; the bookkeeping touches only
@@ -60,6 +70,14 @@ fn measure(f: impl FnOnce()) -> (u64, usize) {
     LARGEST.with(|l| l.set(0));
     f();
     (CALLS.with(Cell::get) - before, LARGEST.with(Cell::get))
+}
+
+/// Bytes this thread requested from the allocator in `f` (a `realloc` counts
+/// its whole new size).
+fn requested_bytes(f: impl FnOnce()) -> u64 {
+    let before = BYTES.with(Cell::get);
+    f();
+    BYTES.with(Cell::get) - before
 }
 
 /// A warm workspace makes `Mlp::loss_and_grad_in` allocation-free — on the
@@ -147,5 +165,107 @@ fn compiling_a_plan_allocates_no_payload() {
     assert!(
         largest < 64 << 10,
         "compile_plan requested {largest} bytes at once"
+    );
+}
+
+/// Replaying a journal reads it into one buffer and hands every snapshot
+/// record a view of that buffer: `replay_file` + `plan_from_replay` request
+/// the file's bytes once (plus the telemetry logs, which are still copied per
+/// holder), each job resumes from the very bytes of its last record, and
+/// cloning a record shares its payload. Three jobs, six snapshots each.
+#[test]
+fn replay_shares_one_buffer_instead_of_copying_payloads() {
+    const JOBS: usize = 3;
+    const SNAPSHOTS: usize = 6;
+    const PAYLOAD: usize = 256 << 10;
+    let payload = |job: usize, snap: usize| -> Vec<u8> {
+        (0..PAYLOAD)
+            .map(|i| (i * 31 + job * 7 + snap) as u8)
+            .collect()
+    };
+    let name = |job: usize| format!("job{job}");
+    let mut records: Vec<JournalRecord> = (0..JOBS)
+        .map(|job| JournalRecord::Submit {
+            spec: JobSpec::new(name(job), Workload::AlexNetMnist, Topology::ring(4)),
+        })
+        .collect();
+    let mut log_bytes = 0;
+    for snap in 0..SNAPSHOTS {
+        for job in 0..JOBS {
+            let log = "{\"ev\":\"hop\"}\n".repeat(64 * (snap + 1));
+            log_bytes += log.len();
+            records.push(JournalRecord::Snapshot(SnapshotRecord {
+                name: name(job),
+                shard: job % 2,
+                migrations: 0,
+                round: 2 * (snap as u64 + 1),
+                tel_seq: 100 * snap as u64,
+                snapshot_json: payload(job, snap).into(),
+                log,
+            }));
+        }
+    }
+    let journal: Vec<u8> = records
+        .iter()
+        .enumerate()
+        .flat_map(|(seq, record)| encode_record(seq as u64, record).expect("representable"))
+        .collect();
+    let path = std::env::temp_dir().join(format!("marsit-replay-alloc-{}", std::process::id()));
+    std::fs::write(&path, &journal).expect("write journal");
+
+    let mut recovered = None;
+    let requested = requested_bytes(|| {
+        let replay = replay_file(&path).expect("replay journal");
+        let plan = plan_from_replay(&replay);
+        recovered = Some((replay, plan));
+    });
+    std::fs::remove_file(&path).ok();
+    let (replay, plan) = recovered.expect("replayed");
+    assert!(replay.torn.is_none());
+    assert_eq!(replay.records.len(), records.len());
+    let budget = journal.len() + journal.len() / 4 + 3 * log_bytes + (64 << 10);
+    assert!(
+        requested <= budget as u64,
+        "replaying a {}-byte journal requested {requested} bytes (budget {budget})",
+        journal.len()
+    );
+
+    assert_eq!(plan.resumes.len(), JOBS);
+    for (job, resume) in plan.resumes.iter().enumerate() {
+        let last = replay
+            .records
+            .iter()
+            .rev()
+            .find_map(|(_, record)| match record {
+                JournalRecord::Snapshot(s) if s.name == resume.spec.name => Some(s),
+                _ => None,
+            })
+            .expect("every job has snapshots");
+        assert_eq!(resume.spec.name, name(job));
+        assert_eq!(&resume.snapshot_json[..], &payload(job, SNAPSHOTS - 1)[..]);
+        // The same memory, not an equal copy of it.
+        assert!(std::ptr::eq(
+            resume.snapshot_json.as_ptr(),
+            last.snapshot_json.as_ptr()
+        ));
+    }
+    // Every payload lies within one journal-sized span: the buffer read.
+    let spans = replay
+        .records
+        .iter()
+        .filter_map(|(_, record)| match record {
+            JournalRecord::Snapshot(s) => Some(s.snapshot_json.as_ptr_range()),
+            _ => None,
+        });
+    let (lo, hi) = spans.fold((usize::MAX, 0), |(lo, hi), span| {
+        (lo.min(span.start as usize), hi.max(span.end as usize))
+    });
+    assert!(hi - lo <= journal.len(), "payloads span {} bytes", hi - lo);
+
+    let (_, snapshot) = &replay.records[records.len() - 1];
+    let (_, largest) = measure(|| drop(std::hint::black_box(snapshot.clone())));
+    assert!(
+        largest < PAYLOAD / 8,
+        "cloning a snapshot record requested {largest} bytes at once"
     );
 }
