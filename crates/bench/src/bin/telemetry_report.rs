@@ -292,7 +292,7 @@ fn print_report(a: &RunAnalysis, event_count: usize, summary: Option<&Json>) {
 }
 
 /// The analysis as one JSON object (`--json`). Hand-written like every other
-/// JSON artifact in this workspace (the serde shim is a no-op).
+/// JSON artifact in this workspace.
 fn analysis_json(a: &RunAnalysis, event_count: usize, summary: Option<&Json>) -> String {
     let mut out = String::from("{\"schema\":\"marsit-telemetry-report/1\"");
     out.push_str(&format!(",\"events\":{event_count}"));

@@ -1,12 +1,14 @@
-//! Transport-driven collective engine.
+//! The topology dispatch, and the transport-driven collective engine.
 //!
 //! The collectives in [`crate::ring`] / [`crate::torus`] / [`crate::tree`] /
-//! [`crate::segring`] walk their one-bit schedules on a slice of worker
-//! states — one process, one thread, no wire. A walk has two halves: the
-//! bookkeeping (hop order, fault fates, per-cell aggregation counts,
-//! [`CombineCtx`] values, trace, hop telemetry), which never reads a payload
-//! bit, and the data (cell cut, `⊙` combines, consensus assembly). This
-//! module lets the *same* schedule run on any [`Transport`] backend:
+//! [`crate::segring`] walk their schedules on a slice of worker states — one
+//! process, one thread, no wire. A walk has two halves: the bookkeeping (hop
+//! order, fault fates, per-cell aggregation counts, [`CombineCtx`] values,
+//! trace, hop telemetry), which never reads a payload element, and the data
+//! it is generic over. [`allreduce_sum`], [`allreduce_signsum`],
+//! [`allreduce_majority`] and [`allreduce_onebit`] are the one dispatch from
+//! a [`PlanTopology`] to its walk, one per payload. For one-bit payloads this
+//! module also lets the *same* schedule run on any [`Transport`] backend:
 //!
 //! 1. **Compile**: [`compile_plan`] runs a topology's walk with the
 //!    bookkeeping half alone and records every transfer it puts on the wire
@@ -31,22 +33,21 @@
 //! seq, sender send-time) plus its own arrival time, so real-transport runs
 //! can be merged into one causally-ordered cross-rank trace.
 
+use marsit_compress::SignSumVec;
 use marsit_simnet::transport::{Backend, ChannelFabric, Transport, TransportError};
 use marsit_simnet::{FaultInjector, LinkModel};
 use marsit_telemetry::{wall_now_ns, Hop, HopRecorder, HopTiming};
 use marsit_tensor::SignVec;
 
+use crate::payload::{Payload, PlanOnly, SignCells, SignSums, Signs, Sums};
 use crate::reconfigure::SyncError;
-use crate::ring::{
-    ring_onebit_exec, shape_of, ClosureOp, CombineCtx, Fold, NoOp, RingOnebitScratch, StepCombine,
-    Wire,
-};
-use crate::segring::segring_onebit_exec;
-use crate::torus::{torus_onebit_exec, TorusOnebitScratch};
+use crate::ring::{ring_exec, shape_of, Book, ClosureOp, CombineCtx, SumWire, Wire};
+use crate::segring::segring_exec;
+use crate::torus::{torus_exec, TorusBooks};
 use crate::trace::Trace;
-use crate::tree::tree_onebit_exec;
+use crate::tree::tree_exec;
 
-/// Which one-bit schedule to walk.
+/// Which all-reduce schedule to walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanTopology {
     /// Ring all-reduce over all ranks ([`crate::ring`]).
@@ -158,37 +159,55 @@ impl EnginePlan {
     }
 }
 
-/// The one topology dispatch: walks `topology`'s one-bit schedule for `world`
-/// workers and `d` bits over `wire`, folding `fold`'s inputs if there are any
-/// (see [`Fold`]). Every one-bit entry point that is not handed caller-owned
-/// scratch ends up here.
-fn walk_onebit<O: StepCombine>(
+/// The one topology dispatch: walks `topology`'s schedule for `world`
+/// workers and `d` elements of `payload` over `wire`. Every entry point that
+/// is not handed caller-owned scratch ends up here, whatever it carries.
+pub(crate) fn walk<P: Payload>(
     topology: PlanTopology,
     world: usize,
     d: usize,
     wire: &mut Wire<'_>,
-    fold: Option<Fold<'_, O>>,
+    payload: &mut P,
 ) -> Result<(), SyncError> {
-    let grid = &mut RingOnebitScratch::new();
+    let book = &mut Book::default();
     match topology {
-        PlanTopology::Ring => ring_onebit_exec(world, d, |_| 1, 0, wire, grid, fold),
+        PlanTopology::Ring => ring_exec(world, d, |_| 1, 0, wire, book, payload),
         PlanTopology::Torus { rows, cols } => {
-            let scratch = &mut TorusOnebitScratch::default();
-            torus_onebit_exec(rows, cols, world, d, wire, scratch, fold)
+            let books = &mut TorusBooks::default();
+            torus_exec(rows, cols, world, d, wire, books, payload)
         }
-        PlanTopology::Tree => tree_onebit_exec(world, d, wire, grid, fold),
+        PlanTopology::Tree => tree_exec(world, d, wire, book, payload),
         PlanTopology::SegRing { macro_segments } => {
-            segring_onebit_exec(world, d, macro_segments, wire, fold)
+            segring_exec(world, d, macro_segments, wire, payload)
         }
     }
+}
+
+/// A one-bit walk of `signs` on fresh buffers, a closure for the operator:
+/// `run` is handed the shape, the wire and the payload and walks them.
+pub(crate) fn onebit_walk<F: FnMut(&SignVec, &mut SignVec, CombineCtx)>(
+    signs: &[SignVec],
+    inj: &mut FaultInjector,
+    combine: F,
+    run: impl FnOnce(usize, usize, &mut Wire<'_>, &mut Signs<'_, ClosureOp<F>>) -> Result<(), SyncError>,
+) -> Result<(SignVec, Trace), SyncError> {
+    let (mut out, mut trace) = (SignVec::zeros(0), Trace::new());
+    let payload = &mut Signs {
+        signs,
+        op: &mut ClosureOp(combine),
+        out: &mut out,
+        cells: &mut SignCells::default(),
+    };
+    let (world, d) = shape_of(signs, SignVec::len);
+    run(world, d, &mut Wire::begin(inj, &mut trace, None), payload)?;
+    Ok((out, trace))
 }
 
 /// `topology`'s one-bit all-reduce of `signs` in process, on fresh buffers,
 /// with a closure for the operator: `combine(received, local, ctx)` merges the
 /// incoming aggregate *into* the local one in place. Reduce transfers are
-/// best-effort under `inj` (an omitted one leaves the receiver's aggregate
-/// and count as they were, so `⊙` stays unbiased over what arrived), gather
-/// and broadcast transfers reliable; [`FaultInjector::inert`] gives the clean
+/// best-effort under `inj`, gather and broadcast transfers reliable (see the
+/// [crate docs](crate#faults)); [`FaultInjector::inert`] gives the clean
 /// schedule. Returns the consensus and the trace. The per-topology closure
 /// entry points are this with the topology filled in.
 ///
@@ -210,16 +229,101 @@ pub fn allreduce_onebit<F>(
 where
     F: FnMut(&SignVec, &mut SignVec, CombineCtx),
 {
-    let (mut out, mut trace) = (SignVec::zeros(0), Trace::new());
-    let fold = Fold {
-        signs,
-        op: &mut ClosureOp(combine),
-        out: &mut out,
-    };
-    let (world, d) = shape_of(signs);
+    onebit_walk(signs, inj, combine, |world, d, wire, payload| {
+        walk(topology, world, d, wire, payload)
+    })
+}
+
+/// `topology`'s all-reduce summing `f32` payloads in place: on return every
+/// `data[w]` holds the elementwise sum, folded `dst[x] += src[x]` per
+/// delivered reduce hop in schedule order. Under `inj` an omitted reduce
+/// transfer degrades the result toward a partial sum; every worker still
+/// ends identical (see the [crate docs](crate#faults)).
+///
+/// # Errors
+///
+/// Returns the topology's typed [`SyncError`] for an impossible shape or
+/// differing payload lengths.
+pub fn allreduce_sum(
+    topology: PlanTopology,
+    data: &mut [Vec<f32>],
+    inj: &mut FaultInjector,
+) -> Result<Trace, SyncError> {
+    let mut trace = Trace::new();
+    let (world, d) = shape_of(data, Vec::len);
     let wire = &mut Wire::begin(inj, &mut trace, None);
-    walk_onebit(topology, world, d, wire, Some(fold))?;
-    Ok((out, trace))
+    walk(topology, world, d, wire, &mut Sums(data))?;
+    Ok(trace)
+}
+
+/// An integer sign-sum walk over `parts`: `run` is handed the shape, the
+/// wire and the payload and walks them; the reduced sums come back with the
+/// most workers any segment folded as their count.
+pub(crate) fn signsum_walk(
+    parts: &[SignSumVec],
+    rule: SumWire,
+    vote: bool,
+    inj: &mut FaultInjector,
+    run: impl FnOnce(usize, usize, &mut Wire<'_>, &mut SignSums) -> Result<(), SyncError>,
+) -> Result<(SignSumVec, Trace), SyncError> {
+    let mut trace = Trace::new();
+    let mut sums = SignSums::new(parts, rule, vote);
+    let (world, d) = shape_of(parts, SignSumVec::len);
+    run(world, d, &mut Wire::begin(inj, &mut trace, None), &mut sums)?;
+    let total = SignSumVec::from_parts(sums.total, sums.count as u32);
+    Ok((total, trace))
+}
+
+/// [`signsum_walk`] of `topology` over one-worker inputs.
+fn signs_walk(
+    topology: PlanTopology,
+    signs: &[SignVec],
+    rule: SumWire,
+    vote: bool,
+    inj: &mut FaultInjector,
+) -> Result<(SignSumVec, Trace), SyncError> {
+    let parts: Vec<SignSumVec> = signs.iter().map(SignSumVec::from_signs).collect();
+    signsum_walk(&parts, rule, vote, inj, |world, d, wire, sums| {
+        walk(topology, world, d, wire, sums)
+    })
+}
+
+/// `topology`'s all-reduce of sign vectors into the global **sign sums**:
+/// reduce and gather hops both carry the growing integer payload under
+/// `wire` (the MAR extension of SSDM and EF-signSGD). Under `inj` (see the
+/// [crate docs](crate#faults)) the total's count is the most workers any
+/// segment actually folded — all of them on a clean fabric.
+///
+/// # Errors
+///
+/// Returns the topology's typed [`SyncError`] for an impossible shape or
+/// differing sign lengths.
+pub fn allreduce_signsum(
+    topology: PlanTopology,
+    signs: &[SignVec],
+    wire: SumWire,
+    inj: &mut FaultInjector,
+) -> Result<(SignSumVec, Trace), SyncError> {
+    signs_walk(topology, signs, wire, false, inj)
+}
+
+/// `topology`'s all-reduce of sign vectors into a global **majority vote**:
+/// reduce hops carry growing integer sign sums under `wire`, each segment's
+/// owner votes, and every gather hop carries one bit per coordinate (the MAR
+/// extension of signSGD with majority vote).
+///
+/// # Errors
+///
+/// Returns the topology's typed [`SyncError`] for an impossible shape or
+/// differing sign lengths.
+pub fn allreduce_majority(
+    topology: PlanTopology,
+    signs: &[SignVec],
+    wire: SumWire,
+    inj: &mut FaultInjector,
+) -> Result<(SignVec, Trace), SyncError> {
+    let (total, trace) = signs_walk(topology, signs, wire, true, inj)?;
+    Ok((total.majority_sign(), trace))
 }
 
 /// Compiles a topology's full schedule over `world` ranks and a `d`-length
@@ -249,7 +353,7 @@ pub fn compile_plan(
     let mut trace = Trace::new();
     let mut inert = FaultInjector::inert();
     let wire = &mut Wire::begin(inj.unwrap_or(&mut inert), &mut trace, Some(&mut plan));
-    walk_onebit::<NoOp>(topology, world, d, wire, None)?;
+    walk(topology, world, d, wire, &mut PlanOnly)?;
     plan.trace = trace;
     Ok(plan)
 }
@@ -489,7 +593,7 @@ mod tests {
     use marsit_simnet::FaultPlan;
     use marsit_tensor::rng::FastRng;
 
-    use crate::ring::{ring_allreduce_onebit, ring_allreduce_onebit_faulty};
+    use crate::ring::ring_allreduce_onebit;
     use crate::segring::segring_allreduce_onebit;
     use crate::torus::torus_allreduce_onebit;
     use crate::tree::tree_allreduce_onebit;
@@ -596,8 +700,13 @@ mod tests {
         let inputs = signs(m, d, seed);
         let fault_plan = FaultPlan::seeded(seed).with_link_drop(0.2);
         let mut legacy_inj = fault_plan.injector(3);
-        let (legacy, _) =
-            ring_allreduce_onebit_faulty(&inputs, &mut legacy_inj, ctx_combine(seed)).unwrap();
+        let (legacy, _) = allreduce_onebit(
+            PlanTopology::Ring,
+            &inputs,
+            &mut legacy_inj,
+            ctx_combine(seed),
+        )
+        .unwrap();
         let mut engine_inj = fault_plan.injector(3);
         let plan = compile_plan(PlanTopology::Ring, m, d, Some(&mut engine_inj)).unwrap();
         let out = run_lockstep(&plan, &inputs, link(), ctx_combine(seed)).unwrap();

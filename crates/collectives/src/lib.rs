@@ -3,21 +3,49 @@
 //! Implements the communication *schedules* the paper assumes —
 //! bit-exact, in-process, with per-hop transfer tracing:
 //!
-//! - [`ring`]: ring all-reduce (RAR) for `f32` sums, growing integer
-//!   sign-sums (the MAR extensions of signSGD baselines), and one-bit
-//!   payloads with a pluggable combine operator (where Marsit's `⊙` lives);
-//! - [`torus`]: 2D-torus all-reduce (TAR) versions of the same three;
+//! - [`ring`] / [`torus`]: ring all-reduce (RAR) and 2D-torus all-reduce
+//!   (TAR), the two schedules of the paper's evaluation;
 //! - [`tree`] / [`segring`]: the extension paradigms the paper names
-//!   (binary-tree all-reduce and segmented-ring all-reduce), with one-bit
-//!   variants proving Marsit composes over them too;
+//!   (binary-tree all-reduce and segmented-ring all-reduce);
+//! - [`engine`]: the one topology dispatch ([`allreduce_sum`],
+//!   [`allreduce_signsum`], [`allreduce_majority`], [`allreduce_onebit`]),
+//!   and the same one-bit schedules compiled to a plan and run over a real
+//!   transport;
 //! - [`gossip`]: decentralized neighbour averaging, the slow-consensus
 //!   baseline the introduction contrasts with MAR;
 //! - [`ps`]: parameter-server exchanges for the single-hop baselines;
 //! - [`reconfigure`]: elastic-membership topology re-formation (torus →
 //!   survivor ring, ring re-expansion, lone-survivor and empty terminal
-//!   modes) plus the typed [`SyncError`] the fault-aware schedules surface;
+//!   modes) plus the typed [`SyncError`] the schedules surface;
 //! - [`trace`]: what actually crossed the wire, priceable with
 //!   `marsit_simnet`'s α–β model.
+//!
+//! # Schedules and payloads
+//!
+//! The paper's comparison is one schedule carrying different payloads, and
+//! so is the code: each all-reduce topology has **one** function that
+//! enumerates its hops and keeps the books — fates, per-cell aggregation
+//! counts, combine contexts, trace, hop telemetry — without reading a
+//! payload element, generic (monomorphised) over what the hops carry:
+//!
+//! | payload | bytes of a cell on the wire | reduce hop | gather hop |
+//! |---|---|---|---|
+//! | `f32` sums, in place on the callers' buffers | `4 · elems` | `dst[x] += src[x]` | `dst[x] = src[x]` |
+//! | growing integer sign-sums (signSGD / SSDM / EF-signSGD under MAR) | [`SumWire`] of the sender's cell before the merge | `dst[x] += src[x]` | at the width of the reduced sums; a majority vote gathers one-bit votes |
+//! | one-bit signs (Marsit) | `⌈elems / 8⌉.max(1)` | the caller's [`StepCombine`] (`⊙`) | one bit per coordinate |
+//!
+//! # Faults
+//!
+//! Every payload on every all-reduce topology takes a
+//! [`FaultInjector`](marsit_simnet::FaultInjector), with the same meaning.
+//! Reduce transfers are best-effort: one that exhausts its retry budget is
+//! *omitted* — the receiver keeps its aggregate and its count, so the result
+//! degrades toward an aggregate over what arrived, every [`CombineCtx`] still
+//! reports the exact number of workers on each side (`⊙` stays unbiased),
+//! and a sign-sum's count is what was actually folded. Gather and broadcast
+//! transfers are reliable, so all workers agree on the result.
+//! Retransmissions appear as extra trace steps and as `hop` events that
+//! rebuild the trace. An inert injector gives the clean schedule.
 //!
 //! # Examples
 //!
@@ -33,6 +61,7 @@
 
 pub mod engine;
 pub mod gossip;
+mod payload;
 pub mod ps;
 pub mod reconfigure;
 pub mod ring;
@@ -42,8 +71,8 @@ pub mod trace;
 pub mod tree;
 
 pub use engine::{
-    allreduce_onebit, compile_plan, run_lockstep, run_rank, run_threaded, EnginePlan, PlanTopology,
-    PlannedTransfer,
+    allreduce_majority, allreduce_onebit, allreduce_signsum, allreduce_sum, compile_plan,
+    run_lockstep, run_rank, run_threaded, EnginePlan, PlanTopology, PlannedTransfer,
 };
 pub use reconfigure::{DegradedMode, EffectiveTopology, SyncError, TopologyReconfigurer};
 pub use ring::{CombineCtx, PlannedHop, RingOnebitScratch, StepCombine, SumWire};

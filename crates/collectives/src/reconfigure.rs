@@ -42,18 +42,6 @@ pub enum SyncError {
         /// The offending length.
         got: usize,
     },
-    /// The aggregation-count slice does not have one entry per input.
-    CountMismatch {
-        /// Number of inputs.
-        expected: usize,
-        /// Number of counts supplied.
-        got: usize,
-    },
-    /// An input claimed to aggregate zero workers.
-    ZeroCount {
-        /// Index of the offending input.
-        worker: usize,
-    },
     /// A torus was requested with an impossible shape.
     BadShape {
         /// Requested row count.
@@ -82,12 +70,6 @@ impl std::fmt::Display for SyncError {
             }
             Self::LengthMismatch { expected, got } => {
                 write!(f, "payload length mismatch: expected {expected}, got {got}")
-            }
-            Self::CountMismatch { expected, got } => {
-                write!(f, "need {expected} aggregation counts, got {got}")
-            }
-            Self::ZeroCount { worker } => {
-                write!(f, "input {worker} has a zero aggregation count")
             }
             Self::BadShape {
                 rows,

@@ -4,8 +4,9 @@
 //! worker splits its payload into `M` segments; `M−1` *reduce* steps
 //! pipeline partial aggregates around the ring so that worker `w` ends up
 //! owning the fully reduced segment `(w+1) mod M`, then `M−1` *gather* steps
-//! circulate the reduced segments to everyone. This module implements the
-//! schedule for the three payload types the paper needs:
+//! circulate the reduced segments to everyone. One function enumerates those
+//! hops for whatever they carry (see the [crate docs](crate#schedules-and-payloads));
+//! the entry points here are that walk with a payload filled in:
 //!
 //! - [`ring_allreduce_sum`] — `f32` sums (PSGD and Marsit's periodic
 //!   full-precision synchronization);
@@ -17,15 +18,22 @@
 //!   exactly one bit per coordinate.
 //!
 //! Every function returns a [`Trace`] of the bytes actually transferred.
+//! This module also holds what every topology's walk is made of: the wire
+//! transfers go out on and the per-cell bookkeeping of a reduce or gather
+//! step.
 
 use std::ops::Range;
 
-use marsit_compress::SignSumVec;
+use marsit_compress::{elias, SignSumVec};
 use marsit_simnet::FaultInjector;
 use marsit_telemetry::{Hop, HopRecorder};
 use marsit_tensor::SignVec;
 
-use crate::engine::{allreduce_onebit, EnginePlan, PlanTopology, PlannedTransfer};
+use crate::engine::{
+    allreduce_majority, allreduce_onebit, allreduce_signsum, allreduce_sum, onebit_walk,
+    signsum_walk, EnginePlan, PlanTopology, PlannedTransfer,
+};
+use crate::payload::{At, Payload, SignCells, Signs};
 use crate::reconfigure::SyncError;
 use crate::trace::Trace;
 
@@ -94,12 +102,29 @@ impl SumWire {
     /// Wire bytes of a sign-sum payload under this encoding.
     #[must_use]
     pub fn wire_bytes(self, sums: &SignSumVec) -> usize {
+        self.bytes_of(sums.sums(), sums.count() as usize)
+    }
+
+    /// Wire bytes of raw `sums` over `count` workers: what
+    /// [`SignSumVec::elias_bits`] / [`SignSumVec::fixed_width_bits`] count,
+    /// on a borrowed cell.
+    pub(crate) fn bytes_of(self, sums: &[i32], count: usize) -> usize {
         let bits = match self {
-            Self::Elias => sums.elias_bits(),
-            Self::FixedWidth => sums.fixed_width_bits(),
+            Self::Elias => sums
+                .iter()
+                .map(|&s| elias::gamma_len(elias::zigzag(i64::from(s)) + 1))
+                .sum(),
+            Self::FixedWidth => sums.len() * SignSumVec::bits_per_coord(count as u32),
         };
         bits.div_ceil(8)
     }
+}
+
+/// Unwraps the result of a walk on a fabric that never faults, where the
+/// only errors left are the caller's: a shape the schedule cannot run on, or
+/// inputs of differing lengths.
+pub(crate) fn clean<T>(result: Result<T, SyncError>) -> T {
+    result.unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// In-place ring all-reduce summing `f32` payloads.
@@ -113,8 +138,25 @@ impl SumWire {
 ///
 /// Panics if fewer than 2 workers or payload lengths differ.
 pub fn ring_allreduce_sum(data: &mut [Vec<f32>]) -> Trace {
-    assert!(data.len() >= 2, "ring all-reduce needs at least 2 workers");
-    ring_allreduce_sum_faulty(data, &mut FaultInjector::inert()).expect("payload lengths differ")
+    clean(ring_allreduce_sum_faulty(data, &mut FaultInjector::inert()))
+}
+
+/// [`ring_allreduce_sum`] under fault injection (see the
+/// [crate docs](crate#faults)): an omitted reduce transfer's partial
+/// aggregate is simply not folded in, so the result degrades toward a
+/// partial sum, and every worker still ends with identical payloads. With an
+/// inert injector this produces exactly the [`ring_allreduce_sum`] result
+/// and trace.
+///
+/// # Errors
+///
+/// Returns [`SyncError::TooFewWorkers`] for fewer than 2 workers and
+/// [`SyncError::LengthMismatch`] if payload lengths differ.
+pub fn ring_allreduce_sum_faulty(
+    data: &mut [Vec<f32>],
+    inj: &mut FaultInjector,
+) -> Result<Trace, SyncError> {
+    allreduce_sum(PlanTopology::Ring, data, inj)
 }
 
 /// Ring all-reduce of sign vectors into a global **majority vote**.
@@ -128,21 +170,8 @@ pub fn ring_allreduce_sum(data: &mut [Vec<f32>]) -> Trace {
 ///
 /// Panics if fewer than 2 workers or sign lengths differ.
 pub fn ring_allreduce_majority(signs: &[SignVec], wire: SumWire) -> (SignVec, Trace) {
-    let parts: Vec<SignSumVec> = signs.iter().map(SignSumVec::from_signs).collect();
-    let (sums, mut trace) = ring_reduce_scatter_sums(&parts, wire);
-    // Vote per owned segment, then gather the 1-bit votes.
-    let m = signs.len();
-    let d = signs[0].len();
-    let segs = segment_ranges(d, m);
-    let mut result = SignVec::zeros(d);
-    for (owner_seg, sum) in sums.iter().enumerate() {
-        result.splice(segs[owner_seg].start, &sum.majority_sign());
-    }
-    for _ in 0..m - 1 {
-        let step: Vec<usize> = (0..m).map(|w| segs[w].len().div_ceil(8).max(1)).collect();
-        trace.push_step(step);
-    }
-    (result, trace)
+    let inj = &mut FaultInjector::inert();
+    clean(allreduce_majority(PlanTopology::Ring, signs, wire, inj))
 }
 
 /// Ring all-reduce of sign vectors into the global **sign sums**.
@@ -155,75 +184,23 @@ pub fn ring_allreduce_majority(signs: &[SignVec], wire: SumWire) -> (SignVec, Tr
 ///
 /// Panics if fewer than 2 workers or sign lengths differ.
 pub fn ring_allreduce_signsum(signs: &[SignVec], wire: SumWire) -> (SignSumVec, Trace) {
-    let parts: Vec<SignSumVec> = signs.iter().map(SignSumVec::from_signs).collect();
-    ring_allreduce_signsum_parts(&parts, wire)
+    let inj = &mut FaultInjector::inert();
+    clean(allreduce_signsum(PlanTopology::Ring, signs, wire, inj))
 }
 
-/// [`ring_allreduce_signsum`] over *partial* sums (inputs may already
-/// aggregate several workers each, as in the vertical phase of a 2D torus).
+/// [`ring_allreduce_signsum`] over *partial* sums: input `w` already
+/// aggregates `parts[w].count()` workers, and the byte widths of every hop
+/// grow from there.
 ///
 /// # Panics
 ///
 /// Panics if fewer than 2 workers or payload lengths differ.
 pub fn ring_allreduce_signsum_parts(parts: &[SignSumVec], wire: SumWire) -> (SignSumVec, Trace) {
-    let (sums, mut trace) = ring_reduce_scatter_sums(parts, wire);
-    let m = parts.len();
-    let d = parts[0].len();
-    let segs = segment_ranges(d, m);
-    // Assemble the full sum vector from the per-segment owners.
-    let mut flat = vec![0i32; d];
-    for (owner_seg, sum) in sums.iter().enumerate() {
-        let range = segs[owner_seg].clone();
-        flat[range.clone()].copy_from_slice(sum.sums());
-    }
-    let total_count: u32 = parts.iter().map(SignSumVec::count).sum();
-    let total = SignSumVec::from_parts(flat, total_count);
-    // Gather: each hop re-transmits the final per-segment sums.
-    for _ in 0..m - 1 {
-        let step: Vec<usize> = sums.iter().map(|s| wire.wire_bytes(s)).collect();
-        trace.push_step(step);
-    }
-    (total, trace)
-}
-
-/// Reduce-scatter of sign sums: returns, per segment index, the full sum of
-/// that segment across workers (held by its owner), plus the reduce trace.
-fn ring_reduce_scatter_sums(parts: &[SignSumVec], wire: SumWire) -> (Vec<SignSumVec>, Trace) {
-    let m = parts.len();
-    assert!(m >= 2, "ring all-reduce needs at least 2 workers");
-    let d = parts[0].len();
-    assert!(parts.iter().all(|v| v.len() == d), "payload lengths differ");
-    let segs = segment_ranges(d, m);
-    // state[w][s]: worker w's partial sum of segment s.
-    let mut state: Vec<Vec<SignSumVec>> = parts
-        .iter()
-        .map(|v| {
-            segs.iter()
-                .map(|r| SignSumVec::from_parts(v.sums()[r.clone()].to_vec(), v.count()))
-                .collect()
-        })
-        .collect();
-    let mut trace = Trace::new();
-    for r in 0..m - 1 {
-        let mut step_bytes = Vec::with_capacity(m);
-        for w in 0..m {
-            let n = (w + 1) % m;
-            let s = (w + m - (r % m)) % m;
-            step_bytes.push(wire.wire_bytes(&state[w][s]));
-            let sent = state[w][s].clone();
-            state[n][s].merge(&sent);
-        }
-        trace.push_step(step_bytes);
-    }
-    // Owner of segment s is worker (s + m − 1) mod m (so that worker w owns
-    // segment (w+1) mod m).
-    let owned: Vec<SignSumVec> = (0..m)
-        .map(|s| {
-            let owner = (s + m - 1) % m;
-            state[owner][s].clone()
-        })
-        .collect();
-    (owned, trace)
+    let count_of = |w: usize| parts[w].count() as usize;
+    let inj = &mut FaultInjector::inert();
+    clean(signsum_walk(parts, wire, false, inj, |m, d, wire, sums| {
+        ring_exec(m, d, count_of, 0, wire, &mut Book::default(), sums)
+    }))
 }
 
 /// Ring all-reduce of one-bit payloads with a caller-supplied combine.
@@ -243,16 +220,13 @@ pub fn ring_allreduce_onebit<F>(signs: &[SignVec], combine: F) -> (SignVec, Trac
 where
     F: FnMut(&SignVec, &mut SignVec, CombineCtx),
 {
-    ring_allreduce_onebit_weighted(signs, 1, combine)
+    let inj = &mut FaultInjector::inert();
+    clean(allreduce_onebit(PlanTopology::Ring, signs, inj, combine))
 }
 
 /// [`ring_allreduce_onebit`] where each input vector already represents an
-/// aggregate over `unit` workers (the vertical phase of a 2D torus feeds
-/// row aggregates here). Combine contexts report
+/// aggregate over `unit` workers. Combine contexts report
 /// `received_count = (step+1)·unit` and `local_count = unit`.
-///
-/// This is the fault-aware schedule ([`ring_allreduce_onebit_planned`]'s)
-/// on a fabric that never faults, a closure standing in for the operator.
 ///
 /// # Panics
 ///
@@ -267,41 +241,10 @@ where
     F: FnMut(&SignVec, &mut SignVec, CombineCtx),
 {
     assert!(unit > 0, "unit must be positive");
-    assert!(signs.len() >= 2, "ring all-reduce needs at least 2 workers");
-    let (mut out, mut trace) = (SignVec::zeros(0), Trace::new());
-    let fold = Fold {
-        signs,
-        op: &mut ClosureOp(combine),
-        out: &mut out,
-    };
-    let (m, d) = shape_of(signs);
     let inj = &mut FaultInjector::inert();
-    let wire = &mut Wire::begin(inj, &mut trace, None);
-    let scratch = &mut RingOnebitScratch::new();
-    ring_onebit_exec(m, d, |_| unit, 0, wire, scratch, Some(fold)).expect("sign lengths differ");
-    (out, trace)
-}
-
-/// [`ring_allreduce_onebit`] under fault injection: the closure form of
-/// [`ring_allreduce_onebit_planned`], which documents the fault semantics.
-///
-/// # Errors
-///
-/// Returns a [`SyncError`] if fewer than 2 workers or sign lengths differ.
-///
-/// # Panics
-///
-/// Panics if the combine changes the local vector's length (a programmer
-/// error in the closure, not a runtime condition).
-pub fn ring_allreduce_onebit_faulty<F>(
-    signs: &[SignVec],
-    inj: &mut FaultInjector,
-    combine: F,
-) -> Result<(SignVec, Trace), SyncError>
-where
-    F: FnMut(&SignVec, &mut SignVec, CombineCtx),
-{
-    allreduce_onebit(PlanTopology::Ring, signs, inj, combine)
+    clean(onebit_walk(signs, inj, combine, |m, d, wire, payload| {
+        ring_exec(m, d, |_| unit, 0, wire, &mut Book::default(), payload)
+    }))
 }
 
 /// A step-planned one-bit combine operator for the one-bit schedules.
@@ -333,60 +276,18 @@ impl<F: FnMut(&SignVec, &mut SignVec, CombineCtx)> StepCombine for ClosureOp<F> 
     }
 }
 
-/// The operator type of a walk that folds nothing.
-pub(crate) type NoOp = ClosureOp<fn(&SignVec, &mut SignVec, CombineCtx)>;
-
-/// The data half of a one-bit walk: the inputs, the operator folding them
-/// hop by hop, and where the consensus lands. A walk handed `None` is the
-/// bookkeeping half alone — hop order, fates, aggregation counts, combine
-/// contexts, trace, hop telemetry, the recorded plan — which never reads a
-/// payload bit.
-pub(crate) struct Fold<'a, O> {
-    pub(crate) signs: &'a [SignVec],
-    pub(crate) op: &'a mut O,
-    pub(crate) out: &'a mut SignVec,
+/// `(workers, elements)` of a set of inputs: the shape a walk over them has.
+pub(crate) fn shape_of<T>(inputs: &[T], len: fn(&T) -> usize) -> (usize, usize) {
+    (inputs.len(), inputs.first().map_or(0, len))
 }
 
-impl<O> Fold<'_, O> {
-    /// Checks that every input is `d` bits and sizes the consensus buffer
-    /// (every bit of `[0, d)` is spliced over later, so stale contents never
-    /// leak).
-    pub(crate) fn begin(fold: &mut Option<Self>, d: usize) -> Result<(), SyncError> {
-        let Some(fold) = fold else { return Ok(()) };
-        if let Some(bad) = fold.signs.iter().find(|v| v.len() != d) {
-            return Err(SyncError::LengthMismatch {
-                expected: d,
-                got: bad.len(),
-            });
-        }
-        if fold.out.len() != d {
-            *fold.out = SignVec::zeros(d);
-        }
-        Ok(())
-    }
-}
-
-/// `(workers, bits)` of a set of inputs: the shape a walk over them has.
-pub(crate) fn shape_of(signs: &[SignVec]) -> (usize, usize) {
-    (signs.len(), signs.first().map_or(0, SignVec::len))
-}
-
-/// Reusable buffers for the one-bit schedules: the `(worker, segment)` grid
-/// of working cells (the data half) and, for the bookkeeping half, the cells'
-/// aggregation counts, the segment ranges and the step plan. Holding one of
-/// these across rounds makes the collective allocation-free in steady state.
+/// Reusable buffers for [`ring_allreduce_onebit_planned`]: the working cells
+/// and the walk's books. Holding one of these across rounds makes the
+/// collective allocation-free in steady state.
 #[derive(Debug, Clone, Default)]
 pub struct RingOnebitScratch {
-    /// `state[w][s]`: worker `w`'s working copy of segment `s`.
-    pub(crate) state: Vec<Vec<SignVec>>,
-    /// `counts[w][s]`: workers aggregated in `state[w][s]`.
-    pub(crate) counts: Vec<Vec<usize>>,
-    /// Segment bit ranges for the current `(d, segments)`.
-    pub(crate) segs: Vec<Range<usize>>,
-    /// Plan handed to [`StepCombine::step_begin`] each step.
-    plan: Vec<PlannedHop>,
-    /// `(sender, receiver, segment)` grid coordinates of `plan`'s hops.
-    hops: Vec<(usize, usize, usize)>,
+    cells: SignCells,
+    book: Book,
 }
 
 impl RingOnebitScratch {
@@ -395,18 +296,32 @@ impl RingOnebitScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Shapes the grid for `workers` inputs of `d` bits in `segments` cells
-    /// each, worker `w`'s counts starting at `count_of(w)`, and cuts `fold`'s
-    /// inputs (if the walk has any) into the cells — reusing cell buffers;
-    /// every cell is reassigned in full.
-    pub(crate) fn load<O>(
+/// The books of one grid of `(worker, segment)` cells — the half of a walk
+/// that never reads a payload element: the cells' aggregation counts, the
+/// segment ranges and the step plan.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Book {
+    /// `counts[w][s]`: workers aggregated in worker `w`'s cell of segment `s`.
+    pub(crate) counts: Vec<Vec<usize>>,
+    /// Segment ranges for the current `(d, segments)`.
+    pub(crate) segs: Vec<Range<usize>>,
+    /// Plan handed to [`Payload::step_begin`] each step.
+    plan: Vec<PlannedHop>,
+    /// `(sender, receiver, segment)` grid coordinates of `plan`'s hops.
+    hops: Vec<(usize, usize, usize)>,
+}
+
+impl Book {
+    /// Shapes the grid for `workers` inputs of `d` elements in `segments`
+    /// cells each, worker `w`'s counts starting at `count_of(w)`.
+    pub(crate) fn load(
         &mut self,
         workers: usize,
         d: usize,
         segments: usize,
         count_of: impl Fn(usize) -> usize,
-        fold: &Option<Fold<'_, O>>,
     ) {
         if self.segs.len() != segments || self.segs.last().is_none_or(|r| r.end != d) {
             self.segs.clear();
@@ -417,34 +332,37 @@ impl RingOnebitScratch {
             counts.clear();
             counts.resize(segments, count_of(w));
         }
-        let Some(fold) = fold else { return };
-        self.state.resize_with(workers, Vec::new);
-        for (row, v) in self.state.iter_mut().zip(fold.signs) {
-            row.resize_with(segments, || SignVec::zeros(0));
-            for (cell, r) in row.iter_mut().zip(&self.segs) {
-                cell.assign_slice_of(v, r.start, r.len());
-            }
+    }
+
+    fn at(&self, frame: Frame, (w, n, s): (usize, usize, usize)) -> At<'_> {
+        let range = &self.segs[s];
+        At {
+            frame,
+            w,
+            n,
+            s,
+            range,
         }
     }
 
     /// One reduce step over `hops` = `(sender, receiver, segment)`, in
-    /// schedule order. Every hop's fate is drawn first (combines never touch
-    /// the injector, so its call order is the sequential one), its attempts
-    /// are traced, emitted and recorded, and the delivered hops form the
-    /// step's plan. Their counts are exact up front: within one step no cell
-    /// is both a source and a destination, and none is touched twice. Each
+    /// schedule order. Every hop's fate is drawn first (folds never touch
+    /// the injector, so its call order is the sequential one) at the wire
+    /// size of the sender's cell before any merge; its attempts are traced,
+    /// emitted and recorded, and the delivered hops form the step's plan.
+    /// Their counts are exact up front: within one step no cell is both a
+    /// source and a destination, and none is touched twice. Each
     /// destination's count then absorbs its source's — an omitted hop leaves
     /// the receiver's aggregate and count as they were, which keeps `⊙`
-    /// unbiased over what actually arrived — and `fold`'s operator, if the
-    /// walk has one, runs the plan's combines in order through split borrows
-    /// of the grid. Contexts name segment `seg_shift + s`.
-    pub(crate) fn reduce_step<O: StepCombine>(
+    /// unbiased over what actually arrived — and the payload folds the
+    /// plan's hops in order. Contexts name segment `seg_shift + s`.
+    pub(crate) fn reduce_step<P: Payload>(
         &mut self,
         step: usize,
         hops: impl Iterator<Item = (usize, usize, usize)>,
         seg_shift: usize,
         wire: &mut Wire<'_>,
-        fold: &mut Option<Fold<'_, O>>,
+        payload: &mut P,
     ) {
         wire.open_step();
         self.plan.clear();
@@ -457,8 +375,10 @@ impl RingOnebitScratch {
                 received_count: self.counts[w][s],
                 local_count: self.counts[n][s],
             };
-            if wire.onebit(step, w, n, s, &self.segs[s], Some(ctx)) {
-                let elems = self.segs[s].len();
+            let at = self.at(wire.frame, (w, n, s));
+            let bytes = payload.wire_bytes(at, ctx.received_count, true);
+            if wire.put(step, at, bytes, Some(ctx)) {
+                let elems = at.range.len();
                 self.plan.push(PlannedHop { ctx, elems });
                 self.hops.push((w, n, s));
             }
@@ -466,24 +386,52 @@ impl RingOnebitScratch {
         for (hop, &(_, n, s)) in self.plan.iter().zip(&self.hops) {
             self.counts[n][s] += hop.ctx.received_count;
         }
-        let Some(fold) = fold else { return };
-        fold.op.step_begin(&self.plan);
-        for (idx, (hop, &(w, n, s))) in self.plan.iter().zip(&self.hops).enumerate() {
-            let (src, dst) = split_pair(&mut self.state, w, n);
-            fold.op.combine(idx, &src[s], &mut dst[s], hop.ctx);
-            assert_eq!(dst[s].len(), hop.elems, "combine changed segment length");
+        payload.step_begin(&self.plan);
+        for (idx, (hop, &cells)) in self.plan.iter().zip(&self.hops).enumerate() {
+            payload.fold(idx, self.at(wire.frame, cells), hop.ctx);
         }
+    }
+
+    /// Segment `s` is fully reduced at `owner`.
+    pub(crate) fn reduced<P: Payload>(
+        &self,
+        owner: usize,
+        s: usize,
+        wire: &Wire<'_>,
+        payload: &mut P,
+    ) {
+        let at = self.at(wire.frame, (owner, owner, s));
+        payload.reduced(at, self.counts[owner][s]);
+    }
+
+    /// One gather or broadcast transfer of the open step: reliable, at the
+    /// wire size of the sender's cell, after which the receiver's cell is
+    /// the sender's, count included.
+    pub(crate) fn copy_hop<P: Payload>(
+        &mut self,
+        step: usize,
+        (w, n, s): (usize, usize, usize),
+        wire: &mut Wire<'_>,
+        payload: &mut P,
+    ) {
+        let at = self.at(wire.frame, (w, n, s));
+        let bytes = payload.wire_bytes(at, self.counts[w][s], false);
+        wire.put(step, at, bytes, None);
+        payload.copy(at);
+        self.counts[n][s] = self.counts[w][s];
     }
 }
 
 /// Where a sub-walk's workers and coordinates sit in the whole collective:
-/// its worker `i` is global worker `base + stride·i`, its bit `x` is bit
-/// `start + x` of the full payload.
+/// its worker `i` is global worker `base + stride·i`, its element `x` is
+/// element `start + x` of the full payload, and what it reduces is cell
+/// `cell` of the top-level walk's grid (`None`: it is the top-level walk).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Frame {
     pub(crate) base: usize,
     pub(crate) stride: usize,
     pub(crate) start: usize,
+    pub(crate) cell: Option<usize>,
 }
 
 impl Frame {
@@ -492,9 +440,10 @@ impl Frame {
         base: 0,
         stride: 1,
         start: 0,
+        cell: None,
     };
 
-    fn global(self, worker: usize) -> usize {
+    pub(crate) fn global(self, worker: usize) -> usize {
         self.base + self.stride * worker
     }
 }
@@ -503,18 +452,18 @@ impl Frame {
 /// transfer's fate, the trace its attempts land in, the hop recorder, and —
 /// when the walk is being compiled — the plan its transfers are recorded in.
 pub(crate) struct Wire<'a> {
-    pub(crate) inj: &'a mut FaultInjector,
+    inj: &'a mut FaultInjector,
     pub(crate) trace: &'a mut Trace,
     pub(crate) rec: HopRecorder,
     plan: Option<&'a mut EnginePlan>,
-    frame: Frame,
+    pub(crate) frame: Frame,
     /// Trace slot the first attempts of the open logical step ride.
     base: usize,
 }
 
 impl<'a> Wire<'a> {
-    /// Starts a walk on an empty `trace`, recording its one-bit transfers
-    /// into `plan` if one is given.
+    /// Starts a walk on an empty `trace`, recording its transfers into
+    /// `plan` if one is given.
     pub(crate) fn begin(
         inj: &'a mut FaultInjector,
         trace: &'a mut Trace,
@@ -564,35 +513,9 @@ impl<'a> Wire<'a> {
         }
     }
 
-    /// Puts one logical transfer on the wire and returns whether it arrived.
-    /// `hop` describes its first attempt, in the slot the logical step opened
-    /// at; attempt `a` rides `a − 1` slots later, in the trace
-    /// ([`Trace::record_attempts`]) and in the emitted `hop` events alike, and
-    /// only the final attempt of a delivered transfer is marked delivered. A
-    /// best-effort transfer that exhausts its retry budget is an omission; a
-    /// `reliable` one is forced through.
-    pub(crate) fn transfer(&mut self, reliable: bool, mut hop: Hop) -> bool {
-        let fate = if reliable {
-            self.inj.transfer_reliable()
-        } else {
-            self.inj.transfer()
-        };
-        self.trace
-            .record_attempts(hop.expanded_step, hop.bytes, fate.attempts);
-        if self.rec.is_active() {
-            for a in 1..=fate.attempts {
-                hop.attempt = a;
-                hop.delivered = fate.delivered && a == fate.attempts;
-                self.rec.hop(&hop);
-                hop.expanded_step += 1;
-            }
-        }
-        fate.delivered
-    }
-
-    /// Opens the next logical step of a one-bit schedule: its transfers'
-    /// first attempts ride the next free trace slot, and a recorded plan gets
-    /// its next engine step.
+    /// Opens the next logical step of a schedule: its transfers' first
+    /// attempts ride the next free trace slot, and a recorded plan gets its
+    /// next engine step.
     pub(crate) fn open_step(&mut self) {
         self.base = self.trace.num_steps();
         if let Some(plan) = &mut self.plan {
@@ -600,72 +523,81 @@ impl<'a> Wire<'a> {
         }
     }
 
-    /// One transfer of the open step: bits `range` of this walk's payload
-    /// (its segment `segment`) from `sender` to `receiver`, one bit per
-    /// coordinate. A reduce hop carries the context its combine would run
-    /// with and is best-effort; a copy (`combine == None`, the gather and
-    /// broadcast phases) is reliable. Returns whether it arrived.
-    pub(crate) fn onebit(
+    /// The one function that puts a transfer on the wire: the `bytes` of
+    /// `at`'s cell from its sender to its receiver, in the open step, and
+    /// whether it arrived. A reduce hop carries the context its fold would
+    /// run with and is best-effort — one that exhausts its retry budget is
+    /// an omission; a copy (`combine == None`, the gather and broadcast
+    /// phases) is reliable and forced through. The first attempt rides the
+    /// slot the logical step opened at and attempt `a` rides `a − 1` slots
+    /// later, in the trace ([`Trace::record_attempts`]) and in the emitted
+    /// `hop` events alike; only the final attempt of a delivered transfer is
+    /// marked delivered.
+    pub(crate) fn put(
         &mut self,
         step: usize,
-        sender: usize,
-        receiver: usize,
-        segment: usize,
-        range: &Range<usize>,
+        at: At<'_>,
+        bytes: usize,
         combine: Option<CombineCtx>,
     ) -> bool {
-        let elems = range.len();
-        let hop = Hop {
-            expanded_step: self.base,
-            step,
-            phase: if combine.is_some() {
-                "reduce"
-            } else {
-                "gather"
-            },
-            sender,
-            receiver,
-            segment,
-            elems,
-            bytes: elems.div_ceil(8).max(1),
-            attempt: 1,
-            delivered: true,
+        let fate = if combine.is_some() {
+            self.inj.transfer()
+        } else {
+            self.inj.transfer_reliable()
         };
-        let delivered = self.transfer(combine.is_none(), hop);
+        self.trace.record_attempts(self.base, bytes, fate.attempts);
+        let elems = at.range.len();
+        if self.rec.is_active() {
+            let mut hop = Hop {
+                expanded_step: self.base,
+                step,
+                phase: if combine.is_some() {
+                    "reduce"
+                } else {
+                    "gather"
+                },
+                sender: at.w,
+                receiver: at.n,
+                segment: at.s,
+                elems,
+                bytes,
+                attempt: 1,
+                delivered: true,
+            };
+            for a in 1..=fate.attempts {
+                hop.attempt = a;
+                hop.delivered = fate.delivered && a == fate.attempts;
+                self.rec.hop(&hop);
+                hop.expanded_step += 1;
+            }
+        }
         if let Some(plan) = &mut self.plan {
             plan.transfers.push(PlannedTransfer {
                 step: plan.num_steps - 1,
-                sender: self.frame.global(sender),
-                receiver: self.frame.global(receiver),
-                start: self.frame.start + range.start,
+                sender: self.frame.global(at.w),
+                receiver: self.frame.global(at.n),
+                start: self.frame.start + at.range.start,
                 len: elems,
                 combine,
-                delivered,
+                delivered: fate.delivered,
             });
         }
-        delivered
+        fate.delivered
     }
 }
 
-/// The one-bit ring all-reduce: fault-aware and allocation-free in steady
-/// state. Every input counts as one worker.
+/// The one-bit ring all-reduce on caller-owned buffers: fault-aware (see the
+/// [crate docs](crate#faults)) and allocation-free in steady state. Every
+/// input counts as one worker.
 ///
 /// **Schedule.** Worker `w` holds `m` segment cells; in reduce step `r` it
 /// sends segment `(w − r) mod m` to worker `w + 1`, whose
 /// [`StepCombine::combine`] folds it into its own cell; after `m − 1` steps
 /// worker `w` owns the fully reduced segment `w + 1`, and `m − 1` gather steps
 /// circulate the reduced segments (traced, not executed: the consensus is
-/// assembled into `out` directly).
-///
-/// **Faults.** Aggregation counts are tracked per `(worker, segment)` cell
-/// rather than derived from the step index: a reduce transfer that exhausts
-/// its retry budget is *omitted* — the receiver keeps its aggregate and its
-/// count — so every [`CombineCtx`] reports the exact number of workers on
-/// each side and `⊙` stays unbiased over what actually arrived. Gather
-/// transfers are reliable, so all workers agree on the result.
-/// Retransmissions appear as extra trace steps. With an inert injector every
-/// transfer is delivered first try and the contexts are the clean
-/// schedule's `received_count = step + 1`, `local_count = 1`.
+/// assembled into `out` directly). With an inert injector every transfer is
+/// delivered first try and the contexts are the clean schedule's
+/// `received_count = step + 1`, `local_count = 1`.
 ///
 /// **Buffers.** State comes from `scratch`, the consensus is written into
 /// `out` and the trace into `trace` (reset first, slots recycled — see
@@ -687,146 +619,60 @@ pub fn ring_allreduce_onebit_planned<O: StepCombine>(
     trace: &mut Trace,
     op: &mut O,
 ) -> Result<(), SyncError> {
-    let (m, d) = shape_of(signs);
+    let RingOnebitScratch { cells, book } = scratch;
+    let payload = &mut Signs {
+        signs,
+        op,
+        out,
+        cells,
+    };
+    let (m, d) = shape_of(signs, SignVec::len);
     let wire = &mut Wire::begin(inj, trace, None);
-    ring_onebit_exec(m, d, |_| 1, 0, wire, scratch, Some(Fold { signs, op, out }))
+    ring_exec(m, d, |_| 1, 0, wire, book, payload)
 }
 
-/// The one function that enumerates a one-bit ring's hops: `m` workers
-/// all-reducing `d` bits over `wire`, with or without the data half (see
-/// [`Fold`]). `count_of(w)` is how many workers input `w` already aggregates
-/// (the vertical phase of a torus feeds row aggregates here) and `seg_shift`
-/// offsets the segment ids in combine contexts (a segmented ring namespaces
-/// its pipelines' RNG streams this way). Contexts use ring positions as
-/// receiver ids.
-pub(crate) fn ring_onebit_exec<O: StepCombine>(
+/// The one function that enumerates a ring's hops, whatever they carry: `m`
+/// workers all-reducing `d` elements of `payload` over `wire`. `count_of(w)`
+/// is how many workers input `w` already aggregates (the vertical phase of a
+/// torus feeds row aggregates here) and `seg_shift` offsets the segment ids
+/// in combine contexts (a segmented ring namespaces its pipelines' RNG
+/// streams this way). Contexts use ring positions as receiver ids.
+pub(crate) fn ring_exec<P: Payload>(
     m: usize,
     d: usize,
     count_of: impl Fn(usize) -> usize,
     seg_shift: usize,
     wire: &mut Wire<'_>,
-    scratch: &mut RingOnebitScratch,
-    mut fold: Option<Fold<'_, O>>,
+    book: &mut Book,
+    payload: &mut P,
 ) -> Result<(), SyncError> {
     if m < 2 {
         return Err(SyncError::TooFewWorkers { needed: 2, got: m });
     }
-    Fold::begin(&mut fold, d)?;
-    scratch.load(m, d, m, count_of, &fold);
+    book.load(m, d, m, count_of);
+    payload.load(wire.frame, m, d, &book.segs)?;
+    // Reduce step r: worker w sends segment w − r, never the one it receives
+    // (w − 1 − r), so a step's folds touch disjoint cells.
     for r in 0..m - 1 {
         let hops = (0..m).map(|w| (w, (w + 1) % m, (w + m - r) % m));
-        scratch.reduce_step(r, hops, seg_shift, wire, &mut fold);
+        book.reduce_step(r, hops, seg_shift, wire, payload);
     }
-    // Each segment's owner holds its consensus.
-    if let Some(fold) = fold {
-        for (s, seg) in scratch.segs.iter().enumerate() {
-            fold.out
-                .splice(seg.start, &scratch.state[(s + m - 1) % m][s]);
-        }
+    // Worker w now owns the fully reduced segment w + 1.
+    for s in 0..m {
+        book.reduced((s + m - 1) % m, s, wire, payload);
     }
-    // Gather step g circulates segment s from sender (s+g+m−1) mod m — the
-    // inverse of the sum-gather's s = (w+1−g) mod m — so the traced byte list
-    // (indexed by segment) and the emitted endpoints agree.
+    // Gather step g: worker w sends segment w + 1 − g. The hops of a step
+    // are listed by sender, or rotated by g − 1 so that they come by segment
+    // — see `Payload::GATHER_BY_SENDER`, a frozen contract.
     for g in 0..m - 1 {
         wire.open_step();
-        for (s, seg) in scratch.segs.iter().enumerate() {
-            let w = (s + g + m - 1) % m;
-            wire.onebit(g, w, (w + 1) % m, s, seg, None);
+        let rotation = if P::GATHER_BY_SENDER { 0 } else { g + m - 1 };
+        for i in 0..m {
+            let w = (i + rotation) % m;
+            book.copy_hop(g, (w, (w + 1) % m, (w + 1 + m - g) % m), wire, payload);
         }
     }
     Ok(())
-}
-
-/// [`ring_allreduce_sum`] under fault injection.
-///
-/// Reduce-phase transfers are best-effort: a transfer whose retry budget is
-/// exhausted is omitted (its partial aggregate is simply not folded in, so
-/// the result degrades toward a partial sum). Gather-phase transfers are
-/// reliable — every worker still ends with identical payloads. Retransmitted
-/// attempts appear as extra sub-steps in the trace.
-///
-/// With an inert injector this produces exactly the [`ring_allreduce_sum`]
-/// result and trace.
-///
-/// # Errors
-///
-/// Returns [`SyncError::TooFewWorkers`] for fewer than 2 workers and
-/// [`SyncError::LengthMismatch`] if payload lengths differ.
-pub fn ring_allreduce_sum_faulty(
-    data: &mut [Vec<f32>],
-    inj: &mut FaultInjector,
-) -> Result<Trace, SyncError> {
-    let m = data.len();
-    if m < 2 {
-        return Err(SyncError::TooFewWorkers { needed: 2, got: m });
-    }
-    let d = data[0].len();
-    if let Some(bad) = data.iter().find(|v| v.len() != d) {
-        return Err(SyncError::LengthMismatch {
-            expected: d,
-            got: bad.len(),
-        });
-    }
-    let segs = segment_ranges(d, m);
-    let mut trace = Trace::new();
-    let mut wire = Wire::begin(inj, &mut trace, None);
-
-    // Reduce phase: after step r, segment (n−1−r) at worker n aggregates
-    // r+2 workers (fewer where a transfer was omitted).
-    for r in 0..m - 1 {
-        let base = wire.trace.num_steps();
-        for w in 0..m {
-            let n = (w + 1) % m;
-            let s = (w + m - r) % m;
-            let range = segs[s].clone();
-            let hop = Hop {
-                expanded_step: base,
-                step: r,
-                phase: "reduce",
-                sender: w,
-                receiver: n,
-                segment: s,
-                elems: range.len(),
-                bytes: range.len() * 4,
-                attempt: 1,
-                delivered: true,
-            };
-            if wire.transfer(false, hop) {
-                // Sender w's segment s is never the one w updates this step
-                // ((w−r) ≠ (w−1−r) mod m), so in-place accumulation is safe.
-                let (src, dst) = two_workers(data, w, n);
-                for (x, &y) in dst[range.clone()].iter_mut().zip(&src[range]) {
-                    *x += y;
-                }
-            }
-        }
-    }
-
-    // Gather phase: worker w owns fully reduced segment (w+1) mod m.
-    for g in 0..m - 1 {
-        let base = wire.trace.num_steps();
-        for w in 0..m {
-            let n = (w + 1) % m;
-            let s = (w + 1 + m - g) % m;
-            let range = segs[s].clone();
-            let hop = Hop {
-                expanded_step: base,
-                step: g,
-                phase: "gather",
-                sender: w,
-                receiver: n,
-                segment: s,
-                elems: range.len(),
-                bytes: range.len() * 4,
-                attempt: 1,
-                delivered: true,
-            };
-            wire.transfer(true, hop);
-            let (src, dst) = two_workers(data, w, n);
-            dst[range.clone()].copy_from_slice(&src[range]);
-        }
-    }
-    Ok(trace)
 }
 
 /// Borrows `items[src]` immutably and `items[dst]` mutably — the split
@@ -841,12 +687,6 @@ pub(crate) fn split_pair<T>(items: &mut [T], src: usize, dst: usize) -> (&T, &mu
         let (a, b) = items.split_at_mut(src);
         (&b[0], &mut a[dst])
     }
-}
-
-/// Borrows worker `src` immutably and worker `dst` mutably from `data`.
-fn two_workers(data: &mut [Vec<f32>], src: usize, dst: usize) -> (&[f32], &mut [f32]) {
-    let (src, dst) = split_pair(data, src, dst);
-    (src.as_slice(), dst.as_mut_slice())
 }
 
 #[cfg(test)]
@@ -1132,14 +972,15 @@ mod tests {
                     seed: 99,
                     planned: Vec::new(),
                 };
-                let fold = Fold {
+                let RingOnebitScratch { cells, book } = &mut scratch;
+                let payload = &mut Signs {
                     signs: &signs,
                     op: &mut op,
                     out: &mut out,
+                    cells,
                 };
                 let wire = &mut Wire::begin(&mut inj, &mut trace, None);
-                ring_onebit_exec(m, d, |_| unit, 0, wire, &mut scratch, Some(fold))
-                    .expect("valid inputs");
+                ring_exec(m, d, |_| unit, 0, wire, book, payload).expect("valid inputs");
                 let label = format!("m={m} d={d} unit={unit}");
                 assert_eq!(out, expected, "{label}: consensus");
                 assert_eq!(op.planned, ctxs, "{label}: planned contexts");
@@ -1172,7 +1013,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least 2 workers")]
+    #[should_panic(expected = "needs >= 2 workers")]
     fn single_worker_panics() {
         let mut data = vec![vec![1.0f32]];
         let _ = ring_allreduce_sum(&mut data);
@@ -1206,7 +1047,7 @@ mod tests {
         let (clean, clean_trace) = ring_allreduce_onebit(&signs, combine);
         let mut inj = FaultInjector::inert();
         let (faulty, faulty_trace) =
-            ring_allreduce_onebit_faulty(&signs, &mut inj, combine).expect("valid inputs");
+            allreduce_onebit(PlanTopology::Ring, &signs, &mut inj, combine).expect("valid inputs");
         assert_eq!(clean, faulty);
         assert_eq!(clean_trace, faulty_trace);
     }
@@ -1218,7 +1059,7 @@ mod tests {
         let signs: Vec<SignVec> = (0..m).map(|_| SignVec::ones(d)).collect();
         let mut seen = Vec::new();
         let mut inj = FaultInjector::inert();
-        let _ = ring_allreduce_onebit_faulty(&signs, &mut inj, |recv, local, ctx| {
+        let _ = allreduce_onebit(PlanTopology::Ring, &signs, &mut inj, |recv, local, ctx| {
             seen.push((ctx.step, ctx.received_count, ctx.local_count));
             local.copy_from(recv);
         });
@@ -1248,7 +1089,7 @@ mod tests {
             let mut inj = plan.injector(0);
             let mut ctxs = Vec::new();
             let (out, trace) =
-                ring_allreduce_onebit_faulty(&signs, &mut inj, |recv, local, ctx| {
+                allreduce_onebit(PlanTopology::Ring, &signs, &mut inj, |recv, local, ctx| {
                     ctxs.push(ctx);
                     local.copy_from(recv);
                 })

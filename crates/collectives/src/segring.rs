@@ -18,12 +18,10 @@ use std::ops::Range;
 use marsit_simnet::FaultInjector;
 use marsit_tensor::SignVec;
 
-use crate::engine::{allreduce_onebit, PlanTopology};
+use crate::engine::{allreduce_onebit, allreduce_sum, PlanTopology};
+use crate::payload::Payload;
 use crate::reconfigure::SyncError;
-use crate::ring::{
-    ring_allreduce_sum, ring_onebit_exec, segment_ranges, CombineCtx, Fold, Frame,
-    RingOnebitScratch, StepCombine, Wire,
-};
+use crate::ring::{clean, ring_exec, segment_ranges, Book, CombineCtx, Frame, Wire};
 use crate::trace::Trace;
 
 /// In-place segmented-ring all-reduce summing `f32` payloads.
@@ -36,30 +34,21 @@ use crate::trace::Trace;
 /// Panics if fewer than 2 workers, `macro_segments == 0`, or payload
 /// lengths differ.
 pub fn segring_allreduce_sum(data: &mut [Vec<f32>], macro_segments: usize) -> Trace {
-    let m = data.len();
-    assert!(m >= 2, "segmented ring needs at least 2 workers");
-    assert!(macro_segments > 0, "need at least one macro-segment");
-    let d = data[0].len();
-    assert!(data.iter().all(|v| v.len() == d), "payload lengths differ");
-    let mut trace = Trace::new();
-    for (s, range) in pipelines(d, macro_segments) {
-        let mut chunk: Vec<Vec<f32>> = data.iter().map(|w| w[range.clone()].to_vec()).collect();
-        let sub = ring_allreduce_sum(&mut chunk);
-        for (w, c) in chunk.into_iter().enumerate() {
-            data[w][range.clone()].copy_from_slice(&c);
-        }
-        trace.overlay(s, &sub);
-    }
-    trace
+    let inj = &mut FaultInjector::inert();
+    clean(allreduce_sum(
+        PlanTopology::SegRing { macro_segments },
+        data,
+        inj,
+    ))
 }
 
 /// The pipelines of a segmented ring: `(s, range)` for every non-empty
 /// macro-segment (with `S > d` the tail is empty). Pipeline `s` starts `s`
 /// wall-clock steps in; the non-empty ones are a prefix, so each overlays
 /// onto steps the previous one already opened.
-fn pipelines(d: usize, macro_segments: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
-    segment_ranges(d, macro_segments)
-        .into_iter()
+fn pipelines(macros: &[Range<usize>]) -> impl Iterator<Item = (usize, &Range<usize>)> {
+    macros
+        .iter()
         .enumerate()
         .filter(|(_, range)| !range.is_empty())
 }
@@ -68,8 +57,10 @@ fn pipelines(d: usize, macro_segments: usize) -> impl Iterator<Item = (usize, Ra
 /// combine (Marsit over a segmented ring).
 ///
 /// The combine context's `segment` field carries the macro-segment index so
-/// deterministic RNG streams stay distinct across pipelines. This is
-/// [`segring_allreduce_onebit_faulty`] on a fabric that never faults.
+/// deterministic RNG streams stay distinct across pipelines. Under faults
+/// ([`allreduce_onebit`] with an injector) the pipelines consume the fault
+/// stream in macro-segment order, and retransmissions appear as extra steps
+/// inside each pipeline's trace before the pipelining shift is applied.
 ///
 /// # Panics
 ///
@@ -83,51 +74,22 @@ pub fn segring_allreduce_onebit<F>(
 where
     F: FnMut(&SignVec, &mut SignVec, CombineCtx),
 {
-    assert!(signs.len() >= 2, "segmented ring needs at least 2 workers");
-    assert!(macro_segments > 0, "need at least one macro-segment");
-    segring_allreduce_onebit_faulty(signs, macro_segments, &mut FaultInjector::inert(), combine)
-        .expect("sign lengths differ")
+    let inj = &mut FaultInjector::inert();
+    let topology = PlanTopology::SegRing { macro_segments };
+    clean(allreduce_onebit(topology, signs, inj, combine))
 }
 
-/// [`segring_allreduce_onebit`] under fault injection.
-///
-/// Each macro-segment's ring pass is the one-bit ring schedule on the shared
-/// injector (pipelines consume the fault stream in macro-segment order,
-/// keeping runs deterministic). Retransmissions appear as extra steps inside
-/// each pipeline's trace before the pipelining shift is applied.
-///
-/// # Errors
-///
-/// Returns a [`SyncError`] if fewer than 2 workers, zero macro-segments, or
-/// sign lengths differ.
-pub fn segring_allreduce_onebit_faulty<F>(
-    signs: &[SignVec],
-    macro_segments: usize,
-    inj: &mut FaultInjector,
-    combine: F,
-) -> Result<(SignVec, Trace), SyncError>
-where
-    F: FnMut(&SignVec, &mut SignVec, CombineCtx),
-{
-    allreduce_onebit(
-        PlanTopology::SegRing { macro_segments },
-        signs,
-        inj,
-        combine,
-    )
-}
-
-/// The one-bit segmented-ring walk: `m` workers all-reducing `d` bits in
-/// `macro_segments` pipelined ring passes over `wire`, with or without the
-/// data half (see [`Fold`]). Pipeline `s` is the one-bit ring over the bits
-/// of macro-segment `s`, its context segments shifted by `s·m`, its trace
-/// and hop telemetry overlaid from step `s` on.
-pub(crate) fn segring_onebit_exec<O: StepCombine>(
+/// The one function that enumerates a segmented ring's hops, whatever they
+/// carry: `m` workers all-reducing `d` elements of `payload` in
+/// `macro_segments` pipelined ring passes over `wire`. Pipeline `s` is the
+/// ring walk over macro-segment `s`, its context segments shifted by `s·m`,
+/// its trace and hop telemetry overlaid from step `s` on.
+pub(crate) fn segring_exec<P: Payload>(
     m: usize,
     d: usize,
     macro_segments: usize,
     wire: &mut Wire<'_>,
-    mut fold: Option<Fold<'_, O>>,
+    payload: &mut P,
 ) -> Result<(), SyncError> {
     if m < 2 {
         return Err(SyncError::TooFewWorkers { needed: 2, got: m });
@@ -135,33 +97,19 @@ pub(crate) fn segring_onebit_exec<O: StepCombine>(
     if macro_segments == 0 {
         return Err(SyncError::ZeroSegments);
     }
-    Fold::begin(&mut fold, d)?;
-    let ring = &mut RingOnebitScratch::new();
-    let (mut chunk, mut reduced, mut sub) = (Vec::new(), SignVec::zeros(0), Trace::new());
-    for (s, range) in pipelines(d, macro_segments) {
-        let ring_fold = match &mut fold {
-            Some(f) => {
-                chunk.clear();
-                chunk.extend(f.signs.iter().map(|v| v.slice(range.start, range.len())));
-                Some(Fold {
-                    signs: &chunk[..],
-                    op: &mut *f.op,
-                    out: &mut reduced,
-                })
-            }
-            None => None,
-        };
+    let macros = segment_ranges(d, macro_segments);
+    payload.load(wire.frame, m, d, &macros)?;
+    let (ring, sub) = (&mut Book::default(), &mut Trace::new());
+    for (s, range) in pipelines(&macros) {
         let frame = Frame {
             base: 0,
             stride: 1,
             start: range.start,
+            cell: Some(s),
         };
-        let ring_wire = &mut wire.sub(&mut sub, s, m, frame);
-        ring_onebit_exec(m, range.len(), |_| 1, s * m, ring_wire, ring, ring_fold)?;
-        if let Some(f) = &mut fold {
-            f.out.splice(range.start, &reduced);
-        }
-        wire.trace.overlay(s, &sub);
+        let ring_wire = &mut wire.sub(sub, s, m, frame);
+        ring_exec(m, range.len(), |_| 1, s * m, ring_wire, ring, payload)?;
+        wire.trace.overlay(s, sub);
     }
     wire.rec.reserve_steps(wire.trace.num_steps());
     Ok(())
@@ -281,7 +229,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one macro-segment")]
+    #[should_panic(expected = "needs >= 1 macro-segment")]
     fn zero_segments_panics() {
         let mut data = payloads(2, 8, 0);
         let _ = segring_allreduce_sum(&mut data, 0);
@@ -299,9 +247,13 @@ mod tests {
         let plan = FaultPlan::seeded(4).with_link_drop(0.25);
         let run = || {
             let mut inj = plan.injector(2);
-            let (out, trace) =
-                segring_allreduce_onebit_faulty(&signs, 2, &mut inj, |r, l, _| l.copy_from(r))
-                    .expect("valid inputs");
+            let (out, trace) = allreduce_onebit(
+                PlanTopology::SegRing { macro_segments: 2 },
+                &signs,
+                &mut inj,
+                |r, l, _| l.copy_from(r),
+            )
+            .expect("valid inputs");
             (out, trace, inj.stats())
         };
         assert_eq!(run(), run());

@@ -17,9 +17,10 @@ use marsit_compress::SignSumVec;
 use marsit_simnet::FaultInjector;
 use marsit_tensor::SignVec;
 
-use crate::engine::{allreduce_onebit, PlanTopology};
+use crate::engine::{allreduce_onebit, allreduce_signsum, allreduce_sum, PlanTopology};
+use crate::payload::Payload;
 use crate::reconfigure::SyncError;
-use crate::ring::{split_pair, CombineCtx, Fold, RingOnebitScratch, StepCombine, Wire};
+use crate::ring::{clean, Book, CombineCtx, SumWire, Wire};
 use crate::trace::Trace;
 
 /// Number of reduce levels of a binary tree over `m` workers.
@@ -51,70 +52,26 @@ fn level_pairs(m: usize, level: usize) -> impl Iterator<Item = (usize, usize)> {
 ///
 /// Panics if fewer than 2 workers or payload lengths differ.
 pub fn tree_allreduce_sum(data: &mut [Vec<f32>]) -> Trace {
-    let m = data.len();
-    assert!(m >= 2, "tree all-reduce needs at least 2 workers");
-    let d = data[0].len();
-    assert!(data.iter().all(|v| v.len() == d), "payload lengths differ");
-    let levels = tree_levels(m);
-    let mut trace = Trace::new();
-    for level in 0..levels {
-        trace.push_uniform_step(level_pairs(m, level).count(), d * 4);
-        for (w, child) in level_pairs(m, level) {
-            let (src, dst) = split_pair(data, child, w);
-            for (x, &y) in dst.iter_mut().zip(src.iter()) {
-                *x += y;
-            }
-        }
-    }
-    for level in (0..levels).rev() {
-        trace.push_uniform_step(level_pairs(m, level).count(), d * 4);
-        for (w, child) in level_pairs(m, level) {
-            let (src, dst) = split_pair(data, w, child);
-            dst.copy_from_slice(src);
-        }
-    }
-    trace
+    let inj = &mut FaultInjector::inert();
+    clean(allreduce_sum(PlanTopology::Tree, data, inj))
 }
 
-/// Binary-tree all-reduce of sign vectors into global sign sums (integer
-/// payload widths grow toward the root, as under any linear MAR scheme).
+/// Binary-tree all-reduce of sign vectors into global sign sums (Elias-coded
+/// integer payloads whose widths grow toward the root, as under any linear
+/// MAR scheme).
 ///
 /// # Panics
 ///
 /// Panics if fewer than 2 workers or sign lengths differ.
 #[must_use]
 pub fn tree_allreduce_signsum(signs: &[SignVec]) -> (SignSumVec, Trace) {
-    let m = signs.len();
-    assert!(m >= 2, "tree all-reduce needs at least 2 workers");
-    let d = signs[0].len();
-    assert!(signs.iter().all(|v| v.len() == d), "sign lengths differ");
-    let mut state: Vec<Option<SignSumVec>> = signs
-        .iter()
-        .map(|v| Some(SignSumVec::from_signs(v)))
-        .collect();
-    let levels = tree_levels(m);
-    let mut trace = Trace::new();
-    for level in 0..levels {
-        let mut step = Vec::new();
-        for (w, child) in level_pairs(m, level) {
-            let sent = state[child]
-                .take()
-                .expect("child still holds its aggregate");
-            step.push(sent.elias_bits().div_ceil(8));
-            state[w]
-                .as_mut()
-                .expect("parent still holds its aggregate")
-                .merge(&sent);
-        }
-        trace.push_step(step);
-    }
-    let total = state[0].take().expect("root aggregate");
-    // Broadcast the final sums back down.
-    let down_bytes = total.elias_bits().div_ceil(8);
-    for level in (0..levels).rev() {
-        trace.push_uniform_step(level_pairs(m, level).count(), down_bytes);
-    }
-    (total, trace)
+    let inj = &mut FaultInjector::inert();
+    clean(allreduce_signsum(
+        PlanTopology::Tree,
+        signs,
+        SumWire::Elias,
+        inj,
+    ))
 }
 
 /// Binary-tree all-reduce of one-bit payloads with a caller-supplied
@@ -125,8 +82,9 @@ pub fn tree_allreduce_signsum(signs: &[SignVec]) -> (SignSumVec, Trace) {
 /// workers and the local aggregate up to `s` workers (exact counts are
 /// tracked per node, handling non-power-of-two `m`).
 /// `combine(received, local, ctx)` merges the child's aggregate *into* the
-/// parent's in place — no clone per merge. This is
-/// [`tree_allreduce_onebit_faulty`] on a fabric that never faults.
+/// parent's in place — no clone per merge. Under faults
+/// ([`allreduce_onebit`] with an injector) an omitted upward transfer
+/// excludes the child's whole subtree from the consensus.
 ///
 /// # Panics
 ///
@@ -136,67 +94,37 @@ pub fn tree_allreduce_onebit<F>(signs: &[SignVec], combine: F) -> (SignVec, Trac
 where
     F: FnMut(&SignVec, &mut SignVec, CombineCtx),
 {
-    assert!(signs.len() >= 2, "tree all-reduce needs at least 2 workers");
-    tree_allreduce_onebit_faulty(signs, &mut FaultInjector::inert(), combine)
-        .expect("sign lengths differ")
+    let inj = &mut FaultInjector::inert();
+    clean(allreduce_onebit(PlanTopology::Tree, signs, inj, combine))
 }
 
-/// [`tree_allreduce_onebit`] under fault injection.
-///
-/// An upward (reduce) transfer that exhausts its retry budget is omitted:
-/// the parent keeps its aggregate, the child's whole subtree is excluded
-/// from the consensus, and per-node counts stay exact, so every
-/// [`CombineCtx`] still reports true subtree sizes. Downward (broadcast)
-/// transfers are reliable — all workers end with the root's consensus.
-///
-/// # Errors
-///
-/// Returns a [`SyncError`] if fewer than 2 workers or sign lengths differ.
-///
-/// # Panics
-///
-/// Panics if the combine changes the local vector's length (a programmer
-/// error in the closure, not a runtime condition).
-pub fn tree_allreduce_onebit_faulty<F>(
-    signs: &[SignVec],
-    inj: &mut FaultInjector,
-    combine: F,
-) -> Result<(SignVec, Trace), SyncError>
-where
-    F: FnMut(&SignVec, &mut SignVec, CombineCtx),
-{
-    allreduce_onebit(PlanTopology::Tree, signs, inj, combine)
-}
-
-/// The one-bit tree walk: `m` workers all-reducing `d` bits over `wire`, with
-/// or without the data half (see [`Fold`]). A tree is a one-segment grid: a
-/// level's merges are one reduce step (one [`StepCombine::step_begin`] plan),
-/// the root's cell is the consensus, and the broadcast levels are reliable
-/// copies, traced but not executed.
-pub(crate) fn tree_onebit_exec<O: StepCombine>(
+/// The one function that enumerates a tree's hops, whatever they carry: `m`
+/// workers all-reducing `d` elements of `payload` over `wire`. A tree is a
+/// one-segment grid: a level's merges are one reduce step (one
+/// [`Payload::step_begin`] plan), the root's cell is the result, and the
+/// broadcast levels are reliable copies.
+pub(crate) fn tree_exec<P: Payload>(
     m: usize,
     d: usize,
     wire: &mut Wire<'_>,
-    scratch: &mut RingOnebitScratch,
-    mut fold: Option<Fold<'_, O>>,
+    book: &mut Book,
+    payload: &mut P,
 ) -> Result<(), SyncError> {
     if m < 2 {
         return Err(SyncError::TooFewWorkers { needed: 2, got: m });
     }
-    Fold::begin(&mut fold, d)?;
-    scratch.load(m, d, 1, |_| 1, &fold);
+    book.load(m, d, 1, |_| 1);
+    payload.load(wire.frame, m, d, &book.segs)?;
     let levels = tree_levels(m);
     for level in 0..levels {
         let hops = level_pairs(m, level).map(|(w, child)| (child, w, 0));
-        scratch.reduce_step(level, hops, 0, wire, &mut fold);
+        book.reduce_step(level, hops, 0, wire, payload);
     }
-    if let Some(fold) = fold {
-        fold.out.copy_from(&scratch.state[0][0]);
-    }
+    book.reduced(0, 0, wire, payload);
     for (g, level) in (0..levels).rev().enumerate() {
         wire.open_step();
         for (w, child) in level_pairs(m, level) {
-            wire.onebit(g, w, child, 0, &scratch.segs[0], None);
+            book.copy_hop(g, (w, child, 0), wire, payload);
         }
     }
     Ok(())
@@ -332,7 +260,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least 2 workers")]
+    #[should_panic(expected = "needs >= 2 workers")]
     fn single_worker_panics() {
         let mut data = vec![vec![1.0f32; 4]];
         let _ = tree_allreduce_sum(&mut data);
@@ -348,7 +276,7 @@ mod tests {
             .with_retry_policy(0, 1e-4);
         let mut inj = plan.injector(0);
         let mut root_total = 0;
-        let (_, _) = tree_allreduce_onebit_faulty(&sv, &mut inj, |r, l, ctx| {
+        let (_, _) = allreduce_onebit(PlanTopology::Tree, &sv, &mut inj, |r, l, ctx| {
             root_total = root_total.max(ctx.received_count + ctx.local_count);
             l.copy_from(r);
         })

@@ -776,7 +776,9 @@ impl Marsit {
                 }
                 // Under a fault plan the resync — also the post-crash resync
                 // point — runs over a repaired ring whatever the topology;
-                // without one a torus keeps its hierarchical sum.
+                // without one a torus keeps its hierarchical sum. (The torus
+                // sum takes an injector too; the fork is a pinned contract —
+                // the faulty-torus goldens and `sync_chaos` — not a gap.)
                 let trace = match effective {
                     EffectiveTopology::Torus { rows, cols } if !resync_over_ring => {
                         Ok(torus_allreduce_sum(fp_buffers, rows, cols))

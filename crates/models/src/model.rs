@@ -7,7 +7,7 @@
 use marsit_datagen::Dataset;
 
 /// Loss and accuracy of a model on a dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Evaluation {
     /// Mean cross-entropy loss.
     pub loss: f64,

@@ -242,7 +242,7 @@ impl Optimizer for Adam {
 }
 
 /// Optimizer selection used by experiment configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum OptimizerKind {
     /// Plain SGD.
     #[default]

@@ -12,7 +12,7 @@
 use crate::mlp::MlpSpec;
 
 /// One of the paper's model/dataset workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Workload {
     /// AlexNet on MNIST (Table 1 / Fig 1 motivation experiments).
     AlexNetMnist,

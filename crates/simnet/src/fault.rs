@@ -37,10 +37,8 @@
 //! traces, stats, and training reports. [`FaultPlan::none`] short-circuits
 //! every draw, so a fault-free plan leaves the clean code paths untouched.
 
-use serde::{Deserialize, Serialize};
-
 /// One membership-change event in a [`MembershipSchedule`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MembershipEvent {
     /// `worker` is dead from the start of `round` (0-based) onward, until a
     /// later `Rejoin` revives it.
@@ -91,7 +89,7 @@ impl MembershipEvent {
 /// event (`round ≤ t`); among events with the same round, the one listed
 /// later wins. Workers with no applicable event are live — an empty schedule
 /// means full membership forever.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MembershipSchedule {
     /// The events, in declaration order.
     pub events: Vec<MembershipEvent>,
@@ -204,7 +202,7 @@ impl MembershipSchedule {
 }
 
 /// Declarative description of the faults to inject into a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the fault RNG (independent of the training seed).
     pub seed: u64,
@@ -449,7 +447,7 @@ impl Default for FaultPlan {
 
 /// Counters describing what the fault layer did during a round (or a whole
 /// run — counters add with [`FaultStats::merge`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultStats {
     /// Retransmissions performed (each adds wire traffic and timeout wait).
     pub retransmits: u64,

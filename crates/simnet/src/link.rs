@@ -16,7 +16,7 @@
 /// let t = link.transfer_time(1_250_000);
 /// assert!((t - 0.001025).abs() < 1e-9); // 25 µs + 1 ms
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {
     latency_s: f64,
     bandwidth_bytes_per_s: f64,
@@ -64,7 +64,7 @@ impl LinkModel {
 /// testbed (Nvidia T4 nodes on a shared-tenancy 10 GbE cloud network); the
 /// absolute numbers only set the time axis scale — the paper-level claims
 /// all concern *relative* times between strategies.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateProfile {
     /// Point-to-point link.
     pub link: LinkModel,

@@ -17,7 +17,7 @@ use std::ops::{Add, AddAssign};
 /// let round = PhaseBreakdown::new(0.010, 0.002, 0.030);
 /// assert!((round.total() - 0.042).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseBreakdown {
     /// Forward/backward compute time.
     pub compute_s: f64,

@@ -8,7 +8,7 @@
 use std::fmt;
 
 /// A cluster interconnect shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Topology {
     /// A unidirectional ring of `workers` nodes (ring all-reduce, RAR).
     Ring {

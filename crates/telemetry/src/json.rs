@@ -1,8 +1,8 @@
 //! Minimal hand-rolled JSON writer and parser.
 //!
-//! The workspace's vendored serde shim is a no-op (its derives emit
-//! nothing), so all machine-readable output in this repository is
-//! hand-encoded. This module centralizes the two halves the telemetry layer
+//! The workspace has no serialization framework (the build is offline), so
+//! all machine-readable output in this repository is hand-encoded. This
+//! module centralizes the two halves the telemetry layer
 //! needs: byte-deterministic *writing* (stable key order is the caller's
 //! job; float formatting uses Rust's shortest-roundtrip `Display`, which is
 //! platform-independent) and a small recursive-descent *parser* sufficient

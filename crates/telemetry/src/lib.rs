@@ -18,8 +18,9 @@
 //! - [`report`]: parsing and reconstruction — rebuilds the exact
 //!   `Trace`-equivalent step structure from hop events and reprices it with
 //!   the same α–β arithmetic;
-//! - [`json`]: a minimal hand-rolled JSON writer/parser (the workspace's
-//!   serde shim is a no-op, so all machine-readable output is hand-encoded).
+//! - [`json`]: a minimal hand-rolled JSON writer/parser (the workspace has
+//!   no serialization framework, so all machine-readable output is
+//!   hand-encoded).
 //!
 //! # The batched sink
 //!

@@ -887,7 +887,7 @@ pub fn compensate_block(
 /// assert_eq!(v.to_signs(), vec![1.0, -1.0, 1.0, -1.0]);
 /// assert_eq!(v.count_ones(), 2);
 /// ```
-#[derive(Clone, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct SignVec {
     len: usize,
     words: Vec<u64>,

@@ -44,7 +44,7 @@ impl std::error::Error for ShapeError {}
 /// let c = a.matmul(&b);
 /// assert_eq!(c.get(1, 0), 3.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     rows: usize,
     cols: usize,

@@ -22,25 +22,22 @@
 //! few bytes per hop and is ignored in the byte accounting.
 
 use marsit_collectives::ps::{ps_allreduce_sum, ps_majority_vote, ps_sign_sums};
-use marsit_collectives::ring::{
-    ring_allreduce_majority, ring_allreduce_signsum, ring_allreduce_sum,
+use marsit_collectives::{
+    allreduce_majority, allreduce_signsum, PlanTopology, SumWire, SyncError, Trace,
 };
-use marsit_collectives::torus::{
-    torus_allreduce_majority, torus_allreduce_signsum, torus_allreduce_sum,
-};
-use marsit_collectives::{SumWire, Trace};
 use marsit_compress::cascading::cascade_reduce_practical;
 use marsit_compress::compressor::{Compressor, EfSign, Ssdm};
 use marsit_compress::powersgd::{orthonormalize_columns, PowerSgd as PowerSgdState};
+use marsit_compress::SignSumVec;
 use marsit_core::{
     Marsit, MarsitConfig, MarsitSnapshot, SyncOutcome, SyncSchedule, WorkspaceHandle,
 };
-use marsit_simnet::{FaultPlan, FaultStats, Topology};
+use marsit_simnet::{FaultInjector, FaultPlan, FaultStats, Topology};
 use marsit_tensor::rng::{split_seed, FastRng};
 use marsit_tensor::SignVec;
 
 /// Configuration-level strategy selection.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StrategyKind {
     /// Full-precision parallel SGD (no compression).
     Psgd,
@@ -175,8 +172,10 @@ pub struct SyncResult {
     /// differs from the raw local updates (Marsit aggregates *compensated*
     /// updates). The matching-rate metric compares signs against this.
     pub reference_mean: Option<Vec<f32>>,
-    /// What the fault layer did this round (all-zero without a fault plan;
-    /// only Marsit supports fault injection).
+    /// What the fault layer did this round. All-zero without a fault plan,
+    /// and for every strategy but Marsit: the collectives take an injector
+    /// for every payload, but the strategy-level plan is not threaded to the
+    /// baselines yet.
     pub faults: FaultStats,
 }
 
@@ -295,8 +294,10 @@ impl Synchronizer {
     ///
     /// # Panics
     ///
-    /// Panics if the plan injects faults and the strategy is not Marsit —
-    /// graceful degradation is implemented for Marsit's collectives only.
+    /// Panics if the plan injects faults and the strategy is not Marsit: the
+    /// baselines' collectives degrade gracefully under an injector too
+    /// (`marsit_collectives::allreduce_sum` and friends), but only Marsit
+    /// owns the membership, repair and statistics a plan drives.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         match &mut self.state {
             State::Marsit(marsit) => marsit.set_fault_plan(plan),
@@ -369,41 +370,25 @@ impl Synchronizer {
         self.round += 1;
         let mut rng = FastRng::new(split_seed(self.seed, t), 0xA663);
 
-        *out = match &mut self.state {
+        let (global_update, trace) = match &mut self.state {
             State::Psgd => {
                 let (sum, trace) = allreduce_sum(local_updates, topology);
                 let inv = 1.0 / m as f32;
-                SyncResult {
-                    global_update: sum.into_iter().map(|x| x * inv).collect(),
-                    trace,
-                    full_precision: true,
-                    reference_mean: None,
-                    faults: FaultStats::default(),
-                }
+                (sum.into_iter().map(|x| x * inv).collect(), trace)
             }
             State::SignMajority => {
                 let signs: Vec<SignVec> = local_updates
                     .iter()
                     .map(|u| SignVec::from_signs(u))
                     .collect();
-                let (vote, trace) = match topology {
-                    Topology::Ring { .. } => ring_allreduce_majority(&signs, SumWire::Elias),
-                    Topology::Torus { rows, cols } => {
-                        torus_allreduce_majority(&signs, rows, cols, SumWire::Elias)
-                    }
-                    Topology::Star { .. } => {
-                        ps_majority_vote(&signs).expect("harness builds a valid membership")
-                    }
-                };
+                let (vote, trace) = on_schedule(
+                    topology,
+                    |plan, inj| allreduce_majority(plan, &signs, SumWire::Elias, inj),
+                    || ps_majority_vote(&signs),
+                );
                 let mut update = vec![0.0f32; d];
                 vote.write_scaled_signs(self.local_lr, &mut update);
-                SyncResult {
-                    global_update: update,
-                    trace,
-                    full_precision: false,
-                    reference_mean: None,
-                    faults: FaultStats::default(),
-                }
+                (update, trace)
             }
             State::EfSign { workers } => {
                 let mut scales = Vec::with_capacity(m);
@@ -413,14 +398,7 @@ impl Synchronizer {
                     scales.push(msg.scale());
                     signs.push(msg.signs().clone());
                 }
-                let (update, trace) = mean_scaled_signs(&signs, &scales, topology);
-                SyncResult {
-                    global_update: update,
-                    trace,
-                    full_precision: false,
-                    reference_mean: None,
-                    faults: FaultStats::default(),
-                }
+                mean_scaled_signs(&signs, &scales, topology)
             }
             State::Ssdm { velocity } => {
                 // SSDM transmits stochastic signs; aggregation is the linear
@@ -437,27 +415,13 @@ impl Synchronizer {
                     .iter()
                     .map(|u| Ssdm::quantize(u, &mut rng).signs().clone())
                     .collect();
-                let (sums, trace) = match topology {
-                    Topology::Ring { .. } => ring_allreduce_signsum(&signs, SumWire::Elias),
-                    Topology::Torus { rows, cols } => {
-                        torus_allreduce_signsum(&signs, rows, cols, SumWire::Elias)
-                    }
-                    Topology::Star { .. } => {
-                        ps_sign_sums(&signs).expect("harness builds a valid membership")
-                    }
-                };
+                let (sums, trace) = sign_sums(&signs, topology);
                 let mut update = Vec::with_capacity(d);
                 for (v, mean_sign) in velocity.iter_mut().zip(sums.mean_signs()) {
                     *v = 0.9 * *v + mean_sign;
                     update.push(self.local_lr * *v);
                 }
-                SyncResult {
-                    global_update: update,
-                    trace,
-                    full_precision: false,
-                    reference_mean: None,
-                    faults: FaultStats::default(),
-                }
+                (update, trace)
             }
             State::Cascading => {
                 // The practical relay (deterministic sign, RMS scale): the
@@ -479,13 +443,7 @@ impl Synchronizer {
                 for _ in 0..2 * (m - 1) {
                     trace.push_step(vec![hop]);
                 }
-                SyncResult {
-                    global_update: update,
-                    trace,
-                    full_precision: false,
-                    reference_mean: None,
-                    faults: FaultStats::default(),
-                }
+                (update, trace)
             }
             State::Marsit(marsit) => {
                 let mut outcome = SyncOutcome {
@@ -495,13 +453,14 @@ impl Synchronizer {
                     ..SyncOutcome::default()
                 };
                 marsit.synchronize_into(local_updates, topology, &mut outcome);
-                SyncResult {
+                *out = SyncResult {
                     global_update: outcome.global_update,
                     trace: outcome.trace,
                     full_precision: outcome.full_precision,
                     reference_mean: Some(outcome.compensated_mean),
                     faults: outcome.faults,
-                }
+                };
+                return;
             }
             State::PowerSgd { workers } => {
                 // Two sequential linear all-reduce passes: P̄ then Q̄ — the
@@ -526,7 +485,7 @@ impl Synchronizer {
                     .zip(local_updates)
                     .map(|(w, g)| w.project_q(g, &p_mean).into_vec())
                     .collect();
-                let (q_sum, mut trace) = allreduce_sum(&q_flat, topology);
+                let (q_sum, trace_q) = allreduce_sum(&q_flat, topology);
                 let q_mean = marsit_tensor::Tensor::from_vec(
                     q_flat[0].len() / rank,
                     rank,
@@ -536,50 +495,67 @@ impl Synchronizer {
                 for (w, g) in workers.iter_mut().zip(local_updates) {
                     w.absorb(g, &update, &q_mean);
                 }
-                let mut combined = trace_p;
-                combined.extend(std::mem::take(&mut trace));
-                SyncResult {
-                    global_update: update,
-                    trace: combined,
-                    full_precision: false,
-                    reference_mean: None,
-                    faults: FaultStats::default(),
-                }
+                let mut trace = trace_p;
+                trace.extend(trace_q);
+                (update, trace)
             }
+        };
+        // The baselines run on a clean fabric: the strategy-level fault plan
+        // is Marsit's.
+        *out = SyncResult {
+            global_update,
+            trace,
+            full_precision: self.kind == StrategyKind::Psgd,
+            reference_mean: None,
+            faults: FaultStats::default(),
         };
     }
 }
 
+/// Runs `topology`'s aggregation: a multi-hop all-reduce walks its
+/// schedule on a clean fabric (the strategy-level fault plan is Marsit's),
+/// a star exchanges with its parameter server.
+fn on_schedule<T>(
+    topology: Topology,
+    allreduce: impl FnOnce(PlanTopology, &mut FaultInjector) -> Result<T, SyncError>,
+    ps: impl FnOnce() -> Result<T, SyncError>,
+) -> T {
+    let inj = &mut FaultInjector::inert();
+    match topology {
+        Topology::Ring { .. } => allreduce(PlanTopology::Ring, inj),
+        Topology::Torus { rows, cols } => allreduce(PlanTopology::Torus { rows, cols }, inj),
+        Topology::Star { .. } => ps(),
+    }
+    .expect("harness builds a valid membership")
+}
+
 /// Exact sum all-reduce over any topology; returns (sum, trace).
 fn allreduce_sum(updates: &[Vec<f32>], topology: Topology) -> (Vec<f32>, Trace) {
-    match topology {
-        Topology::Ring { .. } => {
+    on_schedule(
+        topology,
+        |plan, inj| {
             let mut buffers = updates.to_vec();
-            let trace = ring_allreduce_sum(&mut buffers);
-            (buffers.swap_remove(0), trace)
-        }
-        Topology::Torus { rows, cols } => {
-            let mut buffers = updates.to_vec();
-            let trace = torus_allreduce_sum(&mut buffers, rows, cols);
-            (buffers.swap_remove(0), trace)
-        }
-        Topology::Star { .. } => {
-            ps_allreduce_sum(updates).expect("harness builds a valid membership")
-        }
-    }
+            let trace = marsit_collectives::allreduce_sum(plan, &mut buffers, inj)?;
+            Ok((buffers.swap_remove(0), trace))
+        },
+        || ps_allreduce_sum(updates),
+    )
+}
+
+/// Linear sign-sum aggregation (Elias-coded on the wire) over any topology.
+fn sign_sums(signs: &[SignVec], topology: Topology) -> (SignSumVec, Trace) {
+    on_schedule(
+        topology,
+        |plan, inj| allreduce_signsum(plan, signs, SumWire::Elias, inj),
+        || ps_sign_sums(signs),
+    )
 }
 
 /// Aggregates scaled-sign messages linearly: `(mean scale) · (mean sign)`,
 /// the MAR extension shared by SSDM and EF-signSGD.
 fn mean_scaled_signs(signs: &[SignVec], scales: &[f32], topology: Topology) -> (Vec<f32>, Trace) {
     let m = signs.len() as f32;
-    let (sums, trace) = match topology {
-        Topology::Ring { .. } => ring_allreduce_signsum(signs, SumWire::Elias),
-        Topology::Torus { rows, cols } => {
-            torus_allreduce_signsum(signs, rows, cols, SumWire::Elias)
-        }
-        Topology::Star { .. } => ps_sign_sums(signs).expect("harness builds a valid membership"),
-    };
+    let (sums, trace) = sign_sums(signs, topology);
     let mean_scale: f32 = scales.iter().sum::<f32>() / m;
     let update: Vec<f32> = sums
         .mean_signs()

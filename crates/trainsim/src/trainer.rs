@@ -130,7 +130,7 @@ impl TrainConfig {
 }
 
 /// Everything recorded about one synchronization round.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoundRecord {
     /// Round index `t`.
     pub round: usize,
@@ -156,7 +156,7 @@ pub struct RoundRecord {
 }
 
 /// Result of a full training run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainReport {
     /// Display label of the strategy.
     pub strategy_label: String,

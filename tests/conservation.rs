@@ -18,9 +18,11 @@
 //! `2(C−1)·R·D + 2(R−1)·D` for an `R×C` torus (the same formula
 //! `trainsim::elements_per_round` prices wire width with).
 
-use marsit::collectives::ring::ring_allreduce_onebit;
+use marsit::collectives::ring::{ring_allreduce_onebit, SumWire};
 use marsit::collectives::segring::segring_allreduce_onebit;
-use marsit::collectives::torus::torus_allreduce_onebit;
+use marsit::collectives::torus::{
+    torus_allreduce_majority, torus_allreduce_onebit, torus_allreduce_signsum, torus_allreduce_sum,
+};
 use marsit::collectives::tree::tree_allreduce_onebit;
 use marsit::collectives::{CombineCtx, Trace};
 use marsit::prelude::*;
@@ -119,6 +121,52 @@ fn segring_onebit_wire_bytes_within_bounds() {
             &trace,
             2 * (m - 1) * d,
             &format!("segring({m}, S={s}, d={d})"),
+        );
+    }
+}
+
+/// One TAR schedule, four payloads: `f32` sums, one-bit signs, growing
+/// sign-sums and majority votes all trace the torus's `2(C−1) + 2(R−1)`
+/// steps of `R·C` transfers — none traces a step nobody sends — and a
+/// majority vote gathers its one-bit votes, never the sums they were taken
+/// from: past the reduce phases its byte lists are the one-bit walk's.
+#[test]
+fn torus_payloads_share_one_schedule() {
+    for (rows, cols) in [(2usize, 4usize), (4, 4), (3, 3)] {
+        let (m, d) = (rows * cols, 1031);
+        let signs = random_signs(m, d, 11);
+        let mut data: Vec<Vec<f32>> = signs
+            .iter()
+            .map(|v| v.iter().map(|b| if b { 0.5 } else { -0.25 }).collect())
+            .collect();
+        let (_, onebit) =
+            torus_allreduce_onebit(&signs, rows, cols, |r, l, _ctx: CombineCtx| l.or_assign(r));
+        let (_, majority) = torus_allreduce_majority(&signs, rows, cols, SumWire::Elias);
+        let traces = [
+            ("f32", &torus_allreduce_sum(&mut data, rows, cols)),
+            ("one-bit", &onebit),
+            (
+                "sign-sum",
+                &torus_allreduce_signsum(&signs, rows, cols, SumWire::Elias).1,
+            ),
+            ("majority", &majority),
+        ];
+        for (payload, trace) in traces {
+            let label = format!("torus({rows},{cols}) {payload}");
+            assert_eq!(
+                trace.num_steps(),
+                2 * (cols - 1) + 2 * (rows - 1),
+                "{label}: steps"
+            );
+            for (k, step) in trace.steps().iter().enumerate() {
+                assert_eq!(step.len(), m, "{label}: transfers of step {k}");
+            }
+        }
+        let reduce = (cols - 1) + (rows - 1);
+        assert_eq!(
+            majority.steps()[reduce..],
+            onebit.steps()[reduce..],
+            "torus({rows},{cols}): a majority vote gathers one-bit votes"
         );
     }
 }

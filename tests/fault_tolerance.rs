@@ -5,7 +5,8 @@
 //! the report, `FaultPlan::none()` must be byte-identical to a run without
 //! the fault layer, and everything must replay exactly under a fixed seed.
 
-use marsit::collectives::ring::ring_allreduce_onebit_faulty;
+use marsit::collectives::ring::{segment_ranges, SumWire};
+use marsit::collectives::{allreduce_onebit, allreduce_signsum, allreduce_sum, PlanTopology};
 use marsit::core::ominus::combine_weighted_assign;
 use marsit::core::SyncOutcome;
 use marsit::prelude::*;
@@ -127,7 +128,7 @@ fn survivor_unbiasedness_under_retried_drops() {
     for trial in 0..trials {
         let mut inj = plan.injector(trial);
         let mut rng = FastRng::new(90_000 + trial, 0);
-        let (out, _) = ring_allreduce_onebit_faulty(&signs, &mut inj, |r, l, ctx| {
+        let (out, _) = allreduce_onebit(PlanTopology::Ring, &signs, &mut inj, |r, l, ctx| {
             combine_weighted_assign(r, ctx.received_count, l, ctx.local_count, &mut rng);
         })
         .expect("valid inputs");
@@ -149,6 +150,68 @@ fn survivor_unbiasedness_under_retried_drops() {
             "coord {j}: {measured} vs {expected} (±{hw})"
         );
     }
+}
+
+/// The baselines' payloads ride the same fault-aware walk: under 25 % drops
+/// with one retry an `f32` torus sum and a ring sign-sum omit reduce
+/// transfers for good, yet gather reliably (every worker ends identical),
+/// keep exact counts (with all-`+1` inputs a coordinate's sum *is* the
+/// number of workers its segment folded, and the total's count is the
+/// largest of them), show retransmits as extra steps, and replay exactly
+/// under the same seed — trace and injector end state included.
+#[test]
+fn baseline_payloads_degrade_gracefully_under_drops() {
+    let plan = FaultPlan::seeded(0xD20)
+        .with_link_drop(0.25)
+        .with_retry_policy(1, 1e-4);
+
+    let torus = PlanTopology::Torus { rows: 2, cols: 4 };
+    let sum = || {
+        let mut data = vec![vec![1.0f32; 257]; 8];
+        let mut inj = plan.injector(0);
+        let trace = allreduce_sum(torus, &mut data, &mut inj).expect("valid inputs");
+        (data, trace, format!("{inj:?}"), inj.stats())
+    };
+    let (data, trace, inj_end, stats) = sum();
+    assert!(stats.dropped_transfers > 0 && stats.retransmits > 0);
+    assert!(trace.num_steps() > 2 * 3 + 2, "retransmits add steps");
+    assert!(data.iter().all(|w| w == &data[0]), "gather is reliable");
+    assert!(
+        data[0].iter().all(|&x| (1.0..=8.0).contains(&x)) && data[0].contains(&8.0),
+        "partial sums of what arrived"
+    );
+    assert!(data[0].iter().any(|&x| x < 8.0), "an omission shows");
+    let again = sum();
+    assert_eq!((data, trace, inj_end), (again.0, again.1, again.2));
+
+    let (m, d) = (7, 257);
+    let signs = vec![SignVec::ones(d); m];
+    let signsum = || {
+        let mut inj = plan.injector(1);
+        let (total, trace) =
+            allreduce_signsum(PlanTopology::Ring, &signs, SumWire::Elias, &mut inj)
+                .expect("valid inputs");
+        (total, trace, format!("{inj:?}"), inj.stats())
+    };
+    let (total, trace, inj_end, stats) = signsum();
+    assert!(stats.dropped_transfers > 0 && stats.retransmits > 0);
+    assert!(trace.num_steps() > 2 * (m - 1), "retransmits add steps");
+    let folded: Vec<i32> = segment_ranges(d, m)
+        .into_iter()
+        .map(|seg| {
+            let sums = &total.sums()[seg];
+            assert!(sums.iter().all(|&s| s == sums[0]), "one count per segment");
+            sums[0]
+        })
+        .collect();
+    assert!(folded.iter().all(|&c| (1..=m as i32).contains(&c)));
+    assert!(folded.iter().any(|&c| c < m as i32), "an omission shows");
+    assert_eq!(
+        i64::from(total.count()),
+        i64::from(folded.iter().copied().max().unwrap())
+    );
+    let again = signsum();
+    assert_eq!((total, trace, inj_end), (again.0, again.1, again.2));
 }
 
 /// Per-round, per-worker updates, distinct every round.

@@ -9,10 +9,10 @@
 //! "bit-identical" contract of the fused path is broken.
 
 use marsit::collectives::ring::ring_allreduce_onebit;
-use marsit::collectives::segring::{segring_allreduce_onebit, segring_allreduce_onebit_faulty};
+use marsit::collectives::segring::segring_allreduce_onebit;
 use marsit::collectives::torus::torus_allreduce_onebit;
-use marsit::collectives::tree::{tree_allreduce_onebit, tree_allreduce_onebit_faulty};
-use marsit::collectives::{CombineCtx, Trace};
+use marsit::collectives::tree::tree_allreduce_onebit;
+use marsit::collectives::{allreduce_onebit, CombineCtx, PlanTopology, Trace};
 use marsit::core::ominus::combine_weighted_assign;
 use marsit::prelude::*;
 use marsit::telemetry::scoped;
@@ -423,8 +423,13 @@ fn golden_collective_segring6x3_d200() {
 fn golden_faulty_collective_tree6_d200() {
     let signs = goldens_signs();
     let mut inj = lossy_injector(6);
-    let (out, trace) =
-        tree_allreduce_onebit_faulty(&signs, &mut inj, weighted_stream_combine).unwrap();
+    let (out, trace) = allreduce_onebit(
+        PlanTopology::Tree,
+        &signs,
+        &mut inj,
+        weighted_stream_combine,
+    )
+    .unwrap();
     assert_eq!(
         out.as_words(),
         &[
@@ -456,8 +461,9 @@ fn golden_faulty_collective_tree6_d200() {
 fn golden_faulty_collective_segring6x3_d200() {
     let signs = goldens_signs();
     let mut inj = lossy_injector(2);
+    let segring = PlanTopology::SegRing { macro_segments: 3 };
     let (out, trace) =
-        segring_allreduce_onebit_faulty(&signs, 3, &mut inj, weighted_stream_combine).unwrap();
+        allreduce_onebit(segring, &signs, &mut inj, weighted_stream_combine).unwrap();
     assert_eq!(
         out.as_words(),
         &[

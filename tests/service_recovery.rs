@@ -462,6 +462,14 @@ fn supervisor_survives_shard_sigkill() {
         .expect("run kill")
         .success();
     assert!(killed, "kill -9 {pid} failed");
+    // `finish` must not race the death signal: once the jobs are done an
+    // idle shard's EOF and the finish message arrive in either order.
+    for _ in 0..100 {
+        if handle.shard_pid(0) != Some(pid) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
 
     let report = handle.finish().expect("supervised serve completes");
     assert_eq!(report.outcomes.len(), 4, "every job finished");

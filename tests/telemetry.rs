@@ -6,17 +6,21 @@
 //! - Two runs with the same seed produce byte-identical JSONL event logs.
 //! - Replaying the per-hop events of an instrumented collective rebuilds
 //!   its `Trace` exactly — same step structure, same total bytes, and a
-//!   bit-for-bit identical α–β schedule time — for ring(8) and torus(2,4),
-//!   on both the clean and the fault-injected paths.
+//!   bit-for-bit identical α–β schedule time — for every payload (`f32`
+//!   sums, one-bit signs, sign-sums, majority votes) on ring(8) and
+//!   torus(2,4), `f32` and sign-sums on a tree and a segmented ring, on both
+//!   the clean and the fault-injected paths.
 
 use marsit::collectives::ring::{
-    ring_allreduce_onebit, ring_allreduce_onebit_faulty, ring_allreduce_sum,
-    ring_allreduce_sum_faulty,
+    ring_allreduce_majority, ring_allreduce_onebit, ring_allreduce_signsum, ring_allreduce_sum,
+    ring_allreduce_sum_faulty, SumWire,
 };
+use marsit::collectives::segring::segring_allreduce_sum;
 use marsit::collectives::torus::{
-    torus_allreduce_onebit, torus_allreduce_onebit_faulty, torus_allreduce_sum,
+    torus_allreduce_majority, torus_allreduce_onebit, torus_allreduce_signsum, torus_allreduce_sum,
 };
-use marsit::collectives::{CombineCtx, Trace};
+use marsit::collectives::tree::{tree_allreduce_signsum, tree_allreduce_sum};
+use marsit::collectives::{allreduce_onebit, allreduce_sum, CombineCtx, PlanTopology, Trace};
 use marsit::prelude::*;
 use marsit::telemetry::report::{analyze, parse_jsonl, schedule_time, validate};
 use marsit::telemetry::{active, scoped, Telemetry, Value};
@@ -60,12 +64,36 @@ fn assert_reconstructs(tel: &Telemetry, trace: &Trace) {
     );
 }
 
+/// Runs `collective` in a recording scope of its own and asserts that its
+/// hop events rebuild the trace it returns.
+fn assert_run_reconstructs(label: &str, collective: impl FnOnce() -> Trace) {
+    println!("reconstructing {label}");
+    let tel = Telemetry::recording();
+    let trace = scoped(&tel, collective);
+    assert!(trace.num_steps() > 0, "{label}: empty trace");
+    assert_reconstructs(&tel, &trace);
+}
+
+/// The `f32` ring, and what rides the same walk: the ring's integer
+/// payloads under both encodings, and `f32` and sign-sums over a tree and a
+/// segmented ring.
 #[test]
 fn ring_sum_reconstructs_exactly() {
-    let tel = Telemetry::recording();
-    let mut data = random_data(8, 1000, 1);
-    let trace = scoped(&tel, || ring_allreduce_sum(&mut data));
-    assert_reconstructs(&tel, &trace);
+    let signs = random_signs(8, 1000, 2);
+    assert_run_reconstructs("ring f32", || {
+        ring_allreduce_sum(&mut random_data(8, 1000, 1))
+    });
+    for wire in [SumWire::Elias, SumWire::FixedWidth] {
+        assert_run_reconstructs("ring sign-sum", || ring_allreduce_signsum(&signs, wire).1);
+        assert_run_reconstructs("ring majority", || ring_allreduce_majority(&signs, wire).1);
+    }
+    assert_run_reconstructs("tree f32", || {
+        tree_allreduce_sum(&mut random_data(6, 1000, 1))
+    });
+    assert_run_reconstructs("tree sign-sum", || tree_allreduce_signsum(&signs[..6]).1);
+    assert_run_reconstructs("segring f32", || {
+        segring_allreduce_sum(&mut random_data(4, 1000, 1), 3)
+    });
 }
 
 #[test]
@@ -76,12 +104,21 @@ fn ring_onebit_reconstructs_exactly() {
     assert_reconstructs(&tel, &trace);
 }
 
+/// The `f32` torus and its integer payloads.
 #[test]
 fn torus_sum_reconstructs_exactly() {
-    let tel = Telemetry::recording();
-    let mut data = random_data(8, 1000, 3);
-    let trace = scoped(&tel, || torus_allreduce_sum(&mut data, 2, 4));
-    assert_reconstructs(&tel, &trace);
+    let signs = random_signs(8, 1000, 4);
+    assert_run_reconstructs("torus f32", || {
+        torus_allreduce_sum(&mut random_data(8, 1000, 3), 2, 4)
+    });
+    for wire in [SumWire::Elias, SumWire::FixedWidth] {
+        assert_run_reconstructs("torus sign-sum", || {
+            torus_allreduce_signsum(&signs, 2, 4, wire).1
+        });
+        assert_run_reconstructs("torus majority", || {
+            torus_allreduce_majority(&signs, 2, 4, wire).1
+        });
+    }
 }
 
 #[test]
@@ -108,6 +145,18 @@ fn faulty_ring_sum_reconstructs_with_retries() {
         "want retries in this scenario so the expanded-step path is exercised"
     );
     assert_reconstructs(&tel, &trace);
+
+    // The torus takes the same injector: 5 % drops, retried.
+    let plan = FaultPlan::seeded(9)
+        .with_link_drop(0.05)
+        .with_retry_policy(4, 1e-4);
+    let mut inj = plan.injector(0);
+    let torus = PlanTopology::Torus { rows: 2, cols: 4 };
+    assert_run_reconstructs("faulty torus f32", || {
+        let trace = allreduce_sum(torus, &mut data, &mut inj).expect("valid inputs");
+        assert!(trace.num_steps() > 2 * 3 + 2, "want retries here too");
+        trace
+    });
 }
 
 #[test]
@@ -119,7 +168,7 @@ fn faulty_ring_onebit_reconstructs_with_retries() {
     let signs = random_signs(8, 1000, 6);
     let mut inj = plan.injector(0);
     let (_, trace) = scoped(&tel, || {
-        ring_allreduce_onebit_faulty(&signs, &mut inj, keep_received).expect("valid inputs")
+        allreduce_onebit(PlanTopology::Ring, &signs, &mut inj, keep_received).expect("valid inputs")
     });
     assert_reconstructs(&tel, &trace);
 }
@@ -132,8 +181,9 @@ fn faulty_torus_onebit_reconstructs_with_retries() {
     let tel = Telemetry::recording();
     let signs = random_signs(8, 1000, 7);
     let mut inj = plan.injector(0);
+    let torus = PlanTopology::Torus { rows: 2, cols: 4 };
     let (_, trace) = scoped(&tel, || {
-        torus_allreduce_onebit_faulty(&signs, 2, 4, &mut inj, keep_received).expect("valid inputs")
+        allreduce_onebit(torus, &signs, &mut inj, keep_received).expect("valid inputs")
     });
     assert_reconstructs(&tel, &trace);
 }
@@ -223,20 +273,26 @@ fn same_seed_runs_are_byte_identical() {
 /// validation, and its hop events account for every byte the report counted.
 #[test]
 fn train_log_roundtrips_validates_and_accounts_bytes() {
-    let tel = Telemetry::recording();
-    let mut cfg = short_train_cfg();
-    cfg.telemetry = tel.clone();
-    let report = train(&cfg);
+    // Marsit on a ring, and a baseline on a torus: its integer payloads
+    // emit hops like everything else that rides the schedule walk.
+    let mut majority = short_train_cfg();
+    majority.topology = Topology::torus(2, 2);
+    majority.strategy = StrategyKind::SignMajority;
+    for mut cfg in [short_train_cfg(), majority] {
+        let tel = Telemetry::recording();
+        cfg.telemetry = tel.clone();
+        let report = train(&cfg);
 
-    let jsonl = tel.events_jsonl();
-    let events = parse_jsonl(&jsonl).expect("log parses");
-    assert_eq!(events.len(), tel.event_count());
-    assert_eq!(validate(&events), Vec::<String>::new());
+        let jsonl = tel.events_jsonl();
+        let events = parse_jsonl(&jsonl).expect("log parses");
+        assert_eq!(events.len(), tel.event_count());
+        assert_eq!(validate(&events), Vec::<String>::new());
 
-    let analysis = analyze(&events).expect("log analyzes");
-    assert_eq!(analysis.total_bytes() as usize, report.total_bytes);
-    assert_eq!(analysis.phases.rounds as usize, cfg.rounds);
-    assert!((analysis.phases.total_s() - report.total_time.total()).abs() < 1e-9);
+        let analysis = analyze(&events).expect("log analyzes");
+        assert_eq!(analysis.total_bytes() as usize, report.total_bytes);
+        assert_eq!(analysis.phases.rounds as usize, cfg.rounds);
+        assert!((analysis.phases.total_s() - report.total_time.total()).abs() < 1e-9);
+    }
 }
 
 proptest! {

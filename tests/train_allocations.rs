@@ -14,6 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use marsit::collectives::torus::torus_allreduce_sum;
 use marsit::collectives::{compile_plan, PlanTopology};
 use marsit::models::MlpWorkspace;
 use marsit::prelude::*;
@@ -165,6 +166,30 @@ fn compiling_a_plan_allocates_no_payload() {
     assert!(
         largest < 64 << 10,
         "compile_plan requested {largest} bytes at once"
+    );
+}
+
+/// The `f32` torus sum works in place on its callers' buffers — the column
+/// phase addresses them through the walk's frame instead of copying chunks
+/// out and back, and no hop clones what it sends: at the `train_torus` shape
+/// (torus(2,4), 170 674 parameters, 167 KiB per chunk) no single request
+/// reaches 64 KiB.
+#[test]
+fn torus_sum_allocates_no_payload() {
+    let mut data: Vec<Vec<f32>> = (0..8)
+        .map(|w| {
+            (0..170_674)
+                .map(|x| ((x + w) % 251) as f32 - 125.0)
+                .collect()
+        })
+        .collect();
+    let mut steps = 0;
+    let (_, largest) = measure(|| steps = torus_allreduce_sum(&mut data, 2, 4).num_steps());
+    assert_eq!(steps, 2 * 3 + 2);
+    assert!(data.iter().all(|w| w == &data[0]));
+    assert!(
+        largest < 64 << 10,
+        "torus_allreduce_sum requested {largest} bytes at once"
     );
 }
 
