@@ -22,10 +22,14 @@
 //!    driver for [`run_rank`] over a [`ChannelFabric`]). Worker *processes*
 //!    run [`run_rank`] directly over a `ProcessTransport`.
 //!
-//! Determinism across backends is the frozen RNG stream contract
-//! (`DESIGN.md` §9): every combine's randomness is addressed by its
-//! [`CombineCtx`], which is fixed at compile time, so arrival timing cannot
-//! perturb the consensus. Simulated-clock telemetry and the [`Trace`] are
+//! Determinism across backends is the RNG stream contract (`DESIGN.md` §9,
+//! v2): every combine's randomness is addressed by its [`CombineCtx`] — the
+//! [`ChainSlot`](crate::ChainSlot) of a hop on a still-canonical reduce
+//! chain names the chain's shared winner stream and the hop's place in it,
+//! any other hop draws the stream of its `(receiver, segment, step)` — and
+//! the context is fixed at compile time by the walk that owns the counts, so
+//! arrival timing cannot perturb the consensus and a rank needs no view of
+//! the rest of its chain. Simulated-clock telemetry and the [`Trace`] are
 //! produced by the compiling walk, not by the executors (the plan carries
 //! its trace). The one exception is *wall-clock tracing*: when an ambient
 //! telemetry scope is active, [`run_rank`] records each payload it receives
@@ -41,7 +45,7 @@ use marsit_tensor::SignVec;
 
 use crate::payload::{Payload, PlanOnly, SignCells, SignSums, Signs, Sums};
 use crate::reconfigure::SyncError;
-use crate::ring::{ring_exec, shape_of, Book, ClosureOp, CombineCtx, SumWire, Wire};
+use crate::ring::{ring_exec, shape_of, Book, ClosureOp, CombineCtx, RingNames, SumWire, Wire};
 use crate::segring::segring_exec;
 use crate::torus::{torus_exec, TorusBooks};
 use crate::trace::Trace;
@@ -171,7 +175,7 @@ pub(crate) fn walk<P: Payload>(
 ) -> Result<(), SyncError> {
     let book = &mut Book::default();
     match topology {
-        PlanTopology::Ring => ring_exec(world, d, |_| 1, 0, wire, book, payload),
+        PlanTopology::Ring => ring_exec(world, d, |_| 1, RingNames::Chains(0), wire, book, payload),
         PlanTopology::Torus { rows, cols } => {
             let books = &mut TorusBooks::default();
             torus_exec(rows, cols, world, d, wire, books, payload)

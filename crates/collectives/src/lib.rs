@@ -42,7 +42,11 @@
 //! *omitted* — the receiver keeps its aggregate and its count, so the result
 //! degrades toward an aggregate over what arrived, every [`CombineCtx`] still
 //! reports the exact number of workers on each side (`⊙` stays unbiased),
-//! and a sign-sum's count is what was actually folded. Gather and broadcast
+//! and a sign-sum's count is what was actually folded. A one-bit reduce hop
+//! whose chain is still the fault-free plan's — equal inputs, nothing omitted
+//! before it — says so with a [`ChainSlot`] in its context, which lets `⊙`
+//! resolve the whole chain from one shared draw; the first omission takes
+//! the rest of that chain back to the counts alone. Gather and broadcast
 //! transfers are reliable, so all workers agree on the result.
 //! Retransmissions appear as extra trace steps and as `hop` events that
 //! rebuild the trace. An inert injector gives the clean schedule.
@@ -75,7 +79,7 @@ pub use engine::{
     run_lockstep, run_rank, run_threaded, EnginePlan, PlanTopology, PlannedTransfer,
 };
 pub use reconfigure::{DegradedMode, EffectiveTopology, SyncError, TopologyReconfigurer};
-pub use ring::{CombineCtx, PlannedHop, RingOnebitScratch, StepCombine, SumWire};
+pub use ring::{ChainSlot, CombineCtx, PlannedHop, RingOnebitScratch, StepCombine, SumWire};
 pub use trace::Trace;
 
 #[cfg(test)]

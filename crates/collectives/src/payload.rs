@@ -57,10 +57,10 @@ pub(crate) trait Payload {
     /// Order of a ring's hops within gather step `g`. **Frozen contract, not
     /// a preference:** one-bit and integer rings list them by segment
     /// (`s = 0..m`, sender `s + g − 1`; `golden_plan` and `golden_onebit` pin
-    /// it), the `f32` ring by sender (`w = 0..m`, segment `w + 1 − g`; the
-    /// faulty-torus goldens of `golden_onebit` pin it under drops, through
-    /// Marsit's resync over a ring). The two are rotations of one another by
-    /// `g − 1`.
+    /// it), the `f32` ring by sender (`w = 0..m`, segment `w + 1 − g`;
+    /// `golden_baselines` pins it, and under drops so does the survivor-ring
+    /// resync of `golden_onebit`'s faulty torus). The two are rotations of
+    /// one another by `g − 1`.
     const GATHER_BY_SENDER: bool = false;
 
     /// Starts the walk `frame` describes over `workers` inputs of `d`

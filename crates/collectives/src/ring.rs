@@ -71,6 +71,39 @@ pub struct CombineCtx {
     pub received_count: usize,
     /// Number of workers aggregated in the *local* vector.
     pub local_count: usize,
+    /// The hop's place in its reduce chain, when the chain's shared winner
+    /// draw may resolve it (see [`ChainSlot`]); `None` for every other hop,
+    /// which is to be resolved from the two counts alone.
+    pub chain: Option<ChainSlot>,
+}
+
+/// A hop's place in a *reduce chain*: the `len` equal-weight contributors
+/// one segment is folded through, in hop order — a ring's workers from the
+/// segment's first sender on, a torus row's for one chunk, then a torus
+/// column's rows for one sub-segment of the chunk it owns.
+///
+/// A context carries a slot only while the chain is still the fault-free
+/// plan's: every contributor entered with the same aggregation count and the
+/// received aggregate has folded all `pos` contributors before this one
+/// (`received_count == pos · local_count`). Then, for a winner index `W`
+/// drawn uniformly on `0..len` once per coordinate and shared by the whole
+/// chain, "take the local bit iff `W == pos`" at every hop leaves
+/// contributor `W`'s bit in the last aggregate — the distribution of the
+/// Eq. 2 chain from `⌈log₂ len⌉` random bits per coordinate. The slotted
+/// hops of a chain are a prefix of it: an omitted transfer leaves every
+/// later hop of its chain with a smaller received count and no slot, the
+/// aggregate it interrupted is discarded with it, and the later hops fall
+/// back to independent Bernoulli(`a/(a+b)`) draws over what they fold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChainSlot {
+    /// Chain id, unique within one collective: keys the chain's winner
+    /// stream.
+    pub chain: usize,
+    /// The receiver's position in the chain, `1..len` (contributor 0 sends
+    /// first and never combines).
+    pub pos: usize,
+    /// Contributors in the chain.
+    pub len: usize,
 }
 
 /// One upcoming combine of a reduce step, announced to a step-begin hook
@@ -199,7 +232,15 @@ pub fn ring_allreduce_signsum_parts(parts: &[SignSumVec], wire: SumWire) -> (Sig
     let count_of = |w: usize| parts[w].count() as usize;
     let inj = &mut FaultInjector::inert();
     clean(signsum_walk(parts, wire, false, inj, |m, d, wire, sums| {
-        ring_exec(m, d, count_of, 0, wire, &mut Book::default(), sums)
+        ring_exec(
+            m,
+            d,
+            count_of,
+            RingNames::Shifted(0),
+            wire,
+            &mut Book::default(),
+            sums,
+        )
     }))
 }
 
@@ -243,7 +284,8 @@ where
     assert!(unit > 0, "unit must be positive");
     let inj = &mut FaultInjector::inert();
     clean(onebit_walk(signs, inj, combine, |m, d, wire, payload| {
-        ring_exec(m, d, |_| unit, 0, wire, &mut Book::default(), payload)
+        let book = &mut Book::default();
+        ring_exec(m, d, |_| unit, RingNames::Chains(0), wire, book, payload)
     }))
 }
 
@@ -296,6 +338,27 @@ impl RingOnebitScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// The reduce chains of a grid whose workers form consecutive rings of `len`
+/// (one ring, or a torus's rows) with every contributor entering at the same
+/// aggregation count: ring `w / len`'s chain for segment `s` has id
+/// `base + (w / len)·len + s`, and the receiver of reduce step `r` sits at
+/// position `r + 1` in it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Chains {
+    pub(crate) base: usize,
+    pub(crate) len: usize,
+}
+
+/// How a ring's combine contexts name its hops.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RingNames {
+    /// Segment ids as they are; segment `s`'s reduce chain is announced under
+    /// id `base + s`.
+    Chains(usize),
+    /// Segment ids offset by this much, no chains announced.
+    Shifted(usize),
 }
 
 /// The books of one grid of `(worker, segment)` cells — the half of a walk
@@ -355,12 +418,15 @@ impl Book {
     /// destination's count then absorbs its source's — an omitted hop leaves
     /// the receiver's aggregate and count as they were, which keeps `⊙`
     /// unbiased over what actually arrived — and the payload folds the
-    /// plan's hops in order. Contexts name segment `seg_shift + s`.
+    /// plan's hops in order. Contexts name segment `seg_shift + s`, and a hop
+    /// of one of `chains` whose counts are still the fault-free plan's
+    /// carries its [`ChainSlot`].
     pub(crate) fn reduce_step<P: Payload>(
         &mut self,
         step: usize,
         hops: impl Iterator<Item = (usize, usize, usize)>,
         seg_shift: usize,
+        chains: Option<Chains>,
         wire: &mut Wire<'_>,
         payload: &mut P,
     ) {
@@ -368,12 +434,22 @@ impl Book {
         self.plan.clear();
         self.hops.clear();
         for (w, n, s) in hops {
+            let (received_count, local_count) = (self.counts[w][s], self.counts[n][s]);
+            let pos = step + 1;
+            let chain = chains
+                .filter(|_| received_count == pos * local_count)
+                .map(|c| ChainSlot {
+                    chain: c.base + w / c.len * c.len + s,
+                    pos,
+                    len: c.len,
+                });
             let ctx = CombineCtx {
                 step,
                 receiver: n,
                 segment: seg_shift + s,
-                received_count: self.counts[w][s],
-                local_count: self.counts[n][s],
+                received_count,
+                local_count,
+                chain,
             };
             let at = self.at(wire.frame, (w, n, s));
             let bytes = payload.wire_bytes(at, ctx.received_count, true);
@@ -628,20 +704,20 @@ pub fn ring_allreduce_onebit_planned<O: StepCombine>(
     };
     let (m, d) = shape_of(signs, SignVec::len);
     let wire = &mut Wire::begin(inj, trace, None);
-    ring_exec(m, d, |_| 1, 0, wire, book, payload)
+    ring_exec(m, d, |_| 1, RingNames::Chains(0), wire, book, payload)
 }
 
 /// The one function that enumerates a ring's hops, whatever they carry: `m`
 /// workers all-reducing `d` elements of `payload` over `wire`. `count_of(w)`
 /// is how many workers input `w` already aggregates (the vertical phase of a
-/// torus feeds row aggregates here) and `seg_shift` offsets the segment ids
-/// in combine contexts (a segmented ring namespaces its pipelines' RNG
+/// torus feeds row aggregates here) and `names` is how combine contexts name
+/// its hops (a segmented ring namespaces its pipelines' RNG
 /// streams this way). Contexts use ring positions as receiver ids.
 pub(crate) fn ring_exec<P: Payload>(
     m: usize,
     d: usize,
     count_of: impl Fn(usize) -> usize,
-    seg_shift: usize,
+    names: RingNames,
     wire: &mut Wire<'_>,
     book: &mut Book,
     payload: &mut P,
@@ -649,13 +725,22 @@ pub(crate) fn ring_exec<P: Payload>(
     if m < 2 {
         return Err(SyncError::TooFewWorkers { needed: 2, got: m });
     }
+    // Equal inputs only make chains: a column fed rows of differing counts
+    // folds by the counts alone.
+    let (seg_shift, chains) = match names {
+        RingNames::Chains(base) if (1..m).all(|w| count_of(w) == count_of(0)) => {
+            (0, Some(Chains { base, len: m }))
+        }
+        RingNames::Chains(_) => (0, None),
+        RingNames::Shifted(seg_shift) => (seg_shift, None),
+    };
     book.load(m, d, m, count_of);
     payload.load(wire.frame, m, d, &book.segs)?;
     // Reduce step r: worker w sends segment w − r, never the one it receives
     // (w − 1 − r), so a step's folds touch disjoint cells.
     for r in 0..m - 1 {
         let hops = (0..m).map(|w| (w, (w + 1) % m, (w + m - r) % m));
-        book.reduce_step(r, hops, seg_shift, wire, payload);
+        book.reduce_step(r, hops, seg_shift, chains, wire, payload);
     }
     // Worker w now owns the fully reduced segment w + 1.
     for s in 0..m {
@@ -844,7 +929,7 @@ mod tests {
         }
     }
 
-    /// The per-hop stream id of the core crate's frozen contract.
+    /// The per-hop (fallback) stream id of the core crate's stream contract.
     fn streamed_weighted(seed: u64, recv: &SignVec, local: &mut SignVec, ctx: CombineCtx) {
         let stream = ((ctx.receiver as u64) << 40) | ((ctx.segment as u64) << 20) | ctx.step as u64;
         let mut rng = FastRng::new(seed, stream);
@@ -896,6 +981,8 @@ mod tests {
                 steps[k].push(bytes);
             }
         };
+        // Segment s's chain is canonical until one of its hops is omitted.
+        let mut intact = vec![true; m];
         for r in 0..m - 1 {
             let base = steps.len();
             for w in 0..m {
@@ -914,11 +1001,18 @@ mod tests {
                         segment: s,
                         received_count: counts[w][s],
                         local_count: counts[n][s],
+                        chain: intact[s].then_some(ChainSlot {
+                            chain: s,
+                            pos: r + 1,
+                            len: m,
+                        }),
                     };
                     ctxs.push(ctx);
                     let (src, dst) = split_pair(&mut state, w, n);
                     streamed_weighted(seed, &src[s], &mut dst[s], ctx);
                     counts[n][s] += counts[w][s];
+                } else {
+                    intact[s] = false;
                 }
             }
         }
@@ -980,7 +1074,8 @@ mod tests {
                     cells,
                 };
                 let wire = &mut Wire::begin(&mut inj, &mut trace, None);
-                ring_exec(m, d, |_| unit, 0, wire, book, payload).expect("valid inputs");
+                ring_exec(m, d, |_| unit, RingNames::Chains(0), wire, book, payload)
+                    .expect("valid inputs");
                 let label = format!("m={m} d={d} unit={unit}");
                 assert_eq!(out, expected, "{label}: consensus");
                 assert_eq!(op.planned, ctxs, "{label}: planned contexts");

@@ -21,7 +21,7 @@ use marsit_tensor::SignVec;
 use crate::engine::{allreduce_onebit, allreduce_sum, PlanTopology};
 use crate::payload::Payload;
 use crate::reconfigure::SyncError;
-use crate::ring::{clean, ring_exec, segment_ranges, Book, CombineCtx, Frame, Wire};
+use crate::ring::{clean, ring_exec, segment_ranges, Book, CombineCtx, Frame, RingNames, Wire};
 use crate::trace::Trace;
 
 /// In-place segmented-ring all-reduce summing `f32` payloads.
@@ -108,7 +108,8 @@ pub(crate) fn segring_exec<P: Payload>(
             cell: Some(s),
         };
         let ring_wire = &mut wire.sub(sub, s, m, frame);
-        ring_exec(m, range.len(), |_| 1, s * m, ring_wire, ring, payload)?;
+        let names = RingNames::Shifted(s * m);
+        ring_exec(m, range.len(), |_| 1, names, ring_wire, ring, payload)?;
         wire.trace.overlay(s, sub);
     }
     wire.rec.reserve_steps(wire.trace.num_steps());

@@ -21,7 +21,8 @@ use crate::engine::{
 use crate::payload::{Payload, SignCells, Signs};
 use crate::reconfigure::SyncError;
 use crate::ring::{
-    clean, ring_exec, shape_of, Book, CombineCtx, Frame, StepCombine, SumWire, Wire,
+    clean, ring_exec, shape_of, Book, Chains, CombineCtx, Frame, RingNames, StepCombine, SumWire,
+    Wire,
 };
 use crate::trace::Trace;
 
@@ -161,15 +162,18 @@ pub(crate) fn torus_exec<P: Payload>(
     payload.load(wire.frame, m, d, &grid.segs)?;
     let row_hops = || (0..rows).flat_map(|row| (0..cols).map(move |c| (row * cols, c)));
 
-    // Phase 1: horizontal reduce-scatter, single-worker units.
+    // Phase 1: horizontal reduce-scatter, single-worker units; row `r`'s
+    // chain for chunk `s` is chain `r·cols + s`.
+    let row_chains = Some(Chains { base: 0, len: cols });
     for rr in 0..cols - 1 {
         let hops = row_hops().map(|(r0, c)| (r0 + c, r0 + (c + 1) % cols, (c + cols - rr) % cols));
-        grid.reduce_step(rr, hops, 0, wire, payload);
+        grid.reduce_step(rr, hops, 0, row_chains, wire, payload);
     }
 
     // Phase 2: vertical all-reduce per column on the chunk it owns, columns
     // sequential in injector order; sub-ring worker `row` is global worker
-    // `row·cols + c`, row-major.
+    // `row·cols + c`, row-major, and column `c`'s chains follow the rows' at
+    // `m + c·rows`.
     let offset = wire.trace.num_steps();
     for c in 0..cols {
         let own = (c + 1) % cols;
@@ -183,7 +187,16 @@ pub(crate) fn torus_exec<P: Payload>(
         let counts = &grid.counts;
         let count_of = |row: usize| counts[row * cols + c][own];
         let column_wire = &mut wire.sub(sub, offset, rows, frame);
-        ring_exec(rows, chunk.len(), count_of, 0, column_wire, column, payload)?;
+        let names = RingNames::Chains(m + c * rows);
+        ring_exec(
+            rows,
+            chunk.len(),
+            count_of,
+            names,
+            column_wire,
+            column,
+            payload,
+        )?;
         wire.trace.overlay(offset, sub);
         // Every row now holds the column's reduced chunk, over the most
         // workers any of its segments folded.

@@ -118,7 +118,7 @@ pub(crate) fn tree_exec<P: Payload>(
     let levels = tree_levels(m);
     for level in 0..levels {
         let hops = level_pairs(m, level).map(|(w, child)| (child, w, 0));
-        book.reduce_step(level, hops, 0, wire, payload);
+        book.reduce_step(level, hops, 0, None, wire, payload);
     }
     book.reduced(0, 0, wire, payload);
     for (g, level) in (0..levels).rev().enumerate() {

@@ -16,20 +16,17 @@
 //! All workers deterministically agree on `g_t` — the consensus invariant of
 //! multi-hop all-reduce — which the simulator asserts after every round.
 
-use marsit_collectives::ring::{
-    ring_allreduce_onebit_planned, ring_allreduce_sum_faulty, RingOnebitScratch, StepCombine,
-};
-use marsit_collectives::torus::{
-    torus_allreduce_onebit_planned, torus_allreduce_sum, TorusOnebitScratch,
-};
+use marsit_collectives::ring::{ring_allreduce_onebit_planned, RingOnebitScratch, StepCombine};
+use marsit_collectives::torus::{torus_allreduce_onebit_planned, TorusOnebitScratch};
 use marsit_collectives::{
-    CombineCtx, DegradedMode, EffectiveTopology, PlannedHop, TopologyReconfigurer, Trace,
+    allreduce_sum, ChainSlot, CombineCtx, DegradedMode, EffectiveTopology, PlanTopology,
+    PlannedHop, TopologyReconfigurer, Trace,
 };
 use marsit_simnet::{FaultPlan, FaultStats, Topology};
 use marsit_tensor::rng::{split_seed, FastRng};
 use marsit_tensor::{
-    compensate_block, fill_bernoulli_masks_indexed, Residual, ScaledSignLut, SignVec,
-    PROLOGUE_BLOCK,
+    compensate_block, fill_bernoulli_masks_indexed, fill_winner_planes_indexed, winner_plane_count,
+    Residual, ScaledSignLut, SignVec, PROLOGUE_BLOCK,
 };
 
 use crate::compensation::Compensation;
@@ -55,8 +52,9 @@ pub struct MarsitConfig {
     /// Global step size `η_s` applied to the sign vector (Algorithm 1,
     /// line 9).
     pub global_lr: f32,
-    /// Master seed for the transient vectors; every `(round, receiver,
-    /// segment, step)` tuple derives an independent stream.
+    /// Master seed for the `⊙` draws; every round derives one independent
+    /// stream per reduce chain and, off the canonical chains, per
+    /// `(receiver, segment, step)` hop.
     pub seed: u64,
     /// Combine operator (ablation hook; defaults to the paper's weighted
     /// Eq. 2).
@@ -192,8 +190,10 @@ struct RoundWorkspace {
 /// place, the last word with zero tail bits, for every live worker — a
 /// crashed worker's buffers are left alone and never read; the live list is
 /// rebuilt, the ring and torus scratch reassign every segment cell and count,
-/// the planner is reseeded per round, and the consensus buffer has every bit
-/// spliced in. What survives the handoff is buffer *capacity*
+/// the planner is reseeded per round and forgets its chains, each chain's
+/// winner planes are drawn at its first hop before any later hop replays
+/// them, and the consensus buffer has every bit spliced in. What survives
+/// the handoff is buffer *capacity*
 /// and stale bytes that are overwritten before any read, and neither
 /// participates in a computation — so a job running on an adopted workspace,
 /// of any provenance or shape, is bit-identical to the same job on a fresh
@@ -237,11 +237,31 @@ struct PendingResidual {
     scale: f32,
 }
 
-/// The per-hop RNG stream id, a frozen contract: every `(receiver, segment,
-/// step)` tuple of a round derives an independent transient-vector stream.
+/// The per-hop RNG stream id of the Bernoulli fallback (stream contract v2,
+/// DESIGN.md §9): every `(receiver, segment, step)` tuple of a round derives
+/// an independent transient-vector stream. Unchanged since v1, where every
+/// hop drew from it.
 #[inline]
 pub(crate) fn stream_for(ctx: &CombineCtx) -> u64 {
     ((ctx.receiver as u64) << 40) | ((ctx.segment as u64) << 20) | ctx.step as u64
+}
+
+/// The winner stream of a reduce chain (stream contract v2): one per chain
+/// of a round, shared by all its hops, apart from every [`stream_for`] id.
+#[inline]
+pub(crate) fn chain_stream(slot: &ChainSlot) -> u64 {
+    (1 << 63) | slot.chain as u64
+}
+
+/// The chain slot `ctx`'s hop resolves by under `kind` — the weighted `⊙`
+/// on a hop of a still-canonical chain — or `None` for a hop that draws its
+/// own Bernoulli keep mask.
+#[inline]
+pub(crate) fn winner_slot(kind: CombineKind, ctx: &CombineCtx) -> Option<ChainSlot> {
+    match kind {
+        CombineKind::Weighted => ctx.chain,
+        CombineKind::UnweightedAblation => None,
+    }
 }
 
 /// The keep-received probability the combine kernel will use for `ctx`.
@@ -255,28 +275,49 @@ fn keep_probability(kind: CombineKind, ctx: &CombineCtx) -> f64 {
     }
 }
 
-/// Pre-sampled transient masks for the one-bit collectives.
-///
-/// The combines of one reduce step touch disjoint segments and consume
-/// independent RNG streams, but sampling them one hop at a time leaves a
-/// single serial xorshift chain on the critical path — at non-dyadic keep
-/// probabilities (32 dependent draws per word) that chain alone costs more
-/// than the combines' bit math. The planner receives each step's plan of
-/// delivered hops via the collective's step-begin hook, draws all of the
-/// step's masks with
-/// [`fill_bernoulli_masks_indexed`] (up to 8 chains in flight), and the combine
-/// closure replays them via [`SignVec::transient_combine_assign_masked`].
-///
-/// Per stream the words, draw counts, and final RNG states are bit-identical
-/// to the unbatched path, so consensus outputs and telemetry are unchanged.
+/// One planned hop of the current step.
 #[derive(Debug, Clone)]
 struct MaskSpan {
+    /// Where the hop's words start: in `masks` for a keep mask, in `planes`
+    /// for a chain hop.
     start: usize,
     words: usize,
+    /// RNG draws attributed to the hop.
     draws: u64,
     ctx: CombineCtx,
 }
 
+/// What a planned hop needs drawn at its step; hops with equal keys share
+/// one interleaved fill.
+#[derive(Clone, Copy, PartialEq)]
+enum DrawKey {
+    /// A Bernoulli keep mask at this probability.
+    Keep(f64),
+    /// The winner planes of a chain of this many contributors.
+    Winner(usize),
+}
+
+/// Pre-sampled randomness for the one-bit collectives.
+///
+/// The combines of one reduce step touch disjoint segments and consume
+/// independent RNG streams, but sampling them one hop at a time leaves a
+/// single serial xorshift chain on the critical path. The planner receives
+/// each step's plan of delivered hops via the collective's step-begin hook
+/// and draws everything the step needs with up to 8 streams in flight:
+///
+/// - a hop that carries a [`ChainSlot`] resolves from its chain's winner
+///   planes. The planes are drawn once, with
+///   [`fill_winner_planes_indexed`] at the chain's first hop, kept for the
+///   round, and replayed by [`SignVec::winner_combine_assign`] at every later
+///   position; the chain's draws are attributed to that first hop;
+/// - every other hop gets a Bernoulli keep mask of its own
+///   ([`fill_bernoulli_masks_indexed`], replayed by
+///   [`SignVec::transient_combine_assign_masked`]).
+///
+/// Per stream the words, draw counts, and final RNG states are bit-identical
+/// to the hop-at-a-time derivation of `transport::engine_combine`, so
+/// consensus outputs and telemetry are backend-independent.
+///
 /// Persistent across rounds (it lives in [`RoundWorkspace`]); [`reset`]
 /// re-arms it for a new round seed while every buffer keeps its capacity, so
 /// the steady-state planner performs zero heap allocations per round.
@@ -286,13 +327,21 @@ struct MaskSpan {
 struct MaskPlanner {
     round_seed: u64,
     kind: CombineKind,
-    /// Flattened mask words of the current step, windowed by `spans`.
+    /// Flattened keep-mask words of the current step, windowed by `spans`.
     masks: Vec<u64>,
+    /// Winner planes of the round's chains so far: `planes[..planes_len]`.
+    /// A chain's window is written at its first hop before anything reads it,
+    /// so what an earlier round (or another job) left here is never seen.
+    planes: Vec<u64>,
+    planes_len: usize,
+    /// `chain_start[id]`: where chain `id`'s planes start, once drawn.
+    chain_start: Vec<usize>,
     spans: Vec<MaskSpan>,
-    /// Per-step lane generators (reused allocation).
+    /// Per-group lane generators, windows and span indices (reused
+    /// allocations).
     rngs: Vec<FastRng>,
-    /// `(offset, len)` windows into `masks`, per lane of the current group.
     windows: Vec<(usize, usize)>,
+    members: Vec<usize>,
     /// Per-hop "already drawn by an earlier group" flags.
     grouped: Vec<bool>,
 }
@@ -302,68 +351,113 @@ impl MaskPlanner {
     fn reset(&mut self, round_seed: u64, kind: CombineKind) {
         self.round_seed = round_seed;
         self.kind = kind;
+        self.planes_len = 0;
+        self.chain_start.clear();
     }
 
-    /// Draws every mask the upcoming step's combines will consume.
+    /// What planned hop `idx` needs drawn now, and from which stream.
+    fn draw_of(&self, idx: usize) -> Option<(DrawKey, u64)> {
+        let ctx = &self.spans[idx].ctx;
+        match winner_slot(self.kind, ctx) {
+            Some(slot) if slot.pos == 1 => Some((DrawKey::Winner(slot.len), chain_stream(&slot))),
+            Some(_) => None,
+            None if self.spans[idx].words == 0 => None,
+            None => Some((
+                DrawKey::Keep(keep_probability(self.kind, ctx)),
+                stream_for(ctx),
+            )),
+        }
+    }
+
+    /// Draws everything the upcoming step's combines will consume.
     fn plan_step(&mut self, plan: &[PlannedHop]) {
         self.spans.clear();
         let mut total = 0usize;
         for hop in plan {
-            let p = keep_probability(self.kind, &hop.ctx);
-            let draws_per_word = SignVec::bernoulli_word_draws(p);
-            // Degenerate probabilities draw nothing; their combines fall
-            // back to the drawing kernel (which is a copy either way).
-            let words = if draws_per_word == 0 {
-                0
+            let mut words = hop.elems.div_ceil(64);
+            let start = if let Some(slot) = winner_slot(self.kind, &hop.ctx) {
+                if slot.pos == 1 {
+                    if self.chain_start.len() <= slot.chain {
+                        self.chain_start.resize(slot.chain + 1, usize::MAX);
+                    }
+                    self.chain_start[slot.chain] = self.planes_len;
+                    self.planes_len += words * winner_plane_count(slot.len);
+                }
+                self.chain_start[slot.chain]
             } else {
-                hop.elems.div_ceil(64)
+                // Degenerate probabilities draw nothing; their combines fall
+                // back to the drawing kernel (which is a copy either way).
+                let p = keep_probability(self.kind, &hop.ctx);
+                if SignVec::bernoulli_word_draws(p) == 0 {
+                    words = 0;
+                }
+                let start = total;
+                total += words;
+                start
             };
             self.spans.push(MaskSpan {
-                start: total,
+                start,
                 words,
-                draws: words as u64 * u64::from(draws_per_word),
+                draws: 0,
                 ctx: hop.ctx,
             });
-            total += words;
         }
         self.masks.clear();
         self.masks.resize(total, 0);
-        // Batch hops that share a keep probability (all of them, within one
+        if self.planes.len() < self.planes_len {
+            self.planes.resize(self.planes_len, 0);
+        }
+        // Batch hops that need the same kind of draw (all of them, within one
         // reduce step that lost no transfer) into one interleaved multi-lane
-        // fill. Windows
-        // are plain `(offset, len)` pairs into the flat buffer, so grouping
-        // materializes no per-hop borrows.
+        // fill. Windows are plain `(offset, len)` pairs into the flat
+        // buffers, so grouping materializes no per-hop borrows.
         self.grouped.clear();
         self.grouped.resize(plan.len(), false);
         for i in 0..plan.len() {
-            if self.spans[i].words == 0 || self.grouped[i] {
+            let Some((key, _)) = self.draw_of(i) else {
+                continue;
+            };
+            if self.grouped[i] {
                 continue;
             }
-            let p = keep_probability(self.kind, &plan[i].ctx);
             self.rngs.clear();
             self.windows.clear();
-            for (j, hop) in plan.iter().enumerate().skip(i) {
-                if self.spans[j].words > 0
-                    && !self.grouped[j]
-                    && keep_probability(self.kind, &hop.ctx).to_bits() == p.to_bits()
-                {
+            self.members.clear();
+            for j in i..plan.len() {
+                if self.grouped[j] {
+                    continue;
+                }
+                if let Some((_, stream)) = self.draw_of(j).filter(|&(k, _)| k == key) {
                     self.grouped[j] = true;
+                    self.members.push(j);
                     self.windows
                         .push((self.spans[j].start, self.spans[j].words));
-                    self.rngs
-                        .push(FastRng::new(self.round_seed, stream_for(&hop.ctx)));
+                    self.rngs.push(FastRng::new(self.round_seed, stream));
                 }
             }
-            fill_bernoulli_masks_indexed(p, &mut self.rngs, &mut self.masks, &self.windows);
+            match key {
+                DrawKey::Keep(p) => {
+                    fill_bernoulli_masks_indexed(p, &mut self.rngs, &mut self.masks, &self.windows);
+                }
+                DrawKey::Winner(g) => {
+                    fill_winner_planes_indexed(g, &mut self.rngs, &mut self.planes, &self.windows);
+                }
+            }
+            for (&j, rng) in self.members.iter().zip(&self.rngs) {
+                self.spans[j].draws = rng.draws();
+            }
         }
     }
 
     /// Applies the `idx`-th planned combine of the current step; returns the
-    /// RNG draws it consumed.
+    /// RNG draws attributed to it.
     fn apply_at(&self, idx: usize, recv: &SignVec, local: &mut SignVec, ctx: CombineCtx) -> u64 {
         let sp = &self.spans[idx];
         debug_assert_eq!(sp.ctx, ctx, "combine order diverged from the plan");
-        if sp.words == 0 {
+        if let Some(slot) = winner_slot(self.kind, &ctx) {
+            let planes = &self.planes[sp.start..][..sp.words * winner_plane_count(slot.len)];
+            SignVec::winner_combine_assign(recv, local, planes, slot.len, slot.pos);
+        } else if sp.words == 0 {
             // Degenerate keep probability: the drawing kernel consumes no
             // randomness; run it directly for exact parity.
             let mut rng = FastRng::new(self.round_seed, stream_for(&ctx));
@@ -377,15 +471,14 @@ impl MaskPlanner {
                 ),
                 CombineKind::UnweightedAblation => combine_unweighted_assign(recv, local, &mut rng),
             }
-            rng.draws()
         } else {
             SignVec::transient_combine_assign_masked(
                 recv,
                 local,
                 &self.masks[sp.start..sp.start + sp.words],
             );
-            sp.draws
         }
+        sp.draws
     }
 }
 
@@ -599,9 +692,6 @@ impl Marsit {
     /// - One-bit transfers are best-effort with bounded retries; a transfer
     ///   that exhausts its budget is an omission, and the counted collectives
     ///   keep `⊙` unbiased over what actually arrived.
-    /// - Under a fault plan, full-precision rounds (the Marsit-K resync that
-    ///   also serves as the post-crash resync point) run over a repaired ring
-    ///   regardless of topology.
     /// - Terminal live sets are defined, not panics: one live worker runs a
     ///   degenerate local-only round; zero live workers is a no-op round. A
     ///   typed [`SyncError`] from a collective likewise falls back to a
@@ -652,7 +742,6 @@ impl Marsit {
             ..FaultStats::default()
         };
         let mut inj = plan.injector(t);
-        let resync_over_ring = !plan.is_none();
         let (effective, mut degraded) = TopologyReconfigurer::new(topology, m).effective(live);
         // A crash freezes per-worker compensation, which must then exist
         // materially: only a full-membership round consumes (and leaves) a
@@ -774,17 +863,13 @@ impl Marsit {
                     buf.clear();
                     buf.extend_from_slice(&compensated[w]);
                 }
-                // Under a fault plan the resync — also the post-crash resync
-                // point — runs over a repaired ring whatever the topology;
-                // without one a torus keeps its hierarchical sum. (The torus
-                // sum takes an injector too; the fork is a pinned contract —
-                // the faulty-torus goldens and `sync_chaos` — not a gap.)
-                let trace = match effective {
-                    EffectiveTopology::Torus { rows, cols } if !resync_over_ring => {
-                        Ok(torus_allreduce_sum(fp_buffers, rows, cols))
-                    }
-                    _ => ring_allreduce_sum_faulty(fp_buffers, &mut inj),
+                // The resync — also the post-crash resync point — sums over
+                // the round's effective topology, on the round's injector.
+                let schedule = match effective {
+                    EffectiveTopology::Torus { rows, cols } => PlanTopology::Torus { rows, cols },
+                    _ => PlanTopology::Ring,
                 };
+                let trace = allreduce_sum(schedule, fp_buffers, &mut inj);
                 trace.map(|trace| {
                     out.trace = trace;
                     out.global_update.clear();

@@ -20,6 +20,12 @@
 //! bit with probability `a/(a+b)`. Eq. (2) is exactly the `b = 1` case
 //! ([`combine_eq2`]). A deliberately *biased* variant ([`combine_unweighted`])
 //! is provided for the ablation study in `DESIGN.md`.
+//!
+//! These are the per-hop forms — the definition of `⊙`. The synchronizer
+//! resolves the hops of a still fault-free reduce chain from one winner index
+//! shared by the chain instead (same distribution, `⌈log₂ g⌉` random bits per
+//! coordinate; `DESIGN.md` §9, stream contract v2) and falls back to
+//! [`combine_weighted_assign`] everywhere else.
 
 use marsit_tensor::rng::FastRng;
 use marsit_tensor::SignVec;

@@ -7,8 +7,9 @@
 //! scenario, never from execution order:
 //!
 //! - worker inputs are per-rank RNG streams (`FastRng::new(seed, rank)`);
-//! - transient combine masks are per-hop streams keyed by
-//!   `(receiver, segment, step)` (the DESIGN.md §9 frozen contract);
+//! - combine randomness is one winner stream per reduce chain and, off the
+//!   canonical chains, per-hop streams keyed by `(receiver, segment, step)`
+//!   (DESIGN.md §9, stream contract v2);
 //! - transfer fates come from a seeded [`FaultInjector`] consumed in schedule
 //!   order by the one walk per topology that both the in-process collective
 //!   and [`compile_plan`] are.
@@ -45,9 +46,9 @@ use marsit_telemetry::health::{self, HealthEvent};
 use marsit_telemetry::report::{merge_logs, parse_jsonl};
 use marsit_telemetry::{Event, Telemetry};
 use marsit_tensor::rng::{split_seed, FastRng};
-use marsit_tensor::SignVec;
+use marsit_tensor::{fill_winner_planes_indexed, winner_plane_count, SignVec};
 
-use crate::marsit::stream_for;
+use crate::marsit::{chain_stream, stream_for, winner_slot};
 use crate::ominus::{combine_unweighted_assign, combine_weighted_assign};
 use crate::CombineKind;
 
@@ -65,9 +66,13 @@ fn engine_link() -> LinkModel {
 
 /// The ctx-derived combine closure every backend runs on every rank: one hop
 /// at a time, bit-identical — the planner equivalence invariant — to the
-/// synchronizer's batched mask replay. The RNG stream is a pure function of
-/// `(receiver, segment, step)`, so per-rank execution order cannot perturb
-/// the masks. The counters are atomics because the threaded backend's ranks
+/// synchronizer's batched replay. Every stream is a pure function of the
+/// context — the chain's id for a hop that carries a
+/// [`ChainSlot`](marsit_collectives::ChainSlot), `(receiver, segment, step)`
+/// otherwise — so per-rank execution order cannot perturb the draws. A
+/// receiver re-derives its chain's winner planes for the segment it holds;
+/// the chain's draws are counted once, at its first hop, as the synchronizer
+/// counts them. The counters are atomics because the threaded backend's ranks
 /// share them.
 fn engine_combine<'a>(
     round_seed: u64,
@@ -75,16 +80,35 @@ fn engine_combine<'a>(
     combines: &'a AtomicU64,
     rng_draws: &'a AtomicU64,
 ) -> impl FnMut(&SignVec, &mut SignVec, CombineCtx) + Send + 'a {
+    let mut planes = Vec::new();
     move |recv: &SignVec, local: &mut SignVec, ctx: CombineCtx| {
-        let mut rng = FastRng::new(round_seed, stream_for(&ctx));
-        match kind {
-            CombineKind::Weighted => {
-                combine_weighted_assign(recv, ctx.received_count, local, ctx.local_count, &mut rng)
+        let drawn = if let Some(slot) = winner_slot(kind, &ctx) {
+            let words = local.len().div_ceil(64);
+            let mut rng = [FastRng::new(round_seed, chain_stream(&slot))];
+            planes.resize(words * winner_plane_count(slot.len), 0);
+            fill_winner_planes_indexed(slot.len, &mut rng, &mut planes, &[(0, words)]);
+            SignVec::winner_combine_assign(recv, local, &planes, slot.len, slot.pos);
+            if slot.pos == 1 {
+                rng[0].draws()
+            } else {
+                0
             }
-            CombineKind::UnweightedAblation => combine_unweighted_assign(recv, local, &mut rng),
-        }
+        } else {
+            let mut rng = FastRng::new(round_seed, stream_for(&ctx));
+            match kind {
+                CombineKind::Weighted => combine_weighted_assign(
+                    recv,
+                    ctx.received_count,
+                    local,
+                    ctx.local_count,
+                    &mut rng,
+                ),
+                CombineKind::UnweightedAblation => combine_unweighted_assign(recv, local, &mut rng),
+            }
+            rng.draws()
+        };
         combines.fetch_add(1, Ordering::Relaxed);
-        rng_draws.fetch_add(rng.draws(), Ordering::Relaxed);
+        rng_draws.fetch_add(drawn, Ordering::Relaxed);
     }
 }
 
@@ -739,6 +763,78 @@ mod tests {
                 Err(SyncError::PeerDisconnected { peer: 0 }),
                 "rank 0 claiming to be {claimed}"
             );
+        }
+    }
+
+    /// The planner equivalence invariant: the synchronizer's batched replay
+    /// (chain planes drawn once at the first hop, fallback masks per step)
+    /// and this module's hop-at-a-time closure agree on the consensus, the
+    /// `⊙` count and the attributed draws — clean, and under drops that take
+    /// hops off their chains' canonical prefix.
+    #[test]
+    fn synchronizer_matches_the_hop_at_a_time_closure() {
+        use marsit_simnet::Topology;
+
+        use crate::{Marsit, MarsitConfig, SyncSchedule};
+
+        let (seed, d) = (0xFEED, 1031);
+        for (topology, topo) in [
+            (Topology::ring(8), PlanTopology::Ring),
+            (Topology::ring(7), PlanTopology::Ring),
+            (
+                Topology::torus(2, 4),
+                PlanTopology::Torus { rows: 2, cols: 4 },
+            ),
+            (
+                Topology::torus(3, 3),
+                PlanTopology::Torus { rows: 3, cols: 3 },
+            ),
+        ] {
+            for drop_p in [0.0, 0.25] {
+                let label = format!("{topology:?} drop={drop_p}");
+                let m = topology.workers();
+                let plan = FaultPlan::seeded(seed)
+                    .with_link_drop(drop_p)
+                    .with_retry_policy(1, 1e-4);
+                let updates: Vec<Vec<f32>> = (0..m)
+                    .map(|w| {
+                        let mut rng = FastRng::new(seed, w as u64);
+                        (0..d).map(|_| rng.next_f64() as f32 - 0.5).collect()
+                    })
+                    .collect();
+                let cfg = MarsitConfig::new(SyncSchedule::never(), 1.0, seed)
+                    .with_fault_plan(plan.clone());
+                let tel = Telemetry::recording();
+                let mut sync = Marsit::new(cfg, m, d);
+                let out = marsit_telemetry::scoped(&tel, || sync.synchronize(&updates, topology));
+
+                let signs: Vec<SignVec> = updates.iter().map(|u| SignVec::from_signs(u)).collect();
+                let (combines, draws) = (AtomicU64::new(0), AtomicU64::new(0));
+                let combine = engine_combine(
+                    split_seed(seed, 0),
+                    CombineKind::Weighted,
+                    &combines,
+                    &draws,
+                );
+                let (consensus, _) =
+                    allreduce_onebit(topo, &signs, &mut plan.injector(0), combine).unwrap();
+                assert_eq!(
+                    SignVec::from_signs(&out.global_update),
+                    consensus,
+                    "{label}: consensus"
+                );
+                assert_eq!(
+                    tel.counter("marsit.combines"),
+                    combines.load(Ordering::Relaxed),
+                    "{label}: combines"
+                );
+                assert_eq!(
+                    tel.counter("marsit.rng_draws"),
+                    draws.load(Ordering::Relaxed),
+                    "{label}: draws"
+                );
+                assert_eq!(drop_p > 0.0, out.faults.dropped_transfers > 0, "{label}");
+            }
         }
     }
 

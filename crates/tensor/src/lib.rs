@@ -36,8 +36,8 @@ pub mod stats;
 pub mod tensor;
 
 pub use signvec::{
-    compensate_block, fill_bernoulli_masks_indexed, Residual, ScaledSignLut, SignVec,
-    PROLOGUE_BLOCK,
+    compensate_block, fill_bernoulli_masks_indexed, fill_winner_planes_indexed, winner_plane_count,
+    Residual, ScaledSignLut, SignVec, PROLOGUE_BLOCK,
 };
 pub use tensor::{ShapeError, Tensor};
 

@@ -342,6 +342,216 @@ pub fn fill_bernoulli_masks_indexed(
     }
 }
 
+/// Bit planes per 64 coordinates of a winner index on `0..g`: `⌈log₂ g⌉`
+/// (0 for `g ≤ 1`, where the winner is known).
+#[must_use]
+pub fn winner_plane_count(g: usize) -> usize {
+    (usize::BITS - g.saturating_sub(1).leading_zeros()) as usize
+}
+
+/// One word of winner planes — the sequential definition of the stream
+/// every batched fill reproduces. Returns the `b = ⌈log₂ g⌉` planes of 64
+/// coordinates, least significant first: bit `c` of plane `j` is bit `j` of
+/// coordinate `c`'s winner index `W_c`, and the `W_c` are i.i.d. *exactly*
+/// uniform on `0..g`.
+///
+/// A round draws `b` words, plane 0 first, into every coordinate still
+/// pending and accepts those whose `b`-bit value is below `g` (the
+/// `bernoulli_word` comparison recurrence, against `g` itself); rejected
+/// coordinates stay pending and are overwritten by the next round. A power
+/// of two accepts everything in its first round, so it costs exactly `b`
+/// draws per word; otherwise the number of rounds is data-dependent
+/// (≈ 2.8 for `g = 7`) but a pure function of the stream.
+#[inline]
+fn winner_word(g: u64, b: usize, rng: &mut FastRng) -> [u64; u64::BITS as usize] {
+    let every = if g.is_power_of_two() { !0u64 } else { 0 };
+    let mut planes = [0u64; u64::BITS as usize];
+    let mut pending = !0u64;
+    while pending != 0 {
+        let mut below = 0u64;
+        for (j, plane) in planes[..b].iter_mut().enumerate() {
+            let u = rng.next_u64();
+            *plane = (*plane & !pending) | (u & pending);
+            below = if (g >> j) & 1 == 1 {
+                below | !u
+            } else {
+                below & !u
+            };
+        }
+        pending &= !(below | every);
+    }
+    planes
+}
+
+/// Most planes per word the interleaved winner sampler keeps in registers:
+/// chains of up to `2⁸` contributors. Longer ones fill sequentially.
+const WINNER_BATCH_PLANES: usize = 8;
+
+/// The first `common` words of every window of one batch, `g` not a power
+/// of two: [`winner_word`] for up to [`MASK_BATCH_LANES`] independent streams
+/// at once. Lane `i` advances `st[i]` and scatters its planes into
+/// `wins[i]`'s window of `flat`; returns each lane's draw count. Per lane
+/// the draws, the planes and the final state are the sequential ones — a
+/// lane that has accepted all 64 coordinates of a word stops advancing while
+/// the others finish theirs (its `live` select keeps its state where it
+/// was), so only the inter-lane interleaving differs. The compute loops run
+/// over `lanes ≥ wins.len()` lanes; the extra ones are dead — nothing is
+/// ever pending in them — and touch nothing.
+#[inline(always)]
+fn winner_lanes_fill_body(
+    g: u64,
+    b: usize,
+    st: &mut [u64; MASK_BATCH_LANES],
+    wins: &[(usize, usize)],
+    common: usize,
+    flat: &mut [u64],
+    lanes: usize,
+) -> [u64; MASK_BATCH_LANES] {
+    debug_assert!(!g.is_power_of_two() && b <= WINNER_BATCH_PLANES);
+    let mut s = *st;
+    let mut rounds = [0u64; MASK_BATCH_LANES];
+    let mut acc = [[0u64; MASK_BATCH_LANES]; WINNER_BATCH_PLANES];
+    let mut every_lane = [0u64; MASK_BATCH_LANES];
+    every_lane[..wins.len()].fill(!0);
+    for w in 0..common {
+        let mut pending = every_lane;
+        while pending[..lanes].iter().fold(0, |any, &p| any | p) != 0 {
+            let mut live = [0u64; MASK_BATCH_LANES];
+            for i in 0..lanes {
+                live[i] = 0u64.wrapping_sub(u64::from(pending[i] != 0));
+            }
+            let mut below = [0u64; MASK_BATCH_LANES];
+            for (j, plane) in acc[..b].iter_mut().enumerate() {
+                let gj = 0u64.wrapping_sub((g >> j) & 1);
+                for i in 0..lanes {
+                    let mut x = s[i];
+                    let u = FastRng::step_raw(&mut x);
+                    s[i] = (x & live[i]) | (s[i] & !live[i]);
+                    plane[i] = (plane[i] & !pending[i]) | (u & pending[i]);
+                    below[i] = (below[i] & !u) | (gj & (below[i] | !u));
+                }
+            }
+            for i in 0..lanes {
+                rounds[i] += 1 & live[i];
+                pending[i] &= !below[i];
+            }
+        }
+        for (i, &(start, len)) in wins.iter().enumerate() {
+            for (j, plane) in acc[..b].iter().enumerate() {
+                flat[start + j * len + w] = plane[i];
+            }
+        }
+    }
+    *st = s;
+    rounds.map(|r| r * b as u64)
+}
+
+/// Full-width monomorphization of the winner lane body compiled for AVX2.
+///
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn winner_lanes_fill_avx2(
+    g: u64,
+    b: usize,
+    st: &mut [u64; MASK_BATCH_LANES],
+    wins: &[(usize, usize)],
+    common: usize,
+    flat: &mut [u64],
+) -> [u64; MASK_BATCH_LANES] {
+    winner_lanes_fill_body(g, b, st, wins, common, flat, MASK_BATCH_LANES)
+}
+
+/// Dispatches one batch to the AVX2 build of the winner lane body where
+/// there is one, as [`digit_word_lanes`] does: both builds run the identical
+/// recurrence per lane, dead lanes are inert, and a lone chain stays on the
+/// scalar body. (An AVX-512 build measured no faster than the AVX2 one.)
+fn winner_lanes_fill(
+    g: u64,
+    b: usize,
+    st: &mut [u64; MASK_BATCH_LANES],
+    wins: &[(usize, usize)],
+    common: usize,
+    flat: &mut [u64],
+) -> [u64; MASK_BATCH_LANES] {
+    #[cfg(target_arch = "x86_64")]
+    if wins.len() >= 2 && is_x86_feature_detected!("avx2") {
+        // SAFETY: feature presence just checked.
+        return unsafe { winner_lanes_fill_avx2(g, b, st, wins, common, flat) };
+    }
+    winner_lanes_fill_body(g, b, st, wins, common, flat, wins.len())
+}
+
+/// Draws the winner planes of several reduce chains at once: lane `i` fills
+/// the `b = `[`winner_plane_count`]`(g)` planes of `windows[i].1` words —
+/// plane-major, least significant plane first, `b · windows[i].1` words in
+/// all — into `flat[windows[i].0..]` from `rngs[i]`. Coordinate `c` of a
+/// lane's word `w` then carries a winner index `W` exactly uniform on `0..g`:
+/// bit `j` of `W` is bit `c` of `flat[start + j·words + w]`. There is no
+/// fixed-point rounding at any `g`: `b` draws per word when `g` is a power of
+/// two (the planes are the stream itself) and exact rejection otherwise.
+///
+/// Per lane this is *bit-identical* to the sequential scan of the stream
+/// (one `winner_word` per word): same planes, same final generator
+/// state, same draw count. Up to 8 streams advance interleaved, as in
+/// [`fill_bernoulli_masks_indexed`]; ragged tails finish sequentially.
+/// Windows must not overlap.
+///
+/// # Panics
+///
+/// Panics if `g < 2`, if `rngs` and `windows` disagree in length, or if a
+/// window exceeds `flat`.
+pub fn fill_winner_planes_indexed(
+    g: usize,
+    rngs: &mut [FastRng],
+    flat: &mut [u64],
+    windows: &[(usize, usize)],
+) {
+    assert!(g >= 2, "a winner needs at least two contributors");
+    assert_eq!(rngs.len(), windows.len(), "one RNG stream per window");
+    let b = winner_plane_count(g);
+    let g = g as u64;
+    for (group, wins) in rngs
+        .chunks_mut(MASK_BATCH_LANES)
+        .zip(windows.chunks(MASK_BATCH_LANES))
+    {
+        let mut st = [0u64; MASK_BATCH_LANES];
+        for (s, rng) in st.iter_mut().zip(group.iter()) {
+            *s = rng.raw_state();
+        }
+        let mut draws = [0u64; MASK_BATCH_LANES];
+        let mut common = wins.iter().map(|&(_, len)| len).min().unwrap_or(0);
+        if g.is_power_of_two() {
+            for w in 0..common {
+                for j in 0..b {
+                    for (s, &(start, len)) in st.iter_mut().zip(wins) {
+                        flat[start + j * len + w] = FastRng::step_raw(s);
+                    }
+                }
+            }
+            draws = [(common * b) as u64; MASK_BATCH_LANES];
+        } else if b <= WINNER_BATCH_PLANES {
+            draws = winner_lanes_fill(g, b, &mut st, wins, common, flat);
+        } else {
+            common = 0;
+        }
+        for ((rng, &s), &drawn) in group.iter_mut().zip(&st).zip(&draws) {
+            rng.set_raw_state(s);
+            rng.add_draws(drawn);
+        }
+        for (rng, &(start, len)) in group.iter_mut().zip(wins) {
+            for w in common..len {
+                let planes = winner_word(g, b, rng);
+                for (j, &plane) in planes[..b].iter().enumerate() {
+                    flat[start + j * len + w] = plane;
+                }
+            }
+        }
+    }
+}
+
 /// Width of one explicit SIMD group in the masked `⊙` kernel: four `u64`
 /// words = one AVX2 register (half an AVX-512 register), small enough that
 /// the scalar tail stays trivial.
@@ -1316,7 +1526,8 @@ impl SignVec {
     /// intermediate vectors are materialized. `out` is resized to the operand
     /// length, reusing its word buffer.
     ///
-    /// **RNG stream compatibility** (frozen contract): the keep-mask words
+    /// **RNG stream compatibility** (a frozen contract — since stream
+    /// contract v2 the per-hop fallback's, DESIGN §9): the keep-mask words
     /// are drawn in the same word-major order and with the same per-word
     /// draw count as [`SignVec::bernoulli_uniform`], and degenerate
     /// probabilities draw nothing (`p ≤ 0` yields `local`, `p ≥ 1` yields
@@ -1405,6 +1616,61 @@ impl SignVec {
             "keep mask shorter than operands"
         );
         combine_words_masked(&mut local.words, &received.words, keep_words);
+    }
+
+    /// One hop of a reduce chain resolved from the chain's shared winner
+    /// draw: `local` keeps its own bit at the coordinates whose winner index
+    /// `W` equals `pos` (this hop's place in the chain) and takes the
+    /// received bit everywhere else. Applied at positions `1..g` of a chain
+    /// whose contributor 0 starts it, the last aggregate is contributor `W`'s
+    /// bit at every coordinate — the distribution of the Eq. 2 chain when
+    /// `W` is uniform on `0..g`. `planes` are the chain's winner planes as
+    /// [`fill_winner_planes_indexed`] lays them out for this segment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operands' lengths differ or `planes` is not
+    /// [`winner_plane_count`]`(g)` planes of one word per operand word.
+    pub fn winner_combine_assign(
+        received: &SignVec,
+        local: &mut SignVec,
+        planes: &[u64],
+        g: usize,
+        pos: usize,
+    ) {
+        /// Words per block: a block's selector stays in L1 while the planes
+        /// stream through it, and every inner loop is long enough to
+        /// vectorize.
+        const BLOCK: usize = 64;
+        assert_eq!(received.len, local.len, "length mismatch");
+        let words = local.words.len();
+        let b = winner_plane_count(g);
+        assert_eq!(planes.len(), b * words, "winner planes of another shape");
+        if words == 0 {
+            return;
+        }
+        // `plane ^ flip[j]` has bit c set ⇔ bit j of W_c equals bit j of pos.
+        let mut flip = [0u64; usize::BITS as usize];
+        for (j, f) in flip[..b].iter_mut().enumerate() {
+            *f = ((pos >> j) as u64 & 1).wrapping_sub(1);
+        }
+        let blocks = local
+            .words
+            .chunks_mut(BLOCK)
+            .zip(received.words.chunks(BLOCK));
+        for (k, (lc, rc)) in blocks.enumerate() {
+            let mut mine = [!0u64; BLOCK];
+            for (plane, &f) in planes.chunks_exact(words).zip(&flip) {
+                for (m, &p) in mine.iter_mut().zip(&plane[k * BLOCK..]) {
+                    *m &= p ^ f;
+                }
+            }
+            // Tail bits of l and r are zero, so the output tail is too,
+            // whatever the planes hold there.
+            for ((l, &r), &m) in lc.iter_mut().zip(rc).zip(&mine) {
+                *l = r ^ ((*l ^ r) & m);
+            }
+        }
     }
 
     /// Number of positions where `self` and `other` agree.
@@ -2104,6 +2370,118 @@ mod tests {
                     }
                     assert_eq!(flat[cursor - 1], u64::MAX, "{label}: trailing guard");
                 }
+            }
+        }
+    }
+
+    /// The batched winner-plane fill is the sequential per-stream definition
+    /// under another schedule: every lane's planes, final RNG state and draw
+    /// count equal one `winner_word` per word on that lane's stream — for
+    /// every chain size around the powers of two (exact `b` draws per word
+    /// there, rejection rounds in between, and one too long for the lane
+    /// body), every lane count around the 8-lane batch and equal, staggered,
+    /// empty and ragged window lengths.
+    #[test]
+    fn winner_plane_fill_matches_sequential_definition() {
+        let shapes: [fn(usize) -> usize; 4] =
+            [|_| 6, |i| 5 + i % 3, |i| i % 4, |i| 1 + 7 * (i % 2)];
+        // 300 contributors need nine planes: past what the lane body batches.
+        for g in (2usize..=9).chain([300]) {
+            let b = winner_plane_count(g);
+            assert!(1usize << b >= g && (1usize << b) / 2 < g, "g={g}: b={b}");
+            for lane_count in (1usize..=9).chain([11, 17]) {
+                for (shape, words_of) in shapes.iter().enumerate() {
+                    let label = format!("g={g} lanes={lane_count} shape={shape}");
+                    let mut windows = Vec::new();
+                    let mut cursor = 1usize;
+                    for i in 0..lane_count {
+                        windows.push((cursor, words_of(i)));
+                        cursor += words_of(i) * b + 1;
+                    }
+                    let mut flat = vec![u64::MAX; cursor];
+                    let mut rngs: Vec<FastRng> = (0..lane_count)
+                        .map(|i| FastRng::new(778, i as u64))
+                        .collect();
+                    fill_winner_planes_indexed(g, &mut rngs, &mut flat, &windows);
+                    for (i, &(start, len)) in windows.iter().enumerate() {
+                        let mut seq_rng = FastRng::new(778, i as u64);
+                        let mut expected = vec![0u64; len * b];
+                        for w in 0..len {
+                            let planes = winner_word(g as u64, b, &mut seq_rng);
+                            for (j, &plane) in planes[..b].iter().enumerate() {
+                                expected[j * len + w] = plane;
+                            }
+                        }
+                        assert_eq!(&flat[start..start + len * b], expected, "{label} lane {i}");
+                        assert_eq!(rngs[i], seq_rng, "{label} lane {i}: RNG state");
+                        assert_eq!(rngs[i].draws(), seq_rng.draws(), "{label} lane {i}: draws");
+                        if g.is_power_of_two() {
+                            assert_eq!(seq_rng.draws(), (len * b) as u64, "{label} lane {i}");
+                        }
+                        assert_eq!(flat[start - 1], u64::MAX, "{label}: guard before lane {i}");
+                    }
+                    assert_eq!(flat[cursor - 1], u64::MAX, "{label}: trailing guard");
+                }
+            }
+        }
+    }
+
+    /// Every coordinate's winner index lands in `0..g`, each value with
+    /// frequency `1/g` inside the 5σ binomial band, and a chain of
+    /// `winner_combine_assign` hops ends on the winner's bit.
+    #[test]
+    fn winner_index_is_uniform_and_the_chain_follows_it() {
+        let words = 2_048usize;
+        let total = (words * WORD_BITS) as u64;
+        for g in 2usize..=9 {
+            let b = winner_plane_count(g);
+            let mut rngs = [FastRng::new(0x51, g as u64)];
+            let mut planes = vec![0u64; words * b];
+            fill_winner_planes_indexed(g, &mut rngs, &mut planes, &[(0, words)]);
+            let winner_at = |c: usize| -> usize {
+                (0..b)
+                    .map(|j| {
+                        ((planes[j * words + c / WORD_BITS] >> (c % WORD_BITS)) as usize & 1) << j
+                    })
+                    .sum()
+            };
+            let mut seen = vec![0u64; g];
+            for c in 0..words * WORD_BITS {
+                seen[winner_at(c)] += 1; // out of range: a panic
+            }
+            let hw = crate::stats::binomial_ci_halfwidth(1.0 / g as f64, total);
+            for (k, &n) in seen.iter().enumerate() {
+                let rate = n as f64 / total as f64;
+                assert!(
+                    (rate - 1.0 / g as f64).abs() <= hw,
+                    "g={g}: winner {k} at rate {rate} (±{hw})"
+                );
+            }
+            // Contributor k alone says 1: the chain ends on 1 exactly where
+            // k wins.
+            let len = words * WORD_BITS - 7;
+            for k in 0..g {
+                let input = |w: usize| {
+                    if w == k {
+                        SignVec::ones(len)
+                    } else {
+                        SignVec::zeros(len)
+                    }
+                };
+                let mut agg = input(0);
+                for pos in 1..g {
+                    let mut local = input(pos);
+                    SignVec::winner_combine_assign(&agg, &mut local, &planes, g, pos);
+                    agg = local;
+                }
+                for c in (0..len).step_by(61) {
+                    assert_eq!(agg.get(c), winner_at(c) == k, "g={g} k={k} coord {c}");
+                }
+                assert_eq!(
+                    agg.words[words - 1] >> (WORD_BITS - 7),
+                    0,
+                    "tail stays zero"
+                );
             }
         }
     }

@@ -7,6 +7,12 @@
 //! per-round allocations) and pin both `Marsit::synchronize` outcomes and
 //! raw collective reductions word-for-word. If any of them moves, the
 //! "bit-identical" contract of the fused path is broken.
+//!
+//! Everything that runs through `Marsit::synchronize` was re-recorded once,
+//! constants only, for stream contract v2 (DESIGN §9: one winner draw per
+//! reduce chain; a torus under a fault plan resyncs over the torus). The raw
+//! collectives under `weighted_stream_combine` draw the per-hop fallback
+//! stream, which v2 left alone, and still hold their first recording.
 
 use marsit::collectives::ring::ring_allreduce_onebit;
 use marsit::collectives::segring::segring_allreduce_onebit;
@@ -82,21 +88,21 @@ fn golden_ring8_d300() {
         ),
         (
             &[
-                0x50734f16ecfcd7a7,
-                0xe1ff53f8467c69b4,
-                0x401c17650ce6e4e6,
-                0x2bdcbd48b4575351,
-                0x000002dc45bb5cdf,
+                0xb7cedc868bf9bdd4,
+                0x119faeec6868f866,
+                0x6c6a521e1d83fc47,
+                0xad83960e904b873d,
+                0x000006c6c09fcfe1,
             ],
             false,
         ),
         (
             &[
-                0x92a947079ad1d444,
-                0x17ef55fbd82e8a64,
-                0x770f51f626fbeccc,
-                0xd3c8102f1d4e09be,
-                0x000009c6968f545b,
+                0x6805fcd6a4938fe0,
+                0x6dc1afde9926097d,
+                0xa1cba481eebea93f,
+                0x1b4a69405710c7e1,
+                0x00000747b00e4415,
             ],
             false,
         ),
@@ -104,9 +110,9 @@ fn golden_ring8_d300() {
             &[
                 0xeae8cf560cf7cbc6,
                 0xbd3b0f78593cab2d,
-                0x634820547e5e4c6f,
+                0x630820747e5e4c6f,
                 0xbbca702a994bd7ad,
-                0x000007ded4ab4c05,
+                0x000007ded4ab4c07,
             ],
             true,
         ),
@@ -131,30 +137,30 @@ fn golden_torus2x4_d257() {
         ),
         (
             &[
-                0x6c7b2d176cf1c88c,
-                0x1e33287b8428aa51,
-                0xdc7823434e885efd,
-                0x934aea63197cd761,
-                0x0000000000000001,
-            ],
-            false,
-        ),
-        (
-            &[
-                0x996a5c065dd1c444,
-                0x991d03f0182de33f,
-                0xa44d463427e77f0f,
-                0x1b6c189a19488f35,
+                0x2ae8bd162a6ff5f0,
+                0x8c188ff69578a0bf,
+                0x709b9272c4074c69,
+                0x894cfc38d84df99d,
                 0x0000000000000000,
             ],
             false,
         ),
         (
             &[
-                0xeae0cf560ef7cbc6,
-                0xbd3b0f78593ea92d,
-                0x630820d47e5e4c6f,
-                0xabca702a994bd7ad,
+                0xcb60ce97b5968ae4,
+                0x9d170078487fbd3f,
+                0x05256036e5cdf535,
+                0x5143e5af99a08b31,
+                0x0000000000000001,
+            ],
+            false,
+        ),
+        (
+            &[
+                0xeae8cf560cf7cbc6,
+                0xbd3b0f78593cab2d,
+                0x634820d47ede4c6f,
+                0xbbca502a994bd7ad,
                 0x0000000000000001,
             ],
             true,
@@ -177,19 +183,19 @@ fn golden_faulty_ring8_d129() {
             true,
         ),
         (
-            &[0x5a0ed1286546964f, 0x236f903432517c9c, 0x0000000000000000],
+            &[0x0313cbe52fa28c57, 0xe447b411c09d969f, 0x0000000000000000],
             false,
         ),
         (
-            &[0x2b67edc87481c822, 0x276856064c034675, 0x0000000000000001],
+            &[0x713ad7262c7c4df7, 0x7c47ba60eea4ca72, 0x0000000000000000],
             false,
         ),
         (
-            &[0x681fcd034d6ea97f, 0xb153b8e2f951a604, 0x0000000000000000],
+            &[0x287de50a6126892b, 0x2fd518c0b9dbac10, 0x0000000000000000],
             false,
         ),
         (
-            &[0x2225e50cad64c76f, 0xeada2a0325439c36, 0x0000000000000001],
+            &[0x2c0a85c5edd48987, 0x56ce9822a0f8ad13, 0x0000000000000001],
             false,
         ),
         (
@@ -225,96 +231,96 @@ fn golden_ring7_d1031() {
     let want: &[(&[u64], bool)] = &[
         (
             &[
-                0x07e58e770c37c1c5,
-                0x89f92b5dd97d126d,
-                0x4d88ec45165cfcfd,
-                0x1bcb5a0464835b3c,
-                0xf059dbfc969ffd35,
-                0x2b0036153f92cc30,
-                0x37a353eddc6fd4fa,
-                0xa3dc15511bad3a72,
-                0xd9362fbe7587a209,
-                0x91798475d4318349,
-                0x233d4d74eb4006f4,
-                0xb4d188a77ca279ee,
-                0x77100e4cd4551a0d,
-                0xbfeb8aa93ae035ae,
-                0xcd0bbe5bb2807055,
-                0xe1b42dcc74439730,
-                0x000000000000006c,
+                0x5e13da763441e126,
+                0x19b36975d8366df6,
+                0x215c43115ef67d2b,
+                0xa3c35202384f5b4c,
+                0x837edde65a2f456f,
+                0x415432c7e81518a2,
+                0x5ab84dcc9521c170,
+                0x61965037af9a92c4,
+                0xd0eaab4532e33f2c,
+                0xc5b5752d43f4cd3c,
+                0xab43253b13675ea4,
+                0xb826ad056abe28f3,
+                0x23501568b3419bc3,
+                0xdd050439ac889912,
+                0xe4788876872a7db5,
+                0x90a47ebc02417774,
+                0x000000000000005f,
             ],
             false,
         ),
         (
             &[
-                0xf85b2956acfcd7a7,
-                0xb1fb2374c2536a71,
-                0x510aa13755984e33,
-                0x89e75928b9ea1c65,
-                0x2b315d2ef73bdd75,
-                0x6ca770b4f7078661,
-                0x0fab54ddd9a4736d,
-                0x4b3b0eb7fb0954a5,
-                0xf11bb0612f168a2c,
-                0x8be4face93e759b1,
-                0x41fd307659720e7d,
-                0x080b983dd4bce584,
-                0x134ddc6ddda8e987,
-                0x42a48239083c97c4,
-                0x2b7c293bb2c6517d,
-                0xeb2a7b2f0e434a10,
-                0x0000000000000072,
+                0xa26c7d0699f93df4,
+                0x11feadfabc3c9c55,
+                0xad2930114b04688f,
+                0x9745746ff0f88974,
+                0xf9b5d6c5e48d0d44,
+                0xe855617f97668465,
+                0x3aa3190d96ec1eb2,
+                0xa3b628ddd09d3866,
+                0xdddcaf88491a8ba2,
+                0xa7ba9cc557246dcf,
+                0x280c376c1054b8d5,
+                0xd8ef6d407e8c6d40,
+                0x01281ee9f2894f0b,
+                0xcac78afe3a1c5912,
+                0x6c6daf3b87c6165d,
+                0xa9fe2bdf66c06a3d,
+                0x000000000000004c,
             ],
             false,
         ),
         (
             &[
-                0x8bfa9f079af1d464,
-                0x39a28258f02ed17d,
-                0x645d01810a762445,
-                0x5360d12df11ed77f,
-                0x1d71498ed43154cc,
-                0x658d524cd7074432,
-                0x5218590ed102b2e4,
-                0xd26aa874f30d304e,
-                0xe15c990843e6eb0f,
-                0xad6878bdd3a8e5bd,
-                0x2ad116ecb16336fc,
-                0x1530901d6e9de9c5,
-                0x29ce08c8f109ce8b,
-                0x91f1ee7e6b37531a,
-                0xa16c1d2042081a8c,
-                0x90bf384b04434fdd,
-                0x0000000000000058,
+                0xf1722e56a4938fe4,
+                0xf96bcd7ccc3ca275,
+                0x80ff6067ce9ad6e3,
+                0xefc23725385cd3b8,
+                0x0cbfb8ee6335c516,
+                0xe04f064997e686f0,
+                0x679815c5d331e491,
+                0xe76c77bedfd4723c,
+                0xe16a181c8717ee22,
+                0x82c55bdcb3c5d51a,
+                0x293d08e5dfe02695,
+                0x13538b85f0aeedc2,
+                0x23561c79b30ec02a,
+                0xd8a4dcbc01e79388,
+                0xa04ace5de650f456,
+                0xbb26750d06232f00,
+                0x0000000000000045,
             ],
             false,
         ),
         (
             &[
-                0xa233659e3b6fc1b4,
-                0xabf64341da3e8145,
-                0xeb9e40c31e544a7e,
-                0x9f4b742bad7c5775,
-                0x903adbcec60f86d5,
-                0x0e353207a14785fc,
-                0x54c4626f977ec0f2,
-                0xc36378fe8aa17a86,
-                0xc176f2106f9ff3cc,
-                0xc8d58a25c374db39,
-                0x2a7d35cc5366d60d,
-                0x178fc842fe6c5dc7,
-                0x1b444c69d890df43,
-                0x99c3bc1d2900b8c9,
-                0xa22d2956c5dcda4d,
-                0xd52b9af87601a35b,
-                0x000000000000004f,
+                0xf8f1fdff25d0e94c,
+                0xa13f0939d734ad28,
+                0xe65951573e77c433,
+                0xb7435c2f387a4f07,
+                0xc5970fcc85393554,
+                0x2bc81609c252c8a8,
+                0x12bd571fe237ceda,
+                0x814a727dd71d3b34,
+                0x976c2f59c9d40902,
+                0xc5a5128e83554faa,
+                0xc8df1c1cc27206c5,
+                0x35bfacfdae2de9c2,
+                0x03088279d1289e3a,
+                0x82ffb037ae52690b,
+                0x02092f549580f565,
+                0xc7ae20ff5621a79c,
+                0x0000000000000070,
             ],
             false,
         ),
     ];
     assert_rounds(&got, want, "ring7_d1031");
     assert_eq!(tel.counter("marsit.combines"), 168, "⊙ count changed");
-    assert_eq!(tel.counter("marsit.rng_draws"), 11004, "draw count changed");
+    assert_eq!(tel.counter("marsit.rng_draws"), 672, "draw count changed");
     assert_eq!(tel.counter("hop.bytes"), 6384, "traced hop bytes changed");
 }
 
@@ -547,13 +553,13 @@ fn golden_ring7_d40007_multiblock() {
         .collect();
     let want: &[(u64, u64, bool)] = &[
         (0x22157091fa7bc868, 0x35145fc80cfa2e69, true),
-        (0x74c303a3d976d28a, 0x63d8300ef59d409f, false),
-        (0x53b49b00a8fc62c9, 0x9978943d45290311, false),
-        (0x0c5cc739e79363b5, 0x1417a0876e3e1e78, true),
-        (0x928aac5495e9ff0e, 0x005cebab76c79266, false),
-        (0xe5f2073b2458578b, 0x7254f709130ff70e, false),
-        (0x9a02d2776becfab3, 0x2ccbdb8d9196aa2d, true),
-        (0x9958c00d095684bb, 0xca7c61b1e95dcf03, false),
+        (0x0058c27eecbbae2d, 0x63d8300ef59d409f, false),
+        (0x8fb4c7557d1fa721, 0x5603b72fd4e0c3aa, false),
+        (0x87eefa3de2e87a5f, 0xfb95ad260cfa1cb3, true),
+        (0x0e9da26018ba8b5a, 0x005cebab76c79266, false),
+        (0xf448b8da532cbc18, 0x2e59a0d98ef1385b, false),
+        (0x701de28ccd1e6ea1, 0x2d4b04924d0e3f6f, true),
+        (0x29c311cd97597713, 0xca7c61b1e95dcf03, false),
     ];
     let residuals: Vec<u64> = (0..m)
         .map(|w| fingerprint_f32(marsit.compensation(w).vector()))
@@ -562,20 +568,20 @@ fn golden_ring7_d40007_multiblock() {
     assert_eq!(
         residuals,
         [
-            0xf03caf6a0d9f6ea8,
-            0x37c7e0e7d57661f9,
-            0x32a65c631498663a,
-            0xa863e93cbdab98dc,
-            0xd129b8893bdf9b14,
-            0x022239e196798e23,
-            0xc57e983e956c414f,
+            0xdf85ae79ab2cf067,
+            0x6ded3a21b3e891cd,
+            0x07b1fba8c6d28297,
+            0x5d243782c51fb7ee,
+            0x55190b8e9e524e41,
+            0x7416a11cfc12ab37,
+            0x9632ec706258bcec,
         ],
         "ring7_d40007: compensation vectors"
     );
     assert_eq!(tel.counter("marsit.combines"), 210, "⊙ count changed");
     assert_eq!(
         tel.counter("marsit.rng_draws"),
-        412_650,
+        26_175,
         "draw count changed"
     );
     assert_eq!(
@@ -693,68 +699,68 @@ fn golden_faulty_torus2x4_d257() {
     assert_lines(
         &lines,
         &[
-            "cff3d69ff0f7b3cb ca4d416feae6d6ee fp=true None bytes=15552 steps=21 \
-             faults=9/1/3/0/0/2/0/0.0018000000000000004/0.0/0/0/0 \
-             combines=0 draws=0 jsonl=384b4bd2da8ac5fb \
-             eae8cf560cf7cbc6 bd3b0f78593cab2d 634820547ede4c6f bbca702ab92bd1ad 0000000000000001",
-            "f9cb02e782133a5c aad62a878a319d27 fp=false None bytes=499 steps=13 \
+            "844836d1194fcb47 ca4d416feae6d6ee fp=true None bytes=15936 steps=12 \
+             faults=7/1/3/0/0/2/0/0.0014000000000000002/0.0/0/0/0 \
+             combines=0 draws=0 jsonl=9cb0bc7246d558b5 \
+             eae8cf560cf7cbc6 bd3b0f78593cab2d 63482047464e446f bbca702a994bd7ad 0000000000000001",
+            "17b06d42dde9385a aad62a878a319d27 fp=false None bytes=499 steps=13 \
              faults=5/0/3/0/0/3/0/0.001/0.0/0/0/0 \
-             combines=32 draws=358 jsonl=884ebb82415ea407 \
-             528c4d402b6efc7b 59ccda289b0dc871 ab6f789ac7f007ad 3c9f5487dbdb08e2 0000000000000000",
-            "6e86fb66e07148a5 50f279e558732886 fp=false None bytes=507 steps=14 \
+             combines=32 draws=28 jsonl=2b1a71819e33f592 \
+             30666a10b0c80e66 64063b984fcdd0fa e64ae4d9caa212b5 fb8c5adfe316dd2a 0000000000000000",
+            "36a6ee67e49702dd fa94be288e40b5a6 fp=false None bytes=507 steps=14 \
              faults=6/0/2/0/0/2/0/0.0012000000000000001/0.0/0/0/0 \
-             combines=32 draws=358 jsonl=b966a5e9b52d1eb3 \
-             54695d83c4ec423c db0a2a6a433fb701 95ab4c975de708a7 01287354870d7183 0000000000000001",
-            "1ee318c7bfb561c3 6310b736f419c3e1 fp=false TorusToRing { live: 7 } bytes=450 steps=17 \
+             combines=32 draws=28 jsonl=90d4ea39a7f7c643 \
+             a8c665000226ca95 26fe9a7c1f46672d a50d16d3d4fbba6d 01ab5d369b4e6119 0000000000000000",
+            "8a5516ad8c33cbf9 092f39f413c07274 fp=false TorusToRing { live: 7 } bytes=450 steps=17 \
              faults=6/0/1/1/1/3/0/0.0012000000000000001/0.0/0/0/0 \
-             combines=42 draws=917 jsonl=6dd0b8cb954e1072 \
-             c3cbf4f1c6320a31 a4d34ef3dbc352ce dd51530f5490b534 11fb58dea7506218 0000000000000000",
-            "0f1108cfd92b7b33 8deff7b2957e3614 fp=true TorusToRing { live: 7 } bytes=12920 steps=16 \
+             combines=42 draws=57 jsonl=fe3a9c774279fa6e \
+             ce8c952ca60fb925 8a7749e981e8d96a 1518c142001a87b5 1d941ff32e13092a 0000000000000001",
+            "0399ef14c14c64a9 280f1306b1afd588 fp=true TorusToRing { live: 7 } bytes=12920 steps=16 \
              faults=4/0/3/0/1/3/0/0.0008/0.0/0/0/0 \
-             combines=0 draws=0 jsonl=b7dd30ece6190efe \
-             2a48c500b86b88ff a916b8981bc2e87a f40b2761d62af4b4 899e78abafdad978 0000000000000000",
-            "80897cceb5f221ac 3f4e712f2f4dd86b fp=false TorusToRing { live: 7 } bytes=430 steps=14 \
+             combines=0 draws=0 jsonl=bac994dc5e9a8e44 \
+             0a48c500986a887f a992b8985bc2e87a f40b6761d622f4b4 891e788bafdaf878 0000000000000000",
+            "0610c9240469ee7b 3f4e712f2f4dd86b fp=false TorusToRing { live: 7 } bytes=430 steps=14 \
              faults=2/0/2/0/1/1/0/0.0004/0.0/0/0/0 \
-             combines=42 draws=917 jsonl=b895169bd1a82462 \
-             1cffb9d084e11e32 52b18482af16efd2 49c6f446c1b02927 a13fd4c3fb623e59 0000000000000000",
-            "10c09f402ff46fe0 d94c7108d2cfea3b fp=false None bytes=513 steps=13 \
+             combines=42 draws=69 jsonl=ca9f0c98141455fd \
+             562f5fc6287182ea 5903f180c0876c66 2a9b7d17d7ad2df7 63ff683ba2eaf578 0000000000000001",
+            "b56a45abec11a1c6 37b3e096f7eb4920 fp=false None bytes=513 steps=13 \
              faults=7/1/1/1/0/2/1/0.0014000000000000002/0.0/0/0/0 \
-             combines=31 draws=354 jsonl=2d3ad6db06e92e37 \
-             fefce08e9ede8f9d c0b4c9292f85eaf7 7d2a856861849a9f 8d7c485ba155644b 0000000000000001",
-            "684b555fb0b73ae3 b445ed2f08009647 fp=false None bytes=490 steps=11 \
+             combines=31 draws=92 jsonl=a385c66cd3cb485c \
+             9afe9c043a9f8f2f f197301f43d64c94 dddccb6117b9fc4b 76f7733902d34e3e 0000000000000000",
+            "d83f1f0695804c65 9b8d1de1a2ae5f00 fp=false None bytes=490 steps=11 \
              faults=4/1/1/0/0/3/0/0.0008/0.0/0/0/0 \
-             combines=31 draws=418 jsonl=43d62d11fb735163 \
-             53a5e600f95d884d 2ec5e91387eb37f0 0946518d5ed6b63b 6f221b985ad2535d 0000000000000000",
-            "33ea79708e4ceb32 d56b500465673663 fp=true None bytes=14780 steps=17 \
-             faults=3/0/0/0/0/2/0/0.0006000000000000001/0.0/0/0/0 \
-             combines=0 draws=0 jsonl=7ef50a682d6e9df2 \
-             52a89c0e483f1e01 6d99d131803263d1 2ee85d515533b24e 2fc249caa04b77b2 0000000000000000",
-            "5ca5d93c4912fd10 bfdc664945975199 fp=false None bytes=495 steps=12 \
+             combines=31 draws=90 jsonl=dc468628e685f40e \
+             51a8a655ac3cc40a 4920d9fdd7742bdb 6bd34c6d558f23bf 69220c5a524c4651 0000000000000000",
+            "37a3b92058815f9e b6a0c40d024763c8 fp=true None bytes=14648 steps=9 \
+             faults=1/0/0/0/0/1/0/0.0002/0.0/0/0/0 \
+             combines=0 draws=0 jsonl=df5c5062bc9b540d \
+             52a89c0e583f1e01 6d9dd131883263d1 2fe85d515133b24e afc249caa05b77f3 0000000000000000",
+            "a3054b2cb65da77d bfdc664945975199 fp=false None bytes=495 steps=12 \
              faults=4/0/0/0/0/3/0/0.0008/0.0/0/0/0 \
-             combines=32 draws=358 jsonl=248f95d30624281b \
-             e1352a80e5b10a02 88b6407d15a26ca3 3960543353e98fb0 796f2103d89b9cd9 0000000000000000",
-            "f6dfd92c7e44f1f4 e8fa5cb6a961ecc0 fp=false None bytes=474 steps=10 \
+             combines=32 draws=28 jsonl=202067a06f6c54e4 \
+             0d1c930e15d538cf 9fed56e79e80da61 9f639e9604b30f7e fa2fb979ffeafc2b 0000000000000001",
+            "b165161e3f6a98d4 b078308d295e9091 fp=false None bytes=474 steps=10 \
              faults=2/1/1/0/0/0/0/0.0004/0.0/0/0/0 \
-             combines=31 draws=357 jsonl=17b657565d7f69bc \
-             9f2eb7a74b51699a 23d4880ed7d3a83c 33143d3004bea976 5667747dbacddfe3 0000000000000000",
-            "2aebc1cde25c1aac adba4d67f546bf9f fp=false None bytes=478 steps=10 \
+             combines=31 draws=27 jsonl=515502575b0686da \
+             0bb2218b5a64acbb 9f557d0fc242b488 6f6dbdb852bb8b2a 59cf67faface8f18 0000000000000000",
+            "0ffd7225a2636448 0aee0e551b29bfb8 fp=false None bytes=478 steps=10 \
              faults=2/0/1/0/0/1/0/0.0004/0.0/0/0/0 \
-             combines=32 draws=358 jsonl=6219718e8af44b42 \
-             afbfe57f33374b2f eb7de182f3b7f7a5 51357691dcb8814f a673789acad5ca60 0000000000000000",
+             combines=32 draws=28 jsonl=b8ddf95ccff5540c \
+             bb7fff4bf313b508 a461d1cfe9a9e491 fe10cff3e6b78823 3eea6593d720c925 0000000000000000",
         ],
         "faulty_torus2x4_d257",
     );
     assert_eq!(
         residuals,
         [
-            0xb52ca523bcf63efc,
-            0x47e6a8d011072a85,
-            0x2590c08f9abc2f8d,
-            0xf276ad772ae29fd3,
-            0x07275a343fa0406b,
-            0x70241e30a59f3ccf,
-            0x2a249825a39fcad7,
-            0xf1209feb27039d6a,
+            0x3c6ad5f74e6adc95,
+            0x5827109eb38ffbbe,
+            0x1452572a36202dcc,
+            0x148040cf67fab35e,
+            0xe23a51818dce6d5d,
+            0x2fe72d060069e449,
+            0x7491013420f3da33,
+            0x45f3a9338ed90fa3,
         ],
         "faulty_torus2x4_d257: compensation"
     );
@@ -774,50 +780,50 @@ fn golden_chaos_torus2x4_d65536() {
     assert_lines(
         &lines,
         &[
-            "55f5463996bb2de7 218739e819f97d77 fp=true None bytes=3833856 steps=19 \
-             faults=5/0/1/0/0/0/0/0.001/0.0/0/0/0 \
-             combines=0 draws=0 jsonl=6063429ad74af5dc",
-            "883a25392a082e48 85fe649c861ded12 fp=false None bytes=115712 steps=9 \
+            "026504d515a22729 218739e819f97d77 fp=true None bytes=3899392 steps=12 \
+             faults=4/0/1/0/0/0/0/0.0008/0.0/0/0/0 \
+             combines=0 draws=0 jsonl=f9e1ac885267d3bf",
+            "67f02f3a6e3ec630 85fe649c861ded12 fp=false None bytes=115712 steps=9 \
              faults=1/0/0/0/0/0/0/0.0002/0.0/0/0/0 \
-             combines=32 draws=72704 jsonl=99fa8a565688989f",
-            "213259beec226bd3 88633ebe45980b6d fp=false None bytes=116736 steps=9 \
+             combines=32 draws=5120 jsonl=8cb958471a99d2d0",
+            "e1fc3859f1640119 69a973c6f98aaa6c fp=false None bytes=116736 steps=9 \
              faults=2/0/1/0/0/0/0/0.0004/0.0/0/0/0 \
-             combines=32 draws=72704 jsonl=0a18748514541266",
-            "659700e05cb3c0ed a9a718c2aa4cf625 fp=false None bytes=116736 steps=9 \
+             combines=32 draws=5120 jsonl=5b0d0234d880d9b4",
+            "4013c58f4f2ee72c 91665dcb0398eee4 fp=false None bytes=116736 steps=9 \
              faults=1/0/0/0/0/0/0/0.0002/0.0/0/0/0 \
-             combines=32 draws=72704 jsonl=fe5f687a1eb5bb43",
-            "8e9e17a4df9e3b8d 29446b27bf057bf0 fp=false None bytes=117760 steps=10 \
+             combines=32 draws=5120 jsonl=729de181b5adb79e",
+            "303e7834df03eb13 fe6744402580bacb fp=false None bytes=117760 steps=10 \
              faults=2/0/0/0/0/0/0/0.0004/0.0/0/0/0 \
-             combines=32 draws=72704 jsonl=e411ccd5ff6a098b",
-            "b56d9789ffebcf96 1e4541a75524a69b fp=false None bytes=118784 steps=10 \
+             combines=32 draws=5120 jsonl=af45d073f8e866b9",
+            "f6180edd65aec0ef 8801e789e489598f fp=false None bytes=118784 steps=10 \
              faults=2/0/1/0/0/0/0/0.0004/0.0/0/0/0 \
-             combines=32 draws=72704 jsonl=8311585bad6972ed",
-            "4ae1bfc4ae5e63f0 dd90e3dfa8078965 fp=false None bytes=114688 steps=8 \
+             combines=32 draws=5120 jsonl=9ba4175e716581cc",
+            "e5ec314608237e2f 5e242b3137db84df fp=false None bytes=114688 steps=8 \
              faults=0/0/0/0/0/0/0/0.0/0.0/0/0/0 \
-             combines=32 draws=72704 jsonl=f79acda0347130b6",
-            "c8cb2b4ff57a8834 19d092a23223859d fp=false None bytes=124928 steps=13 \
+             combines=32 draws=5120 jsonl=f6a899b5bc6e25d2",
+            "007cd1ffe55d6dd8 ea26ba5a222b4f02 fp=false None bytes=124928 steps=13 \
              faults=5/0/0/0/0/0/0/0.001/0.0/0/0/0 \
-             combines=32 draws=72704 jsonl=e90fa49c49e9eb39",
-            "e4c7c8f95babe7a6 85380f95edbba406 fp=true None bytes=3833856 steps=19 \
-             faults=5/0/1/0/0/0/0/0.001/0.0/0/0/0 \
-             combines=0 draws=0 jsonl=b76bb7d661d10adb",
-            "3e729be233e0681b f4c3b09cf7001be2 fp=false None bytes=116736 steps=9 \
+             combines=32 draws=5120 jsonl=3313fbbbf0b2c422",
+            "330118b01eb8a78e 2148d3b3674b9f83 fp=true None bytes=3833856 steps=11 \
+             faults=3/0/0/0/0/0/0/0.0006000000000000001/0.0/0/0/0 \
+             combines=0 draws=0 jsonl=76fc695dedf4881b",
+            "9b61ea08d162ec45 f4c3b09cf7001be2 fp=false None bytes=116736 steps=9 \
              faults=1/0/0/0/0/0/0/0.0002/0.0/0/0/0 \
-             combines=32 draws=72704 jsonl=864b3222af5039df",
+             combines=32 draws=5120 jsonl=99de177afc339472",
         ],
         "chaos_torus2x4_d65536",
     );
     assert_eq!(
         residuals,
         [
-            0x9fdbf60c296968a9,
-            0x9c203966225c8d12,
-            0xb455262a6fc34548,
-            0x93ebb783a4b1a40a,
-            0xf19adaea4f622bc6,
-            0xe063b5379f209c7f,
-            0xe2be1b56d1e8d37d,
-            0x59f137d68092624d,
+            0x6d2f26f326106ac6,
+            0x4dfb21e95ad652df,
+            0xdeac8ad211a7fbfd,
+            0x6adae6e67ea89c09,
+            0xdf7454c167331232,
+            0x009bbbfc2466c671,
+            0x6ed559218421e626,
+            0xf893cd442477715e,
         ],
         "chaos_torus2x4_d65536: compensation"
     );

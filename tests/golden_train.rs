@@ -9,6 +9,10 @@
 //! two serving-mix shapes — plus one `ConvNet` gradient and one `PowerSgd`
 //! round trip, the other callers of the products. If any of them moves, the
 //! accumulation-order contract of the kernel (DESIGN §17) is broken.
+//!
+//! The three training tables were re-recorded once, constants only, for
+//! stream contract v2 (DESIGN §9), which moves the consensus of every
+//! one-bit round; the kernel-only pins (`ConvNet`, `PowerSgd`) did not move.
 
 use marsit::compress::powersgd::PowerSgd;
 use marsit::models::{ConvNet, ConvNetSpec};
@@ -69,17 +73,17 @@ fn golden_resnet50_torus2x4_batch96() {
     cfg.batch_per_worker = 96;
     let want: &[(u64, u64)] = &[
         (0x40131c0c465aaaab, 0x7e3adba96bb61efd),
-        (0x4013100c233c0000, 0xad29a82ea0729957),
-        (0x4011ac0cac200000, 0x6ad44a7b2b416872),
-        (0x4012dee791000000, 0x7671e2359f8bbbc0),
-        (0x401187accd2aaaab, 0x229ec826563b79fc),
-        (0x4012772ee8995556, 0xa6ebb3170efaea2d),
-        (0x40115cd7455aaaab, 0xfc669db54f2b673e),
-        (0x4011808dec72aaab, 0x27b2c5d09c2db98f),
-        (0x40115805c232aaaa, 0xd1d2f28145522a3a),
-        (0x4011479796c00000, 0xd74b59149288324a),
-        (0x4010f852cc080000, 0xf6fecf03a7b74d7d),
-        (0x4010b158e1200000, 0xcea646cd1324d44a),
+        (0x4013100c233c0000, 0x98c5091a21d0b266),
+        (0x4011a967f90aaaaa, 0x81552a19694584d9),
+        (0x4012df3733755555, 0xed01742edb641207),
+        (0x401188380cf00000, 0xf6b4b62533896904),
+        (0x40127a33d4deaaab, 0x301362bc72684da5),
+        (0x40115de0ef1aaaab, 0x22e39d1b965cd576),
+        (0x4011802fd7980000, 0xd28f428de05efed3),
+        (0x40115270f7eaaaaa, 0x4e582be63b2b69fe),
+        (0x40114ab91d4aaaab, 0x44f030379b1cac32),
+        (0x4010f58ae2755556, 0xfcc3adbd7ec46d41),
+        (0x4010b18cf9cd5556, 0x3b756fcca131e5bb),
     ];
     assert_golden("resnet50 torus(2,4)", &run(cfg), want);
 }
@@ -100,17 +104,17 @@ fn golden_alexnet_mnist_ring4_batch16() {
     let cfg = serving_cfg(Workload::AlexNetMnist, Topology::ring(4), Some(5), 11);
     let want: &[(u64, u64)] = &[
         (0x4007df04fcd00000, 0xc52bd42528700e8d),
-        (0x400924baa6a00000, 0xd75001dfb4314a8b),
-        (0x40065c5894000000, 0xe86a4ac1ed15efdf),
-        (0x40071cebc8400000, 0x225bc587074f3a14),
-        (0x400477133f700000, 0xf95ab32eb6b9585e),
-        (0x4005ba187ed00000, 0xb0cfeecd4f01aba1),
-        (0x4002e72d73200000, 0x5e65e767c6a50c7a),
-        (0x4000154d7a300000, 0xcf4db6339fafc23c),
-        (0x4001cb7b2b000000, 0xcd6d1703cd1ebd6d),
-        (0x3ffe0511c5c00000, 0xaee6fba316603e62),
-        (0x3ffbb4af95a00000, 0x13df79b810b010e0),
-        (0x3ff94e780d900000, 0x100c07f735788702),
+        (0x400924baa6a00000, 0x0f874604db12c895),
+        (0x4006576ddce00000, 0x43fecbb121942fc8),
+        (0x400735d9ec300000, 0xa8cffbf35e72269d),
+        (0x4004728192200000, 0xd887ec31087f9e00),
+        (0x4005d3ac01900000, 0x61bbecedf049e087),
+        (0x4002e9116dc00000, 0x2f45fb5e231aab94),
+        (0x40001ca507c00000, 0x124285bd5f2970f0),
+        (0x4001cf805dd00000, 0x49e040aa5c6e4e33),
+        (0x3ffe1fec85c00000, 0xa6ba5f186ed9664e),
+        (0x3ffbf37aaac00000, 0x722684197b5c8358),
+        (0x3ff9617f84100000, 0x84e0b8303a15ded7),
     ];
     assert_golden("alexnet/mnist ring(4)", &run(cfg), want);
 }
@@ -121,18 +125,18 @@ fn golden_alexnet_mnist_ring4_batch16() {
 fn golden_resnet20_torus2x2_batch16() {
     let cfg = serving_cfg(Workload::ResNet20Cifar10, Topology::torus(2, 2), None, 13);
     let want: &[(u64, u64)] = &[
-        (0x400b3418d9000000, 0x4cb91f8254472fd5),
-        (0x4008199cea100000, 0xd0a4ada712acfbf4),
-        (0x4008932f88800000, 0x51a9f017f95f42eb),
-        (0x400a0702a0200000, 0xb30f1a449e952ae6),
-        (0x4007596f65d00000, 0x35cfbd8b79fb2d8d),
-        (0x4008e89426400000, 0x5d09a834dcb3cf69),
-        (0x40072af80fc00000, 0xb37fb860e3fac672),
-        (0x4005e81e25e80000, 0x833a7f92888db91e),
-        (0x4003afe244000000, 0xc92f0b3140c0a5bb),
-        (0x4005aeb7d9f00000, 0xe47e2a1d0610d059),
-        (0x40056f341ff00000, 0xf50f38b3fbff7a93),
-        (0x4005ae5220500000, 0xce6684f88e7af4d1),
+        (0x400b3418d9000000, 0x625447e76b4c3daa),
+        (0x40082cd589f80000, 0x9f8cdf2a753b88d9),
+        (0x4008956dcd700000, 0x669e6af1aa52c475),
+        (0x400a12ac11000000, 0x709c4626250bf646),
+        (0x40074a7f60800000, 0xd883a1834b65b46a),
+        (0x4008e5cbd9400000, 0xb09917db7936a1bf),
+        (0x40073d58d6100000, 0xd5be47f7306bdf41),
+        (0x4005e8194fa00000, 0x3aa6a8a7a822f340),
+        (0x4003b5bb6d600000, 0x46d40ceb2b15abe4),
+        (0x4005c4457eb00000, 0x613fab888365ba8e),
+        (0x4005870d8e500000, 0x43b2a9d855435e3b),
+        (0x4005fdeff7400000, 0x091f0a330ce9e293),
     ];
     assert_golden("resnet20 torus(2,2)", &run(cfg), want);
 }

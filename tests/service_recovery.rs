@@ -237,7 +237,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// journaled single-shard serve of one job — so the record order is
 /// deterministic — writes exactly these journal bytes, and the job's
 /// checkpoint after round 2 is exactly this frame. A faster checksum or a
-/// cheaper way to carry a payload must move neither.
+/// cheaper way to carry a payload must move neither. (Both fingerprints were
+/// re-recorded once, with the codec untouched, when stream contract v2 moved
+/// what the job's one-bit rounds draw — DESIGN §9; the frame kept its length.)
 #[test]
 fn journal_bytes_are_pinned() {
     let dir = scratch("pinned");
@@ -256,7 +258,7 @@ fn journal_bytes_are_pinned() {
     let bytes = std::fs::read(&path).expect("read journal");
     assert_eq!(
         (bytes.len(), fnv1a(&bytes)),
-        (1_957_828, 2_542_960_081_649_497_870),
+        (1_957_806, 10_133_110_329_258_098_517),
         "journal file bytes moved"
     );
 
@@ -276,7 +278,7 @@ fn journal_bytes_are_pinned() {
     let checkpoint = state.snapshot().to_json();
     assert_eq!(
         (checkpoint.len(), fnv1a(&checkpoint)),
-        (620_592, 6_629_026_065_888_172_424),
+        (620_592, 1_129_981_069_645_049_861),
         "checkpoint frame bytes moved"
     );
     // Served equals solo, down to the journaled payload.
@@ -441,8 +443,10 @@ fn supervisor_survives_shard_sigkill() {
     cfg.snapshot_every_ticks = 1;
     cfg.worker_bin = Some(PathBuf::from(env!("CARGO_BIN_EXE_marsit_serve")));
     let mut handle = SupervisorHandle::start(cfg, None).expect("start supervisor");
+    // Long enough (≈ 1 s of work per shard) that the kill below, 300 ms
+    // after shard 0 is up, lands mid-job.
     for i in 0..4 {
-        handle.submit(tiny_spec(&format!("p{i}"), 60 + i, 30));
+        handle.submit(tiny_spec(&format!("p{i}"), 60 + i, 240));
     }
 
     // Wait for shard 0 to be up and working, then SIGKILL it.
@@ -456,6 +460,7 @@ fn supervisor_survives_shard_sigkill() {
     }
     let pid = pid.expect("shard 0 came up");
     std::thread::sleep(Duration::from_millis(300));
+    assert!(handle.completed() < 4, "the kill must land mid-job");
     let killed = Command::new("kill")
         .args(["-9", &pid.to_string()])
         .status()

@@ -120,22 +120,26 @@ fn mixed_topology_reuse_is_invisible() {
 
 /// The round prologue packs sign words straight into the workspace's sign
 /// vectors, so a workspace adopted from another job hands the kernel stale
-/// word buffers of the wrong size. Ring(7) at a ragged `d` of more than two
-/// prologue blocks, run on a fresh workspace, on one dirtied by a bigger job
-/// and on one dirtied by a smaller job (other worker count, other data):
-/// outcomes, compensation state and telemetry must agree byte for byte.
+/// word buffers of the wrong size — and the mask planner a stale cache of
+/// another job's winner planes, with a chain table laid out for that job's
+/// chains. Ring(7) at a ragged `d` of more than two prologue blocks, run on a
+/// fresh workspace, on one dirtied by a bigger job, on one dirtied by a
+/// smaller job (other worker count, other data) and on one dirtied by a torus
+/// (row and column chains, other chain sizes): outcomes, compensation state
+/// and telemetry must agree byte for byte.
 #[test]
 fn adopted_workspace_of_another_size_is_invisible() {
     let (m, d) = (7usize, 40_007usize);
-    let run_job = |donor: Option<(usize, usize)>| {
+    let run_job = |donor: Option<(Topology, usize)>| {
         let mut job = Marsit::new(cfg(42), m, d);
-        if let Some((donor_m, donor_d)) = donor {
+        if let Some((donor_topology, donor_d)) = donor {
             // The donor stops after a one-bit round, so everything the
             // prologue and the collective touch is warm and dirty.
+            let donor_m = donor_topology.workers();
             let mut other = Marsit::new(cfg(9), donor_m, donor_d);
             for t in 0..2 {
                 let ups = round_updates(donor_m, donor_d, 77, t);
-                let _ = other.synchronize(&ups, Topology::ring(donor_m));
+                let _ = other.synchronize(&ups, donor_topology);
             }
             job.adopt_workspace(other.release_workspace());
         }
@@ -157,7 +161,11 @@ fn adopted_workspace_of_another_size_is_invisible() {
     };
     let fresh = run_job(None);
     assert!(!fresh.2.is_empty(), "the run must actually log events");
-    for (label, donor) in [("bigger", (8, 50_021)), ("smaller", (5, 1_031))] {
+    for (label, donor) in [
+        ("bigger", (Topology::ring(8), 50_021)),
+        ("smaller", (Topology::ring(5), 1_031)),
+        ("torus", (Topology::torus(3, 3), 45_007)),
+    ] {
         let adopted = run_job(Some(donor));
         assert_eq!(adopted.0, fresh.0, "{label} donor: outcomes differ");
         assert_eq!(adopted.1, fresh.1, "{label} donor: compensation differs");
