@@ -12,7 +12,6 @@
 //! | `fig4` | Fig 4a (time-to-accuracy) and Fig 4b (accuracy vs budget) |
 //! | `fig5` | Fig 5 — per-round phase breakdown under RAR and TAR |
 //! | `theory` | Theorems 1–3 — deviations, linear speedup, `⊙` ablation |
-//! | `bench_round` | Perf trajectory — hot-path timings → `BENCH_round.json` |
 //!
 //! Run with `cargo run --release -p marsit-bench --bin <name>`. Results are
 //! recorded against the paper's numbers in `EXPERIMENTS.md`.

@@ -672,8 +672,8 @@ impl Marsit {
     /// are resized and overwritten in place, and the trace's step slots are
     /// reused ([`Trace::reset`] semantics). Reusing one outcome across
     /// rounds makes the one-bit round allocation-free in the steady state
-    /// without a fault plan — the counting-allocator gate in `bench_round`
-    /// pins this. Results are bit-identical to [`Marsit::synchronize`]
+    /// without a fault plan — `tests/train_allocations.rs` pins this with a
+    /// counting allocator. Results are bit-identical to [`Marsit::synchronize`]
     /// regardless of what `out` previously held.
     ///
     /// # One round body

@@ -516,7 +516,7 @@ impl Scenario {
 /// Broadcasts one `round` and collects every rank's `result`/`failed`.
 /// Returns rank 0's consensus words plus the summed `⊙`/RNG-draw counters.
 ///
-/// Public so fault harnesses (the chaos soak's process mode) can drive the
+/// Public so fault harnesses (the conformance suite's kill test) can drive the
 /// kill → degrade → rejoin choreography round by round on a hub they manage
 /// themselves; [`Scenario::run_process`] wraps it for the one-shot case.
 ///

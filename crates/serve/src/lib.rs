@@ -19,7 +19,7 @@
 //!   deterministic snapshots; restore is bit-exact and adds no log events.
 //!
 //! The hard guarantee — asserted by [`verify_outcome`], the scheduler unit
-//! tests, the `tests/service.rs` proptest suite, and `bench_service` — is
+//! tests, the `tests/service.rs` proptests and `tests/service_recovery.rs` — is
 //! that every job's final report and telemetry log are byte-identical to a
 //! solo run of the same spec on a dedicated thread.
 

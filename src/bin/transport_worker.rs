@@ -1,7 +1,7 @@
 //! One rank of the multi-process transport backend.
 //!
 //! The conformance driver ([`marsit::core::transport::Scenario::run_process`])
-//! and the chaos-soak process mode spawn this binary once per rank with the
+//! and the conformance suite's kill test spawn this binary once per rank with the
 //! `MARSIT_TW_*` environment describing the hub address and the pinned
 //! scenario; it serves `round` frames over that connection until `stop`.
 //!

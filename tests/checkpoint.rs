@@ -83,6 +83,22 @@ fn resume_is_bit_identical_ring_clean_and_faulty() {
     for split in [1, 4, 7] {
         assert_resume_bit_identical(&faulty, split);
     }
+
+    // A generated storm on ring(6) over lossy, corrupting links with a
+    // straggler: crashes at rounds 2 and 5, a rejoin at 4. Split before,
+    // inside and after it.
+    let schedule = MembershipSchedule::storm(104_729, 6, clean.rounds as u64, 2, 1);
+    let event_rounds: Vec<u64> = schedule.events.iter().map(|e| e.round()).collect();
+    assert_eq!(event_rounds, [2, 4, 5]);
+    let mut storm = base_cfg(Topology::ring(6), StrategyKind::Marsit { k: Some(4) });
+    storm.fault_plan = FaultPlan::seeded(104_729)
+        .with_link_drop(0.02)
+        .with_link_corruption(0.01)
+        .with_straggler(5, 2.5)
+        .with_membership(schedule);
+    for split in [2, 4, 7] {
+        assert_resume_bit_identical(&storm, split);
+    }
 }
 
 #[test]

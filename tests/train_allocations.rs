@@ -1,10 +1,10 @@
-//! Allocation pins for the training step.
+//! Allocation pins for the training step and the one-bit round.
 //!
 //! The forward/backward pass writes every intermediate into a caller-owned
 //! [`MlpWorkspace`] and `TrainerState` owns every model-sized buffer a round
 //! needs, so the steady state of a training round does not go back to the
-//! allocator for them. A counting allocator (as in `bench_round`) makes that
-//! a test instead of a claim. Counters are per thread, so the tests of this
+//! allocator for them. A counting global allocator makes that a test
+//! instead of a claim. Counters are per thread, so the tests of this
 //! binary can run side by side.
 //!
 //! The same allocator pins journal replay: the file is read into one buffer
@@ -16,6 +16,7 @@ use std::cell::Cell;
 
 use marsit::collectives::torus::torus_allreduce_sum;
 use marsit::collectives::{compile_plan, PlanTopology};
+use marsit::core::SyncOutcome;
 use marsit::models::MlpWorkspace;
 use marsit::prelude::*;
 use marsit::serve::{
@@ -149,6 +150,43 @@ fn sequential_step_allocates_no_model_sized_buffer() {
         );
     }
     assert!(state.replicas_consistent());
+}
+
+/// The steady-state one-bit round allocates nothing: `synchronize_into`
+/// recycles one caller-owned outcome, so eight warm rounds on ring(8) and on
+/// torus(2,4) make no allocator call — with no plan, and with a plan that
+/// only slows one worker (it fires nothing, so it allocates nothing either).
+#[test]
+fn onebit_round_allocates_nothing() {
+    const D: usize = 8192;
+    for topology in [Topology::ring(8), Topology::torus(2, 4)] {
+        let m = topology.workers();
+        let updates: Vec<Vec<f32>> = (0..m)
+            .map(|w| {
+                (0..D)
+                    .map(|x| ((x * 31 + w * 7) % 211) as f32 * 1e-4 - 0.01)
+                    .collect()
+            })
+            .collect();
+        for (label, plan) in [
+            ("no plan", FaultPlan::none()),
+            ("a straggler", FaultPlan::seeded(7).with_straggler(1, 2.0)),
+        ] {
+            let cfg = MarsitConfig::new(SyncSchedule::never(), 0.01, 7).with_fault_plan(plan);
+            let mut sync = Marsit::new(cfg, m, D);
+            let mut out = SyncOutcome::default();
+            sync.synchronize_into(&updates, topology, &mut out);
+            let (calls, _) = measure(|| {
+                for _ in 0..8 {
+                    sync.synchronize_into(&updates, topology, &mut out);
+                }
+            });
+            assert_eq!(
+                calls, 0,
+                "{topology:?}, {label}: warm one-bit rounds allocated"
+            );
+        }
+    }
 }
 
 /// Compiling a plan is the bookkeeping half of the schedule walk and touches

@@ -8,11 +8,12 @@
 //!
 //! The matrix covers all four multi-hop paradigms the paper names — ring,
 //! 2D torus, binary tree, segmented ring — each clean and under seeded
-//! link-drop faults.
+//! link-drop faults. One more test `SIGKILL`s a worker process mid-session.
 
-use marsit::collectives::PlanTopology;
-use marsit::core::transport::{RunArtifacts, Scenario};
+use marsit::collectives::{PlanTopology, SyncError};
+use marsit::core::transport::{drive_round, RunArtifacts, Scenario};
 use marsit::core::CombineKind;
+use marsit::simnet::{Frame, FrameKind, WireHub, DRIVER};
 use marsit::telemetry::{scoped, Telemetry};
 
 fn worker_exe() -> &'static str {
@@ -196,4 +197,59 @@ fn process_backend_repeats_are_deterministic() {
     assert_eq!(a.consensus_words(), b.consensus_words());
     assert_eq!(a.combines, b.combines);
     assert_eq!(a.rng_draws, b.rng_draws);
+}
+
+/// ring(4) of real worker processes behind one hub: a clean round matches
+/// the simulator; after `SIGKILL` of rank 1 the next round fails typed
+/// instead of hanging; a fresh process under the same rank rejoins and the
+/// round after matches the simulator again.
+#[test]
+fn killed_worker_degrades_typed_and_a_replacement_rejoins() {
+    let sc = Scenario {
+        topo: PlanTopology::Ring,
+        world: 4,
+        d: 1024,
+        seed: 104_729,
+        round: 0,
+        drop_p: None,
+        combine: CombineKind::Weighted,
+    };
+    let reference = sc.run_simulator().unwrap();
+    let assert_matches_reference = |label: &str, (words, combines, draws): (Vec<u64>, u64, u64)| {
+        assert_eq!(
+            words,
+            reference.consensus_words(),
+            "{label}: consensus words"
+        );
+        assert_eq!(combines, reference.combines, "{label}: combine count");
+        assert_eq!(draws, reference.rng_draws, "{label}: rng draws");
+    };
+
+    let hub = WireHub::bind(sc.world).unwrap();
+    let addr = hub.addr().unwrap().to_string();
+    let mut children: Vec<_> = (0..sc.world)
+        .map(|rank| sc.spawn_worker(worker_exe(), &addr, rank))
+        .collect();
+    for _ in 0..sc.world {
+        hub.accept_worker().unwrap();
+    }
+    assert_matches_reference("before the kill", drive_round(&hub, &sc).unwrap());
+
+    let killed = 1;
+    children[killed].kill().unwrap();
+    children[killed].wait().unwrap();
+    let degraded = drive_round(&hub, &sc);
+    assert!(
+        matches!(degraded, Err(SyncError::PeerDisconnected { .. })),
+        "a killed worker must surface as a typed disconnect, got {degraded:?}"
+    );
+
+    children[killed] = sc.spawn_worker(worker_exe(), &addr, killed);
+    assert_eq!(hub.accept_worker().unwrap(), killed);
+    assert_matches_reference("after the rejoin", drive_round(&hub, &sc).unwrap());
+
+    hub.broadcast(&Frame::control(FrameKind::Stop, DRIVER, DRIVER));
+    for child in &mut children {
+        child.wait().unwrap();
+    }
 }
