@@ -556,33 +556,22 @@ impl<'a> Wire<'a> {
         }
     }
 
-    /// The wire of a sub-walk over `workers` of this walk's workers: same
-    /// injector and plan, its own (emptied) `trace` — which the caller
-    /// overlays onto this walk's from step `offset` on — and `frame` turning
-    /// its local ids and offsets into this walk's, in hop telemetry and
-    /// recorded transfers alike. The relabeling map telemetry wants is built
-    /// only when something records.
+    /// The wire of a sub-walk of this walk's workers: same injector and
+    /// plan, its own (emptied) `trace` — which the caller overlays onto this
+    /// walk's from step `offset` on — and `frame` turning its local ids and
+    /// offsets into this walk's, in hop telemetry and recorded transfers
+    /// alike.
     pub(crate) fn sub<'b>(
         &'b mut self,
         trace: &'b mut Trace,
         offset: usize,
-        workers: usize,
         frame: Frame,
     ) -> Wire<'b> {
         trace.reset();
-        let relabel = if self.rec.is_active() {
-            (0..workers).map(|w| frame.global(w)).collect()
-        } else {
-            Vec::new()
-        };
-        let rec = {
-            let _frame = self.rec.column_frame(offset, relabel);
-            HopRecorder::begin()
-        };
         Wire {
             inj: self.inj,
             trace,
-            rec,
+            rec: self.rec.column(offset, frame.base, frame.stride),
             plan: self.plan.as_deref_mut(),
             frame,
             base: 0,

@@ -107,7 +107,7 @@ pub(crate) fn segring_exec<P: Payload>(
             start: range.start,
             cell: Some(s),
         };
-        let ring_wire = &mut wire.sub(sub, s, m, frame);
+        let ring_wire = &mut wire.sub(sub, s, frame);
         let names = RingNames::Shifted(s * m);
         ring_exec(m, range.len(), |_| 1, names, ring_wire, ring, payload)?;
         wire.trace.overlay(s, sub);

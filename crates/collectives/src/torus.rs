@@ -186,7 +186,7 @@ pub(crate) fn torus_exec<P: Payload>(
         };
         let counts = &grid.counts;
         let count_of = |row: usize| counts[row * cols + c][own];
-        let column_wire = &mut wire.sub(sub, offset, rows, frame);
+        let column_wire = &mut wire.sub(sub, offset, frame);
         let names = RingNames::Chains(m + c * rows);
         ring_exec(
             rows,

@@ -21,9 +21,25 @@
 /// c.absorb_residual(&with_comp, &[0.5, -1.0, 0.25]);
 /// assert_eq!(c.vector(), &[0.5f32, -1.0, 0.25][..]);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Compensation {
     c: Vec<f32>,
+    /// `c` is all `+0.0` because nothing wrote it since [`Compensation::new`]
+    /// or [`Compensation::reset`]; every other write clears this.
+    reset: bool,
+}
+
+/// Equal residual values; how they came about is not compared.
+impl PartialEq for Compensation {
+    fn eq(&self, other: &Self) -> bool {
+        self.c == other.c
+    }
+}
+
+impl AsRef<[f32]> for Compensation {
+    fn as_ref(&self) -> &[f32] {
+        &self.c
+    }
 }
 
 impl Compensation {
@@ -31,7 +47,10 @@ impl Compensation {
     /// (Algorithm 2, line 1).
     #[must_use]
     pub fn new(d: usize) -> Self {
-        Self { c: vec![0.0; d] }
+        Self {
+            c: vec![0.0; d],
+            reset: true,
+        }
     }
 
     /// Dimension of the compensation vector.
@@ -50,6 +69,15 @@ impl Compensation {
     #[must_use]
     pub fn vector(&self) -> &[f32] {
         &self.c
+    }
+
+    /// Whether the residual is all zero because nothing wrote it since
+    /// construction or the last [`Compensation::reset`] — knowable without
+    /// reading it. (A residual that became zero by arithmetic reports
+    /// `false`.)
+    #[must_use]
+    pub(crate) fn is_reset(&self) -> bool {
+        self.reset
     }
 
     /// Squared ℓ2-norm of the residual (the quantity bounded in the proof of
@@ -95,6 +123,7 @@ impl Compensation {
     pub fn absorb_residual(&mut self, compensated_update: &[f32], global_update: &[f32]) {
         assert_eq!(compensated_update.len(), self.c.len(), "dimension mismatch");
         assert_eq!(global_update.len(), self.c.len(), "dimension mismatch");
+        self.reset = false;
         for ((c, &h), &g) in self.c.iter_mut().zip(compensated_update).zip(global_update) {
             *c = h - g;
         }
@@ -103,6 +132,7 @@ impl Compensation {
     /// Algorithm 1, line 13: reset after a full-precision round.
     pub fn reset(&mut self) {
         self.c.fill(0.0);
+        self.reset = true;
     }
 
     /// Overwrites the residual with checkpointed values (the restore half of
@@ -114,6 +144,7 @@ impl Compensation {
     pub fn restore(&mut self, values: &[f32]) {
         assert_eq!(values.len(), self.c.len(), "dimension mismatch");
         self.c.copy_from_slice(values);
+        self.reset = false;
     }
 }
 
@@ -151,10 +182,16 @@ mod tests {
     #[test]
     fn reset_zeroes_everything() {
         let mut c = Compensation::new(3);
+        assert!(c.is_reset());
         c.absorb_residual(&[1.0, 2.0, 3.0], &[0.0, 0.0, 0.0]);
         assert!(c.norm_sq() > 0.0);
+        assert!(!c.is_reset());
         c.reset();
+        assert!(c.is_reset());
         assert_eq!(c.norm_sq(), 0.0);
+        c.restore(&[0.0; 3]);
+        assert!(!c.is_reset(), "a restore is a write");
+        assert_eq!(c, Compensation::new(3), "equality compares values only");
     }
 
     #[test]

@@ -626,27 +626,28 @@ impl Marsit {
 
     /// Mean squared compensation norm across workers (the error-accumulation
     /// diagnostic of Theorem 1's proof).
+    ///
+    /// One pass of the striped norm kernel over every worker at once, in
+    /// the deferred form while a residual is pending (`‖h_w − g‖²`, `g`
+    /// rebuilt from the consensus bits) and in the materialized form
+    /// otherwise — bit-identical to summing [`Compensation::norm_sq`] over
+    /// the workers in order. Right after a full-precision round every
+    /// residual is known to be zero and nothing is swept: the sweep's value
+    /// would be exactly `+0.0`.
     #[must_use]
     pub fn mean_compensation_norm_sq(&self) -> f64 {
         let m = self.compensations.len() as f64;
         if let Some(p) = &self.pending {
-            // Deferred form: evaluate ‖h_w − g‖² without materializing c,
-            // in the exact (striped) accumulation order of the eager path's
-            // `Compensation::norm_sq`. One LUT serves every worker.
             let lut = ScaledSignLut::new(p.scale);
-            let total: f64 = self
-                .workspace
-                .compensated
-                .iter()
-                .map(|h| p.consensus.residual_norm_sq_striped(h, &lut))
-                .sum();
+            let total = p
+                .consensus
+                .sum_residual_norms_sq_striped(&self.workspace.compensated, &lut);
             return total / m;
         }
-        self.compensations
-            .iter()
-            .map(Compensation::norm_sq)
-            .sum::<f64>()
-            / m
+        if self.compensations.iter().all(Compensation::is_reset) {
+            return 0.0;
+        }
+        marsit_tensor::stats::sum_norms_l2_sq_striped(&self.compensations) / m
     }
 
     /// Performs one synchronization (Algorithm 1) over `topology`.
@@ -996,7 +997,7 @@ impl Marsit {
         tel.observe("marsit.comp_norm_sq", comp_norm_sq);
         tel.emit(
             "marsit_sync",
-            vec![
+            [
                 ("round", outcome.round.into()),
                 ("full_precision", outcome.full_precision.into()),
                 ("combines", combines.into()),
@@ -1134,6 +1135,29 @@ mod tests {
         assert!(marsit.mean_compensation_norm_sq() > 0.0);
         let _ = marsit.synchronize(&u, Topology::ring(2)); // t=2 full
         assert_eq!(marsit.mean_compensation_norm_sq(), 0.0);
+    }
+
+    /// On a freshly reset set — at construction and after every
+    /// full-precision round — the norm is answered without a sweep, and the
+    /// answer is the swept value bit for bit.
+    #[test]
+    fn zero_shortcut_matches_the_swept_norm() {
+        let cfg = MarsitConfig::new(SyncSchedule::every(2), 0.05, 4);
+        let mut marsit = Marsit::new(cfg, 3, 70);
+        let u = updates(3, 70, 3);
+        let swept = |marsit: &Marsit| {
+            marsit_tensor::stats::sum_norms_l2_sq_striped(&marsit.compensations) / 3.0
+        };
+        for t in 0..6 {
+            if t == 0 || t % 2 == 1 {
+                assert!(marsit.pending.is_none(), "round {t}");
+                assert!(marsit.compensations.iter().all(Compensation::is_reset));
+                let shortcut = marsit.mean_compensation_norm_sq();
+                assert_eq!(shortcut.to_bits(), swept(&marsit).to_bits(), "round {t}");
+            }
+            let _ = marsit.synchronize(&u, Topology::ring(3));
+        }
+        assert!(marsit.mean_compensation_norm_sq() > 0.0);
     }
 
     #[test]

@@ -16,8 +16,15 @@ use std::fmt::Write;
 /// does need escaping is ASCII, so byte indices of such bytes are always
 /// `char` boundaries and the clean spans between them can be appended as-is.
 /// (Snapshot payloads push megabyte hex strings through here; a per-char
-/// loop dominates serialization time.)
+/// loop dominates serialization time.) A string with nothing to escape —
+/// every event key and label — is one scan and one copy.
 pub fn write_str(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push('"');
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     out.push('"');
     let bytes = s.as_bytes();
     let mut start = 0;

@@ -24,16 +24,25 @@
 //!
 //! # The batched sink
 //!
-//! Recording must not distort what it measures. The sink therefore does no
-//! string formatting and no per-field allocation inside the timed region:
-//! an event is one fixed-size record pushed into a preallocated batch plus
-//! its fields appended to a flat key/value arena, where keys are `&'static
-//! str` and values are the scalar `CompactValue` repr. Hop events
-//! additionally fold their derived statistics into fixed slots
-//! (`HopStats`) rather than name-keyed map entries. JSONL text and owned
-//! [`Event`] structs are *materialized on demand* — at flush, outside the
-//! timed region. Steady state is allocation-free once the batch capacity
-//! (claimed up front by [`Telemetry::recording`]) covers the run.
+//! Recording must not distort what it measures, so a recorded event costs
+//! what it records and nothing else:
+//!
+//! - **No formatting or allocation while recording.** An event is one
+//!   fixed-size record pushed into a preallocated batch plus its fields
+//!   appended to a flat key/value arena, where keys are `&'static str` and
+//!   values are the scalar `CompactValue` repr. [`Telemetry::emit`] takes
+//!   any iterable of fields, so hot call sites pass arrays. Hop events
+//!   additionally fold their derived statistics into fixed slots
+//!   (`HopStats`) rather than name-keyed map entries, and those slots'
+//!   histograms index their buckets directly. A warm recording sink
+//!   therefore allocates nothing per round, once the batch capacity
+//!   (claimed up front by [`Telemetry::recording`]) covers it.
+//! - **Render on demand.** JSONL text and owned [`Event`] structs are
+//!   materialized at flush, outside the timed region. Both views render
+//!   every field through one field writer, so they carry the same bytes.
+//!   The renderer formats the `{"t":…,"ev":` prefix once per distinct
+//!   timestamp (a round's events share one), not once per event, and writes
+//!   small integers without the general formatter.
 //!
 //! Reading events back is explicit about cost: [`Telemetry::for_each_event`]
 //! visits events without building a vector, [`Telemetry::snapshot_events`]
@@ -149,6 +158,15 @@ impl Value {
             _ => None,
         }
     }
+
+    fn as_field(&self) -> Field<'_> {
+        match self {
+            Value::U64(n) => Field::U64(*n),
+            Value::F64(x) => Field::F64(*x),
+            Value::Bool(b) => Field::Bool(*b),
+            Value::Str(s) => Field::Str(s),
+        }
+    }
 }
 
 impl From<u64> for Value {
@@ -187,6 +205,65 @@ impl From<String> for Value {
     }
 }
 
+/// A borrowed field value: what the one field writer renders and what every
+/// stored form of a value materializes through.
+#[derive(Debug, Clone, Copy)]
+enum Field<'a> {
+    U64(u64),
+    F64(f64),
+    Bool(bool),
+    Str(&'a str),
+}
+
+impl Field<'_> {
+    fn to_value(self) -> Value {
+        match self {
+            Field::U64(n) => Value::U64(n),
+            Field::F64(x) => Value::F64(x),
+            Field::Bool(b) => Value::Bool(b),
+            Field::Str(s) => Value::Str(s.to_string()),
+        }
+    }
+}
+
+/// Appends `,"key":value`: the one field renderer behind
+/// [`Event::write_jsonl`] and the batched sink, so the two render every
+/// field alike.
+fn write_field(out: &mut String, key: &str, value: Field<'_>) {
+    out.push(',');
+    json::write_str(out, key);
+    out.push(':');
+    match value {
+        Field::U64(n) => write_u64(out, n),
+        Field::F64(x) => json::write_f64(out, x),
+        Field::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+        Field::Str(s) => json::write_str(out, s),
+    }
+}
+
+/// Appends the decimal digits of `n` without heap allocation; one- and
+/// two-digit values (most counts, steps and worker ids) skip the loop.
+fn write_u64(out: &mut String, n: u64) {
+    const DIGITS: &[u8; 10] = b"0123456789";
+    if n < 10 {
+        out.push(char::from(DIGITS[n as usize]));
+    } else if n < 100 {
+        out.push(char::from(DIGITS[(n / 10) as usize]));
+        out.push(char::from(DIGITS[(n % 10) as usize]));
+    } else {
+        // 20 digits cover `u64::MAX`.
+        let mut buf = [0u8; 20];
+        let mut i = buf.len();
+        let mut n = n;
+        while n > 0 {
+            i -= 1;
+            buf[i] = DIGITS[(n % 10) as usize];
+            n /= 10;
+        }
+        out.push_str(std::str::from_utf8(&buf[i..]).expect("ascii digits"));
+    }
+}
+
 /// Allocation-free field value as stored in the batch arena. Strings are
 /// either borrowed for `'static` (event schemas use literal keys and phase
 /// labels), shared (the transport tag, cloned per hop as an `Arc` bump), or
@@ -211,49 +288,16 @@ impl CompactValue {
         }
     }
 
-    fn to_value(&self) -> Value {
+    fn as_field(&self) -> Field<'_> {
         match self {
-            CompactValue::U64(n) => Value::U64(*n),
-            CompactValue::F64(x) => Value::F64(*x),
-            CompactValue::Bool(b) => Value::Bool(*b),
-            CompactValue::Static(s) => Value::Str((*s).to_string()),
-            CompactValue::Shared(s) => Value::Str(s.as_ref().to_string()),
-            CompactValue::Owned(s) => Value::Str(s.clone()),
+            CompactValue::U64(n) => Field::U64(*n),
+            CompactValue::F64(x) => Field::F64(*x),
+            CompactValue::Bool(b) => Field::Bool(*b),
+            CompactValue::Static(s) => Field::Str(s),
+            CompactValue::Shared(s) => Field::Str(s),
+            CompactValue::Owned(s) => Field::Str(s),
         }
     }
-
-    fn write_json(&self, out: &mut String) {
-        match self {
-            CompactValue::U64(n) => {
-                let mut buf = itoa_buf();
-                out.push_str(write_u64(&mut buf, *n));
-            }
-            CompactValue::F64(x) => json::write_f64(out, *x),
-            CompactValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            CompactValue::Static(s) => json::write_str(out, s),
-            CompactValue::Shared(s) => json::write_str(out, s),
-            CompactValue::Owned(s) => json::write_str(out, s),
-        }
-    }
-}
-
-/// Stack buffer for integer formatting (20 digits covers `u64::MAX`).
-fn itoa_buf() -> [u8; 20] {
-    [0u8; 20]
-}
-
-/// Format `n` into `buf` without heap allocation; returns the digits.
-fn write_u64(buf: &mut [u8; 20], mut n: u64) -> &str {
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    std::str::from_utf8(&buf[i..]).expect("ascii digits")
 }
 
 /// One fixed-size event record in the batch; its fields live in the shared
@@ -264,6 +308,13 @@ struct EventRec {
     name: &'static str,
     field_start: u32,
     field_len: u32,
+}
+
+/// Appends `{"t":<time_s>,"ev":`, the part of a line before the event name.
+fn write_prefix(out: &mut String, time_s: f64) {
+    out.push_str("{\"t\":");
+    json::write_f64(out, time_s);
+    out.push_str(",\"ev\":");
 }
 
 /// One recorded event: a simulated timestamp, a name, and ordered fields.
@@ -314,22 +365,10 @@ impl Event {
     /// same bytes as the batched renderer behind
     /// [`Telemetry::events_jsonl`].
     pub fn write_jsonl(&self, out: &mut String) {
-        out.push_str("{\"t\":");
-        json::write_f64(out, self.time_s);
-        out.push_str(",\"ev\":");
+        write_prefix(out, self.time_s);
         json::write_str(out, &self.name);
         for (k, v) in &self.fields {
-            out.push(',');
-            json::write_str(out, k);
-            out.push(':');
-            match v {
-                Value::U64(n) => {
-                    out.push_str(&n.to_string());
-                }
-                Value::F64(x) => json::write_f64(out, *x),
-                Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-                Value::Str(s) => json::write_str(out, s),
-            }
+            write_field(out, k, v.as_field());
         }
         out.push('}');
     }
@@ -408,6 +447,28 @@ const EVENT_BATCH: usize = 4096;
 /// Initial key/value arena capacity (~12 fields per hop event).
 const KV_BATCH: usize = 12 * EVENT_BATCH;
 
+/// The `{"t":…,"ev":` prefix of the timestamp rendered last. Formatting a
+/// float is the costliest part of a short line, and all the events of a
+/// round share one timestamp, so each distinct run of timestamps is
+/// formatted once. Kept across renders, so its buffer is reused.
+#[derive(Debug, Default)]
+struct Prefix {
+    time_bits: Option<u64>,
+    text: String,
+}
+
+impl Prefix {
+    fn write(&mut self, out: &mut String, time_s: f64) {
+        let bits = time_s.to_bits();
+        if self.time_bits != Some(bits) {
+            self.text.clear();
+            write_prefix(&mut self.text, time_s);
+            self.time_bits = Some(bits);
+        }
+        out.push_str(&self.text);
+    }
+}
+
 /// Shared mutable state behind a recording [`Telemetry`] handle.
 #[derive(Debug)]
 struct State {
@@ -415,6 +476,7 @@ struct State {
     next_seq: u64,
     events: Vec<EventRec>,
     kvs: Vec<(&'static str, CompactValue)>,
+    prefix: Prefix,
     hop: HopStats,
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
@@ -437,6 +499,7 @@ impl Default for State {
             next_seq: 0,
             events: Vec::with_capacity(EVENT_BATCH),
             kvs: Vec::with_capacity(KV_BATCH),
+            prefix: Prefix::default(),
             hop: HopStats::default(),
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
@@ -452,6 +515,16 @@ impl State {
         &self.kvs[rec.field_start as usize..(rec.field_start + rec.field_len) as usize]
     }
 
+    /// Closes the event whose arena fields start at `field_start`.
+    fn push_event(&mut self, name: &'static str, field_start: u32) {
+        self.events.push(EventRec {
+            time_s: self.now_s,
+            name,
+            field_start,
+            field_len: self.kvs.len() as u32 - field_start,
+        });
+    }
+
     fn materialize(&self, rec: &EventRec) -> Event {
         Event {
             time_s: rec.time_s,
@@ -459,25 +532,25 @@ impl State {
             fields: self
                 .fields_of(rec)
                 .iter()
-                .map(|(k, v)| ((*k).to_string(), v.to_value()))
+                .map(|(k, v)| ((*k).to_string(), v.as_field().to_value()))
                 .collect(),
         }
     }
 
-    /// Render one compact record exactly as [`Event::write_jsonl`] would
-    /// render its materialized form.
-    fn write_rec_jsonl(&self, rec: &EventRec, out: &mut String) {
-        out.push_str("{\"t\":");
-        json::write_f64(out, rec.time_s);
-        out.push_str(",\"ev\":");
-        json::write_str(out, rec.name);
-        for (k, v) in self.fields_of(rec) {
-            out.push(',');
-            json::write_str(out, k);
-            out.push(':');
-            v.write_json(out);
+    /// Appends every recorded event as one JSONL line, exactly as
+    /// [`Event::write_jsonl`] renders its materialized form.
+    fn write_jsonl(&mut self, out: &mut String) {
+        // ~96 bytes is a typical hop line; reserving up front keeps a large
+        // flush from reallocating its way through the log.
+        out.reserve(self.events.len() * 96);
+        for rec in &self.events {
+            self.prefix.write(out, rec.time_s);
+            json::write_str(out, rec.name);
+            for (k, v) in self.fields_of(rec) {
+                write_field(out, k, v.as_field());
+            }
+            out.push_str("}\n");
         }
-        out.push('}');
     }
 }
 
@@ -556,10 +629,15 @@ impl Telemetry {
 
     /// Record an event stamped with the current simulated time.
     ///
-    /// Hot paths should check [`Telemetry::is_enabled`] before building
-    /// `fields` — a disabled sink ignores them, but the caller has already
-    /// paid for the vector.
-    pub fn emit(&self, name: &'static str, fields: Vec<(&'static str, Value)>) {
+    /// `fields` is anything iterable — hot call sites pass an array, which
+    /// costs no allocation. Hot paths should still check
+    /// [`Telemetry::is_enabled`] before computing field values a disabled
+    /// sink would ignore.
+    pub fn emit(
+        &self,
+        name: &'static str,
+        fields: impl IntoIterator<Item = (&'static str, Value)>,
+    ) {
         if let Some(mut st) = self.state() {
             let st = &mut *st;
             let field_start = st.kvs.len() as u32;
@@ -571,12 +649,7 @@ impl Telemetry {
             if st.wall_clock {
                 st.kvs.push(("wall_ns", CompactValue::U64(wall_now_ns())));
             }
-            st.events.push(EventRec {
-                time_s: st.now_s,
-                name,
-                field_start,
-                field_len: st.kvs.len() as u32 - field_start,
-            });
+            st.push_event(name, field_start);
         }
     }
 
@@ -699,15 +772,9 @@ impl Telemetry {
     /// newline after each), rendered directly from the compact batch. Empty
     /// string when disabled.
     pub fn events_jsonl(&self) -> String {
-        let Some(st) = self.state() else {
-            return String::new();
-        };
-        // ~96 bytes is a typical hop line; reserving up front keeps the
-        // flush from reallocating its way through a large log.
-        let mut out = String::with_capacity(st.events.len() * 96);
-        for rec in &st.events {
-            st.write_rec_jsonl(rec, &mut out);
-            out.push('\n');
+        let mut out = String::new();
+        if let Some(mut st) = self.state() {
+            st.write_jsonl(&mut out);
         }
         out
     }
@@ -845,12 +912,7 @@ impl Telemetry {
     /// whatever the flush cadence.
     pub fn drain_events_jsonl_into(&self, out: &mut String) {
         if let Some(mut st) = self.state() {
-            let st = &mut *st;
-            out.reserve(st.events.len() * 96);
-            for rec in &st.events {
-                st.write_rec_jsonl(rec, out);
-                out.push('\n');
-            }
+            st.write_jsonl(out);
             st.events.clear();
             st.kvs.clear();
         }
@@ -939,12 +1001,7 @@ impl Telemetry {
                 .push(("backend", CompactValue::Shared(backend.clone())));
             st.kvs.push(("clock", CompactValue::Shared(clock.clone())));
         }
-        st.events.push(EventRec {
-            time_s: st.now_s,
-            name: "hop",
-            field_start,
-            field_len: st.kvs.len() as u32 - field_start,
-        });
+        st.push_event("hop", field_start);
         st.hop.events += 1;
         st.hop.bytes += hop.bytes as u64;
         if hop.attempt > 1 {
@@ -1094,7 +1151,9 @@ mod tests {
     }
 
     /// The batched renderer and the materialized per-event renderer agree
-    /// byte for byte.
+    /// byte for byte — for generic events (escaped keys and multi-digit
+    /// integers included), and for hops with and without their optional
+    /// trailing fields, across timestamp changes.
     #[test]
     fn batched_render_matches_materialized_render() {
         let t = Telemetry::recording();
@@ -1106,8 +1165,42 @@ mod tests {
         t.set_time(0.5);
         t.emit(
             "b",
-            vec![("f", Value::F64(0.1)), ("ok", Value::Bool(false))],
+            [
+                ("f", Value::F64(0.1)),
+                ("ok", Value::Bool(false)),
+                ("big", Value::U64(u64::MAX)),
+                ("two", Value::U64(42)),
+                ("odd \"key\"", Value::U64(100)),
+            ],
         );
+        let hop = |attempt: u32, delivered: bool| Hop {
+            expanded_step: 3,
+            step: 1,
+            phase: "reduce",
+            sender: 2,
+            receiver: 3,
+            segment: 12,
+            elems: 8192,
+            bytes: 1024,
+            attempt,
+            delivered,
+        };
+        scope::scoped(&t, || {
+            let mut rec = HopRecorder::begin();
+            rec.hop(&hop(1, false));
+            t.set_time(0.75);
+            rec.hop(&hop(2, true));
+            t.set_transport_tag("simulator", "simulated");
+            let timing = HopTiming {
+                round: Some(4),
+                send_ns: Some(1_000),
+                recv_ns: Some(2_000),
+            };
+            rec.hop_timed(&hop(1, true), timing);
+            t.set_wall_clock(true);
+            rec.hop(&hop(1, true));
+        });
+        assert_eq!(t.event_count(), 6);
         let mut expected = String::new();
         t.for_each_event(|ev| {
             ev.write_jsonl(&mut expected);
@@ -1170,9 +1263,10 @@ mod tests {
     /// u64 fields render without the heap round-trip `to_string` takes.
     #[test]
     fn u64_formatter_matches_std() {
-        for n in [0u64, 1, 9, 10, 99, 12345, u64::MAX] {
-            let mut buf = itoa_buf();
-            assert_eq!(write_u64(&mut buf, n), n.to_string());
+        for n in [0u64, 1, 9, 10, 42, 99, 100, 101, 12345, u64::MAX] {
+            let mut out = String::from("x");
+            write_u64(&mut out, n);
+            assert_eq!(out, format!("x{n}"));
         }
     }
 }

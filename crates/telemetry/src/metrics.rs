@@ -6,8 +6,6 @@
 //! bucket-resolution upper bounds clamped to the exact max, which makes them
 //! deterministic and monotone in `q`.
 
-use std::collections::BTreeMap;
-
 use crate::json;
 
 /// A log2-bucket histogram of non-negative samples.
@@ -32,8 +30,14 @@ pub struct Histogram {
     max: f64,
     /// Samples with value ≤ 0 (there is no log2 bucket for them).
     zeros: u64,
-    /// `floor(log2 v) -> count` for samples with value > 0.
-    buckets: BTreeMap<i32, u64>,
+    /// Exponent of `counts[0]`.
+    lowest: i32,
+    /// Count of bucket `lowest + i` at index `i`, for positive samples: a
+    /// dense window from the lowest to the highest exponent observed, so
+    /// recording a sample indexes its bucket instead of walking a tree. The
+    /// window is exactly that span (derived equality stays meaningful) and
+    /// grows only when a sample lands outside it.
+    counts: Vec<u64>,
 }
 
 impl Default for Histogram {
@@ -73,7 +77,8 @@ impl Histogram {
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
             zeros: 0,
-            buckets: BTreeMap::new(),
+            lowest: 0,
+            counts: Vec::new(),
         }
     }
 
@@ -88,7 +93,19 @@ impl Histogram {
         self.min = self.min.min(v);
         self.max = self.max.max(v);
         if v > 0.0 {
-            *self.buckets.entry(bucket_exponent(v)).or_default() += 1;
+            let e = bucket_exponent(v);
+            if self.counts.is_empty() {
+                self.lowest = e;
+            } else if e < self.lowest {
+                let grow = (self.lowest - e) as usize;
+                self.counts.splice(0..0, std::iter::repeat_n(0, grow));
+                self.lowest = e;
+            }
+            let i = (e - self.lowest) as usize;
+            if i >= self.counts.len() {
+                self.counts.resize(i + 1, 0);
+            }
+            self.counts[i] += 1;
         } else {
             self.zeros += 1;
         }
@@ -144,7 +161,7 @@ impl Histogram {
         if cum >= target {
             return self.min;
         }
-        for (&e, &n) in &self.buckets {
+        for (e, n) in self.buckets() {
             cum += n;
             if cum >= target {
                 return pow2(e + 1).min(self.max).max(self.min);
@@ -155,7 +172,10 @@ impl Histogram {
 
     /// Iterate `(bucket_exponent, count)` pairs in ascending exponent order.
     pub fn buckets(&self) -> impl Iterator<Item = (i32, u64)> + '_ {
-        self.buckets.iter().map(|(&e, &n)| (e, n))
+        (self.lowest..)
+            .zip(&self.counts)
+            .filter(|&(_, &n)| n > 0)
+            .map(|(e, &n)| (e, n))
     }
 
     /// Samples that fell in the non-positive bucket.
@@ -257,6 +277,33 @@ mod tests {
         let mut s = String::new();
         h.write_json(&mut s);
         assert!(crate::json::parse(&s).is_ok(), "{s}");
+    }
+
+    /// The dense bucket window grows downward and upward as samples arrive,
+    /// and what it holds — buckets, quantiles, equality, the JSON — does
+    /// not depend on the order they arrive in.
+    #[test]
+    fn bucket_window_is_order_independent() {
+        let samples = [4.0, 0.5, 1024.0, 0.0, 6.0, 0.5, 0.125, 8.0];
+        let (mut up, mut down) = (Histogram::new(), Histogram::new());
+        for &v in &samples {
+            up.observe(v);
+        }
+        for &v in samples.iter().rev() {
+            down.observe(v);
+        }
+        assert_eq!(up, down);
+        let buckets: Vec<(i32, u64)> = up.buckets().collect();
+        assert_eq!(buckets, [(-3, 1), (-1, 2), (2, 2), (3, 1), (10, 1)]);
+        assert_eq!(up.quantile(0.5), 1.0);
+        let (mut a, mut b) = (String::new(), String::new());
+        up.write_json(&mut a);
+        down.write_json(&mut b);
+        assert_eq!(a, b);
+        assert!(
+            a.ends_with("\"buckets\":[[-3,1],[-1,2],[2,2],[3,1],[10,1]]}"),
+            "{a}"
+        );
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //! Each collective claims a base `seq` when its [`HopRecorder`] begins and
 //! advances the global counter by the number of expanded slots it used when
 //! the recorder drops. The 2D-torus vertical phase is the special case: its
-//! per-column sub-rings *share* step slots (`Trace::overlay`). The torus
-//! pushes a [`HopRecorder::column_frame`] around each column's sub-ring call;
-//! a framed sub-ring maps its local step `i` to `frame.base + i` and its
-//! local worker ids through the column's global ids, and does *not* advance
-//! the global counter — the torus's own accounting covers the merged steps.
+//! per-column sub-rings *share* step slots (`Trace::overlay`). Each column's
+//! sub-ring records through a [`HopRecorder::column`] of the torus's
+//! recorder, which maps its local step `i` to the column's base slot `+ i`
+//! and its local worker ids through the column's global ids, and does *not*
+//! advance the global counter — the torus's own accounting covers the merged
+//! steps.
 
 use std::cell::RefCell;
 
@@ -72,20 +73,8 @@ pub struct HopTiming {
     pub recv_ns: Option<u64>,
 }
 
-#[derive(Debug)]
-struct Frame {
-    base_seq: u64,
-    workers: Vec<usize>,
-}
-
-#[derive(Debug)]
-struct ScopeEntry {
-    telemetry: Telemetry,
-    frames: Vec<Frame>,
-}
-
 thread_local! {
-    static SCOPES: RefCell<Vec<ScopeEntry>> = const { RefCell::new(Vec::new()) };
+    static SCOPES: RefCell<Vec<Telemetry>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Install `t` as the thread's ambient telemetry for the duration of `f`.
@@ -97,12 +86,7 @@ pub fn scoped<R>(t: &Telemetry, f: impl FnOnce() -> R) -> R {
     if !t.is_enabled() {
         return f();
     }
-    SCOPES.with(|s| {
-        s.borrow_mut().push(ScopeEntry {
-            telemetry: t.clone(),
-            frames: Vec::new(),
-        });
-    });
+    SCOPES.with(|s| s.borrow_mut().push(t.clone()));
     struct PopGuard;
     impl Drop for PopGuard {
         fn drop(&mut self) {
@@ -117,15 +101,16 @@ pub fn scoped<R>(t: &Telemetry, f: impl FnOnce() -> R) -> R {
 
 /// The innermost ambient telemetry handle, if one is installed and enabled.
 pub fn active() -> Option<Telemetry> {
-    SCOPES.with(|s| s.borrow().last().map(|e| e.telemetry.clone()))
+    SCOPES.with(|s| s.borrow().last().cloned())
 }
 
 struct RecorderInner {
     telemetry: Telemetry,
     base_seq: u64,
-    /// Worker-id relabeling inherited from a column frame, if any.
-    worker_map: Option<Vec<usize>>,
-    framed: bool,
+    /// A column's `(base, stride)`: local worker `i` is global worker
+    /// `base + stride·i`. `None` for a top-level collective, which numbers
+    /// its workers globally and owns the global counter.
+    column: Option<(usize, usize)>,
     /// Expanded step slots used so far (max `expanded_step + 1` seen).
     used: u64,
 }
@@ -140,31 +125,16 @@ pub struct HopRecorder {
 
 impl HopRecorder {
     /// Bind to the ambient telemetry scope, claiming this collective's base
-    /// sequence number (from the innermost column frame when one is active,
-    /// otherwise from the global counter).
+    /// sequence number from the global counter.
     pub fn begin() -> HopRecorder {
-        let inner = SCOPES.with(|s| {
-            let scopes = s.borrow();
-            let entry = scopes.last()?;
-            let telemetry = entry.telemetry.clone();
-            match entry.frames.last() {
-                Some(frame) => Some(RecorderInner {
-                    base_seq: frame.base_seq,
-                    worker_map: Some(frame.workers.clone()),
-                    framed: true,
-                    used: 0,
-                    telemetry,
-                }),
-                None => Some(RecorderInner {
-                    base_seq: telemetry.peek_seq(),
-                    worker_map: None,
-                    framed: false,
-                    used: 0,
-                    telemetry,
-                }),
-            }
-        });
-        HopRecorder { inner }
+        HopRecorder {
+            inner: active().map(|telemetry| RecorderInner {
+                base_seq: telemetry.peek_seq(),
+                column: None,
+                used: 0,
+                telemetry,
+            }),
+        }
     }
 
     /// Whether hops are being recorded (false on the clean no-op path).
@@ -185,8 +155,8 @@ impl HopRecorder {
         };
         let seq = inner.base_seq + hop.expanded_step as u64;
         inner.used = inner.used.max(hop.expanded_step as u64 + 1);
-        let (send, recv) = match &inner.worker_map {
-            Some(map) => (map[hop.sender], map[hop.receiver]),
+        let (send, recv) = match inner.column {
+            Some((base, stride)) => (base + stride * hop.sender, base + stride * hop.receiver),
             None => (hop.sender, hop.receiver),
         };
         inner
@@ -215,49 +185,30 @@ impl HopRecorder {
         }
     }
 
-    /// Open a column frame for a sub-collective whose trace will be merged
-    /// in parallel at `local_offset` within this collective's own steps,
-    /// with `workers` mapping the sub-collective's local worker ids to
-    /// global ones. The frame closes when the guard drops.
-    pub fn column_frame(&self, local_offset: usize, workers: Vec<usize>) -> FrameGuard {
-        let Some(inner) = &self.inner else {
-            return FrameGuard { pushed: false };
-        };
-        SCOPES.with(|s| {
-            if let Some(entry) = s.borrow_mut().last_mut() {
-                entry.frames.push(Frame {
-                    base_seq: inner.base_seq + local_offset as u64,
-                    workers,
-                });
-            }
-        });
-        FrameGuard { pushed: true }
+    /// The recorder of a sub-collective whose trace will be merged in
+    /// parallel at `local_offset` within this collective's own steps, and
+    /// whose local worker `i` is global worker `base + stride·i` (a torus
+    /// column: `base` = the column, `stride` = the row length). It shares
+    /// this recorder's sink and leaves the global counter to it. Inactive
+    /// when this recorder is.
+    pub fn column(&self, local_offset: usize, base: usize, stride: usize) -> HopRecorder {
+        HopRecorder {
+            inner: self.inner.as_ref().map(|inner| RecorderInner {
+                telemetry: inner.telemetry.clone(),
+                base_seq: inner.base_seq + local_offset as u64,
+                column: Some((base, stride)),
+                used: 0,
+            }),
+        }
     }
 }
 
 impl Drop for HopRecorder {
     fn drop(&mut self) {
         if let Some(inner) = &self.inner {
-            if !inner.framed {
+            if inner.column.is_none() {
                 inner.telemetry.advance_seq(inner.base_seq + inner.used);
             }
-        }
-    }
-}
-
-/// Closes a [`HopRecorder::column_frame`] on drop.
-pub struct FrameGuard {
-    pushed: bool,
-}
-
-impl Drop for FrameGuard {
-    fn drop(&mut self) {
-        if self.pushed {
-            SCOPES.with(|s| {
-                if let Some(entry) = s.borrow_mut().last_mut() {
-                    entry.frames.pop();
-                }
-            });
         }
     }
 }
@@ -319,9 +270,8 @@ mod tests {
             {
                 // Two "columns" merging into outer slots starting at 1, as
                 // the torus vertical phase does.
-                for (col, ids) in [(0usize, vec![10, 11]), (1, vec![20, 21])] {
-                    let _f = rec.column_frame(1, ids);
-                    let mut sub = HopRecorder::begin();
+                for (col, base) in [(0usize, 10), (1, 20)] {
+                    let mut sub = rec.column(1, base, 1);
                     sub.hop(&hop(0, 0, 1, 2 + col));
                     sub.hop(&hop(1, 1, 0, 2 + col));
                 }

@@ -30,6 +30,7 @@
 //! ```
 
 pub mod gemm;
+mod norm;
 pub mod rng;
 pub mod signvec;
 pub mod stats;

@@ -691,122 +691,6 @@ impl ScaledSignLut {
     }
 }
 
-/// One (possibly partial) 64-element chunk of the fused residual norm,
-/// accumulated into the eight striped lanes — the scalar reference the SIMD
-/// builds below must match operation-for-operation per lane: f32 subtract,
-/// widen to f64, multiply, then a separate add (never fused).
-#[inline(always)]
-fn residual_chunk_into(lanes: &mut [f64; 8], hc: &[f32], w: u64, lut: &ScaledSignLut) {
-    let mut groups = hc.chunks_exact(8);
-    let mut k = 0u32;
-    for g in &mut groups {
-        let row = lut.row((w >> (8 * k)) as u8);
-        for i in 0..8 {
-            let c = f64::from(g[i] - row[i]);
-            lanes[i] += c * c;
-        }
-        k += 1;
-    }
-    let rem = groups.remainder();
-    if !rem.is_empty() {
-        // `k < 8` here: a full 64-element chunk leaves no remainder, so the
-        // shift below never reaches the word width.
-        let row = lut.row((w >> (8 * k)) as u8);
-        for (i, &hj) in rem.iter().enumerate() {
-            let c = f64::from(hj - row[i]);
-            lanes[i] += c * c;
-        }
-    }
-}
-
-/// Portable body of [`SignVec::residual_norm_sq_striped`].
-fn residual_norm_sq_striped_body(words: &[u64], h: &[f32], lut: &ScaledSignLut) -> f64 {
-    let mut lanes = [0.0f64; 8];
-    for (hc, &w) in h.chunks(WORD_BITS).zip(words) {
-        residual_chunk_into(&mut lanes, hc, w, lut);
-    }
-    lanes.iter().sum()
-}
-
-/// AVX2 build: the eight f64 lanes are two `__m256d` accumulators (lanes
-/// 0–3 / 4–7); each 8-element group is one f32 subtract, two widens, two
-/// multiplies, two adds — the same per-lane sequence as the scalar chunk,
-/// so the result is bit-identical. The final partial chunk (if any) reuses
-/// the scalar chunk on the extracted lanes, preserving the "tail adds last
-/// per lane" order.
-///
-/// # Safety
-///
-/// Caller must have verified AVX2 support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn residual_norm_sq_striped_avx2(words: &[u64], h: &[f32], lut: &ScaledSignLut) -> f64 {
-    use std::arch::x86_64::{
-        _mm256_add_pd, _mm256_castps256_ps128, _mm256_cvtps_pd, _mm256_extractf128_ps,
-        _mm256_loadu_ps, _mm256_mul_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_ps,
-    };
-    let full = h.len() / WORD_BITS;
-    let mut acc_lo = _mm256_setzero_pd();
-    let mut acc_hi = _mm256_setzero_pd();
-    for (hc, &w) in h[..full * WORD_BITS].chunks_exact(WORD_BITS).zip(words) {
-        for k in 0..8 {
-            // SAFETY: `hc` has exactly 64 elements and rows are 8 floats.
-            let h8 = unsafe { _mm256_loadu_ps(hc.as_ptr().add(k * 8)) };
-            let row = unsafe { _mm256_loadu_ps(lut.row((w >> (8 * k)) as u8).as_ptr()) };
-            let diff = _mm256_sub_ps(h8, row);
-            let lo = _mm256_cvtps_pd(_mm256_castps256_ps128(diff));
-            let hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(diff));
-            acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(lo, lo));
-            acc_hi = _mm256_add_pd(acc_hi, _mm256_mul_pd(hi, hi));
-        }
-    }
-    let mut lanes = [0.0f64; 8];
-    // SAFETY: `lanes` holds exactly 2 × 4 f64.
-    unsafe {
-        _mm256_storeu_pd(lanes.as_mut_ptr(), acc_lo);
-        _mm256_storeu_pd(lanes.as_mut_ptr().add(4), acc_hi);
-    }
-    if h.len() > full * WORD_BITS {
-        residual_chunk_into(&mut lanes, &h[full * WORD_BITS..], words[full], lut);
-    }
-    lanes.iter().sum()
-}
-
-/// AVX-512 build: one `__m512d` accumulator holds all eight lanes; each
-/// 8-element group is one f32 subtract, one widen, one multiply, one add —
-/// per lane the identical operation sequence again.
-///
-/// # Safety
-///
-/// Caller must have verified AVX-512 F + DQ support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx512dq")]
-unsafe fn residual_norm_sq_striped_avx512(words: &[u64], h: &[f32], lut: &ScaledSignLut) -> f64 {
-    use std::arch::x86_64::{
-        _mm256_loadu_ps, _mm256_sub_ps, _mm512_add_pd, _mm512_cvtps_pd, _mm512_mul_pd,
-        _mm512_setzero_pd, _mm512_storeu_pd,
-    };
-    let full = h.len() / WORD_BITS;
-    let mut acc = _mm512_setzero_pd();
-    for (hc, &w) in h[..full * WORD_BITS].chunks_exact(WORD_BITS).zip(words) {
-        for k in 0..8 {
-            // SAFETY: `hc` has exactly 64 elements and rows are 8 floats.
-            let h8 = unsafe { _mm256_loadu_ps(hc.as_ptr().add(k * 8)) };
-            let row = unsafe { _mm256_loadu_ps(lut.row((w >> (8 * k)) as u8).as_ptr()) };
-            let diff = _mm256_sub_ps(h8, row);
-            let wide = _mm512_cvtps_pd(diff);
-            acc = _mm512_add_pd(acc, _mm512_mul_pd(wide, wide));
-        }
-    }
-    let mut lanes = [0.0f64; 8];
-    // SAFETY: `lanes` holds exactly 8 f64.
-    unsafe { _mm512_storeu_pd(lanes.as_mut_ptr(), acc) };
-    if h.len() > full * WORD_BITS {
-        residual_chunk_into(&mut lanes, &h[full * WORD_BITS..], words[full], lut);
-    }
-    lanes.iter().sum()
-}
-
 /// Elements per block of the block-major round prologue: callers walk a
 /// model in blocks of this many elements and run [`compensate_block`] for
 /// every worker on one block before moving to the next, so the block of the
@@ -1407,21 +1291,30 @@ impl SignVec {
     /// Panics if `h.len() != self.len()`.
     #[must_use]
     pub fn residual_norm_sq_striped(&self, h: &[f32], lut: &ScaledSignLut) -> f64 {
-        assert_eq!(h.len(), self.len, "residual length mismatch");
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f")
-                && std::arch::is_x86_feature_detected!("avx512dq")
-            {
-                // SAFETY: feature presence just checked.
-                return unsafe { residual_norm_sq_striped_avx512(&self.words, h, lut) };
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: feature presence just checked.
-                return unsafe { residual_norm_sq_striped_avx2(&self.words, h, lut) };
-            }
-        }
-        residual_norm_sq_striped_body(&self.words, h, lut)
+        self.sum_residual_norms_sq_striped(&[h], lut)
+    }
+
+    /// [`SignVec::residual_norm_sq_striped`] of every vector of `hs` against
+    /// these bits, summed in the order of `hs` — bit-identical to summing
+    /// the one-vector calls with [`Iterator::sum`], but one pass over the
+    /// bits per group of up to eight vectors, with one independent
+    /// accumulator chain each, so the sweep runs at cache bandwidth instead
+    /// of add latency.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any vector's length differs from `self.len()`.
+    #[must_use]
+    pub fn sum_residual_norms_sq_striped<V: AsRef<[f32]>>(
+        &self,
+        hs: &[V],
+        lut: &ScaledSignLut,
+    ) -> f64 {
+        assert!(
+            hs.iter().all(|h| h.as_ref().len() == self.len),
+            "residual length mismatch"
+        );
+        crate::norm::Build::detect().sum(hs, Some((&self.words, lut)))
     }
 
     /// Word-parallel bitwise AND.

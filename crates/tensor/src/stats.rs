@@ -47,55 +47,20 @@ pub fn norm_l2_sq(xs: &[f32]) -> f64 {
 /// and add stay separate operations everywhere).
 #[must_use]
 pub fn norm_l2_sq_striped(xs: &[f32]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512dq")
-        {
-            // SAFETY: feature presence just checked.
-            return unsafe { norm_l2_sq_striped_avx512(xs) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: feature presence just checked.
-            return unsafe { norm_l2_sq_striped_avx2(xs) };
-        }
-    }
-    norm_l2_sq_striped_body(xs)
+    sum_norms_l2_sq_striped(&[xs])
 }
 
-#[inline(always)]
-fn norm_l2_sq_striped_body(xs: &[f32]) -> f64 {
-    let mut acc = [0.0f64; 8];
-    let mut chunks = xs.chunks_exact(8);
-    for c in &mut chunks {
-        for (a, &x) in acc.iter_mut().zip(c) {
-            let x = f64::from(x);
-            *a += x * x;
-        }
-    }
-    for (a, &x) in acc.iter_mut().zip(chunks.remainder()) {
-        let x = f64::from(x);
-        *a += x * x;
-    }
-    acc.iter().sum()
-}
-
-/// # Safety
+/// [`norm_l2_sq_striped`] of every slice of `xs`, summed in order —
+/// bit-identical to summing the one-slice calls with [`Iterator::sum`], with
+/// one independent accumulator chain per slice of a group of up to eight, so
+/// the sweep runs at memory bandwidth instead of add latency.
 ///
-/// Caller must have verified AVX2 support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn norm_l2_sq_striped_avx2(xs: &[f32]) -> f64 {
-    norm_l2_sq_striped_body(xs)
-}
-
-/// # Safety
+/// # Panics
 ///
-/// Caller must have verified AVX-512 F + DQ support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx512dq")]
-unsafe fn norm_l2_sq_striped_avx512(xs: &[f32]) -> f64 {
-    norm_l2_sq_striped_body(xs)
+/// Panics if the slices differ in length.
+#[must_use]
+pub fn sum_norms_l2_sq_striped<V: AsRef<[f32]>>(xs: &[V]) -> f64 {
+    crate::norm::Build::detect().sum(xs, None)
 }
 
 /// Squared Euclidean distance between two slices.

@@ -333,6 +333,9 @@ struct StepScratch {
     /// Packed signs of the applied update and of its reference mean.
     applied_signs: SignVec,
     reference_signs: SignVec,
+    /// Every worker's RNG draw count before the round (recorded runs only):
+    /// the per-worker `rng_draws` telemetry field is the difference.
+    draws_before: Vec<u64>,
 }
 
 impl TrainerState {
@@ -497,18 +500,19 @@ impl TrainerState {
         // Telemetry rides the simulated clock: every event this round is
         // stamped with the time elapsed before the round started.
         tel.set_time(self.total_time.total());
-        let draws_before: Vec<u64> = if tel.is_enabled() {
-            self.worker_rngs.iter().map(FastRng::draws).collect()
-        } else {
-            Vec::new()
-        };
+        let scratch = &mut self.scratch;
+        if tel.is_enabled() {
+            scratch.draws_before.clear();
+            scratch
+                .draws_before
+                .extend(self.worker_rngs.iter().map(FastRng::draws));
+        }
         // Local computation: every worker touches only its own model,
         // optimizer, and RNG stream, so the phase parallelizes without any
         // cross-worker synchronization. Reduction stays on the main thread
         // in worker order, keeping both paths bit-identical.
         let batch_per_worker = cfg.batch_per_worker;
         let parallel = cfg.parallel_workers && m > 1;
-        let scratch = &mut self.scratch;
         let lanes = if parallel { m } else { 1 };
         scratch.workspaces.resize_with(lanes, MlpWorkspace::default);
         scratch.raw_grads.resize_with(lanes, || vec![0.0; d]);
@@ -679,7 +683,7 @@ impl TrainerState {
         });
 
         if tel.is_enabled() {
-            for (w, &before) in draws_before.iter().enumerate() {
+            for (w, &before) in scratch.draws_before.iter().enumerate() {
                 let straggler_mult = cfg
                     .fault_plan
                     .stragglers
@@ -691,7 +695,7 @@ impl TrainerState {
                 tel.observe("train.worker_compute_s", worker_compute_s);
                 tel.emit(
                     "worker",
-                    vec![
+                    [
                         ("round", t.into()),
                         ("worker", w.into()),
                         ("compute_s", worker_compute_s.into()),
@@ -703,7 +707,7 @@ impl TrainerState {
             }
             tel.emit(
                 "round",
-                vec![
+                [
                     ("round", t.into()),
                     ("full_precision", out.full_precision.into()),
                     ("loss", train_loss.into()),

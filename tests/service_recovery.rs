@@ -443,10 +443,12 @@ fn supervisor_survives_shard_sigkill() {
     cfg.snapshot_every_ticks = 1;
     cfg.worker_bin = Some(PathBuf::from(env!("CARGO_BIN_EXE_marsit_serve")));
     let mut handle = SupervisorHandle::start(cfg, None).expect("start supervisor");
-    // Long enough (≈ 1 s of work per shard) that the kill below, 300 ms
-    // after shard 0 is up, lands mid-job.
+    // Long enough that the kill below, 300 ms after shard 0 is up, lands
+    // mid-job even on a fast idle host: there, 240-round jobs could all
+    // finish before it, while 1 200 rounds keep each shard busy for over a
+    // second (the whole test takes ≈ 2.5 s on a 2-core host).
     for i in 0..4 {
-        handle.submit(tiny_spec(&format!("p{i}"), 60 + i, 240));
+        handle.submit(tiny_spec(&format!("p{i}"), 60 + i, 1200));
     }
 
     // Wait for shard 0 to be up and working, then SIGKILL it.

@@ -22,6 +22,7 @@ use marsit::prelude::*;
 use marsit::serve::{
     encode_record, plan_from_replay, replay_file, JobSpec, JournalRecord, SnapshotRecord,
 };
+use marsit::telemetry::scoped;
 
 thread_local! {
     /// Allocator calls made by this thread.
@@ -156,6 +157,14 @@ fn sequential_step_allocates_no_model_sized_buffer() {
 /// recycles one caller-owned outcome, so eight warm rounds on ring(8) and on
 /// torus(2,4) make no allocator call — with no plan, and with a plan that
 /// only slows one worker (it fires nothing, so it allocates nothing either).
+///
+/// Recording costs no allocation either: with no plan, inside a warm
+/// recording sink drained into a reused buffer after every round, eight
+/// rounds make no allocator call. Hops land in the sink's preallocated
+/// batch, a torus column's recorder maps worker ids arithmetically instead
+/// of cloning a map, and the `marsit_sync` fields arrive as an array.
+/// (Before that, the recording round allocated 1 time on ring(8) — the
+/// field vector — and 10 times on torus(2,4).)
 #[test]
 fn onebit_round_allocates_nothing() {
     const D: usize = 8192;
@@ -186,6 +195,33 @@ fn onebit_round_allocates_nothing() {
                 "{topology:?}, {label}: warm one-bit rounds allocated"
             );
         }
+
+        let cfg = MarsitConfig::new(SyncSchedule::never(), 0.01, 7);
+        let mut sync = Marsit::new(cfg, m, D);
+        let mut out = SyncOutcome::default();
+        let tel = Telemetry::recording();
+        let mut jsonl = String::new();
+        let mut round = || {
+            scoped(&tel, || sync.synchronize_into(&updates, topology, &mut out));
+            jsonl.clear();
+            tel.drain_events_jsonl_into(&mut jsonl);
+        };
+        for _ in 0..8 {
+            round();
+        }
+        let (calls, _) = measure(|| {
+            for _ in 0..8 {
+                round();
+            }
+        });
+        assert_eq!(
+            calls, 0,
+            "{topology:?}: warm recorded one-bit rounds allocated"
+        );
+        assert!(
+            jsonl.contains("\"ev\":\"marsit_sync\""),
+            "the sink recorded"
+        );
     }
 }
 
