@@ -16,7 +16,7 @@
 //! ```
 
 use marsit_bench::hr;
-use marsit_core::ominus::{combine_unweighted, combine_weighted};
+use marsit_core::ominus::{combine_unweighted_assign, combine_weighted_assign};
 use marsit_core::theory::{cascading_deviation_bound, estimate_deviations, ps_deviation_bound};
 use marsit_core::SyncSchedule;
 use marsit_models::{OptimizerKind, Workload};
@@ -110,11 +110,13 @@ fn combine_ablation() {
         for _ in 0..trials {
             let mut agg = inputs[0].clone();
             for (i, input) in inputs.iter().enumerate().skip(1) {
-                agg = if weighted {
-                    combine_weighted(&agg, i, input, 1, rng)
+                let mut next = input.clone();
+                if weighted {
+                    combine_weighted_assign(&agg, i, &mut next, 1, rng);
                 } else {
-                    combine_unweighted(&agg, input, rng)
-                };
+                    combine_unweighted_assign(&agg, &mut next, rng);
+                }
+                agg = next;
             }
             acc += agg.count_ones() as f64 / n as f64;
         }

@@ -16,11 +16,9 @@
 //!    with the walker it came from. Fault fates are drawn by the walk itself,
 //!    consuming the [`FaultInjector`] exactly as an in-process run does.
 //! 2. **Execute**: [`run_rank`] walks one rank's slice of the plan against
-//!    a [`Transport`] endpoint — sends first, then combines what arrives.
-//!    [`run_lockstep`] drives every rank from one thread over a simulated
-//!    fabric; [`run_threaded`] gives each rank an OS thread (the conformance
-//!    driver for [`run_rank`] over a [`ChannelFabric`]). Worker *processes*
-//!    run [`run_rank`] directly over a `ProcessTransport`.
+//!    a [`Transport`] endpoint — sends first, then combines what arrives;
+//!    worker *processes* run it over a `ProcessTransport`. [`run_lockstep`]
+//!    executes the whole plan in one thread, every rank at once.
 //!
 //! Determinism across backends is the RNG stream contract (`DESIGN.md` §9,
 //! v2): every combine's randomness is addressed by its [`CombineCtx`] — the
@@ -38,7 +36,7 @@
 //! can be merged into one causally-ordered cross-rank trace.
 
 use marsit_compress::SignSumVec;
-use marsit_simnet::transport::{Backend, ChannelFabric, Transport, TransportError};
+use marsit_simnet::transport::{Transport, TransportError};
 use marsit_simnet::{FaultInjector, LinkModel};
 use marsit_telemetry::{wall_now_ns, Hop, HopRecorder, HopTiming};
 use marsit_tensor::SignVec;
@@ -147,20 +145,6 @@ pub struct EnginePlan {
     /// What the in-process collective traces for the same schedule and
     /// fates: retry sub-steps expanded, parallel sub-rings overlaid.
     pub trace: Trace,
-}
-
-impl EnginePlan {
-    /// Largest single-transfer payload in bytes at any step — what one
-    /// lockstep tick moves on the busiest link (the α–β step price).
-    #[must_use]
-    pub fn max_step_bytes(&self, step: usize) -> usize {
-        self.transfers
-            .iter()
-            .filter(|t| t.step == step && t.delivered)
-            .map(|t| t.len.div_ceil(8).max(1))
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// The one topology dispatch: walks `topology`'s schedule for `world`
@@ -479,16 +463,18 @@ where
     Ok(state)
 }
 
-/// Drives every rank of `plan` from one thread in deterministic lockstep
-/// over a simulated [`ChannelFabric`] — the legacy simulator, refactored
-/// behind the [`Transport`] trait. The fabric's simulated clock advances by
-/// the α–β price of each step's largest payload.
+/// Executes every rank of `plan` from one thread in deterministic
+/// lockstep. Per step, every delivered transfer's payload is staged from its
+/// sender's state before the step, then the transfers are applied in plan
+/// order: the barrier that lets a step's sends never see its receives.
 ///
-/// Returns each rank's final vector (index = rank).
+/// Returns each rank's final vector (index = rank). The `link` argument is
+/// unused; it and the `Result` stay in the signature until the benchmark's
+/// `engine_lockstep` probe, the one caller outside the tests, is retired.
 ///
 /// # Errors
 ///
-/// Propagates [`SyncError::PeerDisconnected`] from any rank.
+/// Never: no transfer can fail inside one process.
 ///
 /// # Panics
 ///
@@ -497,98 +483,39 @@ where
 pub fn run_lockstep<F>(
     plan: &EnginePlan,
     inputs: &[SignVec],
-    link: LinkModel,
+    _link: LinkModel,
     mut combine: F,
 ) -> Result<Vec<SignVec>, SyncError>
 where
     F: FnMut(&SignVec, &mut SignVec, CombineCtx),
 {
     assert_eq!(inputs.len(), plan.world, "one input per rank");
-    let fabric = ChannelFabric::new(plan.world, link);
-    let mut endpoints: Vec<_> = (0..plan.world)
-        .map(|r| fabric.endpoint(r, Backend::Simulator))
-        .collect();
+    let mut steps: Vec<Vec<&PlannedTransfer>> = vec![Vec::new(); plan.num_steps];
+    for t in plan.transfers.iter().filter(|t| t.delivered) {
+        steps[t.step].push(t);
+    }
     let mut states: Vec<SignVec> = inputs.to_vec();
-    let mut received = SignVec::zeros(0);
-    // Outgoing payload and local segment, reused by every transfer.
-    let mut payload = SignVec::zeros(0);
+    // Staged payloads and the local segment, reused by every step.
+    let mut staged: Vec<SignVec> = Vec::new();
     let mut local = SignVec::zeros(0);
-    for step in 0..plan.num_steps {
-        let in_step: Vec<&PlannedTransfer> = plan
-            .transfers
-            .iter()
-            .filter(|t| t.step == step && t.delivered)
-            .collect();
-        // All sends land in the fabric before any rank receives — the
-        // lockstep barrier a single-threaded simulator gets for free.
-        for t in &in_step {
+    for step in &steps {
+        staged.resize_with(staged.len().max(step.len()), || SignVec::zeros(0));
+        for (t, payload) in step.iter().zip(&mut staged) {
             payload.assign_slice_of(&states[t.sender], t.start, t.len);
-            endpoints[t.sender]
-                .send_words(t.receiver, payload.as_words())
-                .map_err(disconnected)?;
         }
-        for t in &in_step {
-            let words = endpoints[t.receiver]
-                .recv_words(t.sender)
-                .map_err(disconnected)?;
-            received.assign_from_words(t.len, &words);
+        for (t, payload) in step.iter().zip(&staged) {
             match t.combine {
                 Some(ctx) => {
                     local.assign_slice_of(&states[t.receiver], t.start, t.len);
-                    combine(&received, &mut local, ctx);
+                    combine(payload, &mut local, ctx);
                     assert_eq!(local.len(), t.len, "combine changed segment length");
                     states[t.receiver].splice(t.start, &local);
                 }
-                None => states[t.receiver].splice(t.start, &received),
+                None => states[t.receiver].splice(t.start, payload),
             }
         }
-        fabric.advance_sim_clock(plan.max_step_bytes(step));
     }
     Ok(states)
-}
-
-/// Drives every rank of `plan` on its own OS thread over a shared
-/// [`ChannelFabric`] — real concurrency, deterministic results via the
-/// ctx-addressed RNG contract. `make_combine(rank)` builds each thread's
-/// combine closure.
-///
-/// Returns each rank's final vector (index = rank).
-///
-/// # Errors
-///
-/// Propagates the first rank's [`SyncError`] (by rank order).
-///
-/// # Panics
-///
-/// Panics if `inputs.len() != plan.world`, a payload length disagrees with
-/// the plan, or a worker thread itself panics.
-pub fn run_threaded<C, F>(
-    plan: &EnginePlan,
-    inputs: &[SignVec],
-    link: LinkModel,
-    make_combine: C,
-) -> Result<Vec<SignVec>, SyncError>
-where
-    C: Fn(usize) -> F + Sync,
-    F: FnMut(&SignVec, &mut SignVec, CombineCtx) + Send,
-{
-    assert_eq!(inputs.len(), plan.world, "one input per rank");
-    let fabric = ChannelFabric::new(plan.world, link);
-    let results: Vec<Result<SignVec, SyncError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..plan.world)
-            .map(|rank| {
-                let mut transport = fabric.endpoint(rank, Backend::Threaded);
-                let init = &inputs[rank];
-                let combine = make_combine(rank);
-                scope.spawn(move || run_rank(plan, init, &mut transport, combine))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
-    results.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -718,19 +645,5 @@ mod tests {
             assert_eq!(state.as_words(), legacy.as_words());
         }
         assert_eq!(legacy_inj.take_stats(), engine_inj.take_stats());
-    }
-
-    #[test]
-    fn threaded_matches_lockstep_bit_for_bit() {
-        let (m, d, seed) = (8, 511, 77);
-        let inputs = signs(m, d, seed);
-        let plan = compile_plan(PlanTopology::Ring, m, d, None).unwrap();
-        let lock = run_lockstep(&plan, &inputs, link(), ctx_combine(seed)).unwrap();
-        for _ in 0..5 {
-            let thr = run_threaded(&plan, &inputs, link(), |_| ctx_combine(seed)).unwrap();
-            for (a, b) in lock.iter().zip(&thr) {
-                assert_eq!(a.as_words(), b.as_words());
-            }
-        }
     }
 }

@@ -76,7 +76,7 @@ pub mod tree;
 
 pub use engine::{
     allreduce_majority, allreduce_onebit, allreduce_signsum, allreduce_sum, compile_plan,
-    run_lockstep, run_rank, run_threaded, EnginePlan, PlanTopology, PlannedTransfer,
+    run_lockstep, run_rank, EnginePlan, PlanTopology, PlannedTransfer,
 };
 pub use reconfigure::{DegradedMode, EffectiveTopology, SyncError, TopologyReconfigurer};
 pub use ring::{ChainSlot, CombineCtx, PlannedHop, RingOnebitScratch, StepCombine, SumWire};

@@ -165,31 +165,18 @@ pub(crate) fn clean<T>(result: Result<T, SyncError>) -> T {
 /// On return every `data[w]` holds the elementwise *sum* over workers
 /// (divide by `M` for the mean). Returns the transfer trace:
 /// `2(M−1)` steps of `M` parallel segment transfers. This is
-/// [`ring_allreduce_sum_faulty`] on a fabric that never faults.
+/// [`allreduce_sum`] of [`PlanTopology::Ring`] on a fabric that never
+/// faults; pass that an injector for the faulty form.
 ///
 /// # Panics
 ///
 /// Panics if fewer than 2 workers or payload lengths differ.
 pub fn ring_allreduce_sum(data: &mut [Vec<f32>]) -> Trace {
-    clean(ring_allreduce_sum_faulty(data, &mut FaultInjector::inert()))
-}
-
-/// [`ring_allreduce_sum`] under fault injection (see the
-/// [crate docs](crate#faults)): an omitted reduce transfer's partial
-/// aggregate is simply not folded in, so the result degrades toward a
-/// partial sum, and every worker still ends with identical payloads. With an
-/// inert injector this produces exactly the [`ring_allreduce_sum`] result
-/// and trace.
-///
-/// # Errors
-///
-/// Returns [`SyncError::TooFewWorkers`] for fewer than 2 workers and
-/// [`SyncError::LengthMismatch`] if payload lengths differ.
-pub fn ring_allreduce_sum_faulty(
-    data: &mut [Vec<f32>],
-    inj: &mut FaultInjector,
-) -> Result<Trace, SyncError> {
-    allreduce_sum(PlanTopology::Ring, data, inj)
+    clean(allreduce_sum(
+        PlanTopology::Ring,
+        data,
+        &mut FaultInjector::inert(),
+    ))
 }
 
 /// Ring all-reduce of sign vectors into a global **majority vote**.
@@ -1111,7 +1098,8 @@ mod tests {
         let mut faulty = clean.clone();
         let clean_trace = ring_allreduce_sum(&mut clean);
         let mut inj = FaultInjector::inert();
-        let faulty_trace = ring_allreduce_sum_faulty(&mut faulty, &mut inj).expect("valid inputs");
+        let faulty_trace =
+            allreduce_sum(PlanTopology::Ring, &mut faulty, &mut inj).expect("valid inputs");
         assert_eq!(clean, faulty);
         assert_eq!(clean_trace, faulty_trace);
         assert!(inj.stats().is_clean());
@@ -1205,7 +1193,7 @@ mod tests {
             .with_link_drop(0.3)
             .with_retry_policy(4, 1e-4);
         let mut inj = plan.injector(0);
-        let trace = ring_allreduce_sum_faulty(&mut data, &mut inj).expect("valid inputs");
+        let trace = allreduce_sum(PlanTopology::Ring, &mut data, &mut inj).expect("valid inputs");
         let stats = inj.stats();
         assert!(stats.retransmits > 0);
         assert!(trace.num_steps() > baseline_steps, "retries add sub-steps");

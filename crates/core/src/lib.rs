@@ -51,7 +51,7 @@ pub use transport::{maybe_run_worker_from_env, process_worker_main, RunArtifacts
 mod proptests {
     use proptest::prelude::*;
 
-    use crate::ominus::combine_weighted;
+    use crate::ominus::combine_weighted_assign;
     use marsit_tensor::rng::FastRng;
     use marsit_tensor::SignVec;
 
@@ -65,9 +65,9 @@ mod proptests {
             seed in any::<u64>(),
         ) {
             let recv: SignVec = bits.iter().map(|&(x, _)| x).collect();
-            let local: SignVec = bits.iter().map(|&(_, y)| y).collect();
+            let mut out: SignVec = bits.iter().map(|&(_, y)| y).collect();
             let mut rng = FastRng::new(seed, 0);
-            let out = combine_weighted(&recv, a, &local, b, &mut rng);
+            combine_weighted_assign(&recv, a, &mut out, b, &mut rng);
             for (j, &(x, y)) in bits.iter().enumerate() {
                 let o = out.get(j);
                 prop_assert!(o == x || o == y, "bit {j} = {o} not among inputs ({x}, {y})");
@@ -82,9 +82,9 @@ mod proptests {
         #[test]
         fn combine_respects_extreme_weights(seed in any::<u64>()) {
             let recv = SignVec::ones(64);
-            let local = SignVec::zeros(64);
+            let mut out = SignVec::zeros(64);
             let mut rng = FastRng::new(seed, 1);
-            let out = combine_weighted(&recv, 1_000_000, &local, 1, &mut rng);
+            combine_weighted_assign(&recv, 1_000_000, &mut out, 1, &mut rng);
             // With P(keep local) = 1e-6 per bit, 64 bits flip with
             // probability < 1e-4; allow none in this single draw.
             prop_assert!(out.count_ones() >= 63);

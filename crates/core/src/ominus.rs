@@ -16,10 +16,13 @@
 //!
 //! This module implements the operator in the generalized *weighted* form
 //! needed by 2D-torus all-reduce, where both operands may already aggregate
-//! several workers: `combine_weighted(recv, a, local, b)` keeps the received
-//! bit with probability `a/(a+b)`. Eq. (2) is exactly the `b = 1` case
-//! ([`combine_eq2`]). A deliberately *biased* variant ([`combine_unweighted`])
-//! is provided for the ablation study in `DESIGN.md`.
+//! several workers: [`combine_weighted_assign`]`(recv, a, local, b)` keeps
+//! the received bit with probability `a/(a+b)`. Eq. (2) is exactly the
+//! `b = 1` case. A deliberately *biased* variant
+//! ([`combine_unweighted_assign`]) is provided for the ablation study in
+//! `DESIGN.md`. Each operator folds the received aggregate into the local
+//! one in place; its `_reference` twin is the composed form it must
+//! reproduce bit for bit, kept for differential testing.
 //!
 //! These are the per-hop forms — the definition of `⊙`. The synchronizer
 //! resolves the hops of a still fault-free reduce chain from one winner index
@@ -30,9 +33,9 @@
 use marsit_tensor::rng::FastRng;
 use marsit_tensor::SignVec;
 
-/// Combines `received` (an aggregate over `a` workers) with `local` (an
-/// aggregate over `b` workers) into an unbiased one-bit aggregate over
-/// `a + b` workers.
+/// Folds `received` (an aggregate over `a` workers) into `local` (an
+/// aggregate over `b` workers), which becomes an unbiased one-bit aggregate
+/// over `a + b` workers. Allocates nothing.
 ///
 /// Implements the paper's bit-wise form: matching bits pass through
 /// unchanged; disagreeing bits take the value of the transient vector `v`,
@@ -53,24 +56,23 @@ use marsit_tensor::SignVec;
 /// # Examples
 ///
 /// ```
-/// use marsit_core::ominus::combine_weighted;
+/// use marsit_core::ominus::combine_weighted_assign;
 /// use marsit_tensor::{rng::FastRng, SignVec};
 ///
 /// let recv = SignVec::ones(8);
-/// let local = SignVec::ones(8);
+/// let mut local = SignVec::ones(8);
 /// let mut rng = FastRng::new(0, 0);
 /// // Agreement passes through regardless of the draw.
-/// let out = combine_weighted(&recv, 3, &local, 1, &mut rng);
-/// assert_eq!(out, SignVec::ones(8));
+/// combine_weighted_assign(&recv, 3, &mut local, 1, &mut rng);
+/// assert_eq!(local, SignVec::ones(8));
 /// ```
-#[must_use]
-pub fn combine_weighted(
+pub fn combine_weighted_assign(
     received: &SignVec,
     a: usize,
-    local: &SignVec,
+    local: &mut SignVec,
     b: usize,
     rng: &mut FastRng,
-) -> SignVec {
+) {
     assert_eq!(received.len(), local.len(), "sign vector lengths differ");
     assert!(a + b > 0, "weights must not both be zero");
     // Transient vector v (Eq. 2 generalized): where the local bit is 1 the
@@ -81,31 +83,10 @@ pub fn combine_weighted(
     // exactly those per-bit probabilities; the fused kernel evaluates the
     // whole ⊙ expression in a single word pass on the same RNG stream as
     // the composed form ([`combine_weighted_reference`]).
-    let mut out = SignVec::zeros(received.len());
-    SignVec::transient_combine_into(received, local, a as f64 / (a + b) as f64, rng, &mut out);
-    out
-}
-
-/// In-place [`combine_weighted`]: folds `received` into `local`, which
-/// becomes the combined aggregate. Bit- and RNG-stream-identical to the
-/// functional form, with zero allocations.
-///
-/// # Panics
-///
-/// Panics if the vectors' lengths differ or `a + b == 0`.
-pub fn combine_weighted_assign(
-    received: &SignVec,
-    a: usize,
-    local: &mut SignVec,
-    b: usize,
-    rng: &mut FastRng,
-) {
-    assert_eq!(received.len(), local.len(), "sign vector lengths differ");
-    assert!(a + b > 0, "weights must not both be zero");
     SignVec::transient_combine_assign(received, local, a as f64 / (a + b) as f64, rng);
 }
 
-/// The original composed implementation of [`combine_weighted`], retained
+/// The original composed implementation of [`combine_weighted_assign`], retained
 /// verbatim as the differential-testing reference: ~8 intermediate
 /// `SignVec`s, but the exact semantics (and RNG stream) the fused kernel
 /// must reproduce bit for bit.
@@ -130,38 +111,13 @@ pub fn combine_weighted_reference(
     received.and(local).or(&received.xor(local).and(&v))
 }
 
-/// The paper's Eq. (2) exactly: folds one worker (`local`) into a received
-/// aggregate of `m − 1` workers.
-///
-/// # Panics
-///
-/// Panics if `m < 2` or the vectors' lengths differ.
-#[must_use]
-pub fn combine_eq2(received: &SignVec, local: &SignVec, m: usize, rng: &mut FastRng) -> SignVec {
-    assert!(
-        m >= 2,
-        "Eq. (2) needs at least two workers in the aggregate"
-    );
-    combine_weighted(received, m - 1, local, 1, rng)
-}
-
 /// Ablation: an *unweighted* coin-flip combine (`P(keep received) = ½`
-/// regardless of aggregate sizes).
+/// regardless of aggregate sizes), folding `received` into `local`.
 ///
 /// This looks plausible but is biased: early workers in the chain are
 /// exponentially down-weighted, so the result over-represents late workers.
 /// Kept for the ablation benchmark that quantifies the value of Eq. (2)'s
 /// weighting.
-#[must_use]
-pub fn combine_unweighted(received: &SignVec, local: &SignVec, rng: &mut FastRng) -> SignVec {
-    assert_eq!(received.len(), local.len(), "sign vector lengths differ");
-    let mut out = SignVec::zeros(received.len());
-    SignVec::transient_combine_into(received, local, 0.5, rng, &mut out);
-    out
-}
-
-/// In-place [`combine_unweighted`]: folds `received` into `local`.
-/// Bit- and RNG-stream-identical to the functional form.
 ///
 /// # Panics
 ///
@@ -171,7 +127,7 @@ pub fn combine_unweighted_assign(received: &SignVec, local: &mut SignVec, rng: &
     SignVec::transient_combine_assign(received, local, 0.5, rng);
 }
 
-/// The original composed implementation of [`combine_unweighted`], retained
+/// The original composed implementation of [`combine_unweighted_assign`], retained
 /// as the differential-testing reference.
 ///
 /// # Panics
@@ -194,12 +150,25 @@ pub fn combine_unweighted_reference(
 mod tests {
     use super::*;
 
+    /// [`combine_weighted_assign`] folding `received` into a copy of `local`.
+    pub(super) fn weighted(
+        received: &SignVec,
+        a: usize,
+        local: &SignVec,
+        b: usize,
+        rng: &mut FastRng,
+    ) -> SignVec {
+        let mut out = local.clone();
+        combine_weighted_assign(received, a, &mut out, b, rng);
+        out
+    }
+
     #[test]
     fn agreement_always_passes_through() {
         let mut rng = FastRng::new(1, 0);
         let v = SignVec::bernoulli_uniform(256, 0.5, &mut rng);
         for _ in 0..20 {
-            let out = combine_weighted(&v, 5, &v, 3, &mut rng);
+            let out = weighted(&v, 5, &v, 3, &mut rng);
             assert_eq!(out, v);
         }
     }
@@ -213,7 +182,7 @@ mod tests {
         let local = SignVec::zeros(n);
         for (a, b) in [(1usize, 1usize), (3, 1), (7, 1), (4, 4), (12, 4)] {
             let mut rng = FastRng::new(42, (a * 100 + b) as u64);
-            let out = combine_weighted(&recv, a, &local, b, &mut rng);
+            let out = weighted(&recv, a, &local, b, &mut rng);
             let rate = out.count_ones() as f64 / n as f64;
             let expect = a as f64 / (a + b) as f64;
             assert!(
@@ -242,7 +211,7 @@ mod tests {
             let mut rng = FastRng::new(0xA5, (a * 1000 + b) as u64);
             let mut ones = 0usize;
             for _ in 0..trials {
-                ones += combine_weighted(&recv, a, &local, b, &mut rng).count_ones();
+                ones += weighted(&recv, a, &local, b, &mut rng).count_ones();
             }
             let rate = ones as f64 / total as f64;
             assert!(
@@ -258,8 +227,9 @@ mod tests {
         let recv = SignVec::zeros(n);
         let local = SignVec::ones(n);
         let mut rng = FastRng::new(3, 0);
-        let out = combine_eq2(&recv, &local, 4, &mut rng);
-        // Keep local w.p. 1/4.
+        // Eq. (2) with m = 4: fold one worker into an aggregate of three,
+        // keeping local w.p. 1/4.
+        let out = weighted(&recv, 3, &local, 1, &mut rng);
         let rate = out.count_ones() as f64 / n as f64;
         assert!((rate - 0.25).abs() < 0.006, "rate {rate}");
     }
@@ -281,7 +251,7 @@ mod tests {
         for _ in 0..trials {
             let mut agg = inputs[0].clone();
             for (i, input) in inputs.iter().enumerate().skip(1) {
-                agg = combine_weighted(&agg, i, input, 1, &mut rng);
+                agg = weighted(&agg, i, input, 1, &mut rng);
             }
             for (j, o) in ones.iter_mut().enumerate() {
                 *o += u32::from(agg.get(j));
@@ -311,7 +281,7 @@ mod tests {
         let mut ones = vec![0u32; n];
         let mut rng = FastRng::new(23, 0);
         for _ in 0..trials {
-            let out = combine_weighted(&recv, a, &local, b, &mut rng);
+            let out = weighted(&recv, a, &local, b, &mut rng);
             for (j, o) in ones.iter_mut().enumerate() {
                 *o += u32::from(out.get(j));
             }
@@ -345,7 +315,9 @@ mod tests {
         for _ in 0..trials {
             let mut agg = inputs[0].clone();
             for input in &inputs[1..] {
-                agg = combine_unweighted(&agg, input, &mut rng);
+                let mut next = input.clone();
+                combine_unweighted_assign(&agg, &mut next, &mut rng);
+                agg = next;
             }
             total_rate += agg.count_ones() as f64 / n as f64;
         }
@@ -368,8 +340,8 @@ mod tests {
         let a = SignVec::bernoulli_uniform(100, 0.5, &mut seed_rng);
         let b = SignVec::bernoulli_uniform(100, 0.5, &mut seed_rng);
         assert_eq!(
-            combine_weighted(&a, 2, &b, 1, &mut r1),
-            combine_weighted(&a, 2, &b, 1, &mut r2)
+            weighted(&a, 2, &b, 1, &mut r1),
+            weighted(&a, 2, &b, 1, &mut r2)
         );
     }
 
@@ -377,7 +349,7 @@ mod tests {
     #[should_panic(expected = "lengths differ")]
     fn length_mismatch_panics() {
         let mut rng = FastRng::new(0, 0);
-        let _ = combine_weighted(&SignVec::zeros(4), 1, &SignVec::zeros(5), 1, &mut rng);
+        combine_weighted_assign(&SignVec::zeros(4), 1, &mut SignVec::zeros(5), 1, &mut rng);
     }
 }
 
@@ -391,6 +363,7 @@ mod properties {
 
     use proptest::prelude::*;
 
+    use super::tests::weighted;
     use super::*;
 
     fn signvec_from_bits(bits: &[bool]) -> SignVec {
@@ -426,7 +399,7 @@ mod properties {
                 a as f64 / (a + b) as f64,
                 &mut rng.clone(),
             );
-            let out = combine_weighted(&recv, a, &local, b, &mut rng);
+            let out = weighted(&recv, a, &local, b, &mut rng);
             for j in 0..n {
                 // Agreement passes through; a disagreement keeps the
                 // received bit iff the transient draw kept it.
@@ -462,7 +435,7 @@ mod properties {
             let recv = signvec_from_bits(&recv_bits[..n]);
             let local = signvec_from_bits(&local_bits[..n]);
             let mut rng = FastRng::new(seed, 2);
-            let out = combine_weighted(&recv, a, &local, b, &mut rng);
+            let out = weighted(&recv, a, &local, b, &mut rng);
             let floor = recv.and(&local);
             let ceil = recv.or(&local);
             // Bitwise: floor ⊆ out ⊆ ceil.
@@ -476,11 +449,12 @@ mod properties {
             prop_assert_eq!(out.and(&agree), recv.and(&agree));
         }
 
-        /// Differential: the fused `combine_weighted` is bit-identical to
-        /// the retained composed reference AND consumes the same number of
-        /// RNG draws, across random lengths, weights up to 255, and seeds.
-        /// This is the contract that lets every pre-fusion statistical and
-        /// fault-tolerance guarantee carry over unchanged.
+        /// Differential: the fused in-place `combine_weighted_assign` — the
+        /// form production runs — is bit-identical to the retained composed
+        /// reference AND consumes the same number of RNG draws, leaving the
+        /// generator in the same state, across random lengths, weights up to
+        /// 255, and seeds. This is the contract that lets every pre-fusion
+        /// statistical and fault-tolerance guarantee carry over unchanged.
         #[test]
         fn fused_weighted_matches_reference_bit_for_bit(
             len in 1usize..=300,
@@ -495,18 +469,14 @@ mod properties {
             let mut ref_rng = FastRng::new(seed, 3);
             let expected = combine_weighted_reference(&recv, a, &local, b, &mut ref_rng);
             let mut fused_rng = FastRng::new(seed, 3);
-            let fused = combine_weighted(&recv, a, &local, b, &mut fused_rng);
+            let mut fused = local.clone();
+            combine_weighted_assign(&recv, a, &mut fused, b, &mut fused_rng);
             prop_assert_eq!(&fused, &expected, "fused output differs");
             prop_assert_eq!(
                 fused_rng.draws(), ref_rng.draws(),
                 "fused draw count differs"
             );
             prop_assert_eq!(&fused_rng, &ref_rng, "fused RNG state differs");
-            let mut assign_rng = FastRng::new(seed, 3);
-            let mut merged = local.clone();
-            combine_weighted_assign(&recv, a, &mut merged, b, &mut assign_rng);
-            prop_assert_eq!(&merged, &expected, "assign output differs");
-            prop_assert_eq!(&assign_rng, &ref_rng, "assign RNG state differs");
         }
 
         /// Differential: same contract for the unweighted ablation combine.
@@ -522,14 +492,14 @@ mod properties {
             let mut ref_rng = FastRng::new(seed, 4);
             let expected = combine_unweighted_reference(&recv, &local, &mut ref_rng);
             let mut fused_rng = FastRng::new(seed, 4);
-            let fused = combine_unweighted(&recv, &local, &mut fused_rng);
+            let mut fused = local.clone();
+            combine_unweighted_assign(&recv, &mut fused, &mut fused_rng);
             prop_assert_eq!(&fused, &expected, "fused output differs");
+            prop_assert_eq!(
+                fused_rng.draws(), ref_rng.draws(),
+                "fused draw count differs"
+            );
             prop_assert_eq!(&fused_rng, &ref_rng, "fused RNG state differs");
-            let mut assign_rng = FastRng::new(seed, 4);
-            let mut merged = local.clone();
-            combine_unweighted_assign(&recv, &mut merged, &mut assign_rng);
-            prop_assert_eq!(&merged, &expected, "assign output differs");
-            prop_assert_eq!(&assign_rng, &ref_rng, "assign RNG state differs");
         }
 
         /// Swapping operands (and weights) leaves the *expected* output
@@ -553,10 +523,10 @@ mod properties {
             let mut rng_s = FastRng::new(seed, 11);
             for _ in 0..trials {
                 fwd_ones +=
-                    combine_weighted(&recv, a, &local, b, &mut rng_f).count_ones();
+                    weighted(&recv, a, &local, b, &mut rng_f).count_ones();
                 // Swapped: local is now the all-ones aggregate of weight a.
                 swp_ones +=
-                    combine_weighted(&local, b, &recv, a, &mut rng_s).count_ones();
+                    weighted(&local, b, &recv, a, &mut rng_s).count_ones();
             }
             let expect = a as f64 / (a + b) as f64;
             let hw = marsit_tensor::stats::binomial_ci_halfwidth(expect, total);

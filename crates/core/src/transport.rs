@@ -14,14 +14,10 @@
 //!   order by the one walk per topology that both the in-process collective
 //!   and [`compile_plan`] are.
 //!
-//! Three runners share that contract:
+//! Two runners share that contract:
 //!
 //! - [`Scenario::run_simulator`] — the in-process collective
 //!   ([`allreduce_onebit`], the deterministic-simulator backend);
-//! - [`Scenario::run_threaded`] — the compiled engine over an in-process
-//!   channel fabric, one OS thread per rank; [`Backend::Threaded`] names
-//!   this conformance driver and tags its telemetry, it is not something a
-//!   trainer can be configured with;
 //! - [`Scenario::run_process`] — one OS *process* per rank exchanging
 //!   binary frames over localhost TCP through a [`WireHub`], with
 //!   [`process_worker_main`] as the worker entry point.
@@ -31,16 +27,15 @@
 //! hang), and a fresh process reconnecting under the same rank rejoins the
 //! next round.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use marsit_collectives::engine::{
-    allreduce_onebit, compile_plan, run_rank, run_threaded, EnginePlan, PlanTopology,
+    allreduce_onebit, compile_plan, run_rank, EnginePlan, PlanTopology,
 };
 use marsit_collectives::{CombineCtx, SyncError, Trace};
 use marsit_simnet::{
-    Backend, FaultInjector, FaultPlan, FaultStats, Frame, FrameKind, HubEvent, LinkModel,
-    ProcessTransport, WireHub, DRIVER,
+    Backend, FaultInjector, FaultPlan, FaultStats, Frame, FrameKind, HubEvent, ProcessTransport,
+    WireHub, DRIVER,
 };
 use marsit_telemetry::health::{self, HealthEvent};
 use marsit_telemetry::report::{merge_logs, parse_jsonl};
@@ -56,14 +51,6 @@ use crate::CombineKind;
 /// next control frame before declaring the session wedged.
 const SESSION_TIMEOUT: Duration = Duration::from_secs(120);
 
-/// The link every in-process engine fabric is priced with. Only the
-/// simulator clock reads it, so the choice never perturbs payload bits; the
-/// public-cloud α–β profile keeps simulated timings consistent with the
-/// in-process collectives' pricing.
-fn engine_link() -> LinkModel {
-    marsit_simnet::RateProfile::public_cloud().link
-}
-
 /// The ctx-derived combine closure every backend runs on every rank: one hop
 /// at a time, bit-identical — the planner equivalence invariant — to the
 /// synchronizer's batched replay. Every stream is a pure function of the
@@ -72,14 +59,13 @@ fn engine_link() -> LinkModel {
 /// otherwise — so per-rank execution order cannot perturb the draws. A
 /// receiver re-derives its chain's winner planes for the segment it holds;
 /// the chain's draws are counted once, at its first hop, as the synchronizer
-/// counts them. The counters are atomics because the threaded backend's ranks
-/// share them.
+/// counts them.
 fn engine_combine<'a>(
     round_seed: u64,
     kind: CombineKind,
-    combines: &'a AtomicU64,
-    rng_draws: &'a AtomicU64,
-) -> impl FnMut(&SignVec, &mut SignVec, CombineCtx) + Send + 'a {
+    combines: &'a mut u64,
+    rng_draws: &'a mut u64,
+) -> impl FnMut(&SignVec, &mut SignVec, CombineCtx) + 'a {
     let mut planes = Vec::new();
     move |recv: &SignVec, local: &mut SignVec, ctx: CombineCtx| {
         let drawn = if let Some(slot) = winner_slot(kind, &ctx) {
@@ -107,8 +93,8 @@ fn engine_combine<'a>(
             }
             rng.draws()
         };
-        combines.fetch_add(1, Ordering::Relaxed);
-        rng_draws.fetch_add(drawn, Ordering::Relaxed);
+        *combines += 1;
+        *rng_draws += drawn;
     }
 }
 
@@ -247,15 +233,19 @@ impl Scenario {
     /// Returns the collective's typed error for impossible shapes.
     pub fn run_simulator(&self) -> Result<RunArtifacts, SyncError> {
         tag_telemetry(Backend::Simulator);
-        let combines = AtomicU64::new(0);
-        let draws = AtomicU64::new(0);
-        let combine = engine_combine(self.round_seed(), self.combine, &combines, &draws);
+        let (mut combines, mut rng_draws) = (0, 0);
+        let combine = engine_combine(
+            self.round_seed(),
+            self.combine,
+            &mut combines,
+            &mut rng_draws,
+        );
         let mut inj = self.injector().unwrap_or_else(FaultInjector::inert);
         let (consensus, trace) = allreduce_onebit(self.topo, &self.inputs(), &mut inj, combine)?;
         Ok(RunArtifacts {
             consensus,
-            combines: combines.load(Ordering::Relaxed),
-            rng_draws: draws.load(Ordering::Relaxed),
+            combines,
+            rng_draws,
             trace,
         })
     }
@@ -266,33 +256,6 @@ impl Scenario {
     /// simulator's, since it is the same walk minus the payload.
     fn plan(&self) -> Result<EnginePlan, SyncError> {
         compile_plan(self.topo, self.world, self.d, self.injector().as_mut())
-    }
-
-    /// Threaded backend: the compiled engine over an in-process channel
-    /// fabric, one OS thread per rank.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same typed errors as [`Self::run_simulator`].
-    pub fn run_threaded(&self) -> Result<RunArtifacts, SyncError> {
-        tag_telemetry(Backend::Threaded);
-        let plan = self.plan()?;
-        let combines = AtomicU64::new(0);
-        let draws = AtomicU64::new(0);
-        let round_seed = self.round_seed();
-        let kind = self.combine;
-        let mut states = run_threaded(&plan, &self.inputs(), engine_link(), |_rank| {
-            engine_combine(round_seed, kind, &combines, &draws)
-        })?;
-        // Every rank converged on the consensus (the engine executes the
-        // gather/broadcast copies); report rank 0's words.
-        let consensus = states.swap_remove(0);
-        Ok(RunArtifacts {
-            consensus,
-            combines: combines.load(Ordering::Relaxed),
-            rng_draws: draws.load(Ordering::Relaxed),
-            trace: plan.trace,
-        })
     }
 
     /// Process backend: spawns one OS process per rank running `worker_exe`
@@ -606,8 +569,8 @@ pub fn process_worker_main() {
         .parse()
         .expect("bad MARSIT_TW_RANK");
     let addr = std::env::var("MARSIT_TW_ADDR").expect("missing env MARSIT_TW_ADDR");
-    let mut transport = ProcessTransport::connect(&addr, rank, sc.world, engine_link())
-        .expect("connect to conformance hub");
+    let mut transport =
+        ProcessTransport::connect(&addr, rank, sc.world).expect("connect to conformance hub");
     let compute_ns: u64 = std::env::var("MARSIT_TW_COMPUTE_NS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -652,9 +615,9 @@ pub fn process_worker_main() {
                     let ns = (compute_ns as f64 * slow_mult) as u64;
                     std::thread::sleep(Duration::from_nanos(ns));
                 }
-                let combines = AtomicU64::new(0);
-                let draws = AtomicU64::new(0);
-                let combine = engine_combine(sc.round_seed(), sc.combine, &combines, &draws);
+                let (mut combines, mut draws) = (0, 0);
+                let combine =
+                    engine_combine(sc.round_seed(), sc.combine, &mut combines, &mut draws);
                 let outcome = match &telemetry {
                     Some(t) => marsit_telemetry::scoped(t, || {
                         run_rank(&plan, &input, &mut transport, combine)
@@ -663,10 +626,7 @@ pub fn process_worker_main() {
                 };
                 match outcome {
                     Ok(state) => {
-                        let mut words = vec![
-                            combines.load(Ordering::Relaxed),
-                            draws.load(Ordering::Relaxed),
-                        ];
+                        let mut words = vec![combines, draws];
                         words.extend_from_slice(state.as_words());
                         transport
                             .send_frame(&Frame::words(
@@ -751,8 +711,8 @@ mod tests {
         for claimed in [9, 1] {
             let hub = WireHub::bind(sc.world).unwrap();
             let addr = hub.addr().unwrap().to_string();
-            let mut liar = ProcessTransport::connect(&addr, 0, 2, engine_link()).unwrap();
-            let mut honest = ProcessTransport::connect(&addr, 1, 2, engine_link()).unwrap();
+            let mut liar = ProcessTransport::connect(&addr, 0, 2).unwrap();
+            let mut honest = ProcessTransport::connect(&addr, 1, 2).unwrap();
             hub.accept_worker().unwrap();
             hub.accept_worker().unwrap();
             let result = |from| Frame::words(FrameKind::Result, from, DRIVER, vec![0, 0, 5]);
@@ -809,12 +769,12 @@ mod tests {
                 let out = marsit_telemetry::scoped(&tel, || sync.synchronize(&updates, topology));
 
                 let signs: Vec<SignVec> = updates.iter().map(|u| SignVec::from_signs(u)).collect();
-                let (combines, draws) = (AtomicU64::new(0), AtomicU64::new(0));
+                let (mut combines, mut draws) = (0, 0);
                 let combine = engine_combine(
                     split_seed(seed, 0),
                     CombineKind::Weighted,
-                    &combines,
-                    &draws,
+                    &mut combines,
+                    &mut draws,
                 );
                 let (consensus, _) =
                     allreduce_onebit(topo, &signs, &mut plan.injector(0), combine).unwrap();
@@ -825,48 +785,11 @@ mod tests {
                 );
                 assert_eq!(
                     tel.counter("marsit.combines"),
-                    combines.load(Ordering::Relaxed),
+                    combines,
                     "{label}: combines"
                 );
-                assert_eq!(
-                    tel.counter("marsit.rng_draws"),
-                    draws.load(Ordering::Relaxed),
-                    "{label}: draws"
-                );
+                assert_eq!(tel.counter("marsit.rng_draws"), draws, "{label}: draws");
                 assert_eq!(drop_p > 0.0, out.faults.dropped_transfers > 0, "{label}");
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_matches_simulator_all_topologies() {
-        for (topo, world) in [
-            (PlanTopology::Ring, 8),
-            (PlanTopology::Torus { rows: 2, cols: 4 }, 8),
-            (PlanTopology::Tree, 6),
-            (PlanTopology::SegRing { macro_segments: 3 }, 4),
-        ] {
-            for drop_p in [None, Some(0.25)] {
-                let sc = Scenario {
-                    topo,
-                    world,
-                    d: 257,
-                    seed: 0xC0FFEE,
-                    round: 3,
-                    drop_p,
-                    combine: CombineKind::Weighted,
-                };
-                let reference = sc.run_simulator().unwrap();
-                let threaded = sc.run_threaded().unwrap();
-                assert_eq!(
-                    reference.consensus_words(),
-                    threaded.consensus_words(),
-                    "{topo:?} drop={drop_p:?}"
-                );
-                assert_eq!(reference.combines, threaded.combines);
-                assert_eq!(reference.rng_draws, threaded.rng_draws);
-                assert_eq!(reference.trace.total_bytes(), threaded.trace.total_bytes());
-                assert_eq!(reference.trace.num_steps(), threaded.trace.num_steps());
             }
         }
     }

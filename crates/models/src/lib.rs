@@ -2,8 +2,7 @@
 //! parameter/gradient views, plus the local optimizers the paper uses.
 //!
 //! The paper trains AlexNet/ResNet/DistilBERT with PyTorch; this crate
-//! provides CPU-trainable proxies — MLPs (see [`Workload`]) and a small
-//! convolutional network ([`ConvNet`]) — with *exact* manual
+//! provides CPU-trainable MLP proxies (see [`Workload`]) with *exact* manual
 //! backpropagation, so that the gradients fed into the synchronization layer
 //! are true stochastic gradients — the property all of the paper's analysis
 //! rests on. Gradients are exposed as flat `&[f32]`, the shape in which they
@@ -25,13 +24,11 @@
 //! assert!(eval.accuracy <= 1.0);
 //! ```
 
-pub mod convnet;
 pub mod mlp;
 pub mod model;
 pub mod optim;
 pub mod proxy;
 
-pub use convnet::{ConvNet, ConvNetSpec};
 pub use mlp::{Mlp, MlpSpec, MlpWorkspace};
 pub use model::{Evaluation, Model};
 pub use optim::{Adam, Momentum, Optimizer, OptimizerKind, OptimizerState, Sgd};

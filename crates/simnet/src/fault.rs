@@ -27,9 +27,7 @@
 //!   its latest event with `round ≤ t` (later-listed events win ties); workers
 //!   with no applicable event are live. The collectives re-form over whatever
 //!   live set results (torus degrades to a survivor ring, rings re-expand on
-//!   rejoin, a lone survivor runs a degenerate local-only round). The legacy
-//!   single-crash field (`crash`) is kept as a deprecated convenience that
-//!   desugars into the same event model.
+//!   rejoin, a lone survivor runs a degenerate local-only round).
 //!
 //! Determinism: a [`FaultInjector`] is constructed per round from
 //! `(plan.seed, round)` and consumes randomness in transfer-issue order,
@@ -214,14 +212,6 @@ pub struct FaultPlan {
     /// `(worker, multiplier)` pairs: each worker's compute phase runs
     /// `multiplier ≥ 1` times slower.
     pub stragglers: Vec<(usize, f64)>,
-    /// `(worker, round)`: the worker crashes permanently at the start of
-    /// `round` (0-based) and is excluded from every later round.
-    ///
-    /// Deprecated single-crash convenience, kept so pre-elastic configs and
-    /// tests keep compiling; it participates in [`FaultPlan::live_at`]
-    /// exactly as a leading `MembershipEvent::Crash` would. New code should
-    /// use [`FaultPlan::with_membership`] (or the crash/rejoin builders).
-    pub crash: Option<(usize, u64)>,
     /// Elastic-membership schedule: any number of crash and rejoin events.
     pub membership: MembershipSchedule,
     /// Retransmissions attempted after the first failed try before the
@@ -244,7 +234,6 @@ impl FaultPlan {
             link_drop_prob: 0.0,
             link_corrupt_prob: 0.0,
             stragglers: Vec::new(),
-            crash: None,
             membership: MembershipSchedule::none(),
             max_retries: 3,
             retry_timeout_s: 2e-4,
@@ -257,7 +246,6 @@ impl FaultPlan {
         self.link_drop_prob == 0.0
             && self.link_corrupt_prob == 0.0
             && self.stragglers.is_empty()
-            && self.crash.is_none()
             && self.membership.is_empty()
     }
 
@@ -314,16 +302,16 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules `worker` to crash permanently at the start of `round`.
-    ///
-    /// Deprecated convenience: this is the pre-elastic single-crash API,
-    /// retained so existing plans stay byte-identical. It desugars into the
-    /// event model — `with_crash(w, r)` and
-    /// `with_membership(MembershipSchedule::none().crash(w, r))` describe
-    /// the same liveness trajectory.
+    /// Schedules `worker` to crash at the start of `round`, as a crash event
+    /// *prepended* to the membership schedule: every event already listed or
+    /// added later wins a same-round tie against it (so
+    /// `with_rejoin(w, r).with_crash(w, r)` leaves `w` live at `r`), where
+    /// [`FaultPlan::with_crash_event`] appends. Each call adds one more
+    /// crash; it never replaces an earlier one.
     #[must_use]
     pub fn with_crash(mut self, worker: usize, round: u64) -> Self {
-        self.crash = Some((worker, round));
+        let crash = MembershipEvent::Crash { worker, round };
+        self.membership.events.insert(0, crash);
         self
     }
 
@@ -361,38 +349,11 @@ impl FaultPlan {
         self
     }
 
-    /// The worker the *legacy* single-crash field kills during `round`, if
-    /// any. Deprecated alongside [`FaultPlan::crash`]; elastic callers should
-    /// use [`FaultPlan::live_at`] / [`FaultPlan::live_set`], which also see
-    /// the membership schedule.
-    #[must_use]
-    pub fn crashed_at(&self, round: u64) -> Option<usize> {
-        match self.crash {
-            Some((w, r)) if round >= r => Some(w),
-            _ => None,
-        }
-    }
-
-    /// Whether `worker` is live during `round`, merging the legacy crash
-    /// field (treated as a leading `Crash` event) with the membership
-    /// schedule: the latest applicable event wins, later entries break ties,
-    /// no applicable event means live.
+    /// Whether `worker` is live during `round` under the membership
+    /// schedule ([`MembershipSchedule::is_live`]).
     #[must_use]
     pub fn live_at(&self, worker: usize, round: u64) -> bool {
-        let mut live = true;
-        let mut best: Option<u64> = None;
-        let legacy = self.crash.map(|(w, r)| MembershipEvent::Crash {
-            worker: w,
-            round: r,
-        });
-        for ev in legacy.iter().chain(&self.membership.events) {
-            if ev.worker() == worker && ev.round() <= round && best.is_none_or(|b| ev.round() >= b)
-            {
-                best = Some(ev.round());
-                live = ev.live();
-            }
-        }
-        live
+        self.membership.is_live(worker, round)
     }
 
     /// The sorted live set among workers `0..m` during `round`.
@@ -670,7 +631,7 @@ mod tests {
         let plan = FaultPlan::none();
         assert!(plan.is_none());
         assert_eq!(plan.compute_multiplier(0), 1.0);
-        assert_eq!(plan.crashed_at(123), None);
+        assert!(plan.live_at(0, 123));
         let mut inj = plan.injector(7);
         for _ in 0..100 {
             assert_eq!(inj.transfer(), TransferFate::clean());
@@ -758,9 +719,10 @@ mod tests {
             .with_straggler(2, 4.0)
             .with_straggler(5, 2.0)
             .with_crash(5, 10);
-        assert_eq!(plan.crashed_at(9), None);
-        assert_eq!(plan.crashed_at(10), Some(5));
-        assert_eq!(plan.crashed_at(11), Some(5));
+        assert!(plan.live_at(5, 9));
+        assert!(!plan.live_at(5, 10));
+        assert!(!plan.live_at(5, 11));
+        assert!(plan.live_at(2, 11), "only the crashed worker is dead");
         assert_eq!(plan.compute_multiplier(0), 4.0);
         // Worker 5's slowdown stops mattering once it is dead.
         assert_eq!(plan.compute_multiplier(10), 4.0);
@@ -863,6 +825,18 @@ mod tests {
             }
             assert_eq!(legacy.live_set(6, t), elastic.live_set(6, t));
         }
+        // Same-round tie: the prepended crash loses to any other event of
+        // its round, whichever builder was called first.
+        for plan in [
+            FaultPlan::seeded(1).with_rejoin(1, 4).with_crash(1, 4),
+            FaultPlan::seeded(1).with_crash(1, 4).with_rejoin(1, 4),
+        ] {
+            assert!(plan.live_at(1, 4), "{:?}", plan.membership);
+        }
+        let appended = FaultPlan::seeded(1)
+            .with_rejoin(1, 4)
+            .with_crash_event(1, 4);
+        assert!(!appended.live_at(1, 4));
     }
 
     #[test]

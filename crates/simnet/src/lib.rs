@@ -40,7 +40,7 @@ pub use link::{LinkModel, RateProfile};
 pub use phase::PhaseBreakdown;
 pub use process::{HubEvent, ProcessTransport, TraceCollector, WireHub};
 pub use topology::Topology;
-pub use transport::{Backend, ChannelFabric, ChannelTransport, Transport, TransportError};
+pub use transport::{Backend, Transport, TransportError};
 pub use wire::{
     Frame, FrameKind, Payload, SharedBytes, TraceCtx, WireError, CTX_WIRE_BYTES, DRIVER,
 };

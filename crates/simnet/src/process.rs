@@ -25,8 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::link::LinkModel;
-use crate::transport::{Backend, Transport, TransportError};
+use crate::transport::{Transport, TransportError};
 use crate::wire::{
     read_frame, write_frame, Frame, FrameKind, Payload, TraceCtx, WireError, CTX_WIRE_BYTES, DRIVER,
 };
@@ -384,7 +383,6 @@ fn hub_reader(shared: &HubShared, rank: usize, mut reader: BufReader<TcpStream>)
 pub struct ProcessTransport {
     rank: usize,
     world: usize,
-    link: LinkModel,
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     /// `data` payloads queued per sender (FIFO) with their trace context,
@@ -393,7 +391,6 @@ pub struct ProcessTransport {
     /// Driver control frames (`round`, `stop`) queued the same way.
     control: VecDeque<Frame>,
     dead: Vec<bool>,
-    started: Instant,
     /// When set, traced sends stamp a [`TraceCtx`] onto their data frames.
     tracing: bool,
     /// Round number stamped into outgoing trace contexts.
@@ -406,12 +403,7 @@ impl ProcessTransport {
     /// # Errors
     ///
     /// Fails if the connection or the `hello` write fails.
-    pub fn connect(
-        addr: &str,
-        rank: usize,
-        world: usize,
-        link: LinkModel,
-    ) -> Result<Self, TransportError> {
+    pub fn connect(addr: &str, rank: usize, world: usize) -> Result<Self, TransportError> {
         let stream = TcpStream::connect(addr).map_err(io_err)?;
         stream.set_nodelay(true).map_err(io_err)?;
         let reader = BufReader::new(stream.try_clone().map_err(io_err)?);
@@ -424,13 +416,11 @@ impl ProcessTransport {
         Ok(Self {
             rank,
             world,
-            link,
             reader,
             writer,
             inbox: (0..world).map(|_| VecDeque::new()).collect(),
             control: VecDeque::new(),
             dead: vec![false; world],
-            started: Instant::now(),
             tracing: false,
             trace_round: 0,
         })
@@ -548,53 +538,24 @@ impl Transport for ProcessTransport {
         self.world
     }
 
-    fn backend(&self) -> Backend {
-        Backend::Process
-    }
-
-    fn link(&self) -> LinkModel {
-        self.link
-    }
-
-    fn clock_s(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
-
-    fn send_words(&mut self, to: usize, words: &[u64]) -> Result<(), TransportError> {
-        if to >= self.world || self.dead[to] {
-            return Err(TransportError::PeerDisconnected { peer: to });
-        }
-        self.send_frame(&Frame::words(
-            FrameKind::Data,
-            self.rank as u32,
-            to as u32,
-            words.to_vec(),
-        ))
-    }
-
-    fn recv_words(&mut self, from: usize) -> Result<Vec<u64>, TransportError> {
-        self.recv_words_traced(from).map(|(words, _)| words)
-    }
-
     fn send_words_traced(
         &mut self,
         to: usize,
         words: &[u64],
         seq: u64,
     ) -> Result<(), TransportError> {
-        if !self.tracing {
-            return self.send_words(to, words);
-        }
         if to >= self.world || self.dead[to] {
             return Err(TransportError::PeerDisconnected { peer: to });
         }
-        let frame = Frame::words(FrameKind::Data, self.rank as u32, to as u32, words.to_vec())
-            .with_ctx(TraceCtx {
+        let mut frame = Frame::words(FrameKind::Data, self.rank as u32, to as u32, words.to_vec());
+        if self.tracing {
+            frame = frame.with_ctx(TraceCtx {
                 round: self.trace_round,
                 seq,
                 sender: self.rank as u32,
                 send_ns: wall_now_ns(),
             });
+        }
         self.send_frame(&frame)
     }
 
@@ -632,10 +593,6 @@ fn wall_now_ns() -> u64 {
 mod tests {
     use super::*;
 
-    fn link() -> LinkModel {
-        LinkModel::new(25e-6, 1.25e9)
-    }
-
     #[test]
     fn two_workers_exchange_words_through_hub() {
         let hub = WireHub::bind(2).unwrap();
@@ -644,15 +601,15 @@ mod tests {
             .map(|rank| {
                 let addr = addr.clone();
                 std::thread::spawn(move || {
-                    let mut t = ProcessTransport::connect(&addr, rank, 2, link()).unwrap();
+                    let mut t = ProcessTransport::connect(&addr, rank, 2).unwrap();
                     // Wait for the driver's go signal: peers may not have
                     // registered with the hub yet, and a send to an
                     // unregistered rank bounces as `down`.
                     assert_eq!(t.recv_control().unwrap().kind, FrameKind::Round);
                     let peer = 1 - rank;
-                    t.send_words(peer, &[rank as u64 + 100, 0x8000_0000_0000_0000])
+                    t.send_words_traced(peer, &[rank as u64 + 100, 0x8000_0000_0000_0000], 0)
                         .unwrap();
-                    let got = t.recv_words(peer).unwrap();
+                    let (got, _) = t.recv_words_traced(peer).unwrap();
                     assert_eq!(got, vec![peer as u64 + 100, 0x8000_0000_0000_0000]);
                     t.send_frame(&Frame::words(FrameKind::Result, rank as u32, DRIVER, got))
                         .unwrap();
@@ -683,7 +640,7 @@ mod tests {
             .map(|rank| {
                 let addr = addr.clone();
                 std::thread::spawn(move || {
-                    let mut t = ProcessTransport::connect(&addr, rank, 2, link()).unwrap();
+                    let mut t = ProcessTransport::connect(&addr, rank, 2).unwrap();
                     assert_eq!(t.recv_control().unwrap().kind, FrameKind::Round);
                     t.set_tracing(true);
                     t.set_trace_round(7);
@@ -730,7 +687,7 @@ mod tests {
             .map(|rank| {
                 let addr = addr.clone();
                 std::thread::spawn(move || {
-                    let mut t = ProcessTransport::connect(&addr, rank, 2, link()).unwrap();
+                    let mut t = ProcessTransport::connect(&addr, rank, 2).unwrap();
                     assert_eq!(t.recv_control().unwrap().kind, FrameKind::Round);
                     let peer = 1 - rank;
                     // Traced entry points with tracing off: nothing extra on
@@ -772,11 +729,11 @@ mod tests {
         let survivor = {
             let addr = addr.clone();
             std::thread::spawn(move || {
-                let mut t = ProcessTransport::connect(&addr, 0, 2, link()).unwrap();
-                t.recv_words(1)
+                let mut t = ProcessTransport::connect(&addr, 0, 2).unwrap();
+                t.recv_words_traced(1).map(|(words, _)| words)
             })
         };
-        let doomed = ProcessTransport::connect(&addr, 1, 2, link()).unwrap();
+        let doomed = ProcessTransport::connect(&addr, 1, 2).unwrap();
         hub.accept_worker().unwrap();
         hub.accept_worker().unwrap();
         drop(doomed); // socket EOF → hub broadcasts `down 1`
@@ -803,15 +760,15 @@ mod tests {
         let waiter = {
             let addr = addr.clone();
             std::thread::spawn(move || {
-                let mut t = ProcessTransport::connect(&addr, 2, 3, link()).unwrap();
+                let mut t = ProcessTransport::connect(&addr, 2, 3).unwrap();
                 // Rank 0 is alive but silent; rank 1's death must still
                 // abort this receive (the collective is doomed either way),
                 // and the error names the rank that actually died.
-                t.recv_words(0)
+                t.recv_words_traced(0).map(|(words, _)| words)
             })
         };
-        let silent = ProcessTransport::connect(&addr, 0, 3, link()).unwrap();
-        let doomed = ProcessTransport::connect(&addr, 1, 3, link()).unwrap();
+        let silent = ProcessTransport::connect(&addr, 0, 3).unwrap();
+        let doomed = ProcessTransport::connect(&addr, 1, 3).unwrap();
         for _ in 0..3 {
             hub.accept_worker().unwrap();
         }
@@ -831,8 +788,8 @@ mod tests {
         for claimed in [9, 1] {
             let hub = WireHub::bind(2).unwrap();
             let addr = hub.addr().unwrap().to_string();
-            let mut liar = ProcessTransport::connect(&addr, 0, 2, link()).unwrap();
-            let honest = ProcessTransport::connect(&addr, 1, 2, link()).unwrap();
+            let mut liar = ProcessTransport::connect(&addr, 0, 2).unwrap();
+            let honest = ProcessTransport::connect(&addr, 1, 2).unwrap();
             hub.accept_worker().unwrap();
             hub.accept_worker().unwrap();
             liar.send_frame(&Frame::words(FrameKind::Result, claimed, DRIVER, vec![7]))
@@ -858,7 +815,7 @@ mod tests {
     fn crashed_rank_can_rejoin() {
         let hub = WireHub::bind(2).unwrap();
         let addr = hub.addr().unwrap().to_string();
-        let first = ProcessTransport::connect(&addr, 1, 2, link()).unwrap();
+        let first = ProcessTransport::connect(&addr, 1, 2).unwrap();
         hub.accept_worker().unwrap();
         drop(first);
         loop {
@@ -869,7 +826,7 @@ mod tests {
             }
         }
         // Same rank, fresh process (modeled by a fresh connection).
-        let mut second = ProcessTransport::connect(&addr, 1, 2, link()).unwrap();
+        let mut second = ProcessTransport::connect(&addr, 1, 2).unwrap();
         assert_eq!(hub.accept_worker().unwrap(), 1);
         assert!(hub.is_up(1));
         hub.send_to(1, &Frame::control(FrameKind::Stop, DRIVER, 1))

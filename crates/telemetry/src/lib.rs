@@ -867,7 +867,7 @@ impl Telemetry {
     }
 
     /// Tag every subsequent `hop` event with the transport backend that
-    /// carried it (`"simulator"`, `"threaded"`, `"process"`) and which kind
+    /// carried it (`"simulator"` or `"process"`) and which kind
     /// of clock its run is timed on (`"simulated"` or `"real"`). Off by
     /// default, so logs from untagged runs stay byte-identical to the
     /// pre-transport schema; [`report::validate`] accepts both forms.

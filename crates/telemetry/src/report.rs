@@ -276,8 +276,7 @@ pub fn validate(events: &[Event]) -> Vec<String> {
             // present tag must name a known backend and clock kind, together.
             match (ev.str_field("backend"), ev.str_field("clock")) {
                 (None, None) => {}
-                (Some("simulator"), Some("simulated"))
-                | (Some("threaded" | "process"), Some("real")) => {}
+                (Some("simulator"), Some("simulated")) | (Some("process"), Some("real")) => {}
                 (backend, clock) => errors.push(format!(
                     "event {i}: bad transport tag backend={backend:?} clock={clock:?}"
                 )),

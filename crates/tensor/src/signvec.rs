@@ -274,7 +274,7 @@ fn fill_bernoulli_words(q: u64, rng: &mut FastRng, out: &mut [u64]) {
 /// words from `rngs[i]` into the window
 /// `flat[windows[i].0 ..][.. windows[i].1]` of one flat buffer (64 Bernoulli
 /// lanes per word; tail bits beyond a vector's length are arbitrary, as in
-/// [`SignVec::transient_combine_into`]). Callers that plan many mask streams
+/// [`SignVec::transient_combine_assign`]). Callers that plan many mask streams
 /// per step (the round mask planner) describe a whole step with plain
 /// `(offset, len)` pairs and never materialize a `Vec` of borrows.
 ///
@@ -1412,12 +1412,12 @@ impl SignVec {
         self.words.copy_from_slice(&other.words);
     }
 
-    /// Fused Marsit `⊙` kernel: writes `(r AND l) OR ((r XOR l) AND v)` into
-    /// `out` in one pass over the packed words, where the transient vector is
-    /// `v = l XOR keep` (identical to `(l AND NOT keep) OR (NOT l AND keep)`)
-    /// and `keep` is a word-parallel Bernoulli(`p_keep_received`) mask — no
-    /// intermediate vectors are materialized. `out` is resized to the operand
-    /// length, reusing its word buffer.
+    /// Fused Marsit `⊙` kernel, in place: folds `received` into `local`,
+    /// which becomes `(r AND l) OR ((r XOR l) AND v)` in one pass over the
+    /// packed words, where the transient vector is `v = l XOR keep`
+    /// (identical to `(l AND NOT keep) OR (NOT l AND keep)`) and `keep` is a
+    /// word-parallel Bernoulli(`p_keep_received`) mask — no intermediate
+    /// vectors are materialized.
     ///
     /// **RNG stream compatibility** (a frozen contract — since stream
     /// contract v2 the per-hop fallback's, DESIGN §9): the keep-mask words
@@ -1427,41 +1427,6 @@ impl SignVec {
     /// `received` — the algebraic limits of the composed form). A shared RNG
     /// therefore ends in exactly the state the composed implementation
     /// leaves it in, bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operands' lengths differ.
-    pub fn transient_combine_into(
-        received: &SignVec,
-        local: &SignVec,
-        p_keep_received: f64,
-        rng: &mut FastRng,
-        out: &mut SignVec,
-    ) {
-        assert_eq!(received.len, local.len, "length mismatch");
-        out.len = received.len;
-        out.words.clear();
-        out.words.resize(received.words.len(), 0);
-        let q = bernoulli_fixed_point(p_keep_received);
-        if q == 0 {
-            out.words.copy_from_slice(&local.words);
-            return;
-        }
-        if q == 1 << BERNOULLI_FIXED_BITS {
-            out.words.copy_from_slice(&received.words);
-            return;
-        }
-        for ((o, &r), &l) in out.words.iter_mut().zip(&received.words).zip(&local.words) {
-            let keep = bernoulli_word(q, rng);
-            // Tail bits of r and l are zero, so the output tail is zero
-            // without masking even though `keep`'s tail lanes are arbitrary.
-            *o = (r & l) | ((r ^ l) & (l ^ keep));
-        }
-    }
-
-    /// In-place variant of [`SignVec::transient_combine_into`]: folds
-    /// `received` into `local`, which becomes the combined aggregate. Same
-    /// RNG stream contract.
     ///
     /// # Panics
     ///
@@ -1483,6 +1448,8 @@ impl SignVec {
         }
         for (l, &r) in local.words.iter_mut().zip(&received.words) {
             let keep = bernoulli_word(q, rng);
+            // Tail bits of r and l are zero, so the output tail is zero
+            // without masking even though `keep`'s tail lanes are arbitrary.
             *l = (r & *l) | ((r ^ *l) & (*l ^ keep));
         }
     }
@@ -2076,12 +2043,6 @@ mod tests {
                 let keep = SignVec::bernoulli_uniform(len, p, &mut ref_rng);
                 let v = l.and(&keep.not()).or(&l.not().and(&keep));
                 let composed = r.and(&l).or(&r.xor(&l).and(&v));
-                // Fused destination form.
-                let mut fused_rng = FastRng::new(99, len as u64);
-                let mut out = SignVec::zeros(0);
-                SignVec::transient_combine_into(&r, &l, p, &mut fused_rng, &mut out);
-                assert_eq!(out, composed, "into len {len} p {p}");
-                assert_eq!(fused_rng, ref_rng, "rng state len {len} p {p}");
                 // Fused in-place form.
                 let mut local = l.clone();
                 let mut assign_rng = FastRng::new(99, len as u64);

@@ -378,35 +378,6 @@ impl Tensor {
         }
     }
 
-    /// Adds `row` (length `cols`) to every row, in place. Used for biases.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len() != cols`.
-    pub fn add_row_inplace(&mut self, row: &[f32]) {
-        assert_eq!(row.len(), self.cols, "row length mismatch");
-        for r in 0..self.rows {
-            for (x, &b) in self.data[r * self.cols..(r + 1) * self.cols]
-                .iter_mut()
-                .zip(row)
-            {
-                *x += b;
-            }
-        }
-    }
-
-    /// Column-wise sum, returning a vector of length `cols`.
-    #[must_use]
-    pub fn sum_rows(&self) -> Vec<f32> {
-        let mut out = vec![0.0; self.cols];
-        for r in 0..self.rows {
-            for (o, &x) in out.iter_mut().zip(self.row(r)) {
-                *o += x;
-            }
-        }
-        out
-    }
-
     /// Sum of all elements.
     #[must_use]
     pub fn sum(&self) -> f32 {
@@ -610,9 +581,8 @@ mod tests {
     }
 
     #[test]
-    fn sum_rows_and_norm() {
+    fn norm_is_the_flattened_l2() {
         let a = Tensor::from_rows(&[&[3.0, 0.0], &[1.0, 4.0]]);
-        assert_eq!(a.sum_rows(), vec![4.0, 4.0]);
         assert!((a.norm_l2() - (9.0f32 + 1.0 + 16.0).sqrt()).abs() < 1e-6);
     }
 
@@ -620,14 +590,6 @@ mod tests {
     fn argmax_row_ties_pick_first() {
         let a = Tensor::from_rows(&[&[1.0, 5.0, 5.0, 2.0]]);
         assert_eq!(a.argmax_row(0), 1);
-    }
-
-    #[test]
-    fn add_row_inplace_broadcasts() {
-        let mut a = Tensor::zeros(2, 3);
-        a.add_row_inplace(&[1.0, 2.0, 3.0]);
-        assert_eq!(a.row(0), &[1.0, 2.0, 3.0]);
-        assert_eq!(a.row(1), &[1.0, 2.0, 3.0]);
     }
 
     #[test]

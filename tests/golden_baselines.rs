@@ -15,14 +15,14 @@
 
 use marsit::collectives::ring::{
     ring_allreduce_majority, ring_allreduce_signsum, ring_allreduce_signsum_parts,
-    ring_allreduce_sum, ring_allreduce_sum_faulty, SumWire,
+    ring_allreduce_sum, SumWire,
 };
 use marsit::collectives::segring::segring_allreduce_sum;
 use marsit::collectives::torus::{
     torus_allreduce_majority, torus_allreduce_signsum, torus_allreduce_sum,
 };
 use marsit::collectives::tree::{tree_allreduce_signsum, tree_allreduce_sum};
-use marsit::collectives::Trace;
+use marsit::collectives::{allreduce_sum, PlanTopology, Trace};
 use marsit::compress::SignSumVec;
 use marsit::prelude::*;
 use marsit::simnet::FaultInjector;
@@ -213,7 +213,8 @@ fn golden_f32_ring_under_drops() {
             let got = DIMS.map(|d| {
                 let mut data = payloads(m, d, 0x10557 + d as u64);
                 let mut inj = lossy(d);
-                let trace = ring_allreduce_sum_faulty(&mut data, &mut inj).expect("valid inputs");
+                let trace =
+                    allreduce_sum(PlanTopology::Ring, &mut data, &mut inj).expect("valid inputs");
                 let mut h = Fnv::new();
                 for worker in &data {
                     assert_eq!(worker, &data[0], "ring({m}) d={d}: gather is reliable");

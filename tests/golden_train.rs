@@ -6,16 +6,15 @@
 //! three loop nests became one blocked kernel (the naive ikj loops and the
 //! scalar sequential dot) and pin, round by round, the training loss and a
 //! fingerprint of replica 0's parameters on the `train_torus` shape and the
-//! two serving-mix shapes — plus one `ConvNet` gradient and one `PowerSgd`
-//! round trip, the other callers of the products. If any of them moves, the
-//! accumulation-order contract of the kernel (DESIGN §17) is broken.
+//! two serving-mix shapes — plus one `PowerSgd` round trip, the other
+//! caller of the products. If any of them moves, the accumulation-order
+//! contract of the kernel (DESIGN §17) is broken.
 //!
 //! The three training tables were re-recorded once, constants only, for
 //! stream contract v2 (DESIGN §9), which moves the consensus of every
-//! one-bit round; the kernel-only pins (`ConvNet`, `PowerSgd`) did not move.
+//! one-bit round; the kernel-only pin (`PowerSgd`) did not move.
 
 use marsit::compress::powersgd::PowerSgd;
-use marsit::models::{ConvNet, ConvNetSpec};
 use marsit::prelude::*;
 
 /// FNV-1a over the little-endian bytes of every value's bit pattern.
@@ -139,23 +138,6 @@ fn golden_resnet20_torus2x2_batch16() {
         (0x4005fdeff7400000, 0x091f0a330ce9e293),
     ];
     assert_golden("resnet20 torus(2,2)", &run(cfg), want);
-}
-
-/// `ConvNet::loss_and_grad`: two `matmul`, two `matmul_tn`, two `matmul_nt`
-/// with a ReLU-sparse left operand.
-#[test]
-fn golden_convnet_gradient() {
-    let (train, _) = mnist_like().generate_split(48, 8, 5);
-    let model = ConvNet::new(ConvNetSpec::square(8, 4, 3, 24, 10), 3);
-    let mut grad = vec![0.0f32; model.num_params()];
-    let loss = model.loss_and_grad(&train, &mut grad);
-    assert_eq!(
-        (loss.to_bits(), fnv1a(&grad)),
-        (0x400a_5c7c_acea_aaab, 0xfb37_cfbe_efd1_4caf),
-        "convnet gradient moved: (0x{:016x}, 0x{:016x})",
-        loss.to_bits(),
-        fnv1a(&grad)
-    );
 }
 
 /// `PowerSgd::compress` → `decode`, two rounds so the warm-started `Q` and

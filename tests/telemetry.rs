@@ -13,7 +13,7 @@
 
 use marsit::collectives::ring::{
     ring_allreduce_majority, ring_allreduce_onebit, ring_allreduce_signsum, ring_allreduce_sum,
-    ring_allreduce_sum_faulty, SumWire,
+    SumWire,
 };
 use marsit::collectives::segring::segring_allreduce_sum;
 use marsit::collectives::torus::{
@@ -138,7 +138,7 @@ fn faulty_ring_sum_reconstructs_with_retries() {
     let mut data = random_data(8, 1000, 5);
     let mut inj = plan.injector(0);
     let trace = scoped(&tel, || {
-        ring_allreduce_sum_faulty(&mut data, &mut inj).expect("valid inputs")
+        allreduce_sum(PlanTopology::Ring, &mut data, &mut inj).expect("valid inputs")
     });
     assert!(
         trace.num_steps() > 2 * 7,

@@ -1,10 +1,10 @@
 //! Cross-backend transport conformance suite.
 //!
-//! The pinned contract: a [`Scenario`] run on the deterministic simulator,
-//! the threaded in-process backend, and the multi-process TCP backend must
-//! produce **byte-identical** consensus words, identical `⊙`/RNG-draw
-//! counts, identical wire traces, and identical per-hop telemetry (up to
-//! the `backend`/`clock` tag naming the transport that produced it).
+//! The pinned contract: a [`Scenario`] run on the deterministic simulator
+//! and on the multi-process TCP backend must produce **byte-identical**
+//! consensus words, identical `⊙`/RNG-draw counts, identical wire traces,
+//! and identical per-hop telemetry (up to the `backend`/`clock` tag naming
+//! the transport that produced it).
 //!
 //! The matrix covers all four multi-hop paradigms the paper names — ring,
 //! 2D torus, binary tree, segmented ring — each clean and under seeded
@@ -78,7 +78,7 @@ fn normalize(jsonl: &str) -> String {
         .lines()
         .map(|line| {
             let mut line = line.to_string();
-            for backend in ["simulator", "threaded", "process"] {
+            for backend in ["simulator", "process"] {
                 for clock in ["simulated", "real"] {
                     line = line.replace(
                         &format!(",\"backend\":\"{backend}\",\"clock\":\"{clock}\""),
@@ -118,24 +118,6 @@ fn assert_artifacts_match(label: &str, reference: &RunArtifacts, got: &RunArtifa
 }
 
 #[test]
-fn threaded_backend_conforms_across_matrix() {
-    for sc in matrix() {
-        let label = format!("{:?} drop={:?} threaded", sc.topo, sc.drop_p);
-        let (reference, ref_log) = with_telemetry(|| sc.run_simulator().unwrap());
-        let (threaded, thr_log) = with_telemetry(|| sc.run_threaded().unwrap());
-        assert_artifacts_match(&label, &reference, &threaded);
-        assert_eq!(
-            normalize(&ref_log),
-            normalize(&thr_log),
-            "{label}: telemetry diverged"
-        );
-        // The tag itself must name the backend that produced the log.
-        assert!(ref_log.contains("\"backend\":\"simulator\""), "{label}");
-        assert!(thr_log.contains("\"backend\":\"threaded\""), "{label}");
-    }
-}
-
-#[test]
 fn process_backend_conforms_across_matrix() {
     for sc in matrix() {
         let label = format!("{:?} drop={:?} process", sc.topo, sc.drop_p);
@@ -147,6 +129,8 @@ fn process_backend_conforms_across_matrix() {
             normalize(&proc_log),
             "{label}: telemetry diverged"
         );
+        // The tag itself must name the backend that produced each log.
+        assert!(ref_log.contains("\"backend\":\"simulator\""), "{label}");
         assert!(proc_log.contains("\"backend\":\"process\""), "{label}");
     }
 }
@@ -157,7 +141,6 @@ fn consecutive_rounds_conform_on_both_backends() {
     for sc in consecutive_rounds() {
         let label = format!("round {}", sc.round);
         let reference = sc.run_simulator().unwrap();
-        assert_artifacts_match(&label, &reference, &sc.run_threaded().unwrap());
         assert_artifacts_match(&label, &reference, &sc.run_process(worker_exe()).unwrap());
         distinct.push((reference.consensus_words().to_vec(), reference.combines));
     }
@@ -177,8 +160,8 @@ fn unweighted_ablation_conforms_too() {
         combine: CombineKind::UnweightedAblation,
     };
     let reference = sc.run_simulator().unwrap();
-    let threaded = sc.run_threaded().unwrap();
-    assert_artifacts_match("unweighted", &reference, &threaded);
+    let process = sc.run_process(worker_exe()).unwrap();
+    assert_artifacts_match("unweighted", &reference, &process);
 }
 
 #[test]
