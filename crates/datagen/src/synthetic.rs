@@ -44,40 +44,47 @@ impl ClusterSpec {
     /// Panics if `n == 0`, `dim == 0`, or `num_classes == 0`.
     #[must_use]
     pub fn generate(&self, n: usize, seed: u64, stream: u64) -> Dataset {
+        self.generate_with(&self.class_means(seed), n, seed, stream)
+    }
+
+    /// Generates a `(train, test)` pair sharing the same class means.
+    #[must_use]
+    pub fn generate_split(&self, train_n: usize, test_n: usize, seed: u64) -> (Dataset, Dataset) {
+        let means = self.class_means(seed);
+        (
+            self.generate_with(&means, train_n, seed, 1),
+            self.generate_with(&means, test_n, seed, 2),
+        )
+    }
+
+    /// [`ClusterSpec::generate`] around precomputed `class_means(seed)`: each
+    /// row is filled with its noise in place, then shifted by its class mean.
+    fn generate_with(&self, means: &[Vec<f32>], n: usize, seed: u64, stream: u64) -> Dataset {
         assert!(
             n > 0 && self.dim > 0 && self.num_classes > 0,
             "degenerate spec"
         );
-        let means = self.class_means(seed);
         let mut rng = FastRng::new(split_seed(seed, 0xC1A5), stream);
         let mut feats = Tensor::zeros(n, self.dim);
         let mut labels = Vec::with_capacity(n);
         for i in 0..n {
             let class = rng.next_range(self.num_classes as u64) as usize;
             labels.push(class);
-            let noise = gaussian_vec(self.dim, self.noise_std, &mut rng);
             let row = feats.row_mut(i);
-            for ((x, &m), e) in row.iter_mut().zip(means[class].iter()).zip(noise) {
-                *x = m + e;
+            rng.fill_gaussian(row, self.noise_std);
+            for (x, &m) in row.iter_mut().zip(&means[class]) {
+                *x += m;
             }
         }
         Dataset::new(feats, labels, self.num_classes)
-    }
-
-    /// Generates a `(train, test)` pair sharing the same class means.
-    #[must_use]
-    pub fn generate_split(&self, train_n: usize, test_n: usize, seed: u64) -> (Dataset, Dataset) {
-        (
-            self.generate(train_n, seed, 1),
-            self.generate(test_n, seed, 2),
-        )
     }
 
     fn class_means(&self, seed: u64) -> Vec<Vec<f32>> {
         let mut rng = FastRng::new(split_seed(seed, 0x3EA7), 0);
         (0..self.num_classes)
             .map(|_| {
-                let mut v = gaussian_vec(self.dim, 1.0, &mut rng);
+                let mut v = vec![0.0; self.dim];
+                rng.fill_gaussian(&mut v, 1.0);
                 let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt().max(1e-12);
                 for x in &mut v {
                     *x *= self.separation / norm;
@@ -153,11 +160,6 @@ impl SentimentSpec {
             self.generate(test_n, seed, 2),
         )
     }
-}
-
-fn gaussian_vec(n: usize, std: f32, rng: &mut FastRng) -> Vec<f32> {
-    let t = Tensor::gaussian(1, n, std, rng);
-    t.into_vec()
 }
 
 /// MNIST stand-in: 10 well-separated classes in 64 dimensions.

@@ -156,19 +156,38 @@ impl Mlp {
     #[must_use]
     pub fn new(spec: MlpSpec, seed: u64) -> Self {
         let mut rng = FastRng::new(seed, 0x11117);
-        let mut params = Vec::with_capacity(spec.num_params());
+        let d = spec.num_params();
+        let mut mlp = Self::from_params(spec, vec![0.0; d]);
+        for layer in &mlp.layers {
+            let std = (2.0 / layer.fan_in as f32).sqrt();
+            rng.fill_gaussian(&mut mlp.params[layer.w..layer.b], std);
+        }
+        mlp
+    }
+
+    /// Creates an MLP holding `params` — a buffer laid out as
+    /// [`Mlp::params`] returns it — without drawing an initialization.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.len() != spec.num_params()`.
+    #[must_use]
+    pub fn from_params(spec: MlpSpec, params: Vec<f32>) -> Self {
+        assert_eq!(
+            params.len(),
+            spec.num_params(),
+            "parameter dimension mismatch"
+        );
         let mut layers = Vec::new();
+        let mut offset = 0;
         for (fan_in, fan_out) in spec.layer_dims() {
-            let std = (2.0 / fan_in as f32).sqrt();
-            let w = Tensor::gaussian(fan_in, fan_out, std, &mut rng);
             layers.push(Layer {
                 fan_in,
                 fan_out,
-                w: params.len(),
-                b: params.len() + fan_in * fan_out,
+                w: offset,
+                b: offset + fan_in * fan_out,
             });
-            params.extend_from_slice(w.as_slice());
-            params.extend(std::iter::repeat_n(0.0f32, fan_out));
+            offset += fan_in * fan_out + fan_out;
         }
         Self {
             spec,

@@ -6,14 +6,15 @@
 //! synchronization code paths on a CPU:
 //!
 //! - [`Tensor`]: a row-major `f32` matrix with the linear algebra needed for
-//!   exact backpropagation (matmul and transposed variants, elementwise maps,
-//!   reductions).
+//!   exact backpropagation (matmul and transposed variants, elementwise
+//!   arithmetic, reductions).
 //! - [`gemm`]: the one register-blocked, bit-identical kernel behind all
 //!   three matrix products, callable on caller-owned slices.
 //! - [`SignVec`]: a bit-packed sign vector — the one-bit wire format of
 //!   Marsit's `⊙` operator and of every signSGD-family compressor.
-//! - [`rng`]: seed-splitting and a fast Bernoulli generator so that all
-//!   stochastic compression is reproducible bit-for-bit.
+//! - [`rng`]: seed-splitting and a fast generator — Bernoulli draws and
+//!   [`rng::FastRng::fill_gaussian`] — so that all stochastic compression and
+//!   every synthetic dataset is reproducible bit-for-bit.
 //! - [`stats`]: norms and online moments used by the experiment harness.
 //!
 //! # Examples
@@ -29,6 +30,7 @@
 //! assert_eq!(signs.packed_bytes(), 125);
 //! ```
 
+mod gaussian;
 pub mod gemm;
 mod norm;
 pub mod rng;

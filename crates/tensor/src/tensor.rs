@@ -1,7 +1,7 @@
 //! A minimal dense 2-D tensor over `f32`.
 //!
 //! The workspace only needs dense linear algebra for the training substrate
-//! (matrix multiply, elementwise maps, row/column reductions), so [`Tensor`]
+//! (matrix multiply, elementwise arithmetic, reductions), so [`Tensor`]
 //! is deliberately small: row-major storage, two dimensions, explicit shapes.
 //! Vectors are represented as `1 × n` or `n × 1` tensors or as plain slices
 //! where that is clearer.
@@ -39,10 +39,10 @@ impl std::error::Error for ShapeError {}
 /// ```
 /// use marsit_tensor::Tensor;
 ///
-/// let a = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-/// let b = Tensor::identity(2);
+/// let a = Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+/// let b = Tensor::from_vec(2, 1, vec![1.0, 1.0]);
 /// let c = a.matmul(&b);
-/// assert_eq!(c.get(1, 0), 3.0);
+/// assert_eq!(c.get(1, 0), 7.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
@@ -62,26 +62,6 @@ impl Tensor {
         }
     }
 
-    /// Creates a `rows × cols` tensor filled with `value`.
-    #[must_use]
-    pub fn full(rows: usize, cols: usize, value: f32) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
-    }
-
-    /// Creates the `n × n` identity matrix.
-    #[must_use]
-    pub fn identity(n: usize) -> Self {
-        let mut t = Self::zeros(n, n);
-        for i in 0..n {
-            t.set(i, i, 1.0);
-        }
-        t
-    }
-
     /// Creates a tensor from a flat row-major buffer.
     ///
     /// # Panics
@@ -98,54 +78,13 @@ impl Tensor {
         Self { rows, cols, data }
     }
 
-    /// Creates a tensor from row slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rows have inconsistent lengths or `rows` is empty.
-    #[must_use]
-    pub fn from_rows(rows: &[&[f32]]) -> Self {
-        assert!(!rows.is_empty(), "from_rows requires at least one row");
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            assert_eq!(r.len(), cols, "all rows must have equal length");
-            data.extend_from_slice(r);
-        }
-        Self {
-            rows: rows.len(),
-            cols,
-            data,
-        }
-    }
-
-    /// Creates a tensor with i.i.d. uniform entries in `[-scale, scale)`.
-    #[must_use]
-    pub fn uniform(rows: usize, cols: usize, scale: f32, rng: &mut FastRng) -> Self {
-        let data = (0..rows * cols)
-            .map(|_| (rng.next_f64() as f32 * 2.0 - 1.0) * scale)
-            .collect();
-        Self { rows, cols, data }
-    }
-
-    /// Creates a tensor with i.i.d. standard-normal entries scaled by `std`.
-    ///
-    /// Uses the Box–Muller transform for determinism across platforms.
+    /// Creates a tensor with i.i.d. normal entries of standard deviation
+    /// `std`, drawn by [`FastRng::fill_gaussian`] in row-major order.
     #[must_use]
     pub fn gaussian(rows: usize, cols: usize, std: f32, rng: &mut FastRng) -> Self {
-        let n = rows * cols;
-        let mut data = Vec::with_capacity(n);
-        while data.len() < n {
-            let u1 = rng.next_f64().max(1e-300);
-            let u2 = rng.next_f64();
-            let r = (-2.0 * u1.ln()).sqrt();
-            let theta = 2.0 * std::f64::consts::PI * u2;
-            data.push((r * theta.cos()) as f32 * std);
-            if data.len() < n {
-                data.push((r * theta.sin()) as f32 * std);
-            }
-        }
-        Self { rows, cols, data }
+        let mut t = Self::zeros(rows, cols);
+        rng.fill_gaussian(&mut t.data, std);
+        t
     }
 
     /// Number of rows.
@@ -329,72 +268,10 @@ impl Tensor {
         out
     }
 
-    /// Returns the transpose.
-    #[must_use]
-    pub fn transpose(&self) -> Tensor {
-        let mut out = Tensor::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
-        out
-    }
-
-    /// Applies `f` to every element, returning a new tensor.
-    #[must_use]
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
-    /// Elementwise product (Hadamard).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    #[must_use]
-    pub fn hadamard(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape(), other.shape(), "hadamard shape mismatch");
-        Tensor {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| a * b)
-                .collect(),
-        }
-    }
-
     /// Sum of all elements.
     #[must_use]
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
-    }
-
-    /// ℓ2-norm of the flattened tensor.
-    #[must_use]
-    pub fn norm_l2(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
-    /// Scales all elements by `s` in place.
-    pub fn scale_inplace(&mut self, s: f32) {
-        for x in &mut self.data {
-            *x *= s;
-        }
     }
 
     /// `self += alpha * other`, in place (axpy).
@@ -469,7 +346,9 @@ impl Mul<f32> for &Tensor {
 
     fn mul(self, s: f32) -> Tensor {
         let mut out = self.clone();
-        out.scale_inplace(s);
+        for x in &mut out.data {
+            *x *= s;
+        }
         out
     }
 }
@@ -515,21 +394,33 @@ mod tests {
         assert!(t.as_slice().iter().all(|&x| x == 0.0));
     }
 
+    fn row(values: &[f32]) -> Tensor {
+        Tensor::from_vec(1, values.len(), values.to_vec())
+    }
+
+    fn transpose(t: &Tensor) -> Tensor {
+        let (rows, cols) = t.shape();
+        let data = (0..rows * cols)
+            .map(|i| t.get(i % rows, i / rows))
+            .collect();
+        Tensor::from_vec(cols, rows, data)
+    }
+
     #[test]
     fn identity_matmul_is_noop() {
         let mut rng = FastRng::new(1, 0);
         let a = Tensor::gaussian(4, 4, 1.0, &mut rng);
-        let i = Tensor::identity(4);
+        let i = Tensor::from_vec(4, 4, (0..16).map(|k| f32::from(k % 5 == 0)).collect());
         assert_eq!(a.matmul(&i), a);
         assert_eq!(i.matmul(&a), a);
     }
 
     #[test]
     fn matmul_known_values() {
-        let a = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Tensor::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
+        let a = Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        let b = Tensor::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0]);
         let c = a.matmul(&b);
-        assert_eq!(c, Tensor::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
+        assert_eq!(c, Tensor::from_vec(2, 2, vec![19.0, 22.0, 43.0, 50.0]));
     }
 
     #[test]
@@ -538,7 +429,7 @@ mod tests {
         let a = Tensor::gaussian(5, 3, 1.0, &mut rng);
         let b = Tensor::gaussian(5, 4, 1.0, &mut rng);
         let fast = a.matmul_tn(&b);
-        let slow = a.transpose().matmul(&b);
+        let slow = transpose(&a).matmul(&b);
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
             assert!((x - y).abs() < 1e-4);
         }
@@ -550,46 +441,31 @@ mod tests {
         let a = Tensor::gaussian(5, 3, 1.0, &mut rng);
         let b = Tensor::gaussian(4, 3, 1.0, &mut rng);
         let fast = a.matmul_nt(&b);
-        let slow = a.matmul(&b.transpose());
+        let slow = a.matmul(&transpose(&b));
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
             assert!((x - y).abs() < 1e-4);
         }
     }
 
     #[test]
-    fn transpose_round_trip() {
-        let mut rng = FastRng::new(4, 0);
-        let a = Tensor::uniform(3, 7, 1.0, &mut rng);
-        assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
     fn add_sub_scale() {
-        let a = Tensor::from_rows(&[&[1.0, 2.0]]);
-        let b = Tensor::from_rows(&[&[0.5, 0.5]]);
-        assert_eq!(&a + &b, Tensor::from_rows(&[&[1.5, 2.5]]));
-        assert_eq!(&a - &b, Tensor::from_rows(&[&[0.5, 1.5]]));
-        assert_eq!(&a * 2.0, Tensor::from_rows(&[&[2.0, 4.0]]));
+        let a = row(&[1.0, 2.0]);
+        let b = row(&[0.5, 0.5]);
+        assert_eq!(&a + &b, row(&[1.5, 2.5]));
+        assert_eq!(&a - &b, row(&[0.5, 1.5]));
+        assert_eq!(&a * 2.0, row(&[2.0, 4.0]));
     }
 
     #[test]
     fn axpy_matches_manual() {
-        let mut a = Tensor::from_rows(&[&[1.0, 1.0]]);
-        let b = Tensor::from_rows(&[&[2.0, 3.0]]);
-        a.axpy_inplace(0.5, &b);
-        assert_eq!(a, Tensor::from_rows(&[&[2.0, 2.5]]));
-    }
-
-    #[test]
-    fn norm_is_the_flattened_l2() {
-        let a = Tensor::from_rows(&[&[3.0, 0.0], &[1.0, 4.0]]);
-        assert!((a.norm_l2() - (9.0f32 + 1.0 + 16.0).sqrt()).abs() < 1e-6);
+        let mut a = row(&[1.0, 1.0]);
+        a.axpy_inplace(0.5, &row(&[2.0, 3.0]));
+        assert_eq!(a, row(&[2.0, 2.5]));
     }
 
     #[test]
     fn argmax_row_ties_pick_first() {
-        let a = Tensor::from_rows(&[&[1.0, 5.0, 5.0, 2.0]]);
-        assert_eq!(a.argmax_row(0), 1);
+        assert_eq!(row(&[1.0, 5.0, 5.0, 2.0]).argmax_row(0), 1);
     }
 
     #[test]

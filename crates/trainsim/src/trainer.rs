@@ -347,7 +347,7 @@ impl TrainerState {
     /// Panics on inconsistent configuration (see [`train`]).
     #[must_use]
     pub fn new(cfg: &TrainConfig) -> Self {
-        let state = Self::build(cfg);
+        let state = Self::build(cfg, None);
         let tel = &state.cfg.telemetry;
         if tel.is_enabled() {
             tel.set_time(0.0);
@@ -374,8 +374,10 @@ impl TrainerState {
 
     /// Everything deterministically derivable from the configuration, with
     /// zeroed run-state accumulators. Shared by [`TrainerState::new`] and
-    /// [`TrainerState::restore`].
-    fn build(cfg: &TrainConfig) -> Self {
+    /// [`TrainerState::restore`]: the replicas start from `params` when given,
+    /// else from the He initialization (whose RNG stream feeds nothing else,
+    /// so skipping it changes no other draw).
+    fn build(cfg: &TrainConfig, params: Option<Vec<f32>>) -> Self {
         let m = cfg.topology.workers();
         assert!(m >= 2, "need at least 2 workers");
         let (train_set, test_set) = cfg.datasets();
@@ -388,7 +390,10 @@ impl TrainerState {
         let d = spec.num_params();
 
         // Identical replicas (consensus holds by induction from round 0).
-        let reference = Mlp::new(spec, split_seed(cfg.seed, 0x30DE));
+        let reference = match params {
+            Some(params) => Mlp::from_params(spec, params),
+            None => Mlp::new(spec, split_seed(cfg.seed, 0x30DE)),
+        };
         let models: Vec<Mlp> = vec![reference; m];
         let optimizers: Vec<Box<dyn Optimizer>> = (0..m).map(|_| cfg.optimizer.build()).collect();
         let worker_rngs: Vec<FastRng> = (0..m)
@@ -799,18 +804,10 @@ impl TrainerState {
     /// (worker count, parameter dimension, synchronizer kind).
     #[must_use]
     pub fn restore(cfg: &TrainConfig, snapshot: &TrainSnapshot) -> Self {
-        let mut state = Self::build(cfg);
+        let mut state = Self::build(cfg, Some(snapshot.params.clone()));
         let m = state.models.len();
         assert_eq!(snapshot.optimizers.len(), m, "worker count mismatch");
         assert_eq!(snapshot.worker_rngs.len(), m, "worker count mismatch");
-        assert_eq!(
-            snapshot.params.len(),
-            state.d,
-            "parameter dimension mismatch"
-        );
-        for model in &mut state.models {
-            model.write_params(&snapshot.params);
-        }
         for (opt, s) in state.optimizers.iter_mut().zip(&snapshot.optimizers) {
             opt.load_state(s);
         }
