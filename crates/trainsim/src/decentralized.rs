@@ -58,6 +58,11 @@ pub struct GossipReport {
 /// two distinct neighbours).
 #[must_use]
 pub fn train_gossip(cfg: &TrainConfig) -> GossipReport {
+    run_gossip(cfg).0
+}
+
+/// [`train_gossip`], also returning every worker's final parameters.
+fn run_gossip(cfg: &TrainConfig) -> (GossipReport, Vec<Vec<f32>>) {
     let m = cfg.topology.workers();
     assert!(m >= 3, "ring gossip needs at least 3 workers");
     let (train_set, test_set) = cfg.datasets();
@@ -114,12 +119,13 @@ pub fn train_gossip(cfg: &TrainConfig) -> GossipReport {
         });
     }
     let final_eval = evaluate_mean(&mut scratch, &params, &test_set);
-    GossipReport {
+    let report = GossipReport {
         final_consensus_error: consensus_error(&params).expect("harness builds a valid ring"),
         final_eval,
         total_time,
         records,
-    }
+    };
+    (report, params)
 }
 
 /// Evaluates the parameter-averaged model.
@@ -199,6 +205,51 @@ mod tests {
         let b = train_gossip(&cfg(4, 20));
         assert_eq!(a.final_eval, b.final_eval);
         assert_eq!(a.final_consensus_error, b.final_consensus_error);
+    }
+
+    /// FNV-1a over the little-endian bytes of each value.
+    fn fnv1a(values: impl IntoIterator<Item = u64>) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for v in values {
+            for byte in v.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// Pins `cfg(4, 20)` bit for bit, with plain SGD and with momentum: a
+    /// fingerprint of every round's loss and consensus error, and one of
+    /// every worker's final parameters.
+    #[test]
+    fn gossip_golden() {
+        for (optimizer, want) in [
+            (
+                OptimizerKind::Sgd,
+                (0xae4b_50e6_dccd_df62, 0x85d6_0ecf_376e_30c7),
+            ),
+            (
+                OptimizerKind::Momentum(0.9),
+                (0x3ff6_0809_30d7_6bff, 0x6335_b4fa_560f_08b5),
+            ),
+        ] {
+            let mut cfg = cfg(4, 20);
+            cfg.optimizer = optimizer;
+            let (report, params) = run_gossip(&cfg);
+            let losses = fnv1a(
+                report
+                    .records
+                    .iter()
+                    .flat_map(|r| [r.train_loss.to_bits(), r.consensus_error.to_bits()]),
+            );
+            let params = fnv1a(params.iter().flatten().map(|p| u64::from(p.to_bits())));
+            assert_eq!(
+                (losses, params),
+                want,
+                "{optimizer:?} moved: (0x{losses:016x}, 0x{params:016x})"
+            );
+        }
     }
 
     #[test]
