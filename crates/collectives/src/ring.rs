@@ -45,17 +45,18 @@ use crate::trace::Trace;
 /// Panics if `m == 0`.
 #[must_use]
 pub fn segment_ranges(d: usize, m: usize) -> Vec<Range<usize>> {
+    segments(d, m).collect()
+}
+
+/// The ranges of [`segment_ranges`], in order, without collecting them.
+fn segments(d: usize, m: usize) -> impl Iterator<Item = Range<usize>> {
     assert!(m > 0, "segment count must be positive");
-    let base = d / m;
-    let extra = d % m;
-    let mut out = Vec::with_capacity(m);
-    let mut start = 0;
-    for i in 0..m {
-        let len = base + usize::from(i < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
+    let (base, extra) = (d / m, d % m);
+    (0..m).scan(0, move |start, i| {
+        let range = *start..*start + base + usize::from(i < extra);
+        *start = range.end;
+        Some(range)
+    })
 }
 
 /// Context handed to a one-bit combine operator at each hop.
@@ -375,7 +376,7 @@ impl Book {
     ) {
         if self.segs.len() != segments || self.segs.last().is_none_or(|r| r.end != d) {
             self.segs.clear();
-            self.segs.extend(segment_ranges(d, segments));
+            self.segs.extend(self::segments(d, segments));
         }
         self.counts.resize_with(workers, Vec::new);
         for (w, counts) in self.counts.iter_mut().enumerate() {

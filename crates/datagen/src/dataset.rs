@@ -226,12 +226,31 @@ impl Dataset {
     /// Panics if the dataset is empty or `batch_size == 0`.
     #[must_use]
     pub fn sample_batch(&self, batch_size: usize, rng: &mut FastRng) -> Dataset {
+        let mut batch = self.select(&[]);
+        self.sample_batch_into(batch_size, rng, &mut batch);
+        batch
+    }
+
+    /// [`Dataset::sample_batch`] into a caller-owned dataset: the same draws
+    /// in the same order, and no allocation once `out` has held a batch of
+    /// this size and dimension. What `out` held before is overwritten.
+    ///
+    /// # Panics
+    ///
+    /// As [`Dataset::sample_batch`].
+    pub fn sample_batch_into(&self, batch_size: usize, rng: &mut FastRng, out: &mut Dataset) {
         assert!(!self.is_empty(), "cannot sample from empty dataset");
         assert!(batch_size > 0, "batch size must be positive");
-        let indices: Vec<usize> = (0..batch_size)
-            .map(|_| rng.next_range(self.len() as u64) as usize)
-            .collect();
-        self.select(&indices)
+        let mut features = std::mem::replace(&mut out.features, Tensor::zeros(0, 0)).into_vec();
+        features.clear();
+        out.labels.clear();
+        for _ in 0..batch_size {
+            let i = rng.next_range(self.len() as u64) as usize;
+            features.extend_from_slice(self.features.row(i));
+            out.labels.push(self.labels[i]);
+        }
+        out.features = Tensor::from_vec(batch_size, self.dim(), features);
+        out.num_classes = self.num_classes;
     }
 
     /// Per-class example counts.
@@ -301,6 +320,22 @@ mod tests {
         assert_eq!(b.len(), 5);
         assert_eq!(b.dim(), 3);
         assert_eq!(b.num_classes(), 4);
+    }
+
+    /// A reused batch holds exactly what a fresh one would — same rows,
+    /// same labels, same draws — whatever it held before.
+    #[test]
+    fn sample_batch_into_matches_sample_batch() {
+        let ds = toy(10);
+        let mut fresh_rng = FastRng::new(3, 1);
+        let mut reused_rng = FastRng::new(3, 1);
+        let mut reused = toy(4).select(&[1, 2, 3]);
+        for batch_size in [5, 5, 1, 12] {
+            let fresh = ds.sample_batch(batch_size, &mut fresh_rng);
+            ds.sample_batch_into(batch_size, &mut reused_rng, &mut reused);
+            assert_eq!(reused, fresh);
+            assert_eq!(reused_rng.snapshot(), fresh_rng.snapshot());
+        }
     }
 
     #[test]

@@ -302,14 +302,15 @@ impl Mlp {
                 }
             }
             if l > 0 {
-                // Propagate: d(input) = delta · Wᵀ, gated by ReLU mask.
+                // Propagate: d(input) = delta · Wᵀ, gated by ReLU mask. The
+                // gate is a select, not a branch: about half the activations
+                // are zero, so a branch would mispredict on every other one.
+                // A NaN activation keeps its gradient (`NaN <= 0` is false).
                 next.resize(n * layer.fan_in, 0.0);
                 let w = layer.weights(&self.params);
                 matmul_nt_into(n, layer.fan_out, layer.fan_in, delta, w, panel, next);
                 for (d, &a) in next.iter_mut().zip(input) {
-                    if a <= 0.0 {
-                        *d = 0.0;
-                    }
+                    *d = if a <= 0.0 { 0.0 } else { *d };
                 }
                 (delta, next, spare) = (next, spare, delta);
             }

@@ -10,12 +10,15 @@
 /// Transforms raw gradients into update directions, carrying internal state
 /// (momentum buffers, Adam moments) across rounds.
 pub trait Optimizer: Send {
-    /// Rewrites `grad` in place into the update direction for this round.
+    /// Advances the internal state by the raw gradient `grad` and writes this
+    /// round's update direction, scaled by the learning rate `lr`, to `out`:
+    /// one sweep over `grad`, the state and `out`.
     ///
     /// # Panics
     ///
-    /// Implementations panic if `grad` changes length across calls.
-    fn direction(&mut self, grad: &mut [f32]);
+    /// Implementations panic if `grad` and `out` differ in length or `grad`
+    /// changes length across calls.
+    fn direction_into(&mut self, grad: &[f32], lr: f32, out: &mut [f32]);
 
     /// Resets internal state (used when a training run is restarted).
     fn reset(&mut self);
@@ -70,7 +73,12 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn direction(&mut self, _grad: &mut [f32]) {}
+    fn direction_into(&mut self, grad: &[f32], lr: f32, out: &mut [f32]) {
+        assert_eq!(out.len(), grad.len(), "output length mismatch");
+        for (o, &g) in out.iter_mut().zip(grad) {
+            *o = g * lr;
+        }
+    }
 
     fn reset(&mut self) {}
 
@@ -114,14 +122,15 @@ impl Momentum {
 }
 
 impl Optimizer for Momentum {
-    fn direction(&mut self, grad: &mut [f32]) {
+    fn direction_into(&mut self, grad: &[f32], lr: f32, out: &mut [f32]) {
         if self.velocity.is_empty() {
             self.velocity = vec![0.0; grad.len()];
         }
         assert_eq!(self.velocity.len(), grad.len(), "gradient length changed");
-        for (v, g) in self.velocity.iter_mut().zip(grad.iter_mut()) {
-            *v = self.mu * *v + *g;
-            *g = *v;
+        assert_eq!(out.len(), grad.len(), "output length mismatch");
+        for ((v, &g), o) in self.velocity.iter_mut().zip(grad).zip(out) {
+            *v = self.mu * *v + g;
+            *o = *v * lr;
         }
     }
 
@@ -195,21 +204,22 @@ impl Default for Adam {
 }
 
 impl Optimizer for Adam {
-    fn direction(&mut self, grad: &mut [f32]) {
+    fn direction_into(&mut self, grad: &[f32], lr: f32, out: &mut [f32]) {
         if self.m.is_empty() {
             self.m = vec![0.0; grad.len()];
             self.v = vec![0.0; grad.len()];
         }
         assert_eq!(self.m.len(), grad.len(), "gradient length changed");
+        assert_eq!(out.len(), grad.len(), "output length mismatch");
         self.step += 1;
         let bc1 = 1.0 - self.beta1.powi(self.step as i32);
         let bc2 = 1.0 - self.beta2.powi(self.step as i32);
-        for ((m, v), g) in self.m.iter_mut().zip(&mut self.v).zip(grad.iter_mut()) {
-            *m = self.beta1 * *m + (1.0 - self.beta1) * *g;
-            *v = self.beta2 * *v + (1.0 - self.beta2) * *g * *g;
+        for (((m, v), &g), o) in self.m.iter_mut().zip(&mut self.v).zip(grad).zip(out) {
+            *m = self.beta1 * *m + (1.0 - self.beta1) * g;
+            *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
             let m_hat = *m / bc1;
             let v_hat = *v / bc2;
-            *g = m_hat / (v_hat.sqrt() + self.eps);
+            *o = m_hat / (v_hat.sqrt() + self.eps) * lr;
         }
     }
 
@@ -268,42 +278,42 @@ impl OptimizerKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use marsit_tensor::rng::FastRng;
+
+    /// One unscaled step: the direction itself.
+    fn direction(opt: &mut dyn Optimizer, grad: &[f32]) -> Vec<f32> {
+        let mut out = vec![f32::NAN; grad.len()];
+        opt.direction_into(grad, 1.0, &mut out);
+        out
+    }
 
     #[test]
     fn sgd_is_identity() {
-        let mut g = vec![1.0, -2.0, 3.0];
-        Sgd::new().direction(&mut g);
-        assert_eq!(g, vec![1.0, -2.0, 3.0]);
+        assert_eq!(
+            direction(&mut Sgd::new(), &[1.0, -2.0, 3.0]),
+            [1.0, -2.0, 3.0]
+        );
     }
 
     #[test]
     fn momentum_accumulates() {
         let mut opt = Momentum::new(0.5);
-        let mut g = vec![1.0, 1.0];
-        opt.direction(&mut g);
-        assert_eq!(g, vec![1.0, 1.0]);
-        let mut g2 = vec![1.0, 0.0];
-        opt.direction(&mut g2);
+        assert_eq!(direction(&mut opt, &[1.0, 1.0]), [1.0, 1.0]);
         // v = 0.5*[1,1] + [1,0] = [1.5, 0.5]
-        assert_eq!(g2, vec![1.5, 0.5]);
+        assert_eq!(direction(&mut opt, &[1.0, 0.0]), [1.5, 0.5]);
     }
 
     #[test]
     fn momentum_reset_clears_state() {
         let mut opt = Momentum::new(0.9);
-        let mut g = vec![1.0];
-        opt.direction(&mut g);
+        let _ = direction(&mut opt, &[1.0]);
         opt.reset();
-        let mut g2 = vec![1.0];
-        opt.direction(&mut g2);
-        assert_eq!(g2, vec![1.0]);
+        assert_eq!(direction(&mut opt, &[1.0]), [1.0]);
     }
 
     #[test]
     fn adam_first_step_is_sign_scaled() {
-        let mut opt = Adam::new();
-        let mut g = vec![10.0, -0.001];
-        opt.direction(&mut g);
+        let g = direction(&mut Adam::new(), &[10.0, -0.001]);
         // After bias correction the first step is g/(|g|+eps) ≈ ±1.
         assert!((g[0] - 1.0).abs() < 1e-3, "{:?}", g);
         assert!((g[1] + 1.0).abs() < 1e-2, "{:?}", g);
@@ -313,8 +323,8 @@ mod tests {
     fn adam_direction_is_bounded() {
         let mut opt = Adam::new();
         for step in 0..50 {
-            let mut g: Vec<f32> = (0..8).map(|i| ((i + step) as f32).sin() * 100.0).collect();
-            opt.direction(&mut g);
+            let g: Vec<f32> = (0..8).map(|i| ((i + step) as f32).sin() * 100.0).collect();
+            let g = direction(&mut opt, &g);
             assert!(g.iter().all(|x| x.abs() < 5.0), "unbounded direction {g:?}");
         }
     }
@@ -335,18 +345,121 @@ mod tests {
         ] {
             let mut warm = kind.build();
             for step in 0..5 {
-                let mut g: Vec<f32> = (0..6).map(|i| ((i + step) as f32 * 0.3).sin()).collect();
-                warm.direction(&mut g);
+                let g: Vec<f32> = (0..6).map(|i| ((i + step) as f32 * 0.3).sin()).collect();
+                let _ = direction(warm.as_mut(), &g);
             }
             let snap = warm.state();
             let mut restored = kind.build();
             restored.load_state(&snap);
             for step in 5..10 {
-                let mut a: Vec<f32> = (0..6).map(|i| ((i + step) as f32 * 0.3).sin()).collect();
-                let mut b = a.clone();
-                warm.direction(&mut a);
-                restored.direction(&mut b);
+                let g: Vec<f32> = (0..6).map(|i| ((i + step) as f32 * 0.3).sin()).collect();
+                let a = direction(warm.as_mut(), &g);
+                let b = direction(restored.as_mut(), &g);
                 assert_eq!(a, b, "{kind:?} diverged after restore at step {step}");
+            }
+        }
+    }
+
+    /// The step `direction_into` fused, kept as its reference: copy the raw
+    /// gradient, rewrite the copy in place into the direction (the bodies of
+    /// the former `Optimizer::direction`, over a state of their own), then
+    /// scale it by `lr`.
+    fn reference_step(
+        kind: OptimizerKind,
+        state: &mut OptimizerState,
+        grad: &[f32],
+        lr: f32,
+    ) -> Vec<f32> {
+        let mut update = grad.to_vec();
+        match (kind, state) {
+            (OptimizerKind::Sgd, OptimizerState::Sgd) => {}
+            (OptimizerKind::Momentum(mu), OptimizerState::Momentum { velocity }) => {
+                if velocity.is_empty() {
+                    *velocity = vec![0.0; update.len()];
+                }
+                for (v, g) in velocity.iter_mut().zip(update.iter_mut()) {
+                    *v = mu * *v + *g;
+                    *g = *v;
+                }
+            }
+            (OptimizerKind::Adam, OptimizerState::Adam { step, m, v }) => {
+                let (beta1, beta2, eps) = (0.9f32, 0.999f32, 1e-8f32);
+                if m.is_empty() {
+                    *m = vec![0.0; update.len()];
+                    *v = vec![0.0; update.len()];
+                }
+                *step += 1;
+                let bc1 = 1.0 - beta1.powi(*step as i32);
+                let bc2 = 1.0 - beta2.powi(*step as i32);
+                for ((m, v), g) in m.iter_mut().zip(v.iter_mut()).zip(update.iter_mut()) {
+                    *m = beta1 * *m + (1.0 - beta1) * *g;
+                    *v = beta2 * *v + (1.0 - beta2) * *g * *g;
+                    let m_hat = *m / bc1;
+                    let v_hat = *v / bc2;
+                    *g = m_hat / (v_hat.sqrt() + eps);
+                }
+            }
+            (kind, state) => panic!("{kind:?} does not own {state:?}"),
+        }
+        for g in &mut update {
+            *g *= lr;
+        }
+        update
+    }
+
+    /// Every bit of a state: Adam's step counter, then each buffer.
+    fn state_bits(state: &OptimizerState) -> Vec<u32> {
+        match state {
+            OptimizerState::Sgd => Vec::new(),
+            OptimizerState::Momentum { velocity } => velocity.iter().map(|x| x.to_bits()).collect(),
+            OptimizerState::Adam { step, m, v } => std::iter::once(*step)
+                .chain(m.iter().chain(v).map(|x| x.to_bits()))
+                .collect(),
+        }
+    }
+
+    /// `direction_into` equals copy → direction → scale by `to_bits`, output
+    /// and state, for every optimizer over 50 steps of gradients spanning
+    /// eight decades (exact zeros and `−0.0` included) and four learning
+    /// rates, across a `state` / `load_state` round trip at step 25.
+    #[test]
+    fn direction_into_matches_copy_direction_scale() {
+        const D: usize = 37;
+        for kind in [
+            OptimizerKind::Sgd,
+            OptimizerKind::Momentum(0.9),
+            OptimizerKind::Adam,
+        ] {
+            let mut rng = FastRng::new(0x0971, 3);
+            let mut opt = kind.build();
+            let mut reference = opt.state();
+            let mut out = vec![f32::NAN; D];
+            for step in 0..50 {
+                if step == 25 {
+                    let snap = opt.state();
+                    opt = kind.build();
+                    opt.load_state(&snap);
+                }
+                let grad: Vec<f32> = (0..D)
+                    .map(|i| match rng.next_range(8) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        scale => {
+                            (rng.next_f64() as f32 - 0.5)
+                                * 10f32.powi(scale as i32 - 5 + i as i32 % 3)
+                        }
+                    })
+                    .collect();
+                let lr = [0.05, 1e-3, 1.0, 0.1][step % 4];
+                let want = reference_step(kind, &mut reference, &grad, lr);
+                opt.direction_into(&grad, lr, &mut out);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(&want), "{kind:?} output at step {step}");
+                assert_eq!(
+                    state_bits(&opt.state()),
+                    state_bits(&reference),
+                    "{kind:?} state at step {step}"
+                );
             }
         }
     }

@@ -316,15 +316,18 @@ unsafe fn tile_avx512<const ROWS: usize, const VECS: usize>(
     }
 }
 
-/// Whether every value is finite. One max-reduction over the magnitude bits
-/// (exponent all ones ⇔ `|bits| >= 0x7f80_0000`), so the sweep vectorizes and
-/// has no early exit to mispredict on the path that matters — a finite `b`.
+/// Whether every value is finite: an OR over "exponent all ones" compares
+/// (`bits & 0x7f80_0000 == 0x7f80_0000` ⇔ `±∞` or NaN). Per lane that is an
+/// AND, an equality compare and an OR, all SSE2 integer instructions, so the
+/// sweep vectorizes at the baseline and has no early exit to mispredict on the
+/// path that matters — a finite `b`. (A max-reduction over the magnitude bits
+/// reads the same but needs an unsigned 32-bit max, which x86 gains only with
+/// SSE4.1: at the baseline it compiled to a compare-and-blend chain.)
 fn all_finite(values: &[f32]) -> bool {
     const EXPONENT: u32 = 0x7f80_0000;
-    let max_magnitude = values
+    !values
         .iter()
-        .fold(0u32, |acc, v| acc.max(v.to_bits() & 0x7fff_ffff));
-    max_magnitude < EXPONENT
+        .fold(false, |any, v| any | (v.to_bits() & EXPONENT == EXPONENT))
 }
 
 /// `out (m × n) = a (m × k) · b (k × n)`, all row-major, bit-identical to
@@ -385,12 +388,32 @@ pub fn matmul_nt_into(
     gemm(m, n, k, a, k, 1, panel, -0.0, out);
 }
 
-/// `out (cols × rows) = srcᵀ` for a row-major `rows × cols` source, walked in
-/// square blocks so both sides stay within a few cache lines per block.
+/// `out (cols × rows) = srcᵀ` for a row-major `rows × cols` source: the
+/// AVX-512 register transpose where the CPU has it, else
+/// [`transpose_scalar`]. A transpose only moves bits, so every build writes
+/// the same ones.
+///
+/// # Panics
+///
+/// Panics if `src` or `out` does not hold `rows · cols` values.
 fn transpose_into(rows: usize, cols: usize, src: &[f32], out: &mut [f32]) {
+    assert_eq!(src.len(), rows * cols, "transpose: src must be rows x cols");
+    assert_eq!(out.len(), rows * cols, "transpose: out must be cols x rows");
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx512f") {
+            // SAFETY: feature presence just checked; lengths asserted above.
+            return unsafe { transpose_avx512(rows, cols, src, out) };
+        }
+    }
+    transpose_scalar(rows, cols, src, out);
+}
+
+/// [`transpose_into`] walked in square blocks so both sides stay within a few
+/// cache lines per block: the build for hosts without AVX-512, and the
+/// differential tests' reference.
+fn transpose_scalar(rows: usize, cols: usize, src: &[f32], out: &mut [f32]) {
     const BLOCK: usize = 16;
-    debug_assert_eq!(src.len(), rows * cols);
-    debug_assert_eq!(out.len(), rows * cols);
     for r0 in (0..rows).step_by(BLOCK) {
         let r_end = (r0 + BLOCK).min(rows);
         for c0 in (0..cols).step_by(BLOCK) {
@@ -400,6 +423,114 @@ fn transpose_into(rows: usize, cols: usize, src: &[f32], out: &mut [f32]) {
                     out[c * rows + r] = src[r * cols + c];
                 }
             }
+        }
+    }
+}
+
+/// AVX-512 build of [`transpose_into`]: every full `16 × 16` block through
+/// [`transpose_tile_avx512`], the ragged right columns and bottom rows by the
+/// scalar assignment.
+///
+/// # Safety
+///
+/// Caller must have verified AVX-512F support at runtime and that `src` and
+/// `out` hold `rows · cols` values.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn transpose_avx512(rows: usize, cols: usize, src: &[f32], out: &mut [f32]) {
+    let (full_rows, full_cols) = (rows - rows % LANES, cols - cols % LANES);
+    for r0 in (0..full_rows).step_by(LANES) {
+        for c0 in (0..full_cols).step_by(LANES) {
+            // SAFETY: the block reads rows `r0..r0 + 16` and columns
+            // `c0..c0 + 16` of `src` and writes rows `c0..c0 + 16` and
+            // columns `r0..r0 + 16` of `out`, all inside the shapes the
+            // caller vouched for.
+            unsafe {
+                transpose_tile_avx512(
+                    src.as_ptr().add(r0 * cols + c0),
+                    cols,
+                    out.as_mut_ptr().add(c0 * rows + r0),
+                    rows,
+                );
+            }
+        }
+    }
+    for r in 0..rows {
+        for c in full_cols..cols {
+            out[c * rows + r] = src[r * cols + c];
+        }
+    }
+    for r in full_rows..rows {
+        for c in 0..full_cols {
+            out[c * rows + r] = src[r * cols + c];
+        }
+    }
+}
+
+/// Transposes one `16 × 16` block in registers: sixteen row loads, four
+/// shuffle stages, sixteen row stores.
+///
+/// 1. `unpacklo/hi_ps` interleave row pairs;
+/// 2. `unpacklo/hi_pd` pair those, so that in 128-bit lane `L` register
+///    `4q + c` holds rows `4q..4q + 4` of column `4L + c`;
+/// 3. and 4. two `shuffle_f32x4` rounds gather lane `L` of registers `c`,
+///    `4 + c`, `8 + c` and `12 + c` into output row `4L + c`.
+///
+/// # Safety
+///
+/// `src` must be readable at `i·src_stride + j` and `out` writable at
+/// `j·out_stride + i` for `i, j < 16`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn transpose_tile_avx512(
+    src: *const f32,
+    src_stride: usize,
+    out: *mut f32,
+    out_stride: usize,
+) {
+    use std::arch::x86_64::{
+        __m512, _mm512_castpd_ps, _mm512_castps_pd, _mm512_loadu_ps, _mm512_setzero_ps,
+        _mm512_shuffle_f32x4, _mm512_storeu_ps, _mm512_unpackhi_pd, _mm512_unpackhi_ps,
+        _mm512_unpacklo_pd, _mm512_unpacklo_ps,
+    };
+    let mut r = [_mm512_setzero_ps(); LANES];
+    for (i, row) in r.iter_mut().enumerate() {
+        // SAFETY: see the function contract.
+        *row = unsafe { _mm512_loadu_ps(src.add(i * src_stride)) };
+    }
+    let mut t = [_mm512_setzero_ps(); LANES];
+    for p in (0..LANES).step_by(2) {
+        t[p] = _mm512_unpacklo_ps(r[p], r[p + 1]);
+        t[p + 1] = _mm512_unpackhi_ps(r[p], r[p + 1]);
+    }
+    let lo = |a: __m512, b: __m512| {
+        _mm512_castpd_ps(_mm512_unpacklo_pd(_mm512_castps_pd(a), _mm512_castps_pd(b)))
+    };
+    let hi = |a: __m512, b: __m512| {
+        _mm512_castpd_ps(_mm512_unpackhi_pd(_mm512_castps_pd(a), _mm512_castps_pd(b)))
+    };
+    for q in (0..LANES).step_by(4) {
+        r[q] = lo(t[q], t[q + 2]);
+        r[q + 1] = hi(t[q], t[q + 2]);
+        r[q + 2] = lo(t[q + 1], t[q + 3]);
+        r[q + 3] = hi(t[q + 1], t[q + 3]);
+    }
+    for c in 0..4 {
+        t[c] = _mm512_shuffle_f32x4::<0x88>(r[c], r[4 + c]);
+        t[4 + c] = _mm512_shuffle_f32x4::<0xdd>(r[c], r[4 + c]);
+        t[8 + c] = _mm512_shuffle_f32x4::<0x88>(r[8 + c], r[12 + c]);
+        t[12 + c] = _mm512_shuffle_f32x4::<0xdd>(r[8 + c], r[12 + c]);
+    }
+    for c in 0..4 {
+        let rows = [
+            (c, _mm512_shuffle_f32x4::<0x88>(t[c], t[8 + c])),
+            (4 + c, _mm512_shuffle_f32x4::<0x88>(t[4 + c], t[12 + c])),
+            (8 + c, _mm512_shuffle_f32x4::<0xdd>(t[c], t[8 + c])),
+            (12 + c, _mm512_shuffle_f32x4::<0xdd>(t[4 + c], t[12 + c])),
+        ];
+        for (j, row) in rows {
+            // SAFETY: see the function contract.
+            unsafe { _mm512_storeu_ps(out.add(j * out_stride), row) };
         }
     }
 }
@@ -744,15 +875,80 @@ mod tests {
         matmul_into(3, 4, 0, &[0.0; 12], &[], &mut []);
     }
 
+    /// `all_finite` agrees with `iter().all(f32::is_finite)` on every length
+    /// 0..=67 (every vector-body and tail remainder) with `±∞`, a quiet NaN,
+    /// a negative quiet NaN and a signalling NaN at every index, and on
+    /// finite vectors holding `±0.0`, subnormals, the smallest normal and
+    /// `±f32::MAX`.
     #[test]
-    fn all_finite_sees_every_non_finite_value() {
-        let mut values = vec![1.0f32, -0.0, f32::MAX, f32::MIN_POSITIVE, 1e-45];
-        assert!(all_finite(&values));
-        assert!(all_finite(&[]));
-        for bad in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN] {
-            values.push(bad);
-            assert!(!all_finite(&values), "{bad}");
-            values.pop();
+    fn all_finite_matches_is_finite_at_every_index() {
+        let specials = [
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(0xffc0_0001),
+            f32::from_bits(0x7fa0_0000),
+        ];
+        let finite = [
+            0.0,
+            -0.0,
+            1e-45,
+            -1e-45,
+            f32::from_bits(0x007f_ffff),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            1.0,
+        ];
+        let mut rng = FastRng::new(0xf1, 0);
+        for len in 0..=67 {
+            let mut values: Vec<f32> = (0..len)
+                .map(|_| finite[rng.next_range(finite.len() as u64) as usize])
+                .collect();
+            assert!(values.iter().all(|v| v.is_finite()));
+            assert!(all_finite(&values), "len {len}: {values:?}");
+            for &bad in &specials {
+                assert!(bad.to_bits() & 0x7f80_0000 == 0x7f80_0000);
+                for at in 0..len {
+                    let kept = std::mem::replace(&mut values[at], bad);
+                    assert_eq!(
+                        all_finite(&values),
+                        values.iter().all(|v| v.is_finite()),
+                        "len {len}, {:#010x} at {at}",
+                        bad.to_bits()
+                    );
+                    values[at] = kept;
+                }
+            }
+        }
+    }
+
+    /// The dispatched transpose (the AVX-512 register transpose on a host
+    /// that has it) writes the bits of the scalar loop for every shape with
+    /// rows and cols in {1, 15, 16, 17, 33, 50, 64, 128, 512}: full blocks,
+    /// ragged right columns, ragged bottom rows, and shapes with no full
+    /// block. Sources are raw bit patterns, signalling NaNs included.
+    #[test]
+    fn transpose_builds_match_scalar() {
+        const SIDES: [usize; 9] = [1, 15, 16, 17, 33, 50, 64, 128, 512];
+        for rows in SIDES {
+            for cols in SIDES {
+                let mut rng = FastRng::new(0x7a, (rows * 1_000 + cols) as u64);
+                let src: Vec<f32> = (0..rows * cols)
+                    .map(|_| f32::from_bits(rng.next_u64() as u32))
+                    .collect();
+                let mut want = vec![0.0f32; rows * cols];
+                transpose_scalar(rows, cols, &src, &mut want);
+                for r in [0, rows / 2, rows - 1] {
+                    for c in [0, cols / 2, cols - 1] {
+                        assert_eq!(want[c * rows + r].to_bits(), src[r * cols + c].to_bits());
+                    }
+                }
+                let mut got = vec![7.0f32; rows * cols];
+                transpose_into(rows, cols, &src, &mut got);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert!(bits(&got) == bits(&want), "{rows} x {cols}");
+            }
         }
     }
 

@@ -1543,7 +1543,13 @@ impl SignVec {
     #[must_use]
     pub fn matching_count(&self, other: &SignVec) -> usize {
         assert_eq!(self.len, other.len, "length mismatch");
-        self.len - self.xor(other).count_ones()
+        let differing: usize = self
+            .words
+            .iter()
+            .zip(&other.words)
+            .map(|(a, b)| (a ^ b).count_ones() as usize)
+            .sum();
+        self.len - differing
     }
 
     /// Fraction of positions where `self` and `other` agree, in `[0, 1]`.

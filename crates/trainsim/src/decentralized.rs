@@ -10,7 +10,7 @@
 //! topology".
 
 use marsit_collectives::gossip::{consensus_error, gossip_ring_step};
-use marsit_models::{Evaluation, Mlp, Model, Optimizer};
+use marsit_models::{Evaluation, Mlp, MlpWorkspace, Model, Optimizer};
 use marsit_simnet::PhaseBreakdown;
 use marsit_tensor::rng::{split_seed, FastRng};
 
@@ -89,18 +89,21 @@ fn run_gossip(cfg: &TrainConfig) -> (GossipReport, Vec<Vec<f32>>) {
     let round_time = PhaseBreakdown::new(timing.compute_time(), 0.0, comm);
 
     let mut scratch = reference;
+    let mut ws = MlpWorkspace::default();
+    let mut batch = shards[0].select(&[]);
     let mut grad = vec![0.0f32; d];
+    let mut update = vec![0.0f32; d];
     let mut records = Vec::with_capacity(cfg.rounds);
     let mut total_time = PhaseBreakdown::zero();
     for t in 0..cfg.rounds {
         let mut loss_sum = 0.0;
         for w in 0..m {
             scratch.write_params(&params[w]);
-            let batch = shards[w].sample_batch(cfg.batch_per_worker, &mut rngs[w]);
-            loss_sum += scratch.loss_and_grad(&batch, &mut grad);
-            optimizers[w].direction(&mut grad);
-            for (x, &g) in params[w].iter_mut().zip(&grad) {
-                *x -= cfg.local_lr * g;
+            shards[w].sample_batch_into(cfg.batch_per_worker, &mut rngs[w], &mut batch);
+            loss_sum += scratch.loss_and_grad_in(&batch, &mut grad, &mut ws);
+            optimizers[w].direction_into(&grad, cfg.local_lr, &mut update);
+            for (x, &u) in params[w].iter_mut().zip(&update) {
+                *x -= u;
             }
         }
         let _ = gossip_ring_step(&mut params).expect("harness builds a valid ring");

@@ -57,7 +57,7 @@ pub struct TrainSnapshot {
     pub cumulative_bits_per_worker: f64,
     /// Total elements transferred (wire-width denominator).
     pub total_elements: u64,
-    /// Whether a non-finite loss has been observed.
+    /// Whether a non-finite loss or gradient has been observed.
     pub diverged: bool,
     /// Aggregate fault-layer activity so far.
     pub run_faults: FaultStats,

@@ -170,7 +170,9 @@ pub struct TrainReport {
     pub total_bytes: usize,
     /// Traffic-weighted average wire bits per element over the run.
     pub avg_wire_bits_per_element: f64,
-    /// Whether training diverged (non-finite loss observed).
+    /// Whether training diverged: a non-finite loss or raw gradient was
+    /// observed. (The loss alone can stay finite over NaN parameters: the
+    /// cross-entropy clamps the probability it takes the log of.)
     pub diverged: bool,
     /// Aggregate fault-layer activity over the run (all-zero when the
     /// fault plan is [`FaultPlan::none`]).
@@ -319,6 +321,8 @@ struct StepScratch {
     /// Forward/backward scratch: one shared by all workers on the sequential
     /// path, one per worker thread with `parallel_workers`.
     workspaces: Vec<MlpWorkspace>,
+    /// Sampled minibatches, laid out like `workspaces`.
+    batches: Vec<Dataset>,
     /// Raw stochastic gradients (before the optimizer), laid out like
     /// `workspaces`.
     raw_grads: Vec<Vec<f32>>,
@@ -485,7 +489,10 @@ impl TrainerState {
     #[must_use]
     pub fn replicas_consistent(&self) -> bool {
         let p0 = self.models[0].params();
-        self.models.iter().skip(1).all(|model| model.params() == p0)
+        self.models
+            .iter()
+            .skip(1)
+            .all(|model| same_bits(model.params(), p0))
     }
 
     /// Runs one synchronization round.
@@ -520,28 +527,28 @@ impl TrainerState {
         let parallel = cfg.parallel_workers && m > 1;
         let lanes = if parallel { m } else { 1 };
         scratch.workspaces.resize_with(lanes, MlpWorkspace::default);
+        scratch
+            .batches
+            .resize_with(lanes, || self.shards[0].select(&[]));
         scratch.raw_grads.resize_with(lanes, || vec![0.0; d]);
         scratch.local_updates.resize_with(m, || vec![0.0; d]);
         scratch.losses.resize(m, 0.0);
         scratch.raw_grad_mean.clear();
         scratch.raw_grad_mean.resize(d, 0.0);
-        let accumulate = |mean: &mut [f64], raw_grad: &[f32]| {
-            for (acc, &g) in mean.iter_mut().zip(raw_grad) {
-                *acc += f64::from(g) / m as f64;
-            }
-        };
         if parallel {
             std::thread::scope(|scope| {
-                for (((((((loss, model), opt), rng), shard), ws), raw_grad), update) in scratch
-                    .losses
-                    .iter_mut()
-                    .zip(&mut self.models)
-                    .zip(&mut self.optimizers)
-                    .zip(&mut self.worker_rngs)
-                    .zip(&self.shards)
-                    .zip(&mut scratch.workspaces)
-                    .zip(&mut scratch.raw_grads)
-                    .zip(&mut scratch.local_updates)
+                for ((((((((loss, model), opt), rng), shard), ws), batch), raw_grad), update) in
+                    scratch
+                        .losses
+                        .iter_mut()
+                        .zip(&mut self.models)
+                        .zip(&mut self.optimizers)
+                        .zip(&mut self.worker_rngs)
+                        .zip(&self.shards)
+                        .zip(&mut scratch.workspaces)
+                        .zip(&mut scratch.batches)
+                        .zip(&mut scratch.raw_grads)
+                        .zip(&mut scratch.local_updates)
                 {
                     scope.spawn(move || {
                         *loss = worker_step(
@@ -552,6 +559,7 @@ impl TrainerState {
                             batch_per_worker,
                             lr,
                             ws,
+                            batch,
                             raw_grad,
                             update,
                         );
@@ -559,7 +567,7 @@ impl TrainerState {
                 }
             });
             for raw_grad in &scratch.raw_grads {
-                accumulate(&mut scratch.raw_grad_mean, raw_grad);
+                accumulate_mean(&mut scratch.raw_grad_mean, raw_grad, m);
             }
         } else {
             for w in 0..m {
@@ -571,16 +579,17 @@ impl TrainerState {
                     batch_per_worker,
                     lr,
                     &mut scratch.workspaces[0],
+                    &mut scratch.batches[0],
                     &mut scratch.raw_grads[0],
                     &mut scratch.local_updates[w],
                 );
-                accumulate(&mut scratch.raw_grad_mean, &scratch.raw_grads[0]);
+                accumulate_mean(&mut scratch.raw_grad_mean, &scratch.raw_grads[0], m);
             }
         }
         let loss_sum: f64 = scratch.losses.iter().fold(0.0, |sum, &loss| sum + loss);
         let mean_grad_norm_sq: f64 = scratch.raw_grad_mean.iter().map(|&g| g * g).sum();
         let train_loss = loss_sum / m as f64;
-        if !train_loss.is_finite() {
+        if !train_loss.is_finite() || !mean_grad_norm_sq.is_finite() {
             self.diverged = true;
         }
 
@@ -622,7 +631,7 @@ impl TrainerState {
             let p0 = self.models[0].params();
             for (w, model) in self.models.iter().enumerate().skip(1) {
                 assert!(
-                    model.params() == p0,
+                    same_bits(model.params(), p0),
                     "replica {w} diverged from consensus at round {t}"
                 );
             }
@@ -829,10 +838,10 @@ impl TrainerState {
 }
 
 /// The per-worker gradient-compute phase, shared verbatim by the sequential
-/// and the thread-per-worker paths so both produce identical bits: writes the
-/// raw stochastic gradient (before the optimizer) to `raw_grad` and the
-/// `η_l`-scaled update direction handed to the synchronization layer to
-/// `update`, and returns the minibatch loss.
+/// and the thread-per-worker paths so both produce identical bits: samples
+/// the minibatch into `batch`, writes the raw stochastic gradient (before the
+/// optimizer) to `raw_grad` and the `η_l`-scaled update direction handed to
+/// the synchronization layer to `update`, and returns the minibatch loss.
 #[allow(clippy::too_many_arguments)]
 fn worker_step(
     model: &mut Mlp,
@@ -842,17 +851,41 @@ fn worker_step(
     batch_per_worker: usize,
     lr: f32,
     ws: &mut MlpWorkspace,
+    batch: &mut Dataset,
     raw_grad: &mut [f32],
     update: &mut [f32],
 ) -> f64 {
-    let batch = shard.sample_batch(batch_per_worker, rng);
-    let loss = model.loss_and_grad_in(&batch, raw_grad, ws);
-    update.copy_from_slice(raw_grad);
-    optimizer.direction(update);
-    for g in update.iter_mut() {
-        *g *= lr;
-    }
+    shard.sample_batch_into(batch_per_worker, rng, batch);
+    let loss = model.loss_and_grad_in(batch, raw_grad, ws);
+    optimizer.direction_into(raw_grad, lr, update);
     loss
+}
+
+/// `mean[i] += raw_grad[i] / m` in f64: one worker's term of the raw
+/// gradient mean. For a power-of-two `m = 2^p` the division is a
+/// multiplication by the exact reciprocal `2^-p`, with the same bits: a
+/// widened `f32` is `±s·2^e` with `s < 2^24` and `e ≥ −149`, so `x·2^-p` is
+/// representable in f64 (no rounding, no underflow while `p < 874`), and
+/// both `x / 2^p` and `x · 2^-p` return that exact value — or the same `±0`,
+/// `±∞` or NaN. For any other `m`, `1/m` is inexact and the division stays.
+fn accumulate_mean(mean: &mut [f64], raw_grad: &[f32], m: usize) {
+    if m.is_power_of_two() {
+        let inv_m = 1.0 / m as f64;
+        for (acc, &g) in mean.iter_mut().zip(raw_grad) {
+            *acc += f64::from(g) * inv_m;
+        }
+    } else {
+        let m = m as f64;
+        for (acc, &g) in mean.iter_mut().zip(raw_grad) {
+            *acc += f64::from(g) / m;
+        }
+    }
+}
+
+/// Whether two parameter vectors hold the same bits. Not `==`: a diverged run
+/// holds NaN, which is unequal to itself even in bit-identical replicas.
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Bytes of one retransmitted segment at logical model scale: a ring-style
@@ -1080,5 +1113,59 @@ mod tests {
         let b = train(&cfg);
         assert_eq!(a.final_eval, b.final_eval);
         assert_eq!(a.total_bytes, b.total_bytes);
+    }
+
+    /// For a power-of-two worker count the gradient mean multiplies by the
+    /// exact reciprocal; every term and every accumulated sum equals the
+    /// division's, for M ∈ {2, 4, 8, 16}, on f32 bit patterns
+    /// drawn across every exponent (subnormals, `±∞` and NaN included) and on
+    /// the named specials.
+    #[test]
+    fn power_of_two_mean_matches_division() {
+        const D: usize = 4099;
+        let specials = [
+            0.0,
+            -0.0,
+            1e-45,
+            -1e-45,
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(0x7fa0_0001),
+        ];
+        for m in [2, 4, 8, 16] {
+            let mut rng = FastRng::new(0x3ea7, m as u64);
+            let mut got = vec![0.0f64; D];
+            let mut want = vec![0.0f64; D];
+            for _ in 0..m {
+                let grad: Vec<f32> = (0..D)
+                    .map(|i| match i % 8 {
+                        0 => specials[rng.next_range(specials.len() as u64) as usize],
+                        _ => f32::from_bits(rng.next_u64() as u32),
+                    })
+                    .collect();
+                for &g in &grad {
+                    let x = f64::from(g);
+                    let (by_mul, by_div) = (x * (1.0 / m as f64), x / m as f64);
+                    assert_eq!(by_mul.to_bits(), by_div.to_bits(), "{g:e} / {m}");
+                }
+                accumulate_mean(&mut got, &grad, m);
+                for (acc, &g) in want.iter_mut().zip(&grad) {
+                    *acc += f64::from(g) / m as f64;
+                }
+            }
+            // The sums by `to_bits` too, except that any NaN equals any NaN:
+            // which payload survives when two NaNs meet in one add is the
+            // operand order the compiler picked for that loop (DESIGN §17).
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                    "M = {m}, element {i}: {g:e} against {w:e}"
+                );
+            }
+        }
     }
 }

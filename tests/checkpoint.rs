@@ -178,6 +178,42 @@ fn snapshot_is_side_effect_free() {
     assert_eq!(baseline, state.finish());
 }
 
+/// A diverging run keeps going with its replicas bit-identical. At
+/// `η_l = 1e30` PSGD's parameters overflow to `±∞` and then to NaN within a
+/// few rounds, and NaN ≠ NaN: a consistency check by `==` panicked ("replica
+/// 1 diverged from consensus at round 16") although every replica held the
+/// same bits. The checks compare bits, so the run finishes its 64 rounds
+/// flagged `diverged`, and its snapshot round-trips byte for byte.
+#[test]
+fn diverged_run_stays_consistent_and_snapshots() {
+    let mut cfg = TrainConfig::new(
+        Workload::AlexNetMnist,
+        Topology::ring(4),
+        StrategyKind::Psgd,
+    );
+    cfg.rounds = 64;
+    cfg.local_lr = 1e30;
+    cfg.train_examples = 2048;
+    cfg.test_examples = 128;
+    assert!(cfg.check_consistency);
+    let mut state = TrainerState::new(&cfg);
+    while !state.is_done() {
+        state.step();
+    }
+    assert!(state.replicas_consistent());
+    let snap = state.snapshot();
+    assert!(snap.params.iter().any(|p| p.is_nan()), "the run diverged");
+    let bytes = snap.to_json();
+    let parsed = TrainSnapshot::from_json(&bytes).expect("snapshot parses");
+    assert_eq!(parsed.to_json(), bytes, "round-trip must be lossless");
+    let mut restored = TrainerState::restore(&cfg, &parsed);
+    assert!(restored.replicas_consistent());
+    assert_eq!(restored.snapshot().to_json(), bytes);
+    let report = state.finish();
+    assert!(report.diverged);
+    assert_eq!(report.records.len(), 64);
+}
+
 /// The hand-built snapshot the format tests share.
 fn small_snapshot() -> TrainSnapshot {
     use marsit::models::OptimizerState;
