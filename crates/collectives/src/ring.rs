@@ -45,11 +45,11 @@ use crate::trace::Trace;
 /// Panics if `m == 0`.
 #[must_use]
 pub fn segment_ranges(d: usize, m: usize) -> Vec<Range<usize>> {
-    segments(d, m).collect()
+    segment_iter(d, m).collect()
 }
 
 /// The ranges of [`segment_ranges`], in order, without collecting them.
-fn segments(d: usize, m: usize) -> impl Iterator<Item = Range<usize>> {
+fn segment_iter(d: usize, m: usize) -> impl Iterator<Item = Range<usize>> {
     assert!(m > 0, "segment count must be positive");
     let (base, extra) = (d / m, d % m);
     (0..m).scan(0, move |start, i| {
@@ -376,7 +376,7 @@ impl Book {
     ) {
         if self.segs.len() != segments || self.segs.last().is_none_or(|r| r.end != d) {
             self.segs.clear();
-            self.segs.extend(self::segments(d, segments));
+            self.segs.extend(segment_iter(d, segments));
         }
         self.counts.resize_with(workers, Vec::new);
         for (w, counts) in self.counts.iter_mut().enumerate() {

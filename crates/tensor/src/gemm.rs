@@ -320,9 +320,8 @@ unsafe fn tile_avx512<const ROWS: usize, const VECS: usize>(
 /// (`bits & 0x7f80_0000 == 0x7f80_0000` ⇔ `±∞` or NaN). Per lane that is an
 /// AND, an equality compare and an OR, all SSE2 integer instructions, so the
 /// sweep vectorizes at the baseline and has no early exit to mispredict on the
-/// path that matters — a finite `b`. (A max-reduction over the magnitude bits
-/// reads the same but needs an unsigned 32-bit max, which x86 gains only with
-/// SSE4.1: at the baseline it compiled to a compare-and-blend chain.)
+/// path that matters — a finite `b`. (Not a max-reduction over the magnitude
+/// bits: that needs an unsigned 32-bit max, which x86 gains only with SSE4.1.)
 fn all_finite(values: &[f32]) -> bool {
     const EXPONENT: u32 = 0x7f80_0000;
     !values

@@ -224,7 +224,9 @@ mod tests {
 
     /// Pins `cfg(4, 20)` bit for bit, with plain SGD and with momentum: a
     /// fingerprint of every round's loss and consensus error, and one of
-    /// every worker's final parameters.
+    /// every worker's final parameters. Recorded while each step still drew
+    /// a fresh workspace and minibatch and scaled the optimizer's direction
+    /// in a pass of its own.
     #[test]
     fn gossip_golden() {
         for (optimizer, want) in [

@@ -121,10 +121,8 @@ fn warm_mlp_pass_allocates_nothing() {
 /// buffer: minibatches, gradients, updates, the f64 gradient mean, the sign
 /// vectors of the matching rate, the synchronizer's outcome and the
 /// parameter update all live in state the trainer owns. A warm one-bit step
-/// makes no allocator call at all (it made 27 on this shape: 3 per worker for
-/// the sampled minibatch, one for the matching rate's XOR and two for the
-/// torus' ring segment tables); a full-precision step still makes a few small
-/// ones.
+/// makes no allocator call at all; a full-precision step still makes a few
+/// small ones.
 #[test]
 fn sequential_step_allocates_no_model_sized_buffer() {
     let mut cfg = TrainConfig::new(
