@@ -144,7 +144,7 @@ fn combine_ablation() {
 fn train_with_combine(unweighted: bool) -> f64 {
     use marsit_core::{Marsit, MarsitConfig};
     use marsit_datagen::synthetic::mnist_like;
-    use marsit_models::{Mlp, Model};
+    use marsit_models::Mlp;
 
     let m = 8;
     let (train_set, test_set) = mnist_like().generate_split(8192, 1024, 3);

@@ -11,7 +11,7 @@
 //! # Examples
 //!
 //! ```
-//! use marsit_models::{Mlp, Model, Workload};
+//! use marsit_models::{Mlp, Workload};
 //! use marsit_datagen::synthetic::cifar10_like;
 //!
 //! let (train, test) = cifar10_like().generate_split(512, 128, 0);
@@ -30,6 +30,6 @@ pub mod optim;
 pub mod proxy;
 
 pub use mlp::{Mlp, MlpSpec, MlpWorkspace};
-pub use model::{Evaluation, Model};
+pub use model::Evaluation;
 pub use optim::{Adam, Momentum, Optimizer, OptimizerKind, OptimizerState, Sgd};
 pub use proxy::Workload;

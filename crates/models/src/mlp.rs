@@ -10,7 +10,7 @@ use marsit_tensor::gemm::{matmul_into, matmul_nt_into, matmul_tn_into};
 use marsit_tensor::rng::FastRng;
 use marsit_tensor::Tensor;
 
-use crate::model::{Evaluation, Model};
+use crate::model::Evaluation;
 
 /// Architecture description for an [`Mlp`].
 ///
@@ -93,7 +93,7 @@ impl MlpSpec {
 /// # Examples
 ///
 /// ```
-/// use marsit_models::{Mlp, MlpSpec, Model};
+/// use marsit_models::{Mlp, MlpSpec};
 /// use marsit_datagen::synthetic::mnist_like;
 ///
 /// let (train, _) = mnist_like().generate_split(64, 16, 0);
@@ -210,7 +210,7 @@ impl Mlp {
         &self.spec
     }
 
-    /// The flat parameter buffer (what [`Model::read_params`] copies out).
+    /// The flat parameter buffer (what [`Mlp::params_vec`] copies out).
     #[must_use]
     pub fn params(&self) -> &[f32] {
         &self.params
@@ -236,13 +236,13 @@ impl Mlp {
         affine(last, &self.params, n, input, &mut ws.logits);
     }
 
-    /// [`Model::loss_and_grad`] with caller-owned scratch: same loss, same
+    /// [`Mlp::loss_and_grad`] with caller-owned scratch: same loss, same
     /// gradient bits, and no allocation once `ws` is warm. `dW` of every
     /// layer is written straight into `grad_out`.
     ///
     /// # Panics
     ///
-    /// As [`Model::loss_and_grad`].
+    /// As [`Mlp::loss_and_grad`].
     pub fn loss_and_grad_in(
         &self,
         batch: &Dataset,
@@ -373,26 +373,47 @@ fn softmax_xent(logits: &mut [f32], classes: usize, labels: &[usize]) -> f64 {
     loss / labels.len() as f64
 }
 
-impl Model for Mlp {
-    fn num_params(&self) -> usize {
+/// The flat parameter and gradient views the synchronization layer works on:
+/// whatever the layers, parameters and gradients are contiguous `f32`
+/// slices, the shape in which they are compressed and transmitted.
+impl Mlp {
+    /// Total number of trainable parameters `D`.
+    #[must_use]
+    pub fn num_params(&self) -> usize {
         self.params.len()
     }
 
-    fn read_params(&self, out: &mut [f32]) {
-        assert_eq!(out.len(), self.params.len(), "parameter length mismatch");
-        out.copy_from_slice(&self.params);
+    /// The parameters as a fresh vector.
+    #[must_use]
+    pub fn params_vec(&self) -> Vec<f32> {
+        self.params.clone()
     }
 
-    fn write_params(&mut self, params: &[f32]) {
+    /// Overwrites the parameters from `params`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.len() != num_params()`.
+    pub fn write_params(&mut self, params: &[f32]) {
         assert_eq!(params.len(), self.params.len(), "parameter length mismatch");
         self.params.copy_from_slice(params);
     }
 
-    fn loss_and_grad(&self, batch: &Dataset, grad_out: &mut [f32]) -> f64 {
+    /// Computes the mean loss on `batch`, writes its gradient with respect
+    /// to the parameters into `grad_out`, and returns the loss. Identical
+    /// parameters and batches give identical bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad_out.len() != num_params()` or if the batch
+    /// dimensionality does not match the model.
+    pub fn loss_and_grad(&self, batch: &Dataset, grad_out: &mut [f32]) -> f64 {
         self.loss_and_grad_in(batch, grad_out, &mut MlpWorkspace::default())
     }
 
-    fn evaluate(&self, data: &Dataset) -> Evaluation {
+    /// Evaluates loss and top-1 accuracy on `data`.
+    #[must_use]
+    pub fn evaluate(&self, data: &Dataset) -> Evaluation {
         let mut ws = MlpWorkspace::default();
         self.forward(data.features().as_slice(), &mut ws);
         let classes = self.spec.output_dim;
@@ -407,7 +428,13 @@ impl Model for Mlp {
         }
     }
 
-    fn apply_update(&mut self, update: &[f32]) {
+    /// Applies `params[i] -= update[i]` for all `i` — the raw model update
+    /// of Marsit's Algorithm 2, line 6 (`x_{t+1} = x_t − g_t`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `update.len() != num_params()`.
+    pub fn apply_update(&mut self, update: &[f32]) {
         assert_eq!(update.len(), self.params.len(), "update length mismatch");
         for (x, &u) in self.params.iter_mut().zip(update) {
             *x -= u;

@@ -10,7 +10,7 @@
 //! topology".
 
 use marsit_collectives::gossip::{consensus_error, gossip_ring_step};
-use marsit_models::{Evaluation, Mlp, MlpWorkspace, Model, Optimizer};
+use marsit_models::{Evaluation, Mlp, MlpWorkspace, Optimizer};
 use marsit_simnet::PhaseBreakdown;
 use marsit_tensor::rng::{split_seed, FastRng};
 

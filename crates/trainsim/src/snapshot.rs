@@ -39,7 +39,7 @@ pub struct TrainSnapshot {
     pub round: u64,
     /// Current local learning rate (after any full-precision decays).
     pub lr: f32,
-    /// The consensus parameter vector shared by every replica.
+    /// The parameter vector of the consensus model every worker applies.
     pub params: Vec<f32>,
     /// Per-worker optimizer states.
     pub optimizers: Vec<OptimizerState>,

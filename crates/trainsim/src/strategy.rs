@@ -1,8 +1,8 @@
 //! Synchronization strategies: the six approaches of the paper's evaluation.
 //!
 //! Every strategy consumes the workers' scaled local updates (`η_l` times the
-//! optimizer direction) and produces the consensus global update applied by
-//! all replicas, plus the transfer trace. The six kinds match Figures 4–5
+//! optimizer direction) and produces the consensus global update applied to
+//! the one model, plus the transfer trace. The six kinds match Figures 4–5
 //! and Table 2:
 //!
 //! | Kind | Aggregation | Payload per hop |

@@ -1,15 +1,15 @@
 //! The distributed-training simulator: cluster, training loop, and reports.
 //!
 //! [`train`] runs the full pipeline of the paper's experiments: an IID-
-//! sharded synthetic dataset, `M` model replicas computing true stochastic
-//! gradients, a local optimizer per worker, and one of the six
-//! synchronization strategies. Per round it records loss, sign matching
-//! rate, simulated phase times, and exact wire-bit accounting — everything
-//! Figures 1, 3, 4, 5 and Tables 1–2 read out.
+//! sharded synthetic dataset, `M` workers computing true stochastic
+//! gradients on one consensus model, a local optimizer per worker, and one
+//! of the six synchronization strategies. Per round it records loss, sign
+//! matching rate, simulated phase times, and exact wire-bit accounting —
+//! everything Figures 1, 3, 4, 5 and Tables 1–2 read out.
 
 use marsit_datagen::synthetic::{cifar10_like, imagenet_like, imdb_like, mnist_like};
 use marsit_datagen::Dataset;
-use marsit_models::{Evaluation, Mlp, MlpWorkspace, Model, Optimizer, OptimizerKind, Workload};
+use marsit_models::{Evaluation, Mlp, MlpWorkspace, Optimizer, OptimizerKind, Workload};
 use marsit_simnet::{cost, FaultPlan, FaultStats, PhaseBreakdown, RateProfile, Topology};
 use marsit_telemetry::{scoped, Telemetry};
 use marsit_tensor::rng::{split_seed, FastRng};
@@ -53,9 +53,6 @@ pub struct TrainConfig {
     /// Multiply `η_l` by this factor at every full-precision round (the
     /// paper decays by 0.1 at full-precision synchronizations).
     pub lr_decay_on_full_precision: Option<f32>,
-    /// Assert that all replicas stay bitwise identical after every
-    /// synchronization (the MAR consensus invariant).
-    pub check_consistency: bool,
     /// Label-skewed (non-IID) sharding with this Dirichlet `alpha`;
     /// `None` keeps the paper's IID assumption. Used to probe the
     /// compensation mechanism's IID justification (Section 4.1.3).
@@ -66,10 +63,11 @@ pub struct TrainConfig {
     /// Marsit strategy supports an active plan.
     pub fault_plan: FaultPlan,
     /// Run the per-worker gradient-compute phase on one OS thread per
-    /// worker. Bit-identical to the sequential path: every worker owns its
-    /// model, optimizer, and `split_seed`-derived RNG stream, and the
-    /// results are reduced in worker order on the main thread, so the
-    /// resulting [`TrainReport`] is byte-for-byte the same either way.
+    /// worker. Bit-identical to the sequential path: the workers read the
+    /// one consensus model, every worker owns its optimizer and
+    /// `split_seed`-derived RNG stream, and the results are reduced in
+    /// worker order on the main thread, so the resulting [`TrainReport`] is
+    /// byte-for-byte the same either way.
     pub parallel_workers: bool,
     /// Telemetry handle. The default ([`Telemetry::disabled`]) records
     /// nothing and adds no per-round work; an enabled handle receives a
@@ -100,7 +98,6 @@ impl TrainConfig {
             rates: RateProfile::public_cloud(),
             overlap: true,
             lr_decay_on_full_precision: None,
-            check_consistency: true,
             data_skew: None,
             fault_plan: FaultPlan::none(),
             parallel_workers: true,
@@ -267,8 +264,7 @@ pub fn elements_per_round(topology: Topology, d: usize) -> usize {
 /// # Panics
 ///
 /// Panics on inconsistent configuration (topology vs worker counts,
-/// zero-sized datasets) and — with `check_consistency` — if the replicas
-/// ever disagree after a synchronization.
+/// zero-sized datasets).
 #[must_use]
 pub fn train(cfg: &TrainConfig) -> TrainReport {
     let mut state = TrainerState::new(cfg);
@@ -283,18 +279,23 @@ pub fn train(cfg: &TrainConfig) -> TrainReport {
 ///
 /// Everything derivable from the [`TrainConfig`] (datasets, shards, the
 /// timing model) is rebuilt on construction; everything that evolves
-/// (replicas, optimizer/synchronizer state, RNG streams, accumulators,
+/// (the model, optimizer/synchronizer state, RNG streams, accumulators,
 /// round records) lives here and is captured by [`TrainerState::snapshot`].
 /// A run restored from a snapshot continues **bit-identically** to one that
 /// never stopped — same outcome words, same records, same telemetry events
 /// (the restored run emits no fresh `run_meta`, so an uninterrupted event
 /// log equals the prefix + resumed concatenation).
+///
+/// Every worker receives the same aggregate from the all-reduce and applies
+/// it (Algorithm 2, line 6: `x_{t+1} = x_t − g_t`), so the state holds
+/// **one** model beside `M` optimizers and RNG streams, and applies the
+/// consensus update to it once per round.
 pub struct TrainerState {
     cfg: TrainConfig,
     shards: Vec<Dataset>,
     test_set: Dataset,
     d: usize,
-    models: Vec<Mlp>,
+    model: Mlp,
     optimizers: Vec<Box<dyn Optimizer>>,
     worker_rngs: Vec<FastRng>,
     sync: Synchronizer,
@@ -362,7 +363,7 @@ impl TrainerState {
                     ("seed", cfg.seed.into()),
                     ("strategy", cfg.strategy.label().into()),
                     ("topology", format!("{:?}", cfg.topology).into()),
-                    ("workers", state.models.len().into()),
+                    ("workers", state.optimizers.len().into()),
                     ("d", state.d.into()),
                     ("rounds", cfg.rounds.into()),
                     ("alpha_s", cfg.rates.link.latency_s().into()),
@@ -378,7 +379,7 @@ impl TrainerState {
 
     /// Everything deterministically derivable from the configuration, with
     /// zeroed run-state accumulators. Shared by [`TrainerState::new`] and
-    /// [`TrainerState::restore`]: the replicas start from `params` when given,
+    /// [`TrainerState::restore`]: the model starts from `params` when given,
     /// else from the He initialization (whose RNG stream feeds nothing else,
     /// so skipping it changes no other draw).
     fn build(cfg: &TrainConfig, params: Option<Vec<f32>>) -> Self {
@@ -393,12 +394,10 @@ impl TrainerState {
         let spec = cfg.workload.proxy_spec();
         let d = spec.num_params();
 
-        // Identical replicas (consensus holds by induction from round 0).
-        let reference = match params {
+        let model = match params {
             Some(params) => Mlp::from_params(spec, params),
             None => Mlp::new(spec, split_seed(cfg.seed, 0x30DE)),
         };
-        let models: Vec<Mlp> = vec![reference; m];
         let optimizers: Vec<Box<dyn Optimizer>> = (0..m).map(|_| cfg.optimizer.build()).collect();
         let worker_rngs: Vec<FastRng> = (0..m)
             .map(|w| FastRng::new(split_seed(cfg.seed, a_seed(w)), 1))
@@ -424,7 +423,7 @@ impl TrainerState {
             shards,
             test_set,
             d,
-            models,
+            model,
             optimizers,
             worker_rngs,
             sync,
@@ -484,27 +483,23 @@ impl TrainerState {
         self.sync.adopt_workspace(handle);
     }
 
-    /// Whether every replica currently holds bit-identical parameters (the
-    /// MAR consensus invariant).
+    /// Always `true`: the state holds one consensus model, so there are no
+    /// replicas to disagree. Kept only because `benchmark/src/train.rs`
+    /// still calls it; delete it together with that call.
     #[must_use]
     pub fn replicas_consistent(&self) -> bool {
-        let p0 = self.models[0].params();
-        self.models
-            .iter()
-            .skip(1)
-            .all(|model| same_bits(model.params(), p0))
+        true
     }
 
     /// Runs one synchronization round.
     ///
     /// # Panics
     ///
-    /// Panics if the run is already done, or — with `check_consistency` —
-    /// if the replicas disagree after the synchronization.
+    /// Panics if the run is already done.
     pub fn step(&mut self) {
         assert!(!self.is_done(), "all configured rounds have run");
         let cfg = &self.cfg;
-        let m = self.models.len();
+        let m = self.optimizers.len();
         let d = self.d;
         let t = self.round;
         let lr = self.lr;
@@ -519,10 +514,10 @@ impl TrainerState {
                 .draws_before
                 .extend(self.worker_rngs.iter().map(FastRng::draws));
         }
-        // Local computation: every worker touches only its own model,
-        // optimizer, and RNG stream, so the phase parallelizes without any
-        // cross-worker synchronization. Reduction stays on the main thread
-        // in worker order, keeping both paths bit-identical.
+        // Local computation: every worker reads the shared model and touches
+        // only its own optimizer and RNG stream, so the phase parallelizes
+        // without any cross-worker synchronization. Reduction stays on the
+        // main thread in worker order, keeping both paths bit-identical.
         let batch_per_worker = cfg.batch_per_worker;
         let parallel = cfg.parallel_workers && m > 1;
         let lanes = if parallel { m } else { 1 };
@@ -535,20 +530,19 @@ impl TrainerState {
         scratch.losses.resize(m, 0.0);
         scratch.raw_grad_mean.clear();
         scratch.raw_grad_mean.resize(d, 0.0);
+        let model = &self.model;
         if parallel {
             std::thread::scope(|scope| {
-                for ((((((((loss, model), opt), rng), shard), ws), batch), raw_grad), update) in
-                    scratch
-                        .losses
-                        .iter_mut()
-                        .zip(&mut self.models)
-                        .zip(&mut self.optimizers)
-                        .zip(&mut self.worker_rngs)
-                        .zip(&self.shards)
-                        .zip(&mut scratch.workspaces)
-                        .zip(&mut scratch.batches)
-                        .zip(&mut scratch.raw_grads)
-                        .zip(&mut scratch.local_updates)
+                for (((((((loss, opt), rng), shard), ws), batch), raw_grad), update) in scratch
+                    .losses
+                    .iter_mut()
+                    .zip(&mut self.optimizers)
+                    .zip(&mut self.worker_rngs)
+                    .zip(&self.shards)
+                    .zip(&mut scratch.workspaces)
+                    .zip(&mut scratch.batches)
+                    .zip(&mut scratch.raw_grads)
+                    .zip(&mut scratch.local_updates)
                 {
                     scope.spawn(move || {
                         *loss = worker_step(
@@ -572,7 +566,7 @@ impl TrainerState {
         } else {
             for w in 0..m {
                 scratch.losses[w] = worker_step(
-                    &mut self.models[w],
+                    model,
                     self.optimizers[w].as_mut(),
                     &mut self.worker_rngs[w],
                     &self.shards[w],
@@ -623,19 +617,7 @@ impl TrainerState {
             .applied_signs
             .matching_rate(&scratch.reference_signs);
 
-        // Apply the consensus update everywhere.
-        for model in &mut self.models {
-            model.apply_update(&out.global_update);
-        }
-        if cfg.check_consistency && (t.is_multiple_of(16) || t + 1 == cfg.rounds) {
-            let p0 = self.models[0].params();
-            for (w, model) in self.models.iter().enumerate().skip(1) {
-                assert!(
-                    same_bits(model.params(), p0),
-                    "replica {w} diverged from consensus at round {t}"
-                );
-            }
-        }
+        self.model.apply_update(&out.global_update);
         if out.full_precision {
             if let Some(decay) = cfg.lr_decay_on_full_precision {
                 if t > 0 {
@@ -680,7 +662,7 @@ impl TrainerState {
         let eval = if (cfg.eval_every > 0 && (t + 1).is_multiple_of(cfg.eval_every))
             || t + 1 == cfg.rounds
         {
-            Some(self.models[0].evaluate(&self.test_set))
+            Some(self.model.evaluate(&self.test_set))
         } else {
             None
         };
@@ -750,7 +732,7 @@ impl TrainerState {
         let tel = &self.cfg.telemetry;
         tel.set_time(self.total_time.total());
 
-        let final_eval = self.models[0].evaluate(&self.test_set);
+        let final_eval = self.model.evaluate(&self.test_set);
         let diverged = self.diverged || !final_eval.loss.is_finite();
         TrainReport {
             strategy_label: self.cfg.strategy.label(),
@@ -765,28 +747,20 @@ impl TrainerState {
         }
     }
 
-    /// Captures every evolving quantity at the current round boundary.
-    ///
-    /// Because the consensus update is applied to all replicas each round,
-    /// the replicas are bit-identical; the snapshot stores a *single*
-    /// parameter vector alongside per-worker optimizer states and RNG
+    /// Captures every evolving quantity at the current round boundary: the
+    /// consensus parameters alongside per-worker optimizer states and RNG
     /// streams, the synchronizer state, and the run accumulators.
     ///
     /// # Panics
     ///
-    /// Panics if the replicas have diverged from consensus, or if the
-    /// strategy does not support checkpointing (see
+    /// Panics if the strategy does not support checkpointing (see
     /// [`Synchronizer::snapshot`](crate::strategy::Synchronizer::snapshot)).
     #[must_use]
     pub fn snapshot(&mut self) -> TrainSnapshot {
-        assert!(
-            self.replicas_consistent(),
-            "cannot snapshot: replicas have diverged from consensus"
-        );
         TrainSnapshot {
             round: self.round as u64,
             lr: self.lr,
-            params: self.models[0].params_vec(),
+            params: self.model.params_vec(),
             optimizers: self.optimizers.iter().map(|o| o.state()).collect(),
             worker_rngs: self.worker_rngs.iter().map(FastRng::snapshot).collect(),
             sync: self.sync.snapshot(),
@@ -814,7 +788,7 @@ impl TrainerState {
     #[must_use]
     pub fn restore(cfg: &TrainConfig, snapshot: &TrainSnapshot) -> Self {
         let mut state = Self::build(cfg, Some(snapshot.params.clone()));
-        let m = state.models.len();
+        let m = state.optimizers.len();
         assert_eq!(snapshot.optimizers.len(), m, "worker count mismatch");
         assert_eq!(snapshot.worker_rngs.len(), m, "worker count mismatch");
         for (opt, s) in state.optimizers.iter_mut().zip(&snapshot.optimizers) {
@@ -844,7 +818,7 @@ impl TrainerState {
 /// the synchronization layer to `update`, and returns the minibatch loss.
 #[allow(clippy::too_many_arguments)]
 fn worker_step(
-    model: &mut Mlp,
+    model: &Mlp,
     optimizer: &mut dyn Optimizer,
     rng: &mut FastRng,
     shard: &Dataset,
@@ -880,12 +854,6 @@ fn accumulate_mean(mean: &mut [f64], raw_grad: &[f32], m: usize) {
             *acc += f64::from(g) / m;
         }
     }
-}
-
-/// Whether two parameter vectors hold the same bits. Not `==`: a diverged run
-/// holds NaN, which is unequal to itself even in bit-identical replicas.
-fn same_bits(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Bytes of one retransmitted segment at logical model scale: a ring-style

@@ -66,7 +66,7 @@ pub mod prelude {
     pub use marsit_collectives::{DegradedMode, SyncError, TopologyReconfigurer};
     pub use marsit_core::{Marsit, MarsitConfig, MarsitSnapshot, SyncSchedule};
     pub use marsit_datagen::synthetic::{cifar10_like, imagenet_like, imdb_like, mnist_like};
-    pub use marsit_models::{Evaluation, Mlp, MlpSpec, Model, OptimizerKind, Workload};
+    pub use marsit_models::{Evaluation, Mlp, MlpSpec, OptimizerKind, Workload};
     pub use marsit_simnet::{
         Backend, FaultPlan, FaultStats, LinkModel, MembershipEvent, MembershipSchedule,
         PhaseBreakdown, RateProfile, Topology,

@@ -1,5 +1,10 @@
-//! Cross-crate integration tests for the MAR consensus invariant:
-//! after every synchronization, all workers must hold the same model.
+//! Cross-crate integration tests for consensus training runs.
+//!
+//! Every worker applies the same all-reduce aggregate, so the in-process
+//! trainer holds one consensus model and its workers cannot disagree. The
+//! one place per-rank agreement can still fail is the executed process
+//! backend; `drive_round` asserts there that every rank's consensus words
+//! equal rank 0's, across `transport_conformance`'s scenario matrix.
 
 use marsit::prelude::*;
 
@@ -10,13 +15,15 @@ fn base_cfg(strategy: StrategyKind, topology: Topology) -> TrainConfig {
     cfg.test_examples = 256;
     cfg.batch_per_worker = 16;
     cfg.eval_every = 0;
-    cfg.check_consistency = true; // panics inside train() on divergence
     cfg
 }
 
+/// Every strategy on ring(4) and the five torus-capable ones on torus(2,3)
+/// replay bit for bit: two runs of one configuration give the same records,
+/// record by record, the same bytes and the same final evaluation.
 #[test]
-fn all_strategies_reach_consensus_on_ring() {
-    for strategy in [
+fn runs_are_bit_reproducible() {
+    let ring = [
         StrategyKind::Psgd,
         StrategyKind::SignMajority,
         StrategyKind::EfSign,
@@ -25,36 +32,26 @@ fn all_strategies_reach_consensus_on_ring() {
         StrategyKind::Marsit { k: Some(8) },
         StrategyKind::Marsit { k: None },
         StrategyKind::PowerSgd { rank: 2 },
-    ] {
-        let report = train(&base_cfg(strategy, Topology::ring(4)));
-        assert_eq!(report.records.len(), 24, "{strategy}");
-    }
-}
-
-#[test]
-fn all_strategies_reach_consensus_on_torus() {
-    for strategy in [
+    ]
+    .map(|strategy| (strategy, Topology::ring(4)));
+    let torus = [
         StrategyKind::Psgd,
         StrategyKind::SignMajority,
         StrategyKind::EfSign,
         StrategyKind::Ssdm,
         StrategyKind::Marsit { k: Some(8) },
-    ] {
-        let report = train(&base_cfg(strategy, Topology::torus(2, 3)));
-        assert_eq!(report.records.len(), 24, "{strategy}");
-    }
-}
-
-#[test]
-fn runs_are_bit_reproducible() {
-    for strategy in [StrategyKind::Marsit { k: Some(8) }, StrategyKind::Ssdm] {
-        let cfg = base_cfg(strategy, Topology::ring(4));
+    ]
+    .map(|strategy| (strategy, Topology::torus(2, 3)));
+    for (strategy, topology) in ring.into_iter().chain(torus) {
+        let cfg = base_cfg(strategy, topology);
         let a = train(&cfg);
         let b = train(&cfg);
-        assert_eq!(a.final_eval, b.final_eval, "{strategy}");
-        assert_eq!(a.total_bytes, b.total_bytes, "{strategy}");
+        let label = format!("{strategy} on {topology:?}");
+        assert_eq!(a.final_eval, b.final_eval, "{label}");
+        assert_eq!(a.total_bytes, b.total_bytes, "{label}");
+        assert_eq!((a.records.len(), b.records.len()), (24, 24), "{label}");
         for (ra, rb) in a.records.iter().zip(&b.records) {
-            assert_eq!(ra, rb, "{strategy}");
+            assert_eq!(ra, rb, "{label}");
         }
     }
 }
@@ -72,8 +69,8 @@ fn different_seeds_differ() {
 fn marsit_core_consensus_is_identical_across_workers() {
     // Direct API check: the synchronizer returns ONE update; feeding
     // different per-worker updates still yields a single consensus vector
-    // whose application keeps replicas equal (checked inside train()), and
-    // repeated synchronization with the same instance advances rounds.
+    // (the one update the trainer applies to its one model), and repeated
+    // synchronization with the same instance advances rounds.
     use marsit::core::{Marsit, MarsitConfig, SyncSchedule};
     let cfg = MarsitConfig::new(SyncSchedule::every(3), 0.01, 5);
     let mut sync = Marsit::new(cfg, 4, 64);

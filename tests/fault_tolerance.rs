@@ -25,9 +25,8 @@ fn faulty_cfg(topology: Topology) -> TrainConfig {
     cfg.local_lr = 0.1;
     cfg.marsit_global_lr = 0.01;
     cfg.optimizer = OptimizerKind::Sgd;
-    // check_consistency stays on (the default): train() itself asserts
-    // that every replica — including the crashed one, which keeps applying
-    // the survivors' consensus update — stays bitwise identical.
+    // The crashed worker keeps applying the survivors' consensus update:
+    // every worker shares the one model the trainer holds.
     cfg.fault_plan = FaultPlan::seeded(0xFA17)
         .with_link_drop(0.01)
         .with_straggler(1, 4.0)
