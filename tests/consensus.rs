@@ -18,30 +18,62 @@ fn base_cfg(strategy: StrategyKind, topology: Topology) -> TrainConfig {
     cfg
 }
 
+/// Every strategy runs on ring(4).
+const RING_STRATEGIES: [StrategyKind; 8] = [
+    StrategyKind::Psgd,
+    StrategyKind::SignMajority,
+    StrategyKind::EfSign,
+    StrategyKind::Ssdm,
+    StrategyKind::Cascading,
+    StrategyKind::Marsit { k: Some(8) },
+    StrategyKind::Marsit { k: None },
+    StrategyKind::PowerSgd { rank: 2 },
+];
+
+/// The five strategies whose collectives run on a 2D torus.
+const TORUS_STRATEGIES: [StrategyKind; 5] = [
+    StrategyKind::Psgd,
+    StrategyKind::SignMajority,
+    StrategyKind::EfSign,
+    StrategyKind::Ssdm,
+    StrategyKind::Marsit { k: Some(8) },
+];
+
+/// Trains `strategy` on `topology` and checks the consensus model survived
+/// every round: all rounds recorded, every loss finite, traffic moved.
+fn assert_reaches_consensus(strategy: StrategyKind, topology: Topology) {
+    let report = train(&base_cfg(strategy, topology));
+    let label = format!("{strategy} on {topology:?}");
+    assert_eq!(report.records.len(), 24, "{label}");
+    assert!(!report.diverged, "{label}");
+    assert!(
+        report.records.iter().all(|r| r.train_loss.is_finite()),
+        "{label}"
+    );
+    assert!(report.total_bytes > 0, "{label}");
+}
+
+#[test]
+fn all_strategies_reach_consensus_on_ring() {
+    for strategy in RING_STRATEGIES {
+        assert_reaches_consensus(strategy, Topology::ring(4));
+    }
+}
+
+#[test]
+fn all_strategies_reach_consensus_on_torus() {
+    for strategy in TORUS_STRATEGIES {
+        assert_reaches_consensus(strategy, Topology::torus(2, 3));
+    }
+}
+
 /// Every strategy on ring(4) and the five torus-capable ones on torus(2,3)
 /// replay bit for bit: two runs of one configuration give the same records,
 /// record by record, the same bytes and the same final evaluation.
 #[test]
 fn runs_are_bit_reproducible() {
-    let ring = [
-        StrategyKind::Psgd,
-        StrategyKind::SignMajority,
-        StrategyKind::EfSign,
-        StrategyKind::Ssdm,
-        StrategyKind::Cascading,
-        StrategyKind::Marsit { k: Some(8) },
-        StrategyKind::Marsit { k: None },
-        StrategyKind::PowerSgd { rank: 2 },
-    ]
-    .map(|strategy| (strategy, Topology::ring(4)));
-    let torus = [
-        StrategyKind::Psgd,
-        StrategyKind::SignMajority,
-        StrategyKind::EfSign,
-        StrategyKind::Ssdm,
-        StrategyKind::Marsit { k: Some(8) },
-    ]
-    .map(|strategy| (strategy, Topology::torus(2, 3)));
+    let ring = RING_STRATEGIES.map(|strategy| (strategy, Topology::ring(4)));
+    let torus = TORUS_STRATEGIES.map(|strategy| (strategy, Topology::torus(2, 3)));
     for (strategy, topology) in ring.into_iter().chain(torus) {
         let cfg = base_cfg(strategy, topology);
         let a = train(&cfg);
