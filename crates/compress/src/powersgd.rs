@@ -24,10 +24,21 @@ pub fn matrix_shape(d: usize) -> (usize, usize) {
 }
 
 /// Modified Gram–Schmidt orthonormalization of the columns of `m`, in
-/// place. Zero columns are left untouched (their norm guard keeps them 0).
+/// place. A column that depends on the ones before it — what is left after
+/// projection is below `1e-4` of its norm before, i.e. cancellation residue —
+/// is set to zero rather than normalised into a copy of an earlier direction,
+/// so a rank-deficient `m` yields orthonormal columns beside zero ones.
 pub fn orthonormalize_columns(m: &mut Tensor) {
     let (rows, cols) = m.shape();
+    let column_norm = |m: &Tensor, c: usize| {
+        let mut norm = 0.0f32;
+        for r in 0..rows {
+            norm += m.get(r, c) * m.get(r, c);
+        }
+        norm.sqrt()
+    };
     for c in 0..cols {
+        let before = column_norm(m, c);
         // Subtract projections onto previous columns.
         for prev in 0..c {
             let mut dot = 0.0f32;
@@ -39,16 +50,14 @@ pub fn orthonormalize_columns(m: &mut Tensor) {
                 m.set(r, c, v);
             }
         }
-        let mut norm = 0.0f32;
+        let norm = column_norm(m, c);
+        let scale = if norm > 1e-4 * before {
+            1.0 / norm
+        } else {
+            0.0
+        };
         for r in 0..rows {
-            norm += m.get(r, c) * m.get(r, c);
-        }
-        let norm = norm.sqrt();
-        if norm > 1e-12 {
-            let inv = 1.0 / norm;
-            for r in 0..rows {
-                m.set(r, c, m.get(r, c) * inv);
-            }
+            m.set(r, c, m.get(r, c) * scale);
         }
     }
 }
@@ -306,6 +315,22 @@ mod tests {
                 assert!((dot - expected).abs() < 1e-4, "({a},{b}): {dot}");
             }
         }
+    }
+
+    /// A rank-1 input keeps one unit column and zeroes the dependent one,
+    /// instead of normalising its cancellation residue into `±` the first.
+    #[test]
+    fn orthonormalize_zeroes_a_dependent_column() {
+        let mut m = Tensor::zeros(5, 2);
+        for r in 0..5 {
+            let v = 0.1 + r as f32 * 0.37;
+            m.set(r, 0, v);
+            m.set(r, 1, 3.0 * v);
+        }
+        orthonormalize_columns(&mut m);
+        let norm0: f32 = (0..5).map(|r| m.get(r, 0) * m.get(r, 0)).sum();
+        assert!((norm0 - 1.0).abs() < 1e-6, "{norm0}");
+        assert!((0..5).all(|r| m.get(r, 1) == 0.0));
     }
 
     #[test]
