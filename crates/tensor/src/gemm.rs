@@ -3,36 +3,36 @@
 //!
 //! [`gemm`] computes `out[i][j] = init + Σ_k a(i,k) · b[k][j]` for a strided
 //! left operand and a k-major (row-major `k × n`) right operand. Its
-//! accumulation order is a **frozen contract** (DESIGN §17, the fourth SIMD
-//! lane rule): every output element is accumulated in ascending `k`, with the
-//! multiply and the add as separate, individually rounded instructions —
-//! never an FMA — and vector lanes run only across `j`. An output element is
-//! therefore a fixed expression of its own row of `a` and column of `b`, so
-//! neither the lane width nor the register-tile shape nor the cache blocking
-//! can change a bit: the scalar body, its AVX2 compilation and the AVX-512
-//! intrinsic build agree by `to_bits`, and all of them reproduce the naive
-//! loops they replaced ([`matmul_reference`], [`matmul_tn_reference`],
-//! [`matmul_nt_reference`]).
+//! accumulation order is a **frozen contract**, v2 (DESIGN §17, the fourth
+//! SIMD lane rule): every output element starts from `init` and takes one
+//! correctly rounded fused multiply-add per term, `acc = fma(a(i,k), b[k][j],
+//! acc)`, in ascending `k`, with no term skipped; vector lanes run only across
+//! `j`. An output element is therefore a fixed expression of its own row of
+//! `a` and column of `b`, so neither the lane width nor the register-tile
+//! shape nor the cache blocking can change a bit: the scalar body
+//! ([`f32::mul_add`], correctly rounded on every host), its AVX2+FMA
+//! compilation and the AVX-512 intrinsic build agree by `to_bits`, and all of
+//! them equal the naive skip-free `mul_add` loops of the differential tests —
+//! whatever the operands hold, `±0`, subnormals, `±∞` and NaN included.
 //!
-//! The replaced `matmul` / `matmul_tn` loops skipped a `k` whose `a(i,k)` is
-//! zero. [`gemm`] does not: with a finite `b` the skip is unobservable (the
-//! skipped product is `±0`, and adding `±0` to an accumulator that started at
-//! `+0.0` — which can never become `−0.0` — is the identity). With a
-//! non-finite `b` it *is* observable (`0 · ∞ = NaN`), so [`matmul_into`] and
-//! [`matmul_tn_into`] sweep `b` once per call and hand a non-finite `b` — a
-//! diverging run — to the retained references, skip and all.
+//! No term is skipped because under FMA a skip is observable even with finite
+//! operands: a subnormal times a negative value, fused into `+0.0`, rounds to
+//! `−0.0`, and a later `0 · b` term turns that back into `+0.0`. And IEEE
+//! `0 · ∞ = NaN` reaches the output of every product alike.
 //!
 //! [`Tensor::matmul`]: crate::Tensor::matmul
 //! [`Tensor::matmul_tn`]: crate::Tensor::matmul_tn
 //! [`Tensor::matmul_nt`]: crate::Tensor::matmul_nt
 
 /// Rows of the AVX-512 register tile.
-const MR: usize = 6;
+const MR: usize = 12;
 /// Lanes of one `zmm` register.
 const LANES: usize = 16;
 /// Columns of the AVX-512 register tile: two `zmm` per row, so a full tile
-/// holds `6 × 2 = 12` accumulators across the whole `k` loop (one `zmm` per
-/// row once 16 or fewer columns remain).
+/// holds `12 × 2 = 24` accumulators across the whole `k` loop, beside the two
+/// `b` vectors and the broadcast `a` value of one step — 27 of the 32 `zmm`,
+/// enough independent FMA chains to cover the instruction's latency on both
+/// ports (one `zmm` per row once 16 or fewer columns remain).
 const NR: usize = 2 * LANES;
 /// Columns per cache block (a multiple of both tile widths). Within a block
 /// the row tiles are the outer loop, so the block's `k × NC` slab of `b` is
@@ -60,8 +60,8 @@ struct Call {
 }
 
 /// `out[i·n + j] = init + Σ_{k ascending} a[i·a_row_stride + k·a_k_stride] ·
-/// b_kmajor[k·n + j]`, multiply and add rounded separately (see the module
-/// docs for the contract). `out` is overwritten; what it held is irrelevant.
+/// b_kmajor[k·n + j]`, one fused multiply-add per term (see the module docs
+/// for the contract). `out` is overwritten; what it held is irrelevant.
 ///
 /// `init` is the value the accumulation starts from: `+0.0` for the products
 /// that replaced a `+=` loop over a zeroed output, `−0.0` for the one that
@@ -106,7 +106,7 @@ pub fn gemm(
             // relies on are asserted above.
             return unsafe { gemm_avx512(m, call, a, b_kmajor, out) };
         }
-        if is_x86_feature_detected!("avx2") {
+        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
             // SAFETY: feature presence just checked.
             return unsafe { gemm_avx2(m, call, a, b_kmajor, out) };
         }
@@ -114,9 +114,11 @@ pub fn gemm(
     gemm_body(m, call, a, b_kmajor, out);
 }
 
-/// The scalar reference body of [`gemm`]: the same blocking as the AVX-512
-/// build with a `4 × 16` tile of plain `f32` accumulators, written so that
-/// the per-row column loop vectorizes at whatever width it is compiled for.
+/// The scalar body of [`gemm`]: the same blocking as the AVX-512 build with a
+/// `4 × 16` tile of plain `f32` accumulators, written so that the per-row
+/// column loop vectorizes at whatever width it is compiled for. Without FMA
+/// hardware each [`f32::mul_add`] is a correctly rounded library call: slow,
+/// but the same bits.
 #[inline(always)]
 fn gemm_body(m: usize, call: Call, a: &[f32], b: &[f32], out: &mut [f32]) {
     let n = call.n;
@@ -161,7 +163,7 @@ fn tile_body<const ROWS: usize>(call: Call, a: &[f32], b: &[f32], nr: usize, out
             for (r, acc_row) in acc.iter_mut().enumerate() {
                 let av = a[r * a_row_stride + kk * a_k_stride];
                 for (c, &bv) in acc_row.iter_mut().zip(b_row) {
-                    *c += av * bv;
+                    *c = av.mul_add(bv, *c);
                 }
             }
         }
@@ -171,7 +173,7 @@ fn tile_body<const ROWS: usize>(call: Call, a: &[f32], b: &[f32], nr: usize, out
             for (r, acc_row) in acc.iter_mut().enumerate() {
                 let av = a[r * a_row_stride + kk * a_k_stride];
                 for (c, &bv) in acc_row.iter_mut().zip(b_row) {
-                    *c += av * bv;
+                    *c = av.mul_add(bv, *c);
                 }
             }
         }
@@ -181,21 +183,22 @@ fn tile_body<const ROWS: usize>(call: Call, a: &[f32], b: &[f32], nr: usize, out
     }
 }
 
-/// [`gemm_body`] compiled for AVX2: one tile row is two `ymm` accumulators.
+/// [`gemm_body`] compiled for AVX2 and FMA: one tile row is two `ymm`
+/// accumulators, each term one `vfmadd`.
 ///
 /// # Safety
 ///
-/// Caller must have verified AVX2 support at runtime.
+/// Caller must have verified AVX2 and FMA support at runtime.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 unsafe fn gemm_avx2(m: usize, call: Call, a: &[f32], b: &[f32], out: &mut [f32]) {
     gemm_body(m, call, a, b, out);
 }
 
-/// AVX-512 build of [`gemm_body`]: a `6 × 32` register tile (`6 × 16` once 16
-/// or fewer columns remain), ragged columns by lane mask, ragged rows by the
+/// AVX-512 build of [`gemm_body`]: a `12 × 32` register tile (`12 × 16` once
+/// 16 or fewer columns remain), ragged columns by lane mask, ragged rows by the
 /// const-generic row count. Per output element the float operations are those
-/// of the body, in the same order: `vmulps` then `vaddps`, never fused.
+/// of the body, in the same order: one `vfmadd` per term.
 ///
 /// # Safety
 ///
@@ -255,7 +258,13 @@ unsafe fn rows_avx512<const VECS: usize>(
             3 => tile_avx512::<3, VECS>(call, a, b, nr, out),
             4 => tile_avx512::<4, VECS>(call, a, b, nr, out),
             5 => tile_avx512::<5, VECS>(call, a, b, nr, out),
-            _ => tile_avx512::<6, VECS>(call, a, b, nr, out),
+            6 => tile_avx512::<6, VECS>(call, a, b, nr, out),
+            7 => tile_avx512::<7, VECS>(call, a, b, nr, out),
+            8 => tile_avx512::<8, VECS>(call, a, b, nr, out),
+            9 => tile_avx512::<9, VECS>(call, a, b, nr, out),
+            10 => tile_avx512::<10, VECS>(call, a, b, nr, out),
+            11 => tile_avx512::<11, VECS>(call, a, b, nr, out),
+            _ => tile_avx512::<12, VECS>(call, a, b, nr, out),
         }
     }
 }
@@ -277,8 +286,7 @@ unsafe fn tile_avx512<const ROWS: usize, const VECS: usize>(
     out: *mut f32,
 ) {
     use std::arch::x86_64::{
-        __mmask16, _mm512_add_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps,
-        _mm512_set1_ps,
+        __mmask16, _mm512_fmadd_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_set1_ps,
     };
     let Call {
         n,
@@ -302,7 +310,7 @@ unsafe fn tile_avx512<const ROWS: usize, const VECS: usize>(
             for (r, acc_row) in acc.iter_mut().enumerate() {
                 let av = _mm512_set1_ps(*a_col.add(r * a_row_stride));
                 for (c, &b_vec) in acc_row.iter_mut().zip(&bv) {
-                    *c = _mm512_add_ps(*c, _mm512_mul_ps(av, b_vec));
+                    *c = _mm512_fmadd_ps(av, b_vec, *c);
                 }
             }
         }
@@ -316,57 +324,33 @@ unsafe fn tile_avx512<const ROWS: usize, const VECS: usize>(
     }
 }
 
-/// Whether every value is finite: an OR over "exponent all ones" compares
-/// (`bits & 0x7f80_0000 == 0x7f80_0000` ⇔ `±∞` or NaN). Per lane that is an
-/// AND, an equality compare and an OR, all SSE2 integer instructions, so the
-/// sweep vectorizes at the baseline and has no early exit to mispredict on the
-/// path that matters — a finite `b`. (Not a max-reduction over the magnitude
-/// bits: that needs an unsigned 32-bit max, which x86 gains only with SSE4.1.)
-fn all_finite(values: &[f32]) -> bool {
-    const EXPONENT: u32 = 0x7f80_0000;
-    !values
-        .iter()
-        .fold(false, |any, v| any | (v.to_bits() & EXPONENT == EXPONENT))
-}
-
-/// `out (m × n) = a (m × k) · b (k × n)`, all row-major, bit-identical to
-/// [`matmul_reference`].
+/// `out (m × n) = a (m × k) · b (k × n)`, all row-major.
 ///
 /// # Panics
 ///
 /// Panics if a slice length disagrees with its shape.
 pub fn matmul_into(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert_eq!(a.len(), m * k, "matmul: a must be m x k");
-    if all_finite(b) {
-        gemm(m, n, k, a, k, 1, b, 0.0, out);
-    } else {
-        matmul_reference(m, k, n, a, b, out);
-    }
+    gemm(m, n, k, a, k, 1, b, 0.0, out);
 }
 
-/// `out (m × n) = aᵀ · b` for `a (k × m)` and `b (k × n)`, all row-major,
-/// bit-identical to [`matmul_tn_reference`].
+/// `out (m × n) = aᵀ · b` for `a (k × m)` and `b (k × n)`, all row-major.
 ///
 /// # Panics
 ///
 /// Panics if a slice length disagrees with its shape.
 pub fn matmul_tn_into(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert_eq!(a.len(), k * m, "matmul_tn: a must be k x m");
-    if all_finite(b) {
-        gemm(m, n, k, a, 1, m, b, 0.0, out);
-    } else {
-        matmul_tn_reference(k, m, n, a, b, out);
-    }
+    gemm(m, n, k, a, 1, m, b, 0.0, out);
 }
 
-/// `out (m × n) = a (m × k) · bᵀ` for `b (n × k)`, all row-major,
-/// bit-identical to [`matmul_nt_reference`]. `panel` is caller-owned scratch
-/// that receives `bᵀ` (k-major, `k × n`); it is resized as needed, so a warm
-/// one makes the call allocation-free.
+/// `out (m × n) = a (m × k) · bᵀ` for `b (n × k)`, all row-major. `panel` is
+/// caller-owned scratch that receives `bᵀ` (k-major, `k × n`); it is resized
+/// as needed, so a warm one makes the call allocation-free.
 ///
-/// The sequential dot this replaced had no zero skip and started from the
-/// `−0.0` of `Iterator::sum::<f32>`, which is exactly [`gemm`] with that
-/// `init` — whatever `b` holds, so there is no finiteness sweep here.
+/// The accumulation starts from `−0.0`, the start of the `Iterator::sum::<f32>`
+/// dot this product replaced, so a row whose terms are all `−0.0` stays
+/// `−0.0`.
 ///
 /// # Panics
 ///
@@ -534,70 +518,6 @@ unsafe fn transpose_tile_avx512(
     }
 }
 
-/// The `matmul` loop nest [`gemm`] replaced, kept verbatim (ikj order, the
-/// `a == 0.0` skip) on slices: the differential tests' reference, and the
-/// path a non-finite `b` takes.
-#[doc(hidden)]
-pub fn matmul_reference(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "matmul: a must be m x k");
-    assert_eq!(b.len(), k * n, "matmul: b must be k x n");
-    assert_eq!(out.len(), m * n, "matmul: out must be m x n");
-    out.fill(0.0);
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (kk, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let b_row = &b[kk * n..(kk + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// The `matmul_tn` loop nest [`gemm`] replaced, kept verbatim (kij order, the
-/// `a == 0.0` skip) on slices; see [`matmul_reference`].
-#[doc(hidden)]
-pub fn matmul_tn_reference(k: usize, m: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    assert_eq!(a.len(), k * m, "matmul_tn: a must be k x m");
-    assert_eq!(b.len(), k * n, "matmul_tn: b must be k x n");
-    assert_eq!(out.len(), m * n, "matmul_tn: out must be m x n");
-    out.fill(0.0);
-    for kk in 0..k {
-        let a_row = &a[kk * m..(kk + 1) * m];
-        let b_row = &b[kk * n..(kk + 1) * n];
-        for (i, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// The `matmul_nt` loop nest [`gemm`] replaced, kept verbatim (one
-/// sequential `Iterator::sum` dot per output element) on slices. Tests only:
-/// [`matmul_nt_into`] needs no fallback.
-#[doc(hidden)]
-pub fn matmul_nt_reference(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    assert_eq!(a.len(), m * k, "matmul_nt: a must be m x k");
-    assert_eq!(b.len(), n * k, "matmul_nt: b must be n x k");
-    assert_eq!(out.len(), m * n, "matmul_nt: out must be m x n");
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            let b_row = &b[j * k..(j + 1) * k];
-            out[i * n + j] = a_row.iter().zip(b_row).map(|(x, y)| x * y).sum();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,7 +557,7 @@ mod tests {
         let mut builds: Vec<(&'static str, GemmBuild)> = vec![("scalar", gemm_body)];
         #[cfg(target_arch = "x86_64")]
         {
-            if is_x86_feature_detected!("avx2") {
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
                 builds.push(("avx2", gemm_avx2));
             }
             if is_x86_feature_detected!("avx512f") {
@@ -647,7 +567,24 @@ mod tests {
         builds
     }
 
-    /// What the left operand of a case is seeded with.
+    /// The contract by definition, one output element at a time: start from
+    /// `init`, then one [`f32::mul_add`] per `k`, ascending, no term skipped.
+    fn reference(
+        (m, n, k): (usize, usize, usize),
+        a: impl Fn(usize, usize) -> f32,
+        b: impl Fn(usize, usize) -> f32,
+        init: f32,
+    ) -> Vec<f32> {
+        let mut out = Vec::with_capacity(m * n);
+        for i in 0..m {
+            for j in 0..n {
+                out.push((0..k).fold(init, |acc, kk| a(i, kk).mul_add(b(kk, j), acc)));
+            }
+        }
+        out
+    }
+
+    /// What an operand of a case is seeded with.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Seeding {
         /// Uniform values in `[-0.5, 0.5)`.
@@ -686,7 +623,7 @@ mod tests {
     }
 
     /// Equality by `to_bits`, except that any NaN equals any NaN: which
-    /// payload survives when two NaNs meet in one add is the instruction's
+    /// payload survives when two NaNs meet in one FMA is the instruction's
     /// operand order, which no build (and not the reference) promises.
     fn assert_same(got: &[f32], want: &[f32], label: &str) {
         assert_eq!(got.len(), want.len(), "{label}: length");
@@ -701,11 +638,12 @@ mod tests {
     }
 
     /// The `(m, n, k)` grid: every row-tile and column-tile remainder of both
-    /// tile shapes, a few depths, and the eight products of one
+    /// tile shapes (rows around the scalar `4` and the AVX-512 `12`, one and
+    /// two tiles deep), a few depths, and the eight products of one
     /// `train_torus` backward/forward pass.
     fn shapes() -> Vec<(usize, usize, usize)> {
         let mut shapes = Vec::new();
-        for m in [1, 5, 6, 7, 12, 13] {
+        for m in [1, 5, 6, 7, 11, 12, 13, 23, 24, 25] {
             for n in [1, 10, 15, 16, 17, 31, 32, 33, 48, 50, 64] {
                 for k in [1, 2, 50, 128] {
                     shapes.push((m, n, k));
@@ -726,9 +664,7 @@ mod tests {
     }
 
     /// Runs one build as each of the three products on one shape and checks
-    /// it against the loop nest that product replaced. `b` is finite unless
-    /// `b_seeding` says otherwise, in which case only the skip-free `nt`
-    /// product may call the build directly.
+    /// it against [`reference`].
     fn check_build(
         name: &str,
         build: GemmBuild,
@@ -741,22 +677,25 @@ mod tests {
             |kind: &str| format!("{name} {kind} m={m} n={n} k={k} a={a_seeding:?} b={b_seeding:?}");
         let a = operand(m * k, a_seeding, &mut rng);
         let b = operand(k * n, b_seeding, &mut rng);
-        let mut want = vec![f32::NAN; m * n];
         // Stale values in `out` must not leak into the result.
         let mut got = vec![7.0f32; m * n];
-        if b_seeding != Seeding::Specials {
-            matmul_reference(m, k, n, &a, &b, &mut want);
-            run(build, m, n, k, &a, (k, 1), &b, 0.0, &mut got);
-            assert_same(&got, &want, &label("nn"));
+        let want = reference((m, n, k), |i, kk| a[i * k + kk], |kk, j| b[kk * n + j], 0.0);
+        run(build, m, n, k, &a, (k, 1), &b, 0.0, &mut got);
+        assert_same(&got, &want, &label("nn"));
 
-            // The same `a` buffer read as k × m.
-            matmul_tn_reference(k, m, n, &a, &b, &mut want);
-            got.fill(7.0);
-            run(build, m, n, k, &a, (1, m), &b, 0.0, &mut got);
-            assert_same(&got, &want, &label("tn"));
-        }
-        // The same `b` buffer read as n × k.
-        matmul_nt_reference(m, k, n, &a, &b, &mut want);
+        // The same `a` buffer read as k × m.
+        let want = reference((m, n, k), |i, kk| a[kk * m + i], |kk, j| b[kk * n + j], 0.0);
+        got.fill(7.0);
+        run(build, m, n, k, &a, (1, m), &b, 0.0, &mut got);
+        assert_same(&got, &want, &label("tn"));
+
+        // The same `b` buffer read as n × k, through the packed panel.
+        let want = reference(
+            (m, n, k),
+            |i, kk| a[i * k + kk],
+            |kk, j| b[j * k + kk],
+            -0.0,
+        );
         let mut panel = vec![0.0f32; k * n];
         transpose_into(n, k, &b, &mut panel);
         got.fill(7.0);
@@ -764,7 +703,7 @@ mod tests {
         assert_same(&got, &want, &label("nt"));
     }
 
-    /// Every ISA build equals the retained loop nests, bit for bit, on the
+    /// Every ISA build equals the `mul_add` reference, bit for bit, on the
     /// full shape grid with plain, ReLU-sparse and special-value left
     /// operands.
     #[test]
@@ -778,10 +717,10 @@ mod tests {
         }
     }
 
-    /// The skip-free `nt` product needs no finite `b`: every build agrees
-    /// with the sequential dot on `±∞` / NaN in either operand.
+    /// No product needs a finite `b`: every build agrees with the reference
+    /// on `±∞` / NaN in either operand.
     #[test]
-    fn gemm_builds_match_reference_nt_with_non_finite_b() {
+    fn gemm_builds_match_reference_with_non_finite_b() {
         for (name, build) in gemm_builds() {
             for shape in shapes() {
                 check_build(name, build, shape, Seeding::Specials, Seeding::Specials);
@@ -789,47 +728,53 @@ mod tests {
         }
     }
 
-    /// A non-finite `b` routes `matmul` / `matmul_tn` to the reference, so
-    /// the zero skip of the replaced loops stays observable exactly where it
-    /// was: `0 · ∞` contributes nothing instead of a NaN.
-    #[test]
-    fn non_finite_b_takes_the_reference_and_keeps_the_zero_skip() {
-        for (m, n, k) in shapes() {
-            for a_seeding in [Seeding::Relu, Seeding::Specials] {
-                let mut rng = FastRng::new(0xb1f, (m * 31 + n * 7 + k) as u64);
-                let a = operand(m * k, a_seeding, &mut rng);
-                let mut b = operand(k * n, Seeding::Specials, &mut rng);
-                b[k * n / 2] = f32::INFINITY;
-                assert!(!all_finite(&b));
-                let label = format!("m={m} n={n} k={k} a={a_seeding:?}");
-                let mut want = vec![0.0f32; m * n];
-                let mut got = vec![7.0f32; m * n];
-                matmul_reference(m, k, n, &a, &b, &mut want);
-                matmul_into(m, k, n, &a, &b, &mut got);
-                assert_same(&got, &want, &format!("nn {label}"));
-                matmul_tn_reference(k, m, n, &a, &b, &mut want);
-                matmul_tn_into(k, m, n, &a, &b, &mut got);
-                assert_same(&got, &want, &format!("tn {label}"));
-                matmul_nt_reference(m, k, n, &a, &b, &mut want);
-                matmul_nt_into(m, k, n, &a, &b, &mut Vec::new(), &mut got);
-                assert_same(&got, &want, &format!("nt {label}"));
-            }
+    /// Every build as each product, and each entry point, on a `13 × 33`
+    /// output whose every element has the terms `a_k[kk] · b_k[kk]`; each
+    /// element must be `want` (any NaN for a NaN).
+    fn check_every_element(a_k: &[f32], b_k: &[f32], want: f32) {
+        let (m, n, k) = (13, 33, a_k.len());
+        // Row-major m × k and k × m left operands, k × n and n × k right ones.
+        let a_nn: Vec<f32> = (0..m * k).map(|at| a_k[at % k]).collect();
+        let a_tn: Vec<f32> = (0..k * m).map(|at| a_k[at / m]).collect();
+        let b_kn: Vec<f32> = (0..k * n).map(|at| b_k[at / n]).collect();
+        let b_nk: Vec<f32> = (0..n * k).map(|at| b_k[at % k]).collect();
+        let want = vec![want; m * n];
+        let mut got = vec![7.0f32; m * n];
+        for (name, build) in gemm_builds() {
+            run(build, m, n, k, &a_nn, (k, 1), &b_kn, 0.0, &mut got);
+            assert_same(&got, &want, &format!("{name} nn"));
+            run(build, m, n, k, &a_tn, (1, m), &b_kn, 0.0, &mut got);
+            assert_same(&got, &want, &format!("{name} tn"));
+            run(build, m, n, k, &a_nn, (k, 1), &b_kn, -0.0, &mut got);
+            assert_same(&got, &want, &format!("{name} nt"));
         }
-        // The observable difference itself: a zero activation against an
-        // infinite weight.
-        let mut out = [7.0f32; 1];
-        matmul_into(1, 2, 1, &[0.0, 1.0], &[f32::INFINITY, 2.0], &mut out);
-        assert_eq!(out[0].to_bits(), 2.0f32.to_bits());
-        matmul_nt_into(
-            1,
-            2,
-            1,
-            &[0.0, 1.0],
-            &[f32::INFINITY, 2.0],
-            &mut Vec::new(),
-            &mut out,
-        );
-        assert!(out[0].is_nan());
+        matmul_into(m, k, n, &a_nn, &b_kn, &mut got);
+        assert_same(&got, &want, "matmul_into");
+        matmul_tn_into(k, m, n, &a_tn, &b_kn, &mut got);
+        assert_same(&got, &want, "matmul_tn_into");
+        matmul_nt_into(m, k, n, &a_nn, &b_nk, &mut Vec::new(), &mut got);
+        assert_same(&got, &want, "matmul_nt_into");
+    }
+
+    /// IEEE `0 · ∞ = NaN` reaches the output of every build and every
+    /// product: a zero activation against an infinite weight is a term like
+    /// any other.
+    #[test]
+    fn zero_times_infinity_is_nan_through_every_build() {
+        check_every_element(&[0.0, 1.0], &[f32::INFINITY, 2.0], f32::NAN);
+        check_every_element(&[1.0, -0.0], &[2.0, f32::NEG_INFINITY], f32::NAN);
+    }
+
+    /// The accumulator only an FMA leaves at `−0.0`: the smallest subnormal
+    /// times `−0.5` is exactly `−2⁻¹⁵⁰`, which one fused rounding takes to
+    /// `−0.0` from either zero start (a multiply rounded on its own, then
+    /// added to `+0.0`, would give `+0.0`). A following `0 · 1` term must
+    /// then be taken, not skipped: `fma(0, 1, −0.0) = +0.0`.
+    #[test]
+    fn underflow_to_negative_zero_is_one_fma_and_no_term_is_skipped() {
+        let tiny = f32::from_bits(1);
+        check_every_element(&[tiny], &[-0.5], -0.0);
+        check_every_element(&[tiny, 0.0], &[-0.5, 1.0], 0.0);
     }
 
     /// `matmul_nt` starts from the `−0.0` of `Iterator::sum::<f32>`: a row
@@ -840,8 +785,12 @@ mod tests {
         for (m, n, k) in [(1, 1, 1), (7, 33, 50), (6, 16, 2)] {
             let a = vec![1.5f32; m * k];
             let b = vec![-0.0f32; n * k];
-            let mut want = vec![1.0f32; m * n];
-            matmul_nt_reference(m, k, n, &a, &b, &mut want);
+            let want = reference(
+                (m, n, k),
+                |i, kk| a[i * k + kk],
+                |kk, j| b[j * k + kk],
+                -0.0,
+            );
             assert!(want.iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
             for (name, build) in gemm_builds() {
                 let mut got = vec![7.0f32; m * n];
@@ -866,60 +815,10 @@ mod tests {
         assert!(out.iter().all(|v| v.to_bits() == 0.0f32.to_bits()));
         matmul_tn_into(0, 2, 3, &[], &[], &mut out);
         assert!(out.iter().all(|v| v.to_bits() == 0.0f32.to_bits()));
-        let mut want = [7.0f32; 6];
-        matmul_nt_reference(2, 0, 3, &[], &[], &mut want);
         matmul_nt_into(2, 0, 3, &[], &[], &mut Vec::new(), &mut out);
-        assert_same(&out, &want, "nt with k = 0");
+        assert!(out.iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
         matmul_into(0, 4, 3, &[], &[0.0; 12], &mut []);
         matmul_into(3, 4, 0, &[0.0; 12], &[], &mut []);
-    }
-
-    /// `all_finite` agrees with `iter().all(f32::is_finite)` on every length
-    /// 0..=67 (every vector-body and tail remainder) with `±∞`, a quiet NaN,
-    /// a negative quiet NaN and a signalling NaN at every index, and on
-    /// finite vectors holding `±0.0`, subnormals, the smallest normal and
-    /// `±f32::MAX`.
-    #[test]
-    fn all_finite_matches_is_finite_at_every_index() {
-        let specials = [
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            f32::NAN,
-            f32::from_bits(0xffc0_0001),
-            f32::from_bits(0x7fa0_0000),
-        ];
-        let finite = [
-            0.0,
-            -0.0,
-            1e-45,
-            -1e-45,
-            f32::from_bits(0x007f_ffff),
-            f32::MIN_POSITIVE,
-            f32::MAX,
-            f32::MIN,
-            1.0,
-        ];
-        let mut rng = FastRng::new(0xf1, 0);
-        for len in 0..=67 {
-            let mut values: Vec<f32> = (0..len)
-                .map(|_| finite[rng.next_range(finite.len() as u64) as usize])
-                .collect();
-            assert!(values.iter().all(|v| v.is_finite()));
-            assert!(all_finite(&values), "len {len}: {values:?}");
-            for &bad in &specials {
-                assert!(bad.to_bits() & 0x7f80_0000 == 0x7f80_0000);
-                for at in 0..len {
-                    let kept = std::mem::replace(&mut values[at], bad);
-                    assert_eq!(
-                        all_finite(&values),
-                        values.iter().all(|v| v.is_finite()),
-                        "len {len}, {:#010x} at {at}",
-                        bad.to_bits()
-                    );
-                    values[at] = kept;
-                }
-            }
-        }
     }
 
     /// The dispatched transpose (the AVX-512 register transpose on a host
