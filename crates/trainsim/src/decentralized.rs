@@ -226,17 +226,18 @@ mod tests {
     /// fingerprint of every round's loss and consensus error, and one of
     /// every worker's final parameters. Recorded while each step still drew
     /// a fresh workspace and minibatch and scaled the optimizer's direction
-    /// in a pass of its own.
+    /// in a pass of its own; re-recorded once, constants only, for GEMM
+    /// accumulation contract v2 (DESIGN §17).
     #[test]
     fn gossip_golden() {
         for (optimizer, want) in [
             (
                 OptimizerKind::Sgd,
-                (0xae4b_50e6_dccd_df62, 0x85d6_0ecf_376e_30c7),
+                (0x25b6_d7d3_0068_b781, 0x266b_a454_b85d_515f),
             ),
             (
                 OptimizerKind::Momentum(0.9),
-                (0x3ff6_0809_30d7_6bff, 0x6335_b4fa_560f_08b5),
+                (0x4121_2ab3_0335_24e3, 0xe018_ca23_498c_238d),
             ),
         ] {
             let mut cfg = cfg(4, 20);

@@ -10,9 +10,14 @@
 //! caller of the products. If any of them moves, the accumulation-order
 //! contract of the kernel (DESIGN §17) is broken.
 //!
-//! The three training tables were re-recorded once, constants only, for
-//! stream contract v2 (DESIGN §9), which moves the consensus of every
-//! one-bit round; the kernel-only pin (`PowerSgd`) did not move.
+//! Two on-purpose re-records since, constants only:
+//!
+//! 1. the three training tables, for stream contract v2 (DESIGN §9), which
+//!    moves the consensus of every one-bit round; the kernel-only pin
+//!    (`PowerSgd`) did not move;
+//! 2. all four pins, for GEMM accumulation contract v2 (DESIGN §17), which
+//!    fuses each term's multiply and add into one correctly rounded FMA and
+//!    so moves the low bits of every product.
 
 use marsit::compress::powersgd::PowerSgd;
 use marsit::prelude::*;
@@ -71,18 +76,18 @@ fn golden_resnet50_torus2x4_batch96() {
     cfg.test_examples = 256;
     cfg.batch_per_worker = 96;
     let want: &[(u64, u64)] = &[
-        (0x40131c0c465aaaab, 0x7e3adba96bb61efd),
-        (0x4013100c233c0000, 0x98c5091a21d0b266),
-        (0x4011a967f90aaaaa, 0x81552a19694584d9),
-        (0x4012df3733755555, 0xed01742edb641207),
-        (0x401188380cf00000, 0xf6b4b62533896904),
-        (0x40127a33d4deaaab, 0x301362bc72684da5),
-        (0x40115de0ef1aaaab, 0x22e39d1b965cd576),
-        (0x4011802fd7980000, 0xd28f428de05efed3),
-        (0x40115270f7eaaaaa, 0x4e582be63b2b69fe),
-        (0x40114ab91d4aaaab, 0x44f030379b1cac32),
-        (0x4010f58ae2755556, 0xfcc3adbd7ec46d41),
-        (0x4010b18cf9cd5556, 0x3b756fcca131e5bb),
+        (0x40131c0c4582aaab, 0xc7f20884f07a8f2c),
+        (0x4013100c216d5555, 0xe35c6609588fcbbb),
+        (0x4011a967fb100000, 0x216873e00f3d6e2b),
+        (0x4012df3732315556, 0xebfadb1959e673f5),
+        (0x401188380d42aaac, 0x9b766974a7662e8d),
+        (0x40127a33d4240001, 0x433d6444fb8d37ab),
+        (0x40115de0ee555556, 0x1fa57dde049a7aea),
+        (0x4011802fd8400000, 0xde37b924f417393b),
+        (0x40115270f7f00000, 0xb93a6f1edb2fdc8b),
+        (0x40114ab91c780000, 0x8da1e83f1aadd382),
+        (0x4010f58ae47aaaaa, 0x9bc7ffcc809dd351),
+        (0x4010b18cfad55555, 0xbce60acc7d940b84),
     ];
     assert_golden("resnet50 torus(2,4)", &run(cfg), want);
 }
@@ -102,18 +107,18 @@ fn serving_cfg(workload: Workload, topology: Topology, k: Option<u32>, seed: u64
 fn golden_alexnet_mnist_ring4_batch16() {
     let cfg = serving_cfg(Workload::AlexNetMnist, Topology::ring(4), Some(5), 11);
     let want: &[(u64, u64)] = &[
-        (0x4007df04fcd00000, 0xc52bd42528700e8d),
-        (0x400924baa6a00000, 0x0f874604db12c895),
-        (0x4006576ddce00000, 0x43fecbb121942fc8),
-        (0x400735d9ec300000, 0xa8cffbf35e72269d),
-        (0x4004728192200000, 0xd887ec31087f9e00),
-        (0x4005d3ac01900000, 0x61bbecedf049e087),
-        (0x4002e9116dc00000, 0x2f45fb5e231aab94),
-        (0x40001ca507c00000, 0x124285bd5f2970f0),
-        (0x4001cf805dd00000, 0x49e040aa5c6e4e33),
-        (0x3ffe1fec85c00000, 0xa6ba5f186ed9664e),
-        (0x3ffbf37aaac00000, 0x722684197b5c8358),
-        (0x3ff9617f84100000, 0x84e0b8303a15ded7),
+        (0x4007df04f6b00000, 0x0f775d39b8a42187),
+        (0x400924ba9ec00000, 0xcdeef84064f5dfaa),
+        (0x4006576de7300000, 0xf10e6360494cd625),
+        (0x400735d9e0e00000, 0x40314ef924c85c8c),
+        (0x400472818fb00000, 0x0b7fabe0bffe0cb8),
+        (0x4005d3ac05100000, 0x404048e058303148),
+        (0x4002e91175e00000, 0x71ab94a279f31221),
+        (0x40001ca509400000, 0x4194a25414ba0269),
+        (0x4001cf8054d00000, 0xf87146aa085c623b),
+        (0x3ffe1fec7d700000, 0x19fe2ba428cbfb6e),
+        (0x3ffbf37a9ec00000, 0xbba1948d4b0c6fcd),
+        (0x3ff9617f8c400000, 0x3cab2616620b0716),
     ];
     assert_golden("alexnet/mnist ring(4)", &run(cfg), want);
 }
@@ -124,18 +129,18 @@ fn golden_alexnet_mnist_ring4_batch16() {
 fn golden_resnet20_torus2x2_batch16() {
     let cfg = serving_cfg(Workload::ResNet20Cifar10, Topology::torus(2, 2), None, 13);
     let want: &[(u64, u64)] = &[
-        (0x400b3418d9000000, 0x625447e76b4c3daa),
-        (0x40082cd589f80000, 0x9f8cdf2a753b88d9),
-        (0x4008956dcd700000, 0x669e6af1aa52c475),
-        (0x400a12ac11000000, 0x709c4626250bf646),
-        (0x40074a7f60800000, 0xd883a1834b65b46a),
-        (0x4008e5cbd9400000, 0xb09917db7936a1bf),
-        (0x40073d58d6100000, 0xd5be47f7306bdf41),
-        (0x4005e8194fa00000, 0x3aa6a8a7a822f340),
-        (0x4003b5bb6d600000, 0x46d40ceb2b15abe4),
-        (0x4005c4457eb00000, 0x613fab888365ba8e),
-        (0x4005870d8e500000, 0x43b2a9d855435e3b),
-        (0x4005fdeff7400000, 0x091f0a330ce9e293),
+        (0x400b3418de800000, 0x625447e76b4c3daa),
+        (0x40082cd587380000, 0x9f8cdf2a753b88d9),
+        (0x4008956dc7e00000, 0x669e6af1aa52c475),
+        (0x400a12ac0c800000, 0x709c4626250bf646),
+        (0x40074a7f5b300000, 0xd883a1834b65b46a),
+        (0x4008e5cbd7400000, 0xb09917db7936a1bf),
+        (0x40073d58ca300000, 0xd5be47f7306bdf41),
+        (0x4005e8194e800000, 0x3aa6a8a7a822f340),
+        (0x4003b5bb70a00000, 0x46d40ceb2b15abe4),
+        (0x4005c4457ba00000, 0x613fab888365ba8e),
+        (0x4005870d98400000, 0x43b2a9d855435e3b),
+        (0x4005fdeff7b00000, 0x091f0a330ce9e293),
     ];
     assert_golden("resnet20 torus(2,2)", &run(cfg), want);
 }
@@ -155,7 +160,7 @@ fn golden_powersgd_round_trip() {
     }
     assert_eq!(
         (fnv1a(&decoded), fnv1a(psgd.error())),
-        (0xca9d_b41c_693e_7aab, 0xd273_1f10_cafe_44e7),
+        (0xa51c_ec0d_7a81_6bc4, 0x7090_1c9d_e1e5_0854),
         "powersgd round trip moved: (0x{:016x}, 0x{:016x})",
         fnv1a(&decoded),
         fnv1a(psgd.error())

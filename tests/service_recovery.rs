@@ -238,8 +238,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// deterministic — writes exactly these journal bytes, and the job's
 /// checkpoint after round 2 is exactly this frame. A faster checksum or a
 /// cheaper way to carry a payload must move neither. (Both fingerprints were
-/// re-recorded once, with the codec untouched, when stream contract v2 moved
-/// what the job's one-bit rounds draw — DESIGN §9; the frame kept its length.)
+/// re-recorded twice with the codec untouched: when stream contract v2 moved
+/// what the job's one-bit rounds draw — DESIGN §9 — and when GEMM contract v2
+/// moved the low bits of every product — DESIGN §17. The frame kept its
+/// length both times; the second time the journal grew 14 bytes, all of them
+/// digits of the shortest round-trip renderings of the JSONL `loss` /
+/// `comp_norm_sq` values and the report's `Debug` floats.)
 #[test]
 fn journal_bytes_are_pinned() {
     let dir = scratch("pinned");
@@ -258,7 +262,7 @@ fn journal_bytes_are_pinned() {
     let bytes = std::fs::read(&path).expect("read journal");
     assert_eq!(
         (bytes.len(), fnv1a(&bytes)),
-        (1_957_806, 10_133_110_329_258_098_517),
+        (1_957_820, 11_243_699_332_997_479_069),
         "journal file bytes moved"
     );
 
@@ -278,7 +282,7 @@ fn journal_bytes_are_pinned() {
     let checkpoint = state.snapshot().to_json();
     assert_eq!(
         (checkpoint.len(), fnv1a(&checkpoint)),
-        (620_592, 1_129_981_069_645_049_861),
+        (620_592, 7_436_621_712_310_962_882),
         "checkpoint frame bytes moved"
     );
     // Served equals solo, down to the journaled payload.
