@@ -17,8 +17,8 @@
 //!
 //! No term is skipped because under FMA a skip is observable even with finite
 //! operands: a subnormal times a negative value, fused into `+0.0`, rounds to
-//! `−0.0`, and a later `0 · b` term turns that back into `+0.0`. And IEEE
-//! `0 · ∞ = NaN` reaches the output of every product alike.
+//! `−0.0`, and a later `0 · b` term with `b > 0` turns that back into `+0.0`.
+//! And IEEE `0 · ∞ = NaN` reaches the output of every product alike.
 //!
 //! [`Tensor::matmul`]: crate::Tensor::matmul
 //! [`Tensor::matmul_tn`]: crate::Tensor::matmul_tn
