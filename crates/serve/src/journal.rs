@@ -32,12 +32,16 @@
 //! (see [`crate::supervisor`]), decoded by this module's decoder.
 //!
 //! A checkpoint is the bulk of a journal, so its bytes are touched as few
-//! times as the format allows: [`encode_record`] copies it into the record's
-//! frame (one copy, one CRC pass), and a replay reads the file into one
-//! buffer and gives every snapshot record a [`SharedBytes`] view of it —
-//! superseding a snapshot, planning a resume and redelivering a job share
-//! that buffer instead of copying a payload ([`replay_file`],
-//! [`replay_shared`]; [`replay_bytes`] must copy its borrowed input first).
+//! times as the format allows, and held no longer than they are needed:
+//! [`encode_record`] copies it into the record's frame (one copy, one CRC
+//! pass). A replay is a stream: the [`Scanner`] reads one frame at a time
+//! into a recycled buffer and gives a snapshot record a [`SharedBytes`] view
+//! of its frame's buffer, and the fold ([`ReplayState`]) takes records by
+//! value as they arrive, keeps each job's newest snapshot and hands every
+//! superseded one's buffer back for the next frame. A recovery holds about
+//! one frame buffer per job, however long the journal ([`replay_file`],
+//! [`replay_bytes`]); planning a resume and redelivering a job share a
+//! checkpoint's buffer instead of copying it.
 //!
 //! Durability batching: [`JournalWriter::append`] enqueues the encoded
 //! record to a dedicated writer thread; [`JournalWriter::commit`] requests a
@@ -53,10 +57,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::{BufReader, Read, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
-use marsit_simnet::wire::{split_frame, Reader, SharedBytes, WireError, Writer};
+use marsit_simnet::wire::{read_frame_bytes, sole_frame, Reader, SharedBytes, WireError, Writer};
 
 use crate::scheduler::{report_fingerprint, run_solo};
 use crate::spec::JobSpec;
@@ -82,8 +86,8 @@ pub struct SnapshotRecord {
     /// carry absolute sequence numbers, so a resumed job's fresh sink
     /// must continue numbering here for byte-identical logs.
     pub tel_seq: u64,
-    /// The checkpoint frame (`TrainSnapshot::to_json`), as a view: a replayed
-    /// record's is a range of the journal buffer, and cloning the record
+    /// The checkpoint frame (`TrainSnapshot::to_json`), as a view: a scanned
+    /// record's is a range of its frame's buffer, and cloning the record
     /// shares it. The name is historical — `/1` carried JSON — and
     /// `benchmark/` spells it.
     pub snapshot_json: SharedBytes,
@@ -256,21 +260,22 @@ pub fn encode_record(seq: u64, record: &JournalRecord) -> Result<Vec<u8>, Journa
     Ok(w.finish())
 }
 
-/// Decodes the body of a frame of `kind` into `(seq, record)`. `body` is the
-/// shared view of the bytes `r` reads: a checkpoint payload comes back as a
-/// range of it, located by the reader's offsets, not copied out.
+/// Decodes the body of a frame of `kind` into `(seq, record)`. `frame` is a
+/// shared view that ends where the bytes `r` reads end (the frame, or its
+/// body): a checkpoint payload comes back as a range of it, located by the
+/// reader's offsets, not copied out.
 fn decode_record(
     kind: u8,
     mut r: Reader<'_>,
-    body: &SharedBytes,
+    frame: &SharedBytes,
 ) -> Result<(u64, JournalRecord), WireError> {
     fn index(r: &mut Reader<'_>) -> Result<usize, WireError> {
         r.u32().map(|v| v as usize)
     }
-    fn shared_bytes(r: &mut Reader<'_>, body: &SharedBytes) -> Result<SharedBytes, WireError> {
+    fn shared_bytes(r: &mut Reader<'_>, frame: &SharedBytes) -> Result<SharedBytes, WireError> {
         let len = r.bytes()?.len();
-        let end = body.len() - r.remaining();
-        Ok(body.slice(end - len..end))
+        let end = frame.len() - r.remaining();
+        Ok(frame.slice(end - len..end))
     }
     let seq = r.u64()?;
     let record = match kind {
@@ -284,7 +289,7 @@ fn decode_record(
             migrations: r.u32()?,
             round: r.u64()?,
             tel_seq: r.u64()?,
-            snapshot_json: shared_bytes(&mut r, body)?,
+            snapshot_json: shared_bytes(&mut r, frame)?,
             log: r.str()?.to_string(),
         }),
         KIND_MIGRATE => JournalRecord::Migrate {
@@ -307,11 +312,182 @@ fn decode_record(
     Ok((seq, record))
 }
 
-/// The result of scanning a journal byte stream: the decodable prefix.
+/// Bytes a file scan reads ahead of the frame it decodes: small records
+/// (submits, migrations) come out of this buffer, a checkpoint's bulk is read
+/// past it straight into its frame buffer.
+const READ_AHEAD: usize = 32 << 10;
+
+/// Turns a byte source — a journal file, a byte slice, the payload of a
+/// serving frame — into verified `(seq, record)`s, one frame at a time. Each
+/// frame is read into a recycled buffer, CRC-checked once and decoded; a
+/// snapshot record's checkpoint is a [`SharedBytes`] view of its frame's
+/// buffer, every other field is copied out and the buffer goes straight back
+/// for the next frame. A holder done with a checkpoint hands its buffer back
+/// through [`Scanner::reclaim`], so a scan followed by the fold
+/// ([`ReplayState::apply`]) holds one buffer per live checkpoint plus the
+/// frame in flight, however long the journal.
+///
+/// Iteration stops at the first record that is truncated, fails its CRC, or
+/// breaks the sequence; [`Scanner::torn`] says which, [`Scanner::valid_len`]
+/// where the valid prefix ends. A journal truncated at *any* byte yields its
+/// longest valid prefix.
+#[derive(Debug)]
+pub struct Scanner<R> {
+    source: R,
+    /// Bytes the source holds past the frames read so far.
+    room: usize,
+    pool: FramePool,
+    valid_len: usize,
+    next_seq: u64,
+    torn: Option<JournalError>,
+    /// An I/O failure of the source (never of a byte slice).
+    failed: Option<std::io::Error>,
+    done: bool,
+}
+
+/// A scanner's free frame buffers.
+#[derive(Debug, Default)]
+struct FramePool {
+    free: Vec<Vec<u8>>,
+    /// The largest frame a buffer was allocated for.
+    largest: usize,
+}
+
+impl FramePool {
+    /// A buffer for a frame that claims `need` bytes of a source holding
+    /// `room` more: a free one that already fits, else a fresh one with room
+    /// for twice the largest frame yet — frames of one job grow by their log,
+    /// and jobs of different shapes interleave — but never for more than the
+    /// source holds, so a length claim buys nothing the bytes do not back. A
+    /// free buffer too small for the frame is dropped, not kept beside the
+    /// new one.
+    fn take(&mut self, need: usize, room: usize) -> Vec<u8> {
+        if let Some(i) = self.free.iter().position(|b| b.capacity() >= need) {
+            return self.free.swap_remove(i);
+        }
+        self.free.pop();
+        self.largest = self.largest.max(need.min(room));
+        Vec::with_capacity(self.largest.saturating_mul(2).min(room))
+    }
+}
+
+impl<'a> Scanner<&'a [u8]> {
+    /// Scans journal bytes held in memory.
+    #[must_use]
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self::over(bytes, bytes.len())
+    }
+}
+
+impl Scanner<BufReader<File>> {
+    /// Scans a journal file through a read-ahead buffer no larger than the
+    /// file.
+    fn open(path: &Path) -> std::io::Result<Self> {
+        let file = File::open(path)?;
+        let len = usize::try_from(file.metadata()?.len()).unwrap_or(usize::MAX);
+        Ok(Self::over(
+            BufReader::with_capacity(READ_AHEAD.min(len), file),
+            len,
+        ))
+    }
+}
+
+impl<R: Read> Scanner<R> {
+    fn over(source: R, room: usize) -> Self {
+        Self {
+            source,
+            room,
+            pool: FramePool::default(),
+            valid_len: 0,
+            next_seq: 0,
+            torn: None,
+            failed: None,
+            done: false,
+        }
+    }
+
+    /// Byte length of the valid prefix scanned so far — a resuming writer
+    /// truncates the file here before appending.
+    #[must_use]
+    pub fn valid_len(&self) -> usize {
+        self.valid_len
+    }
+
+    /// The sequence number the next record must carry.
+    #[must_use]
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Why scanning stopped before the end of the input, once it has (a
+    /// torn tail is expected after a crash, not an error).
+    #[must_use]
+    pub fn torn(&self) -> Option<&JournalError> {
+        self.torn.as_ref()
+    }
+
+    /// Hands a checkpoint back once its holder is done with it: when no
+    /// other view shares its buffer, a later frame is read into it.
+    pub fn reclaim(&mut self, payload: SharedBytes) {
+        if let Some(buf) = payload.reclaim() {
+            self.pool.free.push(buf);
+        }
+    }
+
+    fn stop(&mut self, torn: Option<JournalError>) -> Option<(u64, JournalRecord)> {
+        self.torn = torn;
+        self.done = true;
+        None
+    }
+}
+
+impl<R: Read> Iterator for Scanner<R> {
+    type Item = (u64, JournalRecord);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        let room = self.room;
+        let pool = &mut self.pool;
+        let frame = match read_frame_bytes(&mut self.source, |need| pool.take(need, room)) {
+            Ok(Some(frame)) => SharedBytes::from(frame),
+            Ok(None) => return self.stop(None),
+            Err(e) => {
+                let wire = e.get_ref().and_then(|e| e.downcast_ref::<WireError>());
+                if let Some(wire) = wire {
+                    return self.stop(Some(wire.clone().into()));
+                }
+                self.failed = Some(e);
+                return self.stop(None);
+            }
+        };
+        let len = frame.len();
+        let decoded = sole_frame(&frame).and_then(|(kind, r)| decode_record(kind, r, &frame));
+        // Back to the pool unless the record kept a view of it.
+        self.reclaim(frame);
+        match decoded {
+            Ok((seq, record)) if seq == self.next_seq => {
+                self.valid_len += len;
+                self.room = self.room.saturating_sub(len);
+                self.next_seq += 1;
+                Some((seq, record))
+            }
+            Ok((found, _)) => self.stop(Some(JournalError::OutOfSequence {
+                expected: self.next_seq,
+                found,
+            })),
+            Err(e) => self.stop(Some(e.into())),
+        }
+    }
+}
+
+/// A scanned journal, folded: the resume state of its valid prefix.
 #[derive(Debug)]
 pub struct Replay {
-    /// Every record in the valid prefix, in journal order.
-    pub records: Vec<(u64, JournalRecord)>,
+    /// The fold over every record in the valid prefix; `state.plan()` is
+    /// the [`ResumePlan`].
+    pub state: ReplayState,
     /// Byte length of the valid prefix — a resuming writer truncates the
     /// file here before appending.
     pub valid_len: usize,
@@ -322,66 +498,43 @@ pub struct Replay {
     pub torn: Option<JournalError>,
 }
 
-/// Scans journal bytes, decoding records until the first torn, corrupt or
-/// out-of-sequence one. Never fails: a journal truncated at *any* byte
-/// yields the longest valid prefix (replay of which is a valid resume
-/// state).
-///
-/// The records outlive the borrowed input, so this copies it — once, whole —
-/// and scans the copy with [`replay_shared`]. A caller that owns its bytes
-/// (or reads a file: [`replay_file`]) skips the copy.
-#[must_use]
-pub fn replay_bytes(bytes: &[u8]) -> Replay {
-    replay_shared(bytes.to_vec().into())
-}
-
-/// [`replay_bytes`] over a buffer the caller hands over: every snapshot
-/// record's checkpoint payload is a view of `bytes`, so nothing
-/// payload-sized is copied or allocated per record.
-#[must_use]
-pub fn replay_shared(bytes: SharedBytes) -> Replay {
-    let mut records = Vec::new();
-    let mut valid_len = 0;
-    let torn = loop {
-        let rest = &bytes[valid_len..];
-        if rest.is_empty() {
-            break None;
+/// Scans and folds as the records arrive: the fold takes each record by
+/// value and hands every checkpoint it lets go of back to the scanner.
+fn replay<R: Read>(mut records: Scanner<R>) -> std::io::Result<Replay> {
+    let mut state = ReplayState::new();
+    while let Some((_, record)) = records.next() {
+        if let Some(payload) = state.apply(record) {
+            records.reclaim(payload);
         }
-        let expected = records.len() as u64;
-        let next = split_frame(rest).and_then(|(kind, r, after)| {
-            let end = bytes.len() - after.len();
-            let body = bytes.slice(end - r.remaining()..end);
-            Ok((decode_record(kind, r, &body)?, end))
-        });
-        match next {
-            Ok(((seq, record), end)) if seq == expected => {
-                records.push((seq, record));
-                valid_len = end;
-            }
-            Ok(((found, _), _)) => break Some(JournalError::OutOfSequence { expected, found }),
-            Err(e) => break Some(e.into()),
-        }
-    };
-    Replay {
-        next_seq: records.len() as u64,
-        valid_len,
-        records,
-        torn,
+    }
+    match records.failed {
+        Some(e) => Err(e),
+        None => Ok(Replay {
+            state,
+            valid_len: records.valid_len,
+            next_seq: records.next_seq,
+            torn: records.torn,
+        }),
     }
 }
 
-/// Reads a journal file into one buffer and scans it in place (see
-/// [`replay_shared`]): the file's bytes are touched by the read and by each
-/// frame's CRC check, and never copied.
+/// Replays journal bytes held in memory. Never fails: a journal truncated at
+/// *any* byte yields the longest valid prefix (replay of which is a valid
+/// resume state).
+#[must_use]
+pub fn replay_bytes(bytes: &[u8]) -> Replay {
+    replay(Scanner::new(bytes)).expect("reading a byte slice cannot fail")
+}
+
+/// Replays a journal file as a stream (see [`Scanner`]): the process holds
+/// about one frame buffer per job, however long the file.
 ///
 /// # Errors
 ///
 /// Only on I/O failure opening or reading the file; torn tails are
 /// reported inside the [`Replay`], not as errors.
 pub fn replay_file(path: &Path) -> std::io::Result<Replay> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    Ok(replay_shared(bytes.into()))
+    replay(Scanner::open(path)?)
 }
 
 /// A finished job recovered from the journal (or received over the
@@ -457,44 +610,52 @@ impl ReplayState {
         Self::default()
     }
 
-    /// Folds one record in. Idempotent: re-applying a record the state
-    /// already reflects changes nothing.
-    pub fn apply(&mut self, record: &JournalRecord) {
+    /// Folds one record in, by value. Idempotent: re-applying a record the
+    /// state already reflects changes nothing. Returns the checkpoint the
+    /// state let go of, if any — the one a later snapshot superseded, a
+    /// finished job's, or the record's own when it is not kept — for the
+    /// scanner to reuse its buffer ([`Scanner::reclaim`]).
+    pub fn apply(&mut self, record: JournalRecord) -> Option<SharedBytes> {
         match record {
             JournalRecord::Submit { spec } => {
                 let job = self.jobs.entry(spec.name.clone()).or_default();
                 if job.spec.is_none() {
-                    job.spec = Some(spec.clone());
+                    job.spec = Some(spec);
                 }
+                None
             }
             JournalRecord::Snapshot(s) => {
-                if !self.jobs.contains_key(&s.name) {
+                let Some(job) = self.jobs.get_mut(&s.name) else {
                     self.note_orphan(&s.name);
-                    return;
+                    return Some(s.snapshot_json);
+                };
+                // A finished job resumes from nothing. Later snapshots
+                // supersede earlier ones; an equal round is the same
+                // snapshot re-applied (idempotence).
+                if job.outcome.is_some() || job.snap.as_ref().is_some_and(|cur| s.round < cur.round)
+                {
+                    return Some(s.snapshot_json);
                 }
-                let job = self.jobs.entry(s.name.clone()).or_default();
-                // Later snapshots supersede earlier ones; an equal round
-                // is the same snapshot re-applied (idempotence).
-                if job.snap.as_ref().is_none_or(|cur| s.round >= cur.round) {
-                    job.snap = Some(s.clone());
-                }
+                job.snap.replace(s).map(|old| old.snapshot_json)
             }
             JournalRecord::Migrate { name, .. } => {
                 // Audit trail only: resume state comes from snapshots, so
                 // replaying a migrate record twice is trivially idempotent.
-                if !self.jobs.contains_key(name) {
-                    self.note_orphan(name);
+                if !self.jobs.contains_key(&name) {
+                    self.note_orphan(&name);
                 }
+                None
             }
             JournalRecord::Outcome(o) => {
-                if !self.jobs.contains_key(&o.name) {
+                let Some(job) = self.jobs.get_mut(&o.name) else {
                     self.note_orphan(&o.name);
-                    return;
+                    return None;
+                };
+                if job.outcome.is_some() {
+                    return None;
                 }
-                let job = self.jobs.entry(o.name.clone()).or_default();
-                if job.outcome.is_none() {
-                    job.outcome = Some(o.clone());
-                }
+                job.outcome = Some(o);
+                job.snap.take().map(|s| s.snapshot_json)
             }
         }
     }
@@ -541,14 +702,21 @@ impl ReplayState {
     }
 }
 
-/// Folds a scanned [`Replay`] into its [`ResumePlan`].
+impl FromIterator<JournalRecord> for ReplayState {
+    /// Folds records in order (see [`ReplayState::apply`]).
+    fn from_iter<I: IntoIterator<Item = JournalRecord>>(records: I) -> Self {
+        let mut state = Self::new();
+        for record in records {
+            state.apply(record);
+        }
+        state
+    }
+}
+
+/// `replay.state.plan()`, under the name `benchmark/` calls.
 #[must_use]
 pub fn plan_from_replay(replay: &Replay) -> ResumePlan {
-    let mut state = ReplayState::new();
-    for (_, record) in &replay.records {
-        state.apply(record);
-    }
-    state.plan()
+    replay.state.plan()
 }
 
 /// Checks a recovered outcome against a fresh solo run of its spec — the
@@ -1008,17 +1176,17 @@ mod tests {
             unreachable!("second of the four kinds");
         };
         let mut payload = encode_record(0, &submit).unwrap();
-        let fresh = plan_from_replay(&replay_bytes(&payload));
+        let fresh = replay_bytes(&payload).state.plan();
         assert_eq!(fresh.fresh, vec![spec("a")]);
         assert!(fresh.resumes.is_empty() && fresh.completed.is_empty());
 
         payload.extend_from_slice(&encode_record(1, &snapshot).unwrap());
         let replay = replay_bytes(&payload);
         assert!(replay.torn.is_none());
-        let delivered = plan_from_replay(&replay);
+        let delivered = replay.state.plan();
         let mut recovered = ReplayState::new();
-        recovered.apply(&submit);
-        recovered.apply(&snapshot);
+        recovered.apply(submit);
+        recovered.apply(snapshot.clone());
         assert_eq!(delivered.resumes, recovered.plan().resumes);
         assert_eq!(
             delivered.resumes,
@@ -1031,6 +1199,58 @@ mod tests {
             }]
         );
         assert!(delivered.fresh.is_empty() && delivered.orphaned.is_empty());
+    }
+
+    /// The fold hands back every checkpoint it lets go of and the scan
+    /// reads later frames into those buffers: a job snapshotted ten times
+    /// is read through two frame buffers, not ten.
+    #[test]
+    fn a_scan_reads_into_the_buffers_the_fold_lets_go_of() {
+        let snap = |round: u64| {
+            JournalRecord::Snapshot(SnapshotRecord {
+                name: "a".to_string(),
+                shard: 0,
+                migrations: 0,
+                round,
+                tel_seq: round,
+                snapshot_json: vec![round as u8; 4096].into(),
+                log: "l\n".to_string(),
+            })
+        };
+        let [_, _, _, outcome] = four_kinds();
+        let mut records = vec![JournalRecord::Submit { spec: spec("a") }];
+        records.extend((1..=10).map(snap));
+        records.push(outcome);
+        let bytes: Vec<u8> = records
+            .iter()
+            .enumerate()
+            .flat_map(|(seq, record)| encode_record(seq as u64, record).unwrap())
+            .collect();
+
+        let mut scanner = Scanner::new(&bytes);
+        let mut state = ReplayState::new();
+        let (mut buffers, mut released) = (Vec::new(), 0);
+        while let Some((_, record)) = scanner.next() {
+            if let JournalRecord::Snapshot(s) = &record {
+                assert_eq!(s.snapshot_json[0], s.round as u8);
+                buffers.push(s.snapshot_json.as_ptr());
+            }
+            if let Some(payload) = state.apply(record) {
+                released += 1;
+                scanner.reclaim(payload);
+            }
+        }
+        assert!(scanner.torn().is_none());
+        assert_eq!(scanner.valid_len(), bytes.len());
+        assert_eq!(
+            released, 10,
+            "nine superseded, the last let go by the outcome"
+        );
+        buffers.sort_unstable();
+        buffers.dedup();
+        assert_eq!(buffers.len(), 2);
+        let plan = state.plan();
+        assert_eq!((plan.completed.len(), plan.resumes.len()), (1, 0));
     }
 
     #[test]
@@ -1050,7 +1270,7 @@ mod tests {
         );
         // Torn mid-record: only the first record survives.
         let replay = replay_bytes(&bytes[..bytes.len() - 10]);
-        assert_eq!(replay.records.len(), 1);
+        assert_eq!(replay.next_seq, 1);
         assert_eq!(replay.torn, Some(JournalError::Wire(WireError::Truncated)));
         assert_eq!(replay.valid_len, first.len());
         // Sequence break (a record skipped wholesale) also stops replay.
@@ -1059,7 +1279,7 @@ mod tests {
             &encode_record(5, &JournalRecord::Submit { spec: spec("b") }).unwrap(),
         );
         let replay = replay_bytes(&skipped);
-        assert_eq!(replay.records.len(), 1);
+        assert_eq!(replay.next_seq, 1);
         assert_eq!(
             replay.torn,
             Some(JournalError::OutOfSequence {
@@ -1075,7 +1295,7 @@ mod tests {
     fn foreign_kind_ends_the_valid_prefix() {
         let stray = marsit_simnet::wire::Writer::new(0x20, 0).finish();
         let replay = replay_bytes(&stray);
-        assert!(replay.records.is_empty());
+        assert_eq!((replay.next_seq, replay.valid_len), (0, 0));
         assert_eq!(
             replay.torn,
             Some(JournalError::Wire(WireError::Truncated)),
@@ -1102,7 +1322,7 @@ mod tests {
             // Drop drains the writer thread's queue and syncs.
         }
         let replay = replay_file(&path).unwrap();
-        assert_eq!(replay.records.len(), 1);
+        assert_eq!(replay.next_seq, 1);
         assert!(replay.torn.is_none());
 
         // Simulate a torn tail, then resume: the tail is truncated and the
@@ -1127,8 +1347,11 @@ mod tests {
         }
         let replay = replay_file(&path).unwrap();
         assert!(replay.torn.is_none());
-        assert_eq!(replay.records.len(), 2);
-        assert_eq!(replay.records[1].0, 1);
+        assert_eq!(replay.next_seq, 2);
+        assert_eq!(
+            replay.valid_len as u64,
+            std::fs::metadata(&path).unwrap().len()
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1154,7 +1377,7 @@ mod tests {
             let path = dir.join(name);
             std::fs::write(&path, contents).unwrap();
             let replay = replay_file(&path).unwrap();
-            assert_eq!((replay.records.len(), replay.valid_len), (0, 0));
+            assert_eq!((replay.next_seq, replay.valid_len), (0, 0));
             let err = JournalWriter::resume(&path, &replay).expect_err("must refuse");
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
             assert!(err.to_string().contains(name), "names the file: {err}");
@@ -1177,14 +1400,14 @@ mod tests {
     #[test]
     fn resume_plan_classifies_jobs() {
         let mut state = ReplayState::new();
-        state.apply(&JournalRecord::Submit { spec: spec("done") });
-        state.apply(&JournalRecord::Submit {
+        state.apply(JournalRecord::Submit { spec: spec("done") });
+        state.apply(JournalRecord::Submit {
             spec: spec("midway"),
         });
-        state.apply(&JournalRecord::Submit {
+        state.apply(JournalRecord::Submit {
             spec: spec("queued"),
         });
-        state.apply(&JournalRecord::Snapshot(SnapshotRecord {
+        state.apply(JournalRecord::Snapshot(SnapshotRecord {
             name: "midway".to_string(),
             shard: 0,
             migrations: 0,
@@ -1194,7 +1417,7 @@ mod tests {
             log: "l".to_string(),
         }));
         // A later snapshot supersedes; an earlier replayed one does not.
-        state.apply(&JournalRecord::Snapshot(SnapshotRecord {
+        state.apply(JournalRecord::Snapshot(SnapshotRecord {
             name: "midway".to_string(),
             shard: 1,
             migrations: 1,
@@ -1203,14 +1426,14 @@ mod tests {
             snapshot_json: b"{later}".to_vec().into(),
             log: "ll".to_string(),
         }));
-        state.apply(&JournalRecord::Outcome(OutcomeRecord {
+        state.apply(JournalRecord::Outcome(OutcomeRecord {
             name: "done".to_string(),
             migrations: 0,
             shard_path: vec![0],
             report_debug: "r".to_string(),
             log: "g".to_string(),
         }));
-        state.apply(&JournalRecord::Outcome(OutcomeRecord {
+        state.apply(JournalRecord::Outcome(OutcomeRecord {
             name: "ghost".to_string(),
             migrations: 0,
             shard_path: vec![],

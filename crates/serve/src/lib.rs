@@ -32,9 +32,9 @@ pub mod supervisor;
 
 pub use admission::{AdmissionController, AdmissionError, TenantQuota};
 pub use journal::{
-    encode_record, plan_from_replay, replay_bytes, replay_file, replay_shared, verify_recovered,
-    JournalError, JournalRecord, JournalWriter, OutcomeRecord, RecoveredOutcome, Replay,
-    ReplayState, ResumeJob, ResumePlan, SnapshotRecord,
+    encode_record, plan_from_replay, replay_bytes, replay_file, verify_recovered, JournalError,
+    JournalRecord, JournalWriter, OutcomeRecord, RecoveredOutcome, Replay, ReplayState, ResumeJob,
+    ResumePlan, Scanner, SnapshotRecord,
 };
 pub use pool::{PoolStats, TopologyClass, WorkspaceKey, WorkspacePool};
 pub use scheduler::{

@@ -6,9 +6,9 @@
 //! *subprocess* per shard (the `marsit_serve` binary in its hidden
 //! `--shard-worker` mode), speaks [`Frame`]s over localhost TCP, and
 //! supervises. A serving frame's payload is one or more records of
-//! [`crate::journal`], encoded and decoded by the journal's own codec, so a
-//! shard lands a delivered job through the same replay fold
-//! ([`plan_from_replay`]) and the same `admit` / `land_restore` as a
+//! [`crate::journal`], encoded by the journal's own codec and read by its
+//! [`Scanner`], so a shard lands a delivered job through the same replay
+//! fold ([`ReplayState`]) and the same `admit` / `land_restore` as a
 //! restarted thread server:
 //!
 //! - **Submission** — a `submit` frame carries a fresh job's `Submit`
@@ -54,8 +54,8 @@ use marsit_simnet::wire::{read_frame, write_frame, Frame, FrameKind, Payload, DR
 use marsit_tensor::rng::FastRng;
 
 use crate::journal::{
-    encode_record, plan_from_replay, replay_shared, JournalRecord, JournalWriter, OutcomeRecord,
-    RecoveredOutcome, Replay, ResumeJob, SnapshotRecord,
+    encode_record, JournalRecord, JournalWriter, OutcomeRecord, RecoveredOutcome, ReplayState,
+    ResumeJob, Scanner, SnapshotRecord,
 };
 use crate::pool::WorkspacePool;
 use crate::scheduler::{
@@ -347,19 +347,19 @@ fn serving_frame(
     Ok(Frame::bytes(kind, from, to, payload))
 }
 
-/// The records of a serving frame: all of them decode, or it is a protocol
-/// error. Takes the frame over, so a snapshot record's checkpoint is a view
-/// of the payload as it came off the socket.
-fn serving_records(frame: Frame) -> Result<Replay, SupervisorError> {
-    let Payload::Bytes(bytes) = frame.payload else {
+/// The records of a serving frame, in order, as the journal's scanner reads
+/// them: all of them decode, or it is a protocol error.
+fn serving_records(frame: &Frame) -> Result<Vec<JournalRecord>, SupervisorError> {
+    let Payload::Bytes(bytes) = &frame.payload else {
         return Err(SupervisorError::Protocol(format!(
             "expected a bytes payload, got {:?}",
             frame.payload
         )));
     };
-    let replay = replay_shared(bytes.into());
-    match &replay.torn {
-        None => Ok(replay),
+    let mut scanner = Scanner::new(bytes);
+    let records = scanner.by_ref().map(|(_, record)| record).collect();
+    match scanner.torn() {
+        None => Ok(records),
         Some(e) => Err(SupervisorError::Protocol(e.to_string())),
     }
 }
@@ -615,13 +615,13 @@ fn handle_shard_frame(
     match frame.kind {
         FrameKind::Snapshot => {
             // One `Snapshot` record; a `Migrate` before it marks a hand-back.
-            let mut records = serving_records(frame)?.records;
-            let Some((_, JournalRecord::Snapshot(push))) = records.pop() else {
+            let mut records = serving_records(&frame)?;
+            let Some(JournalRecord::Snapshot(push)) = records.pop() else {
                 return Err(SupervisorError::Protocol(
                     "a snapshot frame ends in a snapshot record".to_string(),
                 ));
             };
-            let evicted = matches!(records.pop(), Some((_, JournalRecord::Migrate { .. })));
+            let evicted = matches!(records.pop(), Some(JournalRecord::Migrate { .. }));
             let name = push.name.clone();
             {
                 let Some(job) = jobs.get_mut(&name) else {
@@ -694,9 +694,8 @@ fn handle_shard_frame(
             Ok(())
         }
         FrameKind::Outcome => {
-            let mut records = serving_records(frame)?.records;
-            let Some((_, JournalRecord::Outcome(done))) =
-                records.pop().filter(|_| records.is_empty())
+            let mut records = serving_records(&frame)?;
+            let Some(JournalRecord::Outcome(done)) = records.pop().filter(|_| records.is_empty())
             else {
                 return Err(SupervisorError::Protocol(
                     "an outcome frame carries exactly one outcome record".to_string(),
@@ -971,10 +970,10 @@ fn shard_worker_loop(
                 // A delivered job is a one- or two-record journal: fold it
                 // and land it exactly as whole-server recovery would.
                 FrameKind::Submit => {
-                    let Ok(replay) = serving_records(frame) else {
+                    let Ok(records) = serving_records(&frame) else {
                         return 1;
                     };
-                    let plan = plan_from_replay(&replay);
+                    let plan = records.into_iter().collect::<ReplayState>().plan();
                     for spec in plan.fresh {
                         jobs.push_back(admit(spec, shard, &mut pool));
                     }
@@ -983,10 +982,10 @@ fn shard_worker_loop(
                     }
                 }
                 FrameKind::Snapshot => {
-                    let Ok(replay) = serving_records(frame) else {
+                    let Ok(records) = serving_records(&frame) else {
                         return 1;
                     };
-                    for (_, record) in replay.records {
+                    for record in records {
                         if let JournalRecord::Migrate { name, .. } = record {
                             evict_requests.push(name);
                         }
@@ -1139,7 +1138,11 @@ mod tests {
         // — and its outcome is the one that counts.
         let mut honest = connect_as(&addr, 0);
         let (delivery, _) = read_frame(&mut honest).expect("readable").expect("the job");
-        let plan = plan_from_replay(&serving_records(delivery).expect("journal records"));
+        let plan = serving_records(&delivery)
+            .expect("journal records")
+            .into_iter()
+            .collect::<ReplayState>()
+            .plan();
         assert_eq!(plan.fresh, vec![spec]);
         write_frame(&mut honest, &outcome_frame(0, "held", "honest")).expect("write");
         let report = handle.finish().expect("supervisor survives");

@@ -20,12 +20,14 @@
 //! |-------------|-------------------------------------------------------------|-------------------------------------|--------------------------------|
 //! | `0x01–0x0B` | [`Frame`]: `from`, `to`, payload tag + payload, trace ctx   | [`Frame::encode`] / [`write_frame`] | [`Frame::decode`] / [`read_frame`] |
 //! | `0x20`      | checkpoint: every `TrainSnapshot` field in declaration order | `TrainSnapshot::to_json`            | `TrainSnapshot::from_json`     |
-//! | `0x30–0x33` | journal record: `seq`, then the record's typed fields       | `marsit_serve::encode_record`       | `marsit_serve::replay_file` / `replay_bytes` |
+//! | `0x30–0x33` | journal record: `seq`, then the record's typed fields       | `marsit_serve::encode_record`       | `marsit_serve::Scanner` (via [`read_frame_bytes`]) |
 //!
 //! A checkpoint travels as a [`SharedBytes`]: `to_json` returns one,
 //! `encode_record` copies it into the record's frame (the one copy on the
-//! write side), and a replay hands every snapshot record a view of the one
-//! buffer it read instead of a copy.
+//! write side), and a journal scan reads each frame into a recycled buffer
+//! and hands a snapshot record a view of it instead of a copy; the holder
+//! done with it gives the buffer back ([`SharedBytes::reclaim`]) for a
+//! later frame.
 //!
 //! Bodies are sequences of fixed-width little-endian scalars, count-prefixed
 //! raw `f32` / `u64` slices and length-prefixed byte strings. A float crosses
@@ -34,7 +36,10 @@
 //! never trusts a length: every malformed input — short buffer, foreign
 //! magic, other version, flipped bit, count larger than the bytes behind it —
 //! is a typed [`WireError`], and nothing is allocated for a count before the
-//! bytes it promises are known to be there.
+//! bytes it promises are known to be there. A stream is read frame by frame
+//! with [`read_frame_bytes`] — the one stream reader, under [`read_frame`]
+//! and the journal scanner alike — which gives any bytes the verdict
+//! [`split_frame`] gives them in memory.
 //!
 //! # Trace context
 //!
@@ -54,6 +59,8 @@ pub const VERSION: u8 = 2;
 
 const MAGIC: [u8; 4] = *b"MRST";
 const HEADER_LEN: usize = 14;
+/// How many of a foreign input's first bytes [`WireError::BadMagic`] quotes.
+const MAGIC_QUOTE_LEN: usize = 16;
 
 /// What a frame means to the hub/worker protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -397,10 +404,11 @@ fn crc32_table(state: u32, bytes: &[u8]) -> u32 {
 /// the journal's `SnapshotRecord`, a `ResumeJob`, a job migrating between
 /// shards).
 ///
-/// A journal replay reads the file once and hands every snapshot record a
-/// view of that one buffer; superseding a snapshot, planning a resume and
-/// journaling a migration then pass the payload on by bumping a reference
-/// count instead of copying a megabyte. `clone` never copies bytes,
+/// A journal scan reads each frame into a buffer of its own and hands a
+/// snapshot record a view of it; planning a resume and journaling a migration
+/// then pass the payload on by bumping a reference count instead of copying a
+/// megabyte, and the last holder can [`reclaim`](Self::reclaim) the buffer
+/// for the next frame. `clone` never copies bytes,
 /// `From<Vec<u8>>` takes the vector over without copying it, and a view
 /// dereferences to `[u8]`; equality and `Debug` are by content, exactly as
 /// for the `Vec<u8>` it replaces. A view keeps its whole buffer alive, so
@@ -413,6 +421,15 @@ pub struct SharedBytes {
 }
 
 impl SharedBytes {
+    /// The buffer behind this view, once no other view shares it: a holder
+    /// done with a payload hands the memory on for reuse instead of freeing
+    /// it. `None` — the view dropped all the same — while another view of
+    /// the buffer lives.
+    #[must_use]
+    pub fn reclaim(self) -> Option<Vec<u8>> {
+        Arc::try_unwrap(self.buf).ok()
+    }
+
     /// The view of `range` (offsets within this view) onto the same buffer.
     /// Panics when `range` does not lie within the view.
     #[must_use]
@@ -681,7 +698,7 @@ impl<'a> Reader<'a> {
 fn check_magic_and_version(bytes: &[u8]) -> Result<(), WireError> {
     let seen = bytes.len().min(MAGIC.len());
     if bytes[..seen] != MAGIC[..seen] {
-        let head = &bytes[..bytes.len().min(16)];
+        let head = &bytes[..bytes.len().min(MAGIC_QUOTE_LEN)];
         return Err(WireError::BadMagic {
             found: String::from_utf8_lossy(head).into_owned(),
         });
@@ -869,28 +886,77 @@ pub fn write_frame(writer: &mut impl Write, frame: &Frame) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// The stream's I/O error, or `InvalidData` wrapping the [`WireError`] — a
-/// stream that ends inside a frame (a killed peer's torn tail) is
-/// [`WireError::Truncated`]. A foreign magic or version fails before the
-/// length field is believed.
+/// As [`read_frame_bytes`], and `InvalidData` wrapping the [`WireError`]
+/// of a frame that arrived whole but is damaged or not a transport frame.
 pub fn read_frame(reader: &mut impl Read) -> io::Result<Option<(Frame, usize)>> {
-    let mut buf = vec![0u8; HEADER_LEN];
+    let Some(bytes) = read_frame_bytes(reader, |_| Vec::new())? else {
+        return Ok(None);
+    };
+    Ok(Some((Frame::decode(&bytes)?, bytes.len())))
+}
+
+/// Reads from `reader` until `buf` is full or the stream ends; the bytes
+/// read.
+fn fill(reader: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
     let mut filled = 0;
-    while filled < HEADER_LEN {
+    while filled < buf.len() {
         match reader.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => return Err(WireError::Truncated.into()),
+            Ok(0) => break,
             Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
-    check_magic_and_version(&buf)?;
-    let len = u32::from_le_bytes([buf[6], buf[7], buf[8], buf[9]]);
-    // Grows with the bytes that arrive, not with what the header claims.
-    reader.take(u64::from(len)).read_to_end(&mut buf)?;
-    let frame = Frame::decode(&buf)?;
-    Ok(Some((frame, buf.len())))
+    Ok(filled)
+}
+
+/// The stream half of [`split_frame`]: reads the next frame's bytes, header
+/// and body, off a blocking stream, without checking its CRC. Once the
+/// header has said how many bytes the frame claims, `buffer(claimed)` hands
+/// over the vector they go into: its old contents are dropped and its
+/// capacity is reused, so a reader that recycles its buffers reads frame
+/// after frame without going back to the allocator. `Ok(None)` is a clean
+/// EOF on a frame boundary.
+///
+/// Nothing is taken on the header's word: magic and version are checked
+/// before the length is believed, and the buffer grows with the bytes that
+/// arrive, not with what the header claims (a caller that knows how much the
+/// stream still holds — a file's size — may hand over that much room).
+///
+/// # Errors
+///
+/// The stream's I/O error, or `InvalidData` wrapping the [`WireError`] that
+/// [`split_frame`] would give the same bytes in memory — a stream that ends
+/// inside a frame (a killed peer's torn tail) is [`WireError::Truncated`],
+/// and a foreign head is quoted as far as an in-memory decoder would quote
+/// it (reading at most two bytes past the header to do so).
+pub fn read_frame_bytes(
+    reader: &mut impl Read,
+    buffer: impl FnOnce(usize) -> Vec<u8>,
+) -> io::Result<Option<Vec<u8>>> {
+    let mut head = [0u8; MAGIC_QUOTE_LEN];
+    let n = fill(reader, &mut head[..HEADER_LEN])?;
+    if n == 0 {
+        return Ok(None);
+    }
+    let quoted = if n == HEADER_LEN && head[..MAGIC.len()] != MAGIC {
+        n + fill(reader, &mut head[n..])?
+    } else {
+        n
+    };
+    check_magic_and_version(&head[..quoted])?;
+    if n < HEADER_LEN {
+        return Err(WireError::Truncated.into());
+    }
+    let len = u32::from_le_bytes([head[6], head[7], head[8], head[9]]) as usize;
+    let mut frame = buffer(HEADER_LEN + len);
+    frame.clear();
+    frame.extend_from_slice(&head[..HEADER_LEN]);
+    reader.take(len as u64).read_to_end(&mut frame)?;
+    if frame.len() < HEADER_LEN + len {
+        return Err(WireError::Truncated.into());
+    }
+    Ok(Some(frame))
 }
 
 #[cfg(test)]
@@ -1298,6 +1364,72 @@ mod tests {
         let err = read_frame(&mut reader).expect_err("foreign");
         let wire = err.get_ref().and_then(|e| e.downcast_ref::<WireError>());
         assert!(matches!(wire, Some(WireError::BadMagic { .. })), "{err}");
+    }
+
+    /// The stream reader and `split_frame` give any input the same verdict
+    /// — cut anywhere, any bit flipped, a foreign head (whole or cut short)
+    /// quoted alike — and
+    /// the stream reads exactly the frame's bytes, not one past them.
+    #[test]
+    fn stream_reads_agree_with_split_frame() {
+        let frame = Frame::telem(3, b"{\"ev\":\"hop\"}\n".to_vec()).encode();
+        let whole = [
+            frame.clone(),
+            Frame::control(FrameKind::Stop, DRIVER, 3).encode(),
+        ]
+        .concat();
+        let stream = |bytes: &[u8]| -> Result<Option<usize>, WireError> {
+            let mut reader = bytes;
+            match read_frame_bytes(&mut reader, |_| Vec::new()) {
+                Ok(Some(read)) => {
+                    split_frame(&read)?;
+                    assert_eq!(
+                        reader.len(),
+                        bytes.len() - read.len(),
+                        "read past the frame"
+                    );
+                    Ok(Some(read.len()))
+                }
+                Ok(None) => Ok(None),
+                Err(e) => Err(e
+                    .get_ref()
+                    .and_then(|e| e.downcast_ref::<WireError>())
+                    .expect("a wire error")
+                    .clone()),
+            }
+        };
+        let memory = |bytes: &[u8]| -> Result<Option<usize>, WireError> {
+            if bytes.is_empty() {
+                return Ok(None);
+            }
+            let (_, _, rest) = split_frame(bytes)?;
+            Ok(Some(bytes.len() - rest.len()))
+        };
+        let mut inputs: Vec<Vec<u8>> = (0..=whole.len()).map(|cut| whole[..cut].to_vec()).collect();
+        for bit in 0..frame.len() * 8 {
+            let mut flipped = whole.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            inputs.push(flipped);
+        }
+        let foreign = b"marsit-journal/1 0000000000000000 migrate";
+        inputs.extend((1..=foreign.len()).map(|cut| foreign[..cut].to_vec()));
+        for input in &inputs {
+            assert_eq!(stream(input), memory(input), "{input:?}");
+        }
+        assert!(matches!(
+            stream(foreign),
+            Err(WireError::BadMagic { found }) if found == "marsit-journal/1"
+        ));
+    }
+
+    /// A view hands its buffer back only when it is the last one.
+    #[test]
+    fn reclaim_takes_the_buffer_from_its_last_view() {
+        let whole = SharedBytes::from(vec![1, 2, 3, 4]);
+        let part = whole.slice(1..3);
+        assert_eq!(whole.clone().reclaim(), None, "two views still live");
+        assert_eq!(part.reclaim(), None, "the whole view still lives");
+        assert_eq!(whole.reclaim(), Some(vec![1, 2, 3, 4]));
     }
 
     proptest! {

@@ -40,10 +40,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use marsit::serve::{
-    parse_queue, plan_from_replay, quantile_ns, replay_file, shard_worker_main, verify_outcome,
-    verify_recovered, AdmissionController, AdmissionError, JobServer, JobSpec, JournalWriter,
-    MigrationPolicy, RecoveredOutcome, ServeConfig, SupervisorConfig, SupervisorHandle,
-    TenantQuota,
+    parse_queue, quantile_ns, replay_file, shard_worker_main, verify_outcome, verify_recovered,
+    AdmissionController, AdmissionError, JobServer, JobSpec, JournalWriter, MigrationPolicy,
+    RecoveredOutcome, ServeConfig, SupervisorConfig, SupervisorHandle, TenantQuota,
 };
 
 const EXIT_OK: i32 = 0;
@@ -313,10 +312,10 @@ fn open_journal(path: &Path) -> Result<Recovery, CliError> {
     if let Some(reason) = &replay.torn {
         eprintln!(
             "marsit_serve: journal tail torn ({reason}); resuming from {} valid records",
-            replay.records.len()
+            replay.next_seq
         );
     }
-    let plan = plan_from_replay(&replay);
+    let plan = replay.state.plan();
     for name in &plan.orphaned {
         eprintln!("marsit_serve: journal records for {name} have no submit record; dropped");
     }

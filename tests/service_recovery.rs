@@ -16,9 +16,9 @@ use std::time::Duration;
 
 use marsit::models::Workload;
 use marsit::serve::{
-    encode_record, plan_from_replay, replay_bytes, replay_file, verify_outcome, verify_recovered,
-    JobServer, JobSpec, JournalError, JournalRecord, JournalWriter, MigrationPolicy, ReplayState,
-    ResumePlan, ServeConfig, SnapshotRecord, SupervisorConfig, SupervisorHandle,
+    encode_record, replay_bytes, replay_file, verify_outcome, verify_recovered, JobServer, JobSpec,
+    JournalError, JournalRecord, JournalWriter, MigrationPolicy, ReplayState, ResumePlan, Scanner,
+    ServeConfig, SnapshotRecord, SupervisorConfig, SupervisorHandle,
 };
 use marsit::simnet::{Topology, WireError};
 use proptest::prelude::*;
@@ -49,6 +49,12 @@ fn sample_journal_bytes() -> Vec<u8> {
 
 /// The same journal, one encoded record per element.
 fn sample_journal_records() -> Vec<Vec<u8>> {
+    journal_records(0)
+}
+
+/// The sample journal with every checkpoint padded to at least
+/// `payload_len` bytes.
+fn journal_records(payload_len: usize) -> Vec<Vec<u8>> {
     let snap = |name: &str, shard: usize, round: u64| {
         JournalRecord::Snapshot(SnapshotRecord {
             name: name.to_string(),
@@ -56,7 +62,9 @@ fn sample_journal_records() -> Vec<Vec<u8>> {
             migrations: 0,
             round,
             tel_seq: round * 7,
-            snapshot_json: format!("{{\"round\":{round}}}").into_bytes().into(),
+            snapshot_json: format!("{{\"round\":{round}}}{:payload_len$}", "")
+                .into_bytes()
+                .into(),
             log: format!("{name} log up to round {round}\n"),
         })
     };
@@ -118,23 +126,30 @@ proptest! {
     #[test]
     fn journal_torn_at_any_byte_yields_valid_resume_state(cut_scale in 0u64..=10_000) {
         let bytes = sample_journal_bytes();
-        let full = replay_bytes(&bytes);
-        prop_assert!(full.torn.is_none());
+        let mut whole_scan = Scanner::new(&bytes);
+        let full: Vec<_> = whole_scan.by_ref().collect();
+        prop_assert!(whole_scan.torn().is_none());
         let cut = usize::try_from(bytes.len() as u64 * cut_scale / 10_000).expect("fits");
-        let torn = replay_bytes(&bytes[..cut]);
+        let mut scanner = Scanner::new(&bytes[..cut]);
+        let records: Vec<_> = scanner.by_ref().collect();
 
-        prop_assert!(torn.valid_len <= cut);
+        prop_assert!(scanner.valid_len() <= cut);
         // The valid prefix ends on a record boundary: exactly the whole
         // records the cut left.
         let whole = record_boundaries().into_iter().rfind(|&end| end <= cut);
-        prop_assert_eq!(torn.valid_len, whole.unwrap_or(0));
-        prop_assert_eq!(torn.next_seq, torn.records.len() as u64);
-        prop_assert_eq!(&torn.records[..], &full.records[..torn.records.len()]);
-        if cut < bytes.len() && torn.valid_len < cut {
-            prop_assert!(torn.torn.is_some());
+        prop_assert_eq!(scanner.valid_len(), whole.unwrap_or(0));
+        prop_assert_eq!(scanner.next_seq(), records.len() as u64);
+        prop_assert_eq!(&records[..], &full[..records.len()]);
+        if cut < bytes.len() && scanner.valid_len() < cut {
+            prop_assert!(scanner.torn().is_some());
         }
 
-        let plan = plan_from_replay(&torn);
+        let torn = replay_bytes(&bytes[..cut]);
+        prop_assert_eq!(
+            (torn.valid_len, torn.next_seq, torn.torn.as_ref()),
+            (scanner.valid_len(), scanner.next_seq(), scanner.torn())
+        );
+        let plan = torn.state.plan();
         let names = plan_names(&plan);
         let mut deduped = names.clone();
         deduped.sort();
@@ -156,16 +171,10 @@ proptest! {
     fn journal_replay_is_idempotent(cut_scale in 0u64..=10_000) {
         let bytes = sample_journal_bytes();
         let cut = usize::try_from(bytes.len() as u64 * cut_scale / 10_000).expect("fits");
-        let replay = replay_bytes(&bytes[..cut]);
+        let records: Vec<_> = Scanner::new(&bytes[..cut]).map(|(_, record)| record).collect();
 
-        let mut once = ReplayState::new();
-        for (_, record) in &replay.records {
-            once.apply(record);
-        }
-        let mut twice = ReplayState::new();
-        for (_, record) in replay.records.iter().chain(replay.records.iter()) {
-            twice.apply(record);
-        }
+        let once: ReplayState = records.iter().cloned().collect();
+        let twice: ReplayState = records.iter().chain(&records).cloned().collect();
         let (p1, p2) = (once.plan(), twice.plan());
         prop_assert_eq!(p1.completed, p2.completed);
         prop_assert_eq!(p1.resumes, p2.resumes);
@@ -177,15 +186,51 @@ proptest! {
     /// journal — and are never mistaken for records.
     #[test]
     fn garbage_journals_never_panic(garbage in proptest::collection::vec(any::<u8>(), 1..200)) {
-        let bare = replay_bytes(&garbage);
-        prop_assert_eq!((bare.records.len(), bare.valid_len), (0, 0));
-        prop_assert!(bare.torn.is_some());
+        let mut bare = Scanner::new(&garbage);
+        prop_assert_eq!((bare.by_ref().count(), bare.valid_len()), (0, 0));
+        prop_assert!(bare.torn().is_some());
         let mut bytes = sample_journal_bytes();
         let valid = bytes.len();
         bytes.extend_from_slice(&garbage);
-        let replay = replay_bytes(&bytes);
-        prop_assert_eq!(replay.valid_len, valid);
-        prop_assert!(replay.torn.is_some());
+        let mut scanner = Scanner::new(&bytes);
+        prop_assert_eq!(scanner.by_ref().count(), record_boundaries().len());
+        prop_assert_eq!(scanner.valid_len(), valid);
+        prop_assert!(scanner.torn().is_some());
+    }
+
+    /// The file path is the in-memory path: a journal torn at any byte, or
+    /// with any single bit flipped, replays from a file exactly as from its
+    /// bytes — valid prefix, sequence, verdict, and every field of the
+    /// resume plan down to the checkpoint bytes. Checkpoints of 48 KiB take
+    /// frames past the file scan's read-ahead buffer.
+    #[test]
+    fn replay_file_equals_replay_bytes(
+        bulky in any::<bool>(),
+        cut_scale in 0u64..=10_000,
+        flip in any::<bool>(),
+        bit in any::<usize>(),
+    ) {
+        let mut bytes = journal_records(if bulky { 48 << 10 } else { 0 }).concat();
+        bytes.truncate(usize::try_from(bytes.len() as u64 * cut_scale / 10_000).expect("fits"));
+        if flip && !bytes.is_empty() {
+            let bit = bit % (bytes.len() * 8);
+            bytes[bit / 8] ^= 1 << (bit % 8);
+        }
+        let dir = scratch("file-equals-bytes");
+        let path = dir.join("journal.log");
+        std::fs::write(&path, &bytes).expect("write journal");
+        let from_file = replay_file(&path).expect("read journal");
+        std::fs::remove_dir_all(&dir).ok();
+        let from_bytes = replay_bytes(&bytes);
+        prop_assert_eq!(
+            (from_file.valid_len, from_file.next_seq, &from_file.torn),
+            (from_bytes.valid_len, from_bytes.next_seq, &from_bytes.torn)
+        );
+        let (file_plan, bytes_plan) = (from_file.state.plan(), from_bytes.state.plan());
+        prop_assert_eq!(file_plan.completed, bytes_plan.completed);
+        prop_assert_eq!(file_plan.resumes, bytes_plan.resumes);
+        prop_assert_eq!(file_plan.fresh, bytes_plan.fresh);
+        prop_assert_eq!(file_plan.orphaned, bytes_plan.orphaned);
     }
 }
 
@@ -196,18 +241,19 @@ proptest! {
 #[test]
 fn journal_bit_flip_ends_the_valid_prefix_at_the_flipped_record() {
     let bytes = sample_journal_bytes();
-    let full = replay_bytes(&bytes);
+    let full: Vec<_> = Scanner::new(&bytes).collect();
     let boundaries = record_boundaries();
     for bit in 0..bytes.len() * 8 {
         let mut flipped = bytes.clone();
         flipped[bit / 8] ^= 1 << (bit % 8);
         let hit = boundaries.iter().filter(|&&end| end <= bit / 8).count();
-        let replay = replay_bytes(&flipped);
-        assert_eq!(replay.records.len(), hit, "bit {bit} is in record {hit}");
-        assert_eq!(&replay.records[..], &full.records[..hit]);
+        let mut scanner = Scanner::new(&flipped);
+        let records: Vec<_> = scanner.by_ref().collect();
+        assert_eq!(records.len(), hit, "bit {bit} is in record {hit}");
+        assert_eq!(&records[..], &full[..hit]);
         let prefix = if hit == 0 { 0 } else { boundaries[hit - 1] };
-        assert_eq!(replay.valid_len, prefix, "bit {bit}");
-        assert!(replay.torn.is_some(), "bit {bit}");
+        assert_eq!(scanner.valid_len(), prefix, "bit {bit}");
+        assert!(scanner.torn().is_some(), "bit {bit}");
     }
 }
 
@@ -219,10 +265,13 @@ fn overlong_record_length_is_a_torn_tail() {
     let boundaries = record_boundaries();
     let last = boundaries[boundaries.len() - 2];
     bytes[last + 6..last + 10].copy_from_slice(&u32::MAX.to_le_bytes());
-    let replay = replay_bytes(&bytes);
-    assert_eq!(replay.valid_len, last);
-    assert_eq!(replay.records.len(), boundaries.len() - 1);
-    assert_eq!(replay.torn, Some(JournalError::Wire(WireError::Truncated)));
+    let mut scanner = Scanner::new(&bytes);
+    assert_eq!(scanner.by_ref().count(), boundaries.len() - 1);
+    assert_eq!(scanner.valid_len(), last);
+    assert_eq!(
+        scanner.torn(),
+        Some(&JournalError::Wire(WireError::Truncated))
+    );
 }
 
 /// FNV-1a over a durable artifact's bytes.
@@ -267,10 +316,11 @@ fn journal_bytes_are_pinned() {
     );
 
     // Submit, a snapshot after rounds 2, 4 and 6, the outcome.
-    let replay = replay_bytes(&bytes);
-    assert!(replay.torn.is_none());
-    assert_eq!(replay.records.len(), 5);
-    let JournalRecord::Snapshot(first) = &replay.records[1].1 else {
+    let mut scanner = Scanner::new(&bytes);
+    let records: Vec<_> = scanner.by_ref().collect();
+    assert!(scanner.torn().is_none());
+    assert_eq!(records.len(), 5);
+    let JournalRecord::Snapshot(first) = &records[1].1 else {
         panic!("record 1 is the round-2 snapshot");
     };
     assert_eq!(first.round, 2);
@@ -319,11 +369,12 @@ fn crash_mid_migration_resumes_byte_identically() {
     // "Crash" immediately after the first migrate record: truncate the
     // journal there, dropping that job's outcome.
     let bytes = std::fs::read(&path).expect("read journal");
-    let replay = replay_bytes(&bytes);
-    assert!(replay.torn.is_none());
+    let mut scanner = Scanner::new(&bytes);
+    let records: Vec<_> = scanner.by_ref().collect();
+    assert!(scanner.torn().is_none());
     let mut offset = 0usize;
     let mut cut = None;
-    for (seq, record) in &replay.records {
+    for (seq, record) in &records {
         offset += encode_record(*seq, record).expect("representable").len();
         if let JournalRecord::Migrate { name, .. } = record {
             cut = Some((offset, name.clone()));
@@ -334,7 +385,7 @@ fn crash_mid_migration_resumes_byte_identically() {
     std::fs::write(&path, &bytes[..cut]).expect("truncate journal");
 
     let torn = replay_file(&path).expect("reread journal");
-    let plan = plan_from_replay(&torn);
+    let plan = torn.state.plan();
     assert!(
         plan.resumes.iter().any(|r| r.spec.name == migrated),
         "mid-migration job must be resumable from its journaled snapshot"

@@ -7,9 +7,11 @@
 //! instead of a claim. Counters are per thread, so the tests of this
 //! binary can run side by side.
 //!
-//! The same allocator pins journal replay: the file is read into one buffer
-//! and every checkpoint payload is a view of it, so recovery requests the
-//! journal's bytes once, not once per holder of each record.
+//! The same allocator pins journal replay: the file is read frame by frame
+//! into recycled buffers and every checkpoint payload is a view of its
+//! frame's, so recovery requests about one frame buffer per job — however
+//! many checkpoints the journal holds — and never allocates for a length
+//! before its bytes are there.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,7 +22,7 @@ use marsit::core::SyncOutcome;
 use marsit::models::MlpWorkspace;
 use marsit::prelude::*;
 use marsit::serve::{
-    encode_record, plan_from_replay, replay_file, JobSpec, JournalRecord, SnapshotRecord,
+    encode_record, replay_file, JobSpec, JournalError, JournalRecord, SnapshotRecord,
 };
 use marsit::telemetry::scoped;
 
@@ -269,34 +271,22 @@ fn torus_sum_allocates_no_payload() {
     );
 }
 
-/// Replaying a journal reads it into one buffer and hands every snapshot
-/// record a view of that buffer: `replay_file` + `plan_from_replay` request
-/// the file's bytes once (plus the telemetry logs, which are still copied per
-/// holder), each job resumes from the very bytes of its last record, and
-/// cloning a record shares its payload. Three jobs, six snapshots each.
-#[test]
-fn replay_shares_one_buffer_instead_of_copying_payloads() {
-    const JOBS: usize = 3;
-    const SNAPSHOTS: usize = 6;
-    const PAYLOAD: usize = 256 << 10;
-    let payload = |job: usize, snap: usize| -> Vec<u8> {
-        (0..PAYLOAD)
-            .map(|i| (i * 31 + job * 7 + snap) as u8)
-            .collect()
-    };
-    let name = |job: usize| format!("job{job}");
-    let mut records: Vec<JournalRecord> = (0..JOBS)
+/// A journal of `jobs` jobs with `snapshots` snapshots each, the jobs
+/// interleaved: `(bytes, summed log bytes, largest frame)`. Job `j`'s
+/// snapshot `s` carries [`payload`]`(j, s)` and a log that grows with `s`.
+fn snapshot_journal(jobs: usize, snapshots: usize) -> (Vec<u8>, usize, usize) {
+    let mut records: Vec<JournalRecord> = (0..jobs)
         .map(|job| JournalRecord::Submit {
-            spec: JobSpec::new(name(job), Workload::AlexNetMnist, Topology::ring(4)),
+            spec: JobSpec::new(job_name(job), Workload::AlexNetMnist, Topology::ring(4)),
         })
         .collect();
     let mut log_bytes = 0;
-    for snap in 0..SNAPSHOTS {
-        for job in 0..JOBS {
+    for snap in 0..snapshots {
+        for job in 0..jobs {
             let log = "{\"ev\":\"hop\"}\n".repeat(64 * (snap + 1));
             log_bytes += log.len();
             records.push(JournalRecord::Snapshot(SnapshotRecord {
-                name: name(job),
+                name: job_name(job),
                 shard: job % 2,
                 migrations: 0,
                 round: 2 * (snap as u64 + 1),
@@ -306,67 +296,122 @@ fn replay_shares_one_buffer_instead_of_copying_payloads() {
             }));
         }
     }
-    let journal: Vec<u8> = records
+    let frames: Vec<Vec<u8>> = records
         .iter()
         .enumerate()
-        .flat_map(|(seq, record)| encode_record(seq as u64, record).expect("representable"))
+        .map(|(seq, record)| encode_record(seq as u64, record).expect("representable"))
         .collect();
-    let path = std::env::temp_dir().join(format!("marsit-replay-alloc-{}", std::process::id()));
+    let largest = frames.iter().map(Vec::len).max().unwrap_or(0);
+    (frames.concat(), log_bytes, largest)
+}
+
+/// Checkpoint bytes of job `job`'s snapshot `snap`.
+fn payload(job: usize, snap: usize) -> Vec<u8> {
+    (0..PAYLOAD)
+        .map(|i| (i * 31 + job * 7 + snap) as u8)
+        .collect()
+}
+
+fn job_name(job: usize) -> String {
+    format!("job{job}")
+}
+
+const PAYLOAD: usize = 256 << 10;
+
+/// A unique scratch file per test.
+fn scratch_file(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("marsit-replay-{tag}-{}", std::process::id()))
+}
+
+/// Replaying a journal streams it: each frame is read into a recycled
+/// buffer, and the fold hands a superseded checkpoint's buffer back for a
+/// later frame. So `replay_file` + `plan` request about one frame buffer
+/// per job — twice the largest frame each, room to grow — plus the
+/// telemetry logs, which are copied out of every record, and a read-ahead
+/// buffer: a bound with no term for the checkpoints the journal holds. The
+/// same bound holds for four times the snapshots. Each job resumes from its
+/// last snapshot's bytes, planning twice shares them, and cloning a resume
+/// shares its payload.
+#[test]
+fn replay_memory_does_not_grow_with_the_journal() {
+    const JOBS: usize = 3;
+    for snapshots in [6, 24] {
+        let (journal, log_bytes, largest_frame) = snapshot_journal(JOBS, snapshots);
+        let path = scratch_file(&format!("stream-{snapshots}"));
+        std::fs::write(&path, &journal).expect("write journal");
+
+        let mut recovered = None;
+        let requested = requested_bytes(|| {
+            let replay = replay_file(&path).expect("replay journal");
+            let plan = replay.state.plan();
+            recovered = Some((replay, plan));
+        });
+        std::fs::remove_file(&path).ok();
+        let (replay, plan) = recovered.expect("replayed");
+        assert!(replay.torn.is_none());
+        assert_eq!(replay.next_seq as usize, JOBS * (snapshots + 1));
+        assert_eq!(replay.valid_len, journal.len());
+        let budget = (JOBS + 2) * 2 * largest_frame + 3 * log_bytes + (64 << 10);
+        assert!(
+            requested <= budget as u64,
+            "replaying a {}-byte journal of {snapshots} snapshots per job requested \
+             {requested} bytes (budget {budget})",
+            journal.len()
+        );
+
+        assert_eq!(plan.resumes.len(), JOBS);
+        let again = replay.state.plan();
+        for (job, (resume, twin)) in plan.resumes.iter().zip(&again.resumes).enumerate() {
+            assert_eq!(resume.spec.name, job_name(job));
+            assert_eq!(&resume.snapshot_json[..], &payload(job, snapshots - 1)[..]);
+            // The same memory, not an equal copy of it.
+            assert!(std::ptr::eq(
+                resume.snapshot_json.as_ptr(),
+                twin.snapshot_json.as_ptr()
+            ));
+        }
+        let (_, largest) = measure(|| drop(std::hint::black_box(plan.resumes[0].clone())));
+        assert!(
+            largest < PAYLOAD / 8,
+            "cloning a resume requested {largest} bytes at once"
+        );
+    }
+}
+
+/// A header that claims a `u32::MAX`-byte body on a short file is a torn
+/// tail, `Truncated`, and no single allocation of the replay exceeds the
+/// file's size: nothing is allocated for a length before its bytes are
+/// there.
+#[test]
+fn hostile_record_length_allocates_nothing_the_file_lacks() {
+    let (mut journal, _, _) = snapshot_journal(1, 1);
+    let valid = journal.len();
+    let mut hostile = encode_record(
+        2,
+        &JournalRecord::Migrate {
+            name: job_name(0),
+            from: 0,
+            to: 1,
+        },
+    )
+    .expect("representable");
+    hostile[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
+    journal.extend_from_slice(&hostile);
+    let path = scratch_file("hostile");
     std::fs::write(&path, &journal).expect("write journal");
 
-    let mut recovered = None;
-    let requested = requested_bytes(|| {
-        let replay = replay_file(&path).expect("replay journal");
-        let plan = plan_from_replay(&replay);
-        recovered = Some((replay, plan));
-    });
+    let mut replayed = None;
+    let (_, largest) = measure(|| replayed = Some(replay_file(&path).expect("replay journal")));
     std::fs::remove_file(&path).ok();
-    let (replay, plan) = recovered.expect("replayed");
-    assert!(replay.torn.is_none());
-    assert_eq!(replay.records.len(), records.len());
-    let budget = journal.len() + journal.len() / 4 + 3 * log_bytes + (64 << 10);
-    assert!(
-        requested <= budget as u64,
-        "replaying a {}-byte journal requested {requested} bytes (budget {budget})",
-        journal.len()
+    let replay = replayed.expect("replayed");
+    assert_eq!((replay.valid_len, replay.next_seq), (valid, 2));
+    assert_eq!(
+        replay.torn,
+        Some(JournalError::Wire(marsit::simnet::WireError::Truncated))
     );
-
-    assert_eq!(plan.resumes.len(), JOBS);
-    for (job, resume) in plan.resumes.iter().enumerate() {
-        let last = replay
-            .records
-            .iter()
-            .rev()
-            .find_map(|(_, record)| match record {
-                JournalRecord::Snapshot(s) if s.name == resume.spec.name => Some(s),
-                _ => None,
-            })
-            .expect("every job has snapshots");
-        assert_eq!(resume.spec.name, name(job));
-        assert_eq!(&resume.snapshot_json[..], &payload(job, SNAPSHOTS - 1)[..]);
-        // The same memory, not an equal copy of it.
-        assert!(std::ptr::eq(
-            resume.snapshot_json.as_ptr(),
-            last.snapshot_json.as_ptr()
-        ));
-    }
-    // Every payload lies within one journal-sized span: the buffer read.
-    let spans = replay
-        .records
-        .iter()
-        .filter_map(|(_, record)| match record {
-            JournalRecord::Snapshot(s) => Some(s.snapshot_json.as_ptr_range()),
-            _ => None,
-        });
-    let (lo, hi) = spans.fold((usize::MAX, 0), |(lo, hi), span| {
-        (lo.min(span.start as usize), hi.max(span.end as usize))
-    });
-    assert!(hi - lo <= journal.len(), "payloads span {} bytes", hi - lo);
-
-    let (_, snapshot) = &replay.records[records.len() - 1];
-    let (_, largest) = measure(|| drop(std::hint::black_box(snapshot.clone())));
     assert!(
-        largest < PAYLOAD / 8,
-        "cloning a snapshot record requested {largest} bytes at once"
+        largest <= journal.len(),
+        "a {}-byte journal requested {largest} bytes at once",
+        journal.len()
     );
 }
