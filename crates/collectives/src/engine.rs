@@ -351,7 +351,7 @@ fn disconnected(e: TransportError) -> SyncError {
         TransportError::PeerDisconnected { peer } => SyncError::PeerDisconnected { peer },
         // Wire corruption / socket errors mean the hub connection itself is
         // unusable; degrade the same way a vanished peer would.
-        TransportError::Wire(_) | TransportError::Io(_) => {
+        TransportError::Wire(_) | TransportError::Io(_) | TransportError::RankTaken { .. } => {
             SyncError::PeerDisconnected { peer: usize::MAX }
         }
     }

@@ -45,7 +45,7 @@ pub mod transport;
 pub use compensation::Compensation;
 pub use marsit::{CombineKind, Marsit, MarsitConfig, MarsitSnapshot, SyncOutcome, WorkspaceHandle};
 pub use schedule::SyncSchedule;
-pub use transport::{maybe_run_worker_from_env, process_worker_main, RunArtifacts, Scenario};
+pub use transport::{process_worker_main, RunArtifacts, Scenario, WORKER_MODE};
 
 #[cfg(test)]
 mod proptests {

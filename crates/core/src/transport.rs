@@ -19,8 +19,10 @@
 //! - [`Scenario::run_simulator`] — the in-process collective
 //!   ([`allreduce_onebit`], the deterministic-simulator backend);
 //! - [`Scenario::run_process`] — one OS *process* per rank exchanging
-//!   binary frames over localhost TCP through a [`WireHub`], with
-//!   [`process_worker_main`] as the worker entry point.
+//!   binary frames over localhost TCP through a [`WireHub`]. A worker is a
+//!   binary started as `<exe> --transport-worker --addr <hub> --key value …`
+//!   (the fabric's one child convention, [`marsit_simnet::fabric`]) that
+//!   hands that argv to [`process_worker_main`].
 //!
 //! The process driver doubles as the crash/rejoin harness: killing a worker
 //! process surfaces as [`SyncError::PeerDisconnected`] on its peers (never a
@@ -34,8 +36,8 @@ use marsit_collectives::engine::{
 };
 use marsit_collectives::{CombineCtx, SyncError, Trace};
 use marsit_simnet::{
-    Backend, FaultInjector, FaultPlan, FaultStats, Frame, FrameKind, HubEvent, ProcessTransport,
-    WireHub, DRIVER,
+    spawn_child, ArgError, Backend, ChildArgs, FaultInjector, FaultPlan, FaultStats, Frame,
+    FrameKind, HubEvent, ProcessTransport, WireHub, DRIVER,
 };
 use marsit_telemetry::health::{self, HealthEvent};
 use marsit_telemetry::report::{merge_logs, parse_jsonl};
@@ -46,6 +48,9 @@ use marsit_tensor::{fill_winner_planes_indexed, winner_plane_count, SignVec};
 use crate::marsit::{chain_stream, stream_for, winner_slot};
 use crate::ominus::{combine_unweighted_assign, combine_weighted_assign};
 use crate::CombineKind;
+
+/// The mode flag that makes a binary one rank of the process backend.
+pub const WORKER_MODE: &str = "--transport-worker";
 
 /// How long the driver waits for worker results / the worker waits for its
 /// next control frame before declaring the session wedged.
@@ -133,13 +138,19 @@ pub struct TraceRunConfig {
     pub collect: bool,
 }
 
+/// One round, nothing traced: what [`Scenario::run_process`] runs.
+const UNTRACED: TraceRunConfig = TraceRunConfig {
+    rounds: 1,
+    compute_ns: 0,
+    straggler: None,
+    collect: false,
+};
+
 impl Default for TraceRunConfig {
     fn default() -> Self {
         Self {
-            rounds: 1,
-            compute_ns: 0,
-            straggler: None,
             collect: true,
+            ..UNTRACED
         }
     }
 }
@@ -259,7 +270,8 @@ impl Scenario {
     }
 
     /// Process backend: spawns one OS process per rank running `worker_exe`
-    /// (a binary that calls [`maybe_run_worker_from_env`] first thing),
+    /// (a binary that hands its argv to [`process_worker_main`] when it
+    /// starts with [`WORKER_MODE`]),
     /// drives one round through a [`WireHub`], and validates that every rank
     /// reported the same consensus words.
     ///
@@ -274,19 +286,7 @@ impl Scenario {
     /// cannot be spawned, or the session times out.
     pub fn run_process(&self, worker_exe: &str) -> Result<RunArtifacts, SyncError> {
         tag_telemetry(Backend::Process);
-        let hub = WireHub::bind(self.world).expect("bind conformance hub");
-        let addr = hub.addr().expect("hub addr").to_string();
-        let mut children: Vec<std::process::Child> = (0..self.world)
-            .map(|rank| self.spawn_worker(worker_exe, &addr, rank))
-            .collect();
-        for _ in 0..self.world {
-            hub.accept_worker().expect("worker hello");
-        }
-        let result = drive_round(&hub, self);
-        hub.broadcast(&Frame::control(FrameKind::Stop, DRIVER, DRIVER));
-        for child in &mut children {
-            let _ = child.wait();
-        }
+        let result = self.session(worker_exe, UNTRACED, |hub| drive_round(hub, self));
         let (consensus_words, combines, rng_draws) = result?;
         let mut consensus = SignVec::zeros(self.d);
         consensus.assign_from_words(self.d, &consensus_words);
@@ -324,37 +324,21 @@ impl Scenario {
         worker_exe: &str,
         cfg: TraceRunConfig,
     ) -> Result<TracedRun, SyncError> {
-        let hub = WireHub::bind(self.world).expect("bind traced hub");
-        let addr = hub.addr().expect("hub addr").to_string();
-        let mut children: Vec<std::process::Child> = (0..self.world)
-            .map(|rank| self.spawn_worker_traced(worker_exe, &addr, rank, cfg))
-            .collect();
-        for _ in 0..self.world {
-            hub.accept_worker().expect("worker hello");
-        }
-        let mut outcome = Ok(());
-        for completed in 1..=cfg.rounds {
-            if let Err(e) = drive_round(&hub, self) {
-                outcome = Err(e);
-                break;
+        let (side_channel_bytes, batches) = self.session(worker_exe, cfg, |hub| {
+            for completed in 1..=cfg.rounds {
+                drive_round(hub, self)?;
+                if cfg.collect {
+                    assert!(
+                        hub.collector()
+                            .wait_batches(self.world, completed, SESSION_TIMEOUT),
+                        "trace collector timed out waiting for round {completed} batches"
+                    );
+                }
             }
-            if cfg.collect {
-                assert!(
-                    hub.collector()
-                        .wait_batches(self.world, completed, SESSION_TIMEOUT),
-                    "trace collector timed out waiting for round {completed} batches"
-                );
-            }
-        }
-        hub.broadcast(&Frame::control(FrameKind::Stop, DRIVER, DRIVER));
-        for child in &mut children {
-            let _ = child.wait();
-        }
-        outcome?;
-        let side_channel_bytes = hub.collector().side_channel_bytes();
-        let logs: Vec<Vec<Event>> = hub
-            .collector()
-            .take_batches()
+            let collector = hub.collector();
+            Ok((collector.side_channel_bytes(), collector.take_batches()))
+        })?;
+        let logs: Vec<Vec<Event>> = batches
             .iter()
             .map(|batches| parse_jsonl(&batches.concat()).expect("worker telemetry parses"))
             .collect();
@@ -382,7 +366,32 @@ impl Scenario {
         })
     }
 
-    /// [`Self::spawn_worker`] plus the tracing environment from `cfg`.
+    /// One session on a fresh hub: one worker process per rank (spawned
+    /// with `cfg`), `drive`, then `stop` to every worker and reap them all.
+    fn session<T>(
+        &self,
+        worker_exe: &str,
+        cfg: TraceRunConfig,
+        drive: impl FnOnce(&WireHub) -> T,
+    ) -> T {
+        let hub = WireHub::bind(self.world).expect("bind the process hub");
+        let addr = hub.addr().expect("hub addr").to_string();
+        let mut children: Vec<std::process::Child> = (0..self.world)
+            .map(|rank| self.spawn_worker_traced(worker_exe, &addr, rank, cfg))
+            .collect();
+        for _ in 0..self.world {
+            hub.accept_worker().expect("worker hello");
+        }
+        let out = drive(&hub);
+        hub.broadcast(&Frame::control(FrameKind::Stop, DRIVER, DRIVER));
+        for child in &mut children {
+            let _ = child.wait();
+        }
+        out
+    }
+
+    /// [`Self::spawn_worker`] plus the tracing knobs of `cfg`: `--collect`,
+    /// and `--compute-ns` with the straggler's multiplier already applied.
     ///
     /// # Panics
     ///
@@ -395,21 +404,31 @@ impl Scenario {
         rank: usize,
         cfg: TraceRunConfig,
     ) -> std::process::Child {
-        let mut cmd = self.worker_command(worker_exe, addr, rank);
+        let mut args = vec![
+            ("rank", rank.to_string()),
+            ("world", self.world.to_string()),
+            ("topo", self.topo.encode()),
+            ("d", self.d.to_string()),
+            ("seed", self.seed.to_string()),
+            ("round", self.round.to_string()),
+            ("combine", combine_name(self.combine).to_string()),
+        ];
+        // f64 → hex bit pattern: exact round-trip, locale-proof.
+        if let Some(p) = self.drop_p {
+            args.push(("drop", format!("{:016x}", p.to_bits())));
+        }
         if cfg.collect {
-            cmd.env("MARSIT_TW_COLLECT", "1");
+            args.push(("collect", "true".to_string()));
         }
-        if cfg.compute_ns > 0 {
-            cmd.env("MARSIT_TW_COMPUTE_NS", cfg.compute_ns.to_string());
+        let compute_ns = match cfg.straggler {
+            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            Some((slow, mult)) if slow == rank => (cfg.compute_ns as f64 * mult) as u64,
+            _ => cfg.compute_ns,
+        };
+        if compute_ns > 0 {
+            args.push(("compute-ns", compute_ns.to_string()));
         }
-        if let Some((slow_rank, mult)) = cfg.straggler {
-            // f64 → hex bit pattern: exact round-trip, locale-proof.
-            cmd.env(
-                "MARSIT_TW_STRAGGLER",
-                format!("{slow_rank}:{:016x}", mult.to_bits()),
-            );
-        }
-        cmd.spawn().expect("spawn traced transport worker")
+        spawn_child(worker_exe, WORKER_MODE, addr, &args).expect("spawn transport worker")
     }
 
     /// Spawns one worker process for `rank`, pointed at the hub.
@@ -419,60 +438,55 @@ impl Scenario {
     /// Panics if the process cannot be spawned.
     #[must_use]
     pub fn spawn_worker(&self, worker_exe: &str, addr: &str, rank: usize) -> std::process::Child {
-        self.worker_command(worker_exe, addr, rank)
-            .spawn()
-            .expect("spawn transport worker")
+        self.spawn_worker_traced(worker_exe, addr, rank, UNTRACED)
     }
+}
 
-    /// The common worker environment both spawn variants share.
-    fn worker_command(&self, worker_exe: &str, addr: &str, rank: usize) -> std::process::Command {
-        let mut cmd = std::process::Command::new(worker_exe);
-        cmd.env("MARSIT_TW_ADDR", addr)
-            .env("MARSIT_TW_RANK", rank.to_string())
-            .env("MARSIT_TW_WORLD", self.world.to_string())
-            .env("MARSIT_TW_TOPO", self.topo.encode())
-            .env("MARSIT_TW_D", self.d.to_string())
-            .env("MARSIT_TW_SEED", self.seed.to_string())
-            .env("MARSIT_TW_ROUND", self.round.to_string())
-            .env(
-                "MARSIT_TW_COMBINE",
-                match self.combine {
-                    CombineKind::Weighted => "weighted",
-                    CombineKind::UnweightedAblation => "unweighted",
-                },
-            );
-        // f64 → hex bit pattern: exact round-trip, locale-proof.
-        if let Some(p) = self.drop_p {
-            cmd.env("MARSIT_TW_DROP", format!("{:016x}", p.to_bits()));
-        }
-        cmd
+fn combine_name(kind: CombineKind) -> &'static str {
+    match kind {
+        CombineKind::Weighted => "weighted",
+        CombineKind::UnweightedAblation => "unweighted",
     }
+}
 
-    /// Reads a scenario back out of the worker environment
-    /// ([`Self::spawn_worker`]'s counterpart).
-    ///
-    /// # Panics
-    ///
-    /// Panics on missing or malformed variables — a worker launched with a
-    /// broken environment cannot do anything useful.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let get = |k: &str| std::env::var(k).unwrap_or_else(|_| panic!("missing env {k}"));
-        Self {
-            topo: PlanTopology::decode(&get("MARSIT_TW_TOPO")).expect("bad MARSIT_TW_TOPO"),
-            world: get("MARSIT_TW_WORLD").parse().expect("bad MARSIT_TW_WORLD"),
-            d: get("MARSIT_TW_D").parse().expect("bad MARSIT_TW_D"),
-            seed: get("MARSIT_TW_SEED").parse().expect("bad MARSIT_TW_SEED"),
-            round: get("MARSIT_TW_ROUND").parse().expect("bad MARSIT_TW_ROUND"),
-            drop_p: std::env::var("MARSIT_TW_DROP").ok().map(|hex| {
-                f64::from_bits(u64::from_str_radix(&hex, 16).expect("bad MARSIT_TW_DROP"))
-            }),
-            combine: match get("MARSIT_TW_COMBINE").as_str() {
-                "weighted" => CombineKind::Weighted,
-                "unweighted" => CombineKind::UnweightedAblation,
-                other => panic!("bad MARSIT_TW_COMBINE {other:?}"),
-            },
-        }
+/// What [`Scenario::spawn_worker_traced`] hands a worker.
+struct WorkerArgs {
+    addr: String,
+    sc: Scenario,
+    rank: usize,
+    collect: bool,
+    compute_ns: u64,
+}
+
+impl WorkerArgs {
+    fn parse(argv: &[String]) -> Result<Self, ArgError> {
+        let args = ChildArgs::parse(argv)?;
+        let sc = Scenario {
+            topo: args.get_with("topo", PlanTopology::decode)?,
+            world: args.get("world")?,
+            d: args.get("d")?,
+            seed: args.get("seed")?,
+            round: args.get("round")?,
+            drop_p: args.opt_with("drop", |hex| {
+                u64::from_str_radix(hex, 16).ok().map(f64::from_bits)
+            })?,
+            combine: args.get_with("combine", |v| {
+                [CombineKind::Weighted, CombineKind::UnweightedAblation]
+                    .into_iter()
+                    .find(|&kind| combine_name(kind) == v)
+            })?,
+        };
+        Ok(Self {
+            addr: args.addr().to_string(),
+            rank: args.get_with("rank", |v| v.parse().ok().filter(|&r| r < sc.world))?,
+            sc,
+            collect: args
+                .opt_with("collect", |v| v.parse().ok())?
+                .unwrap_or(false),
+            compute_ns: args
+                .opt_with("compute-ns", |v| v.parse().ok())?
+                .unwrap_or(0),
+        })
     }
 }
 
@@ -548,72 +562,80 @@ pub fn drive_round(hub: &WireHub, sc: &Scenario) -> Result<(Vec<u64>, u64, u64),
     Ok((first, combines, rng_draws))
 }
 
-/// Worker entry point: connects to the hub named by the environment and
-/// serves `round` frames until `stop`. The scenario is fixed for the session,
-/// so its inputs and plan are built once, locally (deterministic, so all
-/// ranks agree on them without any coordination); each round runs this
-/// rank's slice of the plan over the TCP transport.
+/// Worker entry point: `argv` is what follows [`WORKER_MODE`] on the
+/// command line. Connects to the hub it names and serves `round` frames
+/// until `stop`. The scenario is fixed for the session, so its inputs and
+/// plan are built once, locally (deterministic, so all ranks agree on them
+/// without any coordination); each round runs this rank's slice of the plan
+/// over the TCP transport.
 ///
 /// A vanished peer surfaces as a `failed` frame to the driver — the worker
 /// stays up and serves the next round, where a rejoined peer (announced by
 /// the hub's `hello`) is usable again.
 ///
-/// # Panics
-///
-/// Panics if the hub connection cannot be established or drops, or on a
-/// non-disconnect collective error (both mean the harness itself is broken).
-pub fn process_worker_main() {
-    let sc = Scenario::from_env();
-    let rank: usize = std::env::var("MARSIT_TW_RANK")
-        .expect("missing env MARSIT_TW_RANK")
-        .parse()
-        .expect("bad MARSIT_TW_RANK");
-    let addr = std::env::var("MARSIT_TW_ADDR").expect("missing env MARSIT_TW_ADDR");
-    let mut transport =
-        ProcessTransport::connect(&addr, rank, sc.world).expect("connect to conformance hub");
-    let compute_ns: u64 = std::env::var("MARSIT_TW_COMPUTE_NS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let slow_mult = straggler_multiplier(rank);
-    let telemetry = std::env::var("MARSIT_TW_COLLECT")
-        .is_ok_and(|v| v == "1")
-        .then(|| {
-            let t = Telemetry::recording();
-            t.set_wall_clock(true);
-            t.set_transport_tag(Backend::Process.name(), Backend::Process.clock_kind());
-            t.set_time(0.0);
-            // Every rank emits the identical run_meta; the merge keeps one.
-            t.emit(
-                "run_meta",
-                vec![
-                    ("schema", "marsit-telemetry/1".into()),
-                    ("seed", sc.seed.into()),
-                    ("strategy", "process_trace".into()),
-                    ("topology", sc.topo.encode().into()),
-                    ("workers", sc.world.into()),
-                    ("d", sc.d.into()),
-                ],
-            );
-            transport.set_tracing(true);
-            t
-        });
+/// Returns the process exit code: 0 after `stop`, 2 for arguments it
+/// refuses (before any connect), 1 when the hub connection fails or drops
+/// or the collective fails for a reason other than a vanished peer.
+#[must_use]
+pub fn process_worker_main(argv: &[String]) -> i32 {
+    let (code, outcome) = match WorkerArgs::parse(argv) {
+        Ok(worker) => (1, serve_rounds(worker)),
+        Err(e) => (2, Err(e.into())),
+    };
+    match outcome {
+        Ok(()) => 0,
+        Err(e) => {
+            eprintln!("transport worker: {e}");
+            code
+        }
+    }
+}
+
+fn serve_rounds(worker: WorkerArgs) -> Result<(), Box<dyn std::error::Error>> {
+    let WorkerArgs {
+        addr,
+        sc,
+        rank,
+        collect,
+        compute_ns,
+    } = worker;
+    let mut transport = ProcessTransport::connect(&addr, rank, sc.world)?;
+    // After the connect: a scenario without a plan ends this connection,
+    // which the driver reads as this rank's death instead of waiting for it.
+    let plan = sc.plan()?;
+    let telemetry = collect.then(|| {
+        let t = Telemetry::recording();
+        t.set_wall_clock(true);
+        t.set_transport_tag(Backend::Process.name(), Backend::Process.clock_kind());
+        t.set_time(0.0);
+        // Every rank emits the identical run_meta; the merge keeps one.
+        t.emit(
+            "run_meta",
+            vec![
+                ("schema", "marsit-telemetry/1".into()),
+                ("seed", sc.seed.into()),
+                ("strategy", "process_trace".into()),
+                ("topology", sc.topo.encode().into()),
+                ("workers", sc.world.into()),
+                ("d", sc.d.into()),
+            ],
+        );
+        transport.set_tracing(true);
+        t
+    });
     let input = sc.inputs().swap_remove(rank);
-    let plan = sc.plan().expect("scenario plan compiles");
     let mut round_idx: u64 = 0;
     loop {
-        let frame = transport.recv_control().expect("hub connection");
+        let frame = transport.recv_control()?;
         match frame.kind {
-            FrameKind::Stop => return,
+            FrameKind::Stop => return Ok(()),
             FrameKind::Round => {
                 transport.reset_round();
                 transport.set_trace_round(round_idx);
                 round_idx += 1;
                 if compute_ns > 0 {
                     // Real compute: the wall-clock cost the trace observes.
-                    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                    let ns = (compute_ns as f64 * slow_mult) as u64;
-                    std::thread::sleep(Duration::from_nanos(ns));
+                    std::thread::sleep(Duration::from_nanos(compute_ns));
                 }
                 let (mut combines, mut draws) = (0, 0);
                 let combine =
@@ -624,69 +646,27 @@ pub fn process_worker_main() {
                     }),
                     None => run_rank(&plan, &input, &mut transport, combine),
                 };
-                match outcome {
+                let reply = match outcome {
                     Ok(state) => {
                         let mut words = vec![combines, draws];
                         words.extend_from_slice(state.as_words());
-                        transport
-                            .send_frame(&Frame::words(
-                                FrameKind::Result,
-                                rank as u32,
-                                DRIVER,
-                                words,
-                            ))
-                            .expect("send result");
+                        Frame::words(FrameKind::Result, rank as u32, DRIVER, words)
                     }
                     Err(SyncError::PeerDisconnected { peer }) => {
-                        transport
-                            .send_frame(&Frame::words(
-                                FrameKind::Failed,
-                                rank as u32,
-                                DRIVER,
-                                vec![peer as u64],
-                            ))
-                            .expect("send failure report");
+                        Frame::words(FrameKind::Failed, rank as u32, DRIVER, vec![peer as u64])
                     }
-                    Err(e) => panic!("conformance collective failed: {e}"),
-                }
+                    Err(e) => return Err(format!("collective failed: {e}").into()),
+                };
+                transport.send_frame(&reply)?;
                 if let Some(t) = &telemetry {
                     // One flush point per round, even when the round recorded
                     // nothing: the collector synchronizes on batch count.
-                    transport
-                        .send_telemetry(&t.drain_events_jsonl())
-                        .expect("send telemetry batch");
+                    transport.send_telemetry(&t.drain_events_jsonl())?;
                 }
             }
             _ => {}
         }
     }
-}
-
-/// `MARSIT_TW_STRAGGLER` is `rank:mult-bits-hex`; returns the multiplier if
-/// it names this rank, else 1.0.
-fn straggler_multiplier(rank: usize) -> f64 {
-    std::env::var("MARSIT_TW_STRAGGLER")
-        .ok()
-        .and_then(|v| {
-            let (r, hex) = v.split_once(':')?;
-            let r: usize = r.parse().ok()?;
-            let bits = u64::from_str_radix(hex, 16).ok()?;
-            Some((r, f64::from_bits(bits)))
-        })
-        .filter(|&(r, _)| r == rank)
-        .map_or(1.0, |(_, m)| m)
-}
-
-/// Runs [`process_worker_main`] if the worker environment is present.
-/// Binaries that can host a transport worker call this first thing in
-/// `main` and exit when it returns `true`.
-#[must_use]
-pub fn maybe_run_worker_from_env() -> bool {
-    if std::env::var("MARSIT_TW_ADDR").is_err() {
-        return false;
-    }
-    process_worker_main();
-    true
 }
 
 #[cfg(test)]

@@ -44,4 +44,5 @@ pub use scheduler::{
 pub use spec::{parse_queue, JobSpec, QueueDiagnostic, DEFAULT_TENANT};
 pub use supervisor::{
     shard_worker_main, SupervisorConfig, SupervisorError, SupervisorHandle, SupervisorReport,
+    SHARD_WORKER_MODE,
 };

@@ -20,8 +20,9 @@
 //!   in order, so its log-at-snapshot is exactly the job's log at that
 //!   round — the rollback point — and journals every snapshot when a
 //!   journal is attached.
-//! - **Liveness** — a shard death is detected as EOF on its connection
-//!   (the same EOF→`down` protocol as [`marsit_simnet::process`]). The
+//! - **Liveness** — a shard death is detected as the end of its connection
+//!   (EOF, a torn frame or a foreign `from`: the reader of
+//!   [`marsit_simnet::fabric`], the same one the process hub runs). The
 //!   supervisor restarts the shard with bounded exponential backoff and
 //!   re-delivers its in-flight jobs from their last snapshots; a job with
 //!   no snapshot yet simply restarts from scratch. Telemetry the dead
@@ -35,22 +36,28 @@
 //! - **Completion** — an `outcome` frame carries one `Outcome` record (its
 //!   `log` again the delta).
 //!
-//! A connection speaks for the shard its `hello` named, and only for a
-//! shard that exists: any other `from` drops it. A shard subprocess that
-//! loses its supervisor (EOF on its socket) exits immediately, so a
-//! `kill -9` of the supervisor leaves no orphans.
+//! The supervisor's sockets and children are the fabric's: its door admits
+//! a connection only with a `hello` from a shard that exists and that no
+//! live connection holds, a connection speaks only for that shard (any
+//! other `from` drops it), and a shard is started as
+//! `<worker_bin> --shard-worker --addr <hub> --shard N --tick T
+//! --snapshot-every S`. A shard subprocess that loses its supervisor (EOF
+//! on its socket) exits immediately, so a `kill -9` of the supervisor
+//! leaves no orphans.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::io::BufReader;
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::process::Child;
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use marsit_simnet::fabric::{connect_as, spawn_child, ArgError, ChildArgs, Fabric, Queue};
 use marsit_simnet::wire::{read_frame, write_frame, Frame, FrameKind, Payload, DRIVER};
+use marsit_simnet::{HubEvent, TransportError};
 use marsit_tensor::rng::FastRng;
 
 use crate::journal::{
@@ -63,10 +70,8 @@ use crate::scheduler::{
 };
 use crate::spec::JobSpec;
 
-/// Environment variable naming the shard-worker executable. Tests point
-/// it at the `marsit_serve` test binary; production leaves it unset and
-/// the supervisor re-execs itself (`current_exe`).
-pub const WORKER_BIN_ENV: &str = "MARSIT_SHARD_WORKER_BIN";
+/// The mode flag that makes `marsit_serve` a shard subprocess.
+pub const SHARD_WORKER_MODE: &str = "--shard-worker";
 
 /// Supervisor configuration.
 #[derive(Debug, Clone)]
@@ -82,8 +87,7 @@ pub struct SupervisorConfig {
     /// arrivals (the supervisor owns placement; shards just evict on
     /// request).
     pub migration: MigrationPolicy,
-    /// Shard-worker executable (`None` = [`WORKER_BIN_ENV`], else the
-    /// current executable).
+    /// Shard-worker executable (`None` = the current executable).
     pub worker_bin: Option<PathBuf>,
     /// Restart budget per shard before its jobs are reassigned for good.
     pub max_restarts_per_shard: u32,
@@ -170,6 +174,12 @@ impl From<std::io::Error> for SupervisorError {
     }
 }
 
+impl From<TransportError> for SupervisorError {
+    fn from(e: TransportError) -> Self {
+        Self::Io(e.to_string())
+    }
+}
+
 type Journal = Arc<Mutex<JournalWriter>>;
 
 enum CtlMsg {
@@ -182,9 +192,10 @@ enum CtlMsg {
 pub struct SupervisorHandle {
     ctl: Sender<CtlMsg>,
     thread: std::thread::JoinHandle<Result<SupervisorReport, SupervisorError>>,
-    pids: Arc<Mutex<Vec<Option<u32>>>>,
+    /// Shard `i`'s current subprocess pid, 0 while down.
+    pids: Arc<Vec<AtomicU32>>,
     submitted: usize,
-    completed: Arc<Mutex<usize>>,
+    completed: Arc<AtomicUsize>,
 }
 
 impl SupervisorHandle {
@@ -194,15 +205,16 @@ impl SupervisorHandle {
     ///
     /// # Errors
     ///
-    /// [`SupervisorError::Io`] if the localhost listener cannot bind.
+    /// [`SupervisorError::Io`] if the localhost listener cannot bind or
+    /// the supervisor's threads cannot start.
     pub fn start(cfg: SupervisorConfig, journal: Option<Journal>) -> Result<Self, SupervisorError> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?.to_string();
+        let fabric = Fabric::new(cfg.shards, Queue)?;
+        let addr = fabric.addr()?.to_string();
+        fabric.open()?;
         let (ctl_tx, ctl_rx) = std::sync::mpsc::channel();
-        let (ev_tx, ev_rx) = std::sync::mpsc::channel();
-        let pids = Arc::new(Mutex::new(vec![None; cfg.shards]));
-        let completed = Arc::new(Mutex::new(0usize));
-        spawn_accept_loop(listener, cfg.shards, &ev_tx);
+        let pids: Arc<Vec<AtomicU32>> =
+            Arc::new((0..cfg.shards).map(|_| AtomicU32::new(0)).collect());
+        let completed = Arc::new(AtomicUsize::new(0));
         let loop_pids = Arc::clone(&pids);
         let loop_completed = Arc::clone(&completed);
         let thread = std::thread::Builder::new()
@@ -210,15 +222,14 @@ impl SupervisorHandle {
             .spawn(move || {
                 supervisor_main(
                     &cfg,
+                    &fabric,
                     &addr,
                     &ctl_rx,
-                    &ev_rx,
                     &loop_pids,
                     &loop_completed,
                     journal,
                 )
-            })
-            .expect("spawn supervisor thread");
+            })?;
         Ok(Self {
             ctl: ctl_tx,
             thread,
@@ -228,38 +239,31 @@ impl SupervisorHandle {
         })
     }
 
-    /// Submits a fresh job.
+    /// Submits a fresh job. A supervisor that has stopped takes no more;
+    /// [`Self::finish`] returns the error it stopped with.
     pub fn submit(&mut self, spec: JobSpec) {
         self.submitted += 1;
-        self.ctl
-            .send(CtlMsg::Submit(spec))
-            .expect("supervisor alive");
+        let _ = self.ctl.send(CtlMsg::Submit(spec));
     }
 
     /// Re-submits a crash-recovered job from its journaled snapshot.
     pub fn submit_resume(&mut self, resume: ResumeJob) {
         self.submitted += 1;
-        self.ctl
-            .send(CtlMsg::Resume(resume))
-            .expect("supervisor alive");
+        let _ = self.ctl.send(CtlMsg::Resume(resume));
     }
 
     /// Jobs finished so far.
     #[must_use]
     pub fn completed(&self) -> usize {
-        *self.completed.lock().expect("completed lock")
+        self.completed.load(Ordering::Relaxed)
     }
 
     /// OS pid of shard `i`'s current subprocess (None while down) — lets
     /// the recovery tests SIGKILL one shard mid-storm.
     #[must_use]
     pub fn shard_pid(&self, shard: usize) -> Option<u32> {
-        self.pids
-            .lock()
-            .expect("pids lock")
-            .get(shard)
-            .copied()
-            .flatten()
+        let pid = self.pids.get(shard)?.load(Ordering::Relaxed);
+        (pid != 0).then_some(pid)
     }
 
     /// Waits for every submitted job to finish, stops the shards, and
@@ -269,65 +273,11 @@ impl SupervisorHandle {
     ///
     /// The [`SupervisorError`] the event loop died with, if it did.
     pub fn finish(self) -> Result<SupervisorReport, SupervisorError> {
-        self.ctl.send(CtlMsg::Finish).expect("supervisor alive");
-        self.thread.join().expect("supervisor thread panicked")
+        let _ = self.ctl.send(CtlMsg::Finish);
+        self.thread
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
-}
-
-enum SupEvent {
-    Connected { shard: usize, stream: TcpStream },
-    Frame { shard: usize, frame: Frame },
-    Disconnected { shard: usize },
-}
-
-fn spawn_accept_loop(listener: TcpListener, shards: usize, ev_tx: &Sender<SupEvent>) {
-    let ev_tx = ev_tx.clone();
-    std::thread::Builder::new()
-        .name("marsit-sup-accept".to_string())
-        .spawn(move || {
-            while let Ok((stream, _)) = listener.accept() {
-                let ev_tx = ev_tx.clone();
-                std::thread::spawn(move || conn_reader(stream, shards, &ev_tx));
-            }
-        })
-        .expect("spawn accept thread");
-}
-
-/// Per-connection reader: the first frame must be a `hello` from one of
-/// the `shards` shards; every further frame from that shard is forwarded;
-/// EOF or a malformed frame becomes `Disconnected` — the liveness signal.
-/// The supervisor indexes per-shard state by the shard a connection speaks
-/// for, so a `hello` out of range never reaches it, and a later frame
-/// claiming another `from` is a protocol error that drops the connection.
-fn conn_reader(stream: TcpStream, shards: usize, ev_tx: &Sender<SupEvent>) {
-    stream.set_nodelay(true).ok();
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let from = match read_frame(&mut reader) {
-        Ok(Some((hello, _)))
-            if hello.kind == FrameKind::Hello && (hello.from as usize) < shards =>
-        {
-            hello.from
-        }
-        _ => return,
-    };
-    let shard = from as usize;
-    if ev_tx.send(SupEvent::Connected { shard, stream }).is_err() {
-        return;
-    }
-    // A torn trailing frame from a killed process is an error, which is
-    // the same liveness signal as EOF.
-    while let Ok(Some((frame, _))) = read_frame(&mut reader) {
-        if frame.from != from {
-            break;
-        }
-        if ev_tx.send(SupEvent::Frame { shard, frame }).is_err() {
-            return;
-        }
-    }
-    ev_tx.send(SupEvent::Disconnected { shard }).ok();
 }
 
 /// A serving frame: `records` encoded back to back, numbered from 0, as a
@@ -367,7 +317,8 @@ fn serving_records(frame: &Frame) -> Result<Vec<JournalRecord>, SupervisorError>
 /// A shard's view from the supervisor.
 struct Shard {
     child: Option<Child>,
-    stream: Option<TcpStream>,
+    /// Its `hello` reached the event loop and its connection has not ended.
+    connected: bool,
     restarts: u32,
     respawn_at: Option<Instant>,
     /// Permanently abandoned (restart budget exhausted).
@@ -418,17 +369,17 @@ fn enroll(job: SupJob, order: &mut Vec<String>, jobs: &mut HashMap<String, SupJo
 #[allow(clippy::too_many_lines)]
 fn supervisor_main(
     cfg: &SupervisorConfig,
+    fabric: &Fabric,
     addr: &str,
     ctl: &Receiver<CtlMsg>,
-    events: &Receiver<SupEvent>,
-    pids: &Arc<Mutex<Vec<Option<u32>>>>,
-    completed: &Arc<Mutex<usize>>,
+    pids: &[AtomicU32],
+    completed: &AtomicUsize,
     journal: Option<Journal>,
 ) -> Result<SupervisorReport, SupervisorError> {
     let mut shards: Vec<Shard> = (0..cfg.shards)
         .map(|_| Shard {
             child: None,
-            stream: None,
+            connected: false,
             restarts: 0,
             respawn_at: Some(Instant::now()),
             dead: false,
@@ -456,13 +407,9 @@ fn supervisor_main(
             }
             if shard.respawn_at.is_some_and(|t| t <= Instant::now()) {
                 shard.respawn_at = None;
-                match spawn_worker(cfg, addr, i) {
-                    Ok(child) => {
-                        pids.lock().expect("pids lock")[i] = Some(child.id());
-                        shard.child = Some(child);
-                    }
-                    Err(e) => return Err(e),
-                }
+                let child = spawn_worker(cfg, addr, i)?;
+                pids[i].store(child.id(), Ordering::Relaxed);
+                shard.child = Some(child);
             }
         }
 
@@ -473,8 +420,8 @@ fn supervisor_main(
                     journal_append(
                         journal.as_ref(),
                         &JournalRecord::Submit { spec: spec.clone() },
-                    );
-                    journal_commit(journal.as_ref());
+                    )?;
+                    journal_commit(journal.as_ref())?;
                     let job = SupJob::new(spec, least_loaded(&shards, &jobs));
                     enroll(job, &mut order, &mut jobs);
                 }
@@ -501,36 +448,33 @@ fn supervisor_main(
 
         // Deliver undelivered jobs whose shard is up.
         for name in &order {
-            let job = jobs.get_mut(name).expect("job recorded");
-            if job.done || job.delivered || job.evicting {
-                continue;
-            }
-            let shard = &mut shards[job.assigned];
-            let Some(stream) = shard.stream.as_mut() else {
+            let Some(job) = jobs.get_mut(name) else {
                 continue;
             };
-            let frame = deliver_frame(job)?;
-            if write_frame(stream, &frame).is_ok() {
-                job.delivered = true;
+            if job.done || job.delivered || job.evicting || !shards[job.assigned].connected {
+                continue;
             }
-            // A failed write surfaces as Disconnected from the reader;
-            // the job stays undelivered and is retried after restart.
+            // A failed write surfaces as Disconnected from the reader; the
+            // job stays undelivered and is retried after restart.
+            job.delivered = fabric.send_to(job.assigned, &deliver_frame(job)?).is_ok();
         }
 
         if draining && jobs.values().all(|j| j.done) {
             break;
         }
 
-        // Data plane: shard frames and deaths.
-        match events.recv_timeout(Duration::from_millis(5)) {
-            Ok(SupEvent::Connected { shard, stream }) => {
-                shards[shard].stream = Some(stream);
-                shards[shard].restarts = 0;
+        // Data plane: shard frames and deaths. The fabric's reader vouches
+        // for every frame's `from`.
+        match fabric.next_event_timeout(Duration::from_millis(5)) {
+            Some(HubEvent::Frame(frame)) if frame.kind == FrameKind::Hello => {
+                let shard = &mut shards[frame.from as usize];
+                shard.connected = true;
+                shard.restarts = 0;
             }
-            Ok(SupEvent::Frame { shard, frame }) => {
-                handle_shard_frame(
+            Some(HubEvent::Frame(frame)) => {
+                let shard = frame.from as usize;
+                let reply = handle_shard_frame(
                     cfg,
-                    shard,
                     frame,
                     &mut shards,
                     &mut jobs,
@@ -539,31 +483,31 @@ fn supervisor_main(
                     journal.as_ref(),
                     completed,
                 )?;
+                if let Some(reply) = reply {
+                    fabric.send_to(shard, &reply).ok();
+                }
             }
-            Ok(SupEvent::Disconnected { shard }) => {
+            Some(HubEvent::Disconnected(shard)) => {
                 on_shard_death(cfg, shard, &mut shards, &mut jobs, &mut report, pids)?;
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                return Err(SupervisorError::Io("accept loop died".to_string()))
-            }
+            None => {}
         }
-        journal_commit(journal.as_ref());
+        journal_commit(journal.as_ref())?;
     }
 
     // Orderly shutdown: stop frames, then reap.
-    for (i, shard) in shards.iter_mut().enumerate() {
-        if let Some(stream) = shard.stream.as_mut() {
-            write_frame(stream, &Frame::control(FrameKind::Stop, DRIVER, i as u32)).ok();
-        }
+    for i in 0..shards.len() {
+        fabric
+            .send_to(i, &Frame::control(FrameKind::Stop, DRIVER, i as u32))
+            .ok();
     }
-    for (i, shard) in shards.iter_mut().enumerate() {
+    for (shard, pid) in shards.iter_mut().zip(pids) {
         if let Some(mut child) = shard.child.take() {
             child.wait().ok();
         }
-        pids.lock().expect("pids lock")[i] = None;
+        pid.store(0, Ordering::Relaxed);
     }
-    journal_commit(journal.as_ref());
+    journal_commit(journal.as_ref())?;
     report
         .outcomes
         .sort_by(|a, b| a.spec.name.cmp(&b.spec.name));
@@ -571,15 +515,9 @@ fn supervisor_main(
 }
 
 fn least_loaded(shards: &[Shard], jobs: &HashMap<String, SupJob>) -> usize {
-    let mut counts = vec![0usize; shards.len()];
-    for job in jobs.values() {
-        if !job.done {
-            counts[job.assigned] += 1;
-        }
-    }
     (0..shards.len())
         .filter(|&i| !shards[i].dead)
-        .min_by_key(|&i| counts[i])
+        .min_by_key(|&i| jobs_len(jobs, i))
         .unwrap_or(0)
 }
 
@@ -600,18 +538,20 @@ fn deliver_frame(job: &SupJob) -> Result<Frame, SupervisorError> {
     serving_frame(FrameKind::Submit, DRIVER, job.assigned as u32, &records)
 }
 
+/// Files one frame from shard `frame.from`; returns the eviction request
+/// to send it, if the migration policy asks for one.
 #[allow(clippy::too_many_arguments)]
 fn handle_shard_frame(
     cfg: &SupervisorConfig,
-    shard: usize,
     frame: Frame,
     shards: &mut [Shard],
     jobs: &mut HashMap<String, SupJob>,
     report: &mut SupervisorReport,
     rng: &mut FastRng,
     journal: Option<&Journal>,
-    completed: &Arc<Mutex<usize>>,
-) -> Result<(), SupervisorError> {
+    completed: &AtomicUsize,
+) -> Result<Option<Frame>, SupervisorError> {
+    let shard = frame.from as usize;
     match frame.kind {
         FrameKind::Snapshot => {
             // One `Snapshot` record; a `Migrate` before it marks a hand-back.
@@ -623,32 +563,30 @@ fn handle_shard_frame(
             };
             let evicted = matches!(records.pop(), Some(JournalRecord::Migrate { .. }));
             let name = push.name.clone();
-            {
-                let Some(job) = jobs.get_mut(&name) else {
-                    return Ok(()); // stale frame from a job already reassigned
-                };
-                if job.done || job.assigned != shard {
-                    return Ok(());
-                }
-                job.log.push_str(&push.log);
-                job.migrations = push.migrations;
-                if journal.is_some() {
-                    let spliced = JournalRecord::Snapshot(SnapshotRecord {
-                        name: name.clone(),
-                        shard,
-                        migrations: push.migrations,
-                        round: push.round,
-                        tel_seq: push.tel_seq,
-                        snapshot_json: push.snapshot_json.clone(),
-                        log: job.log.clone(),
-                    });
-                    journal_append(journal, &spliced);
-                }
-                job.last_snap = Some(SnapshotRecord {
-                    log: String::new(),
-                    ..push
+            let Some(job) = jobs
+                .get_mut(&name)
+                .filter(|job| !job.done && job.assigned == shard)
+            else {
+                return Ok(None); // stale frame from a job already reassigned
+            };
+            job.log.push_str(&push.log);
+            job.migrations = push.migrations;
+            if journal.is_some() {
+                let spliced = JournalRecord::Snapshot(SnapshotRecord {
+                    name: name.clone(),
+                    shard,
+                    migrations: push.migrations,
+                    round: push.round,
+                    tel_seq: push.tel_seq,
+                    snapshot_json: push.snapshot_json.clone(),
+                    log: job.log.clone(),
                 });
+                journal_append(journal, &spliced)?;
             }
+            job.last_snap = Some(SnapshotRecord {
+                log: String::new(),
+                ..push
+            });
             if evicted {
                 // The shard dropped the job; restore it elsewhere (or back
                 // on `shard` when it is the only one left alive).
@@ -656,13 +594,12 @@ fn handle_shard_frame(
                 let target = pick_other_shard(shards, shard);
                 if let Some(to) = target {
                     let moved = JournalRecord::Migrate {
-                        name: name.clone(),
+                        name,
                         from: shard,
                         to,
                     };
-                    journal_append(journal, &moved);
+                    journal_append(journal, &moved)?;
                 }
-                let job = jobs.get_mut(&name).expect("job still recorded");
                 job.evicting = false;
                 job.delivered = false;
                 job.migrations += 1;
@@ -670,28 +607,27 @@ fn handle_shard_frame(
                     job.assigned = target;
                     job.shard_path.push(target);
                 }
-            } else {
-                let already_evicting = jobs[&name].evicting;
-                if !already_evicting && wants_eviction(cfg, shards, jobs, shard, rng) {
-                    jobs.get_mut(&name).expect("job still recorded").evicting = true;
-                    // The target is picked at the hand-back, so the
-                    // request's `to` says nothing yet.
-                    let request = serving_frame(
-                        FrameKind::Snapshot,
-                        DRIVER,
-                        shard as u32,
-                        &[JournalRecord::Migrate {
-                            name,
-                            from: shard,
-                            to: shard,
-                        }],
-                    )?;
-                    if let Some(stream) = shards[shard].stream.as_mut() {
-                        write_frame(stream, &request).ok();
-                    }
-                }
+                return Ok(None);
             }
-            Ok(())
+            if job.evicting || !wants_eviction(cfg, shards, jobs, shard, rng) {
+                return Ok(None);
+            }
+            if let Some(job) = jobs.get_mut(&name) {
+                job.evicting = true;
+            }
+            // The target is picked at the hand-back, so the request's `to`
+            // says nothing yet.
+            let request = serving_frame(
+                FrameKind::Snapshot,
+                DRIVER,
+                shard as u32,
+                &[JournalRecord::Migrate {
+                    name,
+                    from: shard,
+                    to: shard,
+                }],
+            )?;
+            Ok(Some(request))
         }
         FrameKind::Outcome => {
             let mut records = serving_records(&frame)?;
@@ -701,12 +637,12 @@ fn handle_shard_frame(
                     "an outcome frame carries exactly one outcome record".to_string(),
                 ));
             };
-            let Some(job) = jobs.get_mut(&done.name) else {
-                return Ok(());
+            let Some(job) = jobs
+                .get_mut(&done.name)
+                .filter(|job| !job.done && job.assigned == shard)
+            else {
+                return Ok(None);
             };
-            if job.done || job.assigned != shard {
-                return Ok(());
-            }
             job.log.push_str(&done.log);
             job.done = true;
             job.migrations = done.migrations;
@@ -725,13 +661,13 @@ fn handle_shard_frame(
                     report_debug: outcome.report_debug.clone(),
                     log: outcome.log.clone(),
                 });
-                journal_append(journal, &spliced);
+                journal_append(journal, &spliced)?;
             }
             report.outcomes.push(outcome);
-            *completed.lock().expect("completed lock") += 1;
-            Ok(())
+            completed.fetch_add(1, Ordering::Relaxed);
+            Ok(None)
         }
-        FrameKind::Hello | FrameKind::Telem => Ok(()),
+        FrameKind::Hello | FrameKind::Telem => Ok(None),
         other => Err(SupervisorError::Protocol(format!(
             "unexpected {other:?} frame from shard {shard}"
         ))),
@@ -782,18 +718,18 @@ fn on_shard_death(
     shards: &mut [Shard],
     jobs: &mut HashMap<String, SupJob>,
     report: &mut SupervisorReport,
-    pids: &Arc<Mutex<Vec<Option<u32>>>>,
+    pids: &[AtomicU32],
 ) -> Result<(), SupervisorError> {
     let s = &mut shards[shard];
-    if s.stream.is_none() && s.child.is_none() {
+    if !s.connected && s.child.is_none() {
         return Ok(()); // duplicate signal
     }
-    s.stream = None;
+    s.connected = false;
     if let Some(mut child) = s.child.take() {
         child.kill().ok();
         child.wait().ok();
     }
-    pids.lock().expect("pids lock")[shard] = None;
+    pids[shard].store(0, Ordering::Relaxed);
     report.shard_deaths += 1;
 
     // Roll every resident job back to its last pushed snapshot. Deltas
@@ -838,82 +774,74 @@ fn spawn_worker(
     addr: &str,
     shard: usize,
 ) -> Result<Child, SupervisorError> {
-    let bin = std::env::var_os(WORKER_BIN_ENV)
-        .map(PathBuf::from)
-        .or_else(|| cfg.worker_bin.clone())
+    let bin = cfg
+        .worker_bin
+        .clone()
         .or_else(|| std::env::current_exe().ok())
         .ok_or_else(|| SupervisorError::Spawn("no worker binary".to_string()))?;
-    Command::new(&bin)
-        .args([
-            "--shard-worker",
-            "--addr",
-            addr,
-            "--shard",
-            &shard.to_string(),
-            "--tick",
-            &cfg.tick_rounds.to_string(),
-            "--snapshot-every",
-            &cfg.snapshot_every_ticks.to_string(),
-        ])
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit())
-        .spawn()
+    let args = [
+        ("shard", shard.to_string()),
+        ("tick", cfg.tick_rounds.to_string()),
+        ("snapshot-every", cfg.snapshot_every_ticks.to_string()),
+    ];
+    spawn_child(&bin, SHARD_WORKER_MODE, addr, &args)
         .map_err(|e| SupervisorError::Spawn(format!("{}: {e}", bin.display())))
 }
 
-fn journal_append(journal: Option<&Journal>, record: &JournalRecord) {
-    if let Some(journal) = journal {
-        journal
-            .lock()
-            .expect("journal lock")
+fn journal_append(
+    journal: Option<&Journal>,
+    record: &JournalRecord,
+) -> Result<(), SupervisorError> {
+    match journal {
+        Some(journal) => lock(journal)?
             .append(record)
-            .expect("journal-representable record");
+            .map_err(|e| SupervisorError::Io(e.to_string())),
+        None => Ok(()),
     }
 }
 
-fn journal_commit(journal: Option<&Journal>) {
-    if let Some(journal) = journal {
-        journal
-            .lock()
-            .expect("journal lock")
-            .commit()
-            .expect("journal commit");
+fn journal_commit(journal: Option<&Journal>) -> Result<(), SupervisorError> {
+    match journal {
+        Some(journal) => Ok(lock(journal)?.commit()?),
+        None => Ok(()),
     }
+}
+
+/// A journal whose writer panicked mid-append may hold half a record: the
+/// supervisor stops rather than write after it.
+fn lock(journal: &Journal) -> Result<MutexGuard<'_, JournalWriter>, SupervisorError> {
+    journal
+        .lock()
+        .map_err(|_| SupervisorError::Io("a journal writer panicked".to_string()))
 }
 
 // ---------------------------------------------------------------------------
 // The shard-worker side (runs inside the subprocess).
 // ---------------------------------------------------------------------------
 
-/// The shard-worker entry point: the body of `marsit_serve --shard-worker`.
-/// Connects to the supervisor, runs submitted jobs tick-by-tick, pushes
+/// The shard-worker entry point: the body of `marsit_serve --shard-worker`,
+/// handed the argv after that flag. Refuses a missing or malformed
+/// `--shard`, `--tick` or `--snapshot-every` before it connects; then
+/// connects to the supervisor, runs submitted jobs tick-by-tick, pushes
 /// periodic snapshot frames and final outcomes, and exits the moment the
 /// supervisor socket reaches EOF (no orphans after a supervisor
 /// `kill -9`). Returns the process exit code.
-#[must_use]
-pub fn shard_worker_main(
-    addr: &str,
-    shard: usize,
-    tick_rounds: usize,
-    snapshot_every_ticks: usize,
-) -> i32 {
-    let Ok(mut stream) = TcpStream::connect(addr) else {
-        return 1;
+///
+/// # Errors
+///
+/// The [`ArgError`] naming the flag it refused.
+pub fn shard_worker_main(argv: &[String]) -> Result<i32, ArgError> {
+    let args = ChildArgs::parse(argv)?;
+    let shard = args.get("shard")?;
+    let tick_rounds: usize = args.get("tick")?;
+    let snapshot_every_ticks = args.get("snapshot-every")?;
+    let Ok((mut reader, mut stream)) = connect_as(args.addr(), shard) else {
+        return Ok(1);
     };
-    stream.set_nodelay(true).ok();
-    let Ok(read_half) = stream.try_clone() else {
-        return 1;
-    };
-    let hello = Frame::control(FrameKind::Hello, shard as u32, DRIVER);
-    if write_frame(&mut stream, &hello).is_err() {
-        return 1;
-    }
     // Blocking reads on a thread of their own; the channel closing (EOF, a
     // torn or foreign frame) is "supervisor gone".
     let (tx, rx) = std::sync::mpsc::channel();
     let reader = std::thread::spawn(move || {
-        let mut reader = BufReader::new(read_half);
         while let Ok(Some((frame, _))) = read_frame(&mut reader) {
             if tx.send(frame).is_err() {
                 return;
@@ -930,7 +858,7 @@ pub fn shard_worker_main(
     // Unblocks the reader's pending read so the join cannot hang.
     stream.shutdown(Shutdown::Both).ok();
     reader.join().ok();
-    code
+    Ok(code)
 }
 
 fn shard_worker_loop(
@@ -1152,6 +1080,66 @@ mod tests {
         assert_eq!(
             report.shard_deaths, 1,
             "the lying connection counted as a death"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A second `hello` for a live shard is refused at the door and the
+    /// connection that holds the shard is untouched: the newcomer is
+    /// dropped without a delivery, the next job still goes to the first
+    /// connection, and no death is counted.
+    #[test]
+    fn a_second_hello_for_a_live_shard_is_refused() {
+        let dir = std::env::temp_dir().join(format!("marsit-sup-dup-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let script = dir.join("worker.sh");
+        std::fs::write(&script, "#!/bin/sh\nprintf '%s\\n' \"$3\" > \"$0.addr\"\n")
+            .expect("script");
+        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).expect("chmod");
+        let mut cfg = SupervisorConfig::new(1);
+        cfg.worker_bin = Some(script);
+        let mut handle = SupervisorHandle::start(cfg, None).expect("start supervisor");
+        let first_spec = JobSpec::new("first", Workload::AlexNetMnist, Topology::ring(4));
+        handle.submit(first_spec);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let addr = loop {
+            match std::fs::read_to_string(dir.join("worker.sh.addr")) {
+                Ok(text) if text.ends_with('\n') => break text.trim().to_string(),
+                _ => {
+                    assert!(Instant::now() < deadline, "worker script never ran");
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+            }
+        };
+
+        let mut holder = connect_as(&addr, 0);
+        let (delivery, _) = read_frame(&mut holder).expect("readable").expect("a job");
+        assert_eq!(delivery.kind, FrameKind::Submit);
+        let mut newcomer = connect_as(&addr, 0);
+        assert_eq!(
+            newcomer.read(&mut [0u8; 1]).expect("dropped"),
+            0,
+            "the second hello for shard 0 was admitted"
+        );
+        drop(newcomer);
+
+        let second_spec = JobSpec::new("second", Workload::AlexNetMnist, Topology::ring(4));
+        handle.submit(second_spec.clone());
+        let (delivery, _) = read_frame(&mut holder).expect("readable").expect("a job");
+        let plan = serving_records(&delivery)
+            .expect("journal records")
+            .into_iter()
+            .collect::<ReplayState>()
+            .plan();
+        assert_eq!(plan.fresh, vec![second_spec]);
+        for name in ["first", "second"] {
+            write_frame(&mut holder, &outcome_frame(0, name, "held")).expect("write");
+        }
+        let report = handle.finish().expect("supervisor survives");
+        assert_eq!(report.outcomes.len(), 2);
+        assert_eq!(
+            report.shard_deaths, 0,
+            "the refused connection counted as a death"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

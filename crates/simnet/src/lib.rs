@@ -25,6 +25,7 @@
 //! ```
 
 pub mod cost;
+pub mod fabric;
 pub mod fault;
 pub mod link;
 pub mod phase;
@@ -33,12 +34,13 @@ pub mod topology;
 pub mod transport;
 pub mod wire;
 
+pub use fabric::{spawn_child, ArgError, ChildArgs, Fabric, HubEvent};
 pub use fault::{
     FaultInjector, FaultPlan, FaultStats, MembershipEvent, MembershipSchedule, TransferFate,
 };
 pub use link::{LinkModel, RateProfile};
 pub use phase::PhaseBreakdown;
-pub use process::{HubEvent, ProcessTransport, TraceCollector, WireHub};
+pub use process::{HubRelay, ProcessTransport, TraceCollector, WireHub};
 pub use topology::Topology;
 pub use transport::{Backend, Transport, TransportError};
 pub use wire::{

@@ -9,7 +9,9 @@
 //! when a worker's socket reaches EOF (clean exit or SIGKILL alike) the hub
 //! broadcasts `down <rank>` to the survivors, whose next receive from that
 //! rank fails with [`TransportError::PeerDisconnected`] and degrades through
-//! the reconfiguration path instead of hanging.
+//! the reconfiguration path instead of hanging. The door, the readers and
+//! the worker's connect are [`crate::fabric`]'s; this module adds what the
+//! hub relays and what a worker endpoint buffers.
 //!
 //! Round orchestration rides the same connection: the driver sends `round`
 //! frames to start a collective, workers answer `result` (consensus words +
@@ -20,36 +22,17 @@
 
 use std::collections::VecDeque;
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Condvar, Mutex, PoisonError};
+use std::time::Duration;
 
+pub use crate::fabric::HubEvent;
+use crate::fabric::{broadcast, connect_as, io_err, lock, send, Fabric, Relay, Slots};
 use crate::transport::{Transport, TransportError};
 use crate::wire::{
-    read_frame, write_frame, Frame, FrameKind, Payload, TraceCtx, WireError, CTX_WIRE_BYTES, DRIVER,
+    read_frame, write_frame, Frame, FrameKind, Payload, TraceCtx, CTX_WIRE_BYTES, DRIVER,
 };
-
-/// A decode failure inside [`read_frame`] stays a typed
-/// [`TransportError::Wire`]; everything else is the OS's message.
-fn io_err(e: std::io::Error) -> TransportError {
-    match e
-        .get_ref()
-        .and_then(|inner| inner.downcast_ref::<WireError>())
-    {
-        Some(wire) => TransportError::Wire(wire.clone()),
-        None => TransportError::Io(e.to_string()),
-    }
-}
-
-/// Something the hub observed on its worker connections.
-#[derive(Debug, Clone, PartialEq)]
-pub enum HubEvent {
-    /// A frame addressed to the driver (`hello`, `result`, `failed`).
-    Frame(Frame),
-    /// A worker's socket closed (exit or crash).
-    Disconnected(usize),
-}
 
 /// Driver-side sink for the workers' telemetry side channel.
 ///
@@ -78,7 +61,7 @@ impl TraceCollector {
     }
 
     fn push(&self, rank: usize, batch: String) {
-        let mut batches = self.batches.lock().expect("collector batches");
+        let mut batches = lock(&self.batches);
         if let Some(slot) = batches.get_mut(rank) {
             slot.push(batch);
         }
@@ -99,103 +82,89 @@ impl TraceCollector {
         self.side_channel_bytes.load(Ordering::Relaxed)
     }
 
-    /// Number of batches received from `rank` so far.
-    #[must_use]
-    pub fn batch_count(&self, rank: usize) -> usize {
-        self.batches.lock().expect("collector batches")[rank].len()
-    }
-
     /// Blocks until every rank in `0..world` has sent at least `count`
     /// batches, or `timeout` elapses. Returns whether the target was met.
     #[must_use]
     pub fn wait_batches(&self, world: usize, count: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut batches = self.batches.lock().expect("collector batches");
-        loop {
-            if batches.iter().take(world).all(|b| b.len() >= count) {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _) = self
-                .signal
-                .wait_timeout(batches, deadline - now)
-                .expect("collector wait");
-            batches = guard;
-        }
-    }
-
-    /// The batch each rank sent at flush point `index` (`None` for ranks
-    /// that have not reached it).
-    #[must_use]
-    pub fn batch_at(&self, index: usize) -> Vec<Option<String>> {
-        self.batches
-            .lock()
-            .expect("collector batches")
-            .iter()
-            .map(|b| b.get(index).cloned())
-            .collect()
+        let met =
+            |batches: &mut Vec<Vec<String>>| batches.iter().take(world).all(|b| b.len() >= count);
+        let (mut batches, _) = self
+            .signal
+            .wait_timeout_while(lock(&self.batches), timeout, |batches| !met(batches))
+            .unwrap_or_else(PoisonError::into_inner);
+        met(&mut batches)
     }
 
     /// Moves all collected batches out, per rank in arrival order.
     #[must_use]
     pub fn take_batches(&self) -> Vec<Vec<String>> {
-        let mut batches = self.batches.lock().expect("collector batches");
+        let mut batches = lock(&self.batches);
         batches.iter_mut().map(std::mem::take).collect()
     }
 }
 
-struct HubShared {
-    /// Writer half per rank; `None` while that rank is down.
-    conns: Mutex<Vec<Option<TcpStream>>>,
-    inbox: Mutex<VecDeque<HubEvent>>,
-    signal: Condvar,
+/// Driver-side hub: the fabric with the hub's relay, which routes `data`
+/// frames between worker processes and surfaces driver-addressed frames and
+/// disconnects as [`HubEvent`]s.
+pub type WireHub = Fabric<HubRelay>;
+
+/// The hub's relay: `telem` batches go to the collector, frames for the
+/// driver are queued, and `data` frames are routed to their target — or,
+/// when it is down, answered with a `down` so the sender's next receive
+/// from it fails instead of blocking. Every (re)joined rank is announced to
+/// all workers with a `hello` (clearing it from their dead sets, so a
+/// rejoined peer is usable again from the next round on), every lost one
+/// with a `down`.
+pub struct HubRelay {
     collector: TraceCollector,
 }
 
-impl HubShared {
-    fn push(&self, event: HubEvent) {
-        self.inbox.lock().expect("hub inbox").push_back(event);
-        self.signal.notify_all();
-    }
-
-    /// Writes `frame` to `rank` if it is up. Returns whether it was up.
-    fn route_to(&self, rank: usize, frame: &Frame) -> bool {
-        let mut conns = self.conns.lock().expect("hub conns");
-        if let Some(Some(stream)) = conns.get_mut(rank) {
-            if write_frame(stream, frame).is_ok() {
-                return true;
+impl Relay for HubRelay {
+    fn frame(
+        &self,
+        slots: &mut Slots,
+        rank: usize,
+        frame: Frame,
+        wire_len: usize,
+    ) -> Option<HubEvent> {
+        if frame.kind == FrameKind::Telem {
+            // Telemetry batches go to the collector, never the control
+            // inbox: the side channel cannot stall or reorder round
+            // orchestration.
+            self.collector.add_wire_bytes(wire_len);
+            if let Payload::Bytes(bytes) = frame.payload {
+                self.collector
+                    .push(rank, String::from_utf8_lossy(&bytes).into_owned());
             }
+            return None;
         }
-        false
+        if frame.ctx.is_some() {
+            self.collector.add_wire_bytes(CTX_WIRE_BYTES);
+        }
+        let to = frame.to;
+        if to == DRIVER {
+            return Some(HubEvent::Frame(frame));
+        }
+        if !send(slots, to as usize, &frame) {
+            send(
+                slots,
+                rank,
+                &Frame::control(FrameKind::Down, to, rank as u32),
+            );
+        }
+        None
     }
 
-    fn broadcast(&self, frame: &Frame) {
-        let mut conns = self.conns.lock().expect("hub conns");
-        for stream in conns.iter_mut().flatten() {
-            let _ = write_frame(stream, frame);
-        }
+    fn joined(&self, slots: &mut Slots, rank: usize) {
+        broadcast(
+            slots,
+            &Frame::control(FrameKind::Hello, rank as u32, DRIVER),
+        );
     }
 
-    fn drop_rank(&self, rank: usize) {
-        let mut conns = self.conns.lock().expect("hub conns");
-        if let Some(slot) = conns.get_mut(rank) {
-            *slot = None;
-        }
-        drop(conns);
-        self.broadcast(&Frame::control(FrameKind::Down, rank as u32, DRIVER));
-        self.push(HubEvent::Disconnected(rank));
+    fn left(&self, slots: &mut Slots, rank: usize) {
+        broadcast(slots, &Frame::control(FrameKind::Down, rank as u32, DRIVER));
     }
-}
-
-/// Driver-side hub: routes `data` frames between worker processes and
-/// surfaces driver-addressed frames and disconnects as [`HubEvent`]s.
-pub struct WireHub {
-    listener: TcpListener,
-    world: usize,
-    shared: Arc<HubShared>,
 }
 
 impl WireHub {
@@ -205,177 +174,14 @@ impl WireHub {
     ///
     /// Fails if the loopback listener cannot be bound.
     pub fn bind(world: usize) -> Result<Self, TransportError> {
-        assert!(world > 0, "hub needs at least one rank");
-        let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(io_err)?;
-        Ok(Self {
-            listener,
-            world,
-            shared: Arc::new(HubShared {
-                conns: Mutex::new((0..world).map(|_| None).collect()),
-                inbox: Mutex::new(VecDeque::new()),
-                signal: Condvar::new(),
-                collector: TraceCollector::with_world(world),
-            }),
-        })
-    }
-
-    /// Number of ranks this hub serves.
-    #[must_use]
-    pub fn world(&self) -> usize {
-        self.world
-    }
-
-    /// The `host:port` workers should connect to.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the local address cannot be read back from the socket.
-    pub fn addr(&self) -> Result<SocketAddr, TransportError> {
-        self.listener.local_addr().map_err(io_err)
-    }
-
-    /// Accepts one worker connection: waits for its `hello`, registers the
-    /// writer (replacing any dead connection for that rank — this is how a
-    /// crashed worker rejoins), and spawns its reader thread. Returns the
-    /// worker's rank.
-    ///
-    /// # Errors
-    ///
-    /// Fails on socket errors, a malformed first frame, or a rank outside
-    /// `0..world`.
-    pub fn accept_worker(&self) -> Result<usize, TransportError> {
-        let (stream, _) = self.listener.accept().map_err(io_err)?;
-        stream.set_nodelay(true).map_err(io_err)?;
-        let mut reader = BufReader::new(stream.try_clone().map_err(io_err)?);
-        let (hello, _) = read_frame(&mut reader)
-            .map_err(io_err)?
-            .ok_or_else(|| TransportError::Io("worker closed before hello".into()))?;
-        if hello.kind != FrameKind::Hello {
-            return Err(TransportError::Wire(WireError::BadPayload {
-                reason: format!("expected hello, got {:?}", hello.kind),
-            }));
-        }
-        let rank = hello.from as usize;
-        if rank >= self.world {
-            return Err(TransportError::Wire(WireError::BadPayload {
-                reason: format!("hello from rank {rank} outside 0..{}", self.world),
-            }));
-        }
-        self.shared.conns.lock().expect("hub conns")[rank] = Some(stream);
-        self.shared.push(HubEvent::Frame(hello));
-        // Announce the (re)joined rank to every worker: a `hello` control
-        // frame clears the rank from their dead sets, so a rejoined peer is
-        // usable again from the next round on.
-        self.shared
-            .broadcast(&Frame::control(FrameKind::Hello, rank as u32, DRIVER));
-        let shared = Arc::clone(&self.shared);
-        std::thread::spawn(move || hub_reader(&shared, rank, reader));
-        Ok(rank)
-    }
-
-    /// Sends a driver frame (`round`, `stop`, …) to one worker.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`TransportError::PeerDisconnected`] if the rank is down.
-    pub fn send_to(&self, rank: usize, frame: &Frame) -> Result<(), TransportError> {
-        if self.shared.route_to(rank, frame) {
-            Ok(())
-        } else {
-            Err(TransportError::PeerDisconnected { peer: rank })
-        }
-    }
-
-    /// Sends a driver frame to every live worker.
-    pub fn broadcast(&self, frame: &Frame) {
-        self.shared.broadcast(frame);
-    }
-
-    /// Next driver-addressed frame or disconnect, blocking.
-    #[must_use]
-    pub fn next_event(&self) -> HubEvent {
-        let mut inbox = self.shared.inbox.lock().expect("hub inbox");
-        loop {
-            if let Some(event) = inbox.pop_front() {
-                return event;
-            }
-            inbox = self.shared.signal.wait(inbox).expect("hub wait");
-        }
-    }
-
-    /// Like [`Self::next_event`] but gives up after `timeout`.
-    #[must_use]
-    pub fn next_event_timeout(&self, timeout: Duration) -> Option<HubEvent> {
-        let deadline = Instant::now() + timeout;
-        let mut inbox = self.shared.inbox.lock().expect("hub inbox");
-        loop {
-            if let Some(event) = inbox.pop_front() {
-                return Some(event);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self
-                .shared
-                .signal
-                .wait_timeout(inbox, deadline - now)
-                .expect("hub wait");
-            inbox = guard;
-        }
-    }
-
-    /// Whether `rank` currently has a live connection.
-    #[must_use]
-    pub fn is_up(&self, rank: usize) -> bool {
-        self.shared.conns.lock().expect("hub conns")[rank].is_some()
+        let collector = TraceCollector::with_world(world);
+        Fabric::new(world, HubRelay { collector })
     }
 
     /// The hub's telemetry side-channel sink.
     #[must_use]
     pub fn collector(&self) -> &TraceCollector {
-        &self.shared.collector
-    }
-}
-
-/// Per-connection reader: routes worker frames until EOF, then reports the
-/// rank down. The connection said which rank it is in its `hello`; a frame
-/// claiming to come from any other rank is a wire error like a malformed one
-/// — the driver indexes per-rank state by `from`, so a lie must never reach
-/// it — and drops the connection.
-fn hub_reader(shared: &HubShared, rank: usize, mut reader: BufReader<TcpStream>) {
-    loop {
-        match read_frame(&mut reader) {
-            Ok(Some((frame, wire_len))) if frame.from as usize == rank => {
-                if frame.kind == FrameKind::Telem {
-                    // Telemetry batches go to the collector, never the
-                    // control inbox: the side channel cannot stall or
-                    // reorder round orchestration.
-                    shared.collector.add_wire_bytes(wire_len);
-                    if let Payload::Bytes(bytes) = frame.payload {
-                        shared
-                            .collector
-                            .push(rank, String::from_utf8_lossy(&bytes).into_owned());
-                    }
-                    continue;
-                }
-                if frame.ctx.is_some() {
-                    shared.collector.add_wire_bytes(CTX_WIRE_BYTES);
-                }
-                let to = frame.to;
-                if to == DRIVER {
-                    shared.push(HubEvent::Frame(frame));
-                } else if !shared.route_to(to as usize, &frame) {
-                    // Target is down: bounce a `down` back so the sender's
-                    // next receive from it fails instead of blocking.
-                    shared.route_to(rank, &Frame::control(FrameKind::Down, to, rank as u32));
-                }
-            }
-            Ok(Some(_)) | Ok(None) | Err(_) => {
-                shared.drop_rank(rank);
-                return;
-            }
-        }
+        &self.relay().collector
     }
 }
 
@@ -404,15 +210,7 @@ impl ProcessTransport {
     ///
     /// Fails if the connection or the `hello` write fails.
     pub fn connect(addr: &str, rank: usize, world: usize) -> Result<Self, TransportError> {
-        let stream = TcpStream::connect(addr).map_err(io_err)?;
-        stream.set_nodelay(true).map_err(io_err)?;
-        let reader = BufReader::new(stream.try_clone().map_err(io_err)?);
-        let mut writer = stream;
-        write_frame(
-            &mut writer,
-            &Frame::control(FrameKind::Hello, rank as u32, DRIVER),
-        )
-        .map_err(io_err)?;
+        let (reader, writer) = connect_as(addr, rank)?;
         Ok(Self {
             rank,
             world,
@@ -832,5 +630,33 @@ mod tests {
         hub.send_to(1, &Frame::control(FrameKind::Stop, DRIVER, 1))
             .unwrap();
         assert_eq!(second.recv_control().unwrap().kind, FrameKind::Stop);
+    }
+
+    /// A second `hello` for a live rank is refused at the door, and the
+    /// connection that holds the rank is untouched: after the refused one
+    /// is gone, the first is still up and still receives the driver's
+    /// frames.
+    #[test]
+    fn a_second_hello_for_a_live_rank_is_refused() {
+        let hub = WireHub::bind(2).unwrap();
+        let addr = hub.addr().unwrap().to_string();
+        let mut first = ProcessTransport::connect(&addr, 1, 2).unwrap();
+        assert_eq!(hub.accept_worker().unwrap(), 1);
+        let second = ProcessTransport::connect(&addr, 1, 2).unwrap();
+        assert_eq!(
+            hub.accept_worker(),
+            Err(TransportError::RankTaken { rank: 1 })
+        );
+        drop(second);
+        while let Some(event) = hub.next_event_timeout(Duration::from_millis(300)) {
+            assert!(
+                matches!(&event, HubEvent::Frame(f) if f.kind == FrameKind::Hello),
+                "unexpected {event:?}"
+            );
+        }
+        assert!(hub.is_up(1));
+        hub.send_to(1, &Frame::control(FrameKind::Stop, DRIVER, 1))
+            .unwrap();
+        assert_eq!(first.recv_control().unwrap().kind, FrameKind::Stop);
     }
 }

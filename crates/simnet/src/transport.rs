@@ -57,6 +57,11 @@ pub enum TransportError {
     },
     /// A frame failed to decode.
     Wire(WireError),
+    /// A `hello` named a rank a live connection already holds.
+    RankTaken {
+        /// The rank.
+        rank: usize,
+    },
     /// An OS-level I/O failure.
     Io(String),
 }
@@ -66,6 +71,7 @@ impl std::fmt::Display for TransportError {
         match self {
             Self::PeerDisconnected { peer } => write!(f, "peer {peer} disconnected"),
             Self::Wire(e) => write!(f, "wire error: {e}"),
+            Self::RankTaken { rank } => write!(f, "rank {rank} is already connected"),
             Self::Io(msg) => write!(f, "transport i/o error: {msg}"),
         }
     }

@@ -43,6 +43,7 @@ use marsit::serve::{
     parse_queue, quantile_ns, replay_file, shard_worker_main, verify_outcome, verify_recovered,
     AdmissionController, AdmissionError, JobServer, JobSpec, JournalWriter, MigrationPolicy,
     RecoveredOutcome, ServeConfig, SupervisorConfig, SupervisorHandle, TenantQuota,
+    SHARD_WORKER_MODE,
 };
 
 const EXIT_OK: i32 = 0;
@@ -132,43 +133,6 @@ struct Options {
     quotas: Vec<(String, TenantQuota)>,
     max_in_flight: Option<usize>,
     supervise: bool,
-}
-
-/// The hidden `--shard-worker` mode: this process is a shard subprocess
-/// spawned by a supervisor. Never reached by user-driven invocations.
-fn run_shard_worker(args: &[String]) -> i32 {
-    let mut addr = None;
-    let mut shard = 0usize;
-    let mut tick = 4usize;
-    let mut snapshot_every = 2usize;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                addr = args.get(i).cloned();
-            }
-            "--shard" => {
-                i += 1;
-                shard = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(0);
-            }
-            "--tick" => {
-                i += 1;
-                tick = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(4);
-            }
-            "--snapshot-every" => {
-                i += 1;
-                snapshot_every = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(2);
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    let Some(addr) = addr else {
-        eprintln!("marsit_serve: --shard-worker requires --addr");
-        return EXIT_FAIL;
-    };
-    shard_worker_main(&addr, shard, tick, snapshot_every)
 }
 
 #[allow(clippy::too_many_lines)]
@@ -391,8 +355,11 @@ fn submit_with_retry(
 #[allow(clippy::too_many_lines)]
 fn real_main() -> Result<i32, CliError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--shard-worker") {
-        return Ok(run_shard_worker(&args[1..]));
+    // The hidden shard mode: this process is a shard subprocess spawned by
+    // a supervisor. Never reached by user-driven invocations.
+    if args.first().map(String::as_str) == Some(SHARD_WORKER_MODE) {
+        return shard_worker_main(&args[1..])
+            .map_err(|e| CliError::fail(format!("{SHARD_WORKER_MODE}: {e}")));
     }
     let opts = parse_options(&args)?;
 

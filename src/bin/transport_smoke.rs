@@ -23,7 +23,7 @@
 //! ```
 
 use marsit::collectives::PlanTopology;
-use marsit::core::transport::{Scenario, TraceRunConfig};
+use marsit::core::transport::{process_worker_main, Scenario, TraceRunConfig, WORKER_MODE};
 use marsit::core::CombineKind;
 use marsit::telemetry::health::HealthEvent;
 use marsit::telemetry::report::validate;
@@ -31,11 +31,11 @@ use marsit::telemetry::{scoped, Telemetry};
 
 fn main() {
     // A copy of this binary doubles as one rank of the process backend; the
-    // worker environment routes it there.
-    if marsit::core::transport::maybe_run_worker_from_env() {
-        return;
-    }
+    // worker mode flag routes it there.
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some(WORKER_MODE) {
+        std::process::exit(process_worker_main(&args[1..]));
+    }
     let out_path = args
         .iter()
         .position(|a| a == "--out")

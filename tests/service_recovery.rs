@@ -9,10 +9,12 @@
 //! recovery, and real SIGKILL of both the whole server binary and a
 //! single shard subprocess under the supervisor.
 
+use std::io::Read as _;
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use marsit::models::Workload;
 use marsit::serve::{
@@ -665,4 +667,61 @@ fn foreign_journal_is_refused_not_truncated() {
         "the foreign journal was modified"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A shard worker refuses a value it cannot read before it connects: it
+/// used to take a malformed or missing `--shard` for shard 0 and `--tick` /
+/// `--snapshot-every` for their defaults, and say hello to whatever
+/// listened at `--addr`.
+#[test]
+fn shard_worker_refuses_malformed_arguments_before_connecting() {
+    for (args, flag) in [
+        (
+            &["--shard", "nine", "--tick", "2", "--snapshot-every", "2"][..],
+            "--shard",
+        ),
+        (&["--tick", "2", "--snapshot-every", "2"][..], "--shard"),
+        (
+            &["--shard", "0", "--tick", "x", "--snapshot-every", "2"][..],
+            "--tick",
+        ),
+        (&["--shard", "0", "--tick", "2"][..], "--snapshot-every"),
+    ] {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).expect("nonblocking");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let mut worker = Command::new(env!("CARGO_BIN_EXE_marsit_serve"))
+            .args(["--shard-worker", "--addr", &addr])
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn the shard worker");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let status = loop {
+            if listener.accept().is_ok() {
+                worker.kill().ok();
+                worker.wait().ok();
+                panic!("{args:?}: the worker connected");
+            }
+            if let Some(status) = worker.try_wait().expect("poll the worker") {
+                break status;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{args:?}: the worker never exited"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        assert!(listener.accept().is_err(), "{args:?}: the worker connected");
+        let mut stderr = String::new();
+        worker
+            .stderr
+            .take()
+            .expect("piped stderr")
+            .read_to_string(&mut stderr)
+            .expect("read stderr");
+        assert!(!status.success(), "{args:?}: exited {status}");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+    }
 }
