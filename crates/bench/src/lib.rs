@@ -106,18 +106,6 @@ pub fn write_round_csv(path: &Path, report: &TrainReport) -> std::io::Result<()>
     Ok(())
 }
 
-/// If the `MARSIT_CSV_DIR` environment variable is set, writes the report's
-/// round records to `<dir>/<name>.csv` and returns the path. Experiment
-/// binaries call this so plots can be regenerated outside Rust.
-pub fn maybe_dump_csv(name: &str, report: &TrainReport) -> Option<std::path::PathBuf> {
-    let dir = std::env::var_os("MARSIT_CSV_DIR")?;
-    let dir = std::path::PathBuf::from(dir);
-    std::fs::create_dir_all(&dir).ok()?;
-    let path = dir.join(format!("{name}.csv"));
-    write_round_csv(&path, report).ok()?;
-    Some(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

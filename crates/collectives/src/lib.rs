@@ -149,5 +149,25 @@ mod proptests {
                 }
             }
         }
+
+        /// The wire byte counts are the bit counts `SignSumVec` reports,
+        /// rounded up to whole bytes, for any sums and any term count.
+        #[test]
+        fn sum_wire_bytes_round_up_sign_sum_bits(
+            sums in prop::collection::vec(any::<i32>(), 0..40),
+            small in prop::collection::vec(-20i32..21, 0..40),
+            extra in 0u32..1000,
+        ) {
+            use marsit_compress::SignSumVec;
+            for sums in [sums, small] {
+                let widest = sums.iter().map(|s| s.unsigned_abs()).max().unwrap_or(0);
+                let s = SignSumVec::from_parts(sums, widest.saturating_add(extra));
+                prop_assert_eq!(SumWire::Elias.wire_bytes(&s), s.elias_bits().div_ceil(8));
+                prop_assert_eq!(
+                    SumWire::FixedWidth.wire_bytes(&s),
+                    s.fixed_width_bits().div_ceil(8)
+                );
+            }
+        }
     }
 }

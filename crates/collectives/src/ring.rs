@@ -24,7 +24,7 @@
 
 use std::ops::Range;
 
-use marsit_compress::{elias, SignSumVec};
+use marsit_compress::SignSumVec;
 use marsit_simnet::FaultInjector;
 use marsit_telemetry::{Hop, HopRecorder};
 use marsit_tensor::SignVec;
@@ -144,10 +144,7 @@ impl SumWire {
     /// on a borrowed cell.
     pub(crate) fn bytes_of(self, sums: &[i32], count: usize) -> usize {
         let bits = match self {
-            Self::Elias => sums
-                .iter()
-                .map(|&s| elias::gamma_len(elias::zigzag(i64::from(s)) + 1))
-                .sum(),
+            Self::Elias => SignSumVec::elias_bits_of(sums),
             Self::FixedWidth => sums.len() * SignSumVec::bits_per_coord(count as u32),
         };
         bits.div_ceil(8)

@@ -1,7 +1,7 @@
 //! Gradient compression for the Marsit reproduction.
 //!
-//! Implements every compression baseline the paper compares against, plus
-//! the variable-width wire formats their MAR extensions need:
+//! Implements the compression baselines the paper compares against and
+//! the bit accounting of their MAR extensions:
 //!
 //! - [`compressor`]: worker-side compressors — [`PlainSign`] (signSGD),
 //!   [`EfSign`] (EF-signSGD with error feedback), [`Ssdm`] (unbiased
@@ -9,19 +9,13 @@
 //! - [`cascading`]: the cascading-compression pipeline of Section 3.2, whose
 //!   compounding error motivates Marsit (Theorem 3);
 //! - [`sums`]: integer sign-sum payloads with the `⌈log₂ M⌉` bit growth of
-//!   Section 3.1, in fixed-width and Elias-coded forms;
-//! - [`elias`] / [`bitstream`]: Elias γ/δ universal codes over an LSB-first
-//!   bit stream (the paper's payload compaction);
+//!   Section 3.1, sized at fixed width or by their Elias-γ bit count (the
+//!   paper's payload compaction, counted but never encoded);
 //! - [`message`]: the `(signs, scale)` wire message shared by the sign
 //!   family;
-//! - [`quantizers`]: the related-work multi-level quantizers TernGrad and
-//!   QSGD (unbiased, but more than one bit per coordinate);
 //! - [`powersgd`]: low-rank PowerSGD with error feedback — linear and
 //!   MAR-compatible, but needing two sequential all-reduce passes per
-//!   round (the related-work inefficiency the paper notes);
-//! - [`sparsify`]: Top-K sparsification with error feedback, plus the
-//!   support-union growth measurement explaining why sparsity fits MAR
-//!   poorly.
+//!   round (the related-work inefficiency the paper notes).
 //!
 //! # Examples
 //!
@@ -37,14 +31,10 @@
 //! assert_eq!(msg.wire_bits(), 3 + 32); // one bit per coordinate + scale
 //! ```
 
-pub mod bitstream;
 pub mod cascading;
 pub mod compressor;
-pub mod elias;
 pub mod message;
 pub mod powersgd;
-pub mod quantizers;
-pub mod sparsify;
 pub mod sums;
 
 pub use cascading::{
@@ -54,26 +44,16 @@ pub use cascading::{
 pub use compressor::{Compressor, EfSign, PlainSign, Ssdm};
 pub use message::SignMessage;
 pub use powersgd::{PowerFactors, PowerSgd};
-pub use quantizers::QuantizedMessage;
-pub use sparsify::{SparseMessage, TopK};
 pub use sums::SignSumVec;
 
 #[cfg(test)]
 mod proptests {
     use proptest::prelude::*;
 
-    use crate::elias;
     use crate::sums::SignSumVec;
     use marsit_tensor::SignVec;
 
     proptest! {
-        /// Elias γ round-trips for arbitrary signed values.
-        #[test]
-        fn elias_signed_round_trip(values in prop::collection::vec(-10_000i64..10_000, 0..200)) {
-            let bytes = elias::encode_signed(&values);
-            prop_assert_eq!(elias::decode_signed(&bytes, values.len()), Some(values));
-        }
-
         /// Sign-sum merging is order-independent and majority vote matches a
         /// scalar recount.
         #[test]
@@ -95,20 +75,6 @@ mod proptests {
                 let sum = 2 * ones - bits.len() as i32;
                 prop_assert_eq!(forward.majority_sign().get(j), sum >= 0);
             }
-        }
-
-        /// Elias-coded sign sums round-trip.
-        #[test]
-        fn sign_sum_elias_round_trip(rounds in 1usize..6, seed in any::<u64>()) {
-            use marsit_tensor::rng::FastRng;
-            let mut rng = FastRng::new(seed, 0);
-            let mut sum = SignSumVec::zeros(64);
-            for _ in 0..rounds {
-                sum.add_signs(&SignVec::bernoulli_uniform(64, 0.5, &mut rng));
-            }
-            let bytes = sum.encode_elias();
-            let back = SignSumVec::decode_elias(&bytes, 64, rounds as u32);
-            prop_assert_eq!(back, Some(sum));
         }
     }
 }

@@ -89,13 +89,6 @@ impl PowerFactors {
     pub fn wire_bits(&self) -> usize {
         (self.p.len() + self.q.len()) * 32
     }
-
-    /// Number of *sequential* all-reduce rounds this scheme needs
-    /// (P first, then Q — the RAR inefficiency the paper notes).
-    #[must_use]
-    pub fn sequential_rounds(&self) -> usize {
-        2
-    }
 }
 
 impl PowerSgd {
@@ -166,8 +159,7 @@ impl PowerSgd {
         // Local reconstruction Ĝ = P·Qᵀ and error update.
         let reconstruction = p.matmul_nt(&q);
         let rec = reconstruction.as_slice();
-        for (i, ((e, &gv), &r)) in self.error.iter_mut().zip(grad).zip(rec.iter()).enumerate() {
-            let _ = i;
+        for ((e, &gv), &r) in self.error.iter_mut().zip(grad).zip(rec) {
             *e = gv + *e - r;
         }
         self.q = q.clone();
@@ -237,53 +229,6 @@ impl PowerSgd {
         self.q = Tensor::gaussian(self.cols, self.rank, 1.0, &mut rng);
         self.error.fill(0.0);
     }
-}
-
-/// Distributed PowerSGD aggregation: averages the workers' `P = G_w·Q̂`
-/// products, orthonormalizes, then averages `Q_w = G_wᵀ·P` — two sequential
-/// linear all-reduce passes. Returns the mean-gradient approximation and
-/// the total bits a ring all-reduce of both factor sets would move per
-/// worker.
-///
-/// All workers must share the same warm-start `Q̂` (they do when created
-/// with the same seed and fed the same schedule), which this function
-/// asserts.
-///
-/// # Panics
-///
-/// Panics if worker counts mismatch or dimensions differ.
-#[must_use]
-pub fn powersgd_allreduce(workers: &mut [PowerSgd], grads: &[&[f32]]) -> (Vec<f32>, usize) {
-    assert_eq!(workers.len(), grads.len(), "worker count mismatch");
-    assert!(!workers.is_empty(), "need at least one worker");
-    let d = workers[0].d;
-    assert!(
-        grads.iter().all(|g| g.len() == d),
-        "gradient lengths differ"
-    );
-    let m = workers.len();
-    let q_ref = workers[0].q.clone();
-    for w in &workers[1..] {
-        assert_eq!(w.q, q_ref, "workers must share the warm-start Q");
-    }
-    let _ = q_ref;
-    // Round 1: all-reduce P̄ = mean_w (G_w + e_w)·Q̂.
-    let mut p_mean = Tensor::zeros(workers[0].rows, workers[0].rank);
-    for (w, g) in workers.iter().zip(grads) {
-        p_mean.axpy_inplace(1.0 / m as f32, &w.project_p(g));
-    }
-    orthonormalize_columns(&mut p_mean);
-    // Round 2: all-reduce Q̄ = mean_w G_wᵀ·P̄.
-    let mut q_mean = Tensor::zeros(workers[0].cols, workers[0].rank);
-    for (w, g) in workers.iter().zip(grads) {
-        q_mean.axpy_inplace(1.0 / m as f32, &w.project_q(g, &p_mean));
-    }
-    let rec = workers[0].reconstruct(&p_mean, &q_mean);
-    for (w, g) in workers.iter_mut().zip(grads) {
-        w.absorb(g, &rec, &q_mean);
-    }
-    let bits = (p_mean.len() + q_mean.len()) * 32;
-    (rec, bits)
 }
 
 #[cfg(test)]
@@ -391,35 +336,6 @@ mod tests {
             "{} bits",
             factors.wire_bits()
         );
-        assert_eq!(factors.sequential_rounds(), 2);
-    }
-
-    #[test]
-    fn distributed_aggregation_tracks_mean() {
-        let d = 144;
-        let m = 4;
-        let mut rng = FastRng::new(8, 0);
-        let grads: Vec<Vec<f32>> = (0..m)
-            .map(|_| (0..d).map(|_| rng.next_f64() as f32 - 0.5).collect())
-            .collect();
-        let refs: Vec<&[f32]> = grads.iter().map(Vec::as_slice).collect();
-        let mut workers: Vec<PowerSgd> = (0..m).map(|_| PowerSgd::new(d, 4, 9)).collect();
-        // Warm up a few rounds on the same gradients so Q aligns.
-        let mut approx = Vec::new();
-        for _ in 0..6 {
-            let (a, _) = powersgd_allreduce(&mut workers, &refs);
-            approx = a;
-        }
-        let mut mean = vec![0.0f32; d];
-        for g in &grads {
-            for (a, &x) in mean.iter_mut().zip(g) {
-                *a += x / m as f32;
-            }
-        }
-        // With error feedback the cumulative approximation tracks the mean;
-        // a single-round check is loose.
-        let rel = dist_sq(&approx, &mean).sqrt() / f64::from(norm_l2(&mean)).max(1e-9);
-        assert!(rel < 1.5, "relative error {rel}");
     }
 
     #[test]

@@ -6,11 +6,9 @@
 //! signs*, whose per-coordinate range grows with the number of workers
 //! folded in — the "bit length expansion" of the paper's Section 3.1, upper
 //! bounded by `⌈log₂ M⌉` extra bits. [`SignSumVec`] implements that payload
-//! exactly, with both fixed-width and Elias-coded wire sizes.
+//! exactly, sized at fixed width or by its exact Elias-γ bit count.
 
 use marsit_tensor::SignVec;
-
-use crate::elias;
 
 /// A vector of per-coordinate sign sums `Σ_m σ_m ∈ [−count, count]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -145,35 +143,28 @@ impl SignSumVec {
     /// to compact the growing payload).
     #[must_use]
     pub fn elias_bits(&self) -> usize {
-        elias::encoded_bits_signed(&self.iter_i64().collect::<Vec<_>>())
+        Self::elias_bits_of(&self.sums)
     }
 
-    /// Serializes with Elias-γ; round-trips through
-    /// [`SignSumVec::decode_elias`].
+    /// Exact Elias-γ coded size in bits of raw `sums`, without encoding
+    /// them. Each sum `s` is zigzag-mapped (`0, −1, 1, −2, … → 0, 1, 2, 3,
+    /// …`) and shifted by one so that γ applies: it codes
+    /// `n = 2|s| + [s ≥ 0]` in `2⌊log₂ n⌋ + 1` bits.
     #[must_use]
-    pub fn encode_elias(&self) -> Vec<u8> {
-        elias::encode_signed(&self.iter_i64().collect::<Vec<_>>())
-    }
-
-    /// Decodes an Elias-γ payload of `len` coordinates with `count` folded
-    /// terms. Returns `None` on malformed input.
-    #[must_use]
-    pub fn decode_elias(bytes: &[u8], len: usize, count: u32) -> Option<Self> {
-        let sums = elias::decode_signed(bytes, len)?;
-        let sums: Vec<i32> = sums.into_iter().map(|v| v as i32).collect();
-        if sums.iter().any(|&s| s.unsigned_abs() > count) {
-            return None;
-        }
-        Some(Self { sums, count })
-    }
-
-    fn iter_i64(&self) -> impl Iterator<Item = i64> + '_ {
-        self.sums.iter().map(|&s| i64::from(s))
+    pub fn elias_bits_of(sums: &[i32]) -> usize {
+        sums.iter()
+            .map(|&s| {
+                let n = 2 * u64::from(s.unsigned_abs()) + u64::from(s >= 0);
+                2 * n.ilog2() as usize + 1
+            })
+            .sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn sv(bits: &[bool]) -> SignVec {
@@ -227,30 +218,9 @@ mod tests {
     }
 
     #[test]
-    fn elias_round_trip() {
-        let mut sum = SignSumVec::from_signs(&sv(&[true, false, true, true]));
-        sum.add_signs(&sv(&[true, false, false, true]));
-        sum.add_signs(&sv(&[false, false, true, true]));
-        let bytes = sum.encode_elias();
-        let back = SignSumVec::decode_elias(&bytes, 4, 3).expect("decodes");
-        assert_eq!(back, sum);
-    }
-
-    #[test]
-    fn decode_rejects_out_of_range() {
-        let sum = SignSumVec::from_signs(&sv(&[true; 4]));
-        let mut merged = sum.clone();
-        merged.merge(&sum);
-        merged.merge(&sum); // sums of +3, count 3
-        let bytes = merged.encode_elias();
-        assert!(SignSumVec::decode_elias(&bytes, 4, 2).is_none());
-    }
-
-    #[test]
     fn elias_beats_fixed_width_for_balanced_sums() {
         // IID signs concentrate near zero, where γ codes are short.
         use marsit_tensor::rng::FastRng;
-        let mut rng = FastRng::new(3, 0);
         let mut sum = SignSumVec::zeros(10_000);
         for s in 0..16 {
             sum.merge(&SignSumVec::from_signs(&SignVec::bernoulli_uniform(
@@ -259,8 +229,67 @@ mod tests {
                 &mut FastRng::new(s, 1),
             )));
         }
-        let _ = &mut rng;
         assert!(sum.elias_bits() < sum.fixed_width_bits() * 2);
         assert!(sum.elias_bits() > sum.len()); // still more than 1 bit/coord
+    }
+
+    /// Reference Elias-γ encoder, one bit at a time: the zigzag of `s`
+    /// plus one, as `⌊log₂ n⌋` zeros followed by `n` MSB-first.
+    fn reference_gamma(s: i32) -> Vec<bool> {
+        let v = i64::from(s);
+        let n = ((v << 1) ^ (v >> 63)) as u64 + 1;
+        let width = 64 - n.leading_zeros();
+        let mut bits = vec![false; width as usize - 1];
+        bits.extend((0..width).rev().map(|i| (n >> i) & 1 == 1));
+        bits
+    }
+
+    fn reference_bits(sums: &[i32]) -> usize {
+        sums.iter().map(|&s| reference_gamma(s).len()).sum()
+    }
+
+    #[test]
+    fn reference_gamma_known_codewords() {
+        // 0 → n=1 "1"; −1 → n=2 "010"; 1 → n=3 "011"; −2 → n=4 "00100".
+        let word = |s| -> String {
+            reference_gamma(s)
+                .iter()
+                .map(|&b| if b { '1' } else { '0' })
+                .collect()
+        };
+        assert_eq!(word(0), "1");
+        assert_eq!(word(-1), "010");
+        assert_eq!(word(1), "011");
+        assert_eq!(word(-2), "00100");
+    }
+
+    #[test]
+    fn elias_bits_of_matches_reference_at_every_edge() {
+        let mut edges = vec![0, 1, -1, i32::MIN, i32::MAX, -i32::MAX];
+        for k in 1..31 {
+            let p = 1i32 << k;
+            edges.extend([p - 1, -(p - 1), p, -p]);
+        }
+        for &s in &edges {
+            assert_eq!(
+                SignSumVec::elias_bits_of(&[s]),
+                reference_bits(&[s]),
+                "sum {s}"
+            );
+        }
+        assert_eq!(SignSumVec::elias_bits_of(&edges), reference_bits(&edges));
+        assert_eq!(SignSumVec::elias_bits_of(&[]), 0);
+    }
+
+    proptest! {
+        /// Full-range sums and the small ones a ring really carries.
+        #[test]
+        fn elias_bits_of_matches_reference(
+            wide in prop::collection::vec(any::<i32>(), 0..64),
+            narrow in prop::collection::vec(-40i32..41, 0..64),
+        ) {
+            prop_assert_eq!(SignSumVec::elias_bits_of(&wide), reference_bits(&wide));
+            prop_assert_eq!(SignSumVec::elias_bits_of(&narrow), reference_bits(&narrow));
+        }
     }
 }

@@ -387,13 +387,6 @@ impl ServerHandle {
         self.admission = Some(admission);
     }
 
-    /// The admission counters `(admitted, rejected)`, when a controller
-    /// is installed.
-    #[must_use]
-    pub fn admission_counters(&self) -> Option<(u64, u64)> {
-        self.admission.as_ref().map(AdmissionController::counters)
-    }
-
     /// Submits a job to the least-loaded shard, bypassing admission
     /// control. With a journal, the submission is durable before this
     /// returns.

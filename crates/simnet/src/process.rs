@@ -307,14 +307,6 @@ impl ProcessTransport {
         write_frame(&mut self.writer, frame).map_err(io_err)
     }
 
-    /// Forgets that `rank` was seen down (call when the driver announces a
-    /// rejoin before the next round).
-    pub fn clear_dead(&mut self, rank: usize) {
-        if rank < self.world {
-            self.dead[rank] = false;
-        }
-    }
-
     /// Discards all buffered data payloads. Call on a `round` frame: the
     /// hub writes `round` to this connection *after* everything the aborted
     /// previous round routed here, so whatever sits in the inbox at that

@@ -42,7 +42,7 @@
 //! | [`core`] | `marsit-core` | the `⊙` operator, compensation, Algorithm 1, Theorems 1–3 |
 //! | [`trainsim`] | `marsit-trainsim` | training loop, six strategies, timing model |
 //! | [`collectives`] | `marsit-collectives` | ring / torus / PS schedules with tracing |
-//! | [`compress`] | `marsit-compress` | signSGD, EF-signSGD, SSDM, cascading, Elias codes |
+//! | [`compress`] | `marsit-compress` | signSGD, EF-signSGD, SSDM, cascading, PowerSGD, Elias bit counts |
 //! | [`models`] | `marsit-models` | MLP proxies with exact backprop, optimizers |
 //! | [`datagen`] | `marsit-datagen` | synthetic MNIST/CIFAR/ImageNet/IMDb stand-ins |
 //! | [`simnet`] | `marsit-simnet` | topologies, α–β link model, phase accounting |

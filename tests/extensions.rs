@@ -1,13 +1,11 @@
 //! Integration tests for the extension surface: the paradigms the paper
 //! names (tree / segmented-ring), the gossip baseline it rules out, the
-//! related-work compressors, and the non-IID probe.
+//! related-work PowerSGD compressor, and the non-IID probe.
 
 use marsit::collectives::gossip::{consensus_error, gossip_ring_step};
 use marsit::collectives::segring::segring_allreduce_onebit;
 use marsit::collectives::tree::tree_allreduce_onebit;
 use marsit::compress::powersgd::PowerSgd;
-use marsit::compress::quantizers::{qsgd, terngrad};
-use marsit::compress::sparsify::{support_union_growth, TopK};
 use marsit::core::ominus::combine_weighted_assign;
 use marsit::prelude::*;
 use marsit::tensor::stats::binomial_ci_halfwidth;
@@ -124,52 +122,6 @@ fn non_iid_shards_stress_sign_methods() {
         "sign degradation ({sign_iid} -> {sign_skew}) should be at least PSGD's \
          ({psgd_iid} -> {psgd_skew})"
     );
-}
-
-/// The related-work quantizers are unbiased and cost more than one bit.
-#[test]
-fn quantizers_unbiased_and_multibit() {
-    let mut rng = FastRng::new(6, 0);
-    let grad: Vec<f32> = (0..256).map(|_| rng.next_f64() as f32 - 0.5).collect();
-    let trials = 20_000;
-    let mut tern_mean = vec![0.0f64; grad.len()];
-    let mut qsgd_mean = vec![0.0f64; grad.len()];
-    let mut tern_bits = 0usize;
-    let mut qsgd_bits = 0usize;
-    for _ in 0..trials {
-        let t = terngrad(&grad, &mut rng);
-        let q = qsgd(&grad, 4, &mut rng);
-        tern_bits = t.wire_bits();
-        qsgd_bits = q.wire_bits();
-        for ((tm, qm), (tv, qv)) in tern_mean
-            .iter_mut()
-            .zip(&mut qsgd_mean)
-            .zip(t.to_values().into_iter().zip(q.to_values()))
-        {
-            *tm += f64::from(tv) / f64::from(trials as u32);
-            *qm += f64::from(qv) / f64::from(trials as u32);
-        }
-    }
-    for (j, &g) in grad.iter().enumerate() {
-        assert!(
-            (tern_mean[j] - f64::from(g)).abs() < 0.03,
-            "terngrad coord {j}"
-        );
-        assert!((qsgd_mean[j] - f64::from(g)).abs() < 0.03, "qsgd coord {j}");
-    }
-    assert!(tern_bits > grad.len(), "ternary > 1 bit/coord");
-    assert!(qsgd_bits < 32 * grad.len(), "QSGD ≪ fp32");
-}
-
-/// Top-K support union grows along a MAR chain — the sparsity/MAR mismatch.
-#[test]
-fn topk_support_union_grows() {
-    let growth = support_union_growth(2000, 100, 12, 5);
-    assert!(growth.last().expect("non-empty") > &700);
-    // And the compressor's error feedback works through the facade.
-    let mut topk = TopK::new(4);
-    let msg = topk.compress(&[5.0, 0.1, -3.0, 0.2, 2.0, -0.05, 1.0, 0.3]);
-    assert_eq!(msg.nnz(), 4);
 }
 
 /// PowerSGD compresses hard and reconstructs low-rank structure.
