@@ -129,6 +129,13 @@ impl Compensation {
         }
     }
 
+    /// The residual's values, for a laned sweep that writes or reads them in
+    /// place; `reset` says whether they are all `+0.0` once it is done.
+    pub(crate) fn values_for_sweep(&mut self, reset: bool) -> &mut [f32] {
+        self.reset = reset;
+        &mut self.c
+    }
+
     /// Algorithm 1, line 13: reset after a full-precision round.
     pub fn reset(&mut self) {
         self.c.fill(0.0);

@@ -22,11 +22,16 @@ use marsit_collectives::{
     allreduce_sum, ChainSlot, CombineCtx, DegradedMode, EffectiveTopology, PlanTopology,
     PlannedHop, TopologyReconfigurer, Trace,
 };
+use std::ops::Range;
+
 use marsit_simnet::{FaultPlan, FaultStats, Topology};
+use marsit_telemetry::Telemetry;
+use marsit_tensor::lanes::{self, Disjoint};
 use marsit_tensor::rng::{split_seed, FastRng};
 use marsit_tensor::{
-    compensate_block, fill_bernoulli_masks_indexed, fill_winner_planes_indexed, winner_plane_count,
-    Residual, ScaledSignLut, SignVec, PROLOGUE_BLOCK,
+    advance_striped_norms, compensate_block_words, fill_bernoulli_masks_indexed,
+    fill_winner_planes_indexed, fold_striped_norm, winner_plane_count, NormLanes, Residual,
+    ScaledSignLut, SignVec, PROLOGUE_BLOCK,
 };
 
 use crate::compensation::Compensation;
@@ -62,6 +67,12 @@ pub struct MarsitConfig {
     /// Faults to inject into the collectives ([`FaultPlan::none`] by
     /// default: every worker live, every transfer delivered first try).
     pub fault_plan: FaultPlan,
+    /// The lane budget: how many lanes a round's per-coordinate sweeps are
+    /// cut into, each a contiguous run of whole [`PROLOGUE_BLOCK`]s, run on
+    /// up to [`lanes::width`] threads of the process-wide lane executor.
+    /// Defaults to [`lanes::width`]; `1` keeps every sweep on the calling
+    /// thread. No output bit depends on it.
+    pub lanes: usize,
 }
 
 impl MarsitConfig {
@@ -82,7 +93,20 @@ impl MarsitConfig {
             seed,
             combine: CombineKind::Weighted,
             fault_plan: FaultPlan::none(),
+            lanes: lanes::width(),
         }
+    }
+
+    /// Sets the lane budget (see [`MarsitConfig::lanes`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is zero.
+    #[must_use]
+    pub fn with_lanes(mut self, lanes: usize) -> Self {
+        assert!(lanes > 0, "the lane budget must be positive");
+        self.lanes = lanes;
+        self
     }
 
     /// Switches to the biased coin-flip combine (ablation).
@@ -166,9 +190,146 @@ struct RoundWorkspace {
     planner: MaskPlanner,
     /// Consensus output buffer of the one-bit collectives. Ping-pongs
     /// with [`PendingResidual::consensus`]: the prologue that consumes a
-    /// pending residual returns its (right-sized) sign buffer here, and the
-    /// round's collective fills it before it moves into the next pending.
+    /// pending residual (or a flush) returns its (right-sized) sign buffer
+    /// here, and the round's collective fills it before it moves into the
+    /// next pending.
     consensus: SignVec,
+    /// Views of the per-worker rows a laned sweep writes, refilled by every
+    /// sweep before it starts and never read outside one.
+    rows: LaneRows,
+    /// Each worker's norm lanes, handed from one lane to the next by the
+    /// recorded norm sweep.
+    norm_lanes: Vec<NormLanes>,
+}
+
+/// Raw views of per-worker rows: the lanes of one sweep each write their
+/// own columns of every row (see [`Cut`]).
+#[derive(Debug, Clone, Default)]
+struct LaneRows {
+    /// The compensated updates `h`, one per worker.
+    h: Vec<Disjoint<f32>>,
+    /// The sign words of `signs`, one per live worker.
+    signs: Vec<Disjoint<u64>>,
+    /// The compensation vectors `c`, one per worker.
+    c: Vec<Disjoint<f32>>,
+}
+
+/// A round's cut of the model into lanes: lane `l` owns the elements
+/// `range(l)`, a contiguous run of whole [`PROLOGUE_BLOCK`]s, in every
+/// per-worker buffer. Blocks are whole sign words, so lanes share no float
+/// and no word, and each element is computed by the same arithmetic in the
+/// same order whatever the cut.
+#[derive(Debug, Clone, Copy)]
+struct Cut {
+    d: usize,
+    blocks: usize,
+    lanes: usize,
+}
+
+impl Cut {
+    fn new(d: usize, budget: usize) -> Self {
+        let blocks = d.div_ceil(PROLOGUE_BLOCK);
+        Self {
+            d,
+            blocks,
+            lanes: budget.clamp(1, blocks.max(1)),
+        }
+    }
+
+    /// Lane `lane`'s elements.
+    fn range(self, lane: usize) -> Range<usize> {
+        let block = |l: usize| (l * self.blocks / self.lanes * PROLOGUE_BLOCK).min(self.d);
+        block(lane)..block(lane + 1)
+    }
+}
+
+/// The sign words that hold the elements `range` (whole words, or a
+/// vector's tail).
+fn words(range: &Range<usize>) -> Range<usize> {
+    range.start / 64..range.end.div_ceil(64)
+}
+
+/// Models below this many elements write `g_t` on the caller when the
+/// epilogue has nothing else to sweep (see `Marsit::synchronize_into`).
+const LANED_WRITE_MIN: usize = 8 * PROLOGUE_BLOCK;
+
+/// Workers per group of the laned norm pipeline. Lane `l` runs group `g`
+/// in phase `g + l`, so fewer workers per group fill the pipeline sooner;
+/// one lane walks the workers in the kernel's widest groups.
+const NORM_GROUP_LANED: usize = 2;
+const NORM_GROUP_MAX: usize = 8;
+
+/// The recorded compensation-norm sweep of one round, laned: lane `l`
+/// continues each worker's eight norm lanes over its own columns after lane
+/// `l − 1` has left them, so every chain adds its elements in ascending
+/// order, as the one-pass kernel does.
+struct NormSweep<'a> {
+    /// The deferred residual's `h` rows and sign bits, or the materialized
+    /// compensation rows.
+    source: NormSource<'a>,
+    acc: Disjoint<NormLanes>,
+    m: usize,
+    group: usize,
+}
+
+enum NormSource<'a> {
+    Deferred {
+        hs: &'a [Vec<f32>],
+        consensus: &'a SignVec,
+        lut: &'a ScaledSignLut,
+    },
+    Materialized(&'a [Disjoint<f32>]),
+}
+
+impl NormSweep<'_> {
+    fn phases(&self, lanes: usize) -> usize {
+        self.m.div_ceil(self.group) + lanes - 1
+    }
+
+    /// Lane `lane`'s work in `phase`: its columns of worker group
+    /// `phase − lane`, if there is one.
+    fn run(&self, lane: usize, phase: usize, range: &Range<usize>) {
+        let Some(group) = phase.checked_sub(lane) else {
+            return;
+        };
+        let w0 = group * self.group;
+        if w0 >= self.m {
+            return;
+        }
+        let w1 = (w0 + self.group).min(self.m);
+        // SAFETY: in this phase no other lane holds workers `w0..w1`; the
+        // previous holder finished in an earlier phase.
+        let acc = unsafe { self.acc.slice_mut(w0..w1) };
+        if lane == 0 {
+            acc.fill([0.0; 8]);
+        }
+        let mut hs: [&[f32]; NORM_GROUP_MAX] = [&[]; NORM_GROUP_MAX];
+        for (slot, w) in hs.iter_mut().zip(w0..w1) {
+            *slot = match &self.source {
+                NormSource::Deferred { hs, .. } => &hs[w][range.clone()],
+                // SAFETY: this lane's columns, which only this lane writes
+                // and which it finished writing before its first phase.
+                NormSource::Materialized(rows) => unsafe { rows[w].slice(range.clone()) },
+            };
+        }
+        let signs = match &self.source {
+            NormSource::Deferred { consensus, lut, .. } => Some((*consensus, *lut)),
+            NormSource::Materialized(_) => None,
+        };
+        advance_striped_norms(acc, &hs[..w1 - w0], range.start, signs);
+    }
+}
+
+/// What a round does to its live workers' compensation after the
+/// collective (Algorithm 1, lines 10 and 13).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Settle {
+    /// Keep the residual deferred: `h` and the consensus bits are it.
+    Defer,
+    /// `c ← h − g_t`.
+    Absorb,
+    /// `c ← 0` after a full-precision round.
+    Reset,
 }
 
 /// A [`Marsit`] round workspace detached from its owner for pooling.
@@ -581,24 +742,48 @@ impl Marsit {
     }
 
     /// Folds any deferred residual into `compensations`, exactly as the
-    /// eager absorb would have: `c_w = h_w − g` with `g` materialized once.
+    /// eager absorb would have: `c_w = h_w − g`, with `g` expanded from the
+    /// consensus bits block by block, on the round's lanes. Nothing is
+    /// allocated, and the consensus buffer goes back to the workspace.
     fn flush_pending(&mut self) {
         let Some(p) = self.pending.take() else {
             return;
         };
-        let g = p.consensus.scaled_signs(p.scale);
-        for (c, h) in self
-            .compensations
-            .iter_mut()
-            .zip(&self.workspace.compensated)
-        {
-            c.absorb_residual(h, &g);
-        }
+        let lut = ScaledSignLut::new(p.scale);
+        let cut = Cut::new(p.consensus.len(), self.cfg.lanes);
+        let ws = &mut self.workspace;
+        ws.rows.c.clear();
+        ws.rows.c.extend(
+            self.compensations
+                .iter_mut()
+                .map(|c| Disjoint::new(c.values_for_sweep(false))),
+        );
+        let (rows, hs, consensus) = (&ws.rows.c, &ws.compensated, &p.consensus);
+        lanes::run(cut.lanes, &|lane| {
+            let range = cut.range(lane);
+            for (row, h) in rows.iter().zip(hs) {
+                // SAFETY: every lane writes its own columns of each row,
+                // which stays borrowed for the run.
+                let c = unsafe { row.slice_mut(range.clone()) };
+                consensus.write_residual_lut_at(&lut, range.start, &h[range.clone()], c);
+            }
+        });
+        ws.consensus = p.consensus;
     }
 
     /// Replaces the fault plan (see [`MarsitConfig::with_fault_plan`]).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.cfg.fault_plan = plan;
+    }
+
+    /// Replaces the lane budget (see [`MarsitConfig::lanes`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is zero.
+    pub fn set_lanes(&mut self, lanes: usize) {
+        assert!(lanes > 0, "the lane budget must be positive");
+        self.cfg.lanes = lanes;
     }
 
     /// Detaches the round workspace for pooling, leaving this synchronizer
@@ -772,17 +957,21 @@ impl Marsit {
             torus,
             planner,
             consensus: consensus_buf,
+            rows,
+            norm_lanes,
         } = &mut ws;
+        // Every M·d sweep of the round runs on the lanes of one cut.
+        let cut = Cut::new(d, self.cfg.lanes);
 
         // Line 1 (fused prologue): fold compensation into the local update,
         // accumulate the compensated-mean numerator, and — on one-bit rounds
         // — pack each worker's sign words, all in one sweep over the live
-        // workers. The sweep is block-major: every worker visits a block
-        // before any worker moves on, so the block of the mean accumulator
-        // stays in cache from its zero-fill to its `1/|live|` scaling, and
-        // each worker's sign words go straight into its vector. Per element
-        // the live workers still arrive in ascending order, so the mean's
-        // float sums are the worker-major ones.
+        // workers. Each lane walks its blocks block-major: every worker
+        // visits a block before any worker moves on, so the block of the
+        // mean accumulator stays in cache from its zero-fill to its
+        // `1/|live|` scaling, and each worker's sign words go straight into
+        // its vector. Per element the live workers still arrive in ascending
+        // order, so the mean's float sums are the worker-major ones.
         //
         // Every buffer below is overwritten in full and only sized here, so
         // what an adopted workspace or a recycled outcome held is invisible.
@@ -815,30 +1004,48 @@ impl Marsit {
                 h.resize(d, 0.0);
             }
         }
-        let inv_lm = 1.0 / lm.max(1) as f32;
-        for lo in (0..d).step_by(PROLOGUE_BLOCK) {
-            let hi = (lo + PROLOGUE_BLOCK).min(d);
-            let mean = &mut compensated_mean[lo..hi];
-            if recycled {
-                mean.fill(0.0);
-            }
-            for (i, &w) in live.iter().enumerate() {
-                let residual = match &deferred {
-                    Some((consensus, lut)) => Residual::Deferred { consensus, lut },
-                    None => Residual::Materialized(&self.compensations[w].vector()[lo..hi]),
-                };
-                let sign_out = if full_precision {
-                    None
-                } else {
-                    Some(&mut signs[i])
-                };
-                let (u, h) = (&local_updates[w], &mut compensated[w]);
-                compensate_block(lo, &u[lo..hi], &mut h[lo..hi], residual, mean, sign_out);
-            }
-            for a in mean {
-                *a *= inv_lm;
-            }
+        rows.h.clear();
+        rows.h
+            .extend(compensated.iter_mut().map(|h| Disjoint::new(h)));
+        rows.signs.clear();
+        if !full_precision {
+            rows.signs
+                .extend(signs.iter_mut().map(|sv| Disjoint::new(sv.words_mut())));
         }
+        let mean = Disjoint::new(compensated_mean);
+        let inv_lm = 1.0 / lm.max(1) as f32;
+        let (live_ro, rows_ro, comps) = (&*live, &*rows, &self.compensations);
+        lanes::run(cut.lanes, &|lane| {
+            let range = cut.range(lane);
+            for lo in range.clone().step_by(PROLOGUE_BLOCK) {
+                let block = lo..(lo + PROLOGUE_BLOCK).min(range.end);
+                // SAFETY: each lane writes only its own columns of the mean,
+                // of every `h` and of every sign vector's words (blocks are
+                // whole words), and every buffer stays borrowed for the run.
+                let mean = unsafe { mean.slice_mut(block.clone()) };
+                if recycled {
+                    mean.fill(0.0);
+                }
+                for (i, &w) in live_ro.iter().enumerate() {
+                    let residual = match &deferred {
+                        Some((consensus, lut)) => Residual::Deferred { consensus, lut },
+                        None => Residual::Materialized(&comps[w].vector()[block.clone()]),
+                    };
+                    // SAFETY: as above.
+                    let (h, sign_words) = unsafe {
+                        (
+                            rows_ro.h[w].slice_mut(block.clone()),
+                            rows_ro.signs.get(i).map(|sv| sv.slice_mut(words(&block))),
+                        )
+                    };
+                    let u = &local_updates[w][block.clone()];
+                    compensate_block_words(lo, u, h, residual, mean, sign_words);
+                }
+                for a in mean {
+                    *a *= inv_lm;
+                }
+            }
+        });
         if let Some((consensus, _)) = deferred {
             // The consumed residual's sign buffer is exactly consensus-sized;
             // recycle it as this round's collective output buffer.
@@ -848,10 +1055,10 @@ impl Marsit {
         let (mut combines, mut rng_draws) = (0, 0);
         // Line 9: g_t = η_s · σ, rebuilt through the byte LUT (written once
         // per element, no zero-fill pass, no per-lane bit tests).
-        let global_lr = self.cfg.global_lr;
+        let lut = ScaledSignLut::new(self.cfg.global_lr);
         let write_scaled = |sigma: &SignVec, g: &mut Vec<f32>| {
             g.resize(d, 0.0);
-            sigma.write_scaled_signs_lut(&ScaledSignLut::new(global_lr), g);
+            sigma.write_scaled_signs_lut(&lut, g);
         };
         // The collective proper. `Ok(false)`: a terminal live set put
         // nothing on the wire.
@@ -885,7 +1092,8 @@ impl Marsit {
                 // step's transient masks with interleaved RNG chains and the
                 // combines replay them bit-identically. State comes from the
                 // workspace, the consensus lands in the recycled buffer and
-                // the trace reuses the outcome's step slots.
+                // the trace reuses the outcome's step slots. The epilogue
+                // below writes `g_t` from it.
                 planner.reset(split_seed(self.cfg.seed, t), self.cfg.combine);
                 let mut op = PlannerOp {
                     planner,
@@ -917,10 +1125,7 @@ impl Marsit {
                     )
                 };
                 (combines, rng_draws) = (op.combines, op.rng_draws);
-                reduced.map(|()| {
-                    write_scaled(consensus_buf, &mut out.global_update);
-                    true
-                })
+                reduced.map(|()| true)
             }
         };
         let on_wire = ran.unwrap_or_else(|e| {
@@ -942,26 +1147,136 @@ impl Marsit {
             }
         }
 
-        // Lines 10 and 13, for live workers only; a crashed worker's
-        // compensation is frozen (its state died with it). A full-membership
-        // one-bit round that went over the wire defers its absorb — the
-        // consensus bits and scale fully determine `g_t`, and the next
-        // round's prologue folds `h − g_t` in without a dedicated M·D pass.
-        let mut new_pending = None;
-        if full_precision {
-            for &w in &*live {
-                self.compensations[w].reset();
-            }
+        // The epilogue, on the lanes of the same cut: `g_t` from the
+        // consensus bits (a one-bit round that went over the wire), lines 10
+        // and 13 for live workers only — a crashed worker's compensation is
+        // frozen (its state died with it) — and, when a telemetry scope
+        // records, the compensation-norm sweep. A full-membership one-bit
+        // round that went over the wire defers its absorb: the consensus
+        // bits and scale fully determine `g_t`, and the next round's
+        // prologue folds `h − g_t` in without a dedicated M·D pass.
+        let write_g = on_wire && !full_precision;
+        let settle = if full_precision {
+            Settle::Reset
         } else if on_wire && lm == m {
-            new_pending = Some(PendingResidual {
-                consensus: std::mem::take(consensus_buf),
-                scale: self.cfg.global_lr,
-            });
+            Settle::Defer
         } else {
-            for &w in &*live {
-                self.compensations[w].absorb_residual(&compensated[w], &out.global_update);
-            }
+            Settle::Absorb
+        };
+        if write_g {
+            out.global_update.resize(d, 0.0);
         }
+        // (Filled on every round, so that a later flush finds the table
+        // grown.)
+        rows.c.clear();
+        let mut live_iter = live.iter().peekable();
+        for (w, c) in self.compensations.iter_mut().enumerate() {
+            let swept = live_iter.next_if_eq(&&w).is_some() && settle != Settle::Defer;
+            let reset = if swept {
+                settle == Settle::Reset
+            } else {
+                c.is_reset()
+            };
+            rows.c.push(Disjoint::new(c.values_for_sweep(reset)));
+        }
+        let tel = marsit_telemetry::active();
+        // Over a freshly reset set the norm is `+0.0`, the swept value, and
+        // nothing is swept.
+        let all_reset =
+            settle != Settle::Defer && self.compensations.iter().all(Compensation::is_reset);
+        let norm = (tel.is_some() && !all_reset).then(|| {
+            norm_lanes.resize(m, [0.0; 8]);
+            NormSweep {
+                source: match settle {
+                    Settle::Defer => NormSource::Deferred {
+                        hs: compensated,
+                        consensus: consensus_buf,
+                        lut: &lut,
+                    },
+                    Settle::Absorb | Settle::Reset => NormSource::Materialized(&rows.c),
+                },
+                acc: Disjoint::new(norm_lanes),
+                m,
+                group: if cut.lanes == 1 {
+                    NORM_GROUP_MAX
+                } else {
+                    NORM_GROUP_LANED
+                },
+            }
+        });
+        // A `g_t` write alone, on a model of a few blocks, is shorter than
+        // waking a helper costs: it stays on the caller.
+        let cut = if norm.is_none() && settle == Settle::Defer && d < LANED_WRITE_MIN {
+            Cut::new(d, 1)
+        } else {
+            cut
+        };
+        let g = Disjoint::new(&mut out.global_update);
+        let phases = norm.as_ref().map_or(1, |n| n.phases(cut.lanes));
+        let (live_ro, rows_ro, hs, consensus) = (&*live, &rows.c, &*compensated, &*consensus_buf);
+        // Lane `l > 0` has no norm work in phase 0 and lane 0 none in the
+        // last phase: a deferred round's `g_t`, which nothing here reads,
+        // fills those. An absorb reads it, so it comes first.
+        let g_phase = |lane: usize| {
+            if settle == Settle::Defer && lane == 0 {
+                phases - 1
+            } else {
+                0
+            }
+        };
+        lanes::run_phased(cut.lanes, phases, &|lane, phase| {
+            let range = cut.range(lane);
+            if write_g && phase == g_phase(lane) {
+                // SAFETY: each lane writes only its own columns of `g_t` and
+                // of the live workers' compensation, and every buffer stays
+                // borrowed for the run.
+                let g = unsafe { g.slice_mut(range.clone()) };
+                consensus.write_scaled_signs_lut_at(&lut, range.start, g);
+            }
+            if phase == 0 {
+                // SAFETY: as above.
+                let c = |w: usize| unsafe { rows_ro[w].slice_mut(range.clone()) };
+                match settle {
+                    Settle::Defer => {}
+                    Settle::Reset => {
+                        for &w in live_ro {
+                            c(w).fill(0.0);
+                        }
+                    }
+                    Settle::Absorb => {
+                        // SAFETY: as above; this lane wrote these columns of
+                        // `g_t`, if anyone did, just before.
+                        let g = unsafe { g.slice(range.clone()) };
+                        for &w in live_ro {
+                            for ((c, &h), &g) in c(w).iter_mut().zip(&hs[w][range.clone()]).zip(g) {
+                                *c = h - g;
+                            }
+                        }
+                    }
+                }
+            }
+            if let Some(norm) = &norm {
+                norm.run(lane, phase, &range);
+            }
+        });
+        let comp_norm_sq = tel.map(|tel| {
+            let norm_sq = if norm.is_some() {
+                // Per-worker norms summed in worker order, from where
+                // `Iterator::sum` starts: the one-pass kernel's bits.
+                let mut total = -0.0;
+                for acc in &norm_lanes[..m] {
+                    total += fold_striped_norm(acc);
+                }
+                total / m as f64
+            } else {
+                0.0
+            };
+            (tel, norm_sq)
+        });
+        let new_pending = (settle == Settle::Defer).then(|| PendingResidual {
+            consensus: std::mem::take(consensus_buf),
+            scale: self.cfg.global_lr,
+        });
         stats.merge(&inj.take_stats());
         out.full_precision = full_precision;
         out.round = t;
@@ -969,19 +1284,28 @@ impl Marsit {
         out.degraded = degraded;
         self.workspace = ws;
         self.pending = new_pending;
-        self.emit_sync_event(out, combines, rng_draws);
+        if let Some((tel, norm_sq)) = comp_norm_sq {
+            debug_assert_eq!(
+                norm_sq.to_bits(),
+                self.mean_compensation_norm_sq().to_bits(),
+                "the laned norm sweep left the one-pass kernel's bits"
+            );
+            Self::emit_sync_event(&tel, out, combines, rng_draws, norm_sq);
+        }
         self.round += 1;
     }
 
-    /// Reports one completed round to the ambient telemetry scope, if any.
-    ///
-    /// Compensation-norm work happens only when a scope is active, so a
-    /// round without one pays nothing beyond the thread-local lookup.
-    fn emit_sync_event(&self, outcome: &SyncOutcome, combines: u64, rng_draws: u64) {
-        let Some(tel) = marsit_telemetry::active() else {
-            return;
-        };
-        let comp_norm_sq = self.mean_compensation_norm_sq();
+    /// Reports one completed round to the ambient telemetry scope `tel`,
+    /// with the round's mean squared compensation norm (see
+    /// [`Marsit::mean_compensation_norm_sq`]), which the round sweeps only
+    /// when a scope is active.
+    fn emit_sync_event(
+        tel: &Telemetry,
+        outcome: &SyncOutcome,
+        combines: u64,
+        rng_draws: u64,
+        comp_norm_sq: f64,
+    ) {
         tel.counter_add("marsit.rounds", 1);
         if outcome.full_precision {
             tel.counter_add("marsit.full_precision_rounds", 1);
@@ -1016,7 +1340,6 @@ impl Marsit {
             ],
         );
     }
-
     /// Captures a deterministic checkpoint of the synchronizer: the round
     /// counter plus every worker's materialized compensation vector.
     ///

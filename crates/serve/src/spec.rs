@@ -349,6 +349,25 @@ mod tests {
         assert_eq!(spec.rounds, 40);
     }
 
+    /// A served job's shard already owns a core: the synchronizer its
+    /// `TrainConfig` builds runs every sweep on the calling thread, while a
+    /// default trainer may use every core.
+    #[test]
+    fn served_jobs_synchronize_with_a_lane_budget_of_1() {
+        let mut spec = JobSpec::new("lanes", Workload::AlexNetMnist, Topology::ring(4));
+        spec.train_examples = 64;
+        spec.test_examples = 8;
+        let cfg = spec.to_train_config(Telemetry::disabled());
+        assert!(!cfg.parallel_workers);
+        assert_eq!(marsit_trainsim::TrainerState::new(&cfg).lane_budget(), 1);
+        let mut solo = cfg.clone();
+        solo.parallel_workers = true;
+        assert_eq!(
+            marsit_trainsim::TrainerState::new(&solo).lane_budget(),
+            marsit_tensor::lanes::width()
+        );
+    }
+
     #[test]
     fn parse_line_supports_torus_never_and_fault() {
         let spec = JobSpec::parse_line(

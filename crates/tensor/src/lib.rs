@@ -16,6 +16,8 @@
 //!   [`rng::FastRng::fill_gaussian`] — so that all stochastic compression and
 //!   every synthetic dataset is reproducible bit-for-bit.
 //! - [`stats`]: norms and online moments used by the experiment harness.
+//! - [`lanes`]: the lane executor that spreads one round's per-coordinate
+//!   sweeps over the host's cores without changing a bit.
 //!
 //! # Examples
 //!
@@ -32,15 +34,18 @@
 
 mod gaussian;
 pub mod gemm;
+pub mod lanes;
 mod norm;
 pub mod rng;
 pub mod signvec;
 pub mod stats;
 pub mod tensor;
 
+pub use norm::{advance_striped_norms, fold_striped_norm, NormLanes};
 pub use signvec::{
-    compensate_block, fill_bernoulli_masks_indexed, fill_winner_planes_indexed, winner_plane_count,
-    Residual, ScaledSignLut, SignVec, PROLOGUE_BLOCK,
+    compensate_block, compensate_block_words, fill_bernoulli_masks_indexed,
+    fill_winner_planes_indexed, winner_plane_count, Residual, ScaledSignLut, SignVec,
+    PROLOGUE_BLOCK,
 };
 pub use tensor::{ShapeError, Tensor};
 

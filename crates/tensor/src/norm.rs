@@ -16,6 +16,11 @@
 //! and AVX-512 builds run the identical f32 subtract, widen, multiply and
 //! separate add per lane (never fused), so CPU dispatch changes no bit
 //! either.
+//!
+//! The lanes are state, not just scratch: [`advance_striped_norms`]
+//! continues them over one range of elements, so a vector cut at word
+//! boundaries and walked range by range, in ascending order, folds to the
+//! same bits — which lets the lane executor split the sweep by columns.
 
 use crate::signvec::ScaledSignLut;
 
@@ -40,15 +45,14 @@ fn row<'a>(signs: Signs<'a>, c: usize, k: usize) -> &'a [f32; 8] {
 }
 
 /// Adds each vector's partial last chunk (chunk `full`, if any) into its
-/// lanes after every full chunk, then folds each vector's lanes: the scalar
-/// ending every build shares.
+/// lanes after every full chunk: the scalar ending every build shares.
 #[inline(always)]
 fn finish<const G: usize>(
-    mut lanes: [[f64; 8]; G],
+    lanes: &mut [[f64; 8]; G],
     hs: &[&[f32]; G],
     signs: Signs<'_>,
     full: usize,
-) -> [f64; G] {
+) {
     for (acc, h) in lanes.iter_mut().zip(hs) {
         for (k, group) in h[full * WORD_BITS..].chunks(8).enumerate() {
             let row = row(signs, full, k);
@@ -58,14 +62,12 @@ fn finish<const G: usize>(
             }
         }
     }
-    lanes.map(|acc| acc.iter().sum())
 }
 
 /// Portable build of one group: the reference the SIMD builds match.
 #[inline(always)]
-fn norms_scalar<const G: usize>(hs: &[&[f32]; G], signs: Signs<'_>) -> [f64; G] {
+fn norms_scalar<const G: usize>(lanes: &mut [[f64; 8]; G], hs: &[&[f32]; G], signs: Signs<'_>) {
     let full = hs[0].len() / WORD_BITS;
-    let mut lanes = [[0.0f64; 8]; G];
     for c in 0..full {
         for k in 0..8 {
             let row = row(signs, c, k);
@@ -78,7 +80,7 @@ fn norms_scalar<const G: usize>(hs: &[&[f32]; G], signs: Signs<'_>) -> [f64; G] 
             }
         }
     }
-    finish(lanes, hs, signs, full)
+    finish(lanes, hs, signs, full);
 }
 
 /// AVX2 build: a vector's eight lanes are two `__m256d` chains (lanes 0–3 /
@@ -91,14 +93,20 @@ fn norms_scalar<const G: usize>(hs: &[&[f32]; G], signs: Signs<'_>) -> [f64; G] 
 /// `hs` must be as long as the first.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn norms_avx2<const G: usize>(hs: &[&[f32]; G], signs: Signs<'_>) -> [f64; G] {
+unsafe fn norms_avx2<const G: usize>(
+    lanes: &mut [[f64; 8]; G],
+    hs: &[&[f32]; G],
+    signs: Signs<'_>,
+) {
     use std::arch::x86_64::{
         _mm256_add_pd, _mm256_castps256_ps128, _mm256_cvtps_pd, _mm256_extractf128_ps,
-        _mm256_loadu_ps, _mm256_mul_pd, _mm256_setzero_pd, _mm256_storeu_pd, _mm256_sub_ps,
+        _mm256_loadu_pd, _mm256_loadu_ps, _mm256_mul_pd, _mm256_storeu_pd, _mm256_sub_ps,
     };
     let full = hs[0].len() / WORD_BITS;
-    let mut lo = [_mm256_setzero_pd(); G];
-    let mut hi = [_mm256_setzero_pd(); G];
+    // SAFETY: each lane array holds exactly 2 × 4 f64.
+    let mut lo = lanes.map(|acc| unsafe { _mm256_loadu_pd(acc.as_ptr()) });
+    // SAFETY: as above.
+    let mut hi = lanes.map(|acc| unsafe { _mm256_loadu_pd(acc.as_ptr().add(4)) });
     for c in 0..full {
         for k in 0..8 {
             // SAFETY: a row is 8 floats.
@@ -116,7 +124,6 @@ unsafe fn norms_avx2<const G: usize>(hs: &[&[f32]; G], signs: Signs<'_>) -> [f64
             }
         }
     }
-    let mut lanes = [[0.0f64; 8]; G];
     for (acc, (l, h)) in lanes.iter_mut().zip(lo.iter().zip(&hi)) {
         // SAFETY: `acc` holds exactly 2 × 4 f64.
         unsafe {
@@ -124,7 +131,7 @@ unsafe fn norms_avx2<const G: usize>(hs: &[&[f32]; G], signs: Signs<'_>) -> [f64
             _mm256_storeu_pd(acc.as_mut_ptr().add(4), *h);
         }
     }
-    finish(lanes, hs, signs, full)
+    finish(lanes, hs, signs, full);
 }
 
 /// AVX-512 build: a vector's eight lanes are one `__m512d` chain; per
@@ -136,13 +143,18 @@ unsafe fn norms_avx2<const G: usize>(hs: &[&[f32]; G], signs: Signs<'_>) -> [f64
 /// slice of `hs` must be as long as the first.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f", enable = "avx512dq")]
-unsafe fn norms_avx512<const G: usize>(hs: &[&[f32]; G], signs: Signs<'_>) -> [f64; G] {
+unsafe fn norms_avx512<const G: usize>(
+    lanes: &mut [[f64; 8]; G],
+    hs: &[&[f32]; G],
+    signs: Signs<'_>,
+) {
     use std::arch::x86_64::{
-        _mm256_loadu_ps, _mm256_sub_ps, _mm512_add_pd, _mm512_cvtps_pd, _mm512_mul_pd,
-        _mm512_setzero_pd, _mm512_storeu_pd,
+        _mm256_loadu_ps, _mm256_sub_ps, _mm512_add_pd, _mm512_cvtps_pd, _mm512_loadu_pd,
+        _mm512_mul_pd, _mm512_storeu_pd,
     };
     let full = hs[0].len() / WORD_BITS;
-    let mut acc = [_mm512_setzero_pd(); G];
+    // SAFETY: each lane array holds exactly 8 f64.
+    let mut acc = lanes.map(|lanes| unsafe { _mm512_loadu_pd(lanes.as_ptr()) });
     for c in 0..full {
         for k in 0..8 {
             // SAFETY: a row is 8 floats.
@@ -157,12 +169,11 @@ unsafe fn norms_avx512<const G: usize>(hs: &[&[f32]; G], signs: Signs<'_>) -> [f
             }
         }
     }
-    let mut lanes = [[0.0f64; 8]; G];
     for (out, a) in lanes.iter_mut().zip(&acc) {
         // SAFETY: `out` holds exactly 8 f64.
         unsafe { _mm512_storeu_pd(out.as_mut_ptr(), *a) };
     }
-    finish(lanes, hs, signs, full)
+    finish(lanes, hs, signs, full);
 }
 
 /// A build of the kernel.
@@ -205,39 +216,53 @@ impl Build {
         }
     }
 
-    /// The norms of one group of equally long vectors.
-    fn norms<const G: usize>(self, hs: &[&[f32]; G], signs: Signs<'_>) -> [f64; G] {
+    /// Continues the lanes of one group of equally long vectors over them.
+    fn advance_group<const G: usize>(
+        self,
+        lanes: &mut [[f64; 8]; G],
+        hs: &[&[f32]; G],
+        signs: Signs<'_>,
+    ) {
         // The SIMD builds read every vector as far as the first one reaches.
         assert!(
             hs.iter().all(|h| h.len() == hs[0].len()),
             "striped norm: vector lengths differ"
         );
         match self {
-            Build::Scalar => norms_scalar(hs, signs),
+            Build::Scalar => norms_scalar(lanes, hs, signs),
             #[cfg(target_arch = "x86_64")]
             Build::Avx2 => {
                 assert!(is_x86_feature_detected!("avx2"), "AVX2 build without AVX2");
                 // SAFETY: feature presence and lengths checked above.
-                unsafe { norms_avx2(hs, signs) }
+                unsafe { norms_avx2(lanes, hs, signs) }
             }
             #[cfg(target_arch = "x86_64")]
             Build::Avx512 => {
                 assert!(has_avx512(), "AVX-512 build without AVX-512 F + DQ");
                 // SAFETY: as above.
-                unsafe { norms_avx512(hs, signs) }
+                unsafe { norms_avx512(lanes, hs, signs) }
             }
         }
     }
 
-    /// `Σ_w ‖hs[w] − g‖²` (or `‖hs[w]‖²` with `signs == None`), each norm
-    /// striped, summed in the order of `hs`: groups of 8, 4, 2 and 1
-    /// vectors, each one pass over the sign words.
+    /// Continues `lanes[w]` over `hs[w]` for every vector, in groups of 8,
+    /// 4, 2 and 1 vectors, each one pass over the sign words.
     ///
     /// # Panics
     ///
-    /// Panics if the vectors differ in length, or if `signs` holds fewer
-    /// words than the vectors need.
-    pub(crate) fn sum<V: AsRef<[f32]>>(self, hs: &[V], signs: Signs<'_>) -> f64 {
+    /// Panics if the vectors differ in length, `lanes` and `hs` differ in
+    /// count, or `signs` holds fewer words than the vectors need.
+    pub(crate) fn advance<V: AsRef<[f32]>>(
+        self,
+        lanes: &mut [[f64; 8]],
+        hs: &[V],
+        signs: Signs<'_>,
+    ) {
+        assert_eq!(
+            lanes.len(),
+            hs.len(),
+            "striped norm: one lane set per vector"
+        );
         let n = hs.first().map_or(0, |h| h.as_ref().len());
         assert!(
             hs.iter().all(|h| h.as_ref().len() == n),
@@ -250,35 +275,100 @@ impl Build {
             );
         }
         let cap = self.group_cap();
+        let mut at = 0;
+        while at < hs.len() {
+            at += match (hs.len() - at).min(cap) {
+                8.. => self.advance_at::<8, V>(&mut lanes[at..], &hs[at..], signs),
+                4..=7 => self.advance_at::<4, V>(&mut lanes[at..], &hs[at..], signs),
+                2 | 3 => self.advance_at::<2, V>(&mut lanes[at..], &hs[at..], signs),
+                _ => self.advance_at::<1, V>(&mut lanes[at..], &hs[at..], signs),
+            };
+        }
+    }
+
+    /// Continues the lanes of `hs[..G]`; returns `G`.
+    fn advance_at<const G: usize, V: AsRef<[f32]>>(
+        self,
+        lanes: &mut [[f64; 8]],
+        hs: &[V],
+        signs: Signs<'_>,
+    ) -> usize {
+        let group: [&[f32]; G] = std::array::from_fn(|i| hs[i].as_ref());
+        let mut acc: [[f64; 8]; G] = std::array::from_fn(|i| lanes[i]);
+        self.advance_group(&mut acc, &group, signs);
+        lanes[..G].copy_from_slice(&acc);
+        G
+    }
+
+    /// `Σ_w ‖hs[w] − g‖²` (or `‖hs[w]‖²` with `signs == None`), each norm
+    /// striped, summed in the order of `hs`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Build::advance`].
+    pub(crate) fn sum<V: AsRef<[f32]>>(self, hs: &[V], signs: Signs<'_>) -> f64 {
         // Start where `Iterator::sum` starts, so the result has its bits for
         // any input, an empty one included.
         let mut total = -0.0;
-        let mut rest = hs;
-        while !rest.is_empty() {
-            let taken = match rest.len().min(cap) {
-                8.. => self.add_group::<8, V>(rest, signs, &mut total),
-                4..=7 => self.add_group::<4, V>(rest, signs, &mut total),
-                2 | 3 => self.add_group::<2, V>(rest, signs, &mut total),
-                _ => self.add_group::<1, V>(rest, signs, &mut total),
-            };
-            rest = &rest[taken..];
+        for group in hs.chunks(8) {
+            let mut lanes = [[0.0f64; 8]; 8];
+            let lanes = &mut lanes[..group.len()];
+            self.advance(lanes, group, signs);
+            for acc in &*lanes {
+                total += fold_striped_norm(acc);
+            }
         }
         total
     }
+}
 
-    /// Adds the norms of `hs[..G]` to `total` in order; returns `G`.
-    fn add_group<const G: usize, V: AsRef<[f32]>>(
-        self,
-        hs: &[V],
-        signs: Signs<'_>,
-        total: &mut f64,
-    ) -> usize {
-        let group: [&[f32]; G] = std::array::from_fn(|i| hs[i].as_ref());
-        for norm in self.norms(&group, signs) {
-            *total += norm;
-        }
-        G
-    }
+/// The eight striped-norm lanes of one vector: lane `i` holds the sum of
+/// the squares of the elements `j ≡ i (mod 8)` seen so far, in ascending
+/// order. They carry a vector's norm from one element range to the next.
+pub type NormLanes = [f64; 8];
+
+/// Continues each vector's striped squared norm over one range of its
+/// elements: `lanes[w]` has seen every element of vector `w` before `start`
+/// and `hs[w]` is its elements `start..start + n`. With `signs`, what is
+/// squared is the deferred residual `h − g`, `g` the `±scale` expansion of
+/// the sign vector's bits at the same positions.
+///
+/// Ranges walked in ascending order and then folded by
+/// [`fold_striped_norm`] give the bits of the one-pass norm
+/// ([`crate::stats::sum_norms_l2_sq_striped`],
+/// [`crate::SignVec::sum_residual_norms_sq_striped`]), however the vector
+/// is cut, as long as every range but a vector's last covers whole 64-value
+/// chunks.
+///
+/// # Panics
+///
+/// Panics if `start` is not a multiple of 64, the vectors differ in length,
+/// `lanes` and `hs` differ in count, or the range runs past the sign
+/// vector.
+pub fn advance_striped_norms<V: AsRef<[f32]>>(
+    lanes: &mut [NormLanes],
+    hs: &[V],
+    start: usize,
+    signs: Option<(&crate::SignVec, &ScaledSignLut)>,
+) {
+    assert_eq!(
+        start % WORD_BITS,
+        0,
+        "norm range must start at a word boundary"
+    );
+    let n = hs.first().map_or(0, |h| h.as_ref().len());
+    let signs = signs.map(|(v, lut)| {
+        assert!(start + n <= v.len(), "norm range runs past the sign vector");
+        (&v.as_words()[start / WORD_BITS..], lut)
+    });
+    Build::detect().advance(lanes, hs, signs);
+}
+
+/// A vector's striped squared norm from lanes that have seen all of it:
+/// the eight lanes summed left to right.
+#[must_use]
+pub fn fold_striped_norm(lanes: &NormLanes) -> f64 {
+    lanes.iter().sum()
 }
 
 #[cfg(test)]
@@ -391,6 +481,49 @@ mod tests {
                 crate::stats::norm_l2_sq_striped(h).to_bits(),
                 reference(std::slice::from_ref(h), None).to_bits()
             );
+        }
+    }
+
+    /// Lanes carried across any cut of the vectors at word boundaries, in
+    /// ascending order, fold to the one-pass bits, deferred and
+    /// materialized: what lets the norm sweep be cut into lanes.
+    #[test]
+    fn striped_norm_lanes_carried_across_cuts_match_one_pass() {
+        let lut = ScaledSignLut::new(0.0123);
+        for (d, cuts) in [
+            (1, vec![]),
+            (63, vec![]),
+            (130, vec![64]),
+            (8_209, vec![64, 4_096, 8_192]),
+            (8_209, vec![8_192]),
+        ] {
+            let mut rng = FastRng::new(8, d as u64);
+            let consensus = SignVec::bernoulli_uniform(d, 0.5, &mut rng);
+            for m in [1, 3, 8, 9] {
+                let hs = vectors(m, d, 406);
+                for signs in [Some((&consensus, &lut)), None] {
+                    let mut lanes = vec![[0.0f64; 8]; m];
+                    let bounds: Vec<usize> = std::iter::once(0)
+                        .chain(cuts.iter().copied())
+                        .chain(std::iter::once(d))
+                        .collect();
+                    for range in bounds.windows(2) {
+                        let part: Vec<&[f32]> = hs.iter().map(|h| &h[range[0]..range[1]]).collect();
+                        advance_striped_norms(&mut lanes, &part, range[0], signs);
+                    }
+                    let total = lanes.iter().fold(-0.0, |t, l| t + fold_striped_norm(l));
+                    let want = match signs {
+                        Some((v, lut)) => v.sum_residual_norms_sq_striped(&hs, lut),
+                        None => crate::stats::sum_norms_l2_sq_striped(&hs),
+                    };
+                    assert_eq!(
+                        total.to_bits(),
+                        want.to_bits(),
+                        "d={d} cuts={cuts:?} m={m} deferred={}",
+                        signs.is_some()
+                    );
+                }
+            }
         }
     }
 

@@ -936,22 +936,58 @@ pub fn compensate_block(
     sign_out: Option<&mut SignVec>,
 ) {
     let n = h.len();
+    let first = start / WORD_BITS;
+    let sign_words = sign_out.map(|v| {
+        assert!(covers(v, start, n), "block does not fit the sign vector");
+        &mut v.words[first..first + n.div_ceil(WORD_BITS)]
+    });
+    compensate_block_words(start, update, h, residual, mean_acc, sign_words);
+}
+
+/// Whether the `n` elements from `start` (a multiple of 64) are a run of
+/// whole words of `v` or its tail.
+fn covers(v: &SignVec, start: usize, n: usize) -> bool {
+    start + n == v.len || (n.is_multiple_of(WORD_BITS) && start + n <= v.len)
+}
+
+/// [`compensate_block`] packing into the block's own sign words:
+/// `sign_words` holds exactly the `⌈n/64⌉` words of the block (for example
+/// a lane's window of [`SignVec::words_mut`]). A block that ends inside a
+/// word must end its vector, since its last word is packed with zero tail
+/// bits.
+///
+/// # Panics
+///
+/// As [`compensate_block`], and if `sign_words` is not `⌈n/64⌉` words long.
+pub fn compensate_block_words(
+    start: usize,
+    update: &[f32],
+    h: &mut [f32],
+    residual: Residual<'_>,
+    mean_acc: &mut [f32],
+    sign_words: Option<&mut [u64]>,
+) {
+    let n = h.len();
     assert_eq!(start % WORD_BITS, 0, "block must start at a word boundary");
     assert_eq!(update.len(), n, "update length mismatch");
     assert_eq!(mean_acc.len(), n, "mean accumulator length mismatch");
-    let covers =
-        |v: &SignVec| start + n == v.len || (n.is_multiple_of(WORD_BITS) && start + n <= v.len);
     match residual {
         Residual::Deferred { consensus, .. } => {
-            assert!(covers(consensus), "block does not fit the consensus bits");
+            assert!(
+                covers(consensus, start, n),
+                "block does not fit the consensus bits"
+            );
         }
         Residual::Materialized(c) => assert_eq!(c.len(), n, "residual length mismatch"),
     }
+    if let Some(words) = &sign_words {
+        assert_eq!(
+            words.len(),
+            n.div_ceil(WORD_BITS),
+            "sign window does not fit the block"
+        );
+    }
     let first = start / WORD_BITS;
-    let sign_words = sign_out.map(|v| {
-        assert!(covers(v), "block does not fit the sign vector");
-        &mut v.words[first..first + n.div_ceil(WORD_BITS)]
-    });
     #[cfg(target_arch = "x86_64")]
     {
         if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq") {
@@ -1046,6 +1082,13 @@ impl SignVec {
         self.len = len;
         self.words.resize(len.div_ceil(WORD_BITS), 0);
         self.mask_tail();
+    }
+
+    /// The packed words, writable, for kernels that write whole words in
+    /// place (such as [`compensate_block_words`] on a lane's window). Bits
+    /// at or above [`SignVec::len`] must stay zero.
+    pub fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
     }
 
     /// Replaces this vector with `len` bits taken from packed `words`,
@@ -1219,23 +1262,6 @@ impl SignVec {
     /// # Panics
     ///
     /// Panics if `out.len() != self.len()`.
-    /// [`SignVec::write_scaled_signs`] into a freshly collected `Vec`,
-    /// writing each element exactly once (no zero-fill pass). Produces
-    /// bit-identical values to `write_scaled_signs`.
-    #[must_use]
-    pub fn scaled_signs(&self, scale: f32) -> Vec<f32> {
-        let scale_bits = scale.to_bits();
-        let mut out = Vec::with_capacity(self.len);
-        for (start, &w) in (0..self.len).step_by(WORD_BITS).zip(&self.words) {
-            let n = WORD_BITS.min(self.len - start);
-            out.extend((0..n).map(|j| {
-                let flip = (((w >> j) & 1) ^ 1) as u32;
-                f32::from_bits(scale_bits ^ (flip << 31))
-            }));
-        }
-        out
-    }
-
     pub fn write_scaled_signs(&self, scale: f32, out: &mut [f32]) {
         assert_eq!(out.len(), self.len, "output length mismatch");
         // Branchless sign injection: bit 1 keeps `scale`, bit 0 flips its
@@ -1259,7 +1285,24 @@ impl SignVec {
     /// Panics if `out.len() != self.len()`.
     pub fn write_scaled_signs_lut(&self, lut: &ScaledSignLut, out: &mut [f32]) {
         assert_eq!(out.len(), self.len, "output length mismatch");
-        for (chunk, &w) in out.chunks_mut(WORD_BITS).zip(&self.words) {
+        self.write_scaled_signs_lut_at(lut, 0, out);
+    }
+
+    /// [`SignVec::write_scaled_signs_lut`] of the bits `start..start +
+    /// out.len()` only: a range of whole words, or the vector's tail.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` is not a multiple of 64 or the range is neither
+    /// whole words of this vector nor its tail.
+    pub fn write_scaled_signs_lut_at(&self, lut: &ScaledSignLut, start: usize, out: &mut [f32]) {
+        assert_eq!(start % WORD_BITS, 0, "range must start at a word boundary");
+        assert!(
+            covers(self, start, out.len()),
+            "range does not fit the bits"
+        );
+        let words = &self.words[start / WORD_BITS..];
+        for (chunk, &w) in out.chunks_mut(WORD_BITS).zip(words) {
             if chunk.len() == WORD_BITS {
                 for (k, group) in chunk.chunks_exact_mut(8).enumerate() {
                     group.copy_from_slice(lut.row((w >> (8 * k)) as u8));
@@ -1267,8 +1310,49 @@ impl SignVec {
             } else {
                 let scale_bits = lut.scale_bits();
                 for (j, o) in chunk.iter_mut().enumerate() {
-                    let flip = (((w >> j) & 1) ^ 1) as u32;
-                    *o = f32::from_bits(scale_bits ^ (flip << 31));
+                    *o = scaled_sign(scale_bits, w, j);
+                }
+            }
+        }
+    }
+
+    /// The deferred residual made material over a range: `out[j] = h[j] −
+    /// g[start + j]`, `g` the `±scale` expansion of these bits through
+    /// `lut` — the floats [`SignVec::write_scaled_signs`] and an elementwise
+    /// subtract give, with nothing allocated.
+    ///
+    /// # Panics
+    ///
+    /// As [`SignVec::write_scaled_signs_lut_at`], and if `h` and `out`
+    /// differ in length.
+    pub fn write_residual_lut_at(
+        &self,
+        lut: &ScaledSignLut,
+        start: usize,
+        h: &[f32],
+        out: &mut [f32],
+    ) {
+        assert_eq!(h.len(), out.len(), "residual length mismatch");
+        assert_eq!(start % WORD_BITS, 0, "range must start at a word boundary");
+        assert!(
+            covers(self, start, out.len()),
+            "range does not fit the bits"
+        );
+        let words = &self.words[start / WORD_BITS..];
+        let chunks = out.chunks_mut(WORD_BITS).zip(h.chunks(WORD_BITS));
+        for ((oc, hc), &w) in chunks.zip(words) {
+            if oc.len() == WORD_BITS {
+                for k in 0..8 {
+                    let row = lut.row((w >> (8 * k)) as u8);
+                    let (o8, h8) = (&mut oc[8 * k..8 * k + 8], &hc[8 * k..8 * k + 8]);
+                    for j in 0..8 {
+                        o8[j] = h8[j] - row[j];
+                    }
+                }
+            } else {
+                let scale_bits = lut.scale_bits();
+                for (j, (o, &x)) in oc.iter_mut().zip(hc).enumerate() {
+                    *o = x - scaled_sign(scale_bits, w, j);
                 }
             }
         }
@@ -2130,21 +2214,45 @@ mod tests {
         assert!(!v.get(5));
     }
 
+    /// The range forms — `g` through the table, and `h − g` — equal
+    /// [`SignVec::write_scaled_signs`] and an elementwise subtract bit for
+    /// bit, on whole words and on the ragged tail, and write nothing outside
+    /// their range.
     #[test]
-    fn scaled_signs_matches_write_scaled_signs_bitwise() {
+    fn range_expansions_match_write_scaled_signs_bitwise() {
         let mut rng = FastRng::new(91, 0);
         for len in [1usize, 63, 64, 65, 200, 300] {
             let v = SignVec::bernoulli_uniform(len, 0.5, &mut rng);
+            let h: Vec<f32> = (0..len).map(|_| rng.next_f64() as f32 - 0.5).collect();
             for scale in [0.01f32, -2.5, 0.0] {
-                let mut written = vec![7.0f32; len];
-                v.write_scaled_signs(scale, &mut written);
-                let collected = v.scaled_signs(scale);
-                assert_eq!(collected.len(), len);
-                for (i, (a, b)) in collected.iter().zip(&written).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "len {len} scale {scale} idx {i}");
+                let lut = ScaledSignLut::new(scale);
+                let mut g = vec![7.0f32; len];
+                v.write_scaled_signs(scale, &mut g);
+                for start in (0..len).step_by(WORD_BITS) {
+                    for end in [(start + WORD_BITS).min(len), len] {
+                        let label = format!("len {len} scale {scale} {start}..{end}");
+                        let mut out = vec![7.0f32; len];
+                        v.write_scaled_signs_lut_at(&lut, start, &mut out[start..end]);
+                        let mut want = vec![7.0f32; len];
+                        want[start..end].copy_from_slice(&g[start..end]);
+                        assert_eq!(bits(&out), bits(&want), "{label}: g");
+                        let mut out = vec![7.0f32; len];
+                        v.write_residual_lut_at(&lut, start, &h[start..end], &mut out[start..end]);
+                        for j in start..end {
+                            want[j] = h[j] - g[j];
+                        }
+                        assert_eq!(bits(&out), bits(&want), "{label}: h - g");
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "range does not fit the bits")]
+    fn range_expansion_rejects_a_partial_word_inside_the_vector() {
+        let v = SignVec::zeros(200);
+        v.write_scaled_signs_lut_at(&ScaledSignLut::new(1.0), 64, &mut [0.0; 65]);
     }
 
     #[test]

@@ -308,6 +308,29 @@ impl Synchronizer {
         }
     }
 
+    /// Sets the Marsit lane budget (see [`marsit_core::MarsitConfig::lanes`]);
+    /// a no-op for every other strategy, whose sweeps run on the caller.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is zero.
+    pub fn set_lanes(&mut self, lanes: usize) {
+        assert!(lanes > 0, "the lane budget must be positive");
+        if let State::Marsit(marsit) = &mut self.state {
+            marsit.set_lanes(lanes);
+        }
+    }
+
+    /// The lane budget of one synchronization: the Marsit synchronizer's,
+    /// and 1 for every other strategy.
+    #[must_use]
+    pub fn lane_budget(&self) -> usize {
+        match &self.state {
+            State::Marsit(marsit) => marsit.config().lanes,
+            _ => 1,
+        }
+    }
+
     /// Detaches the Marsit round workspace for pooling (see
     /// [`marsit_core::WorkspaceHandle`]); `None` for every other strategy,
     /// which keeps no poolable scratch.

@@ -62,12 +62,17 @@ pub struct TrainConfig {
     /// run byte-identical to a build without the fault layer. Only the
     /// Marsit strategy supports an active plan.
     pub fault_plan: FaultPlan,
-    /// Run the per-worker gradient-compute phase on one OS thread per
-    /// worker. Bit-identical to the sequential path: the workers read the
-    /// one consensus model, every worker owns its optimizer and
-    /// `split_seed`-derived RNG stream, and the results are reduced in
-    /// worker order on the main thread, so the resulting [`TrainReport`] is
-    /// byte-for-byte the same either way.
+    /// May this trainer use more than one core? With `true` (the default)
+    /// the per-worker gradient phase runs on one OS thread per worker and
+    /// the synchronizer's lane budget is the lane executor's width
+    /// ([`marsit_tensor::lanes::width`]); with `false` every step runs on
+    /// the calling thread, with a lane budget of 1 — what a caller that
+    /// already owns the cores (a job server's shard) wants. Bit-identical
+    /// either way: the workers read the one consensus model, every worker
+    /// owns its optimizer and `split_seed`-derived RNG stream, the results
+    /// are reduced in worker order on the main thread, and no
+    /// synchronization bit depends on the lane count, so the resulting
+    /// [`TrainReport`] is byte-for-byte the same.
     pub parallel_workers: bool,
     /// Telemetry handle. The default ([`Telemetry::disabled`]) records
     /// nothing and adds no per-round work; an enabled handle receives a
@@ -410,6 +415,11 @@ impl TrainerState {
             split_seed(cfg.seed, 0x57A7),
         );
         sync.set_fault_plan(cfg.fault_plan.clone());
+        sync.set_lanes(if cfg.parallel_workers {
+            marsit_tensor::lanes::width()
+        } else {
+            1
+        });
         let timing = TimingModel {
             rates: cfg.rates,
             logical_d: cfg.workload.logical_params(),
@@ -459,6 +469,13 @@ impl TrainerState {
     #[must_use]
     pub fn records(&self) -> &[RoundRecord] {
         &self.records
+    }
+
+    /// The synchronizer's lane budget: 1 unless
+    /// [`TrainConfig::parallel_workers`] lets the trainer use more cores.
+    #[must_use]
+    pub fn lane_budget(&self) -> usize {
+        self.sync.lane_budget()
     }
 
     /// Model dimension `d` (the workspace-pool key component).

@@ -169,64 +169,84 @@ fn sequential_step_allocates_no_model_sized_buffer() {
 /// of cloning a map, and the `marsit_sync` fields arrive as an array.
 /// (Before that, the recording round allocated 1 time on ring(8) — the
 /// field vector — and 10 times on torus(2,4).)
+///
+/// Lanes change none of it: the same holds on a model of three and a bit
+/// prologue blocks cut into 2 and 3 lanes. Nor does a materialized
+/// residual: flushing a pending one (`Marsit::compensation`) and the round
+/// after it, whose prologue reads the stored compensation, allocate
+/// nothing.
 #[test]
 fn onebit_round_allocates_nothing() {
-    const D: usize = 8192;
-    for topology in [Topology::ring(8), Topology::torus(2, 4)] {
-        let m = topology.workers();
-        let updates: Vec<Vec<f32>> = (0..m)
-            .map(|w| {
-                (0..D)
-                    .map(|x| ((x * 31 + w * 7) % 211) as f32 * 1e-4 - 0.01)
-                    .collect()
-            })
-            .collect();
-        for (label, plan) in [
-            ("no plan", FaultPlan::none()),
-            ("a straggler", FaultPlan::seeded(7).with_straggler(1, 2.0)),
-        ] {
-            let cfg = MarsitConfig::new(SyncSchedule::never(), 0.01, 7).with_fault_plan(plan);
-            let mut sync = Marsit::new(cfg, m, D);
-            let mut out = SyncOutcome::default();
-            sync.synchronize_into(&updates, topology, &mut out);
+    const LANED_D: usize = 3 * marsit::tensor::PROLOGUE_BLOCK + 37;
+    for (d, lanes) in [(8192, 1), (LANED_D, 2), (LANED_D, 3)] {
+        for topology in [Topology::ring(8), Topology::torus(2, 4)] {
+            onebit_rounds_allocate_nothing(topology, d, lanes);
+        }
+    }
+}
+
+fn onebit_rounds_allocate_nothing(topology: Topology, d: usize, lanes: usize) {
+    let m = topology.workers();
+    let updates: Vec<Vec<f32>> = (0..m)
+        .map(|w| {
+            (0..d)
+                .map(|x| ((x * 31 + w * 7) % 211) as f32 * 1e-4 - 0.01)
+                .collect()
+        })
+        .collect();
+    let shape = format!("{topology:?}, d={d}, {lanes} lanes");
+    for (label, plan) in [
+        ("no plan", FaultPlan::none()),
+        ("a straggler", FaultPlan::seeded(7).with_straggler(1, 2.0)),
+    ] {
+        let cfg = MarsitConfig::new(SyncSchedule::never(), 0.01, 7)
+            .with_fault_plan(plan)
+            .with_lanes(lanes);
+        let mut sync = Marsit::new(cfg, m, d);
+        let mut out = SyncOutcome::default();
+        sync.synchronize_into(&updates, topology, &mut out);
+        let (calls, _) = measure(|| {
+            for _ in 0..8 {
+                sync.synchronize_into(&updates, topology, &mut out);
+            }
+        });
+        assert_eq!(calls, 0, "{shape}, {label}: warm one-bit rounds allocated");
+        for _ in 0..2 {
             let (calls, _) = measure(|| {
-                for _ in 0..8 {
-                    sync.synchronize_into(&updates, topology, &mut out);
-                }
+                let _ = sync.compensation(0);
             });
+            assert_eq!(calls, 0, "{shape}, {label}: the residual flush allocated");
+            let (calls, _) = measure(|| sync.synchronize_into(&updates, topology, &mut out));
             assert_eq!(
                 calls, 0,
-                "{topology:?}, {label}: warm one-bit rounds allocated"
+                "{shape}, {label}: a round without a pending residual allocated"
             );
         }
+    }
 
-        let cfg = MarsitConfig::new(SyncSchedule::never(), 0.01, 7);
-        let mut sync = Marsit::new(cfg, m, D);
-        let mut out = SyncOutcome::default();
-        let tel = Telemetry::recording();
-        let mut jsonl = String::new();
-        let mut round = || {
-            scoped(&tel, || sync.synchronize_into(&updates, topology, &mut out));
-            jsonl.clear();
-            tel.drain_events_jsonl_into(&mut jsonl);
-        };
+    let cfg = MarsitConfig::new(SyncSchedule::never(), 0.01, 7).with_lanes(lanes);
+    let mut sync = Marsit::new(cfg, m, d);
+    let mut out = SyncOutcome::default();
+    let tel = Telemetry::recording();
+    let mut jsonl = String::new();
+    let mut round = || {
+        scoped(&tel, || sync.synchronize_into(&updates, topology, &mut out));
+        jsonl.clear();
+        tel.drain_events_jsonl_into(&mut jsonl);
+    };
+    for _ in 0..8 {
+        round();
+    }
+    let (calls, _) = measure(|| {
         for _ in 0..8 {
             round();
         }
-        let (calls, _) = measure(|| {
-            for _ in 0..8 {
-                round();
-            }
-        });
-        assert_eq!(
-            calls, 0,
-            "{topology:?}: warm recorded one-bit rounds allocated"
-        );
-        assert!(
-            jsonl.contains("\"ev\":\"marsit_sync\""),
-            "the sink recorded"
-        );
-    }
+    });
+    assert_eq!(calls, 0, "{shape}: warm recorded one-bit rounds allocated");
+    assert!(
+        jsonl.contains("\"ev\":\"marsit_sync\""),
+        "the sink recorded"
+    );
 }
 
 /// Compiling a plan is the bookkeeping half of the schedule walk and touches
