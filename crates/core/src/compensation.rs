@@ -8,6 +8,14 @@
 //! applies the average of the `g_t^{(m)}` exactly, so the residual resets to
 //! zero (line 13).
 
+/// `c ← h − g` elementwise (Algorithm 1, line 10), on whole vectors or on
+/// one lane's columns of them.
+pub(crate) fn absorb(c: &mut [f32], h: &[f32], g: &[f32]) {
+    for ((c, &h), &g) in c.iter_mut().zip(h).zip(g) {
+        *c = h - g;
+    }
+}
+
 /// One worker's compensation state.
 ///
 /// # Examples
@@ -124,9 +132,7 @@ impl Compensation {
         assert_eq!(compensated_update.len(), self.c.len(), "dimension mismatch");
         assert_eq!(global_update.len(), self.c.len(), "dimension mismatch");
         self.reset = false;
-        for ((c, &h), &g) in self.c.iter_mut().zip(compensated_update).zip(global_update) {
-            *c = h - g;
-        }
+        absorb(&mut self.c, compensated_update, global_update);
     }
 
     /// The residual's values, for a laned sweep that writes or reads them in

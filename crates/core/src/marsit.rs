@@ -34,7 +34,7 @@ use marsit_tensor::{
     ScaledSignLut, SignVec, PROLOGUE_BLOCK,
 };
 
-use crate::compensation::Compensation;
+use crate::compensation::{absorb, Compensation};
 use crate::ominus::{combine_unweighted_assign, combine_weighted_assign};
 use crate::schedule::SyncSchedule;
 
@@ -353,7 +353,9 @@ enum Settle {
 /// rebuilt, the ring and torus scratch reassign every segment cell and count,
 /// the planner is reseeded per round and forgets its chains, each chain's
 /// winner planes are drawn at its first hop before any later hop replays
-/// them, and the consensus buffer has every bit spliced in. What survives
+/// them, the consensus buffer has every bit spliced in, the lane views are
+/// rebuilt by every sweep before it starts, and lane 0 zeroes each worker's
+/// norm lanes before any lane reads them. What survives
 /// the handoff is buffer *capacity*
 /// and stale bytes that are overwritten before any read, and neither
 /// participates in a computation — so a job running on an adopted workspace,
@@ -1248,9 +1250,7 @@ impl Marsit {
                         // `g_t`, if anyone did, just before.
                         let g = unsafe { g.slice(range.clone()) };
                         for &w in live_ro {
-                            for ((c, &h), &g) in c(w).iter_mut().zip(&hs[w][range.clone()]).zip(g) {
-                                *c = h - g;
-                            }
+                            absorb(c(w), &hs[w][range.clone()], g);
                         }
                     }
                 }
