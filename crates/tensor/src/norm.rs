@@ -17,7 +17,7 @@
 //! separate add per lane (never fused), so CPU dispatch changes no bit
 //! either.
 //!
-//! The lanes are state, not just scratch: [`advance_striped_norms`]
+//! The lanes are state, not only temporaries: [`advance_striped_norms`]
 //! continues them over one range of elements, so a vector cut at word
 //! boundaries and walked range by range, in ascending order, folds to the
 //! same bits — which lets the lane executor split the sweep by columns.
