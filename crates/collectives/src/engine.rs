@@ -35,15 +35,19 @@
 //! seq, sender send-time) plus its own arrival time, so real-transport runs
 //! can be merged into one causally-ordered cross-rank trace.
 
+use std::ops::Range;
+
 use marsit_compress::SignSumVec;
 use marsit_simnet::transport::{Transport, TransportError};
 use marsit_simnet::{FaultInjector, LinkModel};
 use marsit_telemetry::{wall_now_ns, Hop, HopRecorder, HopTiming};
 use marsit_tensor::SignVec;
 
-use crate::payload::{Payload, PlanOnly, SignCells, SignSums, Signs, Sums};
+use crate::payload::{Payload, PlanOnly, SignCells, SignSums, Signs, SumFolds, Sums};
 use crate::reconfigure::SyncError;
-use crate::ring::{ring_exec, shape_of, Book, ClosureOp, CombineCtx, RingNames, SumWire, Wire};
+use crate::ring::{
+    ring_exec, shape_of, split_pair, Book, ClosureOp, CombineCtx, RingNames, SumWire, Wire,
+};
 use crate::segring::segring_exec;
 use crate::torus::{torus_exec, TorusBooks};
 use crate::trace::Trace;
@@ -71,8 +75,8 @@ pub enum PlanTopology {
 }
 
 impl PlanTopology {
-    /// Stable text form, also the worker env-var encoding (`ring`,
-    /// `torus:2x4`, `tree`, `segring:3`).
+    /// Stable text form (`ring`, `torus:2x4`, `tree`, `segring:3`), also
+    /// the value of a transport worker process's `--topo` argument.
     #[must_use]
     pub fn encode(self) -> String {
         match self {
@@ -148,21 +152,21 @@ pub struct EnginePlan {
 }
 
 /// The one topology dispatch: walks `topology`'s schedule for `world`
-/// workers and `d` elements of `payload` over `wire`. Every entry point that
-/// is not handed caller-owned scratch ends up here, whatever it carries.
+/// workers and `d` elements of `payload` over `wire`, keeping its books in
+/// `books`. Every entry point that is not handed caller-owned scratch ends
+/// up here, whatever it carries.
 pub(crate) fn walk<P: Payload>(
     topology: PlanTopology,
     world: usize,
     d: usize,
     wire: &mut Wire<'_>,
+    (book, torus): &mut (Book, TorusBooks),
     payload: &mut P,
 ) -> Result<(), SyncError> {
-    let book = &mut Book::default();
     match topology {
         PlanTopology::Ring => ring_exec(world, d, |_| 1, RingNames::Chains(0), wire, book, payload),
         PlanTopology::Torus { rows, cols } => {
-            let books = &mut TorusBooks::default();
-            torus_exec(rows, cols, world, d, wire, books, payload)
+            torus_exec(rows, cols, world, d, wire, torus, payload)
         }
         PlanTopology::Tree => tree_exec(world, d, wire, book, payload),
         PlanTopology::SegRing { macro_segments } => {
@@ -218,7 +222,7 @@ where
     F: FnMut(&SignVec, &mut SignVec, CombineCtx),
 {
     onebit_walk(signs, inj, combine, |world, d, wire, payload| {
-        walk(topology, world, d, wire, payload)
+        walk(topology, world, d, wire, &mut Default::default(), payload)
     })
 }
 
@@ -240,8 +244,111 @@ pub fn allreduce_sum(
     let mut trace = Trace::new();
     let (world, d) = shape_of(data, Vec::len);
     let wire = &mut Wire::begin(inj, &mut trace, None);
-    walk(topology, world, d, wire, &mut Sums(data))?;
+    let books = &mut Default::default();
+    walk(topology, world, d, wire, books, &mut Sums(data))?;
     Ok(trace)
+}
+
+/// [`allreduce_sum`] as data: one walk records each delivered reduce fold
+/// `(dst, src, range)` in walk order and each finest segment's owner (global
+/// ranks and elements). Folding `dst += src` in that order on the inputs
+/// leaves at each owner the bits `allreduce_sum` leaves at every worker, as
+/// its gathers only copy the owners' cells. The walk draws the injector,
+/// traces and emits hops as `allreduce_sum` does; warm, it allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct SumReplay {
+    folds: Vec<Fold>,
+    owners: Vec<Owner>,
+    books: (Book, TorusBooks),
+}
+
+/// A fold `(dst, src, range)` and a sum's owner `(rank, range)`.
+pub(crate) type Fold = (usize, usize, Range<usize>);
+pub(crate) type Owner = (usize, Range<usize>);
+
+/// `r ∩ block`, if not empty.
+fn cut(r: &Range<usize>, block: &Range<usize>) -> Option<Range<usize>> {
+    let r = r.start.max(block.start)..r.end.min(block.end);
+    (r.start < r.end).then_some(r)
+}
+
+impl SumReplay {
+    /// Walks `topology`'s sum of `world` inputs of `d` elements on `inj`
+    /// into `trace` (reset first, slots recycled), reading no data.
+    ///
+    /// # Errors
+    ///
+    /// The topology's [`SyncError`] for an impossible shape.
+    pub fn record(
+        &mut self,
+        topology: PlanTopology,
+        world: usize,
+        d: usize,
+        inj: &mut FaultInjector,
+        trace: &mut Trace,
+    ) -> Result<(), SyncError> {
+        self.folds.clear();
+        self.owners.clear();
+        let (folds, owners) = (&mut self.folds, &mut self.owners);
+        let payload = &mut SumFolds { folds, owners };
+        let wire = &mut Wire::begin(inj, trace, None);
+        walk(topology, world, d, wire, &mut self.books, payload)?;
+        self.owners.sort_unstable_by_key(|(_, r)| r.start);
+        Ok(())
+    }
+
+    /// The folds `(dst, src, range)` cut to `block`, in walk order.
+    pub fn folds_in(&self, block: Range<usize>) -> impl Iterator<Item = Fold> + '_ {
+        let folds = self.folds.iter();
+        folds.filter_map(move |(dst, src, r)| cut(r, &block).map(|r| (*dst, *src, r)))
+    }
+
+    /// The owners `(rank, range)` of the sums cut to `block`, ascending.
+    pub fn owners_in(&self, block: Range<usize>) -> impl Iterator<Item = Owner> + '_ {
+        let owners = self.owners.iter();
+        owners.filter_map(move |(w, r)| cut(r, &block).map(|r| (*w, r)))
+    }
+
+    /// `topology`'s sum of `inputs`, replayed on a copy of one block at a
+    /// time: `map` of [`allreduce_sum`]'s, bit for bit, and the trace. Its
+    /// errors are `allreduce_sum`'s, a length mismatch found before a shape.
+    pub fn sum(
+        &mut self,
+        topology: PlanTopology,
+        inputs: &[Vec<f32>],
+        inj: &mut FaultInjector,
+        map: impl Fn(f32) -> f32,
+    ) -> Result<(Vec<f32>, Trace), SyncError> {
+        const BLOCK: usize = 4096;
+        let (world, d) = shape_of(inputs, Vec::len);
+        if let Some(got) = inputs.iter().map(Vec::len).find(|&len| len != d) {
+            return Err(SyncError::LengthMismatch { expected: d, got });
+        }
+        let mut trace = Trace::new();
+        self.record(topology, world, d, inj, &mut trace)?;
+        let (mut rows, mut out) = (
+            vec![Vec::with_capacity(BLOCK); world],
+            Vec::with_capacity(d),
+        );
+        for lo in (0..d).step_by(BLOCK) {
+            let block = lo..(lo + BLOCK).min(d);
+            for (row, input) in rows.iter_mut().zip(inputs) {
+                row.clear();
+                row.extend_from_slice(&input[block.clone()]);
+            }
+            for (dst, src, r) in self.folds_in(block.clone()) {
+                let (src, dst) = split_pair(&mut rows, src, dst);
+                let r = r.start - lo..r.end - lo;
+                for (x, &y) in dst[r.clone()].iter_mut().zip(&src[r]) {
+                    *x += y;
+                }
+            }
+            for (w, r) in self.owners_in(block) {
+                out.extend(rows[w][r.start - lo..r.end - lo].iter().map(|&x| map(x)));
+            }
+        }
+        Ok((out, trace))
+    }
 }
 
 /// An integer sign-sum walk over `parts`: `run` is handed the shape, the
@@ -272,7 +379,7 @@ fn signs_walk(
 ) -> Result<(SignSumVec, Trace), SyncError> {
     let parts: Vec<SignSumVec> = signs.iter().map(SignSumVec::from_signs).collect();
     signsum_walk(&parts, rule, vote, inj, |world, d, wire, sums| {
-        walk(topology, world, d, wire, sums)
+        walk(topology, world, d, wire, &mut Default::default(), sums)
     })
 }
 
@@ -341,7 +448,8 @@ pub fn compile_plan(
     let mut trace = Trace::new();
     let mut inert = FaultInjector::inert();
     let wire = &mut Wire::begin(inj.unwrap_or(&mut inert), &mut trace, Some(&mut plan));
-    walk(topology, world, d, wire, &mut PlanOnly)?;
+    let books = &mut Default::default();
+    walk(topology, world, d, wire, books, &mut PlanOnly)?;
     plan.trace = trace;
     Ok(plan)
 }
@@ -574,6 +682,35 @@ mod tests {
         }
         assert_eq!(PlanTopology::decode("hypercube"), None);
         assert_eq!(PlanTopology::decode("torus:2"), None);
+    }
+
+    proptest::proptest! {
+        /// `decode` never panics — on arbitrary bytes, or on near misses of
+        /// the text form with any numbers and a stray tail — and whatever it
+        /// accepts round-trips through `encode`.
+        #[test]
+        fn topology_decode_never_panics_and_round_trips(
+            raw in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..24),
+            form in 0usize..6,
+            a in proptest::arbitrary::any::<u64>(),
+            b in 0u64..10,
+            tail in proptest::collection::vec(32u8..127, 0..3),
+        ) {
+            let tail = String::from_utf8(tail).expect("ASCII");
+            let near = match form {
+                0 => format!("torus:{a}x{b}{tail}"),
+                1 => format!("segring:{a}{tail}"),
+                2 => format!("torus:{b}{tail}"),
+                3 => format!("ring{tail}"),
+                4 => format!("tree{tail}"),
+                _ => format!("{tail}torus:{b}x{b}"),
+            };
+            for s in [String::from_utf8_lossy(&raw).into_owned(), near] {
+                if let Some(topology) = PlanTopology::decode(&s) {
+                    proptest::prop_assert_eq!(PlanTopology::decode(&topology.encode()), Some(topology));
+                }
+            }
+        }
     }
 
     #[test]

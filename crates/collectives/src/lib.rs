@@ -31,6 +31,7 @@
 //! | payload | bytes of a cell on the wire | reduce hop | gather hop |
 //! |---|---|---|---|
 //! | `f32` sums, in place on the callers' buffers | `4 · elems` | `dst[x] += src[x]` | `dst[x] = src[x]` |
+//! | the same sums recorded as a [`SumReplay`], for the caller to replay | `4 · elems` | recorded | traced, not executed |
 //! | growing integer sign-sums (signSGD / SSDM / EF-signSGD under MAR) | [`SumWire`] of the sender's cell before the merge | `dst[x] += src[x]` | at the width of the reduced sums; a majority vote gathers one-bit votes |
 //! | one-bit signs (Marsit) | `⌈elems / 8⌉.max(1)` | the caller's [`StepCombine`] (`⊙`) | one bit per coordinate |
 //!
@@ -76,7 +77,7 @@ pub mod tree;
 
 pub use engine::{
     allreduce_majority, allreduce_onebit, allreduce_signsum, allreduce_sum, compile_plan,
-    run_lockstep, run_rank, EnginePlan, PlanTopology, PlannedTransfer,
+    run_lockstep, run_rank, EnginePlan, PlanTopology, PlannedTransfer, SumReplay,
 };
 pub use reconfigure::{DegradedMode, EffectiveTopology, SyncError, TopologyReconfigurer};
 pub use ring::{ChainSlot, CombineCtx, PlannedHop, RingOnebitScratch, StepCombine, SumWire};

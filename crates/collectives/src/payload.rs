@@ -11,6 +11,7 @@ use std::ops::{AddAssign, Range};
 use marsit_compress::SignSumVec;
 use marsit_tensor::SignVec;
 
+use crate::engine::{Fold, Owner};
 use crate::reconfigure::SyncError;
 use crate::ring::{split_pair, CombineCtx, Frame, PlannedHop, StepCombine, SumWire};
 
@@ -245,6 +246,32 @@ impl Payload for Sums<'_> {
     fn copy(&mut self, at: At<'_>) {
         let (src, dst) = at.pair(self.0);
         dst.copy_from_slice(src);
+    }
+}
+
+/// `f32` sums recorded, not executed (see [`SumReplay`]): each delivered
+/// reduce hop as a fold `(dst, src, range)`, each reduced segment's owner.
+///
+/// [`SumReplay`]: crate::SumReplay
+pub(crate) struct SumFolds<'a> {
+    pub(crate) folds: &'a mut Vec<Fold>,
+    pub(crate) owners: &'a mut Vec<Owner>,
+}
+
+impl Payload for SumFolds<'_> {
+    const GATHER_BY_SENDER: bool = true;
+
+    fn wire_bytes(&self, at: At<'_>, _count: usize, _reduce: bool) -> usize {
+        4 * at.range.len()
+    }
+
+    fn fold(&mut self, _idx: usize, at: At<'_>, _ctx: CombineCtx) {
+        let (src, dst) = (at.frame.global(at.w), at.frame.global(at.n));
+        self.folds.push((dst, src, at.span()));
+    }
+
+    fn reduced(&mut self, at: At<'_>, _count: usize) {
+        self.owners.push((at.frame.global(at.w), at.span()));
     }
 }
 

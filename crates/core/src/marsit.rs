@@ -19,8 +19,8 @@
 use marsit_collectives::ring::{ring_allreduce_onebit_planned, RingOnebitScratch, StepCombine};
 use marsit_collectives::torus::{torus_allreduce_onebit_planned, TorusOnebitScratch};
 use marsit_collectives::{
-    allreduce_sum, ChainSlot, CombineCtx, DegradedMode, EffectiveTopology, PlanTopology,
-    PlannedHop, TopologyReconfigurer, Trace,
+    ChainSlot, CombineCtx, DegradedMode, EffectiveTopology, PlanTopology, PlannedHop, SumReplay,
+    TopologyReconfigurer, Trace,
 };
 use std::ops::Range;
 
@@ -177,8 +177,8 @@ struct RoundWorkspace {
     live: Vec<usize>,
     /// Per-worker compensated updates `η_l·g + c` (Algorithm 1, line 1).
     compensated: Vec<Vec<f32>>,
-    /// Full-precision all-reduce buffers, one per live worker.
-    fp_buffers: Vec<Vec<f32>>,
+    /// The walk of a full-precision round's sum, replayed on `compensated`.
+    sum: SumReplay,
     /// Packed sign vectors for one-bit rounds, one per live worker.
     signs: Vec<SignVec>,
     /// Per-worker state and schedule scratch for the ring collective.
@@ -317,6 +317,20 @@ impl NormSweep<'_> {
             NormSource::Materialized(_) => None,
         };
         advance_striped_norms(acc, &hs[..w1 - w0], range.start, signs);
+    }
+}
+
+/// Fills `rows` with views of every worker's compensation for a laned sweep,
+/// each flagged as the sweep leaves it: under `settle`, a live worker's is
+/// reset or written, and every other keeps its flag. (Filled on every round,
+/// so that a later flush finds the table grown.)
+fn c_rows(rows: &mut Vec<Disjoint<f32>>, comps: &mut [Compensation], live: &[usize], s: Settle) {
+    rows.clear();
+    let mut live_iter = live.iter().peekable();
+    for (w, c) in comps.iter_mut().enumerate() {
+        let swept = live_iter.next_if_eq(&&w).is_some() && s != Settle::Defer;
+        let reset = (swept && s == Settle::Reset) || (!swept && c.is_reset());
+        rows.push(Disjoint::new(c.values_for_sweep(reset)));
     }
 }
 
@@ -953,7 +967,7 @@ impl Marsit {
         let RoundWorkspace {
             live,
             compensated,
-            fp_buffers,
+            sum,
             signs,
             ring,
             torus,
@@ -964,16 +978,29 @@ impl Marsit {
         } = &mut ws;
         // Every M·d sweep of the round runs on the lanes of one cut.
         let cut = Cut::new(d, self.cfg.lanes);
+        // Lines 11–13 on the wire (also the post-crash resync) walk the sum's
+        // schedule first, on the round's injector, touching no data.
+        let walked = match effective {
+            EffectiveTopology::Empty | EffectiveTopology::Lone { .. } => None,
+            _ if !full_precision => None,
+            EffectiveTopology::Torus { rows, cols } => Some(PlanTopology::Torus { rows, cols }),
+            _ => Some(PlanTopology::Ring),
+        }
+        .map(|schedule| sum.record(schedule, lm, d, &mut inj, &mut out.trace));
+        let replay = matches!(walked, Some(Ok(()))).then_some(&*sum);
 
         // Line 1 (fused prologue): fold compensation into the local update,
         // accumulate the compensated-mean numerator, and — on one-bit rounds
         // — pack each worker's sign words, all in one sweep over the live
-        // workers. Each lane walks its blocks block-major: every worker
-        // visits a block before any worker moves on, so the block of the
-        // mean accumulator stays in cache from its zero-fill to its
-        // `1/|live|` scaling, and each worker's sign words go straight into
-        // its vector. Per element the live workers still arrive in ascending
-        // order, so the mean's float sums are the worker-major ones.
+        // workers. A walked full-precision round also replays the sum's folds
+        // on the block in place (`h` is scratch once the mean has it: nothing
+        // stays pending), writes `g_t` from the owners and resets `c`. Each
+        // lane walks its blocks block-major: every worker visits a block
+        // before any worker moves on, so the block of the mean accumulator
+        // stays in cache from its zero-fill to its `1/|live|` scaling, and
+        // each worker's sign words go straight into its vector. Per element
+        // the live workers still arrive in ascending order, so the mean's
+        // float sums are the worker-major ones.
         //
         // Every buffer below is overwritten in full and only sized here, so
         // what an adopted workspace or a recycled outcome held is invisible.
@@ -1014,16 +1041,21 @@ impl Marsit {
             rows.signs
                 .extend(signs.iter_mut().map(|sv| Disjoint::new(sv.words_mut())));
         }
+        // (Flags are set in the epilogue, once the round's settle is known.)
+        c_rows(&mut rows.c, &mut self.compensations, live, Settle::Defer);
+        out.global_update.resize(d, 0.0);
+        let g = Disjoint::new(&mut out.global_update);
         let mean = Disjoint::new(compensated_mean);
         let inv_lm = 1.0 / lm.max(1) as f32;
-        let (live_ro, rows_ro, comps) = (&*live, &*rows, &self.compensations);
+        let (live_ro, rows_ro) = (&*live, &*rows);
         lanes::run(cut.lanes, &|lane| {
             let range = cut.range(lane);
             for lo in range.clone().step_by(PROLOGUE_BLOCK) {
                 let block = lo..(lo + PROLOGUE_BLOCK).min(range.end);
-                // SAFETY: each lane writes only its own columns of the mean,
-                // of every `h` and of every sign vector's words (blocks are
-                // whole words), and every buffer stays borrowed for the run.
+                // SAFETY: each lane reads and writes only its own columns of
+                // the mean, of every `h`, `c` and `g_t` and of every sign
+                // vector's words (blocks are whole words), and every buffer
+                // stays borrowed for the run.
                 let mean = unsafe { mean.slice_mut(block.clone()) };
                 if recycled {
                     mean.fill(0.0);
@@ -1031,7 +1063,10 @@ impl Marsit {
                 for (i, &w) in live_ro.iter().enumerate() {
                     let residual = match &deferred {
                         Some((consensus, lut)) => Residual::Deferred { consensus, lut },
-                        None => Residual::Materialized(&comps[w].vector()[block.clone()]),
+                        // SAFETY: as above.
+                        None => {
+                            Residual::Materialized(unsafe { rows_ro.c[w].slice(block.clone()) })
+                        }
                     };
                     // SAFETY: as above.
                     let (h, sign_words) = unsafe {
@@ -1045,6 +1080,25 @@ impl Marsit {
                 }
                 for a in mean {
                     *a *= inv_lm;
+                }
+                let Some(replay) = replay else { continue };
+                // SAFETY: as above; a fold's two rows differ.
+                let h = |i: usize, r: Range<usize>| unsafe { rows_ro.h[live_ro[i]].slice_mut(r) };
+                for (dst, src, r) in replay.folds_in(block.clone()) {
+                    for (x, &y) in h(dst, r.clone()).iter_mut().zip(&*h(src, r)) {
+                        *x += y;
+                    }
+                }
+                for (owner, r) in replay.owners_in(block.clone()) {
+                    // SAFETY: as above.
+                    let g = unsafe { g.slice_mut(r.clone()) };
+                    for (g, &x) in g.iter_mut().zip(&*h(owner, r)) {
+                        *g = x * inv_lm;
+                    }
+                }
+                for &w in live_ro {
+                    // SAFETY: as above.
+                    unsafe { rows_ro.c[w].slice_mut(block.clone()) }.fill(0.0);
                 }
             }
         });
@@ -1064,30 +1118,9 @@ impl Marsit {
         };
         // The collective proper. `Ok(false)`: a terminal live set put
         // nothing on the wire.
-        let ran = match effective {
-            EffectiveTopology::Empty | EffectiveTopology::Lone { .. } => Ok(false),
-            _ if full_precision => {
-                // Lines 11–13: exact averaging.
-                fp_buffers.resize_with(lm, Vec::new);
-                for (buf, &w) in fp_buffers.iter_mut().zip(&*live) {
-                    buf.clear();
-                    buf.extend_from_slice(&compensated[w]);
-                }
-                // The resync — also the post-crash resync point — sums over
-                // the round's effective topology, on the round's injector.
-                let schedule = match effective {
-                    EffectiveTopology::Torus { rows, cols } => PlanTopology::Torus { rows, cols },
-                    _ => PlanTopology::Ring,
-                };
-                let trace = allreduce_sum(schedule, fp_buffers, &mut inj);
-                trace.map(|trace| {
-                    out.trace = trace;
-                    out.global_update.clear();
-                    out.global_update
-                        .extend(fp_buffers[0].iter().map(|&x| x * inv_lm));
-                    true
-                })
-            }
+        let ran = match (walked, effective) {
+            (Some(walked), _) => walked.map(|()| true),
+            (None, EffectiveTopology::Empty | EffectiveTopology::Lone { .. }) => Ok(false),
             _ => {
                 // Lines 4–9: one-bit synchronization via ⊙. Sign buffers were
                 // packed by the fused prologue; the planner pre-draws each
@@ -1165,22 +1198,7 @@ impl Marsit {
         } else {
             Settle::Absorb
         };
-        if write_g {
-            out.global_update.resize(d, 0.0);
-        }
-        // (Filled on every round, so that a later flush finds the table
-        // grown.)
-        rows.c.clear();
-        let mut live_iter = live.iter().peekable();
-        for (w, c) in self.compensations.iter_mut().enumerate() {
-            let swept = live_iter.next_if_eq(&&w).is_some() && settle != Settle::Defer;
-            let reset = if swept {
-                settle == Settle::Reset
-            } else {
-                c.is_reset()
-            };
-            rows.c.push(Disjoint::new(c.values_for_sweep(reset)));
-        }
+        c_rows(&mut rows.c, &mut self.compensations, live, settle);
         let tel = marsit_telemetry::active();
         // Over a freshly reset set the norm is `+0.0`, the swept value, and
         // nothing is swept.
@@ -1214,7 +1232,9 @@ impl Marsit {
             cut
         };
         let g = Disjoint::new(&mut out.global_update);
-        let phases = norm.as_ref().map_or(1, |n| n.phases(cut.lanes));
+        // A replayed round settled in its prologue sweep; a norm may be left.
+        let idle = usize::from(replay.is_none());
+        let phases = norm.as_ref().map_or(idle, |n| n.phases(cut.lanes));
         let (live_ro, rows_ro, hs, consensus) = (&*live, &rows.c, &*compensated, &*consensus_buf);
         // Lane `l > 0` has no norm work in phase 0 and lane 0 none in the
         // last phase: a deferred round's `g_t`, which nothing here reads,
@@ -1240,6 +1260,8 @@ impl Marsit {
                 let c = |w: usize| unsafe { rows_ro[w].slice_mut(range.clone()) };
                 match settle {
                     Settle::Defer => {}
+                    // The prologue sweep reset these columns.
+                    Settle::Reset if replay.is_some() => {}
                     Settle::Reset => {
                         for &w in live_ro {
                             c(w).fill(0.0);

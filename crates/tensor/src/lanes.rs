@@ -70,13 +70,13 @@ pub fn run(lanes: usize, job: &(dyn Fn(usize) + Sync)) {
 
 /// Calls `job(lane, phase)` for every lane in `0..lanes` and every phase in
 /// `0..phases`: phase by phase, every lane of a phase returning before any
-/// lane of the next phase starts.
+/// lane of the next phase starts. A job of no phases wakes no helper.
 ///
 /// # Panics
 ///
 /// Re-raises the first panic of any lane; no later phase runs after it.
 pub fn run_phased(lanes: usize, phases: usize, job: &(dyn Fn(usize, usize) + Sync)) {
-    if lanes > 1 && width() > 1 {
+    if lanes > 1 && width() > 1 && phases > 0 {
         if let Some(team) = Team::claim() {
             team.run(lanes, phases, job);
             return;

@@ -23,7 +23,7 @@
 
 use marsit_collectives::ps::{ps_allreduce_sum, ps_majority_vote, ps_sign_sums};
 use marsit_collectives::{
-    allreduce_majority, allreduce_signsum, PlanTopology, SumWire, SyncError, Trace,
+    allreduce_majority, allreduce_signsum, PlanTopology, SumReplay, SumWire, SyncError, Trace,
 };
 use marsit_compress::cascading::cascade_reduce_practical;
 use marsit_compress::compressor::{Compressor, EfSign, Ssdm};
@@ -395,9 +395,8 @@ impl Synchronizer {
 
         let (global_update, trace) = match &mut self.state {
             State::Psgd => {
-                let (sum, trace) = allreduce_sum(local_updates, topology);
                 let inv = 1.0 / m as f32;
-                (sum.into_iter().map(|x| x * inv).collect(), trace)
+                allreduce_sum(local_updates, topology, |x| x * inv)
             }
             State::SignMajority => {
                 let signs: Vec<SignVec> = local_updates
@@ -496,24 +495,16 @@ impl Synchronizer {
                     .zip(local_updates)
                     .map(|(w, g)| w.project_p(g).into_vec())
                     .collect();
-                let (p_sum, trace_p) = allreduce_sum(&p_flat, topology);
-                let mut p_mean = marsit_tensor::Tensor::from_vec(
-                    rows,
-                    rank,
-                    p_sum.into_iter().map(|x| x / m as f32).collect(),
-                );
+                let (p_mean, trace_p) = allreduce_sum(&p_flat, topology, |x| x / m as f32);
+                let mut p_mean = marsit_tensor::Tensor::from_vec(rows, rank, p_mean);
                 orthonormalize_columns(&mut p_mean);
                 let q_flat: Vec<Vec<f32>> = workers
                     .iter()
                     .zip(local_updates)
                     .map(|(w, g)| w.project_q(g, &p_mean).into_vec())
                     .collect();
-                let (q_sum, trace_q) = allreduce_sum(&q_flat, topology);
-                let q_mean = marsit_tensor::Tensor::from_vec(
-                    q_flat[0].len() / rank,
-                    rank,
-                    q_sum.into_iter().map(|x| x / m as f32).collect(),
-                );
+                let (q_mean, trace_q) = allreduce_sum(&q_flat, topology, |x| x / m as f32);
+                let q_mean = marsit_tensor::Tensor::from_vec(q_flat[0].len() / rank, rank, q_mean);
                 let update = workers[0].reconstruct(&p_mean, &q_mean);
                 for (w, g) in workers.iter_mut().zip(local_updates) {
                     w.absorb(g, &update, &q_mean);
@@ -552,16 +543,17 @@ fn on_schedule<T>(
     .expect("harness builds a valid membership")
 }
 
-/// Exact sum all-reduce over any topology; returns (sum, trace).
-fn allreduce_sum(updates: &[Vec<f32>], topology: Topology) -> (Vec<f32>, Trace) {
+/// Exact sum all-reduce over any topology, mapped by `f` per element; returns
+/// (mapped sum, trace). A schedule is walked once and replayed block by block.
+fn allreduce_sum(
+    updates: &[Vec<f32>],
+    topology: Topology,
+    f: impl Fn(f32) -> f32,
+) -> (Vec<f32>, Trace) {
     on_schedule(
         topology,
-        |plan, inj| {
-            let mut buffers = updates.to_vec();
-            let trace = marsit_collectives::allreduce_sum(plan, &mut buffers, inj)?;
-            Ok((buffers.swap_remove(0), trace))
-        },
-        || ps_allreduce_sum(updates),
+        |plan, inj| SumReplay::default().sum(plan, updates, inj, &f),
+        || ps_allreduce_sum(updates).map(|(sum, t)| (sum.into_iter().map(&f).collect(), t)),
     )
 }
 

@@ -249,6 +249,82 @@ fn onebit_rounds_allocate_nothing(topology: Topology, d: usize, lanes: usize) {
     );
 }
 
+/// A warm full-precision round allocates nothing either: the walk records
+/// its folds into the workspace's `SumReplay` and its trace into the
+/// outcome's recycled step slots, and the prologue sweep replays the folds
+/// in place. With a full-precision round every other round (`K = 2`), eight
+/// warm rounds on ring(8) and torus(2,4), at 1 and 2 lanes, plain and
+/// recorded, make no allocator call on a clean fabric. Under drops and
+/// corruption a round whose retries outgrow every trace slot so far still
+/// grows one, at `K = 2` as at `K = never`: a full-precision round walks the
+/// same hops with the same fates as a one-bit round, so the two runs make
+/// exactly as many calls. (Before, each full-precision round copied every
+/// update into buffers of its own and replaced the outcome's trace, 41 to
+/// 46 calls, and the faulty one-bit round after it regrew the slots.)
+#[test]
+fn full_precision_round_allocates_nothing() {
+    const D: usize = 3 * marsit::tensor::PROLOGUE_BLOCK + 37;
+    let faulty = FaultPlan::seeded(5)
+        .with_link_drop(0.05)
+        .with_link_corruption(0.02);
+    for topology in [Topology::ring(8), Topology::torus(2, 4)] {
+        for lanes in [1, 2] {
+            for (label, plan) in [("no plan", FaultPlan::none()), ("drops", faulty.clone())] {
+                for recorded in [false, true] {
+                    let calls = |schedule| {
+                        let cfg = MarsitConfig::new(schedule, 0.01, 7)
+                            .with_fault_plan(plan.clone())
+                            .with_lanes(lanes);
+                        warm_round_calls(cfg, topology, D, recorded)
+                    };
+                    let (k2, never) = (calls(SyncSchedule::every(2)), calls(SyncSchedule::never()));
+                    let shape =
+                        format!("{topology:?}, {lanes} lanes, {label}, recorded {recorded}");
+                    assert_eq!(k2, never, "{shape}: K = 2 against K = never");
+                    if plan.is_none() {
+                        assert_eq!(k2, 0, "{shape}: warm rounds at K = 2 allocated");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Allocator calls of eight rounds after sixteen warm ones, each round
+/// drained from a recording sink into a reused buffer if `recorded`.
+fn warm_round_calls(cfg: MarsitConfig, topology: Topology, d: usize, recorded: bool) -> u64 {
+    let m = topology.workers();
+    let updates: Vec<Vec<f32>> = (0..m)
+        .map(|w| {
+            (0..d)
+                .map(|x| ((x * 13 + w * 5) % 97) as f32 * 1e-4 - 0.005)
+                .collect()
+        })
+        .collect();
+    let mut sync = Marsit::new(cfg, m, d);
+    let mut out = SyncOutcome::default();
+    let tel = Telemetry::recording();
+    let mut jsonl = String::new();
+    let mut round = || {
+        if recorded {
+            scoped(&tel, || sync.synchronize_into(&updates, topology, &mut out));
+            jsonl.clear();
+            tel.drain_events_jsonl_into(&mut jsonl);
+        } else {
+            sync.synchronize_into(&updates, topology, &mut out);
+        }
+    };
+    for _ in 0..16 {
+        round();
+    }
+    measure(|| {
+        for _ in 0..8 {
+            round();
+        }
+    })
+    .0
+}
+
 /// Compiling a plan is the bookkeeping half of the schedule walk and touches
 /// no payload: for the `sync_large` shape — seven ranks, 1 048 583
 /// coordinates, 128 KiB per packed sign vector — no single request reaches
