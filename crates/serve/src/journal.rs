@@ -28,8 +28,8 @@
 //! breaks the sequence, and reports the byte offset the valid prefix ends at
 //! so the writer can truncate and resume appending.
 //!
-//! The supervisor and its shard subprocesses exchange these same records
-//! (see [`crate::supervisor`]), decoded by this module's decoder.
+//! The controller and its process shards exchange these same records (see
+//! [`crate::supervisor`]), decoded by this module's decoder.
 //!
 //! A checkpoint is the bulk of a journal, so its bytes are touched as few
 //! times as the format allows, and held no longer than they are needed:
@@ -47,8 +47,8 @@
 //! record to a dedicated writer thread; [`JournalWriter::commit`] requests a
 //! group commit (write + `fsync`) without blocking the serving thread —
 //! consecutive commit requests that pile up behind a large write coalesce
-//! into one `fsync`. The scheduler commits at shard-tick boundaries and
-//! immediately after each accepted submission. Dropping the writer drains
+//! into one `fsync`. The controller commits after the records it files, the
+//! server handle after each accepted submission. Dropping the writer drains
 //! the queue and syncs, so a clean shutdown is always fully durable; after
 //! a crash, whatever suffix had not reached the disk is exactly the torn
 //! tail the replay path truncates — recovery re-derives those rounds
@@ -58,7 +58,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Read, Seek as _, SeekFrom, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use marsit_simnet::wire::{read_frame_bytes, sole_frame, Reader, SharedBytes, WireError, Writer};
 
@@ -136,19 +136,6 @@ pub enum JournalRecord {
     },
     /// A job finished.
     Outcome(OutcomeRecord),
-}
-
-impl JournalRecord {
-    /// The job name the record is about.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        match self {
-            Self::Submit { spec } => &spec.name,
-            Self::Snapshot(s) => &s.name,
-            Self::Migrate { name, .. } => name,
-            Self::Outcome(o) => &o.name,
-        }
-    }
 }
 
 /// Typed journal failures. Decoding and replay never panic.
@@ -538,7 +525,7 @@ pub fn replay_file(path: &Path) -> std::io::Result<Replay> {
 }
 
 /// A finished job recovered from the journal (or received over the
-/// supervisor wire): everything [`verify_recovered`] needs to prove the
+/// process link): everything [`verify_recovered`] needs to prove the
 /// crash changed no output bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveredOutcome {
@@ -758,7 +745,6 @@ pub struct JournalWriter {
     tx: Option<std::sync::mpsc::SyncSender<WriterMsg>>,
     thread: Option<std::thread::JoinHandle<()>>,
     shared: std::sync::Arc<WriterShared>,
-    path: PathBuf,
     next_seq: u64,
     records_appended: u64,
 }
@@ -783,9 +769,9 @@ struct WriterShared {
 /// backpressure instead of unbounded buffering).
 const WRITER_QUEUE_DEPTH: usize = 64;
 
-/// Minimum spacing between `fsync`s. Every shard requests a commit at
-/// every tick boundary; honoring each request individually makes the
-/// writer thread fsync-latency-bound (one barrier per tick per shard).
+/// Minimum spacing between `fsync`s. The controller requests a commit after
+/// every batch of records it files; honoring each request individually
+/// makes the writer thread fsync-latency-bound (one barrier per tick).
 /// Group commit instead: requests landing inside the window coalesce into
 /// the next sync, so the durability window is bounded by this interval
 /// (plus write time) while the fsync rate stays bandwidth-bound. A crash
@@ -886,7 +872,7 @@ fn writer_thread(mut file: File, rx: &std::sync::mpsc::Receiver<WriterMsg>, shar
 }
 
 impl JournalWriter {
-    fn start(file: File, path: &Path, next_seq: u64) -> Self {
+    fn start(file: File, next_seq: u64) -> Self {
         let shared = std::sync::Arc::new(WriterShared {
             commits: std::sync::atomic::AtomicU64::new(0),
             bytes_committed: std::sync::atomic::AtomicU64::new(0),
@@ -915,7 +901,6 @@ impl JournalWriter {
             tx: Some(tx),
             thread: Some(thread),
             shared,
-            path: path.to_path_buf(),
             next_seq,
             records_appended: 0,
         }
@@ -928,7 +913,7 @@ impl JournalWriter {
     /// I/O failure creating the file.
     pub fn create(path: &Path) -> std::io::Result<Self> {
         let file = File::create(path)?;
-        Ok(Self::start(file, path, 0))
+        Ok(Self::start(file, 0))
     }
 
     /// Reopens a journal after [`replay_file`]: truncates the torn tail
@@ -961,7 +946,7 @@ impl JournalWriter {
         file.set_len(replay.valid_len as u64)?;
         file.seek(SeekFrom::End(0))?;
         file.sync_data()?;
-        Ok(Self::start(file, path, replay.next_seq))
+        Ok(Self::start(file, replay.next_seq))
     }
 
     fn latched_error(&self) -> Option<String> {
@@ -1022,12 +1007,6 @@ impl JournalWriter {
         Ok(())
     }
 
-    /// Journal file path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// `(records appended, fsyncs performed, bytes written)` counters.
     /// The latter two race the writer thread; they are exact only after
     /// drop (or for a single-threaded test that pauses).
@@ -1057,6 +1036,7 @@ mod tests {
     use super::*;
     use marsit_models::Workload;
     use marsit_simnet::Topology;
+    use std::path::PathBuf;
 
     fn spec(name: &str) -> JobSpec {
         let mut s = JobSpec::new(name, Workload::AlexNetMnist, Topology::ring(4));

@@ -19,7 +19,7 @@ pub const DEFAULT_TENANT: &str = "default";
 /// One training job submitted to the server.
 ///
 /// The defaults describe a short serving-sized run (small synthetic split,
-/// no periodic eval) so a storm of jobs exercises the scheduler rather than
+/// no periodic eval) so a storm of jobs exercises the server rather than
 /// the data generator; every field can be overridden per job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
@@ -194,7 +194,9 @@ impl JobSpec {
             self.local_lr,
             self.global_lr,
         ));
-        if !self.fault_plan.is_none() {
+        // Any plan but the default is written out, a seeded plan that drops
+        // nothing included: its seed is part of the spec.
+        if self.fault_plan != FaultPlan::none() {
             let permille = (self.fault_plan.link_drop_prob * 1000.0).round() as u64;
             let rebuilt = FaultPlan::seeded(self.fault_plan.seed)
                 .with_link_drop(permille.min(1000) as f64 / 1000.0);
@@ -306,17 +308,20 @@ fn parse_workload(value: &str) -> Result<Workload, String> {
 }
 
 fn parse_topology(value: &str) -> Result<Topology, String> {
+    let dim = |text: &str| match parse_num::<usize>("topo", text)? {
+        n if n >= 2 => Ok(n),
+        _ => Err(format!(
+            "bad topology (every dimension needs 2 or more workers): {value}"
+        )),
+    };
     if let Some(m) = value.strip_prefix("ring:") {
-        return Ok(Topology::ring(parse_num("topo", m)?));
+        return Ok(Topology::ring(dim(m)?));
     }
     if let Some(rc) = value.strip_prefix("torus:") {
         let (r, c) = rc
             .split_once('x')
             .ok_or_else(|| format!("bad torus spec (expected torus:RxC): {value}"))?;
-        return Ok(Topology::torus(
-            parse_num("topo", r)?,
-            parse_num("topo", c)?,
-        ));
+        return Ok(Topology::torus(dim(r)?, dim(c)?));
     }
     Err(format!(
         "unknown topology (expected ring:M or torus:RxC): {value}"
@@ -329,6 +334,11 @@ fn parse_fault(value: &str) -> Result<FaultPlan, String> {
         .ok_or_else(|| format!("bad fault spec (expected SEED:DROP_PERMILLE): {value}"))?;
     let seed: u64 = parse_num("fault", seed)?;
     let drop_permille: u64 = parse_num("fault", drop)?;
+    if drop_permille > 1000 {
+        return Err(format!(
+            "bad fault drop rate (at most 1000 per mille): {value}"
+        ));
+    }
     Ok(FaultPlan::seeded(seed).with_link_drop(drop_permille as f64 / 1000.0))
 }
 

@@ -1,831 +1,994 @@
-//! Process-per-shard serving: a supervisor, shard subprocesses, and the
-//! serving protocol between them — journal records inside transport frames.
+//! The serving control plane: one controller, one shard loop, two links.
 //!
-//! The thread scheduler ([`crate::scheduler`]) dies with its process. This
-//! module splits the shards out: a [`SupervisorHandle`] spawns one shard
-//! *subprocess* per shard (the `marsit_serve` binary in its hidden
-//! `--shard-worker` mode), speaks [`Frame`]s over localhost TCP, and
-//! supervises. A serving frame's payload is one or more records of
-//! [`crate::journal`], encoded by the journal's own codec and read by its
-//! [`Scanner`], so a shard lands a delivered job through the same replay
-//! fold ([`ReplayState`]) and the same `admit` / `land_restore` as a
-//! restarted thread server:
-//!
-//! - **Submission** — a `submit` frame carries a fresh job's `Submit`
-//!   record, followed by a `Snapshot` record (checkpoint + telemetry
-//!   sequence floor) for a job resuming from a durability point.
-//! - **Durability** — shards push `snapshot` frames at the configured tick
-//!   cadence; each carries one `Snapshot` record whose `log` is the
-//!   telemetry **delta** since the last push. The supervisor splices deltas
-//!   in order, so its log-at-snapshot is exactly the job's log at that
-//!   round — the rollback point — and journals every snapshot when a
-//!   journal is attached.
-//! - **Liveness** — a shard death is detected as the end of its connection
-//!   (EOF, a torn frame or a foreign `from`: the reader of
-//!   [`marsit_simnet::fabric`], the same one the process hub runs). The
-//!   supervisor restarts the shard with bounded exponential backoff and
-//!   re-delivers its in-flight jobs from their last snapshots; a job with
-//!   no snapshot yet simply restarts from scratch. Telemetry the dead
-//!   shard never pushed is discarded *by construction* (deltas ride only
-//!   on snapshot/outcome frames), so the resumed job's concatenated log is
-//!   byte-identical to an uninterrupted run.
-//! - **Migration** — the supervisor sends a `Migrate` record to ask a shard
-//!   to evict a job; the shard hands it back at the next tick boundary as
-//!   `Migrate` + a final `Snapshot` and drops it; the supervisor restores
-//!   it on another shard.
-//! - **Completion** — an `outcome` frame carries one `Outcome` record (its
-//!   `log` again the delta).
-//!
-//! The supervisor's sockets and children are the fabric's: its door admits
-//! a connection only with a `hello` from a shard that exists and that no
-//! live connection holds, a connection speaks only for that shard (any
-//! other `from` drops it), and a shard is started as
-//! `<worker_bin> --shard-worker --addr <hub> --shard N --tick T
-//! --snapshot-every S`. A shard subprocess that loses its supervisor (EOF
-//! on its socket) exits immediately, so a `kill -9` of the supervisor
-//! leaves no orphans.
+//! - **The controller** (`controller_main`, one thread per server) places,
+//!   evicts, journals and restarts. It owns every job's placement, its log
+//!   and, for a job that may need redelivering, its last durability point,
+//!   and it is the only writer of `Snapshot`, `Migrate` and `Outcome`
+//!   journal records (the server handle appends each `Submit` before
+//!   `submit` returns). At every tick boundary a shard reports, it evaluates
+//!   the [`MigrationPolicy`]; an evicted job is handed back at its next tick
+//!   boundary and lands on the target.
+//! - **The shard loop** (`shard_loop`) is the only shard body. It runs its
+//!   jobs a tick at a time in rotation, blocks on its link when it has none,
+//!   and reports every tick boundary: a plain tick, a snapshot (periodic,
+//!   only when a journal or process shards need durability points, or a
+//!   hand-back), or the outcome. A delivered job is a one- or two-record
+//!   journal (`Submit`, then its last `Snapshot`), folded with the same
+//!   [`ReplayState`] as whole-server recovery. Telemetry travels only as
+//!   deltas on snapshots and outcomes, so the controller's concatenation is
+//!   exactly the job's log at its last durability point, and a shard death
+//!   discards what the shard never pushed.
+//! - **A link** connects them. A thread shard is the loop on a thread, with
+//!   a channel pair that passes messages by value, the final [`TrainReport`]
+//!   included; its death is a panic and stops the server. A process shard
+//!   is the same loop in a subprocess behind the fabric's localhost TCP
+//!   frames, restarted with bounded exponential backoff. Only that link
+//!   encodes — journal records, with the journal's codec ([`encode_record`],
+//!   read back by its [`Scanner`]) — and it carries a report as its
+//!   fingerprint. Its door admits a connection only with a `hello` from a
+//!   shard that exists and that no live connection holds, and a connection
+//!   speaks only for that shard. A shard is started as `<worker_bin>
+//!   --shard-worker --addr <hub> --shard N --tick T --snapshot-every S
+//!   --pool-cap P` and exits the moment its socket reaches EOF, so a
+//!   `kill -9` of the server leaves no orphans.
 
-use std::collections::{HashMap, VecDeque};
-use std::fmt;
-use std::net::{Shutdown, TcpStream};
+use std::collections::{BTreeMap, VecDeque};
+use std::net::Shutdown;
 use std::path::PathBuf;
 use std::process::Child;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use marsit_simnet::fabric::{connect_as, spawn_child, ArgError, ChildArgs, Fabric, Queue};
+use marsit_simnet::fabric::{connect_as, spawn_child, ArgError, ChildArgs, Fabric, Relay, Slots};
 use marsit_simnet::wire::{read_frame, write_frame, Frame, FrameKind, Payload, DRIVER};
 use marsit_simnet::{HubEvent, TransportError};
+use marsit_telemetry::Telemetry;
 use marsit_tensor::rng::FastRng;
+use marsit_trainsim::{TrainReport, TrainSnapshot, TrainerState};
 
 use crate::journal::{
-    encode_record, JournalRecord, JournalWriter, OutcomeRecord, RecoveredOutcome, ReplayState,
+    encode_record, JournalError, JournalRecord, OutcomeRecord, RecoveredOutcome, ReplayState,
     ResumeJob, Scanner, SnapshotRecord,
 };
-use crate::pool::WorkspacePool;
+use crate::pool::{WorkspaceKey, WorkspacePool};
 use crate::scheduler::{
-    admit, land_restore, report_fingerprint, snapshot_record, ActiveJob, MigrationPolicy,
+    lock, report_fingerprint, JobOutcome, Journal, MigrationPolicy, MigrationSample, ProcessShards,
+    ServeConfig, ServeError, ServeReport, ShardSummary,
 };
 use crate::spec::JobSpec;
 
 /// The mode flag that makes `marsit_serve` a shard subprocess.
 pub const SHARD_WORKER_MODE: &str = "--shard-worker";
 
-/// Supervisor configuration.
-#[derive(Debug, Clone)]
-pub struct SupervisorConfig {
-    /// Number of shard subprocesses.
-    pub shards: usize,
-    /// Rounds per preemption tick inside each shard.
-    pub tick_rounds: usize,
-    /// Shard pushes a durability snapshot for each job every this many of
-    /// its ticks (0 = only eviction snapshots).
-    pub snapshot_every_ticks: usize,
-    /// Migration policy, evaluated supervisor-side on periodic snapshot
-    /// arrivals (the supervisor owns placement; shards just evict on
-    /// request).
-    pub migration: MigrationPolicy,
-    /// Shard-worker executable (`None` = the current executable).
-    pub worker_bin: Option<PathBuf>,
-    /// Restart budget per shard before its jobs are reassigned for good.
-    pub max_restarts_per_shard: u32,
-    /// First restart delay; doubles per consecutive restart of the same
-    /// shard up to [`Self::backoff_cap_ms`].
-    pub backoff_base_ms: u64,
-    /// Restart delay cap.
-    pub backoff_cap_ms: u64,
-}
+/// Longest restart delay of a process shard.
+const BACKOFF_CAP_MS: u64 = 2_000;
 
-impl SupervisorConfig {
-    /// Defaults: `shards` subprocesses, 4-round ticks, snapshot every 2
-    /// ticks, no migration, 50 ms → 2 s restart backoff, 5 restarts per
-    /// shard.
-    #[must_use]
-    pub fn new(shards: usize) -> Self {
-        Self {
-            shards: shards.max(1),
-            tick_rounds: 4,
-            snapshot_every_ticks: 2,
-            migration: MigrationPolicy::None,
-            worker_bin: None,
-            max_restarts_per_shard: 5,
-            backoff_base_ms: 50,
-            backoff_cap_ms: 2_000,
-        }
-    }
-}
-
-/// Aggregate result of a supervised serve session.
-#[derive(Debug)]
-pub struct SupervisorReport {
-    /// Every finished job, sorted by name. Reports cross the process
-    /// boundary as fingerprints, so outcomes are [`RecoveredOutcome`]s —
-    /// verify with [`crate::verify_recovered`].
-    pub outcomes: Vec<RecoveredOutcome>,
-    /// Shard subprocess deaths observed (EOF before Stop).
-    pub shard_deaths: u64,
-    /// Restarts performed.
-    pub restarts: u64,
-    /// Supervisor-driven migrations completed.
-    pub migrations: u64,
-}
-
-/// Typed supervisor failures.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SupervisorError {
-    /// Socket/listener I/O failed.
-    Io(String),
-    /// A shard subprocess could not be spawned.
-    Spawn(String),
-    /// A shard exhausted its restart budget and no other shard is
-    /// available to take its jobs.
-    ShardUnrecoverable {
-        /// The shard.
-        shard: usize,
-        /// Restarts attempted.
-        restarts: u32,
-    },
-    /// A shard sent a frame the protocol does not allow.
-    Protocol(String),
-}
-
-impl fmt::Display for SupervisorError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Io(e) => write!(f, "supervisor I/O error: {e}"),
-            Self::Spawn(e) => write!(f, "cannot spawn shard worker: {e}"),
-            Self::ShardUnrecoverable { shard, restarts } => write!(
-                f,
-                "shard {shard} unrecoverable after {restarts} restarts \
-                 and no peer can absorb its jobs"
-            ),
-            Self::Protocol(e) => write!(f, "serving protocol violation: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for SupervisorError {}
-
-impl From<std::io::Error> for SupervisorError {
-    fn from(e: std::io::Error) -> Self {
-        Self::Io(e.to_string())
-    }
-}
-
-impl From<TransportError> for SupervisorError {
-    fn from(e: TransportError) -> Self {
-        Self::Io(e.to_string())
-    }
-}
-
-type Journal = Arc<Mutex<JournalWriter>>;
-
-enum CtlMsg {
-    Submit(JobSpec),
-    Resume(ResumeJob),
+/// Everything the controller waits for, on one queue.
+pub(crate) enum Event {
+    /// The handle accepted (and journaled) a job: a fresh one, or one that
+    /// resumes from its last journaled snapshot (no new record).
+    Submit(JobSpec, Option<SnapshotRecord>),
+    /// No more submissions: stop once every job has finished.
     Finish,
+    /// A shard is up: its thread started, or its `hello` passed the door.
+    Joined(usize),
+    /// A shard's thread or connection ended.
+    Left(usize),
+    /// A shard reported.
+    Up(usize, Up),
+    /// A process shard sent a frame that is not a report.
+    Broken(usize, String),
 }
 
-/// A running supervised server.
-pub struct SupervisorHandle {
-    ctl: Sender<CtlMsg>,
-    thread: std::thread::JoinHandle<Result<SupervisorReport, SupervisorError>>,
-    /// Shard `i`'s current subprocess pid, 0 while down.
-    pids: Arc<Vec<AtomicU32>>,
-    submitted: usize,
-    completed: Arc<AtomicUsize>,
+/// The controller's queue: bounded for thread shards, so one that gets
+/// ahead of a controller waiting on the journal waits too; unbounded for
+/// the process link's fabric readers, which hold the fabric's lock.
+#[derive(Clone)]
+pub(crate) enum Events {
+    Bounded(SyncSender<Event>),
+    Unbounded(Sender<Event>),
 }
 
-impl SupervisorHandle {
-    /// Starts the listener, spawns the shard subprocesses, and returns
-    /// the handle. `journal` (optional) receives submit/snapshot/migrate/
-    /// outcome records exactly like the thread scheduler's journal.
-    ///
-    /// # Errors
-    ///
-    /// [`SupervisorError::Io`] if the localhost listener cannot bind or
-    /// the supervisor's threads cannot start.
-    pub fn start(cfg: SupervisorConfig, journal: Option<Journal>) -> Result<Self, SupervisorError> {
-        let fabric = Fabric::new(cfg.shards, Queue)?;
-        let addr = fabric.addr()?.to_string();
-        fabric.open()?;
-        let (ctl_tx, ctl_rx) = std::sync::mpsc::channel();
-        let pids: Arc<Vec<AtomicU32>> =
-            Arc::new((0..cfg.shards).map(|_| AtomicU32::new(0)).collect());
-        let completed = Arc::new(AtomicUsize::new(0));
-        let loop_pids = Arc::clone(&pids);
-        let loop_completed = Arc::clone(&completed);
+impl Events {
+    /// The queue for `cfg`'s link, and its receiving end.
+    pub(crate) fn new(cfg: &ServeConfig) -> (Self, Receiver<Event>) {
+        if cfg.processes.is_some() {
+            let (tx, rx) = std::sync::mpsc::channel();
+            (Self::Unbounded(tx), rx)
+        } else {
+            let (tx, rx) = std::sync::mpsc::sync_channel(4 * cfg.shards);
+            (Self::Bounded(tx), rx)
+        }
+    }
+
+    /// Queues `event`; `false` once the controller is gone.
+    pub(crate) fn send(&self, event: Event) -> bool {
+        match self {
+            Self::Bounded(tx) => tx.send(event).is_ok(),
+            Self::Unbounded(tx) => tx.send(event).is_ok(),
+        }
+    }
+}
+
+/// Shard → controller, at a tick boundary of the named job.
+pub(crate) enum Up {
+    /// The job ran a tick and stays.
+    Tick(String),
+    /// A snapshot (`log` = the delta since the last push): a periodic
+    /// durability point, or — with how long taking it took, 0 over TCP — a
+    /// hand-back on request.
+    Snapshot(SnapshotRecord, Option<u64>),
+    /// The job finished. The report travels by value on the in-process link
+    /// and only as the record's fingerprint over TCP.
+    Done(OutcomeRecord, Option<Box<TrainReport>>),
+}
+
+/// Controller → shard.
+pub(crate) enum Down {
+    /// Run a job: its `Submit` record, then its last `Snapshot` when it
+    /// resumes — and, in process, the source's snapshot time when that is a
+    /// migration landing.
+    Deliver(Vec<JournalRecord>, Option<u64>),
+    /// Hand the named job back at its next tick boundary.
+    Evict(String),
+    /// Stop.
+    Stop,
+}
+
+/// The controller's side of its shards: how one is started, reached,
+/// reaped after it died, and stopped. Reports come back on the controller's
+/// event queue. A test can stand in a fake.
+trait Link {
+    /// Starts `shard`; returns its process id, if it is a process.
+    fn start(&mut self, shard: usize) -> Result<Option<u32>, ServeError>;
+    /// Sends `msg` to `shard`; `false` if it is not reachable.
+    fn send(&mut self, shard: usize, msg: Down) -> Result<bool, ServeError>;
+    /// Releases what is left of `shard` after it died.
+    fn reap(&mut self, shard: usize);
+    /// Stops every shard; returns the summaries that came back.
+    fn stop(&mut self) -> Vec<ShardSummary>;
+}
+
+/// What a shard loop is told when it starts.
+#[derive(Debug, Clone, Copy)]
+struct ShardParams {
+    tick_rounds: usize,
+    /// Periodic snapshot cadence in ticks (0 = none).
+    snapshot_every: usize,
+    pool_cap: usize,
+}
+
+/// Thread shards: the loop on a thread, messages by value.
+struct Threads {
+    params: ShardParams,
+    events: Events,
+    shards: Vec<Option<(Sender<Down>, JoinHandle<ShardSummary>)>>,
+}
+
+/// Announces the end of a thread shard — a panic included — when dropped.
+struct Farewell(Events, usize);
+
+impl Drop for Farewell {
+    fn drop(&mut self) {
+        self.0.send(Event::Left(self.1));
+    }
+}
+
+impl Link for Threads {
+    fn start(&mut self, shard: usize) -> Result<Option<u32>, ServeError> {
+        let (tx, inbox) = std::sync::mpsc::channel();
+        let events = self.events.clone();
+        let params = self.params;
         let thread = std::thread::Builder::new()
-            .name("marsit-supervisor".to_string())
+            .name(format!("marsit-shard-{shard}"))
             .spawn(move || {
-                supervisor_main(
-                    &cfg,
-                    &fabric,
-                    &addr,
-                    &ctl_rx,
-                    &loop_pids,
-                    &loop_completed,
-                    journal,
-                )
-            })?;
-        Ok(Self {
-            ctl: ctl_tx,
-            thread,
-            pids,
-            submitted: 0,
-            completed,
-        })
+                let _farewell = Farewell(events.clone(), shard);
+                events.send(Event::Joined(shard));
+                let mut up = |up| events.send(Event::Up(shard, up));
+                shard_loop(&inbox, &mut up, shard, params)
+            })
+            .map_err(|e| ServeError::Spawn(e.to_string()))?;
+        self.shards[shard] = Some((tx, thread));
+        Ok(None)
     }
 
-    /// Submits a fresh job. A supervisor that has stopped takes no more;
-    /// [`Self::finish`] returns the error it stopped with.
-    pub fn submit(&mut self, spec: JobSpec) {
-        self.submitted += 1;
-        let _ = self.ctl.send(CtlMsg::Submit(spec));
+    fn send(&mut self, shard: usize, msg: Down) -> Result<bool, ServeError> {
+        Ok(self.shards[shard]
+            .as_ref()
+            .is_some_and(|(inbox, _)| inbox.send(msg).is_ok()))
     }
 
-    /// Re-submits a crash-recovered job from its journaled snapshot.
-    pub fn submit_resume(&mut self, resume: ResumeJob) {
-        self.submitted += 1;
-        let _ = self.ctl.send(CtlMsg::Resume(resume));
+    fn reap(&mut self, shard: usize) {
+        if let Some((_, thread)) = self.shards[shard].take() {
+            let _ = thread.join();
+        }
     }
 
-    /// Jobs finished so far.
-    #[must_use]
-    pub fn completed(&self) -> usize {
-        self.completed.load(Ordering::Relaxed)
-    }
-
-    /// OS pid of shard `i`'s current subprocess (None while down) — lets
-    /// the recovery tests SIGKILL one shard mid-storm.
-    #[must_use]
-    pub fn shard_pid(&self, shard: usize) -> Option<u32> {
-        let pid = self.pids.get(shard)?.load(Ordering::Relaxed);
-        (pid != 0).then_some(pid)
-    }
-
-    /// Waits for every submitted job to finish, stops the shards, and
-    /// returns the report.
-    ///
-    /// # Errors
-    ///
-    /// The [`SupervisorError`] the event loop died with, if it did.
-    pub fn finish(self) -> Result<SupervisorReport, SupervisorError> {
-        let _ = self.ctl.send(CtlMsg::Finish);
-        self.thread
-            .join()
-            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    fn stop(&mut self) -> Vec<ShardSummary> {
+        for shard in 0..self.shards.len() {
+            let _ = self.send(shard, Down::Stop);
+        }
+        let threads = self.shards.iter_mut().filter_map(Option::take);
+        threads.filter_map(|(_, t)| t.join().ok()).collect()
     }
 }
 
-/// A serving frame: `records` encoded back to back, numbered from 0, as a
-/// bytes payload.
-fn serving_frame(
-    kind: FrameKind,
-    from: u32,
-    to: u32,
-    records: &[JournalRecord],
-) -> Result<Frame, SupervisorError> {
-    let mut payload = Vec::new();
-    for (seq, record) in records.iter().enumerate() {
-        let encoded = encode_record(seq as u64, record)
-            .map_err(|e| SupervisorError::Protocol(e.to_string()))?;
-        payload.extend_from_slice(&encoded);
-    }
-    Ok(Frame::bytes(kind, from, to, payload))
+/// Process shards: the loop in a subprocess, frames over localhost TCP.
+struct Processes {
+    fabric: Fabric<Forward>,
+    addr: String,
+    bin: PathBuf,
+    params: ShardParams,
+    children: Vec<Option<Child>>,
 }
 
-/// The records of a serving frame, in order, as the journal's scanner reads
-/// them: all of them decode, or it is a protocol error.
-fn serving_records(frame: &Frame) -> Result<Vec<JournalRecord>, SupervisorError> {
-    let Payload::Bytes(bytes) = &frame.payload else {
-        return Err(SupervisorError::Protocol(format!(
-            "expected a bytes payload, got {:?}",
-            frame.payload
-        )));
-    };
-    let mut scanner = Scanner::new(bytes);
-    let records = scanner.by_ref().map(|(_, record)| record).collect();
-    match scanner.torn() {
-        None => Ok(records),
-        Some(e) => Err(SupervisorError::Protocol(e.to_string())),
+/// The fabric relay of the process link: decodes each verified frame on its
+/// reader thread and queues the report — and each connection's start and
+/// end — for the controller.
+struct Forward(Events);
+
+impl Relay for Forward {
+    fn frame(&self, _: &mut Slots, rank: usize, frame: Frame, _: usize) -> Option<HubEvent> {
+        let event = match up_of(&frame) {
+            Ok(up) => Event::Up(rank, up),
+            Err(e) => Event::Broken(rank, e),
+        };
+        self.0.send(event);
+        None
+    }
+
+    fn joined(&self, _: &mut Slots, rank: usize) {
+        self.0.send(Event::Joined(rank));
+    }
+
+    fn left(&self, _: &mut Slots, rank: usize) {
+        self.0.send(Event::Left(rank));
     }
 }
 
-/// A shard's view from the supervisor.
+impl Processes {
+    fn open(
+        shards: usize,
+        params: ShardParams,
+        spec: &ProcessShards,
+        events: Events,
+    ) -> Result<Box<dyn Link>, ServeError> {
+        let bin = spec
+            .worker_bin
+            .clone()
+            .or_else(|| std::env::current_exe().ok())
+            .ok_or_else(|| ServeError::Spawn("no worker binary".to_string()))?;
+        let io = |e: TransportError| ServeError::Io(e.to_string());
+        let fabric = Fabric::new(shards, Forward(events)).map_err(io)?;
+        let addr = fabric.addr().map_err(io)?.to_string();
+        fabric.open().map_err(io)?;
+        let children = (0..shards).map(|_| None).collect();
+        Ok(Box::new(Self {
+            fabric,
+            addr,
+            bin,
+            params,
+            children,
+        }))
+    }
+}
+
+impl Link for Processes {
+    fn start(&mut self, shard: usize) -> Result<Option<u32>, ServeError> {
+        let p = self.params;
+        let args = [
+            ("shard", shard.to_string()),
+            ("tick", p.tick_rounds.to_string()),
+            ("snapshot-every", p.snapshot_every.to_string()),
+            ("pool-cap", p.pool_cap.to_string()),
+        ];
+        let child = spawn_child(&self.bin, SHARD_WORKER_MODE, &self.addr, &args)
+            .map_err(|e| ServeError::Spawn(format!("{}: {e}", self.bin.display())))?;
+        let pid = child.id();
+        self.children[shard] = Some(child);
+        Ok(Some(pid))
+    }
+
+    fn send(&mut self, shard: usize, msg: Down) -> Result<bool, ServeError> {
+        let frame = down_frame(shard, msg).map_err(|e| ServeError::Protocol(e.to_string()))?;
+        Ok(self.fabric.send_to(shard, &frame).is_ok())
+    }
+
+    fn reap(&mut self, shard: usize) {
+        if let Some(mut child) = self.children[shard].take() {
+            child.kill().ok();
+            child.wait().ok();
+        }
+    }
+
+    fn stop(&mut self) -> Vec<ShardSummary> {
+        for shard in 0..self.children.len() {
+            let _ = self.send(shard, Down::Stop);
+        }
+        for mut child in self.children.iter_mut().filter_map(Option::take) {
+            child.wait().ok();
+        }
+        Vec::new()
+    }
+}
+
+/// A shard's view from the controller.
+#[derive(Default)]
 struct Shard {
-    child: Option<Child>,
-    /// Its `hello` reached the event loop and its connection has not ended.
+    /// Up (joined, not yet left).
     connected: bool,
     restarts: u32,
+    /// When to start it next; `None` while it runs or once it is dead.
     respawn_at: Option<Instant>,
-    /// Permanently abandoned (restart budget exhausted).
+    /// Given up for good.
     dead: bool,
 }
 
-/// One supervised job.
-struct SupJob {
+/// One job in flight.
+struct Job {
     spec: JobSpec,
     assigned: usize,
     delivered: bool,
-    done: bool,
-    /// Set while an evict request is outstanding (no double-eviction, no
-    /// redelivery race).
-    evicting: bool,
+    /// The target of an outstanding eviction request.
+    evicting: Option<usize>,
     migrations: u32,
     shard_path: Vec<usize>,
-    /// Accumulated telemetry (deltas arrive in-order on snapshot/outcome
-    /// frames, so this is exact at every snapshot point).
+    /// The job's log up to the last report that carried telemetry.
     log: String,
-    /// Last durability point, as the record that redelivers it (its `log`
-    /// stays empty: the shard needs none of the history kept here).
+    /// The durability point a delivery resumes from, its `log` left empty:
+    /// a hand-back until it lands, and a process shard's last snapshot.
     last_snap: Option<SnapshotRecord>,
+    /// The hand-back's snapshot time, until the job lands again.
+    handoff_ns: Option<u64>,
 }
 
-impl SupJob {
-    /// A fresh job, not yet delivered to `assigned`.
-    fn new(spec: JobSpec, assigned: usize) -> Self {
-        Self {
+/// The journal, as the controller files records in it.
+struct Filer {
+    journal: Option<Journal>,
+    /// Records appended since the last commit.
+    dirty: bool,
+}
+
+impl Filer {
+    fn file(&mut self, record: &JournalRecord) -> Result<(), ServeError> {
+        if let Some(journal) = &self.journal {
+            lock(journal)?
+                .append(record)
+                .map_err(|e| ServeError::Io(e.to_string()))?;
+            self.dirty = true;
+        }
+        Ok(())
+    }
+
+    fn commit(&mut self) -> Result<(), ServeError> {
+        match &self.journal {
+            Some(journal) if std::mem::take(&mut self.dirty) => Ok(lock(journal)?.commit()?),
+            _ => Ok(()),
+        }
+    }
+}
+
+struct Controller {
+    policy: MigrationPolicy,
+    process: Option<ProcessShards>,
+    shards: Vec<Shard>,
+    jobs: BTreeMap<String, Job>,
+    filer: Filer,
+    /// Some job may be waiting for delivery.
+    pending: bool,
+    draining: bool,
+    rng: FastRng,
+    /// Outcomes, in-flight peak and shard counters so far.
+    report: ServeReport,
+}
+
+/// The body of a server's controller thread: starts the shards on the link
+/// `cfg` names, serves until the handle finishes and every job is done (or
+/// a failure stops it), then stops the shards.
+pub(crate) fn controller_main(
+    cfg: ServeConfig,
+    events: Events,
+    inbox: Receiver<Event>,
+    journal: Option<Journal>,
+    tenants: &Sender<String>,
+    pids: &[AtomicU32],
+) -> ServeReport {
+    let params = ShardParams {
+        tick_rounds: cfg.tick_rounds.max(1),
+        snapshot_every: if journal.is_some() || cfg.processes.is_some() {
+            cfg.snapshot_every_ticks
+        } else {
+            0
+        },
+        pool_cap: cfg.pool_cap_per_key,
+    };
+    let link: Result<Box<dyn Link>, ServeError> = match &cfg.processes {
+        None => Ok(Box::new(Threads {
+            params,
+            events,
+            shards: (0..cfg.shards).map(|_| None).collect(),
+        })),
+        Some(spec) => Processes::open(cfg.shards, params, spec, events),
+    };
+    let mut link = match link {
+        Ok(link) => link,
+        Err(e) => {
+            return ServeReport {
+                failure: Some(e),
+                ..ServeReport::default()
+            }
+        }
+    };
+    let seed = match cfg.migration {
+        MigrationPolicy::Seeded { seed, .. } => seed,
+        _ => 0,
+    };
+    let mut controller = Controller {
+        policy: cfg.migration,
+        process: cfg.processes,
+        shards: (0..cfg.shards)
+            .map(|_| Shard {
+                respawn_at: Some(Instant::now()),
+                ..Shard::default()
+            })
+            .collect(),
+        jobs: BTreeMap::new(),
+        filer: Filer {
+            journal,
+            dirty: false,
+        },
+        pending: false,
+        draining: false,
+        rng: FastRng::new(seed, 0),
+        report: ServeReport::default(),
+    };
+    let failure = controller
+        .serve(&mut *link, &inbox, tenants, pids)
+        .and_then(|()| controller.filer.commit())
+        .err();
+    // A shard blocked on a full queue must see it close to stop.
+    drop(inbox);
+    let mut report = controller.report;
+    report.shards = link.stop();
+    for pid in pids {
+        pid.store(0, Ordering::Relaxed);
+    }
+    report.outcomes.sort_by_cached_key(|o| o.spec.name.clone());
+    report
+        .remote_outcomes
+        .sort_by_cached_key(|o| o.spec.name.clone());
+    report.failure = failure;
+    report
+}
+
+impl Controller {
+    fn serve(
+        &mut self,
+        link: &mut dyn Link,
+        inbox: &Receiver<Event>,
+        tenants: &Sender<String>,
+        pids: &[AtomicU32],
+    ) -> Result<(), ServeError> {
+        loop {
+            let now = Instant::now();
+            for (shard, state) in self.shards.iter_mut().enumerate() {
+                if state.respawn_at.is_some_and(|at| at <= now) {
+                    state.respawn_at = None;
+                    pids[shard].store(link.start(shard)?.unwrap_or(0), Ordering::Relaxed);
+                }
+            }
+            self.deliver(link)?;
+            if self.draining && self.jobs.is_empty() {
+                return Ok(());
+            }
+            // Block until something happens; wake early only for a restart.
+            let mut next = match self.shards.iter().filter_map(|s| s.respawn_at).min() {
+                Some(at) => match inbox.recv_timeout(at.saturating_duration_since(now)) {
+                    Err(RecvTimeoutError::Disconnected) => break,
+                    received => received.ok(),
+                },
+                None => Some(inbox.recv().map_err(|_| closed())?),
+            };
+            while let Some(event) = next {
+                self.on_event(event, link, tenants, pids)?;
+                next = inbox.try_recv().ok();
+            }
+            self.filer.commit()?;
+        }
+        Err(closed())
+    }
+
+    fn on_event(
+        &mut self,
+        event: Event,
+        link: &mut dyn Link,
+        tenants: &Sender<String>,
+        pids: &[AtomicU32],
+    ) -> Result<(), ServeError> {
+        match event {
+            Event::Submit(spec, snap) => self.enroll(spec, snap),
+            Event::Finish => self.draining = true,
+            Event::Joined(shard) => {
+                self.shards[shard].connected = true;
+                self.shards[shard].restarts = 0;
+                self.pending = true;
+            }
+            Event::Left(shard) => self.on_death(shard, link, pids)?,
+            Event::Broken(shard, e) => {
+                return Err(ServeError::Protocol(format!("shard {shard}: {e}")));
+            }
+            Event::Up(shard, up) => self.on_report(shard, up, link, tenants)?,
+        }
+        Ok(())
+    }
+
+    /// Jobs placed on (or moving to) `shard`.
+    fn load(&self, shard: usize) -> usize {
+        let dest = |job: &&Job| job.evicting.unwrap_or(job.assigned) == shard;
+        self.jobs.values().filter(dest).count()
+    }
+
+    fn enroll(&mut self, spec: JobSpec, mut last_snap: Option<SnapshotRecord>) {
+        let assigned = (0..self.shards.len())
+            .filter(|&i| !self.shards[i].dead)
+            .min_by_key(|&i| self.load(i))
+            .unwrap_or(0);
+        let log = last_snap.as_mut().map(|s| std::mem::take(&mut s.log));
+        let job = Job {
+            migrations: last_snap.as_ref().map_or(0, |s| s.migrations),
             spec,
             assigned,
             delivered: false,
-            done: false,
-            evicting: false,
-            migrations: 0,
+            evicting: None,
             shard_path: vec![assigned],
-            log: String::new(),
-            last_snap: None,
-        }
+            log: log.unwrap_or_default(),
+            last_snap,
+            handoff_ns: None,
+        };
+        self.jobs.insert(job.spec.name.clone(), job);
+        self.report.peak_in_flight = self.report.peak_in_flight.max(self.jobs.len());
+        self.pending = true;
     }
-}
 
-fn enroll(job: SupJob, order: &mut Vec<String>, jobs: &mut HashMap<String, SupJob>) {
-    order.push(job.spec.name.clone());
-    jobs.insert(job.spec.name.clone(), job);
-}
-
-#[allow(clippy::too_many_lines)]
-fn supervisor_main(
-    cfg: &SupervisorConfig,
-    fabric: &Fabric,
-    addr: &str,
-    ctl: &Receiver<CtlMsg>,
-    pids: &[AtomicU32],
-    completed: &AtomicUsize,
-    journal: Option<Journal>,
-) -> Result<SupervisorReport, SupervisorError> {
-    let mut shards: Vec<Shard> = (0..cfg.shards)
-        .map(|_| Shard {
-            child: None,
-            connected: false,
-            restarts: 0,
-            respawn_at: Some(Instant::now()),
-            dead: false,
-        })
-        .collect();
-    let mut jobs: HashMap<String, SupJob> = HashMap::new();
-    let mut order: Vec<String> = Vec::new();
-    let mut draining = false;
-    let mut report = SupervisorReport {
-        outcomes: Vec::new(),
-        shard_deaths: 0,
-        restarts: 0,
-        migrations: 0,
-    };
-    let mut rng = match cfg.migration {
-        MigrationPolicy::Seeded { seed, .. } => FastRng::new(seed, u64::from(DRIVER)),
-        _ => FastRng::new(0, 0),
-    };
-
-    loop {
-        // Respawn any shard whose backoff elapsed.
-        for (i, shard) in shards.iter_mut().enumerate() {
-            if shard.dead || shard.child.is_some() {
+    /// Sends every undelivered job whose shard is up: its `Submit`, then its
+    /// last `Snapshot` when it has a durability point — the records
+    /// whole-server recovery would find in a journal. Only a process shard
+    /// can be redelivered a job, so only its deliveries keep the snapshot.
+    fn deliver(&mut self, link: &mut dyn Link) -> Result<(), ServeError> {
+        if !std::mem::take(&mut self.pending) {
+            return Ok(());
+        }
+        let keep = self.process.is_some();
+        for job in self.jobs.values_mut() {
+            if job.delivered || !self.shards[job.assigned].connected {
                 continue;
             }
-            if shard.respawn_at.is_some_and(|t| t <= Instant::now()) {
-                shard.respawn_at = None;
-                let child = spawn_worker(cfg, addr, i)?;
-                pids[i].store(child.id(), Ordering::Relaxed);
-                shard.child = Some(child);
-            }
-        }
-
-        // Control-plane intake.
-        loop {
-            match ctl.try_recv() {
-                Ok(CtlMsg::Submit(spec)) => {
-                    journal_append(
-                        journal.as_ref(),
-                        &JournalRecord::Submit { spec: spec.clone() },
-                    )?;
-                    journal_commit(journal.as_ref())?;
-                    let job = SupJob::new(spec, least_loaded(&shards, &jobs));
-                    enroll(job, &mut order, &mut jobs);
-                }
-                // Journaled as submitted before the crash: no new record.
-                Ok(CtlMsg::Resume(resume)) => {
-                    let mut job = SupJob::new(resume.spec, least_loaded(&shards, &jobs));
-                    job.migrations = resume.migrations;
-                    job.log = resume.log;
-                    job.last_snap = Some(SnapshotRecord {
-                        name: job.spec.name.clone(),
-                        shard: job.assigned,
-                        migrations: resume.migrations,
-                        round: 0,
-                        tel_seq: resume.tel_seq,
-                        snapshot_json: resume.snapshot_json,
-                        log: String::new(),
-                    });
-                    enroll(job, &mut order, &mut jobs);
-                }
-                Ok(CtlMsg::Finish) => draining = true,
-                Err(_) => break,
-            }
-        }
-
-        // Deliver undelivered jobs whose shard is up.
-        for name in &order {
-            let Some(job) = jobs.get_mut(name) else {
-                continue;
+            let mut records = vec![JournalRecord::Submit {
+                spec: job.spec.clone(),
+            }];
+            let snap = if keep {
+                job.last_snap.clone()
+            } else {
+                job.last_snap.take()
             };
-            if job.done || job.delivered || job.evicting || !shards[job.assigned].connected {
-                continue;
-            }
-            // A failed write surfaces as Disconnected from the reader; the
-            // job stays undelivered and is retried after restart.
-            job.delivered = fabric.send_to(job.assigned, &deliver_frame(job)?).is_ok();
-        }
-
-        if draining && jobs.values().all(|j| j.done) {
-            break;
-        }
-
-        // Data plane: shard frames and deaths. The fabric's reader vouches
-        // for every frame's `from`.
-        match fabric.next_event_timeout(Duration::from_millis(5)) {
-            Some(HubEvent::Frame(frame)) if frame.kind == FrameKind::Hello => {
-                let shard = &mut shards[frame.from as usize];
-                shard.connected = true;
-                shard.restarts = 0;
-            }
-            Some(HubEvent::Frame(frame)) => {
-                let shard = frame.from as usize;
-                let reply = handle_shard_frame(
-                    cfg,
-                    frame,
-                    &mut shards,
-                    &mut jobs,
-                    &mut report,
-                    &mut rng,
-                    journal.as_ref(),
-                    completed,
-                )?;
-                if let Some(reply) = reply {
-                    fabric.send_to(shard, &reply).ok();
-                }
-            }
-            Some(HubEvent::Disconnected(shard)) => {
-                on_shard_death(cfg, shard, &mut shards, &mut jobs, &mut report, pids)?;
-            }
-            None => {}
-        }
-        journal_commit(journal.as_ref())?;
-    }
-
-    // Orderly shutdown: stop frames, then reap.
-    for i in 0..shards.len() {
-        fabric
-            .send_to(i, &Frame::control(FrameKind::Stop, DRIVER, i as u32))
-            .ok();
-    }
-    for (shard, pid) in shards.iter_mut().zip(pids) {
-        if let Some(mut child) = shard.child.take() {
-            child.wait().ok();
-        }
-        pid.store(0, Ordering::Relaxed);
-    }
-    journal_commit(journal.as_ref())?;
-    report
-        .outcomes
-        .sort_by(|a, b| a.spec.name.cmp(&b.spec.name));
-    Ok(report)
-}
-
-fn least_loaded(shards: &[Shard], jobs: &HashMap<String, SupJob>) -> usize {
-    (0..shards.len())
-        .filter(|&i| !shards[i].dead)
-        .min_by_key(|&i| jobs_len(jobs, i))
-        .unwrap_or(0)
-}
-
-/// The submit frame (re)delivering `job` to its assigned shard: its
-/// `Submit` record, then its last `Snapshot` when a durability point exists
-/// — the two records whole-server recovery would find in a journal.
-fn deliver_frame(job: &SupJob) -> Result<Frame, SupervisorError> {
-    let mut records = vec![JournalRecord::Submit {
-        spec: job.spec.clone(),
-    }];
-    if let Some(snap) = &job.last_snap {
-        records.push(JournalRecord::Snapshot(SnapshotRecord {
-            shard: job.assigned,
-            migrations: job.migrations,
-            ..snap.clone()
-        }));
-    }
-    serving_frame(FrameKind::Submit, DRIVER, job.assigned as u32, &records)
-}
-
-/// Files one frame from shard `frame.from`; returns the eviction request
-/// to send it, if the migration policy asks for one.
-#[allow(clippy::too_many_arguments)]
-fn handle_shard_frame(
-    cfg: &SupervisorConfig,
-    frame: Frame,
-    shards: &mut [Shard],
-    jobs: &mut HashMap<String, SupJob>,
-    report: &mut SupervisorReport,
-    rng: &mut FastRng,
-    journal: Option<&Journal>,
-    completed: &AtomicUsize,
-) -> Result<Option<Frame>, SupervisorError> {
-    let shard = frame.from as usize;
-    match frame.kind {
-        FrameKind::Snapshot => {
-            // One `Snapshot` record; a `Migrate` before it marks a hand-back.
-            let mut records = serving_records(&frame)?;
-            let Some(JournalRecord::Snapshot(push)) = records.pop() else {
-                return Err(SupervisorError::Protocol(
-                    "a snapshot frame ends in a snapshot record".to_string(),
-                ));
-            };
-            let evicted = matches!(records.pop(), Some(JournalRecord::Migrate { .. }));
-            let name = push.name.clone();
-            let Some(job) = jobs
-                .get_mut(&name)
-                .filter(|job| !job.done && job.assigned == shard)
-            else {
-                return Ok(None); // stale frame from a job already reassigned
-            };
-            job.log.push_str(&push.log);
-            job.migrations = push.migrations;
-            if journal.is_some() {
-                let spliced = JournalRecord::Snapshot(SnapshotRecord {
-                    name: name.clone(),
+            if let Some(snap) = snap {
+                let (shard, migrations) = (job.assigned, job.migrations);
+                records.push(JournalRecord::Snapshot(SnapshotRecord {
                     shard,
-                    migrations: push.migrations,
-                    round: push.round,
-                    tel_seq: push.tel_seq,
-                    snapshot_json: push.snapshot_json.clone(),
-                    log: job.log.clone(),
-                });
-                journal_append(journal, &spliced)?;
+                    migrations,
+                    ..snap
+                }));
             }
-            job.last_snap = Some(SnapshotRecord {
-                log: String::new(),
+            // A failed send is followed by the shard's death, which
+            // redelivers.
+            job.delivered = link.send(job.assigned, Down::Deliver(records, job.handoff_ns))?;
+            if job.delivered {
+                job.handoff_ns = None;
+            }
+        }
+        Ok(())
+    }
+
+    /// Files one report from `shard`. Reports about a job the shard no
+    /// longer hosts are stale and dropped.
+    fn on_report(
+        &mut self,
+        shard: usize,
+        up: Up,
+        link: &mut dyn Link,
+        tenants: &Sender<String>,
+    ) -> Result<(), ServeError> {
+        let name = match &up {
+            Up::Tick(name) => name,
+            Up::Snapshot(s, _) => &s.name,
+            Up::Done(o, _) => &o.name,
+        }
+        .clone();
+        let Some(job) = self.jobs.get_mut(&name) else {
+            return Ok(());
+        };
+        if job.assigned != shard || !job.delivered {
+            return Ok(());
+        }
+        let (push, handoff_ns) = match up {
+            Up::Tick(_) => (None, None),
+            Up::Snapshot(push, handoff_ns) => (Some(push), handoff_ns),
+            Up::Done(done, report) => return self.complete(&name, done, report, tenants),
+        };
+        if let Some(mut push) = push {
+            // The pushed delta extends the job's log; the checkpoint is
+            // journaled with the whole log so far, the rollback point.
+            job.log.push_str(&push.log);
+            push.log = std::mem::take(&mut job.log);
+            let migrations = job.migrations;
+            let record = JournalRecord::Snapshot(SnapshotRecord {
+                shard,
+                migrations,
                 ..push
             });
-            if evicted {
-                // The shard dropped the job; restore it elsewhere (or back
-                // on `shard` when it is the only one left alive).
-                report.migrations += 1;
-                let target = pick_other_shard(shards, shard);
-                if let Some(to) = target {
-                    let moved = JournalRecord::Migrate {
-                        name,
-                        from: shard,
-                        to,
-                    };
-                    journal_append(journal, &moved)?;
+            self.filer.file(&record)?;
+            if let JournalRecord::Snapshot(mut snap) = record {
+                job.log = std::mem::take(&mut snap.log);
+                if handoff_ns.is_some() || self.process.is_some() {
+                    job.last_snap = Some(snap);
                 }
-                job.evicting = false;
-                job.delivered = false;
-                job.migrations += 1;
-                if let Some(target) = target {
-                    job.assigned = target;
-                    job.shard_path.push(target);
-                }
-                return Ok(None);
             }
-            if job.evicting || !wants_eviction(cfg, shards, jobs, shard, rng) {
-                return Ok(None);
-            }
-            if let Some(job) = jobs.get_mut(&name) {
-                job.evicting = true;
-            }
-            // The target is picked at the hand-back, so the request's `to`
-            // says nothing yet.
-            let request = serving_frame(
-                FrameKind::Snapshot,
-                DRIVER,
-                shard as u32,
-                &[JournalRecord::Migrate {
-                    name,
-                    from: shard,
-                    to: shard,
-                }],
-            )?;
-            Ok(Some(request))
         }
-        FrameKind::Outcome => {
-            let mut records = serving_records(&frame)?;
-            let Some(JournalRecord::Outcome(done)) = records.pop().filter(|_| records.is_empty())
-            else {
-                return Err(SupervisorError::Protocol(
-                    "an outcome frame carries exactly one outcome record".to_string(),
-                ));
-            };
-            let Some(job) = jobs
-                .get_mut(&done.name)
-                .filter(|job| !job.done && job.assigned == shard)
-            else {
-                return Ok(None);
-            };
-            job.log.push_str(&done.log);
-            job.done = true;
-            job.migrations = done.migrations;
-            let outcome = RecoveredOutcome {
-                spec: job.spec.clone(),
-                report_debug: done.report_debug,
-                log: job.log.clone(),
-                migrations: job.migrations,
-                shard_path: job.shard_path.clone(),
-            };
-            if journal.is_some() {
-                let spliced = JournalRecord::Outcome(OutcomeRecord {
-                    name: done.name,
-                    migrations: outcome.migrations,
-                    shard_path: outcome.shard_path.clone(),
-                    report_debug: outcome.report_debug.clone(),
-                    log: outcome.log.clone(),
-                });
-                journal_append(journal, &spliced)?;
-            }
-            report.outcomes.push(outcome);
-            completed.fetch_add(1, Ordering::Relaxed);
-            Ok(None)
-        }
-        FrameKind::Hello | FrameKind::Telem => Ok(None),
-        other => Err(SupervisorError::Protocol(format!(
-            "unexpected {other:?} frame from shard {shard}"
-        ))),
-    }
-}
-
-fn jobs_len(jobs: &HashMap<String, SupJob>, shard: usize) -> usize {
-    jobs.values()
-        .filter(|j| !j.done && j.assigned == shard)
-        .count()
-}
-
-fn pick_other_shard(shards: &[Shard], not: usize) -> Option<usize> {
-    (0..shards.len()).find(|&i| i != not && !shards[i].dead)
-}
-
-/// Supervisor-side migration policy: should the job whose periodic
-/// snapshot just landed on `shard` be evicted? Evaluated only at
-/// snapshot arrivals — the one moment a job is known to have a fresh
-/// durability point, which is exactly what the eviction hand-off ships.
-fn wants_eviction(
-    cfg: &SupervisorConfig,
-    shards: &[Shard],
-    jobs: &HashMap<String, SupJob>,
-    shard: usize,
-    rng: &mut FastRng,
-) -> bool {
-    if shards.iter().filter(|s| !s.dead).count() < 2 {
-        return false;
-    }
-    match cfg.migration {
-        MigrationPolicy::None => false,
-        MigrationPolicy::LoadBalance { skew } => {
-            let min_other = (0..shards.len())
-                .filter(|&i| i != shard && !shards[i].dead)
-                .map(|i| jobs_len(jobs, i))
-                .min()
-                .unwrap_or(0);
-            jobs_len(jobs, shard) >= min_other + skew.max(1)
-        }
-        MigrationPolicy::Seeded { per_mille, .. } => rng.next_range(1000) < u64::from(per_mille),
-    }
-}
-
-fn on_shard_death(
-    cfg: &SupervisorConfig,
-    shard: usize,
-    shards: &mut [Shard],
-    jobs: &mut HashMap<String, SupJob>,
-    report: &mut SupervisorReport,
-    pids: &[AtomicU32],
-) -> Result<(), SupervisorError> {
-    let s = &mut shards[shard];
-    if !s.connected && s.child.is_none() {
-        return Ok(()); // duplicate signal
-    }
-    s.connected = false;
-    if let Some(mut child) = s.child.take() {
-        child.kill().ok();
-        child.wait().ok();
-    }
-    pids[shard].store(0, Ordering::Relaxed);
-    report.shard_deaths += 1;
-
-    // Roll every resident job back to its last pushed snapshot. Deltas
-    // ride only on snapshot/outcome frames, so the accumulated log is
-    // already exactly the log at that snapshot — nothing to unwind.
-    for job in jobs.values_mut() {
-        if !job.done && job.assigned == shard {
+        if let Some(snapshot_ns) = handoff_ns {
+            // Handed back: land it on the target — elsewhere, or back here
+            // when no other shard is alive.
+            let live = |i: &usize| !self.shards[*i].dead;
+            let to = (job.evicting.take().filter(live))
+                .or_else(|| (0..self.shards.len()).filter(live).find(|&i| i != shard))
+                .unwrap_or(shard);
+            let (from, name) = (shard, name.clone());
+            self.filer
+                .file(&JournalRecord::Migrate { name, from, to })?;
+            job.migrations += 1;
+            job.assigned = to;
+            job.shard_path.push(to);
             job.delivered = false;
-            job.evicting = false;
+            job.handoff_ns = Some(snapshot_ns);
+            self.pending = true;
+            return Ok(());
         }
+        // A tick boundary of a job that stays put: the one place migration
+        // is decided.
+        if job.evicting.is_some() {
+            return Ok(());
+        }
+        if let Some(to) = self.migration_target(shard) {
+            if let Some(job) = self.jobs.get_mut(&name) {
+                job.evicting = Some(to);
+            }
+            link.send(shard, Down::Evict(name))?;
+        }
+        Ok(())
     }
 
-    if shards[shard].restarts >= cfg.max_restarts_per_shard {
-        shards[shard].dead = true;
-        let Some(target) = pick_other_shard(shards, shard) else {
-            return Err(SupervisorError::ShardUnrecoverable {
-                shard,
-                restarts: shards[shard].restarts,
-            });
+    fn complete(
+        &mut self,
+        name: &str,
+        done: OutcomeRecord,
+        report: Option<Box<TrainReport>>,
+        tenants: &Sender<String>,
+    ) -> Result<(), ServeError> {
+        let Some(mut job) = self.jobs.remove(name) else {
+            return Ok(());
         };
-        for job in jobs.values_mut() {
-            if !job.done && job.assigned == shard {
-                job.assigned = target;
-                job.shard_path.push(target);
+        job.log.push_str(&done.log);
+        let record = JournalRecord::Outcome(OutcomeRecord {
+            migrations: job.migrations,
+            shard_path: job.shard_path,
+            log: job.log,
+            ..done
+        });
+        self.filer.file(&record)?;
+        let _ = tenants.send(job.spec.tenant.clone());
+        let JournalRecord::Outcome(done) = record else {
+            return Ok(());
+        };
+        match report {
+            Some(report) => self.report.outcomes.push(JobOutcome {
+                spec: job.spec,
+                report: *report,
+                log: done.log,
+                shard_path: done.shard_path,
+                migrations: done.migrations,
+            }),
+            None => self.report.remote_outcomes.push(RecoveredOutcome {
+                spec: job.spec,
+                report_debug: done.report_debug,
+                log: done.log,
+                migrations: done.migrations,
+                shard_path: done.shard_path,
+            }),
+        }
+        Ok(())
+    }
+
+    /// Where the [`MigrationPolicy`] moves a job that just ended a tick on
+    /// `from`, if anywhere.
+    fn migration_target(&mut self, from: usize) -> Option<usize> {
+        let shards = &self.shards;
+        let others = || (0..shards.len()).filter(move |&i| i != from && !shards[i].dead);
+        match self.policy {
+            MigrationPolicy::None => None,
+            MigrationPolicy::LoadBalance { skew } => {
+                let (to, min_load) = others()
+                    .map(|i| (i, self.load(i)))
+                    .min_by_key(|&(_, l)| l)?;
+                (self.load(from) >= min_load + skew.max(1)).then_some(to)
+            }
+            MigrationPolicy::Seeded { per_mille, .. } => {
+                let count = others().count() as u64;
+                if count == 0 || self.rng.next_range(1000) >= u64::from(per_mille) {
+                    return None;
+                }
+                let pick = self.rng.next_range(count) as usize;
+                others().nth(pick)
             }
         }
-        return Ok(());
     }
-    let exp = shards[shard].restarts.min(16);
-    let delay = cfg
-        .backoff_base_ms
-        .saturating_mul(1u64 << exp)
-        .min(cfg.backoff_cap_ms);
-    shards[shard].restarts += 1;
-    report.restarts += 1;
-    shards[shard].respawn_at = Some(Instant::now() + Duration::from_millis(delay));
-    Ok(())
+
+    /// A thread shard's death is a panic — a bug no redelivery can fix —
+    /// and stops the server. A process shard is restarted with backoff, or
+    /// once out of restarts given up, its jobs going to a live peer; either
+    /// way they are redelivered from their last snapshots, whose logs are
+    /// the logs at those points.
+    fn on_death(
+        &mut self,
+        shard: usize,
+        link: &mut dyn Link,
+        pids: &[AtomicU32],
+    ) -> Result<(), ServeError> {
+        if !self.shards[shard].connected {
+            return Ok(());
+        }
+        self.shards[shard].connected = false;
+        link.reap(shard);
+        pids[shard].store(0, Ordering::Relaxed);
+        self.report.shard_deaths += 1;
+        let restarts = self.shards[shard].restarts;
+        let Some(process) = &self.process else {
+            return Err(ServeError::ShardUnrecoverable { shard, restarts });
+        };
+        for job in self.jobs.values_mut().filter(|job| job.assigned == shard) {
+            job.delivered = false;
+            job.evicting = None;
+        }
+        self.pending = true;
+        if restarts < process.max_restarts_per_shard {
+            let delay = process
+                .backoff_base_ms
+                .saturating_mul(1 << restarts.min(16));
+            let delay = Duration::from_millis(delay.min(BACKOFF_CAP_MS));
+            self.shards[shard].restarts += 1;
+            self.shards[shard].respawn_at = Some(Instant::now() + delay);
+            self.report.restarts += 1;
+            return Ok(());
+        }
+        self.shards[shard].dead = true;
+        let target = (0..self.shards.len())
+            .find(|&i| !self.shards[i].dead)
+            .ok_or(ServeError::ShardUnrecoverable { shard, restarts })?;
+        for job in self.jobs.values_mut().filter(|job| job.assigned == shard) {
+            job.assigned = target;
+            job.shard_path.push(target);
+        }
+        Ok(())
+    }
 }
 
-fn spawn_worker(
-    cfg: &SupervisorConfig,
-    addr: &str,
+fn closed() -> ServeError {
+    ServeError::Io("the controller's event queue closed".to_string())
+}
+
+/// A job resident on a shard.
+struct ActiveJob {
+    spec: JobSpec,
+    state: TrainerState,
+    tel: Telemetry,
+    /// Telemetry drained since the last report that carried any.
+    log: String,
+    migrations: u32,
+    /// Ticks since the last snapshot (periodic-snapshot cadence).
+    ticks_since_snap: usize,
+    /// The controller asked for it back.
+    evict: bool,
+}
+
+/// The one shard body: takes messages from `inbox` (blocking when it has
+/// nothing to run), runs its jobs one tick each in rotation, and reports
+/// every tick boundary through `up`. Returns when told to stop, when the
+/// controller is gone (`inbox` closed, or `up` failing), or when a
+/// delivered snapshot does not parse — the controller then treats the shard
+/// as dead — with the shard's accounting.
+fn shard_loop(
+    inbox: &Receiver<Down>,
+    up: &mut dyn FnMut(Up) -> bool,
     shard: usize,
-) -> Result<Child, SupervisorError> {
-    let bin = cfg
-        .worker_bin
-        .clone()
-        .or_else(|| std::env::current_exe().ok())
-        .ok_or_else(|| SupervisorError::Spawn("no worker binary".to_string()))?;
-    let args = [
-        ("shard", shard.to_string()),
-        ("tick", cfg.tick_rounds.to_string()),
-        ("snapshot-every", cfg.snapshot_every_ticks.to_string()),
-    ];
-    spawn_child(&bin, SHARD_WORKER_MODE, addr, &args)
-        .map_err(|e| SupervisorError::Spawn(format!("{}: {e}", bin.display())))
+    p: ShardParams,
+) -> ShardSummary {
+    let mut pool = WorkspacePool::new(p.pool_cap);
+    let mut jobs: VecDeque<ActiveJob> = VecDeque::new();
+    let mut summary = ShardSummary {
+        shard,
+        ..ShardSummary::default()
+    };
+    'serve: loop {
+        // Everything that has arrived; with nothing to run, wait for more.
+        loop {
+            let msg = if jobs.is_empty() {
+                inbox.recv().ok()
+            } else {
+                match inbox.try_recv() {
+                    Err(TryRecvError::Empty) => break,
+                    received => received.ok(),
+                }
+            };
+            match msg {
+                None | Some(Down::Stop) => break 'serve,
+                // A delivered job is a one- or two-record journal: fold it
+                // and land it exactly as whole-server recovery would.
+                Some(Down::Deliver(records, handoff_ns)) => {
+                    let plan = records.into_iter().collect::<ReplayState>().plan();
+                    let landings = (plan.fresh.into_iter().map(|spec| (spec, None)))
+                        .chain(plan.resumes.into_iter().map(|r| (r.spec.clone(), Some(r))));
+                    for (spec, resume) in landings {
+                        let t0 = Instant::now();
+                        let bytes = resume.as_ref().map(|r| r.snapshot_json.len());
+                        let Some(job) = land(spec, resume, &mut pool) else {
+                            break 'serve;
+                        };
+                        jobs.push_back(job);
+                        if let (Some(snapshot_ns), Some(snapshot_bytes)) = (handoff_ns, bytes) {
+                            let restore_ns = t0.elapsed().as_nanos() as u64;
+                            summary.migrations_in.push(MigrationSample {
+                                snapshot_ns,
+                                restore_ns,
+                                snapshot_bytes,
+                            });
+                        }
+                    }
+                }
+                Some(Down::Evict(name)) => {
+                    if let Some(job) = jobs.iter_mut().find(|job| job.spec.name == name) {
+                        job.evict = true;
+                    }
+                }
+            }
+            summary.idle_wakeups += u64::from(jobs.is_empty());
+        }
+        let Some(mut job) = jobs.pop_front() else {
+            continue;
+        };
+        let key = WorkspaceKey::new(job.state.model_dim(), job.spec.topology);
+
+        // Eviction requested: snapshot at this tick boundary and hand the
+        // job back instead of running it further. The workspace stays in
+        // this shard's pool; the snapshot carries all live state.
+        if job.evict {
+            if let Some(handle) = job.state.release_workspace() {
+                pool.checkin(key, handle);
+            }
+            let t0 = Instant::now();
+            let log = std::mem::take(&mut job.log);
+            let record = snapshot_record(&mut job, shard, log);
+            if !up(Up::Snapshot(record, Some(t0.elapsed().as_nanos() as u64))) {
+                break;
+            }
+            continue;
+        }
+
+        // One tick: a burst of rounds, preemptible only at its end.
+        let mut ran = 0;
+        while ran < p.tick_rounds && !job.state.is_done() {
+            let t0 = Instant::now();
+            job.state.step();
+            summary.round_ns.push(t0.elapsed().as_nanos() as u64);
+            ran += 1;
+        }
+        summary.ticks += 1;
+        // Batched telemetry: one sink flush per tick, not per round.
+        job.tel.drain_events_jsonl_into(&mut job.log);
+        job.ticks_since_snap += 1;
+
+        let report = if job.state.is_done() {
+            if let Some(handle) = job.state.release_workspace() {
+                pool.checkin(key, handle);
+            }
+            let report = job.state.finish();
+            job.tel.drain_events_jsonl_into(&mut job.log);
+            let outcome = OutcomeRecord {
+                name: job.spec.name,
+                migrations: job.migrations,
+                shard_path: Vec::new(), // the controller's to know
+                report_debug: report_fingerprint(&report),
+                log: job.log,
+            };
+            if !up(Up::Done(outcome, Some(Box::new(report)))) {
+                break;
+            }
+            continue;
+        } else if p.snapshot_every > 0 && job.ticks_since_snap >= p.snapshot_every {
+            // Snapshotting mid-run is bit-invisible (`TrainerState::snapshot`
+            // materializes pending state exactly as the next step would).
+            let log = std::mem::take(&mut job.log);
+            Up::Snapshot(snapshot_record(&mut job, shard, log), None)
+        } else {
+            Up::Tick(job.spec.name.clone())
+        };
+        jobs.push_back(job);
+        if !up(report) {
+            break;
+        }
+    }
+    summary.pool = pool.stats();
+    summary
 }
 
-fn journal_append(
-    journal: Option<&Journal>,
-    record: &JournalRecord,
-) -> Result<(), SupervisorError> {
-    match journal {
-        Some(journal) => lock(journal)?
-            .append(record)
-            .map_err(|e| SupervisorError::Io(e.to_string())),
-        None => Ok(()),
+/// Captures `job` at this tick boundary as the record that resumes it
+/// bit-exactly anywhere, carrying `log`, what it logged since its last
+/// report that carried telemetry.
+fn snapshot_record(job: &mut ActiveJob, shard: usize, log: String) -> SnapshotRecord {
+    let snapshot = job.state.snapshot();
+    job.ticks_since_snap = 0;
+    SnapshotRecord {
+        name: job.spec.name.clone(),
+        shard,
+        migrations: job.migrations,
+        round: snapshot.round,
+        tel_seq: job.tel.seq_floor(),
+        snapshot_json: snapshot.to_json(),
+        log,
     }
 }
 
-fn journal_commit(journal: Option<&Journal>) -> Result<(), SupervisorError> {
-    match journal {
-        Some(journal) => Ok(lock(journal)?.commit()?),
-        None => Ok(()),
+/// Builds a job — fresh, or from a snapshot: a migration landing, a
+/// redelivery after a shard death, or crash recovery — adopting a pooled
+/// workspace when one fits. A restored job records on a fresh telemetry
+/// sink with the snapshot's sequence floor, so the hop events of its
+/// resumed rounds continue the absolute numbering and the concatenated log
+/// stays byte-identical to an uninterrupted run. `None` when the snapshot
+/// does not parse.
+fn land(spec: JobSpec, resume: Option<ResumeJob>, pool: &mut WorkspacePool) -> Option<ActiveJob> {
+    let tel = Telemetry::recording();
+    if let Some(resume) = &resume {
+        tel.restore_seq_floor(resume.tel_seq);
     }
+    let cfg = spec.to_train_config(tel.clone());
+    let (mut state, log, migrations) = match resume {
+        None => (TrainerState::new(&cfg), String::new(), 0),
+        Some(resume) => {
+            let snapshot = TrainSnapshot::from_json(&resume.snapshot_json).ok()?;
+            let state = TrainerState::restore(&cfg, &snapshot);
+            (state, resume.log, resume.migrations)
+        }
+    };
+    if let Some(handle) = pool.checkout(WorkspaceKey::new(state.model_dim(), spec.topology)) {
+        state.adopt_workspace(handle);
+    }
+    Some(ActiveJob {
+        spec,
+        state,
+        tel,
+        log,
+        migrations,
+        ticks_since_snap: 0,
+        evict: false,
+    })
 }
-
-/// A journal whose writer panicked mid-append may hold half a record: the
-/// supervisor stops rather than write after it.
-fn lock(journal: &Journal) -> Result<MutexGuard<'_, JournalWriter>, SupervisorError> {
-    journal
-        .lock()
-        .map_err(|_| SupervisorError::Io("a journal writer panicked".to_string()))
-}
-
-// ---------------------------------------------------------------------------
-// The shard-worker side (runs inside the subprocess).
-// ---------------------------------------------------------------------------
 
 /// The shard-worker entry point: the body of `marsit_serve --shard-worker`,
 /// handed the argv after that flag. Refuses a missing or malformed
-/// `--shard`, `--tick` or `--snapshot-every` before it connects; then
-/// connects to the supervisor, runs submitted jobs tick-by-tick, pushes
-/// periodic snapshot frames and final outcomes, and exits the moment the
-/// supervisor socket reaches EOF (no orphans after a supervisor
-/// `kill -9`). Returns the process exit code.
+/// `--shard`, `--tick`, `--snapshot-every` or `--pool-cap` before it
+/// connects; then runs the shard loop behind the TCP link and exits the
+/// moment the controller's socket reaches EOF (no orphans after a server
+/// `kill -9`). Returns the process exit code: 1 when the controller sent a
+/// frame the protocol does not allow.
 ///
 /// # Errors
 ///
@@ -833,163 +996,138 @@ fn lock(journal: &Journal) -> Result<MutexGuard<'_, JournalWriter>, SupervisorEr
 pub fn shard_worker_main(argv: &[String]) -> Result<i32, ArgError> {
     let args = ChildArgs::parse(argv)?;
     let shard = args.get("shard")?;
-    let tick_rounds: usize = args.get("tick")?;
-    let snapshot_every_ticks = args.get("snapshot-every")?;
+    let params = ShardParams {
+        tick_rounds: args.get::<usize>("tick")?.max(1),
+        snapshot_every: args.get("snapshot-every")?,
+        pool_cap: args.get("pool-cap")?,
+    };
     let Ok((mut reader, mut stream)) = connect_as(args.addr(), shard) else {
         return Ok(1);
     };
-    // Blocking reads on a thread of their own; the channel closing (EOF, a
-    // torn or foreign frame) is "supervisor gone".
-    let (tx, rx) = std::sync::mpsc::channel();
+    // Blocking reads on a thread of their own; the inbox closing (EOF, a
+    // torn or foreign frame) is "controller gone".
+    let (tx, inbox) = std::sync::mpsc::channel();
     let reader = std::thread::spawn(move || {
         while let Ok(Some((frame, _))) = read_frame(&mut reader) {
-            if tx.send(frame).is_err() {
-                return;
+            let Ok(msg) = down_of(&frame) else {
+                return false;
+            };
+            if tx.send(msg).is_err() {
+                break;
             }
         }
+        true
     });
-    let code = shard_worker_loop(
-        &mut stream,
-        &rx,
-        shard,
-        tick_rounds.max(1),
-        snapshot_every_ticks,
-    );
+    let mut up = |up| up_frame(shard, up).is_ok_and(|f| write_frame(&mut stream, &f).is_ok());
+    shard_loop(&inbox, &mut up, shard, params);
     // Unblocks the reader's pending read so the join cannot hang.
     stream.shutdown(Shutdown::Both).ok();
-    reader.join().ok();
-    Ok(code)
+    Ok(if reader.join().unwrap_or(false) { 0 } else { 1 })
 }
 
-fn shard_worker_loop(
-    stream: &mut TcpStream,
-    frames: &Receiver<Frame>,
-    shard: usize,
-    tick_rounds: usize,
-    snapshot_every_ticks: usize,
-) -> i32 {
-    let mut jobs: VecDeque<ActiveJob> = VecDeque::new();
-    let mut evict_requests: Vec<String> = Vec::new();
-    // Workspaces die with their job here: nothing is ever checked in.
-    let mut pool = WorkspacePool::new(0);
-    let mut push = |kind: FrameKind, records: &[JournalRecord]| {
-        serving_frame(kind, shard as u32, DRIVER, records)
-            .is_ok_and(|frame| write_frame(stream, &frame).is_ok())
+/// A serving frame of the TCP link: `records` encoded back to back, numbered from 0, as a
+/// bytes payload.
+fn serving_frame(
+    kind: FrameKind,
+    from: u32,
+    to: u32,
+    records: &[JournalRecord],
+) -> Result<Frame, JournalError> {
+    let mut payload = Vec::new();
+    for (seq, record) in records.iter().enumerate() {
+        payload.extend_from_slice(&encode_record(seq as u64, record)?);
+    }
+    Ok(Frame::bytes(kind, from, to, payload))
+}
+
+/// The records of a serving frame, in order, as the journal's scanner reads
+/// them: all of them decode, or it is a protocol error.
+fn serving_records(frame: &Frame) -> Result<Vec<JournalRecord>, String> {
+    let Payload::Bytes(bytes) = &frame.payload else {
+        return Err(format!("expected a bytes payload, got {:?}", frame.payload));
     };
+    let mut scanner = Scanner::new(bytes);
+    let records = scanner.by_ref().map(|(_, record)| record).collect();
+    match scanner.torn() {
+        None => Ok(records),
+        Some(e) => Err(e.to_string()),
+    }
+}
 
-    loop {
-        // Frame intake: everything that has arrived; with nothing to run,
-        // wait for the next one.
-        loop {
-            let frame = if jobs.is_empty() {
-                match frames.recv() {
-                    Ok(frame) => frame,
-                    Err(_) => return 0, // supervisor gone: exit immediately
-                }
-            } else {
-                match frames.try_recv() {
-                    Ok(frame) => frame,
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => return 0,
-                }
-            };
-            match frame.kind {
-                FrameKind::Stop => return 0,
-                // A delivered job is a one- or two-record journal: fold it
-                // and land it exactly as whole-server recovery would.
-                FrameKind::Submit => {
-                    let Ok(records) = serving_records(&frame) else {
-                        return 1;
-                    };
-                    let plan = records.into_iter().collect::<ReplayState>().plan();
-                    for spec in plan.fresh {
-                        jobs.push_back(admit(spec, shard, &mut pool));
-                    }
-                    for resume in plan.resumes {
-                        jobs.push_back(land_restore(resume, shard, &mut pool));
-                    }
-                }
-                FrameKind::Snapshot => {
-                    let Ok(records) = serving_records(&frame) else {
-                        return 1;
-                    };
-                    for record in records {
-                        if let JournalRecord::Migrate { name, .. } = record {
-                            evict_requests.push(name);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        let Some(mut job) = jobs.pop_front() else {
-            continue;
-        };
+/// A move of `name` from `shard` to itself: on the wire, a tick report
+/// (shard → controller) or an eviction request (controller → shard).
+fn stay(name: String, shard: usize) -> JournalRecord {
+    let (from, to) = (shard, shard);
+    JournalRecord::Migrate { name, from, to }
+}
 
-        // Eviction requested: snapshot at this tick boundary and hand the
-        // job back instead of running it further. Telemetry deltas ride
-        // only on the records pushed here and below — see the module docs.
-        if let Some(pos) = evict_requests.iter().position(|n| *n == job.spec.name) {
-            evict_requests.remove(pos);
-            let migrate = JournalRecord::Migrate {
-                name: job.spec.name.clone(),
-                from: shard,
-                to: shard,
-            };
-            let log = std::mem::take(&mut job.log);
-            let snapshot = snapshot_record(&mut job, shard, log);
-            if !push(FrameKind::Snapshot, &[migrate, snapshot]) {
-                return 0;
-            }
-            continue; // job dropped: it now lives in the snapshot
-        }
+/// A report as a frame: a `snapshot` frame of `[stay]` (tick), `[Snapshot]`
+/// (durability point) or `[stay, Snapshot]` (hand-back), or an `outcome`
+/// frame of one `Outcome` record.
+fn up_frame(shard: usize, up: Up) -> Result<Frame, JournalError> {
+    let (kind, records) = match up {
+        Up::Tick(name) => (FrameKind::Snapshot, vec![stay(name, shard)]),
+        Up::Snapshot(s, None) => (FrameKind::Snapshot, vec![JournalRecord::Snapshot(s)]),
+        Up::Snapshot(s, Some(_)) => (
+            FrameKind::Snapshot,
+            vec![stay(s.name.clone(), shard), JournalRecord::Snapshot(s)],
+        ),
+        Up::Done(o, _) => (FrameKind::Outcome, vec![JournalRecord::Outcome(o)]),
+    };
+    serving_frame(kind, shard as u32, DRIVER, &records)
+}
 
-        // One tick.
-        let mut ran = 0;
-        while ran < tick_rounds && !job.state.is_done() {
-            job.state.step();
-            ran += 1;
+fn up_of(frame: &Frame) -> Result<Up, String> {
+    use JournalRecord::{Migrate, Outcome, Snapshot};
+    let mut records = serving_records(frame)?;
+    let (last, first) = (records.pop(), records.pop());
+    Ok(match (frame.kind, first, last, records.is_empty()) {
+        (FrameKind::Snapshot, None, Some(Migrate { name, .. }), _) => Up::Tick(name),
+        (FrameKind::Snapshot, None, Some(Snapshot(s)), _) => Up::Snapshot(s, None),
+        (FrameKind::Snapshot, Some(Migrate { .. }), Some(Snapshot(s)), true) => {
+            Up::Snapshot(s, Some(0))
         }
-        job.tel.drain_events_jsonl_into(&mut job.log);
-        job.ticks_since_snap += 1;
+        (FrameKind::Outcome, None, Some(Outcome(o)), _) => Up::Done(o, None),
+        (kind, ..) => return Err(format!("a {kind:?} frame that is not a shard report")),
+    })
+}
 
-        if job.state.is_done() {
-            let report = job.state.finish();
-            job.tel.drain_events_jsonl_into(&mut job.log);
-            let outcome = JournalRecord::Outcome(OutcomeRecord {
-                name: job.spec.name,
-                migrations: job.migrations,
-                shard_path: Vec::new(), // the supervisor's to know
-                report_debug: report_fingerprint(&report),
-                log: job.log,
-            });
-            if !push(FrameKind::Outcome, &[outcome]) {
-                return 0;
-            }
-            continue;
-        }
-        if snapshot_every_ticks > 0 && job.ticks_since_snap >= snapshot_every_ticks {
-            let log = std::mem::take(&mut job.log);
-            let snapshot = snapshot_record(&mut job, shard, log);
-            if !push(FrameKind::Snapshot, &[snapshot]) {
-                return 0;
-            }
-        }
-        jobs.push_back(job);
+/// A controller message as a frame: `submit` (the delivered records),
+/// `snapshot` of `[stay]` (eviction request) or `stop`.
+fn down_frame(shard: usize, msg: Down) -> Result<Frame, JournalError> {
+    let to = shard as u32;
+    match msg {
+        Down::Deliver(records, _) => serving_frame(FrameKind::Submit, DRIVER, to, &records),
+        Down::Evict(name) => serving_frame(FrameKind::Snapshot, DRIVER, to, &[stay(name, shard)]),
+        Down::Stop => Ok(Frame::control(FrameKind::Stop, DRIVER, to)),
+    }
+}
+
+fn down_of(frame: &Frame) -> Result<Down, String> {
+    match frame.kind {
+        FrameKind::Stop => Ok(Down::Stop),
+        FrameKind::Submit => Ok(Down::Deliver(serving_records(frame)?, None)),
+        FrameKind::Snapshot => match serving_records(frame)?.as_mut_slice() {
+            [JournalRecord::Migrate { name, .. }] => Ok(Down::Evict(std::mem::take(name))),
+            _ => Err("an eviction request is one migrate record".to_string()),
+        },
+        kind => Err(format!("a {kind:?} frame is not a controller message")),
     }
 }
 
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
+    use crate::scheduler::JobServer;
     use marsit_models::Workload;
     use marsit_simnet::Topology;
     use std::io::Read as _;
+    use std::net::TcpStream;
     use std::os::unix::fs::PermissionsExt as _;
 
     /// Connects the way a shard worker does and says hello as `shard`.
     fn connect_as(addr: &str, shard: u32) -> TcpStream {
-        let mut stream = TcpStream::connect(addr).expect("connect to the supervisor");
+        let mut stream = TcpStream::connect(addr).expect("connect to the controller");
         stream
             .set_read_timeout(Some(Duration::from_secs(30)))
             .expect("set timeout");
@@ -1012,39 +1150,51 @@ mod tests {
         serving_frame(FrameKind::Outcome, from, DRIVER, &[record]).expect("encodes")
     }
 
-    /// The supervisor indexes per-shard state by the shard a connection
-    /// speaks for. A `hello` from a shard that does not exist used to reach
-    /// `on_shard_death` through the reader's `Disconnected` and panic the
-    /// event loop (`index out of bounds: the len is 1 but the index is 9`);
-    /// now it is dropped at the door, as is a connection whose later frames
-    /// claim another `from`. The test plays the shard worker itself: the
-    /// configured worker binary is a script whose only act is to record the
-    /// address the supervisor listens on.
-    #[test]
-    fn a_connection_speaks_only_for_the_shard_its_hello_may_name() {
-        let dir = std::env::temp_dir().join(format!("marsit-sup-hello-{}", std::process::id()));
+    /// A one-process-shard server whose worker binary is a script whose
+    /// only act is to record the address the controller listens on; returns
+    /// the config and the file the address lands in.
+    fn scripted_server(tag: &str) -> (ServeConfig, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("marsit-sup-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("scratch dir");
         let script = dir.join("worker.sh");
         std::fs::write(&script, "#!/bin/sh\nprintf '%s\\n' \"$3\" > \"$0.addr\"\n")
             .expect("script");
         std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).expect("chmod");
-        let mut cfg = SupervisorConfig::new(1);
-        cfg.worker_bin = Some(script);
-        let mut handle = SupervisorHandle::start(cfg, None).expect("start supervisor");
-        // A pending job keeps the event loop running through everything
-        // below.
-        let spec = JobSpec::new("held", Workload::AlexNetMnist, Topology::ring(4));
-        handle.submit(spec.clone());
+        let mut cfg = ServeConfig::new(1);
+        cfg.processes = Some(ProcessShards {
+            worker_bin: Some(script),
+            ..ProcessShards::default()
+        });
+        (cfg, dir)
+    }
+
+    fn await_addr(dir: &std::path::Path) -> String {
         let deadline = Instant::now() + Duration::from_secs(30);
-        let addr = loop {
+        loop {
             match std::fs::read_to_string(dir.join("worker.sh.addr")) {
-                Ok(text) if text.ends_with('\n') => break text.trim().to_string(),
+                Ok(text) if text.ends_with('\n') => return text.trim().to_string(),
                 _ => {
                     assert!(Instant::now() < deadline, "worker script never ran");
                     std::thread::sleep(Duration::from_millis(10));
                 }
             }
-        };
+        }
+    }
+
+    /// The controller indexes per-shard state by the shard a connection
+    /// speaks for, so a `hello` from a shard that does not exist must never
+    /// reach it: it is dropped at the door, and a connection whose later
+    /// frames claim another `from` is dropped like a dead shard's. The test
+    /// plays the shard worker itself.
+    #[test]
+    fn a_connection_speaks_only_for_the_shard_its_hello_may_name() {
+        let (cfg, dir) = scripted_server("hello");
+        let mut handle = JobServer::start(cfg);
+        // A pending job keeps the event loop running through everything
+        // below.
+        let spec = JobSpec::new("held", Workload::AlexNetMnist, Topology::ring(4));
+        handle.submit(spec.clone());
+        let addr = await_addr(&dir);
 
         // A hello from shard 9 of 1. EOF on our side means its reader is
         // done with it — and has queued whatever it was going to queue.
@@ -1054,7 +1204,7 @@ mod tests {
 
         // Shard 0's connection forging a frame from shard 9: the frame is
         // not believed and the connection is dropped like a dead shard's
-        // (EOF once the supervisor has let go of its half).
+        // (EOF once the controller has let go of its half).
         let mut liar = connect_as(&addr, 0);
         let (delivery, _) = read_frame(&mut liar).expect("readable").expect("the job");
         assert_eq!(delivery.kind, FrameKind::Submit);
@@ -1073,10 +1223,11 @@ mod tests {
             .plan();
         assert_eq!(plan.fresh, vec![spec]);
         write_frame(&mut honest, &outcome_frame(0, "held", "honest")).expect("write");
-        let report = handle.finish().expect("supervisor survives");
-        assert_eq!(report.outcomes.len(), 1);
-        assert_eq!(report.outcomes[0].report_debug, "honest");
-        assert_eq!(report.outcomes[0].log, "log\n");
+        let report = handle.finish();
+        assert_eq!(report.failure, None, "the controller survives");
+        assert_eq!(report.remote_outcomes.len(), 1);
+        assert_eq!(report.remote_outcomes[0].report_debug, "honest");
+        assert_eq!(report.remote_outcomes[0].log, "log\n");
         assert_eq!(
             report.shard_deaths, 1,
             "the lying connection counted as a death"
@@ -1090,27 +1241,11 @@ mod tests {
     /// connection, and no death is counted.
     #[test]
     fn a_second_hello_for_a_live_shard_is_refused() {
-        let dir = std::env::temp_dir().join(format!("marsit-sup-dup-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("scratch dir");
-        let script = dir.join("worker.sh");
-        std::fs::write(&script, "#!/bin/sh\nprintf '%s\\n' \"$3\" > \"$0.addr\"\n")
-            .expect("script");
-        std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).expect("chmod");
-        let mut cfg = SupervisorConfig::new(1);
-        cfg.worker_bin = Some(script);
-        let mut handle = SupervisorHandle::start(cfg, None).expect("start supervisor");
+        let (cfg, dir) = scripted_server("dup");
+        let mut handle = JobServer::start(cfg);
         let first_spec = JobSpec::new("first", Workload::AlexNetMnist, Topology::ring(4));
         handle.submit(first_spec);
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let addr = loop {
-            match std::fs::read_to_string(dir.join("worker.sh.addr")) {
-                Ok(text) if text.ends_with('\n') => break text.trim().to_string(),
-                _ => {
-                    assert!(Instant::now() < deadline, "worker script never ran");
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            }
-        };
+        let addr = await_addr(&dir);
 
         let mut holder = connect_as(&addr, 0);
         let (delivery, _) = read_frame(&mut holder).expect("readable").expect("a job");
@@ -1135,8 +1270,9 @@ mod tests {
         for name in ["first", "second"] {
             write_frame(&mut holder, &outcome_frame(0, name, "held")).expect("write");
         }
-        let report = handle.finish().expect("supervisor survives");
-        assert_eq!(report.outcomes.len(), 2);
+        let report = handle.finish();
+        assert_eq!(report.failure, None, "the controller survives");
+        assert_eq!(report.remote_outcomes.len(), 2);
         assert_eq!(
             report.shard_deaths, 0,
             "the refused connection counted as a death"

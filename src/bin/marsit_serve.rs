@@ -2,8 +2,9 @@
 //!
 //! Reads a submission queue of job-spec lines (one `key=value` line per
 //! job — see `JobSpec::parse_line`) from a file or stdin, serves them
-//! through the sharded scheduler, and prints one summary row per finished
-//! job plus server-level throughput, pool, and migration counters.
+//! through the job server (one controller, one shard loop per shard), and
+//! prints one summary row per finished job plus server-level throughput,
+//! pool, migration and shard-death counters.
 //!
 //! ```text
 //! cargo run --release --bin marsit_serve -- jobs.txt \
@@ -15,7 +16,7 @@
 //!
 //! `--journal PATH` makes serving crash-safe: every accepted submission,
 //! periodic job snapshot, migration, and outcome is appended to a durable
-//! journal of binary records (fsynced at shard-tick boundaries). If PATH
+//! journal of binary records (fsynced as the controller files them). If PATH
 //! already holds a journal — say, because the previous server was
 //! `kill -9`ed mid-storm — the server replays it first, reports finished
 //! jobs without re-running them, resumes in-flight jobs from their last
@@ -23,8 +24,10 @@
 //! that holds anything else (another format version, not a journal) is
 //! refused with exit code 1 and left untouched.
 //!
-//! `--supervise` runs each shard as a subprocess (restarted with backoff
-//! if it dies) instead of a thread.
+//! `--supervise` only picks the link: each shard runs the same loop in a
+//! subprocess behind localhost TCP (restarted with backoff if it dies)
+//! instead of on a thread. Everything else — admission, journal,
+//! migration, verification — is one path.
 //!
 //! `--verify` re-runs every job solo after serving and hard-fails unless
 //! the served report and telemetry log are byte-identical — the bit-
@@ -42,8 +45,7 @@ use std::time::Instant;
 use marsit::serve::{
     parse_queue, quantile_ns, replay_file, shard_worker_main, verify_outcome, verify_recovered,
     AdmissionController, AdmissionError, JobServer, JobSpec, JournalWriter, MigrationPolicy,
-    RecoveredOutcome, ServeConfig, SupervisorConfig, SupervisorHandle, TenantQuota,
-    SHARD_WORKER_MODE,
+    ProcessShards, RecoveredOutcome, ServeConfig, TenantQuota, SHARD_WORKER_MODE,
 };
 
 const EXIT_OK: i32 = 0;
@@ -425,160 +427,109 @@ fn real_main() -> Result<i32, CliError> {
     );
 
     let epoch = Instant::now();
-    let journal = recovery.take().map(|rec| {
-        (
-            Arc::new(Mutex::new(rec.writer)),
+    let (journal, completed_before, resumes, fresh) = match recovery.take() {
+        Some(rec) => (
+            Some(Arc::new(Mutex::new(rec.writer))),
             rec.completed,
             rec.resumes,
             rec.fresh,
-        )
-    });
-    let (journal_handle, completed_before, resumes, fresh) = match journal {
-        Some((handle, completed, resumes, fresh)) => (Some(handle), completed, resumes, fresh),
+        ),
         None => (None, Vec::new(), Vec::new(), Vec::new()),
     };
 
-    let mut rejected: Vec<String> = Vec::new();
+    let mut cfg = ServeConfig::new(opts.shards);
+    cfg.tick_rounds = opts.tick.max(1);
+    cfg.migration = opts.migration;
+    cfg.snapshot_every_ticks = opts.snapshot_every;
+    if opts.supervise {
+        cfg.processes = Some(ProcessShards::default());
+    }
     let wall = Instant::now();
-    let (mut rows, tail, verify_failures) = if opts.supervise {
-        let mut cfg = SupervisorConfig::new(opts.shards);
-        cfg.tick_rounds = opts.tick.max(1);
-        cfg.snapshot_every_ticks = opts.snapshot_every;
-        cfg.migration = opts.migration;
-        let mut handle = SupervisorHandle::start(cfg, journal_handle.clone())
-            .map_err(|e| CliError::fail(format!("cannot start supervisor: {e}")))?;
-        let mut admission = admission_from(&opts);
-        for resume in resumes {
-            handle.submit_resume(resume);
-        }
-        for spec in fresh.into_iter().chain(specs) {
-            let name = spec.name.clone();
-            submit_with_retry(&name, epoch, &mut rejected, |now| {
-                if let Some(adm) = admission.as_mut() {
-                    adm.admit(&spec, now)?;
-                }
-                handle.submit(spec.clone());
-                Ok(())
-            });
-        }
-        let report = handle
-            .finish()
-            .map_err(|e| CliError::fail(format!("supervisor failed: {e}")))?;
-        let wall_s = wall.elapsed().as_secs_f64();
-        let mut failures = Vec::new();
-        let all: Vec<&RecoveredOutcome> = completed_before
-            .iter()
-            .chain(report.outcomes.iter())
-            .collect();
-        if opts.verify {
-            eprintln!("marsit_serve: verifying bit-exactness against solo runs...");
-            for outcome in &all {
-                if let Err(e) = verify_recovered(outcome) {
-                    failures.push(format!("BIT-EXACTNESS VIOLATION: {e}"));
-                }
-            }
-        }
-        let rows: Vec<Row> = all
-            .iter()
-            .map(|o| Row {
-                name: o.spec.name.clone(),
-                rounds: o.spec.rounds,
-                shard_path: o.shard_path.clone(),
-                migrations: o.migrations,
-                detail: o.report_debug.chars().take(24).collect(),
-            })
-            .collect();
-        let tail = format!(
-            "served {} jobs in {:.2}s ({:.1} jobs/s) | {} recovered | \
-             shard deaths {} | restarts {} | migrations {}\n",
-            all.len(),
-            wall_s,
-            report.outcomes.len() as f64 / wall_s.max(1e-9),
-            recovered_done,
-            report.shard_deaths,
-            report.restarts,
-            report.migrations,
-        );
-        (rows, tail, failures)
-    } else {
-        let mut cfg = ServeConfig::new(opts.shards);
-        cfg.tick_rounds = opts.tick.max(1);
-        cfg.migration = opts.migration;
-        cfg.snapshot_every_ticks = opts.snapshot_every;
-        let mut handle = match &journal_handle {
-            Some(journal) => JobServer::start_journaled(cfg, Arc::clone(journal)),
-            None => JobServer::start(cfg),
-        };
-        if let Some(admission) = admission_from(&opts) {
-            handle.set_admission(admission);
-        }
-        for resume in resumes {
-            handle.submit_resume(resume);
-        }
-        for spec in fresh.into_iter().chain(specs) {
-            let name = spec.name.clone();
-            submit_with_retry(&name, epoch, &mut rejected, |now| {
-                handle.try_submit(spec.clone(), now)
-            });
-        }
-        let report = handle.finish();
-        let wall_s = wall.elapsed().as_secs_f64();
-        let mut failures = Vec::new();
-        if opts.verify {
-            eprintln!("marsit_serve: verifying bit-exactness against solo runs...");
-            for outcome in &completed_before {
-                if let Err(e) = verify_recovered(outcome) {
-                    failures.push(format!("BIT-EXACTNESS VIOLATION: {e}"));
-                }
-            }
-            for outcome in &report.outcomes {
-                if let Err(e) = verify_outcome(outcome) {
-                    failures.push(format!("BIT-EXACTNESS VIOLATION: {e}"));
-                }
-            }
-        }
-        let mut rows: Vec<Row> = completed_before
-            .iter()
-            .map(|o| Row {
-                name: o.spec.name.clone(),
-                rounds: o.spec.rounds,
-                shard_path: o.shard_path.clone(),
-                migrations: o.migrations,
-                detail: "(recovered)".to_string(),
-            })
-            .collect();
-        for outcome in &report.outcomes {
-            let loss = outcome
-                .report
-                .records
-                .last()
-                .map_or(f64::NAN, |r| r.train_loss);
-            rows.push(Row {
-                name: outcome.spec.name.clone(),
-                rounds: outcome.spec.rounds,
-                shard_path: outcome.shard_path.clone(),
-                migrations: outcome.migrations,
-                detail: format!("{loss:.6}"),
-            });
-        }
-        let lat = report.round_latencies_sorted();
-        let pool = report.pool_stats();
-        let tail = format!(
-            "served {} jobs in {:.2}s ({:.1} jobs/s) | {} recovered | peak {} in flight | \
-             round p50/p99 {:.1}/{:.1} us | pool hits {}/{} | migrations {}\n",
-            report.outcomes.len() + recovered_done,
-            wall_s,
-            report.outcomes.len() as f64 / wall_s.max(1e-9),
-            recovered_done,
-            report.peak_in_flight,
-            quantile_ns(&lat, 0.5) as f64 / 1e3,
-            quantile_ns(&lat, 0.99) as f64 / 1e3,
-            pool.hits,
-            pool.hits + pool.misses,
-            report.migration_samples().len(),
-        );
-        (rows, tail, failures)
+    let mut handle = match journal {
+        Some(journal) => JobServer::start_journaled(cfg, journal),
+        None => JobServer::start(cfg),
     };
+    if let Some(admission) = admission_from(&opts) {
+        handle.set_admission(admission);
+    }
+    for resume in resumes {
+        handle.submit_resume(resume);
+    }
+    let mut rejected: Vec<String> = Vec::new();
+    for spec in fresh.into_iter().chain(specs) {
+        let name = spec.name.clone();
+        submit_with_retry(&name, epoch, &mut rejected, |now| {
+            handle.try_submit(spec.clone(), now)
+        });
+    }
+    let report = handle.finish();
+    let wall_s = wall.elapsed().as_secs_f64();
+    if let Some(e) = &report.failure {
+        return Err(CliError::fail(format!("server failed: {e}")));
+    }
+
+    // Reports of jobs the journal or a process shard handed back are
+    // fingerprints; a thread shard's is the report itself.
+    let row = |o: &RecoveredOutcome, detail: String| Row {
+        name: o.spec.name.clone(),
+        rounds: o.spec.rounds,
+        shard_path: o.shard_path.clone(),
+        migrations: o.migrations,
+        detail,
+    };
+    let mut rows: Vec<Row> = completed_before
+        .iter()
+        .map(|o| row(o, "(recovered)".to_string()))
+        .chain(
+            report
+                .remote_outcomes
+                .iter()
+                .map(|o| row(o, o.report_debug.chars().take(24).collect())),
+        )
+        .collect();
+    for o in &report.outcomes {
+        let loss = o.report.records.last().map_or(f64::NAN, |r| r.train_loss);
+        rows.push(Row {
+            name: o.spec.name.clone(),
+            rounds: o.spec.rounds,
+            shard_path: o.shard_path.clone(),
+            migrations: o.migrations,
+            detail: format!("{loss:.6}"),
+        });
+    }
+    let mut verify_failures = Vec::new();
+    if opts.verify {
+        eprintln!("marsit_serve: verifying bit-exactness against solo runs...");
+        let fingerprinted = completed_before.iter().chain(&report.remote_outcomes);
+        let verdicts = fingerprinted
+            .map(verify_recovered)
+            .chain(report.outcomes.iter().map(verify_outcome));
+        for verdict in verdicts {
+            if let Err(e) = verdict {
+                verify_failures.push(format!("BIT-EXACTNESS VIOLATION: {e}"));
+            }
+        }
+    }
+    let served = rows.len() - recovered_done;
+    let lat = report.round_latencies_sorted();
+    let pool = report.pool_stats();
+    let tail = format!(
+        "served {} jobs in {:.2}s ({:.1} jobs/s) | {} recovered | peak {} in flight | \
+         round p50/p99 {:.1}/{:.1} us | pool hits {}/{} | migrations {} | \
+         shard deaths {} | restarts {}\n",
+        rows.len(),
+        wall_s,
+        served as f64 / wall_s.max(1e-9),
+        recovered_done,
+        report.peak_in_flight,
+        quantile_ns(&lat, 0.5) as f64 / 1e3,
+        quantile_ns(&lat, 0.99) as f64 / 1e3,
+        pool.hits,
+        pool.hits + pool.misses,
+        rows.iter().map(|r| u64::from(r.migrations)).sum::<u64>(),
+        report.shard_deaths,
+        report.restarts,
+    );
 
     rows.sort_by(|a, b| a.name.cmp(&b.name));
     let lines = render_rows(&rows, &tail);
